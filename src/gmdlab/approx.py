@@ -10,8 +10,11 @@
   pairwise mass c on the satisfying assignment is at most both marginals,
   which lifts the guarantee to 1/4 + 1/(16T) on normalized instances.
 
-Randomness is counter-based (see rng.py): trial k of master seed s uses
-substream(s, k), so batch results do not depend on scheduling.
+Every trial runs on the integer pair game of `exact`: the instance is scaled
+once, best responses and values are exact integer sums, and each trial
+builds one `Fraction(total, denom)`.  Randomness is counter-based (see
+rng.py): trial k of master seed s uses substream(s, k), so batch results do
+not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -27,97 +30,92 @@ from .core import (
     InstanceError,
     Labeling,
     Pricing,
-    val_gmd,
-    val_gp,
 )
+from .exact import _gmd_game, _gmd_labels, _gp_game, _PairGame
 from .rng import substream
+
+
+def _gp_completion_game(inst: GpInstance) -> tuple[_PairGame, list[list[Fraction]]]:
+    """Pair game whose domain at v is 0 then v's incident budgets, ascending.
+
+    The profit of v as a function of its price, against a fixed zero set, is
+    piecewise linear with breakpoints at the budgets of its edges into the
+    zero set, so the incident budgets hold every best response.
+    """
+    budgets: list[set] = [set() for _ in range(inst.n)]
+    for e in inst.edges:
+        budgets[e.u].add(e.budget)
+        budgets[e.v].add(e.budget)
+    domains = [[Fraction(0)] + sorted(b) for b in budgets]
+    return _gp_game(inst, domains), domains
+
+
+def _gp_completion(game: _PairGame, zero: Sequence[bool]) -> list[int]:
+    """Price indices: 0 on the zero set, a best response to it elsewhere."""
+    x = [0 if z else None for z in zero]
+    return [0 if z else game.best_response(v, x)[0] for v, z in enumerate(zero)]
 
 
 def gp_price_completion(inst: GpInstance, zero: Sequence[bool]) -> Pricing:
     """Best response to a fixed zero set: each non-zero vertex takes the
     profit-maximizing price against its zero neighbors.
 
-    The profit of v as a function of its price is piecewise linear with
-    breakpoints at the incident budgets, so those budgets are the only
-    candidates; ties break to the smallest price, no zero neighbor means 0.
+    Ties break to the smallest price; no zero neighbor means 0.
     """
-    candidates: list[set] = [set() for _ in range(inst.n)]
-    for e in inst.edges:
-        if zero[e.u] and not zero[e.v]:
-            candidates[e.v].add(e.budget)
-        if zero[e.v] and not zero[e.u]:
-            candidates[e.u].add(e.budget)
-    prices = []
-    for v in range(inst.n):
-        if zero[v] or not candidates[v]:
-            prices.append(Fraction(0))
-            continue
-        best_q, best_profit = Fraction(0), Fraction(0)
-        for q in sorted(candidates[v]):
-            profit = Fraction(0)
-            for e in inst.edges:
-                if e.u == v and zero[e.v] or e.v == v and zero[e.u]:
-                    if q <= e.budget:
-                        profit += e.weight * q
-            if profit > best_profit:
-                best_q, best_profit = q, profit
-        prices.append(best_q)
-    return Pricing(tuple(prices))
+    game, domains = _gp_completion_game(inst)
+    x = _gp_completion(game, list(zero))
+    return Pricing(tuple(domains[v][i] for v, i in enumerate(x)))
 
 
-def gmd_label_completion(inst: GmdInstance, zero: Sequence[bool]) -> Labeling:
-    """Zero on the zero set, greedy best label against it elsewhere."""
-    gain: dict[tuple[int, int], Fraction] = {}
-    for a in inst.arcs:
-        if zero[a.tail] and not zero[a.head]:
-            key = (a.head, a.label)
-            gain[key] = gain.get(key, Fraction(0)) + a.weight
-    values = []
-    for v in range(inst.n):
-        if zero[v]:
-            values.append(0)
-            continue
-        best_label, best_gain = 1, Fraction(0)
-        for t in range(1, inst.T + 1):
-            g = gain.get((v, t), Fraction(0))
-            if g > best_gain:
-                best_label, best_gain = t, g
-        values.append(best_label)
-    return Labeling(tuple(values))
+def _gp_quarter(inst: GpInstance) -> Callable[[int, int], tuple[Pricing, Fraction]]:
+    game, domains = _gp_completion_game(inst)
+
+    def trial(seed: int, k: int) -> tuple[Pricing, Fraction]:
+        zero = (substream(seed, k).integers(0, 2, size=inst.n) == 0).tolist()
+        x = _gp_completion(game, zero)
+        pricing = Pricing(tuple(domains[v][i] for v, i in enumerate(x)))
+        return pricing, Fraction(game.value(x), game.denom)
+
+    return trial
+
+
+def _gmd_quarter(inst: GmdInstance) -> Callable[[int, int], tuple[Labeling, Fraction]]:
+    game = _gmd_game(inst)
+
+    def trial(seed: int, k: int) -> tuple[Labeling, Fraction]:
+        zero = (substream(seed, k).integers(0, 2, size=inst.n) == 0).tolist()
+        labels, total = _gmd_labels(game, zero)
+        return Labeling(tuple(labels)), Fraction(total, game.denom)
+
+    return trial
 
 
 def approx_gp_quarter(inst: GpInstance, seed: int, trial: int = 0) -> tuple[Pricing, Fraction]:
     """One run of the combinatorial quarter algorithm for pricing."""
-    rng = substream(seed, trial)
-    zero = rng.integers(0, 2, size=inst.n) == 0
-    pricing = gp_price_completion(inst, zero)
-    return pricing, val_gp(inst, pricing)
+    return _gp_quarter(inst)(seed, trial)
 
 
 def approx_gmd_quarter(inst: GmdInstance, seed: int, trial: int = 0) -> tuple[Labeling, Fraction]:
     """One run of the combinatorial quarter algorithm for max-dicut."""
-    rng = substream(seed, trial)
-    zero = rng.integers(0, 2, size=inst.n) == 0
-    lab = gmd_label_completion(inst, zero)
-    return lab, val_gmd(inst, lab)
+    return _gmd_quarter(inst)(seed, trial)
 
 
 def quarter_expectation_gmd(inst: GmdInstance) -> Fraction:
     """Exact expectation of the quarter algorithm over all coin patterns."""
-    total = Fraction(0)
+    game = _gmd_game(inst)
+    total = 0
     for mask in range(1 << inst.n):
-        zero = [bool(mask >> v & 1) for v in range(inst.n)]
-        total += val_gmd(inst, gmd_label_completion(inst, zero))
-    return total / (1 << inst.n)
+        total += _gmd_labels(game, [bool(mask >> v & 1) for v in range(inst.n)])[1]
+    return Fraction(total, game.denom << inst.n)
 
 
 def quarter_expectation_gp(inst: GpInstance) -> Fraction:
     """Exact expectation of the quarter algorithm over all coin patterns."""
-    total = Fraction(0)
+    game, _ = _gp_completion_game(inst)
+    total = 0
     for mask in range(1 << inst.n):
-        zero = [bool(mask >> v & 1) for v in range(inst.n)]
-        total += val_gp(inst, gp_price_completion(inst, zero))
-    return total / (1 << inst.n)
+        total += game.value(_gp_completion(game, [bool(mask >> v & 1) for v in range(inst.n)]))
+    return Fraction(total, game.denom << inst.n)
 
 
 def _check_marginals(inst: GmdInstance, marginals: Sequence[Sequence[Fraction]]):
@@ -144,6 +142,37 @@ def lp_round_expectation(inst: GmdInstance, marginals: Sequence[Sequence[Fractio
     return total
 
 
+def _lp_round(
+    inst: GmdInstance, marginals: Sequence[Sequence[Fraction]]
+) -> Callable[[int, int], tuple[Labeling, Fraction, Fraction]]:
+    expectation = lp_round_expectation(inst, marginals)
+    game = _gmd_game(inst)
+    T = inst.T
+    # per vertex: the zero threshold (1+x0)/2, then the running sums of the
+    # x_i/2 slices of the remaining mass, as the floats the draws compare to
+    thresholds = []
+    for dist in marginals:
+        acc, slices = 0.0, []
+        for i in range(1, T + 1):
+            acc += float(dist[i] / 2)
+            slices.append(acc)
+        thresholds.append((float((1 + dist[0]) / 2), slices))
+
+    def trial(seed: int, k: int) -> tuple[Labeling, Fraction, Fraction]:
+        u = substream(seed, k).random(inst.n).tolist()
+        values = []
+        for draw, (cut, slices) in zip(u, thresholds):
+            if draw < cut:
+                values.append(0)
+                continue
+            rest = draw - cut
+            values.append(next((i for i, acc in enumerate(slices, 1) if rest < acc), T))
+        x = [T if label == 0 else label - 1 for label in values]
+        return Labeling(tuple(values)), Fraction(game.value(x), game.denom), expectation
+
+    return trial
+
+
 def lp_round_gmd(
     inst: GmdInstance,
     marginals: Sequence[Sequence[Fraction]],
@@ -151,27 +180,16 @@ def lp_round_gmd(
     trial: int = 0,
 ) -> tuple[Labeling, Fraction, Fraction]:
     """Sample the LP rounding once; also return its exact expectation."""
-    _check_marginals(inst, marginals)
-    rng = substream(seed, trial)
-    u = rng.random(inst.n)
-    values = []
-    for v in range(inst.n):
-        # thresholds (1+x0)/2, then x_i/2 slices of the remaining mass
-        cut = float((1 + marginals[v][0]) / 2)
-        if u[v] < cut:
-            values.append(0)
-            continue
-        rest = float(u[v]) - cut
-        chosen = inst.T
-        acc = 0.0
-        for i in range(1, inst.T + 1):
-            acc += float(marginals[v][i] / 2)
-            if rest < acc:
-                chosen = i
-                break
-        values.append(chosen)
-    lab = Labeling(tuple(values))
-    return lab, val_gmd(inst, lab), lp_round_expectation(inst, marginals)
+    return _lp_round(inst, marginals)(seed, trial)
+
+
+# Batch form of each trial function: `run_trials` scales the instance to
+# integers once per batch, not once per trial.
+_PREPARE: dict[Callable, Callable] = {
+    approx_gp_quarter: _gp_quarter,
+    approx_gmd_quarter: _gmd_quarter,
+    lp_round_gmd: _lp_round,
+}
 
 
 @dataclass(frozen=True)
@@ -211,8 +229,10 @@ def run_trials(
     **kwargs,
 ) -> RandomizedRun:
     """Run `algorithm(inst, seed, trial=k, **kwargs)` for k = 0..trials-1."""
-    values = []
-    for k in range(trials):
-        out = algorithm(inst, seed=seed, trial=k, **kwargs)
-        values.append(out[1])
+    prepare = _PREPARE.get(algorithm)
+    if prepare is None:
+        values = [algorithm(inst, seed=seed, trial=k, **kwargs)[1] for k in range(trials)]
+    else:
+        one = prepare(inst, **kwargs)
+        values = [one(seed, k)[1] for k in range(trials)]
     return RandomizedRun(seed=seed, trials=trials, values=tuple(values))

@@ -22,6 +22,7 @@ from .core import (
     GmdInstance,
     GpInstance,
     InstanceError,
+    max_incident_budget,
     parse_instance,
     serialize_instance,
 )
@@ -120,11 +121,7 @@ def _price_grid(inst: GpInstance, spec: str):
         return half_integral_grid(inst), "half"
     if spec.startswith("geom:"):
         eps = Fraction(spec.split(":", 1)[1])
-        bound = [Fraction(0)] * inst.n
-        for e in inst.edges:
-            bound[e.u] = max(bound[e.u], e.budget)
-            bound[e.v] = max(bound[e.v], e.budget)
-        return [geometric_grid(bound[v], eps) for v in range(inst.n)], spec
+        return [geometric_grid(b, eps) for b in max_incident_budget(inst)], spec
     raise InstanceError(f"unknown grid spec {spec!r} (want half or geom:<eps>)")
 
 

@@ -223,6 +223,15 @@ def val_gp(inst: GpInstance, pricing: Pricing) -> Fraction:
     return total
 
 
+def max_incident_budget(inst: GpInstance) -> list[Fraction]:
+    """Per-vertex largest budget of an incident edge; 0 at isolated vertices."""
+    bound = [Fraction(0)] * inst.n
+    for e in inst.edges:
+        bound[e.u] = max(bound[e.u], e.budget)
+        bound[e.v] = max(bound[e.v], e.budget)
+    return bound
+
+
 def ndeg(inst: GmdInstance) -> Fraction:
     """Normalized outdegree: reciprocal of sum over tails of max out-weight.
 

@@ -1,14 +1,32 @@
 """Exact optimum oracles used as ground truth by every other module.
 
-Max-dicut optima come from zero-set enumeration: once the set of vertices
-labeled 0 is fixed, the best completion assigns each remaining vertex the
-label with maximum incoming weight from the zero set, independently per
-vertex.  That turns (T+1)^n enumeration into 2^n * m.
+Both problems maximise a sum of pairwise payoffs over finite per-vertex
+domains: labels 0..T for max-dicut, a candidate price grid for pricing.
+One engine, `_PairGame`, solves that problem for every oracle and best
+response in the package:
 
-Pricing optima come from candidate-grid enumeration.  On the half-integral
-grid {0, 1/2, ..., B} with integer budgets the grid value is the true
-optimum (a half-integral optimal pricing always exists); on other grids it
-is a certified lower bound.
+* every payoff is scaled once to an integer over a common denominator, so
+  no comparison ever touches a `Fraction` or a float;
+* it picks a vertex cover C of the payoff graph with the least product of
+  domain sizes and enumerates the assignments of C in product order;
+* every vertex outside C has all its neighbours in C, so it takes its best
+  response on its own, the smallest domain index winning ties;
+* ties between cover assignments go to the smaller witness key.
+
+The key gives each oracle its witness contract.  `opt_gp_grid` returns the
+first optimal grid point in `itertools.product` order.  `opt_gmd` returns
+the greedy completion of the smallest optimal zero mask: its domain lists
+the labels 1..T before 0, so a best response prefers a nonzero label, and
+the key is the zero mask.  For max-dicut the zero-set walk is the other
+enumerator: once the zero set is fixed every other vertex best-responds on
+its own, so 2^n masks, vectorised in numpy int64, cover all (T+1)^n
+labelings.  `opt_gmd` takes whichever of the two costs less on the
+instance.  `explored` is the size of the search space certified either
+way: 2^n masks, or the number of grid points.
+
+On the half-integral grid {0, 1/2, ..., B} with integer budgets the grid
+value is the true optimum (a half-integral optimal pricing always exists);
+on other grids it is a certified lower bound.
 """
 
 from __future__ import annotations
@@ -16,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .caps import Caps
 from .core import (
@@ -26,6 +44,7 @@ from .core import (
     InstanceError,
     Labeling,
     Pricing,
+    max_incident_budget,
     val_gmd,
     val_gp,
 )
@@ -36,6 +55,187 @@ class OptResult:
     value: Fraction
     witness: Union[Labeling, Pricing]
     explored: int
+
+
+class _PairGame:
+    """Maximise the sum over vertex pairs {u, v} of P_uv[x_u][x_v], where
+    x_v ranges over domain indices 0..sizes[v]-1.
+
+    `tables` maps a pair (u, v) to its payoff rows (indexed by x_u, then
+    x_v) as Fractions; they are scaled once to exact ints over `denom`.
+    """
+
+    def __init__(self, sizes: Sequence[int], tables: dict):
+        from math import lcm
+
+        self.sizes = tuple(sizes)
+        self.denom = lcm(*(p.denominator for t in tables.values() for row in t for p in row))
+        d = self.denom
+        self.pairs = []
+        # nbrs[v][u][x_u] is the payoff vector over x_v given u's choice
+        self.nbrs: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in self.sizes]
+        for (u, v), rows in tables.items():
+            ints = [[p.numerator * (d // p.denominator) for p in row] for row in rows]
+            self.pairs.append((u, v, ints))
+            self.nbrs[v][u] = [tuple(row) for row in ints]
+            self.nbrs[u][v] = list(zip(*ints))
+
+    def value(self, x: Sequence[int]) -> int:
+        return sum(t[x[u]][x[v]] for u, v, t in self.pairs)
+
+    def best_response(self, v: int, x: Sequence, width: int | None = None) -> tuple[int, int]:
+        """(index, payoff) of v's best choice among its first `width` indices
+        against the neighbours u with x[u] set (not None); the smallest index
+        wins ties."""
+        vec = None
+        for u, cols in self.nbrs[v].items():
+            if x[u] is not None:
+                col = cols[x[u]]
+                vec = col if vec is None else [a + b for a, b in zip(vec, col)]
+        if vec is None:
+            return 0, 0
+        if width is not None:
+            vec = vec[:width]
+        best = max(vec)
+        return vec.index(best), best
+
+    def cover(self) -> tuple[int, ...]:
+        """A vertex cover of the payoff graph with the least product of
+        domain sizes, by branch and bound: either the vertex of largest
+        degree is in the cover, or all its neighbours are.  Vertices with one
+        choice join the cover for free."""
+        from math import prod
+
+        sizes = self.sizes
+        free = {v for v, s in enumerate(sizes) if s == 1 and self.nbrs[v]}
+        graph = {}
+        for v, nb in enumerate(self.nbrs):
+            rest = set(nb) - free
+            if v not in free and rest:
+                graph[v] = rest
+        best = [1 + prod(sizes[v] for v in graph), set(graph)]
+
+        def branch(graph: dict, chosen: set, cost: int) -> None:
+            if cost >= best[0]:
+                return
+            if not graph:
+                best[:] = [cost, chosen]
+                return
+            v = max(graph, key=lambda u: (len(graph[u]), -u))
+            branch(_drop(graph, {v}), chosen | {v}, cost * sizes[v])
+            nv = graph[v]
+            branch(_drop(graph, nv), chosen | nv, cost * prod(sizes[u] for u in nv))
+
+        branch(graph, set(), 1)
+        return tuple(sorted(best[1] | free))
+
+    def maximise(self, cover: Sequence[int], key: Callable) -> tuple[int, list[int]]:
+        """Optimum and its witness: the assignment with the smallest
+        `key(x)` among the optimal ones that give every vertex outside
+        `cover` its smallest best-response index."""
+        sizes, nbrs = self.sizes, self.nbrs
+        n = len(sizes)
+        cover = sorted(cover, key=lambda c: sizes[c] > 1)
+        depth = {c: d for d, c in enumerate(cover)}
+        outer = [v for v in range(n) if v not in depth and nbrs[v]]
+        # per cover depth d: payoffs with earlier cover vertices, outer
+        # vertices whose score vectors gain a column, and outer vertices whose
+        # last cover neighbour is cover[d], so their best payoff is known
+        inner = [[(u, cols) for u, cols in nbrs[c].items() if depth.get(u, d) < d]
+                 for d, c in enumerate(cover)]
+        touch: list[list] = [[] for _ in cover]
+        close: list[list[int]] = [[] for _ in cover]
+        for v in outer:
+            for c in nbrs[v]:
+                touch[depth[c]].append((v, nbrs[v][c]))
+            close[max(depth[c] for c in nbrs[v])].append(v)
+        x = [0] * n
+        score: list = [None] * n
+        best: list = [-1, None, None]
+
+        def leaf(val: int) -> None:
+            if val < best[0]:
+                return
+            for v in outer:
+                vec = score[v]
+                x[v] = vec.index(max(vec))
+            k = key(x)
+            if val > best[0] or k < best[1]:
+                best[:] = [val, k, list(x)]
+
+        def assign(d: int, xc: int, val: int) -> int:
+            """Set cover[d] to xc; `val` plus the payoffs that settles."""
+            x[cover[d]] = xc
+            for u, cols in inner[d]:
+                val += cols[x[u]][xc]
+            for v, cols in touch[d]:
+                score[v] = cols[xc] if score[v] is None else [a + b for a, b in zip(score[v], cols[xc])]
+            for v in close[d]:
+                val += max(score[v])
+            return val
+
+        def descend(d: int, val: int) -> None:
+            if d == len(cover):
+                leaf(val)
+                return
+            saved = [score[v] for v, _ in touch[d]]
+            for xc in range(sizes[cover[d]]):
+                for (v, _), old in zip(touch[d], saved):
+                    score[v] = old
+                descend(d + 1, assign(d, xc, val))
+            for (v, _), old in zip(touch[d], saved):
+                score[v] = old
+
+        # single-choice vertices come first and are set without recursing, so
+        # the recursion is only as deep as the cover has real choices
+        d, val = 0, 0
+        while d < len(cover) and sizes[cover[d]] == 1:
+            val = assign(d, 0, val)
+            d += 1
+        descend(d, val)
+        return best[0], best[2]
+
+
+def _drop(graph: dict, removed: set) -> dict:
+    """`graph` without the vertices in `removed` and the ones left isolated."""
+    out = {}
+    for v, nb in graph.items():
+        if v not in removed:
+            rest = nb - removed
+            if rest:
+                out[v] = rest
+    return out
+
+
+def _gmd_game(inst: GmdInstance) -> _PairGame:
+    """Max-dicut as a pair game.  Domain index i < T is label i + 1 and index
+    T is label 0, so the smallest index prefers a nonzero label on ties."""
+    T = inst.T
+    tables: dict = {}
+    for a in inst.arcs:
+        u, v = sorted((a.tail, a.head))
+        rows = tables.setdefault((u, v), [[Fraction(0)] * (T + 1) for _ in range(T + 1)])
+        if a.tail == u:
+            rows[T][a.label - 1] += a.weight
+        else:
+            rows[a.label - 1][T] += a.weight
+    return _PairGame([T + 1] * inst.n, tables)
+
+
+def _gmd_labels(game: _PairGame, zero: Sequence[bool]) -> tuple[list[int], int]:
+    """Labels and integer value of the greedy completion of the zero set
+    (`zero[v]` true when v is in it): each other vertex best-responds to it."""
+    T = game.sizes[0] - 1
+    x = [T if z else None for z in zero]
+    labels, total = [], 0
+    for v, xv in enumerate(x):
+        if xv is None:
+            i, gain = game.best_response(v, x, width=T)
+            labels.append(i + 1)
+            total += gain
+        else:
+            labels.append(0)
+    return labels, total
 
 
 def greedy_completion(inst: GmdInstance, zero_set: frozenset[int] | set[int]) -> Labeling:
@@ -49,35 +249,17 @@ def greedy_completion(inst: GmdInstance, zero_set: frozenset[int] | set[int]) ->
     for v in zero_set:
         if not (0 <= v < inst.n):
             raise InstanceError(f"zero-set vertex {v} out of range")
-    gain: dict[tuple[int, int], Fraction] = {}
-    for a in inst.arcs:
-        if a.tail in zero_set and a.head not in zero_set:
-            key = (a.head, a.label)
-            gain[key] = gain.get(key, Fraction(0)) + a.weight
-    values = []
-    for v in range(inst.n):
-        if v in zero_set:
-            values.append(0)
-            continue
-        best_label, best_gain = 1, Fraction(0)
-        for t in range(1, inst.T + 1):
-            g = gain.get((v, t), Fraction(0))
-            if g > best_gain:
-                best_label, best_gain = t, g
-        values.append(best_label)
-    return Labeling(tuple(values))
+    zero = [v in zero_set for v in range(inst.n)]
+    return Labeling(tuple(_gmd_labels(_gmd_game(inst), zero)[0]))
 
 
 def opt_gmd(inst: GmdInstance, caps: Caps = Caps()) -> OptResult:
-    """Exact max-dicut optimum by zero-set enumeration (2^n * m).
+    """Exact max-dicut optimum over all (T+1)^n labelings.
 
-    Weights are rescaled by their common denominator to exact int64 numpy
-    arithmetic when they fit; otherwise a pure-Python Fraction sweep runs.
-    Either way the returned value is exact and the winning zero set is the
-    smallest mask achieving it.
+    Runs the cover enumeration or the zero-set walk, whichever costs less;
+    both return the smallest optimal zero mask, whose greedy completion is
+    the witness.
     """
-    import math as _math
-
     n = inst.n
     if n > caps.opt_gmd_n:
         raise CapExceeded(f"opt_gmd: n={n} exceeds cap {caps.opt_gmd_n}")
@@ -85,39 +267,30 @@ def opt_gmd(inst: GmdInstance, caps: Caps = Caps()) -> OptResult:
         return OptResult(
             value=Fraction(0), witness=greedy_completion(inst, set()), explored=1
         )
-    denom = _math.lcm(*(a.weight.denominator for a in inst.arcs))
-    scaled = [int(a.weight * denom) for a in inst.arcs]
-    if n >= 12 and sum(scaled) < 2**62:
-        best_val, best_mask = _opt_gmd_vectorized(inst, scaled, denom)
+    game = _gmd_game(inst)
+    cover = game.cover()
+    scaled = [a.weight.numerator * (game.denom // a.weight.denominator) for a in inst.arcs]
+    # Costs in numpy int64 operations on one mask and one arc: a cover leaf in
+    # Python costs about 360 of them, a numpy call (three per arc and chunk)
+    # about 200.
+    m = len(inst.arcs)
+    walk = (1 << n) * m + 600 * m * max(1, (1 << n) >> 20)
+    if walk < 360 * (inst.T + 1) ** len(cover) and sum(scaled) < 2**62:
+        best_mask = _zero_set_walk(inst, scaled)
     else:
-        best_val, best_mask = _opt_gmd_python(inst)
-    witness = greedy_completion(inst, {v for v in range(n) if best_mask >> v & 1})
+        def zero_mask(x: list[int]) -> int:
+            return sum(1 << v for v, i in enumerate(x) if i == inst.T)
+
+        best_mask = zero_mask(game.maximise(cover, key=zero_mask)[1])
+    labels, total = _gmd_labels(game, [bool(best_mask >> v & 1) for v in range(n)])
+    witness = Labeling(tuple(labels))
+    best_val = Fraction(total, game.denom)
     assert val_gmd(inst, witness) == best_val
     return OptResult(value=best_val, witness=witness, explored=1 << n)
 
 
-def _opt_gmd_python(inst: GmdInstance) -> tuple[Fraction, int]:
-    arcs = [(1 << a.tail, 1 << a.head, a.head, a.label, a.weight) for a in inst.arcs]
-    best_val = Fraction(0)
-    best_mask = 0
-    for mask in range(1 << inst.n):
-        gain: dict[tuple[int, int], Fraction] = {}
-        for tail_bit, head_bit, head, label, w in arcs:
-            if (mask & tail_bit) and not (mask & head_bit):
-                key = (head, label)
-                g = gain.get(key)
-                gain[key] = w if g is None else g + w
-        per_head: dict[int, Fraction] = {}
-        for (head, _), g in gain.items():
-            if g > per_head.get(head, Fraction(-1)):
-                per_head[head] = g
-        val = sum(per_head.values(), Fraction(0))
-        if val > best_val:
-            best_val, best_mask = val, mask
-    return best_val, best_mask
-
-
-def _opt_gmd_vectorized(inst: GmdInstance, scaled: list[int], denom: int) -> tuple[Fraction, int]:
+def _zero_set_walk(inst: GmdInstance, scaled: list[int]) -> int:
+    """Smallest zero mask of largest value, every mask in int64 numpy."""
     import numpy as np
 
     n = inst.n
@@ -144,7 +317,7 @@ def _opt_gmd_vectorized(inst: GmdInstance, scaled: list[int], denom: int) -> tup
         if int(total[i]) > best_val:
             best_val = int(total[i])
             best_mask = start + i
-    return Fraction(best_val, denom), best_mask
+    return best_mask
 
 
 def opt_gmd_bruteforce(inst: GmdInstance, caps: Caps = Caps()) -> OptResult:
@@ -171,15 +344,23 @@ def half_integral_grid(inst: GpInstance) -> list[list[Fraction]]:
     Exact for integer budgets; for fractional budgets the grid is still legal
     input but the result is only a lower bound on the optimum.
     """
-    bound = [Fraction(0)] * inst.n
+    return [[Fraction(k, 2) for k in range(int(2 * b) + 1)] for b in max_incident_budget(inst)]
+
+
+def _gp_game(inst: GpInstance, candidates: Sequence[Sequence[Fraction]]) -> _PairGame:
+    """Pricing as a pair game over candidate indices; parallel edges add up."""
+    tables: dict = {}
     for e in inst.edges:
-        bound[e.u] = max(bound[e.u], e.budget)
-        bound[e.v] = max(bound[e.v], e.budget)
-    grids = []
-    for v in range(inst.n):
-        top = 2 * bound[v]
-        grids.append([Fraction(k, 2) for k in range(int(top) + 1)])
-    return grids
+        u, v = sorted((e.u, e.v))
+        cu, cv = candidates[u], candidates[v]
+        rows = tables.setdefault((u, v), [[Fraction(0)] * len(cv) for _ in cu])
+        for i, pu in enumerate(cu):
+            row = rows[i]
+            for j, pv in enumerate(cv):
+                s = pu + pv
+                if s <= e.budget:
+                    row[j] += e.weight * s
+    return _PairGame([len(c) for c in candidates], tables)
 
 
 def opt_gp_grid(
@@ -187,7 +368,8 @@ def opt_gp_grid(
     candidates: Sequence[Sequence[Fraction]],
     caps: Caps = Caps(),
 ) -> OptResult:
-    """Exact maximum of the pricing value over the candidate grid."""
+    """Exact maximum of the pricing value over the candidate grid; the
+    witness is the first optimal grid point in product order."""
     if len(candidates) != inst.n:
         raise InstanceError("need one candidate list per vertex")
     points = 1
@@ -201,28 +383,9 @@ def opt_gp_grid(
     if points > caps.gp_grid_points:
         raise CapExceeded(f"grid has {points} points, cap {caps.gp_grid_points}")
 
-    # Per-edge payoff table over candidate index pairs avoids re-walking the
-    # edge list's Fractions for every grid point.
-    tables = []
-    for e in inst.edges:
-        cu, cv = candidates[e.u], candidates[e.v]
-        table = [
-            [
-                e.weight * (pu + pv) if pu + pv <= e.budget else Fraction(0)
-                for pv in cv
-            ]
-            for pu in cu
-        ]
-        tables.append((e.u, e.v, table))
-
-    best_val = Fraction(-1)
-    best_point: tuple[int, ...] = ()
-    for point in itertools.product(*(range(len(c)) for c in candidates)):
-        val = Fraction(0)
-        for u, v, table in tables:
-            val += table[point[u]][point[v]]
-        if val > best_val:
-            best_val, best_point = val, point
-    witness = Pricing(tuple(candidates[v][i] for v, i in enumerate(best_point)))
+    game = _gp_game(inst, candidates)
+    total, point = game.maximise(game.cover(), key=tuple)
+    best_val = Fraction(total, game.denom)
+    witness = Pricing(tuple(candidates[v][i] for v, i in enumerate(point)))
     assert val_gp(inst, witness) == best_val
     return OptResult(value=best_val, witness=witness, explored=points)

@@ -17,7 +17,7 @@ from typing import Optional
 from . import graphs
 from .caps import Caps
 from .core import GmdInstance, InstanceError, parse_instance
-from .exact import opt_gmd
+from .exact import _gmd_game, opt_gmd
 from .reduction import CycleError, topo_number
 from .rng import substream
 
@@ -149,42 +149,51 @@ def sparsify_pipeline(
 
 
 def _local_search_estimate(inst: GmdInstance, restarts: int, seed: int) -> Fraction:
-    """Best zero-set hill-climbing value over seeded restarts (heuristic)."""
-    n = inst.n
-    arcs = [(a.tail, a.head, a.head, a.label, a.weight) for a in inst.arcs]
+    """Best zero-set hill-climbing value over seeded restarts (heuristic).
 
-    def mask_value(mask: int) -> Fraction:
-        gain: dict[tuple[int, int], Fraction] = {}
-        for tail, head_v, head, label, w in arcs:
-            if (mask >> tail) & 1 and not (mask >> head_v) & 1:
-                key = (head, label)
-                g = gain.get(key)
-                gain[key] = w if g is None else g + w
-        per_head: dict[int, Fraction] = {}
-        for (head, _), g in gain.items():
-            if g > per_head.get(head, Fraction(-1)):
-                per_head[head] = g
-        return sum(per_head.values(), Fraction(0))
-
-    best = Fraction(0)
+    Values are exact integers on the pair game of `exact`.  Flipping v
+    changes only the best responses of v and of the heads of its out-arcs,
+    so a flip's gain comes from their score vectors (the weight each nonzero
+    label earns from the zero set), which are kept up to date.
+    """
+    game = _gmd_game(inst)
+    n, T = inst.n, inst.T
+    # out[v]: (w, what each nonzero label of w earns while v is zero)
+    out: list[list] = [[] for _ in range(n)]
+    for w in range(n):
+        for v, cols in game.nbrs[w].items():
+            if any(cols[T][:T]):
+                out[v].append((w, cols[T][:T]))
+    best = 0
     for r in range(restarts):
         rng = substream(seed, r + 1)
-        mask = 0
+        zero = [bool(rng.integers(0, 2) == 0) for _ in range(n)]
+        score = [[0] * T for _ in range(n)]
         for v in range(n):
-            if rng.integers(0, 2) == 0:
-                mask |= 1 << v
-        val = mask_value(mask)
+            if zero[v]:
+                for w, g in out[v]:
+                    score[w] = [a + b for a, b in zip(score[w], g)]
+        val = sum(max(score[w]) for w in range(n) if not zero[w])
         improved = True
         while improved:
             improved = False
             for v in range(n):
-                cand = mask ^ (1 << v)
-                cand_val = mask_value(cand)
-                if cand_val > val:
-                    mask, val = cand, cand_val
+                sign = -1 if zero[v] else 1  # 1: v joins the zero set
+                delta = -sign * max(score[v])
+                moved = []
+                for w, g in out[v]:
+                    new = [a + sign * b for a, b in zip(score[w], g)]
+                    if not zero[w]:
+                        delta += max(new) - max(score[w])
+                    moved.append((w, new))
+                if delta > 0:
+                    zero[v] = not zero[v]
+                    for w, new in moved:
+                        score[w] = new
+                    val += delta
                     improved = True
         best = max(best, val)
-    return best
+    return Fraction(best, game.denom)
 
 
 def check_structural(

@@ -26,7 +26,6 @@ from .core import (
     InstanceError,
     Labeling,
     Pricing,
-    val_gmd,
 )
 
 
@@ -172,15 +171,6 @@ def nonprincipal_part(art: ReductionArtifact, pricing: Pricing) -> Fraction:
     return total
 
 
-def tail_weight_bound(inst: GmdInstance) -> Fraction:
-    """Sum over vertices of their maximum out-weight (equals 1/ndeg)."""
-    best: dict[int, Fraction] = {}
-    for a in inst.arcs:
-        if a.weight > best.get(a.tail, Fraction(0)):
-            best[a.tail] = a.weight
-    return sum(best.values(), Fraction(0))
-
-
 def canonical_grid(art: ReductionArtifact) -> list[list[Fraction]]:
     """Per-vertex candidates {0} + {M^(T s(v) + i - 1) : i in 1..T}.
 
@@ -192,12 +182,6 @@ def canonical_grid(art: ReductionArtifact) -> list[list[Fraction]]:
         [Fraction(0)] + [M ** art.budget_exponent(v, i) for i in range(1, art.source.T + 1)]
         for v in range(art.source.n)
     ]
-
-
-def decode_guarantee_gap(art: ReductionArtifact, pricing: Pricing) -> Fraction:
-    """val(decode(p)) - (principal(p) - 1/M); nonnegative by the decode bound."""
-    lab = decode_pricing(art, pricing)
-    return val_gmd(art.source, lab) - principal_part(art, pricing) + Fraction(1, art.M)
 
 
 def serialize_reduced(art: ReductionArtifact, expand: bool = False) -> str:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .caps import Caps
-from .core import CapExceeded, GmdInstance, GpInstance, InstanceError
+from .core import CapExceeded, GmdInstance, GpInstance, InstanceError, max_incident_budget
 from .simplex import simplex_max
 
 SetKey = tuple[int, ...]
@@ -85,11 +85,7 @@ def default_price_grid(
     if all(e.budget.denominator == 1 for e in inst.edges):
         return half_integral_grid(inst), "half"
     eps = eps if eps is not None else Fraction(1, 10)
-    bound = [Fraction(0)] * inst.n
-    for e in inst.edges:
-        bound[e.u] = max(bound[e.u], e.budget)
-        bound[e.v] = max(bound[e.v], e.budget)
-    return [geometric_grid(bound[v], eps) for v in range(inst.n)], f"geom:{eps}"
+    return [geometric_grid(b, eps) for b in max_incident_budget(inst)], f"geom:{eps}"
 
 
 def build_sa_lp(

@@ -159,3 +159,53 @@ def test_lp_round_empirical_mean_matches_expectation():
     run = run_trials(lp_round_gmd, inst, TRIALS, seed=21, marginals=marg)
     expectation = float(lp_round_expectation(inst, marg))
     assert abs(run.mean - expectation) <= 3 * run.stderr + 1e-12
+
+
+def test_exact_means_pinned_at_fixed_seeds():
+    # values recorded with the per-trial Fraction evaluation the integer
+    # trials replaced; any drift in streams, completions or values shows here
+    gmd = GmdInstance.of(2, 6, [
+        (0, 2, 1, F(1, 8)), (1, 2, 2, F(1, 8)), (2, 3, 1, F(1, 8)), (3, 4, 2, F(1, 8)),
+        (4, 5, 1, F(1, 8)), (5, 0, 2, F(1, 8)), (1, 4, 1, F(1, 8)), (3, 0, 2, F(1, 8)),
+    ])
+    gp = GpInstance.of(4, [(0, 1, 2, 1), (1, 2, 1, F(1, 2)), (2, 3, 3, F(3, 2)), (0, 3, 2, 1)])
+    path = GmdInstance.of(2, 3, [(0, 1, 1, F(1, 2)), (1, 2, 2, F(1, 2))])
+    marg = [[F(1, 2), F(1, 4), F(1, 4)], [F(1, 3), F(1, 3), F(1, 3)], [F(1, 5), F(2, 5), F(2, 5)]]
+    assert run_trials(approx_gmd_quarter, gmd, 400, seed=2026).exact_mean == F(137, 640)
+    assert run_trials(approx_gp_quarter, gp, 400, seed=2027).exact_mean == F(991, 200)
+    assert run_trials(lp_round_gmd, path, 400, seed=2028, marginals=marg).exact_mean == F(83, 800)
+
+
+def _plain_price_completion(inst, zero):
+    """The completion as first written: each non-zero vertex tries the budgets
+    of its edges into the zero set in ascending order and keeps a strictly
+    better profit, starting from price 0."""
+    prices = []
+    for v in range(inst.n):
+        into_zero = [e for e in inst.edges if (e.u == v and zero[e.v]) or (e.v == v and zero[e.u])]
+        best_q, best_profit = F(0), F(0)
+        if not zero[v]:
+            for q in sorted({e.budget for e in into_zero}):
+                profit = sum((e.weight * q for e in into_zero if q <= e.budget), F(0))
+                if profit > best_profit:
+                    best_q, best_profit = q, profit
+        prices.append(best_q)
+    return tuple(prices)
+
+
+def test_gp_price_completion_against_plain_loop():
+    from gmdlab.approx import gp_price_completion
+    from gmdlab.rng import substream
+
+    rng = substream(20261018, 3)
+    for _ in range(60):
+        n = int(rng.integers(2, 7))
+        edges = []
+        for _ in range(int(rng.integers(1, 9))):
+            u, v = rng.choice(n, size=2, replace=False)
+            # small ranges make equal profits, and so ties, common
+            edges.append((int(u), int(v), F(int(rng.integers(1, 5)), int(rng.integers(1, 3))),
+                          F(int(rng.integers(0, 3)), 2)))
+        inst = GpInstance.of(n, edges)
+        zero = [bool(z) for z in rng.integers(0, 2, size=n)]
+        assert gp_price_completion(inst, zero).values == _plain_price_completion(inst, zero)

@@ -51,6 +51,12 @@ def test_greedy_completion_all_zero():
     assert val_gmd(inst, lab) == 0
 
 
+def test_greedy_completion_ties_take_smallest_label():
+    # labels 2 and 3 tie at vertex 1; vertices 2 and 3 gain nothing
+    inst = GmdInstance.of(3, 4, [(0, 1, 2, 1), (0, 1, 3, 1), (0, 2, 1, 0)])
+    assert greedy_completion(inst, {0}).values == (0, 2, 1, 1)
+
+
 def test_greedy_completion_beats_any_labeling_with_same_zero_class():
     import itertools
 
@@ -173,21 +179,20 @@ def test_half_integrality_against_finer_grids():
         assert half.value == quarter.value
 
 
-def test_vectorized_and_python_paths_agree_above_threshold():
-    from gmdlab.exact import _opt_gmd_python, _opt_gmd_vectorized
-    import math
-
+def test_opt_gmd_matches_bruteforce_at_n13():
+    # T=1 keeps the independent brute force at 2^13 labelings
     rng = substream(20260808, 3)
     for _ in range(3):
-        n = 13  # above the numpy-path threshold, still cheap for pure Python
+        n = 13
         arcs = []
         for _ in range(18):
             u, v = rng.choice(n, size=2, replace=False)
-            arcs.append((int(u), int(v), int(rng.integers(1, 3)), F(int(rng.integers(1, 5)), 9)))
-        inst = GmdInstance.of(2, n, arcs)
-        denom = math.lcm(*(a.weight.denominator for a in inst.arcs))
-        scaled = [int(a.weight * denom) for a in inst.arcs]
-        assert _opt_gmd_python(inst) == _opt_gmd_vectorized(inst, scaled, denom)
+            arcs.append((int(u), int(v), 1, F(int(rng.integers(1, 5)), 9)))
+        inst = GmdInstance.of(1, n, arcs)
+        fast = opt_gmd(inst)
+        assert fast.value == opt_gmd_bruteforce(inst).value
+        assert fast.explored == 1 << n
+        assert val_gmd(inst, fast.witness) == fast.value
 
 
 def test_opt_gp_grid_on_reduced_single_edge():
@@ -203,3 +208,110 @@ def test_witness_reevaluation_is_exact():
     res = opt_gp_grid(inst, half_integral_grid(inst))
     assert val_gp(inst, res.witness) == res.value
     assert isinstance(res.witness, Pricing)
+
+
+# ---------------------------------------------------------------------------
+# the pair-game engine against plain enumerations kept here as references
+# ---------------------------------------------------------------------------
+
+
+def _plain_gmd(inst):
+    """Optimum and greedy completion of the smallest optimal zero mask, by
+    enumerating every labeling: with the zero set fixed, each other vertex
+    takes its smallest best label, so the completion is the first optimal
+    labeling in product order among those with that zero set."""
+    import itertools
+
+    best, optimal = F(-1), []
+    for values in itertools.product(range(inst.T + 1), repeat=inst.n):
+        val = val_gmd(inst, Labeling(values))
+        mask = sum(1 << v for v, x in enumerate(values) if x == 0)
+        if val > best:
+            best, optimal = val, [(mask, values)]
+        elif val == best:
+            optimal.append((mask, values))
+    return best, Labeling(min(optimal)[1])
+
+
+def _plain_grid(inst, candidates):
+    """Optimum and first optimal point of the grid in product order."""
+    import itertools
+
+    best, point = F(-1), None
+    for prices in itertools.product(*candidates):
+        val = val_gp(inst, Pricing(prices))
+        if val > best:
+            best, point = val, prices
+    return best, Pricing(point)
+
+
+def _random_gmd_instance(rng, T, n, m):
+    arcs = []
+    for _ in range(m):
+        u, v = rng.choice(n, size=2, replace=False)
+        arcs.append((int(u), int(v), int(rng.integers(1, T + 1)), F(int(rng.integers(0, 5)), 6)))
+    return GmdInstance.of(T, n, arcs)
+
+
+def test_engine_gmd_value_and_witness_against_enumeration():
+    rng = substream(20261018, 0)
+    cases = [GmdInstance.of(2, 4, []), GmdInstance.of(1, 3, [(0, 1, 1, 0)])]
+    for T, n, m in [(1, 6, 7), (2, 5, 6), (3, 4, 5), (1, 7, 3), (2, 6, 14), (3, 6, 15)]:
+        cases += [_random_gmd_instance(rng, T, n, m) for _ in range(4)]
+    for inst in cases:
+        value, witness = _plain_gmd(inst)
+        res = opt_gmd(inst)
+        assert res.value == value == opt_gmd_bruteforce(inst).value
+        assert res.witness == witness
+        assert res.explored == (1 << inst.n if inst.arcs else 1)
+
+
+def test_engine_cover_and_zero_set_walk_agree():
+    from gmdlab.exact import _gmd_game, _zero_set_walk
+
+    rng = substream(20261018, 1)
+    for T, n, m in [(1, 9, 12), (2, 8, 20), (3, 7, 18), (2, 10, 6)]:
+        for _ in range(3):
+            inst = _random_gmd_instance(rng, T, n, m)
+            game = _gmd_game(inst)
+            scaled = [a.weight.numerator * (game.denom // a.weight.denominator) for a in inst.arcs]
+
+            def zero_mask(x):
+                return sum(1 << v for v, i in enumerate(x) if i == T)
+
+            total, x = game.maximise(game.cover(), key=zero_mask)
+            assert zero_mask(x) == _zero_set_walk(inst, scaled)
+            assert F(total, game.denom) == opt_gmd(inst).value
+
+
+def test_engine_grid_value_and_witness_against_enumeration():
+    from gmdlab.salp import default_price_grid
+
+    rng = substream(20261018, 2)
+    cases = [
+        (GpInstance.of(3, []), [[F(0), F(1)], [F(0)], [F(0), F(1, 2), F(1)]]),
+        # parallel edges between the same pair, and an isolated vertex
+        (GpInstance.of(3, [(0, 1, 2, 1), (0, 1, 1, 3), (1, 0, 3, F(1, 2))]), None),
+        # a long path of single-candidate vertices between two free ones
+        (GpInstance.of(1500, [(v, v + 1, 1, 1) for v in range(1499)]),
+         [[F(0), F(1, 2)]] + [[F(1, 2)]] * 1498 + [[F(0), F(1, 2), F(1)]]),
+    ]
+    for n, m, budgets in [(3, 3, [1, 2]), (4, 5, [1, 2, 3]), (5, 6, [1, 2]), (4, 4, [F(3, 2), F(5, 2), F(7, 3)])]:
+        for _ in range(3):
+            edges = []
+            for _ in range(m):
+                u, v = rng.choice(n, size=2, replace=False)
+                edges.append((int(u), int(v), budgets[int(rng.integers(0, len(budgets)))],
+                              F(int(rng.integers(1, 4)), int(rng.integers(1, 4)))))
+            cases.append((GpInstance.of(n, edges), None))
+    for inst, grid in cases:
+        # fractional budgets get geom: grids, integer budgets half grids
+        grid = grid or default_price_grid(inst, F(1, 2))[0]
+        value, witness = _plain_grid(inst, grid)
+        res = opt_gp_grid(inst, grid)
+        assert res.value == value
+        assert res.witness == witness
+        points = 1
+        for g in grid:
+            points *= len(g)
+        assert res.explored == points

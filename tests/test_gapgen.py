@@ -118,6 +118,46 @@ def test_heuristic_opt_is_lower_bound_at_small_scale():
     assert est <= opt_gmd(inst).value
 
 
+def _plain_local_search(inst, restarts, seed):
+    """The hill climb as first written: every candidate zero mask is valued
+    from scratch in Fractions."""
+    from gmdlab.rng import substream
+
+    def mask_value(mask):
+        gain = {}
+        for a in inst.arcs:
+            if mask >> a.tail & 1 and not mask >> a.head & 1:
+                gain[(a.head, a.label)] = gain.get((a.head, a.label), F(0)) + a.weight
+        per_head = {}
+        for (head, _), g in gain.items():
+            per_head[head] = max(per_head.get(head, F(0)), g)
+        return sum(per_head.values(), F(0))
+
+    best = F(0)
+    for r in range(restarts):
+        rng = substream(seed, r + 1)
+        mask = sum(1 << v for v in range(inst.n) if rng.integers(0, 2) == 0)
+        val = mask_value(mask)
+        improved = True
+        while improved:
+            improved = False
+            for v in range(inst.n):
+                cand_val = mask_value(mask ^ (1 << v))
+                if cand_val > val:
+                    mask, val, improved = mask ^ (1 << v), cand_val, True
+        best = max(best, val)
+    return best
+
+
+def test_local_search_matches_plain_hill_climb():
+    from gmdlab.gapgen import _local_search_estimate
+
+    for n, T, seed in [(30, 2, 3), (26, 1, 4), (28, 3, 5)]:
+        base = generate_base_dag("window-random", n, params={"window": 4, "p": 0.8}, seed=seed)
+        inst, _ = sparsify_pipeline(base, cfg(n=n, T=T, p_keep=F(1), Delta=6, seed=seed))
+        assert _local_search_estimate(inst, 4, seed) == _plain_local_search(inst, 4, seed)
+
+
 def test_max_dicut_cross_check_label_restriction():
     # for T=1 the measured optimum equals the max-dicut fraction, checked
     # against an independent direct cut enumerator

@@ -23,7 +23,6 @@ from gmdlab.reduction import (
     principal_part,
     reduce_gmd_to_gp,
     serialize_reduced,
-    tail_weight_bound,
     topo_number,
 )
 from gmdlab.rng import substream
@@ -176,7 +175,7 @@ def test_nonprincipal_bound_on_grid_pricings():
         pp = principal_part(art, pricing)
         np_part = nonprincipal_part(art, pricing)
         assert pp + np_part == total
-        assert np_part <= 2 * tail_weight_bound(inst)
+        assert np_part <= 2 / ndeg(inst)
 
 
 def test_serialize_reduced_round_trip():
