@@ -2,9 +2,10 @@
 
 One binary, one master seed per invocation, deterministic outputs: every CSV
 starts with a comment line recording the tool version, a hash of the exact
-configuration, and the seed, and is written via write-then-rename so readers
-never observe partial files.  Exit codes: 0 success, 1 validation error,
-2 cap exceeded.
+configuration, and the seed.  Every output is written to a temporary file of
+its own beside the target, fsynced and renamed over it, so readers never
+observe partial files and concurrent runs never share a temporary file.
+Exit codes: 0 success, 1 validation error, 2 cap exceeded.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import hashlib
 import os
 import sys
+import tempfile
 from fractions import Fraction
 
 from . import __version__
@@ -54,10 +56,25 @@ def _config_hash(argv) -> str:
 
 
 def _atomic_write(path: str, text: str):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            # mkstemp creates the file 0600; give it the mode open() would
+            os.fchmod(fd, 0o666 & ~_umask())
+            fh.write(text)
+            fh.flush()
+            os.fsync(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _umask() -> int:
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
 
 
 def emit_report(rows, path: str, header: list[str], argv, seed) -> None:
@@ -222,6 +239,7 @@ def _cmd_salp(args, caps, argv) -> int:
         f"lp = {value} variables = {lp.num_variables} "
         f"constraints = {lp.num_constraints} consistent = {report.ok}"
         + (f" grid = {note}" if note else "")
+        + f" lp_path = {sol.lp_path}"
     )
     if args.csv:
         rows = [

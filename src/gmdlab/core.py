@@ -134,6 +134,8 @@ class GpInstance:
     edges: tuple[GpEdge, ...]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise InstanceError("negative vertex count")
         for e in self.edges:
             if not (0 <= e.u < self.n and 0 <= e.v < self.n):
                 raise InstanceError(f"edge endpoint out of range: {e}")
@@ -287,6 +289,23 @@ def _parse_fraction(tok: str, lineno: int) -> Fraction:
         raise ParseError(lineno, f"bad rational {tok!r}") from None
 
 
+def _parse_int(tok: list[str], lineno: int, what: str) -> int:
+    """The one integer field of a `v`/`M` line."""
+    if len(tok) != 2:
+        raise ParseError(lineno, f"{tok[0]} line needs a {what}")
+    try:
+        return int(tok[1])
+    except ValueError:
+        raise ParseError(lineno, f"bad {what} {tok[1]!r}") from None
+
+
+def _parse_vertex_count(tok: list[str], lineno: int) -> int:
+    n = _parse_int(tok, lineno, "vertex count")
+    if n < 0:
+        raise ParseError(lineno, f"negative vertex count {n}")
+    return n
+
+
 def _parse_gmd(fields, lines, header_lineno) -> GmdInstance:
     if len(fields) != 2:
         raise ParseError(header_lineno, "gmd header needs exactly one field: T")
@@ -300,9 +319,7 @@ def _parse_gmd(fields, lines, header_lineno) -> GmdInstance:
     for lineno, line in lines[1:]:
         tok = line.split()
         if tok[0] == "v":
-            if len(tok) != 2:
-                raise ParseError(lineno, "v line needs a vertex count")
-            n = int(tok[1])
+            n = _parse_vertex_count(tok, lineno)
         elif tok[0] == "e":
             if n is None:
                 raise ParseError(lineno, "edge before vertex count")
@@ -341,11 +358,9 @@ def _parse_gp(fields, lines, header_lineno) -> GpInstance:
     for lineno, line in lines[1:]:
         tok = line.split()
         if tok[0] == "v":
-            n = int(tok[1])
+            n = _parse_vertex_count(tok, lineno)
         elif tok[0] == "M":
-            if len(tok) != 2:
-                raise ParseError(lineno, "M line needs a base value")
-            M = int(tok[1])
+            M = _parse_int(tok, lineno, "budget base")
             if M < 2:
                 raise ParseError(lineno, f"budget base M must be >= 2, got {M}")
         elif tok[0] == "e":

@@ -6,9 +6,11 @@ nonnegativity, per-set normalization, and marginalization between nested
 sets.  Max-dicut uses the label domain {0..T}; pricing uses a finite price
 grid per vertex (half-integral for integer budgets, geometric otherwise).
 
-Everything here is exact rational arithmetic; the solver is the Bland-rule
-simplex from simplex.py, so reported LP values are never blurred by
-tolerances.
+Everything here is exact rational arithmetic.  simplex.py solves the LPs: a
+float Bland-rule simplex finds the optimal vertex, which is returned only
+after an exact primal-dual certificate holds, and otherwise the Fraction
+simplex solves the LP from scratch, so reported LP values are never blurred
+by tolerances.  SaSolution.lp_path records which of the two produced a table.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ class SaSolution:
     values: dict
     rounds: int
     domains: tuple[tuple, ...]
+    lp_path: Optional[str] = None  # "certified" | "exact" for LP tables
 
     def sets(self):
         return sorted({S for (S, _) in self.values}, key=lambda s: (len(s), s))
@@ -184,9 +187,12 @@ def build_sa_lp(
 def solve_lp_exact(lp: SaLp) -> tuple[Fraction, SaSolution]:
     rows = [row for row, _ in lp.constraints]
     rhs = [r for _, r in lp.constraints]
-    value, x = simplex_max(lp.objective, rows, rhs)
+    result = simplex_max(lp.objective, rows, rhs)
+    value, x = result
     table = {key: x[idx] for key, idx in lp.var_index.items()}
-    return value, SaSolution(values=table, rounds=lp.rounds, domains=lp.domains)
+    return value, SaSolution(
+        values=table, rounds=lp.rounds, domains=lp.domains, lp_path=result.path
+    )
 
 
 @dataclass(frozen=True)

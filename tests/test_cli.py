@@ -1,10 +1,15 @@
 import os
 
+import pytest
+
 from gmdlab.cli import run_command
 
 TRIANGLE = "gmd 1\nv 3\ne 0 1 1 1/3\ne 1 2 1 1/3\ne 2 0 1 1/3\n"
 SINGLE = "gmd 1\nv 2\ne 0 1 1 1\n"
 GP_EDGE = "gp\nv 2\ne 0 1 1 1\n"
+# 414 variables on the geom:1/10 grid (domains 7, 7, 9, 9); its duals do not
+# rationalise, so the exact tableau solves it
+GP_GEOM = "gp\nv 4\ne 2 3 2 1\ne 0 3 1 1\ne 0 2 13/8 1\ne 0 1 3/2 1\ne 1 3 17/10 2\n"
 
 
 def write(tmp_path, name, text):
@@ -61,6 +66,52 @@ def test_salp_triangle_value(tmp_path, capsys):
     assert run_command(["salp", "--in", path, "--rounds", "2"]) == 0
     out = capsys.readouterr().out
     assert "lp = 1/2" in out and "consistent = True" in out
+
+
+def test_salp_reports_lp_path(tmp_path, capsys, monkeypatch):
+    tri = write(tmp_path, "tri.gmd", TRIANGLE)
+    assert run_command(["salp", "--in", tri, "--rounds", "2"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("lp_path = certified")
+    monkeypatch.setenv("GMDLAB_CAPS", "sa_domain=9")
+    geom = write(tmp_path, "geom.gp", GP_GEOM)
+    csv = str(tmp_path / "geom.csv")
+    argv = ["salp", "--in", geom, "--rounds", "2", "--grid", "geom:1/10", "--csv", csv]
+    assert run_command(argv) == 0
+    out = capsys.readouterr().out
+    assert "lp = 775973/100000 variables = 414" in out
+    assert "consistent = True" in out and out.rstrip().endswith("lp_path = exact")
+    assert "lp_path" not in open(csv).read()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("gp\nv\ne 0 1 1 1\n", "line 2: v line needs a vertex count"),
+        ("gmd 1\nv x\n", "line 2: bad vertex count 'x'"),
+        ("gp\nM 1.5\nv 2\n", "line 2: bad budget base '1.5'"),
+        ("gp\nv -2\n", "line 2: negative vertex count -2"),
+        ("gmd 1\nv -2\n", "line 2: negative vertex count -2"),
+    ],
+)
+def test_malformed_count_lines_exit_1_with_line(tmp_path, capsys, text, message):
+    path = write(tmp_path, "bad.txt", text)
+    assert run_command(["solve", "--in", path]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_atomic_write_uses_private_temp_file(tmp_path):
+    path = write(tmp_path, "e.gmd", SINGLE)
+    out = tmp_path / "a.csv"
+    stale = tmp_path / "a.csv.tmp"  # another run's temp file of the old fixed name
+    stale.write_text("not ours")
+    args = ["approx", "--in", path, "--algo", "gmd4", "--trials", "20", "--seed", "1"]
+    assert run_command(args + ["--csv", str(out)]) == 0
+    assert run_command(args + ["--csv", str(out)]) == 0
+    assert stale.read_text() == "not ours"
+    assert sorted(os.listdir(tmp_path)) == ["a.csv", "a.csv.tmp", "e.gmd"]
+    assert out.read_text().startswith("# gmdlab")
+    assert out.stat().st_mode & 0o777 == stale.stat().st_mode & 0o777
 
 
 def test_approx_csv_deterministic(tmp_path):

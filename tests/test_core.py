@@ -186,3 +186,10 @@ def test_val_gmd_additive_over_arc_partition():
         GmdInstance.of(1, 3, [arc]) for arc in inst.arcs
     ]
     assert sum(val_gmd(p, lab) for p in parts) == val_gmd(inst, lab)
+
+
+def test_negative_vertex_count_rejected_for_both_kinds():
+    with pytest.raises(InstanceError, match="negative vertex count"):
+        GpInstance.of(-2, [])
+    with pytest.raises(InstanceError, match="negative vertex count"):
+        GmdInstance.of(1, -2, [])
