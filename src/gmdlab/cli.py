@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import os
 import sys
 import tempfile
@@ -24,6 +25,7 @@ from .core import (
     GmdInstance,
     GpInstance,
     InstanceError,
+    ParseError,
     max_incident_budget,
     parse_instance,
     serialize_instance,
@@ -78,11 +80,17 @@ def _umask() -> int:
 
 
 def emit_report(rows, path: str, header: list[str], argv, seed) -> None:
-    """CSV with a provenance comment; stable column order; atomic replace."""
+    """CSV with a provenance comment; stable column order; atomic replace.
+
+    A row is a dict keyed by column or a tuple of formatted cells in header
+    order.
+    """
     lines = [f"# gmdlab {__version__} config={_config_hash(argv)} seed={seed}"]
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(_cell(row.get(col, "")) for col in header))
+        if isinstance(row, dict):
+            row = [_cell(row.get(col, "")) for col in header]
+        lines.append(",".join(row))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -242,11 +250,7 @@ def _cmd_salp(args, caps, argv) -> int:
         + f" lp_path = {sol.lp_path}"
     )
     if args.csv:
-        rows = [
-            {"set": " ".join(map(str, S)), "assignment": " ".join(map(str, alpha)), "value": x}
-            for (S, alpha), x in sorted(sol.values.items())
-        ]
-        emit_report(rows, args.csv, ["set", "assignment", "value"], argv, seed="-")
+        emit_report(sol.text_rows(), args.csv, ["set", "assignment", "value"], argv, seed="-")
     return 0
 
 
@@ -325,15 +329,9 @@ def _cmd_sasol(args, caps, argv) -> int:
     consistent = check_sa_consistency(result.solution).ok
     print(f"objective = {result.objective} consistent = {consistent}")
     if args.csv:
-        rows = [
-            {
-                "set": " ".join(map(str, S)),
-                "assignment": " ".join(map(str, alpha)),
-                "frequency": x,
-            }
-            for (S, alpha), x in sorted(result.solution.values.items())
-        ]
-        rows.append({"set": "objective", "assignment": "", "frequency": result.objective})
+        rows = itertools.chain(
+            result.solution.text_rows(), [("objective", "", str(result.objective))]
+        )
         emit_report(rows, args.csv, ["set", "assignment", "frequency"], argv, seed=args.seed)
     return 0
 
@@ -400,20 +398,35 @@ def _cmd_dict(args, caps, argv) -> int:
 
 
 def _read_function_tables(path: str, q: int, R: int, n_inner: int):
+    """One table of q**R labels in 0..q-1 per non-blank line (# comments)."""
     tables = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tables.append([int(tok) for tok in line.split()])
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise InstanceError(f"cannot read {path}: {exc}") from exc
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        table = []
+        for tok in line.split():
+            try:
+                label = int(tok)
+            except ValueError:
+                raise ParseError(lineno, f"bad label {tok!r}") from None
+            if not 0 <= label < q:
+                raise ParseError(lineno, f"label {label} outside 0..{q - 1}")
+            table.append(label)
+        if len(table) != q**R:
+            raise ParseError(
+                lineno, f"function table has {len(table)} labels, want (T+1)^R = {q**R}"
+            )
+        tables.append(table)
     if len(tables) != n_inner:
         raise InstanceError(
             f"function file has {len(tables)} tables, inner graph has {n_inner} vertices"
         )
-    for table in tables:
-        if len(table) != q**R:
-            raise InstanceError("function table length must be (T+1)^R")
     return tables
 
 

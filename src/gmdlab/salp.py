@@ -11,14 +11,27 @@ float Bland-rule simplex finds the optimal vertex, which is returned only
 after an exact primal-dual certificate holds, and otherwise the Fraction
 simplex solves the LP from scratch, so reported LP values are never blurred
 by tolerances.  SaSolution.lp_path records which of the two produced a table.
+
+A solution table (SaSolution) holds one ndarray per set, shaped by the
+domain sizes of its vertices, of integer numerators over one shared
+denominator: x_S(alpha) = tables[S][positions of alpha] / denom.  Tables
+sampled by sasol.py are int64 counts over the number of trials; LP tables
+hold Python-int numerators over the lcm of their denominators (object
+dtype, so they never overflow).  The consistency audit is integer work on
+these arrays: a sign test, one sum per set, and axis sums per nested pair.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .caps import Caps
 from .core import CapExceeded, GmdInstance, GpInstance, InstanceError, max_incident_budget
@@ -48,23 +61,132 @@ class SaLp:
         return len(self.constraints)
 
 
-@dataclass
+@dataclass(eq=False)
 class SaSolution:
-    """Table of x_S(alpha) values, complete over each set's assignment space."""
+    """Table of x_S(alpha) values, complete over each set's assignment space.
 
-    values: dict
+    `tables[S]` holds the integer numerators of x_S over `denom`, with one
+    axis per vertex of S in the order of its domain.  `values` is a
+    read-only view keyed by (S, alpha), iterated in sorted key order.
+    """
+
+    tables: dict
+    denom: int
     rounds: int
     domains: tuple[tuple, ...]
     lp_path: Optional[str] = None  # "certified" | "exact" for LP tables
 
+    def __post_init__(self):
+        if self.denom <= 0:
+            raise InstanceError(f"table denominator must be positive, got {self.denom}")
+        self._index = [{a: i for i, a in enumerate(dom)} for dom in self.domains]
+        for S, arr in self.tables.items():
+            shape = tuple(len(self.domains[v]) for v in S)
+            if arr.shape != shape:
+                raise InstanceError(f"table of set {S} has shape {arr.shape}, want {shape}")
+
+    @classmethod
+    def from_values(
+        cls, values, rounds: int, domains, lp_path: Optional[str] = None
+    ) -> "SaSolution":
+        """Build from an (S, alpha) -> rational mapping that is complete over
+        the assignment space of every set it names."""
+        domains = tuple(tuple(dom) for dom in domains)
+        index = [{a: i for i, a in enumerate(dom)} for dom in domains]
+        entries: dict = {}
+        for (S, alpha), x in values.items():
+            S, alpha = tuple(S), tuple(alpha)
+            try:
+                pos = tuple(index[v][a] for v, a in zip(S, alpha, strict=True))
+            except (IndexError, KeyError, ValueError):
+                raise InstanceError(f"entry {(S, alpha)} lies outside the domains") from None
+            entries.setdefault(S, {})[pos] = Fraction(x)
+        denom = math.lcm(*(x.denominator for per in entries.values() for x in per.values()))
+        tables = {}
+        for S, per in entries.items():
+            shape = tuple(len(domains[v]) for v in S)
+            if len(per) != math.prod(shape):
+                raise InstanceError(
+                    f"table of set {S} has {len(per)} of {math.prod(shape)} entries"
+                )
+            arr = np.empty(shape, dtype=object)
+            for pos, x in per.items():
+                arr[pos] = x.numerator * (denom // x.denominator)
+            tables[S] = arr
+        return cls(tables, denom, rounds, domains, lp_path)
+
+    @property
+    def values(self) -> "_TableView":
+        return _TableView(self)
+
     def sets(self):
-        return sorted({S for (S, _) in self.values}, key=lambda s: (len(s), s))
+        return sorted(self.tables, key=lambda s: (len(s), s))
 
     def get(self, S: SetKey, alpha: Assignment) -> Fraction:
-        return self.values[(tuple(S), tuple(alpha))]
+        S, alpha = tuple(S), tuple(alpha)
+        arr = self.tables[S]
+        if len(alpha) != len(S):
+            raise KeyError((S, alpha))
+        pos = tuple(self._index[v][a] for v, a in zip(S, alpha))
+        return Fraction(int(arr[pos]), self.denom)
 
     def marginal(self, v: int) -> list[Fraction]:
         return [self.get((v,), (a,)) for a in self.domains[v]]
+
+    def text_rows(self) -> Iterator[tuple[str, str, str]]:
+        """(set, assignment, value) CSV cells in sorted (S, alpha) order, the
+        value as str(Fraction), formatted once per distinct numerator."""
+        texts: dict = {}
+        assignments: dict = {}  # axes -> assignment texts in row-major order
+        for S, axes, nums in self._sorted_tables():
+            set_text = " ".join(map(str, S))
+            alphas = assignments.get(axes)
+            if alphas is None:
+                alphas = assignments[axes] = [
+                    " ".join(map(str, alpha)) for alpha in itertools.product(*axes)
+                ]
+            for alpha, num in zip(alphas, nums):
+                text = texts.get(num)
+                if text is None:
+                    text = texts[num] = str(Fraction(num, self.denom))
+                yield set_text, alpha, text
+
+    def _sorted_tables(self):
+        """Per set in sorted order: the set, each axis's domain values in
+        ascending order, and the numerators in the matching row-major order,
+        which is the sorted order of the (S, alpha) keys."""
+        orders = [sorted(range(len(dom)), key=dom.__getitem__) for dom in self.domains]
+        in_order = [order == list(range(len(order))) for order in orders]
+        ascending = [tuple(dom[i] for i in order) for dom, order in zip(self.domains, orders)]
+        for S in sorted(self.tables):
+            arr = self.tables[S]
+            if not all(in_order[v] for v in S):
+                arr = arr[np.ix_(*(orders[v] for v in S))]
+            yield S, tuple(ascending[v] for v in S), arr.reshape(-1).tolist()
+
+
+class _TableView(Mapping):
+    """Read-only (S, alpha) -> Fraction view of an SaSolution."""
+
+    __slots__ = ("_sol",)
+
+    def __init__(self, sol: SaSolution):
+        self._sol = sol
+
+    def __getitem__(self, key) -> Fraction:
+        try:
+            S, alpha = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        return self._sol.get(S, alpha)
+
+    def __len__(self) -> int:
+        return sum(arr.size for arr in self._sol.tables.values())
+
+    def __iter__(self):
+        for S, axes, _ in self._sol._sorted_tables():
+            for alpha in itertools.product(*axes):
+                yield S, alpha
 
 
 def geometric_grid(max_budget: Fraction, eps: Fraction) -> list[Fraction]:
@@ -190,9 +312,7 @@ def solve_lp_exact(lp: SaLp) -> tuple[Fraction, SaSolution]:
     result = simplex_max(lp.objective, rows, rhs)
     value, x = result
     table = {key: x[idx] for key, idx in lp.var_index.items()}
-    return value, SaSolution(
-        values=table, rounds=lp.rounds, domains=lp.domains, lp_path=result.path
-    )
+    return value, SaSolution.from_values(table, lp.rounds, lp.domains, lp_path=result.path)
 
 
 @dataclass(frozen=True)
@@ -216,52 +336,67 @@ class ConsistencyReport:
 
 
 def check_sa_consistency(sol: SaSolution) -> ConsistencyReport:
-    """Verify nonnegativity, normalization, and every marginalization identity."""
+    """Verify nonnegativity, normalization, and every marginalization identity.
+
+    Identities are counted one per table entry, one per set and one per
+    entry of each nested smaller set; violations come set by set in sets()
+    order, entries in row-major (domain) order, with exact lhs and rhs.
+    """
     report = ConsistencyReport()
+    tables, denom = sol.tables, sol.denom
     sets = sol.sets()
+
+    def alpha_at(S, pos):
+        return tuple(sol.domains[v][int(i)] for v, i in zip(S, pos))
+
+    # tables are small, so the common all-clear tests run on Python lists,
+    # which costs less than numpy ufunc calls at these sizes
     for S in sets:
-        total = Fraction(0)
-        for alpha in itertools.product(*(sol.domains[v] for v in S)):
-            x = sol.get(S, alpha)
-            report.identities_checked += 1
-            if x < 0:
+        arr = tables[S]
+        report.identities_checked += arr.size + 1
+        flat = arr.reshape(-1).tolist()
+        if min(flat) < 0:
+            for pos in np.argwhere(arr < 0):
+                x = Fraction(int(arr[tuple(pos)]), denom)
                 report.violations.append(
-                    Violation("negativity", S, None, alpha, x, Fraction(0))
+                    Violation("negativity", S, None, alpha_at(S, pos), x, Fraction(0))
                 )
-            total += x
-        report.identities_checked += 1
-        if total != 1:
+        total = sum(flat)
+        if total != denom:
             report.violations.append(
-                Violation("normalization", S, None, (), total, Fraction(1))
+                Violation("normalization", S, None, (), Fraction(total, denom), Fraction(1))
             )
-    set_lookup = set(sets)
     for Sp in sets:
-        if len(Sp) < 2:
-            continue
-        for size in range(1, len(Sp)):
-            for S in itertools.combinations(Sp, size):
-                if S not in set_lookup:
-                    continue
-                positions = [Sp.index(v) for v in S]
-                free = [i for i in range(len(Sp)) if i not in positions]
-                for beta in itertools.product(*(sol.domains[v] for v in S)):
-                    lhs = Fraction(0)
-                    for rest in itertools.product(
-                        *(sol.domains[Sp[i]] for i in free)
-                    ):
-                        alpha = [None] * len(Sp)
-                        for pos, b in zip(positions, beta):
-                            alpha[pos] = b
-                        for pos, a in zip(free, rest):
-                            alpha[pos] = a
-                        lhs += sol.get(Sp, tuple(alpha))
-                    rhs = sol.get(S, beta)
-                    report.identities_checked += 1
-                    if lhs != rhs:
-                        report.violations.append(
-                            Violation("marginalization", S, Sp, beta, lhs, rhs)
-                        )
+        arr = tables[Sp]
+        for positions, free in _nested_axes(len(Sp)):
+            S = tuple(Sp[i] for i in positions)
+            rhs = tables.get(S)
+            if rhs is None:
+                continue
+            report.identities_checked += rhs.size
+            lhs = np.add.reduce(arr, axis=free)
+            if lhs.tolist() == rhs.tolist():
+                continue
+            for pos in np.argwhere(lhs != rhs):
+                pos = tuple(pos)
+                report.violations.append(
+                    Violation(
+                        "marginalization", S, Sp, alpha_at(S, pos),
+                        Fraction(int(lhs[pos]), denom), Fraction(int(rhs[pos]), denom),
+                    )
+                )
     return report
+
+
+@functools.lru_cache(maxsize=None)
+def _nested_axes(size: int) -> tuple:
+    """(kept axes, summed axes) of a size-`size` table for every proper
+    nonempty subset of its vertices, by subset size, then in combinations order."""
+    return tuple(
+        (kept, tuple(i for i in range(size) if i not in kept))
+        for k in range(1, size)
+        for kept in itertools.combinations(range(size), k)
+    )
 
 
 def marginals_for_rounding(sol: SaSolution, inst: GmdInstance) -> list[list[Fraction]]:

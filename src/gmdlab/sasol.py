@@ -15,6 +15,10 @@ that are consistent by construction: the same sampled assignment populates
 every set, so marginalization identities hold exactly on the empirical table.
 
 This module is the only floating-point one; tables and frequencies stay exact.
+An empirical table is one int64 array of sample counts per vertex set (axes
+indexed by label) over the number of trials, an SaSolution with denominator
+`trials`; no per-entry rational is built.  The Gram matrix takes one float
+per distinct rho value, converted once from its exact Fraction.
 """
 
 from __future__ import annotations
@@ -39,6 +43,10 @@ class AmbiguousPathError(InstanceError):
 
 class EmbeddingError(InstanceError):
     """Gram matrix is not positive semidefinite within tolerance."""
+
+
+class TableMismatchError(InstanceError):
+    """The sampled set tables disagree with the arc counts of the same samples."""
 
 
 def _delta_adjacency(inst: GmdInstance) -> list[list[tuple[int, int]]]:
@@ -114,14 +122,17 @@ class PairwiseTable:
 
     def entry(self, u: int, i: int, v: int, ip: int) -> Fraction:
         q = self.q
-        if u == v:
-            return Fraction(1, q) if i == ip else Fraction(0)
-        info = self.pair_info.get((u, v))
+        info = (0, 0) if u == v else self.pair_info.get((u, v))
         if info is None:
             return Fraction(1, q * q)
         d, off = info
+        return self.level(d, (ip - i) % q == off)
+
+    def level(self, d: int, matching: bool) -> Fraction:
+        """rho of a label pair at distance d <= L, matching or not."""
+        q = self.q
         keep = (1 - self.mu) ** d
-        if (ip - i) % q == off:
+        if matching:
             return keep / q + (1 - keep) / (q * q)
         return (1 - keep) / (q * q)
 
@@ -322,18 +333,7 @@ def embed_vectors(
     """
     inst = table.inst
     S = tuple(sorted(S if S is not None else range(inst.n)))
-    q = table.q
-    mu = float(table.mu)
-    size = len(S) * q
-    gram = np.empty((size, size))
-    for a, u in enumerate(S):
-        for i in range(q):
-            for b, v in enumerate(S):
-                for ip in range(q):
-                    g = mu / 2 + float(table.entry(u, i, v, ip))
-                    if u == v and i == ip:
-                        g += mu / 2
-                    gram[a * q + i, b * q + ip] = g
+    gram = _gram_matrix(table, S)
     eigvals, eigvecs = np.linalg.eigh(gram)
     if eigvals.min() < -psd_tol:
         raise EmbeddingError(
@@ -353,6 +353,40 @@ def embed_vectors(
         psd_clamp_report=clamped,
         inst=inst,
     )
+
+
+def _gram_matrix(table: PairwiseTable, S: tuple[int, ...]) -> np.ndarray:
+    """mu/2 + rho over (vertex, label) pairs of S, plus mu/2 on the diagonal.
+
+    rho takes one value per (distance <= L, matching) class and one beyond
+    L; each becomes a float once, by the same operations a per-entry build
+    would apply, so the matrix is bit-identical to it.
+    """
+    q = table.q
+    mu = float(table.mu)
+    m = len(S)
+    # levels[d, 0] non-matching, levels[d, 1] matching; row L + 1 is beyond L
+    levels = np.empty((table.L + 2, 2))
+    for d in range(table.L + 1):
+        for matching in (0, 1):
+            levels[d, matching] = mu / 2 + float(table.level(d, bool(matching)))
+    levels[table.L + 1, :] = mu / 2 + float(Fraction(1, q * q))
+    dist = np.full((m, m), table.L + 1)
+    off = np.zeros((m, m), dtype=np.int64)
+    np.fill_diagonal(dist, 0)
+    pos = {v: a for a, v in enumerate(S)}
+    for (u, v), (d, o) in table.pair_info.items():
+        if u in pos and v in pos:
+            dist[pos[u], pos[v]] = d
+            off[pos[u], pos[v]] = o
+    labels = np.arange(q)
+    step = (labels[None, :] - labels[:, None]) % q          # [i, ip] -> ip - i
+    matching = step[None, :, None, :] == off[:, None, :, None]
+    gram = levels[dist[:, None, :, None], matching.astype(np.int64)]
+    gram = gram.reshape(m * q, m * q)
+    diag = np.arange(m * q)
+    gram[diag, diag] += mu / 2
+    return gram
 
 
 @dataclass
@@ -499,6 +533,22 @@ def round_and_estimate(
     )
 
 
+def _check_arc_counts(inst: GmdInstance, tables: dict, sat_counts: Sequence[int]) -> None:
+    """Each arc's satisfied-sample count must equal the count its pair table
+    holds for (tail label 0, head label = arc label), where that table exists."""
+    for a, sat in zip(inst.arcs, sat_counts):
+        S = (a.tail, a.head) if a.tail < a.head else (a.head, a.tail)
+        table = tables.get(S)
+        if table is None:
+            continue
+        alpha = (0, a.label) if S == (a.tail, a.head) else (a.label, 0)
+        if int(table[alpha]) != sat:
+            raise TableMismatchError(
+                f"arc {a.tail}->{a.head}: {sat} satisfied samples, "
+                f"its pair table counts {int(table[alpha])}"
+            )
+
+
 @dataclass
 class SaBuildResult:
     solution: SaSolution
@@ -550,10 +600,11 @@ def build_sa_solution(
         step = min(batch, trials - done)
         g = rng.standard_normal((step, vs.dim))
         labels = _argmax_labels(g @ vs.factors.T, q)
+        by_vertex = np.ascontiguousarray(labels.T)  # one contiguous row per vertex
         for S in sets:
-            code = np.zeros(step, dtype=np.int64)
-            for v in S:
-                code = code * q + labels[:, v]
+            code = by_vertex[S[0]]
+            for v in S[1:]:
+                code = code * q + by_vertex[v]
             counts[S] += np.bincount(code, minlength=q ** len(S))
         for j, a in enumerate(inst.arcs):
             sat_counts[j] += int(
@@ -561,22 +612,19 @@ def build_sa_solution(
             )
         done += step
 
-    values = {}
-    for S in sets:
-        for j, alpha in enumerate(itertools.product(range(q), repeat=len(S))):
-            values[(S, alpha)] = Fraction(int(counts[S][j]), trials)
-    solution = SaSolution(
-        values=values, rounds=k, domains=tuple(tuple(range(q)) for _ in range(inst.n))
-    )
+    tables = {S: counts[S].reshape((q,) * len(S)) for S in sets}
     # objective from the same shared samples; identical to the pair-table
     # number whenever that table exists (k >= 2 over the arc's endpoints)
+    _check_arc_counts(inst, tables, sat_counts)
+    solution = SaSolution(
+        tables=tables,
+        denom=trials,
+        rounds=k,
+        domains=tuple(tuple(range(q)) for _ in range(inst.n)),
+    )
     objective = Fraction(0)
-    for j, a in enumerate(inst.arcs):
-        objective += a.weight * Fraction(sat_counts[j], trials)
-        S = (a.tail, a.head) if a.tail < a.head else (a.head, a.tail)
-        alpha = (0, a.label) if S == (a.tail, a.head) else (a.label, 0)
-        if (S, alpha) in values:
-            assert values[(S, alpha)] == Fraction(sat_counts[j], trials)
+    for a, sat in zip(inst.arcs, sat_counts):
+        objective += a.weight * Fraction(sat, trials)
     return SaBuildResult(
         solution=solution,
         objective=objective,

@@ -179,6 +179,34 @@ def test_dict_eval_dictator(tmp_path, capsys):
     assert "acceptance = 1/4" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 1 2\n0 1 x\n", "line 2: bad label 'x'"),
+        ("0 1 1/2\n0 1 2\n", "line 1: bad label '1/2'"),
+        ("# T = 2\n0 1 2\n0 1 7\n", "line 3: label 7 outside 0..2"),
+        ("0 1 2\n-1 1 2\n", "line 2: label -1 outside 0..2"),
+        ("0 1 2\n\n0 1\n", "line 3: function table has 2 labels, want (T+1)^R = 3"),
+    ],
+)
+def test_dict_eval_bad_function_table_exit_1_with_line(tmp_path, capsys, text, message):
+    fn = write(tmp_path, "fns.txt", text)
+    code = run_command(
+        ["dict", "--T", "2", "--R", "1", "--delta", "1/2", "--emit", "eval", "--functions", fn]
+    )
+    captured = capsys.readouterr()
+    assert code == 1 and "acceptance" not in captured.out
+    assert message in captured.err and "Traceback" not in captured.err
+
+
+def test_dict_eval_missing_function_file_exit_1(tmp_path, capsys):
+    code = run_command(
+        ["dict", "--T", "2", "--emit", "eval", "--functions", str(tmp_path / "nope.txt")]
+    )
+    assert code == 1
+    assert "cannot read" in capsys.readouterr().err
+
+
 def test_dict_emit_instance(tmp_path, capsys):
     out = str(tmp_path / "dt.gmd")
     code = run_command(

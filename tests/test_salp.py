@@ -1,12 +1,18 @@
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmdlab.caps import Caps
 from gmdlab.core import CapExceeded, GmdInstance, GpInstance, InstanceError
 from gmdlab.exact import opt_gmd
 from gmdlab.salp import (
+    ConsistencyReport,
     SaSolution,
+    Violation,
     build_sa_lp,
     check_sa_consistency,
     default_price_grid,
@@ -140,8 +146,8 @@ def test_solution_satisfies_constraints_exactly():
 
 
 def test_consistency_detects_normalization_violation():
-    sol = SaSolution(
-        values={
+    sol = SaSolution.from_values(
+        {
             ((0,), (0,)): F(4, 10),
             ((0,), (1,)): F(5, 10),
         },
@@ -166,15 +172,13 @@ def test_consistency_detects_marginal_mismatch():
         ((0, 1), (1, 1)): F(0),
     }
     report = check_sa_consistency(
-        SaSolution(values=values, rounds=2, domains=((0, 1), (0, 1)))
+        SaSolution.from_values(values, rounds=2, domains=((0, 1), (0, 1)))
     )
     kinds = {v.kind for v in report.violations}
     assert kinds == {"marginalization"}
 
 
 def test_product_distribution_is_consistent():
-    import itertools
-
     domains = ((0, 1), (0, 1), (0, 1))
     marg = [F(1, 3), F(2, 3)]
     values = {}
@@ -185,7 +189,7 @@ def test_product_distribution_is_consistent():
                 for a in alpha:
                     p *= marg[a]
                 values[(S, alpha)] = p
-    report = check_sa_consistency(SaSolution(values=values, rounds=3, domains=domains))
+    report = check_sa_consistency(SaSolution.from_values(values, rounds=3, domains=domains))
     assert report.ok
 
 
@@ -237,3 +241,174 @@ def test_default_grid_choice():
     grids, note = default_price_grid(frac, eps=F(1, 4))
     assert note == "geom:1/4"
     assert grids[0][0] == 0 and grids[0][1] == 1
+
+
+def fraction_check(values, domains):
+    """The consistency audit as it was over an (S, alpha) -> Fraction dict,
+    kept as the reference for the integer audit."""
+    report = ConsistencyReport()
+    sets = sorted({S for (S, _) in values}, key=lambda s: (len(s), s))
+    for S in sets:
+        total = F(0)
+        for alpha in itertools.product(*(domains[v] for v in S)):
+            x = values[(S, alpha)]
+            report.identities_checked += 1
+            if x < 0:
+                report.violations.append(Violation("negativity", S, None, alpha, x, F(0)))
+            total += x
+        report.identities_checked += 1
+        if total != 1:
+            report.violations.append(Violation("normalization", S, None, (), total, F(1)))
+    set_lookup = set(sets)
+    for Sp in sets:
+        if len(Sp) < 2:
+            continue
+        for size in range(1, len(Sp)):
+            for S in itertools.combinations(Sp, size):
+                if S not in set_lookup:
+                    continue
+                positions = [Sp.index(v) for v in S]
+                free = [i for i in range(len(Sp)) if i not in positions]
+                for beta in itertools.product(*(domains[v] for v in S)):
+                    lhs = F(0)
+                    for rest in itertools.product(*(domains[Sp[i]] for i in free)):
+                        alpha = [None] * len(Sp)
+                        for pos, b in zip(positions, beta):
+                            alpha[pos] = b
+                        for pos, a in zip(free, rest):
+                            alpha[pos] = a
+                        lhs += values[(Sp, tuple(alpha))]
+                    rhs = values[(S, beta)]
+                    report.identities_checked += 1
+                    if lhs != rhs:
+                        report.violations.append(
+                            Violation("marginalization", S, Sp, beta, lhs, rhs)
+                        )
+    return report
+
+
+@st.composite
+def sa_tables(draw):
+    """Marginals of one random joint distribution on up to four vertices over
+    sets of size <= k (some sets left out), with injected perturbations.
+
+    Sampled style: one label domain 0..q-1 and integer counts over the
+    number of samples.  LP style: per-vertex rational domains in any order
+    and rational entries with mixed denominators.  Returns the (S, alpha) ->
+    Fraction values, the domains and, for sampled style, the count arrays
+    and the number of samples (None, None otherwise).
+    """
+    sampled = draw(st.booleans())
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, min(3, n)))
+    if sampled:
+        q = draw(st.integers(1, 3))
+        domains = tuple(tuple(range(q)) for _ in range(n))
+    else:
+        fractions = st.fractions(min_value=0, max_value=3, max_denominator=4)
+        domains = tuple(
+            tuple(draw(st.lists(fractions, min_size=1, max_size=3, unique=True)))
+            for _ in range(n)
+        )
+    cells = list(itertools.product(*(range(len(d)) for d in domains)))
+    weights = draw(st.lists(st.integers(0, 4), min_size=len(cells), max_size=len(cells)))
+    weights[draw(st.integers(0, len(cells) - 1))] += 1
+    if sampled:
+        scale = [1] * len(cells)
+    else:
+        scale = draw(st.lists(st.integers(1, 6), min_size=len(cells), max_size=len(cells)))
+    mass = [F(w, s) for w, s in zip(weights, scale)]
+    total = sum(mass)
+    sets = [
+        S for size in range(1, k + 1) for S in itertools.combinations(range(n), size)
+        if draw(st.integers(0, 4)) > 0
+    ]
+    if not sets:
+        sets = [(0,)]
+    # numerators over `total` (an integer when sampled)
+    tables = {}
+    for S in sets:
+        arr = np.zeros(tuple(len(domains[v]) for v in S), dtype=object)
+        for cell, m in zip(cells, mass):
+            arr[tuple(cell[v] for v in S)] += m
+        tables[S] = arr
+    target = draw(st.sampled_from(sets))  # several faults in one set, too
+    for _ in range(draw(st.integers(0, 4))):
+        S = target if draw(st.booleans()) else draw(st.sampled_from(sets))
+        arr = tables[S]
+        a = draw(st.integers(0, arr.size - 1))
+        b = draw(st.integers(0, arr.size - 1))
+        delta = draw(st.integers(-3, 3)) if sampled else draw(st.fractions(-3, 3, max_denominator=5))
+        flat = arr.reshape(-1)
+        mode = draw(st.sampled_from(["add", "move", "negative"]))
+        if mode == "negative":
+            flat[a] = -1 - abs(delta)
+        else:
+            flat[a] += delta
+        if mode == "move":  # the set stays normalized
+            flat[b] -= delta
+    values = {}
+    for S, arr in tables.items():
+        for pos in itertools.product(*(range(len(domains[v])) for v in S)):
+            alpha = tuple(domains[v][i] for v, i in zip(S, pos))
+            values[(S, alpha)] = F(arr[pos]) / total
+    if sampled:
+        counts = {S: arr.astype(np.int64) for S, arr in tables.items()}
+        return values, domains, counts, int(total)
+    return values, domains, None, None
+
+
+def _solution(values, domains, counts, trials):
+    if counts is None:
+        return SaSolution.from_values(values, rounds=3, domains=domains)
+    return SaSolution(tables=counts, denom=trials, rounds=3, domains=domains)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sa_tables())
+def test_integer_audit_matches_fraction_reference(case):
+    values, domains, counts, trials = case
+    sol = _solution(values, domains, counts, trials)
+    got = check_sa_consistency(sol)
+    want = fraction_check(values, domains)
+    assert got.identities_checked == want.identities_checked
+    assert got.violations == want.violations
+
+
+@settings(max_examples=60, deadline=None)
+@given(sa_tables())
+def test_table_view_matches_values(case):
+    values, domains, counts, trials = case
+    sol = _solution(values, domains, counts, trials)
+    assert len(sol.values) == len(values)
+    assert list(sol.values.items()) == sorted(values.items())
+    assert all(sol.get(S, alpha) == x for (S, alpha), x in values.items())
+    assert list(sol.text_rows()) == [
+        (" ".join(map(str, S)), " ".join(map(str, alpha)), str(x))
+        for (S, alpha), x in sorted(values.items())
+    ]
+
+
+def test_from_values_rejects_incomplete_and_foreign_entries():
+    full = {((0,), (0,)): F(1, 2), ((0,), (1,)): F(1, 2)}
+    assert SaSolution.from_values(full, rounds=1, domains=((0, 1),)).denom == 2
+    with pytest.raises(InstanceError, match="1 of 2 entries"):
+        SaSolution.from_values({((0,), (0,)): F(1)}, rounds=1, domains=((0, 1),))
+    with pytest.raises(InstanceError, match="outside the domains"):
+        SaSolution.from_values({**full, ((0,), (2,)): F(0)}, rounds=1, domains=((0, 1),))
+    with pytest.raises(InstanceError, match="outside the domains"):
+        SaSolution.from_values({**full, ((1,), (0,)): F(0)}, rounds=1, domains=((0, 1),))
+    with pytest.raises(InstanceError, match="outside the domains"):
+        SaSolution.from_values({**full, ((0,), (0, 1)): F(0)}, rounds=1, domains=((0, 1),))
+
+
+def test_lp_table_is_integer_numerators_over_lcm():
+    _, sol = solve_lp_exact(build_sa_lp(triangle(), rounds=2))
+    assert sol.denom == 2
+    assert all(arr.dtype == object for arr in sol.tables.values())
+    assert all(type(x) is int for arr in sol.tables.values() for x in arr.reshape(-1))
+    assert sol.tables[(0, 1)].shape == (2, 2)
+    with pytest.raises(TypeError):
+        sol.values[((0,), (0,))] = F(0)
+    with pytest.raises(KeyError):
+        sol.get((0,), (2,))

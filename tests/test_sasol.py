@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,9 @@ from gmdlab.sasol import (
     AmbiguousPathError,
     EdgeVectorSystem,
     EmbeddingError,
+    TableMismatchError,
+    _check_arc_counts,
+    _gram_matrix,
     build_sa_solution,
     embed_vectors,
     local_distribution_tree,
@@ -306,3 +310,74 @@ def test_build_sa_solution_on_pipeline_instance():
         )
         if report.measured_opt <= (1 + cfg.epsilon) / (4 * T):
             assert ratio <= (T + 1) / (4 * T) * (1 + 14 * eps)
+
+
+def per_entry_gram(table, S):
+    """The Gram matrix built one table.entry at a time, as embed_vectors did."""
+    q = table.q
+    mu = float(table.mu)
+    gram = np.empty((len(S) * q, len(S) * q))
+    for a, u in enumerate(S):
+        for i in range(q):
+            for b, v in enumerate(S):
+                for ip in range(q):
+                    g = mu / 2 + float(table.entry(u, i, v, ip))
+                    if u == v and i == ip:
+                        g += mu / 2
+                    gram[a * q + i, b * q + ip] = g
+    return gram
+
+
+GOLDEN_GAP12 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "gap12.gmd")
+
+
+@pytest.mark.parametrize("mu", [F(0), F(1, 10), F(1, 3), F(1, 2), F(1)])
+@pytest.mark.parametrize("L", [0, 1, 2, 3])
+def test_gram_matrix_bit_identical_to_per_entry_build(mu, L):
+    from gmdlab.core import parse_instance
+
+    with open(GOLDEN_GAP12) as fh:
+        gap12 = parse_instance(fh.read())
+    rev = GmdInstance.of(2, 3, [(0, 1, 1, F(1, 2)), (2, 1, 2, F(1, 2))])
+    for inst in (gap12, path2(), rev, edge_instance(T=1), GmdInstance.of(3, 3, [])):
+        table = pairwise_rho(inst, mu, L)
+        for S in (tuple(range(inst.n)), (0,), (0, inst.n - 1)):
+            assert np.array_equal(_gram_matrix(table, S), per_entry_gram(table, S))
+
+
+def test_embed_vectors_gram_bit_identical_to_per_entry_build():
+    from gmdlab.core import parse_instance
+
+    with open(GOLDEN_GAP12) as fh:
+        gap12 = parse_instance(fh.read())
+    table = pairwise_rho(gap12, F(1, 2), 1)
+    full = tuple(range(gap12.n))
+    assert np.array_equal(embed_vectors(table).gram, per_entry_gram(table, full))
+    assert np.array_equal(embed_vectors(table, S=(5, 1, 3)).gram, per_entry_gram(table, (1, 3, 5)))
+
+
+def test_build_sa_solution_tables_are_counts_over_trials():
+    result = build_sa_solution(path2(), mu=F(1, 2), L=2, k=3, trials=500, seed=1)
+    sol = result.solution
+    assert sol.denom == 500
+    assert sol.tables[(0, 1, 2)].dtype == np.int64
+    assert sol.tables[(0, 1, 2)].shape == (3, 3, 3)
+    assert all(int(arr.sum()) == 500 for arr in sol.tables.values())
+    assert len(sol.values) == 3 * 3 + 3 * 9 + 27
+
+
+def test_arc_counts_must_match_pair_tables():
+    inst = edge_instance(T=2, label=2)
+    table = np.zeros((3, 3), dtype=np.int64)
+    table[0, 2] = 7
+    _check_arc_counts(inst, {(0, 1): table}, [7])
+    _check_arc_counts(inst, {}, [5])  # no pair table, nothing to compare
+    with pytest.raises(TableMismatchError, match="7"):
+        _check_arc_counts(inst, {(0, 1): table}, [6])
+    # an arc written head-first reads the transposed entry
+    back = GmdInstance.of(2, 2, [(1, 0, 1, 1)])
+    table = np.zeros((3, 3), dtype=np.int64)
+    table[1, 0] = 4
+    _check_arc_counts(back, {(0, 1): table}, [4])
+    with pytest.raises(TableMismatchError):
+        _check_arc_counts(back, {(0, 1): table.T.copy()}, [4])
