@@ -257,6 +257,8 @@ def _cmd_salp(args, caps, argv) -> int:
 def _cmd_gap(args, caps, argv) -> int:
     from .gapgen import PipelineConfig, generate_base_dag, sparsify_pipeline
 
+    if args.delta < 1:  # p_keep is derived from it below
+        raise InstanceError(f"--delta must be >= 1, got {args.delta}")
     if args.base.startswith("file:"):
         base = generate_base_dag(
             "custom-file", args.n, params={"path": args.base[5:]}, seed=args.seed

@@ -87,6 +87,10 @@ def generate_base_dag(kind: str, n: int, params: Optional[dict] = None, seed: in
     if kind == "window-random":
         window = int(params.get("window", 3))
         p = float(params.get("p", 0.5))
+        if window < 1:
+            raise InstanceError(f"window must be >= 1, got {window}")
+        if not 0 <= p <= 1:
+            raise InstanceError(f"window edge probability must be in [0, 1], got {p}")
         rng = substream(seed, 0)
         arcs = []
         for u in range(n):
@@ -98,8 +102,12 @@ def generate_base_dag(kind: str, n: int, params: Optional[dict] = None, seed: in
         path = params.get("path")
         if path is None:
             raise InstanceError("custom-file base needs params={'path': ...}")
-        with open(path, "r", encoding="utf-8") as fh:
-            inst = parse_instance(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise InstanceError(f"cannot read {path}: {exc}") from exc
+        inst = parse_instance(text)
         if not isinstance(inst, GmdInstance):
             raise InstanceError("custom base file must be a gmd instance")
         topo_number(inst)  # raises CycleError on cyclic input
@@ -127,17 +135,8 @@ def sparsify_pipeline(
         arcs = {uv: t for uv, t in arcs.items() if uv[0] not in bad and uv[1] not in bad}
 
     # girth control: break short undirected cycles one edge at a time
-    und = {graphs.edge(u, v) for u, v in arcs}
-    while True:
-        cyc = graphs.shortest_cycle(base.n, und)
-        if cyc is None or len(cyc) > cfg.l:
-            break
-        cycle_edges = [graphs.edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
-        drop = max(cycle_edges)
-        und.discard(drop)
-        arcs = {
-            uv: t for uv, t in arcs.items() if graphs.edge(*uv) != drop
-        }
+    dropped = set(graphs.break_short_cycles(base.n, arcs, cfg.l))
+    arcs = {uv: t for uv, t in arcs.items() if graphs.edge(*uv) not in dropped}
 
     m = len(arcs)
     if m == 0:

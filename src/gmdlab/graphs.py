@@ -3,11 +3,21 @@
 Graphs are plain edge sets of sorted vertex pairs over vertices 0..n-1.
 Everything here is deterministic: BFS visits neighbors in increasing id
 order and cycle extraction canonicalizes before comparing.
+
+Girth cleanup contract: `break_short_cycles` drops exactly the edges, in
+exactly the order, that repeatedly dropping the largest edge of
+`shortest_cycle` would, so every pipeline instance is the same byte for
+byte.  It recomputes an edge's cycle only when a drop removed an edge its
+BFS depended on.  Only the cycle length is monotone under drops: a later
+BFS may find a lexicographically smaller cycle of the same length, so a
+stale key is a lower bound on the length alone.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import collections
+import heapq
+import itertools
 
 Edge = tuple[int, int]
 
@@ -24,38 +34,56 @@ def adjacency(n: int, edges) -> list[list[int]]:
     return [sorted(s) for s in adj]
 
 
-def canonical_cycle(path: list[int]) -> tuple[int, ...]:
-    """Rotation/reflection minimal form of a cycle given as a vertex list."""
-    k = len(path)
-    best = None
-    for seq in (path, path[::-1]):
-        for shift in range(k):
-            rot = tuple(seq[(shift + i) % k] for i in range(k))
-            if best is None or rot < best:
-                best = rot
-    return best
+def canonical_cycle(path) -> tuple[int, ...]:
+    """Rotation/reflection minimal form of a simple cycle given as a vertex list.
+
+    The minimal form starts at the smallest vertex and continues toward the
+    smaller of its two cycle neighbours.
+    """
+    seq = list(path)
+    i = seq.index(min(seq))
+    if seq[(i + 1) % len(seq)] <= seq[i - 1]:
+        return tuple(seq[i:] + seq[:i])
+    return tuple(seq[i::-1] + seq[:i:-1])
 
 
-def _bfs_path(n: int, adj, src: int, dst: int, skip: Edge) -> list[int] | None:
-    """Deterministic shortest src..dst path avoiding one edge."""
-    parent = [-1] * n
-    parent[src] = src
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        if x == dst:
+def _edge_cycle(adj, a: int, b: int, limit: int):
+    """Shortest cycle of at most `limit` vertices through edge (a, b), as BFS finds it.
+
+    BFS runs from a without the edge (a, b), visits neighbours in `adj`
+    order, gives each vertex the first parent that reaches it and stops
+    once b is reached (depth at most limit - 1).  Returns the a..b path and
+    the edges the result depends on, as (vertex, parent) pairs: the parent
+    edges into the vertices shallower than b and b's own parent edge.  The
+    order of each level, and so each first-discovery parent, follows from
+    the parent edges into that level and the levels above, so removing any
+    other edge leaves the result unchanged.  None means no such cycle.
+    """
+    parent = {a: a}  # in discovery order, so level by level
+    frontier = [a]
+    for _ in range(limit - 1):
+        shallower = len(parent)
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if y in parent:
+                    continue
+                if y == b:
+                    if x == a:
+                        continue
+                    deps = list(itertools.islice(parent.items(), 1, shallower))
+                    deps.append((b, x))
+                    path = [b, x]
+                    while x != a:
+                        x = parent[x]
+                        path.append(x)
+                    return path[::-1], deps
+                parent[y] = x
+                nxt.append(y)
+        if not nxt:
             break
-        for y in adj[x]:
-            if edge(x, y) == skip or parent[y] != -1:
-                continue
-            parent[y] = x
-            queue.append(y)
-    if parent[dst] == -1:
-        return None
-    path = [dst]
-    while path[-1] != src:
-        path.append(parent[path[-1]])
-    return path[::-1]
+        frontier = nxt
+    return None
 
 
 def shortest_cycle(n: int, edges) -> tuple[int, ...] | None:
@@ -67,14 +95,14 @@ def shortest_cycle(n: int, edges) -> tuple[int, ...] | None:
     lexicographic minimum of the per-edge candidates is picked; BFS tie
     breaking makes the outcome a deterministic function of the graph.
     """
-    edges = sorted(edge(u, v) for u, v in edges)
+    edges = sorted({edge(u, v) for u, v in edges})
     adj = adjacency(n, edges)
     best = None
     for a, b in edges:
-        path = _bfs_path(n, adj, a, b, skip=(a, b))
-        if path is None:
+        found = _edge_cycle(adj, a, b, best[0] if best else n)
+        if found is None:
             continue
-        cyc = canonical_cycle(path)
+        cyc = canonical_cycle(found[0])
         key = (len(cyc), cyc)
         if best is None or key < best:
             best = key
@@ -82,8 +110,84 @@ def shortest_cycle(n: int, edges) -> tuple[int, ...] | None:
 
 
 def girth(n: int, edges) -> int | None:
-    cyc = shortest_cycle(n, edges)
-    return len(cyc) if cyc else None
+    """Length of a shortest cycle, or None for a forest."""
+    edges = sorted({edge(u, v) for u, v in edges})
+    adj = adjacency(n, edges)
+    best = n + 1
+    for a, b in edges:
+        found = _edge_cycle(adj, a, b, best - 1)
+        if found is not None:
+            best = len(found[0])
+    return best if best <= n else None
+
+
+def break_short_cycles(n: int, edges, l: int) -> list[Edge]:
+    """Drop edges until no cycle of length <= l is left; returns them in drop order.
+
+    Each drop is the largest edge of `shortest_cycle` of the remaining
+    graph, so the drop list is that of the plain loop
+
+        while (cyc := shortest_cycle(n, g)) and len(cyc) <= l:
+            g.discard(max(cycle edges of cyc))
+
+    Each edge keeps its key (cycle length, canonical cycle) from
+    `_edge_cycle` in a heap.  A drop makes the edges whose BFS depends on
+    the dropped edge stale; their key becomes (old length, ()), a lower
+    bound, since deleting edges can only lengthen a cycle.  Only the length
+    is monotone: after a drop BFS may find a lexicographically smaller cycle
+    of the same length, so a stale edge is recomputed when its bound
+    reaches the top of the heap.  The top is then an exact key no larger
+    than any other edge's, which is the plain loop's choice.
+    """
+    edges = sorted({edge(u, v) for u, v in edges})
+    adj = adjacency(n, edges)
+    # live edges with a cycle of length <= l: the exact key, or a bound while stale
+    key: dict[Edge, tuple] = {}
+    version: dict[Edge, int] = {}  # which computation of an edge's key is current
+    # (vertex, parent) pair -> (edge, version) of the BFS runs that used it;
+    # entries of superseded versions are skipped when read
+    dependants: dict[tuple[int, int], list] = collections.defaultdict(list)
+    stale: set[Edge] = set()
+    heap: list = []
+
+    def compute(e: Edge) -> None:
+        found = _edge_cycle(adj, e[0], e[1], l)
+        if found is None:
+            return
+        path, deps = found
+        cyc = canonical_cycle(path)
+        key[e] = (len(cyc), cyc)
+        version[e] = version.get(e, 0) + 1
+        tag = (e, version[e])
+        for d in deps:
+            dependants[d].append(tag)
+        heapq.heappush(heap, (key[e], e))
+
+    for e in edges:
+        compute(e)
+    dropped = []
+    while heap:
+        k, e = heapq.heappop(heap)
+        if key.get(e) != k:
+            continue  # superseded entry, or the edge is gone
+        if e in stale:
+            stale.discard(e)
+            del key[e]
+            compute(e)
+            continue
+        cyc = k[1]
+        u, v = drop = max(edge(cyc[i - 1], cyc[i]) for i in range(len(cyc)))
+        dropped.append(drop)
+        adj[u].remove(v)
+        adj[v].remove(u)
+        key.pop(drop, None)
+        stale.discard(drop)
+        for f, ver in dependants.pop((u, v), []) + dependants.pop((v, u), []):
+            if f in key and version[f] == ver and f not in stale:
+                stale.add(f)
+                key[f] = (key[f][0], ())
+                heapq.heappush(heap, (key[f], f))
+    return dropped
 
 
 def max_degree(n: int, edges) -> int:
@@ -154,7 +258,7 @@ def connected_components(vertices, edges) -> list[list[int]]:
         if v in seen:
             continue
         comp = []
-        queue = deque([v])
+        queue = collections.deque([v])
         seen.add(v)
         while queue:
             x = queue.popleft()

@@ -156,6 +156,30 @@ def test_gap_pipeline_csv(tmp_path, capsys):
     assert "acyclic" in lines[1]
 
 
+def test_gap_missing_base_file_exit_1(tmp_path, capsys):
+    missing = str(tmp_path / "absent.gmd")
+    assert run_command(["gap", "--base", f"file:{missing}"]) == 1
+    assert f"cannot read {missing}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--n", "5", "--delta", "0"], "--delta must be >= 1, got 0"),
+        (["--n", "5", "--delta", "-2", "--p-keep", "1/2"], "--delta must be >= 1, got -2"),
+        (["--n", "5", "--base", "window", "--window", "0"], "window must be >= 1, got 0"),
+        (["--n", "5", "--base", "window", "--window-p", "1.5"], "must be in [0, 1], got 1.5"),
+        (["--n", "5", "--base", "window", "--window-p", "-0.1"], "must be in [0, 1], got -0.1"),
+    ],
+    ids=["delta-0", "delta-negative", "window-0", "window-p-high", "window-p-negative"],
+)
+def test_gap_bad_parameters_exit_1(tmp_path, capsys, args, message):
+    csv = str(tmp_path / "gap.csv")
+    assert run_command(["gap"] + args + ["--csv", csv]) == 1
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(csv)
+
+
 def test_sasol_command(tmp_path, capsys):
     path = write(tmp_path, "e.gmd", "gmd 2\nv 2\ne 0 1 2 1\n")
     csv = str(tmp_path / "tbl.csv")

@@ -1,11 +1,13 @@
-"""Golden corpus: byte-exact CSV bodies of fixed commands on checked-in fixtures.
+"""Golden corpus: byte-exact outputs of fixed commands on checked-in fixtures.
 
 Each case runs one subcommand on a fixture under tests/golden/ and compares
 the CSV it writes, without its provenance line (which hashes the argument
-paths), byte for byte with the recorded body.  A change to any of these
-files is a deliberate change of output.  To re-record them:
+paths), byte for byte with the recorded body.  A case that passes `--out`
+also compares the file it writes there with the golden file of that name.
+A change to any of these files is a deliberate change of output.  To
+re-record the named cases, and only those:
 
-    PYTHONPATH=src python tests/test_golden.py --write
+    PYTHONPATH=src python tests/test_golden.py --write gap-n40-s0.csv ...
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from gmdlab.cli import run_command
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
-# (golden CSV, argv without --csv, GMDLAB_CAPS or None)
+# (golden CSV, argv without --csv, GMDLAB_CAPS or None); input files are
+# fixtures under GOLDEN, the `--out` file is a golden output of that name
 CASES = (
     ("sasol-k2.csv", ["sasol", "--in", "gap12.gmd", "--k", "2", "--trials", "500", "--seed", "0"], None),
     ("sasol-k3.csv", ["sasol", "--in", "gap12.gmd", "--k", "3", "--L", "2", "--trials", "400",
@@ -31,11 +34,26 @@ CASES = (
     # its duals do not rationalise, so the exact tableau solves it
     ("salp-geom.csv", ["salp", "--in", "geom.gp", "--rounds", "2", "--grid", "geom:1/10"],
      "sa_domain=9"),
+    ("gap-n40-s0.csv", ["gap", "--n", "40", "--seed", "0", "--out", "gap-n40-s0.gmd"], None),
+    ("gap-n40-s5.csv", ["gap", "--n", "40", "--seed", "5", "--out", "gap-n40-s5.gmd"], None),
+    # n > 24: the measured optimum comes from the local search
+    ("gap-n25-s1.csv", ["gap", "--n", "25", "--seed", "1", "--out", "gap-n25-s1.gmd"], None),
+    ("gap-window.csv", ["gap", "--n", "60", "--base", "window", "--window", "4",
+                        "--window-p", "0.8", "--out", "gap-window.gmd"], None),
+    ("gap-l11.csv", ["gap", "--n", "40", "--l", "11", "--out", "gap-l11.gmd"], None),
+    ("gap-n100-s1.csv", ["gap", "--n", "100", "--seed", "1", "--out", "gap-n100-s1.gmd"], None),
 )
 
 
-def _body(argv, caps, directory):
-    argv = [os.path.join(GOLDEN, tok) if tok.endswith((".gmd", ".gp")) else tok for tok in argv]
+def _outputs(argv, caps, directory) -> dict[str, bytes]:
+    """Run one case; returns {golden name: bytes} for its CSV body and `--out` file."""
+    out = argv[argv.index("--out") + 1] if "--out" in argv else None
+    argv = [
+        os.path.join(directory, tok) if tok == out
+        else os.path.join(GOLDEN, tok) if tok.endswith((".gmd", ".gp"))
+        else tok
+        for tok in argv
+    ]
     csv = os.path.join(directory, "out.csv")
     old = os.environ.pop("GMDLAB_CAPS", None)
     if caps is not None:
@@ -49,18 +67,32 @@ def _body(argv, caps, directory):
     with open(csv, "rb") as fh:
         first, body = fh.read().split(b"\n", 1)
     assert first.startswith(b"# gmdlab ")
-    return body
+    outputs = {"csv": body}
+    if out is not None:
+        with open(os.path.join(directory, out), "rb") as fh:
+            outputs[out] = fh.read()
+    return outputs
 
 
 @pytest.mark.parametrize("name, argv, caps", CASES, ids=[c[0] for c in CASES])
 def test_csv_body_matches_golden(name, argv, caps, tmp_path, capsys):
-    with open(os.path.join(GOLDEN, name), "rb") as fh:
-        assert _body(argv, caps, str(tmp_path)) == fh.read()
+    for key, data in _outputs(argv, caps, str(tmp_path)).items():
+        with open(os.path.join(GOLDEN, name if key == "csv" else key), "rb") as fh:
+            assert data == fh.read(), key
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+if __name__ == "__main__" and sys.argv[1:2] == ["--write"]:
+    cases = {c[0]: c for c in CASES}
+    names = sys.argv[2:]
+    unknown = [nm for nm in names if nm not in cases]
+    if not names or unknown:
+        sys.exit(f"--write needs case names from: {' '.join(cases)}"
+                 + (f" (unknown: {' '.join(unknown)})" if unknown else ""))
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv, caps in CASES:
-            with open(os.path.join(GOLDEN, name), "wb") as fh:
-                fh.write(_body(argv, caps, tmp))
-            print(f"wrote {name}")
+        for nm in names:
+            _, argv, caps = cases[nm]
+            for key, data in _outputs(argv, caps, tmp).items():
+                target = nm if key == "csv" else key
+                with open(os.path.join(GOLDEN, target), "wb") as fh:
+                    fh.write(data)
+                print(f"wrote {target}")
