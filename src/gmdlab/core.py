@@ -14,7 +14,6 @@ of an integer, so nothing in this module may ever round.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Union
@@ -415,7 +414,3 @@ def serialize_instance(inst: Instance) -> str:
         raise InstanceError(f"not an instance: {inst!r}")
     return "\n".join(out) + "\n"
 
-
-def instance_digest(inst: Instance) -> str:
-    """Stable short hash of the canonical serialization."""
-    return hashlib.sha256(serialize_instance(inst).encode()).hexdigest()[:12]

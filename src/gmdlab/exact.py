@@ -3,26 +3,36 @@
 Both problems maximise a sum of pairwise payoffs over finite per-vertex
 domains: labels 0..T for max-dicut, a candidate price grid for pricing.
 One engine, `_PairGame`, solves that problem for every oracle and best
-response in the package:
+response in the package.  Every payoff is scaled once to an integer over a
+common denominator, so no comparison ever touches a `Fraction` or a float.
+The oracles pick one of three enumerators by estimated cost:
 
-* every payoff is scaled once to an integer over a common denominator, so
-  no comparison ever touches a `Fraction` or a float;
-* it picks a vertex cover C of the payoff graph with the least product of
-  domain sizes and enumerates the assignments of C in product order;
-* every vertex outside C has all its neighbours in C, so it takes its best
-  response on its own, the smallest domain index winning ties;
-* ties between cover assignments go to the smaller witness key.
+* cover enumeration: a vertex cover C of the payoff graph with the least
+  product of domain sizes, its assignments in product order; every vertex
+  outside C has all its neighbours in C, so it takes its best response on
+  its own, the smallest domain index winning ties, and ties between cover
+  assignments go to the smaller witness key;
+* the zero-set walk, for max-dicut only: once the zero set is fixed every
+  other vertex best-responds on its own, so 2^n masks, vectorised in numpy
+  int64, cover all (T+1)^n labelings;
+* bucket elimination along a min-fill order, with integer max-sum tables
+  (numpy int64 when no partial sum can overflow, Python ints otherwise).
+  The witness is built by clamping: each vertex in key order is restricted
+  to its most preferred class of domain indices that still holds an
+  optimum, one more pass testing each class that the last pass's optimal
+  assignment does not already prove.
 
-The key gives each oracle its witness contract.  `opt_gp_grid` returns the
-first optimal grid point in `itertools.product` order.  `opt_gmd` returns
-the greedy completion of the smallest optimal zero mask: its domain lists
-the labels 1..T before 0, so a best response prefers a nonzero label, and
-the key is the zero mask.  For max-dicut the zero-set walk is the other
-enumerator: once the zero set is fixed every other vertex best-responds on
-its own, so 2^n masks, vectorised in numpy int64, cover all (T+1)^n
-labelings.  `opt_gmd` takes whichever of the two costs less on the
-instance.  `explored` is the size of the search space certified either
-way: 2^n masks, or the number of grid points.
+The cover enumeration serves small covers, the walk small n, elimination
+sparse games whose min-fill tables stay small.  The cost estimates are
+calibrated by measurement (see `_gmd_plan` and `_PairGame.elimination_plan`).
+
+The key gives each oracle its witness contract, whichever enumerator runs.
+`opt_gp_grid` returns the first optimal grid point in `itertools.product`
+order.  `opt_gmd` returns the greedy completion of the smallest optimal
+zero mask: its domain lists the labels 1..T before 0, so a best response
+prefers a nonzero label, and the key is the zero mask.  `explored` is the
+size of the search space certified: 2^n masks, or the number of grid
+points.
 
 On the half-integral grid {0, 1/2, ..., B} with integer budgets the grid
 value is the true optimum (a half-integral optimal pricing always exists);
@@ -34,6 +44,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import prod
 from typing import Callable, Sequence, Union
 
 from .caps import Caps
@@ -104,8 +116,6 @@ class _PairGame:
         domain sizes, by branch and bound: either the vertex of largest
         degree is in the cover, or all its neighbours are.  Vertices with one
         choice join the cover for free."""
-        from math import prod
-
         sizes = self.sizes
         free = {v for v, s in enumerate(sizes) if s == 1 and self.nbrs[v]}
         graph = {}
@@ -195,6 +205,165 @@ class _PairGame:
         descend(d, val)
         return best[0], best[2]
 
+    def elimination_order(self) -> tuple[list[int], list[int]]:
+        """Min-fill order of the vertices with a choice and a payoff, and the
+        number of entries of each one's bucket table.
+
+        Eliminating v joins its remaining neighbours into a clique; the next
+        vertex is the one whose clique adds the fewest new edges, then the one
+        of least degree, then the smallest.  Single-choice vertices are left
+        out, since every pass folds them into their neighbours' tables.
+        """
+        sizes = self.sizes
+        adj = {v: {u for u in nb if sizes[u] > 1}
+               for v, nb in enumerate(self.nbrs) if sizes[v] > 1 and nb}
+
+        def fill(v: int) -> int:
+            nb = list(adj[v])
+            return sum(1 for i, a in enumerate(nb) for b in nb[i + 1:] if b not in adj[a])
+
+        order, entries = [], []
+        while adj:
+            v = min(adj, key=lambda u: (fill(u), len(adj[u]), u))
+            nb = adj.pop(v)
+            size = sizes[v]
+            for u in nb:
+                adj[u] |= nb
+                adj[u] -= {u, v}
+                size *= sizes[u]
+            order.append(v)
+            entries.append(size)
+        return order, entries
+
+    def elimination_plan(self, budget: int) -> list[int] | None:
+        """The min-fill order if the estimated cost of `lex_optimum` along it
+        is below `budget`, else None.  The order is built only when the cost
+        without its table entries is below `budget`.
+
+        The estimate is in the units of the cover and walk estimates of
+        `_gmd_plan`: one pass per vertex of the order and one more, each adding
+        every table into its bucket and taking a maximum.  Fitted on single
+        passes over 26 random max-dicut games (n 8-24, T 1-4, 10-100 arcs,
+        tables up to 2.9M entries; 2-core Xeon, Python 3.11, numpy 2.4): a
+        pass takes 3.7 us per numpy call, of which it makes about two per
+        payoff pair and three per bucket, plus 0.007 us per entry of the
+        bucket tables (0.16 us with Python-int tables).  At the walk's 10 ns
+        per unit that is 360 units per call, as much as a cover leaf, and 1
+        unit per entry (20 with Python ints).
+        """
+        k = sum(1 for v, nb in enumerate(self.nbrs) if self.sizes[v] > 1 and nb)
+        calls = (k + 1) * 360 * (2 * len(self.pairs) + 3 * k)
+        if calls >= budget:
+            return None
+        order, entries = self.elimination_order()
+        per_entry = 1 if self.int64 else 20
+        return order if calls + (k + 1) * per_entry * sum(entries) < budget else None
+
+    @cached_property
+    def int64(self) -> bool:
+        """Whether every partial sum of payoffs fits numpy int64: payoffs are
+        nonnegative, so no sum exceeds that of each pair's largest one (for
+        max-dicut at most the walk's sum of scaled weights)."""
+        return sum(max(max(row) for row in t) for _, _, t in self.pairs) < 2**62
+
+    @cached_property
+    def _arrays(self) -> list:
+        """The payoff tables as numpy arrays: int64, or Python ints when
+        `int64` fails."""
+        import numpy as np
+
+        dtype = np.int64 if self.int64 else object
+        return [(u, v, np.array(t, dtype=dtype)) for u, v, t in self.pairs]
+
+    def _eliminate(self, order: Sequence[int], allowed: Sequence) -> tuple[int, list[int]]:
+        """Optimum and one optimal assignment of the game restricted to the
+        domain indices `allowed[v]` (None: all of them), by bucket
+        elimination along `order`.
+
+        A vertex with one choice left is folded into its neighbours' tables.
+        Every other one has an integer table axis; a bucket holds the tables
+        whose first vertex in `order` is its own, adds them up and passes
+        their maximum over its axis on to the bucket of the next vertex.  The
+        assignment is read back in reverse order, each vertex taking the
+        first maximising index against the vertices eliminated after it.
+        """
+        pos: dict[int, int] = {}
+        for v in order:
+            if allowed[v] is None or len(allowed[v]) > 1:
+                pos[v] = len(pos)
+        buckets: list[list] = [[] for _ in pos]
+        const = 0
+        for u, v, arr in self._arrays:
+            if allowed[u] is not None:
+                arr = arr[allowed[u]]
+            if allowed[v] is not None:
+                arr = arr[:, allowed[v]]
+            pu, pv = pos.get(u), pos.get(v)
+            if pu is None and pv is None:
+                const += arr[0, 0]
+            elif pu is None:
+                buckets[pv].append(((pv,), arr[0]))
+            elif pv is None:
+                buckets[pu].append(((pu,), arr[:, 0]))
+            elif pu < pv:
+                buckets[pu].append(((pu, pv), arr))
+            else:
+                buckets[pv].append(((pv, pu), arr.T))
+        kept: list = [None] * len(pos)
+        for p, factors in enumerate(buckets):
+            if not factors:
+                continue
+            scope = sorted({q for s, _ in factors for q in s})
+            total = None
+            for s, arr in factors:
+                if len(s) < len(scope):
+                    arr = arr.reshape([arr.shape[s.index(q)] if q in s else 1 for q in scope])
+                total = arr if total is None else total + arr
+            kept[p] = (scope, total)
+            msg = total.max(axis=0)
+            if len(scope) == 1:
+                const += msg
+            else:
+                buckets[scope[1]].append((tuple(scope[1:]), msg))
+        x = [0] * len(pos)
+        for p in reversed(range(len(pos))):
+            if kept[p] is not None:
+                scope, total = kept[p]
+                x[p] = int(total[(slice(None),) + tuple(x[q] for q in scope[1:])].argmax())
+        out = [0 if a is None else a[0] for a in allowed]
+        for v, p in pos.items():
+            out[v] = x[p] if allowed[v] is None else allowed[v][x[p]]
+        return int(const), out
+
+    def lex_optimum(self, order: Sequence[int], keys: Sequence[int],
+                    classes: Callable) -> tuple[int, list[int]]:
+        """Optimum and the optimal assignment that is smallest in key order,
+        by passes of `_eliminate` along `order`: for each vertex v of `keys`
+        in turn, `classes(v)` splits its domain indices into classes, most
+        preferred first, and v is clamped to the first class that still
+        holds an optimal assignment.  Vertices outside `keys` take the
+        index a pass gives them.
+
+        Each pass returns an optimal assignment y that respects the clamps so
+        far; a class of v before y[v]'s costs one more pass to test, and
+        when it holds an optimum that pass gives the new y.
+        """
+        allowed: list = [None] * len(self.sizes)
+        best, y = self._eliminate(order, allowed)
+        for v in keys:
+            parts = classes(v)
+            while True:
+                c = next(i for i, part in enumerate(parts) if y[v] in part)
+                if c == 0:
+                    break
+                allowed[v] = sorted(i for part in parts[:c] for i in part)
+                val, z = self._eliminate(order, allowed)
+                if val < best:
+                    break
+                y = z
+            allowed[v] = parts[c]
+        return best, y
+
 
 def _drop(graph: dict, removed: set) -> dict:
     """`graph` without the vertices in `removed` and the ones left isolated."""
@@ -256,9 +425,10 @@ def greedy_completion(inst: GmdInstance, zero_set: frozenset[int] | set[int]) ->
 def opt_gmd(inst: GmdInstance, caps: Caps = Caps()) -> OptResult:
     """Exact max-dicut optimum over all (T+1)^n labelings.
 
-    Runs the cover enumeration or the zero-set walk, whichever costs less;
-    both return the smallest optimal zero mask, whose greedy completion is
-    the witness.
+    Runs one of three enumerators, chosen by `_gmd_plan` on estimated cost:
+    the cover enumeration, the zero-set walk or bucket elimination.  Each
+    returns the smallest optimal zero mask, whose greedy completion is the
+    witness.
     """
     n = inst.n
     if n > caps.opt_gmd_n:
@@ -268,25 +438,54 @@ def opt_gmd(inst: GmdInstance, caps: Caps = Caps()) -> OptResult:
             value=Fraction(0), witness=greedy_completion(inst, set()), explored=1
         )
     game = _gmd_game(inst)
+    T = inst.T
     cover = game.cover()
     scaled = [a.weight.numerator * (game.denom // a.weight.denominator) for a in inst.arcs]
-    # Costs in numpy int64 operations on one mask and one arc: a cover leaf in
-    # Python costs about 360 of them, a numpy call (three per arc and chunk)
-    # about 200.
-    m = len(inst.arcs)
-    walk = (1 << n) * m + 600 * m * max(1, (1 << n) >> 20)
-    if walk < 360 * (inst.T + 1) ** len(cover) and sum(scaled) < 2**62:
+    path, order = _gmd_plan(inst, game, cover, scaled)
+    if path == "walk":
         best_mask = _zero_set_walk(inst, scaled)
+    elif path == "elim":
+        best_mask = _gmd_elim_mask(game, order)
     else:
-        def zero_mask(x: list[int]) -> int:
-            return sum(1 << v for v, i in enumerate(x) if i == inst.T)
-
-        best_mask = zero_mask(game.maximise(cover, key=zero_mask)[1])
+        best_mask = _zero_mask(game.maximise(cover, key=lambda x: _zero_mask(x, T))[1], T)
     labels, total = _gmd_labels(game, [bool(best_mask >> v & 1) for v in range(n)])
     witness = Labeling(tuple(labels))
     best_val = Fraction(total, game.denom)
     assert val_gmd(inst, witness) == best_val
     return OptResult(value=best_val, witness=witness, explored=1 << n)
+
+
+def _gmd_plan(inst: GmdInstance, game: _PairGame, cover: Sequence[int],
+              scaled: list[int]) -> tuple[str, list[int] | None]:
+    """The enumerator `opt_gmd` runs, and the elimination order if that is
+    the one: the cover enumeration or the zero-set walk (only when its int64
+    sums cannot overflow), whichever has the lower estimated cost, ties to
+    the cover; elimination only when its estimate is lower still."""
+    # Costs in numpy int64 operations on one mask and one arc: a cover leaf in
+    # Python costs about 360 of them, a numpy call (three per arc and chunk)
+    # about 200.
+    n, m = inst.n, len(inst.arcs)
+    costs = {"cover": 360 * (inst.T + 1) ** len(cover)}
+    if sum(scaled) < 2**62:
+        costs["walk"] = (1 << n) * m + 600 * m * max(1, (1 << n) >> 20)
+    path = min(costs, key=costs.get)
+    order = game.elimination_plan(costs[path])
+    return (path, None) if order is None else ("elim", order)
+
+
+def _zero_mask(x: Sequence[int], T: int) -> int:
+    """Zero mask of an assignment of the max-dicut game: bit v for label 0."""
+    return sum(1 << v for v, i in enumerate(x) if i == T)
+
+
+def _gmd_elim_mask(game: _PairGame, order: Sequence[int]) -> int:
+    """Smallest optimal zero mask by elimination: from vertex n-1 down to 0,
+    each vertex with arcs is clamped to the labels 1..T if an optimum
+    survives there, and to 0 otherwise."""
+    T = game.sizes[0] - 1
+    classes = (list(range(T)), [T])
+    _, y = game.lex_optimum(order, sorted(order, reverse=True), lambda v: classes)
+    return _zero_mask(y, T)
 
 
 def _zero_set_walk(inst: GmdInstance, scaled: list[int]) -> int:
@@ -363,6 +562,13 @@ def _gp_game(inst: GpInstance, candidates: Sequence[Sequence[Fraction]]) -> _Pai
     return _PairGame([len(c) for c in candidates], tables)
 
 
+def _grid_elim_point(game: _PairGame, order: Sequence[int]) -> tuple[int, list[int]]:
+    """Optimum and first optimal grid point by elimination: from vertex 0
+    up, each vertex with a choice and a payoff is clamped to its smallest
+    index that keeps an optimum."""
+    return game.lex_optimum(order, sorted(order), lambda v: [[i] for i in range(game.sizes[v])])
+
+
 def opt_gp_grid(
     inst: GpInstance,
     candidates: Sequence[Sequence[Fraction]],
@@ -384,7 +590,13 @@ def opt_gp_grid(
         raise CapExceeded(f"grid has {points} points, cap {caps.gp_grid_points}")
 
     game = _gp_game(inst, candidates)
-    total, point = game.maximise(game.cover(), key=tuple)
+    cover = game.cover()
+    # a cover leaf costs about 360 units of `elimination_plan`
+    order = game.elimination_plan(360 * prod(game.sizes[v] for v in cover))
+    if order is not None:
+        total, point = _grid_elim_point(game, order)
+    else:
+        total, point = game.maximise(cover, key=tuple)
     best_val = Fraction(total, game.denom)
     witness = Pricing(tuple(candidates[v][i] for v, i in enumerate(point)))
     assert val_gp(inst, witness) == best_val

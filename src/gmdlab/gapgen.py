@@ -10,6 +10,7 @@ checked explicitly per seed and reported, never assumed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -116,12 +117,24 @@ def generate_base_dag(kind: str, n: int, params: Optional[dict] = None, seed: in
     raise InstanceError(f"unknown base kind {kind!r}")
 
 
+def _draw_threshold(p: Fraction) -> float:
+    """The double t with u < t exactly when u < p, for every u that
+    `Generator.random()` returns.
+
+    Those are the multiples j * 2^-53 with 0 <= j < 2^53, and j < p * 2^53
+    holds for an integer j exactly when j < ceil(p * 2^53); for 0 < p <= 1
+    that ceiling is at most 2^53, so t = ceil(p * 2^53) * 2^-53 is a double.
+    """
+    return math.ldexp(math.ceil(p * 2**53), -53)
+
+
 def sparsify_pipeline(
     base: DagSkeleton, cfg: PipelineConfig, caps: Caps = Caps()
 ) -> tuple[GmdInstance, StructuralReport]:
     """Sample, label, and clean the base DAG; returns instance plus report."""
     rng = substream(cfg.seed, 0)
-    kept = [a for a in base.arcs if rng.random() < cfg.p_keep]
+    threshold = _draw_threshold(cfg.p_keep)
+    kept = [a for a in base.arcs if rng.random() < threshold]
     labels = rng.integers(1, cfg.T + 1, size=len(kept))
     arcs = {(u, v): int(t) for (u, v), t in zip(kept, labels)}
 
@@ -195,6 +208,13 @@ def _local_search_estimate(inst: GmdInstance, restarts: int, seed: int) -> Fract
     return Fraction(best, game.denom)
 
 
+def _noise_inequality(mu: Fraction, l: int, k_max: int) -> bool:
+    """(1-mu)^(l/10) <= mu/(5 k_max), decided exactly: both sides are
+    nonnegative, so it holds exactly when (1-mu)^l <= (mu/(5 k_max))^10."""
+    mu = Fraction(mu)
+    return (1 - mu) ** l <= (mu / (5 * k_max)) ** 10
+
+
 def check_structural(
     inst: GmdInstance, cfg: PipelineConfig, caps: Caps = Caps(), restarts: int = 12
 ) -> StructuralReport:
@@ -205,7 +225,7 @@ def check_structural(
         acyclic = False
     und = {graphs.edge(a.tail, a.head) for a in inst.arcs}
     g = graphs.girth(inst.n, und)
-    noise_ok = (1 - float(cfg.mu)) ** (cfg.l / 10) <= float(cfg.mu) / (5 * cfg.k_max)
+    noise_ok = _noise_inequality(cfg.mu, cfg.l, cfg.k_max)
 
     measured_opt = None
     exact_flag = False

@@ -245,27 +245,3 @@ def biconnected_blocks(n: int, edges) -> list[list[Edge]]:
                         blocks.append(sorted(block))
     return blocks
 
-
-def connected_components(vertices, edges) -> list[list[int]]:
-    vertices = sorted(vertices)
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = set()
-    comps = []
-    for v in vertices:
-        if v in seen:
-            continue
-        comp = []
-        queue = collections.deque([v])
-        seen.add(v)
-        while queue:
-            x = queue.popleft()
-            comp.append(x)
-            for y in sorted(adj[x]):
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        comps.append(sorted(comp))
-    return comps

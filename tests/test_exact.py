@@ -1,6 +1,9 @@
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmdlab.caps import Caps
 from gmdlab.core import (
@@ -9,10 +12,20 @@ from gmdlab.core import (
     GpInstance,
     Labeling,
     Pricing,
+    max_incident_budget,
+    parse_instance,
     val_gmd,
     val_gp,
 )
 from gmdlab.exact import (
+    _gmd_elim_mask,
+    _gmd_game,
+    _gmd_labels,
+    _gmd_plan,
+    _gp_game,
+    _grid_elim_point,
+    _zero_mask,
+    _zero_set_walk,
     greedy_completion,
     half_integral_grid,
     opt_gmd,
@@ -20,6 +33,7 @@ from gmdlab.exact import (
     opt_gp_grid,
 )
 from gmdlab.rng import substream
+from gmdlab.salp import geometric_grid
 
 F = Fraction
 
@@ -267,8 +281,6 @@ def test_engine_gmd_value_and_witness_against_enumeration():
 
 
 def test_engine_cover_and_zero_set_walk_agree():
-    from gmdlab.exact import _gmd_game, _zero_set_walk
-
     rng = substream(20261018, 1)
     for T, n, m in [(1, 9, 12), (2, 8, 20), (3, 7, 18), (2, 10, 6)]:
         for _ in range(3):
@@ -315,3 +327,117 @@ def test_engine_grid_value_and_witness_against_enumeration():
         for g in grid:
             points *= len(g)
         assert res.explored == points
+
+
+# ---------------------------------------------------------------------------
+# bucket elimination against the cover enumeration and the zero-set walk,
+# each called directly (the cost estimate picks one path per instance)
+# ---------------------------------------------------------------------------
+
+# the cover enumeration is run only up to this many cover assignments
+COVER_LEAVES = 5000
+
+
+@st.composite
+def gmd_instances(draw):
+    """n 2-14, T 1-3; arcs among the first k vertices, so parallel and
+    antiparallel arcs are common and the other vertices are isolated."""
+    T = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 14))
+    k = draw(st.integers(2, n))
+    weight = st.sampled_from([F(0), F(1), F(2), F(3), F(1, 2), F(2, 3)])
+    arc = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), st.integers(1, T), weight)
+    arcs = draw(st.lists(arc, max_size=24))
+    return GmdInstance.of(T, n, [a for a in arcs if a[0] != a[1]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(gmd_instances())
+def test_elimination_cover_and_walk_agree_on_gmd(inst):
+    T = inst.T
+    game = _gmd_game(inst)
+    order, _ = game.elimination_order()
+    value, _ = game._eliminate(order, [None] * inst.n)
+    mask = _gmd_elim_mask(game, order)
+    labels, total = _gmd_labels(game, [bool(mask >> v & 1) for v in range(inst.n)])
+    assert total == value
+    scaled = [a.weight.numerator * (game.denom // a.weight.denominator) for a in inst.arcs]
+    assert _zero_set_walk(inst, scaled) == mask
+    cover = game.cover()
+    if (T + 1) ** len(cover) <= COVER_LEAVES:
+        cover_value, x = game.maximise(cover, key=lambda x: _zero_mask(x, T))
+        assert (cover_value, _zero_mask(x, T)) == (value, mask)
+    res = opt_gmd(inst)
+    assert res.value == F(value, game.denom)
+    assert res.witness == Labeling(tuple(labels))
+
+
+@st.composite
+def gp_grids(draw):
+    """Pricing instances with integer and fractional budgets, on the half
+    grid or the geom:1/2 grid of their incident budgets."""
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(2, n))
+    budget = st.sampled_from([F(1), F(2), F(3), F(1, 2), F(3, 2), F(5, 2), F(7, 3)])
+    weight = st.sampled_from([F(0), F(1), F(2), F(1, 2), F(1, 3)])
+    edge = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), budget, weight)
+    edges = [e for e in draw(st.lists(edge, max_size=10)) if e[0] != e[1]]
+    inst = GpInstance.of(n, edges)
+    if draw(st.booleans()):
+        return inst, half_integral_grid(inst)
+    return inst, [geometric_grid(b, F(1, 2)) for b in max_incident_budget(inst)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(gp_grids())
+def test_elimination_and_cover_agree_on_grids(case):
+    inst, grid = case
+    game = _gp_game(inst, grid)
+    order, _ = game.elimination_order()
+    value, point = _grid_elim_point(game, order)
+    cover = game.cover()
+    leaves = 1
+    for v in cover:
+        leaves *= game.sizes[v]
+    if leaves <= COVER_LEAVES:
+        assert game.maximise(cover, key=tuple) == (value, point)
+    res = opt_gp_grid(inst, grid)
+    assert res.value == F(value, game.denom)
+    assert res.witness == Pricing(tuple(grid[v][i] for v, i in enumerate(point)))
+    if res.explored <= 3000:
+        assert _plain_grid(inst, grid) == (res.value, res.witness)
+
+
+def test_elimination_on_python_int_tables():
+    # weights near 2^62 overflow int64 partial sums: the tables hold ints
+    big = 2**61
+    inst = GmdInstance.of(2, 5, [(0, 1, 1, big), (1, 2, 2, big), (2, 0, 1, big + 1),
+                                 (3, 4, 2, 3), (4, 3, 1, 3), (1, 3, 1, big)])
+    game = _gmd_game(inst)
+    assert not game.int64
+    order, _ = game.elimination_order()
+    mask = _gmd_elim_mask(game, order)
+    cover_value, x = game.maximise(game.cover(), key=lambda x: _zero_mask(x, 2))
+    assert mask == _zero_mask(x, 2)
+    assert _gmd_labels(game, [bool(mask >> v & 1) for v in range(5)])[1] == cover_value
+    res = opt_gmd(inst)
+    assert (res.value, res.witness) == _plain_gmd(inst)
+
+
+def _gmd_path(inst):
+    game = _gmd_game(inst)
+    scaled = [a.weight.numerator * (game.denom // a.weight.denominator) for a in inst.arcs]
+    return _gmd_plan(inst, game, game.cover(), scaled)[0]
+
+
+def test_cost_estimate_picks_each_path():
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+    with open(os.path.join(golden, "g20.gmd")) as fh:
+        g20 = parse_instance(fh.read())
+    with open(os.path.join(golden, "c4.gmd")) as fh:
+        c4 = parse_instance(fh.read())
+    # n=12 with every arc at vertex 0: the cover {0} has three assignments
+    star = GmdInstance.of(2, 12, [(0, v, 1, 1) for v in range(1, 12)]
+                          + [(v, 0, 2, 1) for v in range(1, 12)])
+    # the n=4 cycle c4 has only 16 zero masks
+    assert [_gmd_path(i) for i in (g20, c4, star)] == ["elim", "walk", "cover"]

@@ -264,3 +264,32 @@ def test_biconnected_blocks_against_common_cycle_bruteforce():
                 assert expected, (edges, e1, e2)
             if expected:
                 assert same_block, (edges, e1, e2)
+
+
+def test_noise_inequality_is_exact():
+    # (1-mu)^(l/10) <= mu/(5k) holds exactly when (1-mu)^l <= (mu/(5k))^10;
+    # the grid includes the equality points mu = 5k/(5k+1) at l = 10, where
+    # the float form answered False for k = 2 (mu = 10/11)
+    inst = GmdInstance(T=2, n=20, arcs=())
+    for k in (1, 2, 3, 10):
+        mus = [F(1, 100), F(1, 10), F(1, 3), F(1, 2), F(9, 10), F(1), F(5 * k, 5 * k + 1)]
+        for mu in mus:
+            for l in (9, 10, 11, 20, 40, 200):
+                report = check_structural(inst, cfg(l=l, mu=mu, k_max=k))
+                assert report.noise_ok == ((1 - mu) ** l <= (mu / (5 * k)) ** 10)
+    assert check_structural(inst, cfg(l=10, mu=F(10, 11), k_max=2)).noise_ok
+
+
+def test_draw_threshold_on_boundary_doubles():
+    # random() returns j * 2^-53; around p * 2^53 the float threshold must
+    # give the exact comparison with p
+    import math
+
+    from gmdlab.gapgen import _draw_threshold
+
+    for p in (F(1), F(1, 3), F(4, 39)):
+        t = _draw_threshold(p)
+        centre = math.floor(p * 2**53)
+        for j in range(centre - 4, min(centre + 5, 2**53)):
+            u = math.ldexp(j, -53)
+            assert (u < t) == (F(u) < p) == (u < p)
