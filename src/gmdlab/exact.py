@@ -5,22 +5,23 @@ domains: labels 0..T for max-dicut, a candidate price grid for pricing.
 One engine, `_PairGame`, solves that problem for every oracle and best
 response in the package.  Every payoff is scaled once to an integer over a
 common denominator, so no comparison ever touches a `Fraction` or a float.
-The oracles pick one of three enumerators by estimated cost:
+`opt_gp_grid` runs the cover enumeration; `opt_gmd` picks one of three
+enumerators by estimated cost:
 
 * cover enumeration: a vertex cover C of the payoff graph with the least
   product of domain sizes, its assignments in product order; every vertex
   outside C has all its neighbours in C, so it takes its best response on
   its own, the smallest domain index winning ties, and ties between cover
   assignments go to the smaller witness key;
-* the zero-set walk, for max-dicut only: once the zero set is fixed every
-  other vertex best-responds on its own, so 2^n masks, vectorised in numpy
-  int64, cover all (T+1)^n labelings;
+* the zero-set walk: once the zero set is fixed every other vertex
+  best-responds on its own, so 2^n masks, vectorised in numpy int64, cover
+  all (T+1)^n labelings;
 * bucket elimination along a min-fill order, with integer max-sum tables
-  (numpy int64 when no partial sum can overflow, Python ints otherwise).
-  The witness is built by clamping: each vertex in key order is restricted
-  to its most preferred class of domain indices that still holds an
-  optimum, one more pass testing each class that the last pass's optimal
-  assignment does not already prove.
+  (numpy int64 when no partial sum can overflow, Python ints otherwise) of
+  at most `ELIM_MAX_ENTRIES` entries in all.  The witness is built by
+  clamping vertices n-1 down to 0 to a nonzero label while an optimum
+  survives there, one more pass for each vertex that the last pass's
+  optimal assignment gives label 0.
 
 The cover enumeration serves small covers, the walk small n, elimination
 sparse games whose min-fill tables stay small.  The cost estimates are
@@ -60,6 +61,12 @@ from .core import (
     val_gmd,
     val_gp,
 )
+
+
+# Most bucket-table entries one elimination pass may hold: it keeps every
+# bucket's table for the read-back, so this bounds its memory by a few arrays
+# of the size of a zero-set walk chunk.
+ELIM_MAX_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -111,11 +118,15 @@ class _PairGame:
         best = max(vec)
         return vec.index(best), best
 
-    def cover(self) -> tuple[int, ...]:
+    def cover(self, bound: int | None = None) -> tuple[int, ...] | None:
         """A vertex cover of the payoff graph with the least product of
         domain sizes, by branch and bound: either the vertex of largest
         degree is in the cover, or all its neighbours are.  Vertices with one
-        choice join the cover for free."""
+        choice join the cover for free.
+
+        With a `bound` the search prunes every branch whose product reaches
+        it and returns None when no cover's product is below it; a cover it
+        does return is the one the unbounded search returns."""
         sizes = self.sizes
         free = {v for v, s in enumerate(sizes) if s == 1 and self.nbrs[v]}
         graph = {}
@@ -124,6 +135,8 @@ class _PairGame:
             if v not in free and rest:
                 graph[v] = rest
         best = [1 + prod(sizes[v] for v in graph), set(graph)]
+        if bound is not None and bound < best[0]:
+            best = [bound, None]
 
         def branch(graph: dict, chosen: set, cost: int) -> None:
             if cost >= best[0]:
@@ -137,7 +150,7 @@ class _PairGame:
             branch(_drop(graph, nv), chosen | nv, cost * prod(sizes[u] for u in nv))
 
         branch(graph, set(), 1)
-        return tuple(sorted(best[1] | free))
+        return None if best[1] is None else tuple(sorted(best[1] | free))
 
     def maximise(self, cover: Sequence[int], key: Callable) -> tuple[int, list[int]]:
         """Optimum and its witness: the assignment with the smallest
@@ -206,39 +219,45 @@ class _PairGame:
         return best[0], best[2]
 
     def elimination_order(self) -> tuple[list[int], list[int]]:
-        """Min-fill order of the vertices with a choice and a payoff, and the
-        number of entries of each one's bucket table.
+        """Min-fill order of the vertices with a payoff, and the number of
+        entries of each one's bucket table.
 
         Eliminating v joins its remaining neighbours into a clique; the next
         vertex is the one whose clique adds the fewest new edges, then the one
-        of least degree, then the smallest.  Single-choice vertices are left
-        out, since every pass folds them into their neighbours' tables.
+        of least degree, then the smallest.
         """
         sizes = self.sizes
-        adj = {v: {u for u in nb if sizes[u] > 1}
-               for v, nb in enumerate(self.nbrs) if sizes[v] > 1 and nb}
+        adj = {v: set(nb) for v, nb in enumerate(self.nbrs) if nb}
 
         def fill(v: int) -> int:
             nb = list(adj[v])
             return sum(1 for i, a in enumerate(nb) for b in nb[i + 1:] if b not in adj[a])
 
+        # a vertex's fill changes only when its neighbours or the edges among
+        # them do, so after v goes only v's neighbours and theirs are rescored
+        fills = {v: fill(v) for v in adj}
         order, entries = [], []
         while adj:
-            v = min(adj, key=lambda u: (fill(u), len(adj[u]), u))
+            v = min(adj, key=lambda u: (fills[u], len(adj[u]), u))
             nb = adj.pop(v)
+            del fills[v]
             size = sizes[v]
             for u in nb:
                 adj[u] |= nb
                 adj[u] -= {u, v}
                 size *= sizes[u]
+            for u in set(nb).union(*(adj[u] for u in nb)):
+                fills[u] = fill(u)
             order.append(v)
             entries.append(size)
         return order, entries
 
-    def elimination_plan(self, budget: int) -> list[int] | None:
-        """The min-fill order if the estimated cost of `lex_optimum` along it
-        is below `budget`, else None.  The order is built only when the cost
-        without its table entries is below `budget`.
+    def elimination_plan(self, budget: int | None) -> tuple[int, list[int]] | None:
+        """Estimated cost of `_gmd_elim_mask` along the min-fill order, and
+        the order; None when the estimate is not below `budget` (None: no
+        bound) or the bucket tables of a pass would have more than
+        `ELIM_MAX_ENTRIES` entries in all.  The order is built only when the
+        cost without its table entries is below `budget`.
 
         The estimate is in the units of the cover and walk estimates of
         `_gmd_plan`: one pass per vertex of the order and one more, each adding
@@ -251,13 +270,15 @@ class _PairGame:
         per unit that is 360 units per call, as much as a cover leaf, and 1
         unit per entry (20 with Python ints).
         """
-        k = sum(1 for v, nb in enumerate(self.nbrs) if self.sizes[v] > 1 and nb)
+        k = sum(1 for nb in self.nbrs if nb)
         calls = (k + 1) * 360 * (2 * len(self.pairs) + 3 * k)
-        if calls >= budget:
+        if budget is not None and calls >= budget:
             return None
         order, entries = self.elimination_order()
-        per_entry = 1 if self.int64 else 20
-        return order if calls + (k + 1) * per_entry * sum(entries) < budget else None
+        if sum(entries) > ELIM_MAX_ENTRIES:
+            return None
+        cost = calls + (k + 1) * (1 if self.int64 else 20) * sum(entries)
+        return (cost, order) if budget is None or cost < budget else None
 
     @cached_property
     def int64(self) -> bool:
@@ -335,35 +356,6 @@ class _PairGame:
             out[v] = x[p] if allowed[v] is None else allowed[v][x[p]]
         return int(const), out
 
-    def lex_optimum(self, order: Sequence[int], keys: Sequence[int],
-                    classes: Callable) -> tuple[int, list[int]]:
-        """Optimum and the optimal assignment that is smallest in key order,
-        by passes of `_eliminate` along `order`: for each vertex v of `keys`
-        in turn, `classes(v)` splits its domain indices into classes, most
-        preferred first, and v is clamped to the first class that still
-        holds an optimal assignment.  Vertices outside `keys` take the
-        index a pass gives them.
-
-        Each pass returns an optimal assignment y that respects the clamps so
-        far; a class of v before y[v]'s costs one more pass to test, and
-        when it holds an optimum that pass gives the new y.
-        """
-        allowed: list = [None] * len(self.sizes)
-        best, y = self._eliminate(order, allowed)
-        for v in keys:
-            parts = classes(v)
-            while True:
-                c = next(i for i, part in enumerate(parts) if y[v] in part)
-                if c == 0:
-                    break
-                allowed[v] = sorted(i for part in parts[:c] for i in part)
-                val, z = self._eliminate(order, allowed)
-                if val < best:
-                    break
-                y = z
-            allowed[v] = parts[c]
-        return best, y
-
 
 def _drop(graph: dict, removed: set) -> dict:
     """`graph` without the vertices in `removed` and the ones left isolated."""
@@ -439,15 +431,14 @@ def opt_gmd(inst: GmdInstance, caps: Caps = Caps()) -> OptResult:
         )
     game = _gmd_game(inst)
     T = inst.T
-    cover = game.cover()
     scaled = [a.weight.numerator * (game.denom // a.weight.denominator) for a in inst.arcs]
-    path, order = _gmd_plan(inst, game, cover, scaled)
+    path, plan = _gmd_plan(inst, game, scaled)
     if path == "walk":
         best_mask = _zero_set_walk(inst, scaled)
     elif path == "elim":
-        best_mask = _gmd_elim_mask(game, order)
+        best_mask = _gmd_elim_mask(game, plan)
     else:
-        best_mask = _zero_mask(game.maximise(cover, key=lambda x: _zero_mask(x, T))[1], T)
+        best_mask = _zero_mask(game.maximise(plan, key=lambda x: _zero_mask(x, T))[1], T)
     labels, total = _gmd_labels(game, [bool(best_mask >> v & 1) for v in range(n)])
     witness = Labeling(tuple(labels))
     best_val = Fraction(total, game.denom)
@@ -455,22 +446,27 @@ def opt_gmd(inst: GmdInstance, caps: Caps = Caps()) -> OptResult:
     return OptResult(value=best_val, witness=witness, explored=1 << n)
 
 
-def _gmd_plan(inst: GmdInstance, game: _PairGame, cover: Sequence[int],
-              scaled: list[int]) -> tuple[str, list[int] | None]:
-    """The enumerator `opt_gmd` runs, and the elimination order if that is
-    the one: the cover enumeration or the zero-set walk (only when its int64
-    sums cannot overflow), whichever has the lower estimated cost, ties to
-    the cover; elimination only when its estimate is lower still."""
+def _gmd_plan(inst: GmdInstance, game: _PairGame,
+              scaled: list[int]) -> tuple[str, Sequence[int] | None]:
+    """The enumerator `opt_gmd` runs and what it runs along: ("cover", the
+    cover), ("walk", None) or ("elim", the elimination order).  The least
+    estimated cost wins, ties to the cover, then to the walk.  The walk runs
+    only when its int64 sums cannot overflow, elimination only when its
+    tables stay small; the cover search is bounded by the better of the two,
+    so it stops as soon as no cover can win."""
     # Costs in numpy int64 operations on one mask and one arc: a cover leaf in
     # Python costs about 360 of them, a numpy call (three per arc and chunk)
     # about 200.
     n, m = inst.n, len(inst.arcs)
-    costs = {"cover": 360 * (inst.T + 1) ** len(cover)}
+    walk = None
     if sum(scaled) < 2**62:
-        costs["walk"] = (1 << n) * m + 600 * m * max(1, (1 << n) >> 20)
-    path = min(costs, key=costs.get)
-    order = game.elimination_plan(costs[path])
-    return (path, None) if order is None else ("elim", order)
+        walk = (1 << n) * m + 600 * m * max(1, (1 << n) >> 20)
+    elim = game.elimination_plan(walk)
+    budget = walk if elim is None else elim[0]
+    cover = game.cover(None if budget is None else budget // 360 + 1)
+    if cover is not None:
+        return "cover", cover
+    return ("walk", None) if elim is None else ("elim", elim[1])
 
 
 def _zero_mask(x: Sequence[int], T: int) -> int:
@@ -479,12 +475,26 @@ def _zero_mask(x: Sequence[int], T: int) -> int:
 
 
 def _gmd_elim_mask(game: _PairGame, order: Sequence[int]) -> int:
-    """Smallest optimal zero mask by elimination: from vertex n-1 down to 0,
-    each vertex with arcs is clamped to the labels 1..T if an optimum
-    survives there, and to 0 otherwise."""
+    """Smallest optimal zero mask by passes of `_eliminate` along `order`:
+    from vertex n-1 down to 0, each vertex with arcs is clamped to the
+    labels 1..T if an optimum survives there, and to 0 otherwise.
+
+    Every pass returns an optimal assignment y that respects the clamps so
+    far.  A vertex that y gives a nonzero label is clamped without a pass;
+    otherwise one pass tests the nonzero labels, and when the optimum
+    survives its assignment becomes the new y."""
     T = game.sizes[0] - 1
-    classes = (list(range(T)), [T])
-    _, y = game.lex_optimum(order, sorted(order, reverse=True), lambda v: classes)
+    nonzero = list(range(T))
+    allowed: list = [None] * len(game.sizes)
+    best, y = game._eliminate(order, allowed)
+    for v in sorted(order, reverse=True):
+        allowed[v] = nonzero
+        if y[v] == T:
+            val, z = game._eliminate(order, allowed)
+            if val == best:
+                y = z
+            else:
+                allowed[v] = [T]
     return _zero_mask(y, T)
 
 
@@ -562,13 +572,6 @@ def _gp_game(inst: GpInstance, candidates: Sequence[Sequence[Fraction]]) -> _Pai
     return _PairGame([len(c) for c in candidates], tables)
 
 
-def _grid_elim_point(game: _PairGame, order: Sequence[int]) -> tuple[int, list[int]]:
-    """Optimum and first optimal grid point by elimination: from vertex 0
-    up, each vertex with a choice and a payoff is clamped to its smallest
-    index that keeps an optimum."""
-    return game.lex_optimum(order, sorted(order), lambda v: [[i] for i in range(game.sizes[v])])
-
-
 def opt_gp_grid(
     inst: GpInstance,
     candidates: Sequence[Sequence[Fraction]],
@@ -590,13 +593,7 @@ def opt_gp_grid(
         raise CapExceeded(f"grid has {points} points, cap {caps.gp_grid_points}")
 
     game = _gp_game(inst, candidates)
-    cover = game.cover()
-    # a cover leaf costs about 360 units of `elimination_plan`
-    order = game.elimination_plan(360 * prod(game.sizes[v] for v in cover))
-    if order is not None:
-        total, point = _grid_elim_point(game, order)
-    else:
-        total, point = game.maximise(cover, key=tuple)
+    total, point = game.maximise(game.cover(), key=tuple)
     best_val = Fraction(total, game.denom)
     witness = Pricing(tuple(candidates[v][i] for v, i in enumerate(point)))
     assert val_gp(inst, witness) == best_val

@@ -18,12 +18,11 @@ from gmdlab.core import (
     val_gp,
 )
 from gmdlab.exact import (
+    ELIM_MAX_ENTRIES,
     _gmd_elim_mask,
     _gmd_game,
     _gmd_labels,
     _gmd_plan,
-    _gp_game,
-    _grid_elim_point,
     _zero_mask,
     _zero_set_walk,
     greedy_completion,
@@ -364,12 +363,39 @@ def test_elimination_cover_and_walk_agree_on_gmd(inst):
     scaled = [a.weight.numerator * (game.denom // a.weight.denominator) for a in inst.arcs]
     assert _zero_set_walk(inst, scaled) == mask
     cover = game.cover()
-    if (T + 1) ** len(cover) <= COVER_LEAVES:
+    # a bound above the cover's product keeps it, one at the product finds none
+    leaves = (T + 1) ** len(cover)
+    assert game.cover(leaves + 1) == cover and game.cover(leaves) is None
+    if leaves <= COVER_LEAVES:
         cover_value, x = game.maximise(cover, key=lambda x: _zero_mask(x, T))
         assert (cover_value, _zero_mask(x, T)) == (value, mask)
     res = opt_gmd(inst)
     assert res.value == F(value, game.denom)
     assert res.witness == Labeling(tuple(labels))
+
+
+def _min_fill_by_rescoring(game):
+    """Min-fill order that rescores every remaining vertex at each step."""
+    adj = {v: set(nb) for v, nb in enumerate(game.nbrs) if nb}
+    order = []
+    while adj:
+        def key(u):
+            nb = sorted(adj[u])
+            return (sum(1 for i, a in enumerate(nb) for b in nb[i + 1:] if b not in adj[a]),
+                    len(nb), u)
+        v = min(adj, key=key)
+        nb = adj.pop(v)
+        for u in nb:
+            adj[u] = (adj[u] | nb) - {u, v}
+        order.append(v)
+    return order
+
+
+@settings(max_examples=100, deadline=None)
+@given(gmd_instances())
+def test_min_fill_order_matches_full_rescoring(inst):
+    game = _gmd_game(inst)
+    assert game.elimination_order()[0] == _min_fill_by_rescoring(game)
 
 
 @st.composite
@@ -390,20 +416,10 @@ def gp_grids(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(gp_grids())
-def test_elimination_and_cover_agree_on_grids(case):
+def test_cover_matches_enumeration_on_grids(case):
     inst, grid = case
-    game = _gp_game(inst, grid)
-    order, _ = game.elimination_order()
-    value, point = _grid_elim_point(game, order)
-    cover = game.cover()
-    leaves = 1
-    for v in cover:
-        leaves *= game.sizes[v]
-    if leaves <= COVER_LEAVES:
-        assert game.maximise(cover, key=tuple) == (value, point)
     res = opt_gp_grid(inst, grid)
-    assert res.value == F(value, game.denom)
-    assert res.witness == Pricing(tuple(grid[v][i] for v, i in enumerate(point)))
+    assert val_gp(inst, res.witness) == res.value
     if res.explored <= 3000:
         assert _plain_grid(inst, grid) == (res.value, res.witness)
 
@@ -427,7 +443,7 @@ def test_elimination_on_python_int_tables():
 def _gmd_path(inst):
     game = _gmd_game(inst)
     scaled = [a.weight.numerator * (game.denom // a.weight.denominator) for a in inst.arcs]
-    return _gmd_plan(inst, game, game.cover(), scaled)[0]
+    return _gmd_plan(inst, game, scaled)[0]
 
 
 def test_cost_estimate_picks_each_path():
@@ -441,3 +457,13 @@ def test_cost_estimate_picks_each_path():
                           + [(v, 0, 2, 1) for v in range(1, 12)])
     # the n=4 cycle c4 has only 16 zero masks
     assert [_gmd_path(i) for i in (g20, c4, star)] == ["elim", "walk", "cover"]
+
+
+def test_dense_game_falls_back_from_elimination():
+    # a 24-vertex tournament at T=1: eliminating any vertex first joins the
+    # other 23 into one table of 2^24 entries
+    tournament = GmdInstance.of(1, 24, [(u, v, 1, 1) for u in range(24) for v in range(u + 1, 24)])
+    game = _gmd_game(tournament)
+    assert game.elimination_order()[1][0] == 1 << 24 > ELIM_MAX_ENTRIES
+    assert game.elimination_plan(None) is None
+    assert _gmd_path(tournament) == "cover"
