@@ -184,6 +184,8 @@ def _cmd_approx(args, caps, argv) -> int:
         run_trials,
     )
 
+    if args.trials < 1:
+        raise InstanceError(f"--trials must be >= 1, got {args.trials}")
     inst = _read_instance(args.infile)
     if args.algo == "gp4":
         if not isinstance(inst, GpInstance):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmdlab.approx import (
     approx_gmd_quarter,
@@ -44,7 +46,8 @@ def test_gp_quarter_reproducible():
     b = approx_gp_quarter(inst, seed=99, trial=7)
     assert a == b
     c = approx_gp_quarter(inst, seed=99, trial=8)
-    assert a != c or True  # different trials may coincide, but must not error
+    run = run_trials(approx_gp_quarter, inst, 9, seed=99)
+    assert (a[1], c[1]) == (run.values[7], run.values[8])
 
 
 def test_gmd_quarter_single_edge_expectation():
@@ -209,3 +212,129 @@ def test_gp_price_completion_against_plain_loop():
         inst = GpInstance.of(n, edges)
         zero = [bool(z) for z in rng.integers(0, 2, size=n)]
         assert gp_price_completion(inst, zero).values == _plain_price_completion(inst, zero)
+
+
+# ---------------------------------------------------------------------------
+# the batch kernel against the per-trial loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_trial(kind, inst, seed, k, marginals=None):
+    """Trial k as the runtime computed it before the batch kernel: one
+    generator per trial, then a best response per vertex (or the LP
+    rounding's float thresholds) and the pair game's value.  Returns the
+    labeling or pricing and its exact value."""
+    from gmdlab.approx import _gp_completion_game
+    from gmdlab.core import Labeling, Pricing
+    from gmdlab.exact import _gmd_game, _gmd_labels
+    from gmdlab.rng import substream
+
+    rng = substream(seed, k)
+    if kind == "gp4":
+        game, domains = _gp_completion_game(inst)
+        zero = (rng.integers(0, 2, size=inst.n) == 0).tolist()
+        x = [0 if z else None for z in zero]
+        x = [0 if z else game.best_response(v, x)[0] for v, z in enumerate(zero)]
+        return Pricing(tuple(domains[v][i] for v, i in enumerate(x))), F(game.value(x), game.denom)
+    game = _gmd_game(inst)
+    if kind == "gmd4":
+        labels, total = _gmd_labels(game, (rng.integers(0, 2, size=inst.n) == 0).tolist())
+        return Labeling(tuple(labels)), F(total, game.denom)
+    T = inst.T
+    values = []
+    for draw, dist in zip(rng.random(inst.n).tolist(), marginals):
+        acc, slices = 0.0, []
+        for i in range(1, T + 1):
+            acc += float(dist[i] / 2)
+            slices.append(acc)
+        cut = float((1 + dist[0]) / 2)
+        if draw < cut:
+            values.append(0)
+            continue
+        rest = draw - cut
+        values.append(next((i for i, acc in enumerate(slices, 1) if rest < acc), T))
+    x = [T if label == 0 else label - 1 for label in values]
+    return Labeling(tuple(values)), F(game.value(x), game.denom)
+
+
+ALGORITHMS = {"gp4": approx_gp_quarter, "gmd4": approx_gmd_quarter, "gmdlp": lp_round_gmd}
+
+
+def _single(kind, inst, seed, k, marginals):
+    if kind == "gmdlp":
+        return lp_round_gmd(inst, marginals, seed, trial=k)[:2]
+    return ALGORITHMS[kind](inst, seed, trial=k)
+
+
+def _assert_batch_matches_reference(kind, inst, seed, trials, marginals=None):
+    kwargs = {"marginals": marginals} if kind == "gmdlp" else {}
+    run = run_trials(ALGORITHMS[kind], inst, trials, seed, **kwargs)
+    want = [_reference_trial(kind, inst, seed, k, marginals) for k in range(trials)]
+    assert list(run.values) == [value for _, value in want]
+    for k in {0, trials // 2, trials - 1}:
+        assert _single(kind, inst, seed, k, marginals) == want[k]
+    far = (1 << 64) + trials - 1  # trial indices are taken modulo 2^64
+    assert _single(kind, inst, seed, far, marginals) == want[trials - 1]
+    top = _reference_trial(kind, inst, seed, (1 << 64) - 1, marginals)
+    assert _single(kind, inst, seed, -1, marginals) == top
+
+
+# weights F(2^61) make a scaled sum of 2^62 or more: the object-dtype path
+HUGE = F(1 << 61)
+WEIGHTS = [F(0), F(1), F(2), F(1, 2), F(2, 3), HUGE]
+
+
+@st.composite
+def batch_cases(draw):
+    """An instance for each kind: n 1-9, edges among the first k vertices,
+    so parallel and antiparallel arcs are common and the others isolated;
+    a seed anywhere in the 64-bit key range, signed or not."""
+    kind = draw(st.sampled_from(sorted(ALGORITHMS)))
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, n))
+    T = draw(st.integers(1, 3))
+    weight = st.sampled_from(WEIGHTS)
+    pair = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+    ends = [e for e in draw(st.lists(pair, max_size=14)) if e[0] != e[1]]
+    marginals = None
+    if kind == "gp4":
+        budget = st.sampled_from([F(1), F(2), F(1, 2), F(3, 2), F(7, 3)])
+        inst = GpInstance.of(n, [(u, v, draw(budget), draw(weight)) for u, v in ends])
+    else:
+        label = st.integers(1, T)
+        inst = GmdInstance.of(T, n, [(u, v, draw(label), draw(weight)) for u, v in ends])
+        if kind == "gmdlp":
+            marginals = []
+            for _ in range(n):
+                raw = draw(st.lists(st.integers(0, 4), min_size=T + 1, max_size=T + 1))
+                raw[0] += 0 if sum(raw) else 1
+                marginals.append([F(r, sum(raw)) for r in raw])
+    seed = draw(st.integers(-(1 << 64), (1 << 64) - 1))
+    return kind, inst, seed, draw(st.integers(1, 40)), marginals
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch_cases())
+def test_batch_kernel_matches_per_trial_loop(case):
+    _assert_batch_matches_reference(*case)
+
+
+@pytest.mark.parametrize("kind", sorted(ALGORITHMS))
+def test_batch_kernel_object_path_and_chunks(kind):
+    # weights past int64 run on Python ints; more trials than one chunk
+    from gmdlab.approx import TRIAL_CHUNK, _gp_completion_game
+    from gmdlab.exact import _gmd_game
+
+    marginals = None
+    if kind == "gp4":
+        inst = GpInstance.of(5, [(0, 1, 2, HUGE), (1, 2, 1, F(1, 3)), (1, 0, 3, HUGE),
+                                 (2, 3, F(3, 2), 1)])
+        assert not _gp_completion_game(inst)[0].int64
+    else:
+        inst = GmdInstance.of(2, 5, [(0, 1, 1, HUGE), (1, 0, 2, HUGE), (1, 2, 2, F(1, 3)),
+                                     (0, 1, 2, 1), (3, 2, 1, 5)])
+        assert not _gmd_game(inst).int64
+        marginals = [[F(1, 2), F(1, 4), F(1, 4)], [F(1, 3), F(1, 3), F(1, 3)], [F(0), F(1), F(0)],
+                     [F(1), F(0), F(0)], [F(1, 5), F(2, 5), F(2, 5)]]
+    _assert_batch_matches_reference(kind, inst, -7, TRIAL_CHUNK + 3, marginals)
+

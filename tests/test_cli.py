@@ -134,6 +134,45 @@ def test_approx_seed_changes_stream(tmp_path):
     assert open(a).readlines()[2:] != open(b).readlines()[2:]
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_approx_bad_trials_exit_1(tmp_path, capsys, trials):
+    # checked before any work: the input file is not even read
+    csv = str(tmp_path / "a.csv")
+    missing = str(tmp_path / "absent.gmd")
+    args = ["approx", "--in", missing, "--algo", "gmd4", "--trials", trials, "--csv", csv]
+    assert run_command(args) == 1
+    err = capsys.readouterr().err
+    assert f"--trials must be >= 1, got {trials}" in err and "Traceback" not in err
+    assert not os.path.exists(csv)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_run_trials_rejects_bad_trial_counts(trials):
+    from gmdlab.approx import approx_gmd_quarter, run_trials
+    from gmdlab.core import GmdInstance
+
+    with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+        run_trials(approx_gmd_quarter, GmdInstance.of(1, 2, [(0, 1, 1, 1)]), trials, seed=0)
+
+
+def test_approx_prints_mean_and_stderr_of_csv_values(tmp_path, capsys):
+    import math
+    from fractions import Fraction
+
+    # weights with many denominators, so the float sum depends on its order
+    path = write(tmp_path, "t.gmd", "gmd 2\nv 5\ne 0 1 1 1/3\ne 1 2 2 1/7\ne 2 3 1 1/11\n"
+                                    "e 3 4 2 1/5\ne 4 0 1 1/13\ne 0 2 2 1/17\n")
+    csv = str(tmp_path / "a.csv")
+    assert run_command(["approx", "--in", path, "--algo", "gmd4", "--trials", "300",
+                        "--seed", "4", "--csv", csv]) == 0
+    rows = [line.split(",") for line in open(csv).read().splitlines()[2:]]
+    values = [float(Fraction(v)) for k, v in rows if k != "mean"]
+    mean = sum(values) / len(values)
+    stderr = math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1)) / math.sqrt(len(values))
+    assert capsys.readouterr().out == f"mean = {mean!r} stderr = {stderr!r}\n"
+    assert Fraction(rows[-1][1]) == sum(Fraction(v) for k, v in rows[:-1]) / 300
+
+
 def test_gap_pipeline_csv(tmp_path, capsys):
     csv = str(tmp_path / "gap.csv")
     out = str(tmp_path / "gap.gmd")

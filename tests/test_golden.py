@@ -46,6 +46,15 @@ CASES = (
     ("solve-g20.csv", ["solve", "--in", "g20.gmd"], None),
     ("solve-c4.csv", ["solve", "--in", "c4.gmd"], None),
     ("solve-p3-half.csv", ["solve", "--in", "p3.gp", "--grid", "half"], None),
+    ("approx-gmd4-g20.csv", ["approx", "--in", "g20.gmd", "--algo", "gmd4", "--trials", "1000",
+                             "--seed", "0"], None),
+    ("approx-gp4-p3.csv", ["approx", "--in", "p3.gp", "--algo", "gp4", "--trials", "1000",
+                           "--seed", "0"], None),
+    ("approx-gmdlp-c4.csv", ["approx", "--in", "c4.gmd", "--algo", "gmdlp", "--rounds", "2",
+                             "--trials", "1000", "--seed", "0"], None),
+    # a negative seed: the Philox key takes it modulo 2^64
+    ("approx-gmd4-neg.csv", ["approx", "--in", "c4.gmd", "--algo", "gmd4", "--trials", "500",
+                             "--seed", "-1"], None),
 )
 
 
