@@ -11,9 +11,12 @@ Exit codes: 0 success, 1 validation error, 2 cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
+import math
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -138,16 +141,60 @@ def _read_instance(path: str):
         raise InstanceError(f"cannot read {path}: {exc}") from exc
 
 
-def _price_grid(inst: GpInstance, spec: str):
-    from .exact import half_integral_grid
-    from .salp import geometric_grid
+def _price_grid(inst: GpInstance, spec: str, caps: Caps, per_vertex: bool):
+    """The per-vertex price grids named by `spec`, and the grid note.
 
+    Their sizes are checked before any grid is built: each vertex's against
+    `sa_domain` when `per_vertex` (for salp), their product against
+    `gp_grid_points` otherwise (for solve).
+    """
+    from .exact import half_integral_grid
+    from .salp import geometric_grid, geometric_grid_size
+
+    budgets = max_incident_budget(inst)
+    limit = caps.sa_domain if per_vertex else caps.gp_grid_points
     if spec == "half":
-        return half_integral_grid(inst), "half"
-    if spec.startswith("geom:"):
-        eps = Fraction(spec.split(":", 1)[1])
-        return [geometric_grid(b, eps) for b in max_incident_budget(inst)], spec
-    raise InstanceError(f"unknown grid spec {spec!r} (want half or geom:<eps>)")
+        sizes = [min(int(2 * b) + 1, limit + 1) for b in budgets]
+    elif spec.startswith("geom:"):
+        eps = _grid_eps(spec)
+        sizes = [geometric_grid_size(b, eps, limit) for b in budgets]
+    else:
+        raise InstanceError(f"unknown grid spec {spec!r} (want half or geom:<eps>)")
+    if per_vertex:
+        for v, size in enumerate(sizes):
+            if size > limit:
+                raise CapExceeded(
+                    f"grid {spec} gives vertex {v} more than {limit} prices, "
+                    f"cap sa_domain={limit}"
+                )
+    else:
+        points = math.prod(sizes)
+        if points > limit:
+            count = f"more than {limit}" if limit + 1 in sizes else str(points)
+            raise CapExceeded(f"grid has {count} points, cap {limit}")
+    if spec == "half":
+        return half_integral_grid(inst), spec
+    return [geometric_grid(b, eps) for b in budgets], spec
+
+
+# exponents past this are refused before Fraction computes 10**exponent
+_MAX_EXPONENT = 100_000
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _grid_eps(spec: str) -> Fraction:
+    """The positive rational eps of a `geom:<eps>` spec, or InstanceError."""
+    text = spec[len("geom:"):]
+    exponent = _EXPONENT.search(text)
+    try:
+        if exponent and abs(int(exponent.group(1))) > _MAX_EXPONENT:
+            raise ValueError("exponent too large")
+        eps = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InstanceError(f"bad grid spec {spec!r}: {exc}") from None
+    if eps <= 0:
+        raise InstanceError(f"bad grid spec {spec!r}: eps must be positive")
+    return eps
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +209,7 @@ def _cmd_solve(args, caps, argv) -> int:
     if isinstance(inst, GmdInstance):
         res = opt_gmd(inst, caps=caps)
     else:
-        grid, _ = _price_grid(inst, args.grid)
+        grid, _ = _price_grid(inst, args.grid, caps, per_vertex=False)
         res = opt_gp_grid(inst, grid, caps=caps)
     print(f"opt = {res.value}")
     if args.csv:
@@ -241,7 +288,7 @@ def _cmd_salp(args, caps, argv) -> int:
     grid = None
     note = ""
     if isinstance(inst, GpInstance):
-        grid, note = _price_grid(inst, args.grid)
+        grid, note = _price_grid(inst, args.grid, caps, per_vertex=True)
     lp = build_sa_lp(inst, args.rounds, price_grid=grid, caps=caps)
     value, sol = solve_lp_exact(lp)
     report = check_sa_consistency(sol)
@@ -620,10 +667,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built on the first command rather than at import."""
+    return build_parser()
+
+
 def run_command(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         caps = caps_from_env(Caps())
         return _COMMANDS[args.command](args, caps, list(argv))
     except _UsageError as exc:

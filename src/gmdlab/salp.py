@@ -8,17 +8,22 @@ grid per vertex (half-integral for integer budgets, geometric otherwise).
 
 Everything here is exact rational arithmetic.  simplex.py solves the LPs: a
 float Bland-rule simplex finds the optimal vertex, which is returned only
-after an exact primal-dual certificate holds, and otherwise the Fraction
-simplex solves the LP from scratch, so reported LP values are never blurred
-by tolerances.  SaSolution.lp_path records which of the two produced a table.
+after an exact primal-dual certificate, checked on integer arrays, holds;
+otherwise the Fraction simplex solves the LP from scratch, so reported LP
+values are never blurred by tolerances.  SaSolution.lp_path records which
+of the two produced a table.
 
 A solution table (SaSolution) holds one ndarray per set, shaped by the
 domain sizes of its vertices, of integer numerators over one shared
 denominator: x_S(alpha) = tables[S][positions of alpha] / denom.  Tables
 sampled by sasol.py are int64 counts over the number of trials; LP tables
 hold Python-int numerators over the lcm of their denominators (object
-dtype, so they never overflow).  The consistency audit is integer work on
-these arrays: a sign test, one sum per set, and axis sums per nested pair.
+dtype, so they never overflow), each a reshaped slice of the simplex's
+numerator vector.  The consistency audit is integer work on these arrays:
+a sign test, one sum per set, and axis sums per nested pair.
+
+Grid sizes are known before any grid is built: geometric_grid_size gives a
+geometric grid's length from logarithms.
 """
 
 from __future__ import annotations
@@ -201,6 +206,49 @@ def geometric_grid(max_budget: Fraction, eps: Fraction) -> list[Fraction]:
     return grid
 
 
+def geometric_grid_size(max_budget: Fraction, eps: Fraction, limit: int) -> int:
+    """min(len(geometric_grid(max_budget, eps)), limit + 1), without building
+    the grid.
+
+    The grid holds 0 and (1+eps)^k for k = 0..K, K = floor(log B / log(1+eps))
+    when B = max_budget >= 1.  A float estimate of K settles the length unless
+    it lies within rounding of an integer; only then, and only when K is at
+    most about `limit`, exact powers of 1+eps confirm it.
+    """
+    if eps <= 0:
+        raise InstanceError("eps must be positive")
+    if max_budget < 1:
+        return min(1, limit + 1)
+    top = 0
+    if max_budget > 1:
+        log_top = _log_log1p(max_budget - 1) - _log_log1p(eps)
+        if log_top > math.log(limit + 1) + 1e-6:
+            return limit + 1
+        est = math.exp(log_top)
+        top = math.floor(est)
+        if min(est - top, top + 1 - est) <= 1e-9 * (est + 1):
+            step, top = 1 + eps, round(est)
+            while top > 0 and step**top > max_budget:
+                top -= 1
+            while step ** (top + 1) <= max_budget:
+                top += 1
+    return min(top + 2, limit + 1)
+
+
+def _log_log1p(f: Fraction) -> float:
+    """log(log(1 + f)) for a rational f > 0, free of float overflow and
+    underflow: log(1 + f) = f (1 - f/2 + ...) for tiny f."""
+    p, q = f.numerator, f.denominator
+    if f < _TINY:
+        return math.log(p) - math.log(q)
+    if f > _HUGE:
+        return math.log(math.log(p + q) - math.log(q))
+    return math.log(math.log1p(p / q))
+
+
+_TINY, _HUGE = Fraction(1, 2**60), Fraction(2**60)
+
+
 def default_price_grid(
     inst: GpInstance, eps: Optional[Fraction] = None
 ) -> tuple[list[list[Fraction]], str]:
@@ -307,12 +355,23 @@ def build_sa_lp(
 
 
 def solve_lp_exact(lp: SaLp) -> tuple[Fraction, SaSolution]:
+    """The LP's exact optimum and its vertex as a solution table.
+
+    Each set's table is a reshaped slice of the vertex's numerator vector:
+    build_sa_lp numbers a set's assignments consecutively in row-major
+    domain order, and the numerators share one denominator, the lcm of the
+    vertex's denominators.
+    """
     rows = [row for row, _ in lp.constraints]
     rhs = [r for _, r in lp.constraints]
     result = simplex_max(lp.objective, rows, rhs)
-    value, x = result
-    table = {key: x[idx] for key, idx in lp.var_index.items()}
-    return value, SaSolution.from_values(table, lp.rounds, lp.domains, lp_path=result.path)
+    tables = {}
+    for S in lp.sets:
+        shape = tuple(len(lp.domains[v]) for v in S)
+        start = lp.var_index[(S, tuple(lp.domains[v][0] for v in S))]
+        tables[S] = result.numerators[start:start + math.prod(shape)].reshape(shape)
+    sol = SaSolution(tables, result.denom, lp.rounds, lp.domains, lp_path=result.path)
+    return result[0], sol
 
 
 @dataclass(frozen=True)

@@ -5,19 +5,29 @@ paths use Bland's rule (smallest eligible index enters, smallest basic index
 breaks ratio ties) and leave redundant rows out of every later pivot, so
 they walk the same bases.
 
-The fast path pivots a float64 tableau, treating magnitudes below TOL as
-zero, to find the optimal basis.  It rationalises the basic x and the
-equality duals y (``Fraction.limit_denominator``, denominators up to 10^6)
-and returns x only if x >= 0, A x = b, A^T y >= c and c.x = b.y all hold
-exactly in Fraction arithmetic; weak duality then proves x optimal.  If any
-check fails, or the float pass ends infeasible or unbounded, the Fraction
-tableau solves the LP from scratch without any tolerance.  It is the only
-path that raises LpInfeasible/LpUnbounded, and it solves the LPs whose
-optimal vertex or duals do not rationalise.
+The fast path reads the sparse rows once into coordinate arrays.  One
+scatter fills a float64 tableau whose last row is the objective, and Bland
+pivots on it, treating magnitudes below TOL as zero, find the optimal basis.
+Each distinct value of the basic x and of the equality duals y is
+rationalised once (``Fraction.limit_denominator``, denominators up to
+10^6), so each vector becomes integer numerators over one common
+denominator.  x is returned only if x >= 0, A x = b, A^T y >= c and
+c.x = b.y all hold exactly; weak duality then proves x optimal.  The checks
+run on integer arrays, with each row of A and b scaled by the lcm of its
+denominators and c by the lcm of its own: in int64 when a bound computed
+beforehand rules out overflow, in Python ints (object dtype) otherwise,
+through the same code.  If any check fails, or the float pass ends
+infeasible or unbounded, the Fraction tableau solves the LP from scratch
+without any tolerance.  It is the only path that raises
+LpInfeasible/LpUnbounded, and it solves the LPs whose optimal vertex or
+duals do not rationalise.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -41,12 +51,22 @@ class LpUnbounded(RuntimeError):
 
 class LpResult(tuple):
     """``(value, x)`` of an optimal vertex; ``path`` names the solver that
-    produced it: "certified" (float basis, exact certificate) or "exact"."""
+    produced it: "certified" (float basis, exact certificate) or "exact".
+    ``numerators`` (Python ints, object dtype) over ``denom``, the lcm of
+    x's denominators, is x again."""
 
-    def __new__(cls, value: Fraction, x: list[Fraction], path: str):
+    def __new__(cls, value: Fraction, x: list[Fraction], path: str, scaled=None):
         self = super().__new__(cls, (value, x))
         self.path = path
+        nums, self.denom = scaled if scaled is not None else _over_lcm(x)
+        self.numerators = np.array(nums, dtype=object)
         return self
+
+
+def _over_lcm(values) -> tuple[list[int], int]:
+    """Rationals as integer numerators over the lcm of their denominators."""
+    denom = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
 def simplex_max(
@@ -60,9 +80,9 @@ def simplex_max(
     negative right-hand side are negated on entry.  The result's ``path``
     says whether the certificate or the exact tableau produced it.
     """
-    x = _float_certified(c, rows, rhs)
-    if x is not None:
-        return LpResult(sum((ci * xi for ci, xi in zip(c, x)), ZERO), x, "certified")
+    result = _float_certified(_ScaledLp(c, rows, rhs))
+    if result is not None:
+        return result
     return LpResult(*simplex_max_exact(c, rows, rhs), "exact")
 
 
@@ -71,77 +91,111 @@ def simplex_max(
 # ---------------------------------------------------------------------------
 
 
-def _float_pivot(t, obj, basis, etas, r, s):
+class _ScaledLp:
+    """The LP read once.  Entry k of A is ``values[k]`` (as a float) at
+    (``row[k]``, ``col[k]``).  Row i of A and b times ``scale[i]``, the lcm
+    of its denominators, gives the integer lists ``coef`` and ``rhs``; c
+    times ``cscale`` gives ``cost``.  ``bound_a``, ``bound_b`` and
+    ``bound_c`` are their largest magnitudes."""
+
+    def __init__(self, c, rows, rhs):
+        self.n, self.m = len(c), len(rows)
+        lens = [len(row) for row in rows]
+        cols, coefs = zip(*itertools.chain.from_iterable(rows)) if sum(lens) else ((), ())
+        self.row = np.repeat(np.arange(self.m), lens)
+        self.col = np.array(cols, dtype=np.intp)
+        num = [a.numerator for a in coefs]
+        den = [a.denominator for a in coefs]
+        self.values = [p / q for p, q in zip(num, den)]  # float(a), rounded once
+        self.rhs_float = [float(b) for b in rhs]
+        self.sign = np.array([-1.0 if b.numerator < 0 else 1.0 for b in rhs])
+        self.cost_float = [float(v) for v in c]
+
+        ends = itertools.accumulate(lens)
+        self.scale = [math.lcm(b.denominator, *den[e - k:e]) for b, k, e in zip(rhs, lens, ends)]
+        self.row_lcm = math.lcm(*self.scale)
+        self.coef = num
+        if self.row_lcm != 1:
+            scale = self.scale
+            self.coef = [p * (scale[i] // q) for p, q, i in zip(num, den, self.row.tolist())]
+        self.rhs = [b.numerator * (s // b.denominator) for b, s in zip(rhs, self.scale)]
+        self.cost, self.cscale = _over_lcm(c)
+        self.bound_a = max(map(abs, self.coef), default=0)
+        self.bound_b = max(map(abs, self.rhs), default=0)
+        self.bound_c = max(map(abs, self.cost), default=0)
+
+
+def _float_pivot(t, basis, etas, r, s):
+    """Pivot on (r, s); the objective, row m of t, is updated with the rest."""
     piv = t[r, s]
     prow = t[r] / piv
     prow[np.abs(prow) < TOL] = 0.0
     prow[s] = 1.0
     t[r] = prow
-    live = np.flatnonzero(prow)
+    live = prow.nonzero()[0]
     col = t[:, s].copy()
     col[r] = 0.0
-    hit = np.flatnonzero(col)
+    hit = col.nonzero()[0]
     if hit.size:
-        block = np.ix_(hit, live)
-        upd = t[block] - np.outer(col[hit], prow[live])
+        block = (hit[:, None], live)
+        upd = t[block] - col[hit, None] * prow[live]
         upd[np.abs(upd) < TOL] = 0.0
         t[block] = upd
-    if obj[s] != 0.0:
-        upd = obj[live] - obj[s] * prow[live]
-        upd[np.abs(upd) < TOL] = 0.0
-        obj[live] = upd
+        if hit[-1] == len(basis):
+            hit = hit[:-1]
     basis[r] = s
     etas.append((r, piv, hit, col[hit]))
 
 
-def _float_iterate(t, obj, basis, etas, n) -> bool:
+def _float_iterate(t, basis, etas, n) -> bool:
     """Bland pivots until optimal (True) or an unbounded ray (False)."""
+    m = len(basis)
+    obj = t[m]
     while True:
         eligible = obj[:n] > TOL
         s = int(np.argmax(eligible))
         if not eligible[s]:
             return True
-        col = t[:, s]
-        cand = np.flatnonzero(col > TOL)
+        col = t[:m, s]
+        cand = (col > TOL).nonzero()[0]
         if cand.size == 0:
             return False
-        ratios = t[cand, -1] / col[cand]
+        ratios = t[cand, n] / col[cand]
         ties = cand[ratios <= ratios.min() + TOL]
-        _float_pivot(t, obj, basis, etas, int(ties[np.argmin(basis[ties])]), s)
+        _float_pivot(t, basis, etas, int(ties[np.argmin(basis[ties])]), s)
 
 
-def _float_certified(c, rows, rhs) -> Optional[list[Fraction]]:
-    """The float pass's optimal x if it passes the exact certificate, else None."""
-    n, m = len(c), len(rows)
-    sign = np.array([1.0 if b >= 0 else -1.0 for b in rhs])
-    t = np.zeros((m, n + 1))
-    for i, row in enumerate(rows):
-        for j, coef in row:
-            t[i, j] += float(coef)
-        t[i, n] = float(rhs[i])
-    t *= sign[:, None]
+def _float_certified(lp: _ScaledLp) -> Optional[LpResult]:
+    """The float pass's optimal vertex if it passes the exact certificate, else None."""
+    n, m = lp.n, lp.m
+    # one scatter, adding repeated entries in row order; row m is the objective
+    t = np.zeros((m + 1, n + 1))
+    np.add.at(t.reshape(-1), lp.row * (n + 1) + lp.col, lp.values)
+    t[:m, n] = lp.rhs_float
+    t[:m] *= lp.sign[:, None]
     basis = np.arange(n, n + m)
     etas = []  # (row, pivot, hit rows, their pivot-column entries) per pivot
 
     # phase one on structural columns; artificial columns are never read,
     # so they are not stored
-    obj = t.sum(axis=0)
+    obj = t[m]
+    obj[:] = t[:m].sum(axis=0)
     obj[np.abs(obj) < TOL] = 0.0
-    if not _float_iterate(t, obj, basis, etas, n) or obj[n] > TOL:
+    if not _float_iterate(t, basis, etas, n) or obj[n] > TOL:
         return None
     # drive leftover artificials out; a redundant row stays as a zero row
     # that no later pivot touches
     for i in range(m):
         if basis[i] >= n:
-            nz = np.flatnonzero(t[i, :n])
+            nz = t[i, :n].nonzero()[0]
             if nz.size:
-                _float_pivot(t, obj, basis, etas, i, int(nz[0]))
+                _float_pivot(t, basis, etas, i, int(nz[0]))
 
     # phase two; cf[n] = 0 is also the cost of an artificial left basic
-    cf = np.array([float(v) for v in c] + [0.0])
-    obj = cf - cf[np.minimum(basis, n)] @ t
+    cf = np.array(lp.cost_float + [0.0])
+    obj[:] = cf - cf[np.minimum(basis, n)] @ t[:m]
     obj[np.abs(obj) < TOL] = 0.0
-    if not _float_iterate(t, obj, basis, etas, n):
+    if not _float_iterate(t, basis, etas, n):
         return None
 
     # duals y^T = c_B^T B^-1, with B^-1 the product of the pivots' eta
@@ -149,34 +203,70 @@ def _float_certified(c, rows, rhs) -> Optional[list[Fraction]]:
     cost = cf[np.minimum(basis, n)]
     for r, piv, hit, vals in reversed(etas):
         cost[r] = (cost[r] - cost[hit] @ vals) / piv
-    y = [_rational(v) for v in cost * sign]
-    x = [ZERO] * n
-    for j, v in zip(basis, t[:, n]):
-        if j < n:
-            x[j] = _rational(v)
-    return x if _certificate_holds(c, rows, rhs, x, y) else None
+    xf = np.zeros(n)
+    basic = basis < n
+    xf[basis[basic]] = t[:m][basic, n]
+    x, xn, dx = _rationalise(xf)
+    _, yn, dy = _rationalise(cost * lp.sign)
+    if not _certificate_holds(lp, (xn, dx), (yn, dy)):
+        return None
+    value = Fraction(sum(map(operator.mul, lp.cost, xn)), lp.cscale * dx)
+    return LpResult(value, x, "certified", (xn, dx))
 
 
-def _rational(v: float) -> Fraction:
-    return ZERO if abs(v) < TOL else Fraction(v).limit_denominator()
+def _rationalise(v: np.ndarray) -> tuple[list[Fraction], list[int], int]:
+    """v as rationals, as their numerators and as the lcm of their
+    denominators.  Each distinct entry goes through ``limit_denominator``
+    once; entries below TOL are 0."""
+    v[np.abs(v) < TOL] = 0.0
+    v = v.tolist()
+    values = {u: Fraction(u).limit_denominator() if u else ZERO for u in set(v)}
+    nums, denom = _over_lcm(values.values())
+    nums = dict(zip(values, nums))
+    return [values[u] for u in v], [nums[u] for u in v], denom
 
 
-def _certificate_holds(c, rows, rhs, x, y) -> bool:
-    """x >= 0, A x = b, A^T y >= c and c.x = b.y, all exact."""
-    if any(v < 0 for v in x):
+def _certificate_holds(lp: _ScaledLp, x, y) -> bool:
+    """x >= 0, A x = b, A^T y >= c and c.x = b.y, all exact.
+
+    x and y are (integer numerators, common denominator) pairs.  With A'
+    and b' the scaled rows (row i times s_i, L = lcm of the s_i), c' = c
+    times s_c, x = X/dx and y = Y/dy, the checks are A' X = b' dx,
+    s_c A'^T Y' >= L dy c' and L dy (c'.X) = s_c dx (b'.Y'), where
+    Y'_i = Y_i L / s_i.  They run in int64 when no product or partial sum
+    can reach 2^62, in Python ints otherwise.
+    """
+    (xn, dx), (yn, dy) = x, y
+    if min(xn, default=0) < 0:
         return False
-    for row, b in zip(rows, rhs):
-        if sum((coef * x[j] for j, coef in row if x[j]), ZERO) != b:
-            return False
-    slack = [-v for v in c]  # A^T y - c, accumulated row by row
-    for row, yi in zip(rows, y):
-        if yi:
-            for j, coef in row:
-                slack[j] += coef * yi
-    if any(v < 0 for v in slack):
+    big = lp.row_lcm
+    if big != 1:
+        yn = [v * (big // s) for v, s in zip(yn, lp.scale)]
+    x_max = max(xn, default=0)
+    y_max = max(map(abs, yn), default=0)
+    scalars = (dx, big * dy, lp.cscale, x_max, y_max, lp.bound_a, lp.bound_b, lp.bound_c)
+    bound = max(
+        *scalars,
+        len(lp.coef) * lp.bound_a * max(x_max, y_max * lp.cscale),
+        lp.bound_b * max(dx, lp.m * y_max),
+        lp.bound_c * max(big * dy, lp.n * x_max),
+    )
+    dtype = np.int64 if bound < 2**62 else object
+    a = np.array(lp.coef, dtype=dtype)
+    b = np.array(lp.rhs, dtype=dtype)
+    c = np.array(lp.cost, dtype=dtype)
+    X = np.array(xn, dtype=dtype)
+    Y = np.array(yn, dtype=dtype)
+
+    ax = np.zeros(lp.m, dtype=dtype)
+    np.add.at(ax, lp.row, a * X[lp.col])
+    if not np.array_equal(ax, b * dx):
         return False
-    primal = sum((ci * xi for ci, xi in zip(c, x) if xi), ZERO)
-    return primal == sum((b * yi for b, yi in zip(rhs, y) if yi), ZERO)
+    aty = np.zeros(lp.n, dtype=dtype)
+    np.add.at(aty, lp.col, a * Y[lp.row])
+    if (aty * lp.cscale < c * (big * dy)).any():
+        return False
+    return int(c @ X) * big * dy == int(b @ Y) * lp.cscale * dx
 
 
 # ---------------------------------------------------------------------------

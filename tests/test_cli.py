@@ -1,8 +1,16 @@
 import os
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gmdlab.cli as cli
+import gmdlab.salp as salp
 from gmdlab.cli import run_command
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+P3 = os.path.join(GOLDEN, "p3.gp")
 
 TRIANGLE = "gmd 1\nv 3\ne 0 1 1 1/3\ne 1 2 1 1/3\ne 2 0 1 1/3\n"
 SINGLE = "gmd 1\nv 2\ne 0 1 1 1\n"
@@ -322,3 +330,73 @@ def test_report_round_trip(tmp_path):
     assert run_command(["report", "--in", csv, "--out", out]) == 0
     body = open(out).read()
     assert "a,b\n1,2" in body
+
+
+def outcome(argv, capsys):
+    """Exit code, stdout and stderr of one command."""
+    try:
+        code = run_command(argv)
+    except SystemExit as exc:  # --version exits through argparse
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_parser_built_once_gives_first_run_outcomes(tmp_path, capsys):
+    tri = write(tmp_path, "tri.gmd", TRIANGLE)
+    commands = [
+        ["solve", "--in", tri, "--bogus"],
+        ["solve", "--in", tri],
+        ["salp", "--in", P3, "--grid", "half"],
+        ["--version"],
+    ]
+    first = []
+    for argv in commands:
+        cli._parser.cache_clear()
+        first.append(outcome(argv, capsys))
+    assert [code for code, _, _ in first] == [1, 0, 0, 0]
+    cli._parser.cache_clear()
+    assert [outcome(argv, capsys) for argv in commands] == first
+    assert cli._parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("command", ["salp", "solve"])
+@pytest.mark.parametrize("eps", ["1/0", "abc", "", "0", "-1/2", "1e999999999"])
+def test_bad_grid_eps_exit_1_naming_spec(capsys, command, eps):
+    assert run_command([command, "--in", P3, "--grid", f"geom:{eps}"]) == 1
+    err = capsys.readouterr().err
+    assert f"'geom:{eps}'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["salp", "--grid", "geom:1/1000000"], "gives vertex 0 more than 5 prices"),
+        (["solve", "--grid", "geom:1/1000"], "grid has 196591175 points, cap 2000000"),
+        (["solve", "--grid", "geom:1e-400"], "grid has more than 2000000 points"),
+    ],
+)
+def test_grid_size_checked_before_any_grid_is_built(capsys, monkeypatch, argv, message):
+    def no_grid(*args):
+        raise AssertionError("grid built before the cap check")
+
+    monkeypatch.setattr(salp, "geometric_grid", no_grid)
+    assert run_command(argv[:1] + ["--in", P3] + argv[1:]) == 2
+    assert message in capsys.readouterr().err
+
+
+eps_texts = st.one_of(
+    st.text(max_size=12),
+    st.from_regex(r"\A[-+]?\d{0,3}(/\d{0,8}|\.\d{0,4}([eE][-+]?\d{1,7})?)?\Z"),
+    st.fractions(min_value=0, max_value=3, max_denominator=300).map(str),
+)
+
+
+@given(text=eps_texts)
+@settings(max_examples=60, deadline=None)
+def test_grid_spec_fuzz_exits_cleanly(text):
+    for command in ("salp", "solve"):
+        start = time.perf_counter()
+        code = run_command([command, "--in", P3, "--grid", f"geom:{text}"])
+        assert code in (0, 1, 2)
+        assert time.perf_counter() - start < 5

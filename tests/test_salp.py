@@ -17,8 +17,10 @@ from gmdlab.salp import (
     check_sa_consistency,
     default_price_grid,
     geometric_grid,
+    geometric_grid_size,
     solve_lp_exact,
 )
+from gmdlab.simplex import simplex_max
 
 F = Fraction
 
@@ -412,3 +414,59 @@ def test_lp_table_is_integer_numerators_over_lcm():
         sol.values[((0,), (0,))] = F(0)
     with pytest.raises(KeyError):
         sol.get((0,), (2,))
+
+
+def lp_table_cases():
+    gp = GpInstance.of(3, [(0, 1, 2, 1), (1, 2, 1, 2), (0, 2, F(3, 2), 1)])
+    two = GmdInstance.of(2, 4, [(0, 1, 2, 1), (1, 2, 1, 2), (2, 3, 2, 1), (3, 0, 1, 3)])
+    return [
+        build_sa_lp(triangle(), rounds=3),
+        build_sa_lp(two, rounds=3),
+        build_sa_lp(gp, rounds=2, price_grid=[geometric_grid(b, F(1, 2)) for b in (2, 2, F(3, 2))]),
+    ]
+
+
+@pytest.mark.parametrize("lp", lp_table_cases())
+def test_lp_tables_are_slices_of_the_vertex(lp):
+    # the tables read back from the numerator vector equal the ones built
+    # from the (S, alpha) -> x mapping
+    value, sol = solve_lp_exact(lp)
+    result = simplex_max(
+        lp.objective, [row for row, _ in lp.constraints], [b for _, b in lp.constraints]
+    )
+    x = result[1]
+    ref = SaSolution.from_values(
+        {key: x[idx] for key, idx in lp.var_index.items()}, lp.rounds, lp.domains
+    )
+    assert value == result[0] and sol.lp_path == result.path
+    assert sol.denom == ref.denom
+    assert sol.tables.keys() == ref.tables.keys()
+    for S, arr in ref.tables.items():
+        assert sol.tables[S].tolist() == arr.tolist()
+    assert list(sol.text_rows()) == list(ref.text_rows())
+
+
+@given(
+    budget=st.fractions(min_value=0, max_value=40, max_denominator=12),
+    eps=st.fractions(min_value=F(1, 200), max_value=4, max_denominator=200).filter(lambda e: e > 0),
+    power=st.integers(0, 9),
+    limit=st.integers(0, 60),
+)
+@settings(max_examples=300, deadline=None)
+def test_geometric_grid_size_matches_built_grid(budget, eps, power, limit):
+    # budgets that are exact powers of 1 + eps sit on the float estimate's
+    # rounding boundary
+    for b in (budget, (1 + eps) ** power):
+        assert geometric_grid_size(b, eps, limit) == min(len(geometric_grid(b, eps)), limit + 1)
+
+
+def test_geometric_grid_size_without_building():
+    # a million-price grid and extreme eps are sized from logarithms
+    assert geometric_grid_size(F(2), F(1, 10**6), 5) == 6
+    assert geometric_grid_size(F(2), F(1, 10**6), 10**7) == 693149
+    assert geometric_grid_size(F(10**400), F(1, 10**400), 5) == 6
+    assert geometric_grid_size(F(2), F(10**5000), 5) == 2
+    assert geometric_grid_size(1 + F(1, 10**400), F(1, 10**401), 50) == 11
+    assert geometric_grid_size(F(1, 2), F(1, 3), 0) == 1
+    with pytest.raises(InstanceError):
+        geometric_grid_size(F(2), F(0), 5)

@@ -108,11 +108,124 @@ def test_sa_lps_are_certified():
     # the fast path must carry the relaxations, not fall back on them
     tri = GmdInstance.of(1, 3, [(0, 1, 1, F(1, 3)), (1, 2, 1, F(1, 3)), (2, 0, 1, F(1, 3))])
     two = GmdInstance.of(2, 4, [(0, 1, 2, 1), (1, 2, 1, 2), (2, 3, 2, 1), (3, 0, 1, 3), (0, 2, 2, 1)])
-    for inst, rounds in ((tri, 2), (tri, 3), (two, 2), (two, 3)):
-        c, rows, rhs = lp_parts(build_sa_lp(inst, rounds=rounds))
+    # the benchmark's shapes: n=5, T=3 at 2 rounds (180 variables), n=4, T=2
+    # at 3 rounds (174 variables) and a pricing LP on the half grid
+    five = GmdInstance.of(3, 5, [
+        (4, 1, 3, 5), (1, 2, 1, 5), (0, 4, 2, 4), (3, 4, 3, 3),
+        (0, 2, 1, 4), (1, 0, 3, 1), (0, 1, 1, 1), (0, 2, 3, 4),
+    ]).normalized()
+    four = GmdInstance.of(2, 4, [
+        (2, 1, 1, 6), (0, 2, 1, 1), (2, 0, 1, 4), (3, 1, 2, 3), (2, 3, 1, 7), (1, 2, 2, 6),
+    ]).normalized()
+    pricing = GpInstance.of(4, [(3, 0, 2, 4), (0, 3, 1, 3), (0, 3, 2, 3), (2, 1, 2, 4), (0, 2, 1, 1)])
+    lps = [build_sa_lp(inst, rounds=rounds)
+           for inst, rounds in ((tri, 2), (tri, 3), (two, 2), (two, 3), (five, 2), (four, 3))]
+    lps.append(build_sa_lp(pricing, rounds=2, price_grid=default_price_grid(pricing)[0]))
+    assert [lp.num_variables for lp in lps[4:]] == [180, 174, 170]
+    for lp in lps:
+        c, rows, rhs = lp_parts(lp)
         result = simplex_max(c, rows, rhs)
         assert result.path == "certified"
         assert tuple(result) == simplex_max_exact(c, rows, rhs)
+
+
+K = 2**62 + 1  # a multiplier whose products overflow int64
+
+
+def scaled_relaxation():
+    """Every row and the objective of a relaxation times K: the same vertex
+    and duals, with scaled coefficients past 2^62."""
+    inst = GmdInstance.of(1, 3, [(0, 1, 1, F(1, 3)), (1, 2, 1, F(1, 3)), (2, 0, 1, F(1, 3))])
+    c, rows, rhs = lp_parts(build_sa_lp(inst, rounds=2))
+    return [a * K for a in c], [[(j, a * K) for j, a in row] for row in rows], [b * K for b in rhs]
+
+
+@pytest.mark.parametrize(
+    "c, rows, rhs",
+    [
+        # max K x0 + x1 with K x0 + K x2 = K and x1 + x3 = 1: coefficients past
+        # 2^62 (as floats they round to 2^62), duals 1 and 1
+        ([F(K), F(1), F(0), F(0)], [[(0, F(K)), (2, F(K))], [(1, F(1)), (3, F(1))]],
+         [F(K), F(1)]),
+        # right-hand side 2^64: x0 = 2^64 on the optimal vertex
+        ([F(1), F(0)], [[(0, F(1)), (1, F(1))]], [F(2**64)]),
+        # costs 2^70 and 2^63: the dual is 2^70
+        ([F(2**70), F(2**63), F(0)], [[(0, F(1)), (1, F(1)), (2, F(1))]], [F(3)]),
+        # coefficients (K+1)/K: the row's scale factor is K
+        ([F(K + 1, K), F(K + 1, K)], [[(0, F(K + 1, K)), (1, F(K + 1, K))]], [F(2 * K + 2, K)]),
+        # costs 3 * 2^61 at x = (1/2, 1/2): every entry fits int64, but c.X
+        # over the denominator 2 is 3 * 2^62
+        ([F(3 * 2**61)] * 2, [[(0, F(2))], [(1, F(2))]], [F(1), F(1)]),
+        scaled_relaxation(),
+    ],
+)
+def test_certificate_in_python_ints_past_int64(c, rows, rhs):
+    # the scaled products pass 2^62, so the certificate runs in object dtype
+    result = simplex_max(c, rows, rhs)
+    assert result.path == "certified"
+    assert tuple(result) == simplex_max_exact(c, rows, rhs)
+
+
+def fraction_certificate(c, rows, rhs, x, y):
+    """The certificate in plain Fraction arithmetic, the reference."""
+    if any(v < 0 for v in x):
+        return False
+    if any(sum((a * x[j] for j, a in row), F(0)) != b for row, b in zip(rows, rhs)):
+        return False
+    slack = [-v for v in c]
+    for row, yi in zip(rows, y):
+        for j, a in row:
+            slack[j] += a * yi
+    if any(v < 0 for v in slack):
+        return False
+    return sum((a * b for a, b in zip(c, x)), F(0)) == sum((a * b for a, b in zip(rhs, y)), F(0))
+
+
+def certificate_holds(c, rows, rhs, x, y):
+    """simplex._certificate_holds on Fraction vectors x and y."""
+    return simplex_mod._certificate_holds(
+        simplex_mod._ScaledLp(c, rows, rhs), simplex_mod._over_lcm(x), simplex_mod._over_lcm(y)
+    )
+
+
+rationals = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 2**62 + 1]))
+
+
+@st.composite
+def lps_with_vectors(draw):
+    """A small LP with candidate vectors x and y: x often satisfies the rows,
+    y often the dual rows, sometimes tightly."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    scale = draw(st.sampled_from([1, 1, 2**40, 2**64 + 1]))
+    rows = [
+        draw(st.lists(st.tuples(st.integers(0, n - 1), rationals.map(lambda a: a * scale)),
+                      max_size=4))
+        for _ in range(m)
+    ]
+    x = draw(st.lists(rationals.map(abs), min_size=n, max_size=n))
+    y = draw(st.lists(rationals, min_size=m, max_size=m))
+    if draw(st.booleans()):  # right-hand sides that x satisfies
+        rhs = [sum((a * x[j] for j, a in row), F(0)) for row in rows]
+    else:
+        rhs = draw(st.lists(rationals, min_size=m, max_size=m))
+    if draw(st.booleans()):  # costs that make y dual feasible, sometimes tight
+        c = [F(0)] * n
+        for row, yi in zip(rows, y):
+            for j, a in row:
+                c[j] += a * yi
+        c = [v - draw(st.sampled_from([0, 0, 1])) for v in c]
+    else:
+        c = draw(st.lists(rationals, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        x[draw(st.integers(0, n - 1))] *= -1
+    return c, rows, rhs, x, y
+
+
+@given(lps_with_vectors())
+@settings(max_examples=300, deadline=None)
+def test_integer_certificate_matches_fraction_reference(case):
+    c, rows, rhs, x, y = case
+    assert certificate_holds(c, rows, rhs, x, y) == fraction_certificate(c, rows, rhs, x, y)
 
 
 def geom_tenth_lp():
@@ -145,7 +258,7 @@ def test_rejected_certificate_falls_back(monkeypatch):
 def test_certificate_rejects_wrong_primal_or_dual():
     # max x0 + x1 with x0 + x1 + s = 1: optimum 1, dual y = 1
     c, rows, rhs = [F(1), F(1), F(0)], [[(0, F(1)), (1, F(1)), (2, F(1))]], [F(1)]
-    holds = simplex_mod._certificate_holds
+    holds = certificate_holds
     assert holds(c, rows, rhs, [F(1), F(0), F(0)], [F(1)])
     assert not holds(c, rows, rhs, [F(0), F(0), F(1)], [F(1)])  # feasible, not optimal
     assert not holds(c, rows, rhs, [F(1, 2), F(1, 3), F(0)], [F(1)])  # A x != b
@@ -153,6 +266,11 @@ def test_certificate_rejects_wrong_primal_or_dual():
     # max x0 + 2 x1 on the same row: x = e0 and y = 1 close the gap, but
     # A^T y < c in column 1, so x is not optimal
     assert not holds([F(1), F(2), F(0)], rows, rhs, [F(1), F(0), F(0)], [F(1)])
+    # max x0 with x0 + x1 = 1: y = 1 is dual feasible and x = (1, 1) gives
+    # c.x = b.y = 1, but A x = 2
+    one = [[(0, F(1)), (1, F(1))]]
+    assert holds([F(1), F(0)], one, [F(1)], [F(1), F(0)], [F(1)])
+    assert not holds([F(1), F(0)], one, [F(1)], [F(1), F(1)], [F(1)])
 
 
 def test_unbounded_and_infeasible_raise_exact_exceptions():
