@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import itertools
 import math
 import os
@@ -47,6 +46,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _config_hash(argv) -> str:
     """Hash of the semantic configuration: output destinations excluded."""
+    # hashlib loads libcrypto (about 3.6 MB RSS): only runs that write a CSV pay
+    import hashlib
+
     kept = []
     skip = False
     for tok in argv:

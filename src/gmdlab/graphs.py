@@ -7,17 +7,16 @@ order and cycle extraction canonicalizes before comparing.
 Girth cleanup contract: `break_short_cycles` drops exactly the edges, in
 exactly the order, that repeatedly dropping the largest edge of
 `shortest_cycle` would, so every pipeline instance is the same byte for
-byte.  It recomputes an edge's cycle only when a drop removed an edge its
-BFS depended on.  Only the cycle length is monotone under drops: a later
-BFS may find a lexicographically smaller cycle of the same length, so a
-stale key is a lower bound on the length alone.
+byte.  Lemma: `_edge_cycle(a, b)` returns the lexicographically smallest
+shortest a..b path of G - ab.  Deleting an edge off that path leaves it
+present and still shortest, and can only remove rival paths, so an edge's
+cycle is recomputed only when a drop removed one of the cycle's own edges.
 """
 
 from __future__ import annotations
 
 import collections
 import heapq
-import itertools
 
 Edge = tuple[int, int]
 
@@ -48,21 +47,19 @@ def canonical_cycle(path) -> tuple[int, ...]:
 
 
 def _edge_cycle(adj, a: int, b: int, limit: int):
-    """Shortest cycle of at most `limit` vertices through edge (a, b), as BFS finds it.
+    """Shortest cycle of at most `limit` vertices through edge (a, b), as an a..b path.
 
     BFS runs from a without the edge (a, b), visits neighbours in `adj`
     order, gives each vertex the first parent that reaches it and stops
-    once b is reached (depth at most limit - 1).  Returns the a..b path and
-    the edges the result depends on, as (vertex, parent) pairs: the parent
-    edges into the vertices shallower than b and b's own parent edge.  The
-    order of each level, and so each first-discovery parent, follows from
-    the parent edges into that level and the levels above, so removing any
-    other edge leaves the result unchanged.  None means no such cycle.
+    once b is reached (depth at most limit - 1).  With sorted `adj` the
+    path is the lexicographically smallest shortest a..b path of G - ab: by
+    induction each level is discovered in the lexicographic order of its
+    vertices' smallest shortest paths, so the first parent extends the
+    smallest path.  None means no such cycle.
     """
-    parent = {a: a}  # in discovery order, so level by level
+    parent = {a: a}
     frontier = [a]
     for _ in range(limit - 1):
-        shallower = len(parent)
         nxt = []
         for x in frontier:
             for y in adj[x]:
@@ -71,13 +68,11 @@ def _edge_cycle(adj, a: int, b: int, limit: int):
                 if y == b:
                     if x == a:
                         continue
-                    deps = list(itertools.islice(parent.items(), 1, shallower))
-                    deps.append((b, x))
                     path = [b, x]
                     while x != a:
                         x = parent[x]
                         path.append(x)
-                    return path[::-1], deps
+                    return path[::-1]
                 parent[y] = x
                 nxt.append(y)
         if not nxt:
@@ -102,7 +97,7 @@ def shortest_cycle(n: int, edges) -> tuple[int, ...] | None:
         found = _edge_cycle(adj, a, b, best[0] if best else n)
         if found is None:
             continue
-        cyc = canonical_cycle(found[0])
+        cyc = canonical_cycle(found)
         key = (len(cyc), cyc)
         if best is None or key < best:
             best = key
@@ -117,7 +112,7 @@ def girth(n: int, edges) -> int | None:
     for a, b in edges:
         found = _edge_cycle(adj, a, b, best - 1)
         if found is not None:
-            best = len(found[0])
+            best = len(found)
     return best if best <= n else None
 
 
@@ -131,22 +126,23 @@ def break_short_cycles(n: int, edges, l: int) -> list[Edge]:
             g.discard(max(cycle edges of cyc))
 
     Each edge keeps its key (cycle length, canonical cycle) from
-    `_edge_cycle` in a heap.  A drop makes the edges whose BFS depends on
-    the dropped edge stale; their key becomes (old length, ()), a lower
-    bound, since deleting edges can only lengthen a cycle.  Only the length
-    is monotone: after a drop BFS may find a lexicographically smaller cycle
-    of the same length, so a stale edge is recomputed when its bound
-    reaches the top of the heap.  The top is then an exact key no larger
-    than any other edge's, which is the plain loop's choice.
+    `_edge_cycle` in a heap, and is registered under the edges of its own
+    a..b path.  By the lemma of `_edge_cycle` only a drop of one of those
+    edges can change the key, so a drop makes just the edges registered
+    under it stale; their key becomes (old length, ()), a lower bound,
+    since deleting edges can only lengthen a cycle.  A stale edge is
+    recomputed when its bound reaches the top of the heap.  The top is then
+    an exact key no larger than any other edge's, which is the plain loop's
+    choice.
     """
     edges = sorted({edge(u, v) for u, v in edges})
     adj = adjacency(n, edges)
     # live edges with a cycle of length <= l: the exact key, or a bound while stale
     key: dict[Edge, tuple] = {}
     version: dict[Edge, int] = {}  # which computation of an edge's key is current
-    # (vertex, parent) pair -> (edge, version) of the BFS runs that used it;
+    # path edge -> (edge, version) of the keys whose a..b path uses it;
     # entries of superseded versions are skipped when read
-    dependants: dict[tuple[int, int], list] = collections.defaultdict(list)
+    dependants: dict[Edge, list] = collections.defaultdict(list)
     stale: set[Edge] = set()
     heap: list = []
 
@@ -154,13 +150,12 @@ def break_short_cycles(n: int, edges, l: int) -> list[Edge]:
         found = _edge_cycle(adj, e[0], e[1], l)
         if found is None:
             return
-        path, deps = found
-        cyc = canonical_cycle(path)
+        cyc = canonical_cycle(found)
         key[e] = (len(cyc), cyc)
         version[e] = version.get(e, 0) + 1
         tag = (e, version[e])
-        for d in deps:
-            dependants[d].append(tag)
+        for i in range(1, len(found)):
+            dependants[edge(found[i - 1], found[i])].append(tag)
         heapq.heappush(heap, (key[e], e))
 
     for e in edges:
@@ -182,7 +177,7 @@ def break_short_cycles(n: int, edges, l: int) -> list[Edge]:
         adj[v].remove(u)
         key.pop(drop, None)
         stale.discard(drop)
-        for f, ver in dependants.pop((u, v), []) + dependants.pop((v, u), []):
+        for f, ver in dependants.pop(drop, ()):
             if f in key and version[f] == ver and f not in stale:
                 stale.add(f)
                 key[f] = (key[f][0], ())

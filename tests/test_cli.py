@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -358,6 +360,20 @@ def test_parser_built_once_gives_first_run_outcomes(tmp_path, capsys):
     cli._parser.cache_clear()
     assert [outcome(argv, capsys) for argv in commands] == first
     assert cli._parser.cache_info().misses == 1
+
+
+def test_config_hash_pinned():
+    # the goldens skip the provenance line, so its hash is pinned here
+    argv = ["gap", "--n", "40", "--seed", "0"]
+    assert cli._config_hash(argv) == "4915231a59ab"
+    assert cli._config_hash(argv + ["--out", "x.gmd", "--csv", "y.csv"]) == "4915231a59ab"
+
+
+def test_import_leaves_hashlib_unloaded():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, gmdlab.cli; sys.exit('hashlib' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 @pytest.mark.parametrize("command", ["salp", "solve"])

@@ -42,6 +42,8 @@ CASES = (
                         "--window-p", "0.8", "--out", "gap-window.gmd"], None),
     ("gap-l11.csv", ["gap", "--n", "40", "--l", "11", "--out", "gap-l11.gmd"], None),
     ("gap-n100-s1.csv", ["gap", "--n", "100", "--seed", "1", "--out", "gap-n100-s1.gmd"], None),
+    # pins several times the drops of gap-n100-s1 through the girth cleanup
+    ("gap-n200-s0.csv", ["gap", "--n", "200", "--seed", "0", "--out", "gap-n200-s0.gmd"], None),
     # g20.gmd: random n=20, T=2, 40 integer-weight arcs (as in the benchmark)
     ("solve-g20.csv", ["solve", "--in", "g20.gmd"], None),
     ("solve-c4.csv", ["solve", "--in", "c4.gmd"], None),

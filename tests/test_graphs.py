@@ -4,6 +4,8 @@ The references are the forms the helpers replaced: a full BFS per edge with
 an O(k^2) canonical form, and a cleanup loop that recomputes the global
 shortest cycle after every drop.  The fast forms must agree with them
 exactly, since the pipeline's instance bytes follow from the drop order.
+The cleanup's invalidation rests on the lemma that `_edge_cycle` returns the
+lexicographically smallest shortest path, which is checked by enumeration.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gmdlab import gapgen, graphs
@@ -68,17 +70,70 @@ def reference_break(n, edges, l):
 
 
 @st.composite
-def small_graphs(draw):
-    n = draw(st.integers(4, 14))
+def small_graphs(draw, max_n=14):
+    n = draw(st.integers(4, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * n, unique=True))
     return n, edges
 
 
-@settings(max_examples=300, deadline=None)
-@given(small_graphs(), st.integers(3, 12))
-def test_break_short_cycles_matches_reference_loop(graph, l):
+def all_simple_paths(adj, a, b, skip):
+    """Every simple a..b path avoiding edge `skip`, by depth-first enumeration."""
+    paths, stack = [], [[a]]
+    while stack:
+        path = stack.pop()
+        for y in adj[path[-1]]:
+            if y in path or edge(path[-1], y) == skip:
+                continue
+            if y == b:
+                paths.append(path + [y])
+            else:
+                stack.append(path + [y])
+    return paths
+
+
+@st.composite
+def sparse_graphs(draw):
+    """n 15-40, degree at most 8: deep enough BFS levels for l 9-14."""
+    n = draw(st.integers(15, 40))
+    vertex = st.integers(0, n - 1)
+    deg = [0] * n
+    edges = set()
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), min_size=n, max_size=2 * n)):
+        e = edge(u, v)
+        if u != v and e not in edges and deg[u] < 8 and deg[v] < 8:
+            edges.add(e)
+            deg[u] += 1
+            deg[v] += 1
+    return n, sorted(edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(max_n=8), st.integers(2, 9), st.data())
+def test_edge_cycle_is_lex_smallest_shortest_path(graph, limit, data):
     n, edges = graph
+    assume(edges)
+    adj = graphs.adjacency(n, edges)
+    a, b = data.draw(st.sampled_from(edges))
+    if data.draw(st.booleans()):
+        a, b = b, a
+    paths = all_simple_paths(adj, a, b, edge(a, b))
+    found = graphs._edge_cycle(adj, a, b, limit)
+    shortest = min(map(len, paths), default=limit + 1)
+    if shortest > limit:
+        assert found is None
+    else:
+        assert found == min(p for p in paths if len(p) == shortest)
+
+
+@settings(max_examples=360, deadline=None)
+@given(st.one_of(
+    st.tuples(small_graphs(), st.integers(3, 12)),
+    # BFS depth 8 and more, which the small graphs rarely reach
+    st.tuples(sparse_graphs(), st.integers(9, 14)),
+))
+def test_break_short_cycles_matches_reference_loop(case):
+    (n, edges), l = case
     dropped = break_short_cycles(n, edges, l)
     assert dropped == reference_break(n, edges, l)
     g = girth(n, set(edges) - set(dropped))
