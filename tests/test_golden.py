@@ -3,7 +3,9 @@
 Each case runs one subcommand on a fixture under tests/golden/ and compares
 the CSV it writes, without its provenance line (which hashes the argument
 paths), byte for byte with the recorded body.  A case that passes `--out`
-also compares the file it writes there with the golden file of that name.
+also compares the file it writes there with the golden file of that name; a
+case named after its `--out` file (`reduce`, `dict --emit instance`) writes
+no CSV and compares that file alone.
 A change to any of these files is a deliberate change of output.  To
 re-record the named cases, and only those:
 
@@ -57,32 +59,42 @@ CASES = (
     # a negative seed: the Philox key takes it modulo 2^64
     ("approx-gmd4-neg.csv", ["approx", "--in", "c4.gmd", "--algo", "gmd4", "--trials", "500",
                              "--seed", "-1"], None),
+    ("reduce-gap12.gp", ["reduce", "--in", "gap12.gmd", "--out", "reduce-gap12.gp"], None),
+    ("reduce-gap12-m3x.gp", ["reduce", "--in", "gap12.gmd", "--M", "3", "--expand",
+                             "--out", "reduce-gap12-m3x.gp"], None),
+    ("dict-t2.gmd", ["dict", "--T", "2", "--R", "1", "--out", "dict-t2.gmd"], None),
+    ("dict-sound-t2r2.csv", ["dict", "--T", "2", "--R", "2", "--emit", "soundness"], None),
+    ("gauss-cdf.csv", ["gauss", "--suite", "cdf", "--points", "8"], None),
+    ("gauss-gamma.csv", ["gauss", "--suite", "gamma"], None),
+    ("gauss-maxgap.csv", ["gauss", "--suite", "maxgap", "--trials", "2000", "--seed", "3"], None),
 )
 
 
-def _outputs(argv, caps, directory) -> dict[str, bytes]:
+def _outputs(name, argv, caps, directory) -> dict[str, bytes]:
     """Run one case; returns {golden name: bytes} for its CSV body and `--out` file."""
     out = argv[argv.index("--out") + 1] if "--out" in argv else None
+    csv = None if name == out else os.path.join(directory, "out.csv")
     argv = [
         os.path.join(directory, tok) if tok == out
         else os.path.join(GOLDEN, tok) if tok.endswith((".gmd", ".gp"))
         else tok
         for tok in argv
     ]
-    csv = os.path.join(directory, "out.csv")
     old = os.environ.pop("GMDLAB_CAPS", None)
     if caps is not None:
         os.environ["GMDLAB_CAPS"] = caps
     try:
-        assert run_command(argv + ["--csv", csv]) == 0
+        assert run_command(argv + (["--csv", csv] if csv else [])) == 0
     finally:
         os.environ.pop("GMDLAB_CAPS", None)
         if old is not None:
             os.environ["GMDLAB_CAPS"] = old
-    with open(csv, "rb") as fh:
-        first, body = fh.read().split(b"\n", 1)
-    assert first.startswith(b"# gmdlab ")
-    outputs = {"csv": body}
+    outputs = {}
+    if csv is not None:
+        with open(csv, "rb") as fh:
+            first, body = fh.read().split(b"\n", 1)
+        assert first.startswith(b"# gmdlab ")
+        outputs["csv"] = body
     if out is not None:
         with open(os.path.join(directory, out), "rb") as fh:
             outputs[out] = fh.read()
@@ -91,7 +103,7 @@ def _outputs(argv, caps, directory) -> dict[str, bytes]:
 
 @pytest.mark.parametrize("name, argv, caps", CASES, ids=[c[0] for c in CASES])
 def test_csv_body_matches_golden(name, argv, caps, tmp_path, capsys):
-    for key, data in _outputs(argv, caps, str(tmp_path)).items():
+    for key, data in _outputs(name, argv, caps, str(tmp_path)).items():
         with open(os.path.join(GOLDEN, name if key == "csv" else key), "rb") as fh:
             assert data == fh.read(), key
 
@@ -106,7 +118,7 @@ if __name__ == "__main__" and sys.argv[1:2] == ["--write"]:
     with tempfile.TemporaryDirectory() as tmp:
         for nm in names:
             _, argv, caps = cases[nm]
-            for key, data in _outputs(argv, caps, tmp).items():
+            for key, data in _outputs(nm, argv, caps, tmp).items():
                 target = nm if key == "csv" else key
                 with open(os.path.join(GOLDEN, target), "wb") as fh:
                     fh.write(data)
