@@ -19,6 +19,7 @@ class Caps:
     sa_rounds: int = 3
     sa_domain: int = 5
     lp_variables: int = 3_000
+    sa_table_entries: int = 4_000_000  # sum of (T+1)^|S| over a sasol build's sets
     test_edges: int = 300_000    # dictatorship-test instance materialization
     influence_states: int = 2_000_000
 

@@ -44,11 +44,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
+def _sha256():
+    """sha256 from the interpreter's builtin module, which adds about 28 KB
+    RSS; hashlib, the fallback, loads libcrypto (about 3.6 MB), which only
+    runs that import numpy.random pay anyway."""
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10, 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
 def _config_hash(argv) -> str:
     """Hash of the semantic configuration: output destinations excluded."""
-    # hashlib loads libcrypto (about 3.6 MB RSS): only runs that write a CSV pay
-    import hashlib
-
     kept = []
     skip = False
     for tok in argv:
@@ -59,17 +71,23 @@ def _config_hash(argv) -> str:
             skip = True
             continue
         kept.append(tok)
-    return hashlib.sha256("\x1f".join(kept).encode()).hexdigest()[:12]
+    return _sha256()("\x1f".join(kept).encode()).hexdigest()[:12]
 
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, text):
+    """Write `text`, one string or an iterable of strings in order, to a
+    private temporary file beside `path`, fsync it and rename it over
+    `path`; on any error the temporary file is removed."""
     directory, name = os.path.split(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             # mkstemp creates the file 0600; give it the mode open() would
             os.fchmod(fd, 0o666 & ~_umask())
-            fh.write(text)
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                fh.writelines(text)
             fh.flush()
             os.fsync(fd)
         os.replace(tmp, path)
@@ -87,16 +105,25 @@ def _umask() -> int:
 def emit_report(rows, path: str, header: list[str], argv, seed) -> None:
     """CSV with a provenance comment; stable column order; atomic replace.
 
-    A row is a dict keyed by column or a tuple of formatted cells in header
-    order.
+    Rows are all dicts keyed by column, or all tuples of formatted cells in
+    header order (joined without a Python-level loop, for large tables).
+    The text is written a few thousand lines at a time, never whole.
     """
-    lines = [f"# gmdlab {__version__} config={_config_hash(argv)} seed={seed}"]
-    lines.append(",".join(header))
-    for row in rows:
-        if isinstance(row, dict):
-            row = [_cell(row.get(col, "")) for col in header]
-        lines.append(",".join(row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    lines = [f"# gmdlab {__version__} config={_config_hash(argv)} seed={seed}", ",".join(header)]
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        rows = itertools.chain([first], rows)
+        if isinstance(first, dict):
+            rows = ([_cell(row.get(col, "")) for col in header] for row in rows)
+        lines = itertools.chain(lines, map(",".join, rows))
+    _atomic_write(path, _text_chunks(iter(lines)))
+
+
+def _text_chunks(lines, size: int = 4096):
+    """The lines as newline-terminated strings of up to `size` lines each."""
+    while chunk := list(itertools.islice(lines, size)):
+        yield "\n".join(chunk) + "\n"
 
 
 def _cell(value) -> str:
@@ -378,6 +405,7 @@ def _cmd_sasol(args, caps, argv) -> int:
         k=args.k,
         trials=args.trials,
         seed=args.seed,
+        caps=caps,
     )
     consistent = check_sa_consistency(result.solution).ok
     print(f"objective = {result.objective} consistent = {consistent}")

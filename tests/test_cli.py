@@ -376,6 +376,47 @@ def test_import_leaves_hashlib_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+@pytest.mark.parametrize("argv", [
+    [],
+    ["gap", "--n", "40", "--seed", "0"],
+    ["sasol", "--in", "g.gmd", "--k", "3", "--csv", "t.csv", "--trials", "10"],
+    ["salp", "--in", "p\u00e9.gp", "--rounds", "2", "--out"],
+])
+def test_config_hash_is_sha256_of_kept_arguments(argv):
+    import hashlib
+
+    kept = [tok for i, tok in enumerate(argv)
+            if tok not in ("--csv", "--out") and (i == 0 or argv[i - 1] not in ("--csv", "--out"))]
+    want = hashlib.sha256("\x1f".join(kept).encode()).hexdigest()[:12]
+    assert cli._config_hash(argv) == want
+
+
+def test_config_hash_leaves_hashlib_unloaded():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, gmdlab.cli; gmdlab.cli._config_hash(['salp']); sys.exit('hashlib' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_run_as_module(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    path = write(tmp_path, "tri.gmd", TRIANGLE)
+    done = subprocess.run([sys.executable, "-m", "gmdlab", "solve", "--in", path],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("opt = ")
+
+
+def test_sasol_table_cap_checked_before_any_work(capsys):
+    # k=3 on 200 vertices, T=2: 35.6M table entries against the 4M cap
+    start = time.perf_counter()
+    code = run_command(["sasol", "--in", os.path.join(GOLDEN, "gap-n200-s0.gmd"), "--k", "3"])
+    assert code == 2
+    assert time.perf_counter() - start < 1.0
+    assert "size <= 3 need 35641500 table entries, over cap 4000000" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["salp", "solve"])
 @pytest.mark.parametrize("eps", ["1/0", "abc", "", "0", "-1/2", "1e999999999"])
 def test_bad_grid_eps_exit_1_naming_spec(capsys, command, eps):

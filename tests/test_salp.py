@@ -363,7 +363,7 @@ def sa_tables(draw):
 def _solution(values, domains, counts, trials):
     if counts is None:
         return SaSolution.from_values(values, rounds=3, domains=domains)
-    return SaSolution(tables=counts, denom=trials, rounds=3, domains=domains)
+    return SaSolution.from_tables(counts, denom=trials, rounds=3, domains=domains)
 
 
 @settings(max_examples=150, deadline=None)
@@ -419,10 +419,15 @@ def test_lp_table_is_integer_numerators_over_lcm():
 def lp_table_cases():
     gp = GpInstance.of(3, [(0, 1, 2, 1), (1, 2, 1, 2), (0, 2, F(3, 2), 1)])
     two = GmdInstance.of(2, 4, [(0, 1, 2, 1), (1, 2, 1, 2), (2, 3, 2, 1), (3, 0, 1, 3)])
+    # grids of 3, 4, 3 and 4 prices: sets of one shape are not numbered
+    # back to back, so their block is gathered
+    mixed = GpInstance.of(4, [(0, 1, 2, 1), (1, 2, F(9, 4), 2), (2, 3, 2, 1), (0, 3, F(5, 2), 1)])
     return [
         build_sa_lp(triangle(), rounds=3),
         build_sa_lp(two, rounds=3),
         build_sa_lp(gp, rounds=2, price_grid=[geometric_grid(b, F(1, 2)) for b in (2, 2, F(3, 2))]),
+        build_sa_lp(mixed, rounds=2,
+                    price_grid=[geometric_grid(b, F(1, 2)) for b in (2, F(9, 4), 2, F(9, 4))]),
     ]
 
 
@@ -444,6 +449,12 @@ def test_lp_tables_are_slices_of_the_vertex(lp):
     for S, arr in ref.tables.items():
         assert sol.tables[S].tolist() == arr.tolist()
     assert list(sol.text_rows()) == list(ref.text_rows())
+    # one block per table shape, its rows in sets() order
+    shapes = {tuple(len(lp.domains[v]) for v in S) for S in lp.sets}
+    assert sorted(block.shape for block in sol.blocks) == sorted(shapes)
+    assert len(sol.values) == len(lp.var_index)
+    got, want = check_sa_consistency(sol), check_sa_consistency(ref)
+    assert got.ok and got.identities_checked == want.identities_checked
 
 
 @given(

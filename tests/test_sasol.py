@@ -6,13 +6,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gmdlab.core import GmdInstance
+import gmdlab.sasol as sasol
+from gmdlab.caps import Caps
+from gmdlab.core import CapExceeded, GmdInstance, InstanceError, parse_instance
+from gmdlab.rng import substream
 from gmdlab.salp import check_sa_consistency
 from gmdlab.sasol import (
     AmbiguousPathError,
     EdgeVectorSystem,
     EmbeddingError,
     TableMismatchError,
+    _argmax_labels,
     _check_arc_counts,
     _gram_matrix,
     build_sa_solution,
@@ -381,3 +385,121 @@ def test_arc_counts_must_match_pair_tables():
     _check_arc_counts(back, {(0, 1): table}, [4])
     with pytest.raises(TableMismatchError):
         _check_arc_counts(back, {(0, 1): table.T.copy()}, [4])
+
+
+def per_set_build(inst, mu, L, k, trials, seed, sets=None, batch=100_000):
+    """The per-set bincount loop that the block build replaced: each set's
+    counts, each arc's satisfied-sample count, and the objective."""
+    vs = embed_vectors(pairwise_rho(inst, mu, L))
+    q = inst.T + 1
+    if sets is None:
+        sets = [S for size in range(1, k + 1) for S in itertools.combinations(range(inst.n), size)]
+    else:
+        sets = [tuple(sorted(S)) for S in sets]
+    counts = {S: np.zeros(q ** len(S), dtype=np.int64) for S in sets}
+    sat_counts = [0] * len(inst.arcs)
+    rng = substream(seed, 0)
+    done = 0
+    while done < trials:
+        step = min(batch, trials - done)
+        g = rng.standard_normal((step, vs.dim))
+        labels = _argmax_labels(g @ vs.factors.T, q)
+        by_vertex = np.ascontiguousarray(labels.T)
+        for S in sets:
+            code = by_vertex[S[0]]
+            for v in S[1:]:
+                code = code * q + by_vertex[v]
+            counts[S] += np.bincount(code, minlength=q ** len(S))
+        for j, a in enumerate(inst.arcs):
+            sat_counts[j] += int(
+                np.count_nonzero((labels[:, a.tail] == 0) & (labels[:, a.head] == a.label))
+            )
+        done += step
+    tables = {S: c.reshape((q,) * len(S)) for S, c in counts.items()}
+    objective = sum((a.weight * F(sat, trials) for a, sat in zip(inst.arcs, sat_counts)), F(0))
+    return tables, sat_counts, objective
+
+
+def identity_count(tables):
+    """Identities the audit checks: one per entry and per set, plus one per
+    entry of each nested smaller set that has a table."""
+    total = 0
+    for S, arr in tables.items():
+        total += arr.size + 1
+        for size in range(1, len(S)):
+            total += sum(tables[sub].size for sub in itertools.combinations(S, size) if sub in tables)
+    return total
+
+
+def tree_t3():
+    return GmdInstance.of(
+        3, 6, [(0, 1, 2, 1), (1, 2, 3, F(1, 2)), (3, 1, 1, 2), (2, 4, 1, 1), (5, 4, 3, F(1, 3))]
+    )
+
+
+BLOCK_CASES = [
+    # (instance, L, k, trials, seed, sets, batch)
+    ("gap12", 1, 1, 300, 0, None, 100_000),
+    ("gap12", 1, 2, 500, 1, None, 100_000),
+    ("gap12", 2, 3, 400, 2, None, 128),
+    ("path-t1", 2, 3, 333, 3, None, 100),
+    ("path-t3", 2, 2, 250, 4, None, 100_000),
+    ("tree-t3", 3, 3, 701, 5, None, 256),
+    ("tree-t3", 3, 3, 300, 6, [(0, 4, 5), (3, 1), (2,), (1, 2, 3), (5, 0), (4,)], 97),
+    ("gap12", 1, 3, 200, 7, [(11, 3, 7), (3, 7), (0,), (2, 9, 10), (9, 10), (3, 11)], 100_000),
+]
+
+
+def block_instance(name):
+    if name == "gap12":
+        with open(GOLDEN_GAP12) as fh:
+            return parse_instance(fh.read())
+    return {"path-t1": path2(T=1, t1=1, t2=1), "path-t3": path2(T=3, t1=2, t2=3),
+            "tree-t3": tree_t3()}[name]
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 50])
+@pytest.mark.parametrize("case", BLOCK_CASES, ids=[f"{c[0]}-k{c[2]}-{i}" for i, c in enumerate(BLOCK_CASES)])
+def test_block_build_matches_per_set_loop(case, chunk, monkeypatch):
+    name, L, k, trials, seed, sets, batch = case
+    if chunk is not None:
+        monkeypatch.setattr(sasol, "COUNT_CHUNK_ENTRIES", chunk)
+    inst = block_instance(name)
+    tables, sat_counts, objective = per_set_build(inst, F(1, 2), L, k, trials, seed, sets, batch)
+    result = build_sa_solution(inst, F(1, 2), L, k, trials, seed, sets=sets, batch=batch)
+    sol = result.solution
+    assert result.objective == objective
+    assert sorted(sol.tables) == sorted(tables) and sol.sets() == sorted(tables, key=lambda S: (len(S), S))
+    for S, arr in tables.items():
+        assert sol.tables[S].dtype == np.int64
+        assert np.array_equal(sol.tables[S], arr), S
+    _check_arc_counts(inst, sol.tables, sat_counts)
+    assert len(sol.values) == sum(arr.size for arr in tables.values())
+    report = check_sa_consistency(sol)
+    assert report.ok and report.identities_checked == identity_count(tables)
+
+
+def test_repeated_set_is_counted_once():
+    # the per-set loop counted a set named twice twice, breaking normalization
+    inst = path2()
+    once = build_sa_solution(inst, F(1, 2), 1, 2, 50, 0, sets=[(0, 1)]).solution
+    twice = build_sa_solution(inst, F(1, 2), 1, 2, 50, 0, sets=[(1, 0), (0, 1)]).solution
+    assert np.array_equal(once.tables[(0, 1)], twice.tables[(0, 1)])
+    assert len(twice.values) == 9 and check_sa_consistency(twice).ok
+
+
+def test_build_sa_solution_rejects_bad_sets():
+    inst = path2()
+    for sets in ([()], [(0, 3)], [(1, 1)], [(-1, 2)]):
+        with pytest.raises(InstanceError, match="requested set"):
+            build_sa_solution(inst, F(1, 2), 1, 2, 10, 0, sets=sets)
+
+
+def test_table_cap_counts_requested_entries():
+    inst = path2()  # q = 3: 3 * 3 + 3 * 9 + 27 = 63 entries at k = 3
+    build_sa_solution(inst, F(1, 2), 2, 3, 10, 0, caps=Caps(sa_table_entries=63))
+    with pytest.raises(CapExceeded, match="size <= 3 need 63 table entries, over cap 62"):
+        build_sa_solution(inst, F(1, 2), 2, 3, 10, 0, caps=Caps(sa_table_entries=62))
+    with pytest.raises(CapExceeded, match="requested sets need 36"):
+        build_sa_solution(inst, F(1, 2), 2, 3, 10, 0, sets=[(0, 1, 2), (1, 0), (0, 1)],
+                          caps=Caps(sa_table_entries=35))
