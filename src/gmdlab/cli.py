@@ -20,6 +20,17 @@ import sys
 import tempfile
 from fractions import Fraction
 
+# the builtin sha256 module adds about 28 KB RSS; hashlib, the last resort,
+# loads libcrypto (about 3.6 MB), which only runs that import numpy.random
+# pay anyway
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
+
 from . import __version__
 from .caps import Caps, caps_from_env
 from .core import (
@@ -44,21 +55,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@functools.cache
-def _sha256():
-    """sha256 from the interpreter's builtin module, which adds about 28 KB
-    RSS; hashlib, the fallback, loads libcrypto (about 3.6 MB), which only
-    runs that import numpy.random pay anyway."""
-    try:
-        from _sha2 import sha256  # Python 3.12+
-    except ImportError:
-        try:
-            from _sha256 import sha256  # Python 3.10, 3.11
-        except ImportError:
-            from hashlib import sha256
-    return sha256
-
-
 def _config_hash(argv) -> str:
     """Hash of the semantic configuration: output destinations excluded."""
     kept = []
@@ -71,7 +67,7 @@ def _config_hash(argv) -> str:
             skip = True
             continue
         kept.append(tok)
-    return _sha256()("\x1f".join(kept).encode()).hexdigest()[:12]
+    return sha256("\x1f".join(kept).encode()).hexdigest()[:12]
 
 
 def _atomic_write(path: str, text):

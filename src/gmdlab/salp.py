@@ -115,35 +115,20 @@ class SaSolution:
         self._orders = [None if order == list(range(len(order))) else order for order in orders]
         self._ascending = [tuple(dom[i] for i in order) for dom, order in zip(self.domains, orders)]
         n = len(self.domains)
-        sizes = np.array([len(dom) for dom in self.domains], dtype=np.int64)
         self._where: dict = {}  # set -> (block, row)
         self._codes = []        # per block: the rank keys of its rows
         self._by_shape: dict = {}
         for b, block in enumerate(self.blocks):
-            verts, shape = block.vertices, block.shape
-            if verts.ndim != 2 or block.counts.ndim != verts.shape[1] + 1 or (
-                len(block.counts) != len(verts)
-            ):
-                raise InstanceError(f"block of shape {block.counts.shape} does not match its sets")
-            if shape in self._by_shape:
-                raise InstanceError(f"two blocks of table shape {shape}")
-            if verts.size and (verts.min() < 0 or verts.max() >= n):
-                raise InstanceError(f"a set of the block of shape {shape} names no vertex")
-            want = sizes[verts]
-            bad = np.flatnonzero((want != shape).any(axis=1))
-            if bad.size:
+            codes = _set_codes(block.vertices, n)
+            if block.shape in self._by_shape or not (codes[1:] > codes[:-1]).all():
                 raise InstanceError(
-                    f"table of set {tuple(verts[bad[0]].tolist())} has shape {shape}, "
-                    f"want {tuple(want[bad[0]].tolist())}"
+                    f"the block of shape {block.shape} repeats a shape or is not in sets() order"
                 )
-            codes = _set_codes(verts, n)
-            if not (codes[1:] > codes[:-1]).all():
-                raise InstanceError(f"the sets of the block of shape {shape} are not in sets() order")
-            self._by_shape[shape] = b
+            self._by_shape[block.shape] = b
             self._codes.append(codes)
             # a set's table shape names its block, so no set is in two blocks
             self._where.update(
-                zip(map(tuple, verts.tolist()), zip(itertools.repeat(b), range(len(verts))))
+                zip(map(tuple, block.vertices.tolist()), zip(itertools.repeat(b), range(len(block))))
             )
 
     @classmethod

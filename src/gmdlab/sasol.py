@@ -608,7 +608,10 @@ def build_sa_solution(
     table = pairwise_rho(inst, mu, L)
     vs = embed_vectors(table, psd_tol=psd_tol)
     if sets is None:
-        sets = [S for size in range(1, k + 1) for S in itertools.combinations(range(inst.n), size)]
+        sets = [
+            S for size in range(1, min(k, inst.n) + 1)
+            for S in itertools.combinations(range(inst.n), size)
+        ]
     by_size: dict = {}  # one block per set size, in sets() order
     for S in sets:
         by_size.setdefault(len(S), []).append(S)
