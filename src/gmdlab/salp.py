@@ -267,12 +267,10 @@ def _set_codes(vertices: np.ndarray, n: int) -> np.ndarray:
     """Rank keys of equal-size sets: the vertices read as base-n digits, so
     key order is lexicographic set order.  Python ints once n^size
     overflows int64."""
-    if n ** vertices.shape[1] >= 2**63:
-        vertices = vertices.astype(object)
-    codes = np.zeros(len(vertices), dtype=vertices.dtype)
-    for column in vertices.T:
-        codes = codes * n + column
-    return codes
+    size = vertices.shape[1]
+    if n**size < 2**63:
+        return vertices @ n ** np.arange(size - 1, -1, -1, dtype=np.int64)
+    return vertices.astype(object) @ np.array([n**i for i in range(size - 1, -1, -1)], dtype=object)
 
 
 class _TableMap(Mapping):
@@ -553,7 +551,8 @@ def check_sa_consistency(sol: SaSolution) -> ConsistencyReport:
         flat = block.counts.reshape(len(block), -1)
         report.identities_checked += flat.size + len(flat)
         bad = (flat < 0).any(axis=1) | (flat.sum(axis=1) != denom)
-        failing.update(map(tuple, block.vertices[bad].tolist()))
+        if bad.any():
+            failing.update(map(tuple, block.vertices[bad].tolist()))
         shape = block.shape
         for kept, free in _nested_axes(len(shape)):
             sub = sol._by_shape.get(tuple(shape[i] for i in kept))
@@ -561,17 +560,19 @@ def check_sa_consistency(sol: SaSolution) -> ConsistencyReport:
                 continue
             sub_codes = sol._codes[sub]
             codes = _set_codes(block.vertices[:, kept], len(sol.domains))
-            ranks = np.searchsorted(sub_codes, codes)
-            found = sub_codes[np.minimum(ranks, len(sub_codes) - 1)] == codes
-            if not found.any():
+            ranks = sub_codes.searchsorted(codes)
+            found = sub_codes.take(ranks, mode="clip") == codes
+            present = np.count_nonzero(found)
+            if not present:
                 continue
-            counts = block.counts if found.all() else block.counts[found]
-            rhs = sol.blocks[sub].counts[ranks[found]]
+            counts, rows = (block.counts, ranks) if present == len(found) else (
+                block.counts[found], ranks[found])
+            rhs = sol.blocks[sub].counts[rows]
             report.identities_checked += rhs.size
-            lhs = np.add.reduce(counts, axis=tuple(i + 1 for i in free))
-            if np.array_equal(lhs, rhs):
+            same = np.add.reduce(counts, axis=tuple(i + 1 for i in free)) == rhs
+            if same.all():
                 continue
-            wrong = (lhs != rhs).reshape(len(lhs), -1).any(axis=1)
+            wrong = ~same.reshape(len(rhs), -1).all(axis=1)
             failing_pairs.update(map(tuple, block.vertices[found][wrong].tolist()))
     if failing or failing_pairs:
         _list_violations(sol, sorted(failing, key=_set_order),

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from gmdlab.salp import (
     ConsistencyReport,
     SaSolution,
     Violation,
+    _set_codes,
     build_sa_lp,
     check_sa_consistency,
     default_price_grid,
@@ -389,6 +391,15 @@ def test_table_view_matches_values(case):
         (" ".join(map(str, S)), " ".join(map(str, alpha)), str(x))
         for (S, alpha), x in sorted(values.items())
     ]
+
+
+@pytest.mark.parametrize("n", [7, 2**21 + 5])
+def test_set_codes_rank_sets_lexicographically(n):
+    # past 2^63 (n^3 here for the larger n) the keys are Python ints
+    sets = sorted({tuple(sorted(random.Random(n + i).sample(range(n), 3))) for i in range(40)})
+    codes = _set_codes(np.array(sets, dtype=np.int64), n)
+    assert codes.tolist() == [(a * n + b) * n + c for a, b, c in sets]
+    assert (codes[1:] > codes[:-1]).all()
 
 
 def test_from_values_rejects_incomplete_and_foreign_entries():
