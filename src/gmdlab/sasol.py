@@ -585,26 +585,22 @@ def build_sa_solution(
     if k < 1:
         raise InstanceError("k must be >= 1")
     q = inst.T + 1
-    if sets is not None:
-        sets = sorted({tuple(sorted(S)) for S in sets}, key=lambda S: (len(S), S))
-        if any(len(S) > k for S in sets):
-            raise InstanceError("a requested set exceeds size k")
-        if any(not S or S[0] < 0 or S[-1] >= inst.n or len(set(S)) < len(S) for S in sets):
-            raise InstanceError("a requested set is empty, repeats a vertex or names no vertex")
-        entries = sum(q ** len(S) for S in sets)
-        if entries > caps.sa_table_entries:
-            raise CapExceeded(
-                f"the requested sets need {entries} table entries, over cap {caps.sa_table_entries}"
-            )
+    if sets is None:
+        # C(n, size) sets of each size; counting stops once over the cap
+        totals = itertools.accumulate(
+            math.comb(inst.n, size) * q**size for size in range(1, min(k, inst.n) + 1)
+        )
+        entries = next((t for t in totals if t > caps.sa_table_entries), 0)
     else:
-        entries = 0
-        for size in range(1, min(k, inst.n) + 1):
-            entries += math.comb(inst.n, size) * q**size
-            if entries > caps.sa_table_entries:
-                raise CapExceeded(
-                    f"sets of size <= {size} need {entries} table entries, "
-                    f"over cap {caps.sa_table_entries}"
-                )
+        sets = sorted({tuple(sorted(S)) for S in sets}, key=lambda S: (len(S), S))
+        if any(not S or len(S) > k or S[0] < 0 or S[-1] >= inst.n or len(set(S)) < len(S)
+               for S in sets):
+            raise InstanceError(
+                f"a requested set is empty, exceeds size k={k}, repeats a vertex or names no vertex"
+            )
+        entries = sum(q ** len(S) for S in sets)
+    if entries > caps.sa_table_entries:
+        raise CapExceeded(f"at least {entries} table entries exceed cap {caps.sa_table_entries}")
     table = pairwise_rho(inst, mu, L)
     vs = embed_vectors(table, psd_tol=psd_tol)
     if sets is None:

@@ -408,7 +408,7 @@ def test_sasol_table_cap_checked_before_any_work(capsys):
     code = run_command(["sasol", "--in", os.path.join(GOLDEN, "gap-n200-s0.gmd"), "--k", "3"])
     assert code == 2
     assert time.perf_counter() - start < 1.0
-    assert "size <= 3 need 35641500 table entries, over cap 4000000" in capsys.readouterr().err
+    assert "at least 35641500 table entries exceed cap 4000000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["salp", "solve"])

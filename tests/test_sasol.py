@@ -490,16 +490,16 @@ def test_repeated_set_is_counted_once():
 
 def test_build_sa_solution_rejects_bad_sets():
     inst = path2()
-    for sets in ([()], [(0, 3)], [(1, 1)], [(-1, 2)]):
+    for sets in ([()], [(0, 3)], [(1, 1)], [(-1, 2)], [(0, 1, 2)]):
         with pytest.raises(InstanceError, match="requested set"):
-            build_sa_solution(inst, F(1, 2), 1, 2, 10, 0, sets=sets)
+            build_sa_solution(inst, F(1, 2), 1, 2, 10, 0, sets=sets)  # k = 2
 
 
 def test_table_cap_counts_requested_entries():
     inst = path2()  # q = 3: 3 * 3 + 3 * 9 + 27 = 63 entries at k = 3
     build_sa_solution(inst, F(1, 2), 2, 3, 10, 0, caps=Caps(sa_table_entries=63))
-    with pytest.raises(CapExceeded, match="size <= 3 need 63 table entries, over cap 62"):
+    with pytest.raises(CapExceeded, match="at least 63 table entries exceed cap 62"):
         build_sa_solution(inst, F(1, 2), 2, 3, 10, 0, caps=Caps(sa_table_entries=62))
-    with pytest.raises(CapExceeded, match="requested sets need 36"):
+    with pytest.raises(CapExceeded, match="at least 36 table entries"):
         build_sa_solution(inst, F(1, 2), 2, 3, 10, 0, sets=[(0, 1, 2), (1, 0), (0, 1)],
                           caps=Caps(sa_table_entries=35))
