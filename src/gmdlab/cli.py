@@ -116,9 +116,10 @@ def emit_report(rows, path: str, header: list[str], argv, seed) -> None:
     _atomic_write(path, _text_chunks(iter(lines)))
 
 
-def _text_chunks(lines, size: int = 4096):
-    """The lines as newline-terminated strings of up to `size` lines each."""
-    while chunk := list(itertools.islice(lines, size)):
+def _text_chunks(lines):
+    """The lines of an iterator as newline-terminated strings of up to 4,096
+    lines each."""
+    while chunk := list(itertools.islice(lines, 4096)):
         yield "\n".join(chunk) + "\n"
 
 

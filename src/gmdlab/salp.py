@@ -24,7 +24,8 @@ the lcm of their denominators (object dtype, so they never overflow), each
 block a reshaped slice, or a gather, of the simplex's numerator vector.
 The consistency audit is integer work a block at a time: a sign test, row
 sums, and per kept-axes pattern one axis sum against the sub-block's rows,
-found by a rank lookup; the CSV text is formatted a block at a time too.
+found by a rank lookup; the CSV text reads each block's numerators in one
+call.
 
 Grid sizes are known before any grid is built: geometric_grid_size gives a
 geometric grid's length from logarithms.
