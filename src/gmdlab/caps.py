@@ -19,7 +19,8 @@ class Caps:
     sa_rounds: int = 3
     sa_domain: int = 5
     lp_variables: int = 3_000
-    sa_table_entries: int = 4_000_000  # sum of (T+1)^|S| over a sasol build's sets
+    sa_table_entries: int = 4_000_000  # sum of (T+1)^|S| over a sasol build's sets;
+    # the benchmark's largest build (k=3, n=16, T=2) has 16,248
     test_edges: int = 300_000    # dictatorship-test instance materialization
     influence_states: int = 2_000_000
 
