@@ -21,7 +21,7 @@ order.  `tables[S]`, `values`, `get` and `marginal` read views into the
 blocks.  Tables sampled by sasol.py are int64 counts over the number of
 trials, one block per set size; LP tables hold Python-int numerators over
 the lcm of their denominators (object dtype, so they never overflow), each
-block a reshaped slice, or a gather, of the simplex's numerator vector.
+block gathered from the simplex's numerator vector.
 The consistency audit is integer work a block at a time: a sign test, row
 sums, and per kept-axes pattern one axis sum against the sub-block's rows,
 found by a rank lookup; the CSV text reads each block's numerators in one
@@ -482,11 +482,10 @@ def solve_lp_exact(lp: SaLp) -> tuple[Fraction, SaSolution]:
     """The LP's exact optimum and its vertex as a solution table.
 
     build_sa_lp numbers a set's assignments consecutively in row-major
-    domain order, sets by size and then in combinations order, and the
-    vertex's numerators share one denominator, the lcm of its denominators.
-    So each shape's block is one reshaped slice of the numerator vector
-    when its sets are numbered back to back (always for max-dicut), and a
-    gather of its sets' rows otherwise (price grids of different sizes).
+    domain order, and the vertex's numerators share one denominator, the
+    lcm of its denominators.  So each shape's block gathers, for each of
+    its sets, the run of numerators that starts at the set's first
+    assignment.
     """
     rows = [row for row, _ in lp.constraints]
     rhs = [r for _, r in lp.constraints]
@@ -499,12 +498,7 @@ def solve_lp_exact(lp: SaLp) -> tuple[Fraction, SaSolution]:
         starts.append(lp.var_index[(S, tuple(lp.domains[v][0] for v in S))])
     blocks = []
     for shape, (sets, starts) in groups.items():
-        width = math.prod(shape)
-        first = starts[0]
-        if starts == list(range(first, first + width * len(starts), width)):
-            nums = result.numerators[first:first + width * len(starts)]
-        else:
-            nums = result.numerators[np.add.outer(starts, np.arange(width))]
+        nums = result.numerators[np.add.outer(starts, np.arange(math.prod(shape)))]
         verts = np.array(sets, dtype=np.int64).reshape(len(sets), len(shape))
         blocks.append(TableBlock(verts, nums.reshape((len(sets),) + shape)))
     sol = SaSolution(blocks, result.denom, lp.rounds, lp.domains, lp_path=result.path)

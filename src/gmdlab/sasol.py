@@ -585,12 +585,13 @@ def build_sa_solution(
     if k < 1:
         raise InstanceError("k must be >= 1")
     q = inst.T + 1
+    cap = min(caps.sa_table_entries, 2**31 - 1)  # the counting's codes are int32
     if sets is None:
         # C(n, size) sets of each size; counting stops once over the cap
         totals = itertools.accumulate(
             math.comb(inst.n, size) * q**size for size in range(1, min(k, inst.n) + 1)
         )
-        entries = next((t for t in totals if t > caps.sa_table_entries), 0)
+        entries = next((t for t in totals if t > cap), 0)
     else:
         sets = sorted({tuple(sorted(S)) for S in sets}, key=lambda S: (len(S), S))
         if any(not S or len(S) > k or S[0] < 0 or S[-1] >= inst.n or len(set(S)) < len(S)
@@ -599,8 +600,8 @@ def build_sa_solution(
                 f"a requested set is empty, exceeds size k={k}, repeats a vertex or names no vertex"
             )
         entries = sum(q ** len(S) for S in sets)
-    if entries > caps.sa_table_entries:
-        raise CapExceeded(f"at least {entries} table entries exceed cap {caps.sa_table_entries}")
+    if entries > cap:
+        raise CapExceeded(f"at least {entries} table entries exceed cap {cap}")
     table = pairwise_rho(inst, mu, L)
     vs = embed_vectors(table, psd_tol=psd_tol)
     if sets is None:
@@ -667,14 +668,14 @@ def _count_block(by_vertex: np.ndarray, vertices: np.ndarray, q: int, out: np.nd
 
     A chunk of sets is counted by one bincount: a sample's code is its
     labels on the set read as base-q digits, offset by q^size times the
-    set's position in the chunk.  The chunk is sized so that neither the
-    codes nor the counts exceed COUNT_CHUNK_ENTRIES entries; codes stay in
-    the dtype of `by_vertex` while they fit it.
+    set's position in the chunk.  The chunk holds as many sets as keep
+    chunk * max(samples, q^size) within COUNT_CHUNK_ENTRIES, and one set
+    when the samples or the table alone are larger.  Codes stay below
+    max(COUNT_CHUNK_ENTRIES, q^size), which build_sa_solution's cap keeps
+    within int32.
     """
     width = out.shape[1]
     chunk = max(1, COUNT_CHUNK_ENTRIES // max(by_vertex.shape[1], width))
-    if chunk * width > np.iinfo(by_vertex.dtype).max:
-        by_vertex = by_vertex.astype(np.int64)
     for lo in range(0, len(vertices), chunk):
         part = vertices[lo:lo + chunk]
         code = by_vertex[part[:, 0]]

@@ -503,3 +503,12 @@ def test_table_cap_counts_requested_entries():
     with pytest.raises(CapExceeded, match="at least 36 table entries"):
         build_sa_solution(inst, F(1, 2), 2, 3, 10, 0, sets=[(0, 1, 2), (1, 0), (0, 1)],
                           caps=Caps(sa_table_entries=35))
+
+
+def test_table_cap_stops_below_int32_codes():
+    # 3^20 entries in one table would overflow the counting's int32 codes,
+    # so a raised cap still refuses it before any work
+    inst = GmdInstance.of(2, 20, [(0, 1, 1, F(1))])
+    with pytest.raises(CapExceeded, match=f"exceed cap {2**31 - 1}"):
+        build_sa_solution(inst, F(1, 2), 1, 20, 10, 0, sets=[tuple(range(20))],
+                          caps=Caps(sa_table_entries=2**40))
