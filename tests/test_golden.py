@@ -30,6 +30,9 @@ CASES = (
     ("sasol-k2.csv", ["sasol", "--in", "gap12.gmd", "--k", "2", "--trials", "500", "--seed", "0"], None),
     ("sasol-k3.csv", ["sasol", "--in", "gap12.gmd", "--k", "3", "--L", "2", "--trials", "400",
                       "--seed", "1"], None),
+    # enough trials that the rounding runs in several batches
+    ("sasol-k2-multibatch.csv", ["sasol", "--in", "gap12.gmd", "--k", "2", "--trials", "40000",
+                                 "--seed", "2"], None),
     ("salp-r2.csv", ["salp", "--in", "c4.gmd", "--rounds", "2"], None),
     ("salp-r3.csv", ["salp", "--in", "c4.gmd", "--rounds", "3"], None),
     ("salp-half.csv", ["salp", "--in", "p3.gp", "--rounds", "2", "--grid", "half"], None),
