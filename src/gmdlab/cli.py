@@ -111,7 +111,7 @@ def emit_report(rows, path: str, header: list[str], argv, seed) -> None:
     if first is not None:
         rows = itertools.chain([first], rows)
         if isinstance(first, dict):
-            rows = ([_cell(row.get(col, "")) for col in header] for row in rows)
+            rows = ([str(row.get(col, "")) for col in header] for row in rows)
         lines = itertools.chain(lines, map(",".join, rows))
     _atomic_write(path, _text_chunks(iter(lines)))
 
@@ -121,12 +121,6 @@ def _text_chunks(lines):
     lines each."""
     while chunk := list(itertools.islice(lines, 4096)):
         yield "\n".join(chunk) + "\n"
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 _PLOT_TEMPLATE = """\
@@ -331,6 +325,7 @@ def _cmd_salp(args, caps, argv) -> int:
 
 def _cmd_gap(args, caps, argv) -> int:
     from .gapgen import PipelineConfig, generate_base_dag, sparsify_pipeline
+    from .graphs import max_degree
 
     if args.delta < 1:  # p_keep is derived from it below
         raise InstanceError(f"--delta must be >= 1, got {args.delta}")
@@ -352,17 +347,13 @@ def _cmd_gap(args, caps, argv) -> int:
     if args.p_keep:
         p_keep = Fraction(args.p_keep)
     else:
-        deg = [0] * base.n
-        for u, v in base.arcs:
-            deg[u] += 1
-            deg[v] += 1
-        delta_star = max(deg) if base.arcs else 1
+        delta_star = max_degree(base.n, base.arcs) or 1
         p_keep = min(Fraction(1), Fraction(args.delta, delta_star))
     cfg = PipelineConfig(
         n=base.n,
         T=args.T,
         Delta=args.delta,
-        p_keep=min(Fraction(1), p_keep),
+        p_keep=p_keep,
         l=args.l,
         mu=Fraction(args.mu),
         k_max=args.kmax,

@@ -176,9 +176,6 @@ class TestInstance:
     R: int
     space: CorrelatedSpace
 
-    def vertex_id(self, inner_vertex: int, x: Sequence[int]) -> int:
-        return inner_vertex * self.space.q**self.R + encode_point(x, self.space.q)
-
 
 def _inner_arcs(inner) -> tuple[DagSkeleton, tuple[tuple[int, int], ...]]:
     if isinstance(inner, DagSkeleton):

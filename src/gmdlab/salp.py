@@ -412,11 +412,13 @@ def build_sa_lp(
         grid_note = "custom"
     else:
         raise InstanceError(f"not an instance: {inst!r}")
-    for dom in domains:
+    for v, dom in enumerate(domains):
         if len(dom) > caps.sa_domain:
             raise CapExceeded(f"domain size {len(dom)} exceeds cap {caps.sa_domain}")
         if len(dom) == 0:
             raise InstanceError("empty domain")
+        if len(set(dom)) < len(dom):  # the variables number each value once
+            raise InstanceError(f"price grid of vertex {v} repeats a price")
 
     rounds_eff = min(rounds, inst.n)
     sets: list[SetKey] = []

@@ -21,6 +21,12 @@ label; each batch of samples is counted into a block with one bincount per
 chunk of sets, and no per-entry rational is built.  The total table size is
 capped (Caps.sa_table_entries) before any work.  The Gram matrix takes one
 float per distinct rho value, converted once from its exact Fraction.
+
+One sampler, _rounded_labels, serves both the tables and the rounding
+estimates.  It draws the trials in order from substream(seed, 0), in batches
+of ROUND_BATCH_ENTRIES // max(rows, dim) trials for a rows x dim factor
+matrix, so memory does not grow with the trial count, and the labels do not
+depend on the batch size.
 """
 
 from __future__ import annotations
@@ -313,40 +319,35 @@ class VectorSystem:
     def q(self) -> int:
         return self.T + 1
 
-    def rows_for(self, v: int) -> np.ndarray:
-        pos = self.vertices.index(v)
-        return self.factors[pos * self.q:(pos + 1) * self.q]
-
     @property
     def dim(self) -> int:
         return self.factors.shape[1]
 
 
-def embed_vectors(
-    table: PairwiseTable,
-    S: Optional[Sequence[int]] = None,
-    psd_tol: float = 1e-9,
-) -> VectorSystem:
+# eigenvalues in [-PSD_TOL, 0) are rounding noise of a PSD Gram matrix
+PSD_TOL = 1e-9
+
+
+def embed_vectors(table: PairwiseTable, S: Optional[Sequence[int]] = None) -> VectorSystem:
     """Eigen-factor the Gram matrix mu/2 + rho (+ mu/2 on the diagonal).
 
-    Eigenvalues in [-psd_tol, 0) are clamped to zero and reported; anything
+    Eigenvalues in [-PSD_TOL, 0) are clamped to zero and reported; anything
     lower signals a parameter regime where no such embedding exists and
-    raises.  The factor must reproduce the Gram entrywise within
-    max(1e-9, 2 * psd_tol).
+    raises.  The factor must reproduce the Gram entrywise within 2 * PSD_TOL.
     """
     inst = table.inst
     S = tuple(sorted(S if S is not None else range(inst.n)))
     gram = _gram_matrix(table, S)
     eigvals, eigvecs = np.linalg.eigh(gram)
-    if eigvals.min() < -psd_tol:
+    if eigvals.min() < -PSD_TOL:
         raise EmbeddingError(
-            f"Gram minimum eigenvalue {eigvals.min():.3e} below -{psd_tol:.1e}"
+            f"Gram minimum eigenvalue {eigvals.min():.3e} below -{PSD_TOL:.1e}"
         )
     clamped = tuple(float(v) for v in eigvals[eigvals < 0])
     eigvals = np.clip(eigvals, 0.0, None)
     factors = eigvecs * np.sqrt(eigvals)
     err = np.abs(factors @ factors.T - gram).max()
-    if err > max(1e-9, 2 * psd_tol):
+    if err > 2 * PSD_TOL:
         raise EmbeddingError(f"factorization error {err:.3e} too large")
     return VectorSystem(
         vertices=S,
@@ -473,12 +474,48 @@ def _argmax_labels(scores: np.ndarray, q: int) -> np.ndarray:
     return scores.reshape(t, total // q, q).argmax(axis=2)
 
 
+# entries of one batch's Gaussian draws and of its scores: 8 MB of float64
+# each.  A batch is ROUND_BATCH_ENTRIES // max(rows, dim) trials, 8,738 for
+# the 120 x 120 factors of a 40-vertex instance with T = 2.
+ROUND_BATCH_ENTRIES = 1 << 20
+
+
+def _rounded_labels(factors: np.ndarray, q: int, trials: int, seed: int):
+    """Shared-Gaussian argmax rounding of `trials` samples, batch by batch.
+
+    Each trial draws one standard Gaussian of the factors' dimension from
+    substream(seed, 0), in order, and labels every vertex (q consecutive
+    factor rows) by its row of largest score.  Yields (vertices, batch)
+    int32 label rows, vertex-major so that each vertex's labels are
+    contiguous.  A trial's labels depend on its own draws alone, so any
+    batch size gives the same labels.
+    """
+    rows, dim = factors.shape
+    batch = max(1, ROUND_BATCH_ENTRIES // max(rows, dim))
+    rng = substream(seed, 0)
+    for done in range(0, trials, batch):
+        step = min(batch, trials - done)
+        # one expression, so that no draw or score outlives it: only the
+        # int32 rows stay alive while the caller counts them
+        yield np.ascontiguousarray(
+            _argmax_labels(rng.standard_normal((step, dim)) @ factors.T, q).T, dtype=np.int32
+        )
+
+
+def _count_arcs(
+    by_vertex: np.ndarray, arcs: Sequence[tuple[int, int, int]], out: np.ndarray
+) -> None:
+    """Add to out[j] the samples that satisfy arc j = (tail row, head row,
+    label): tail label 0 and head label equal to the arc's label."""
+    for j, (tail, head, label) in enumerate(arcs):
+        out[j] += np.count_nonzero((by_vertex[tail] == 0) & (by_vertex[head] == label))
+
+
 def round_and_estimate(
     vs,
     trials: int,
     seed: int,
     vertices: Optional[Sequence[int]] = None,
-    batch: int = 100_000,
 ) -> RoundingEstimate:
     """Shared-Gaussian argmax rounding with per-edge satisfaction estimates.
 
@@ -494,38 +531,26 @@ def round_and_estimate(
         matrix = np.vstack([vs.vectors_u, vs.vectors_v])
         verts = (0, 1)
         arcs = [(0, 1, vs.label)]
-        q = vs.q
     else:
         if vs.factors.size == 0:
             raise InstanceError("empty vector system")
         matrix = vs.factors
         verts = vs.vertices
-        arcs = [
-            (a.tail, a.head, a.label)
-            for a in vs.inst.arcs
-            if a.tail in set(verts) and a.head in set(verts)
-        ]
-        q = vs.q
+        arcs = [(a.tail, a.head, a.label) for a in vs.inst.arcs]
+    q = vs.q
     request = tuple(verts if vertices is None else sorted(vertices))
     pos = {v: i for i, v in enumerate(verts)}
-    rng = substream(seed, 0)
+    edges = [arc for arc in arcs if arc[0] in request and arc[1] in request]
+    edge_rows = [(pos[u], pos[v], t) for u, v, t in edges]
     marg = np.zeros((len(request), q), dtype=np.int64)
-    edge_hits = {arc: 0 for arc in arcs if arc[0] in request and arc[1] in request}
-    done = 0
-    while done < trials:
-        step = min(batch, trials - done)
-        g = rng.standard_normal((step, matrix.shape[1]))
-        labels = _argmax_labels(g @ matrix.T, q)
+    hits = np.zeros(len(edges), dtype=np.int64)
+    for by_vertex in _rounded_labels(matrix, q, trials, seed):
         for r, v in enumerate(request):
-            marg[r] += np.bincount(labels[:, pos[v]], minlength=q)
-        for (u, v, t) in edge_hits:
-            edge_hits[(u, v, t)] += int(
-                np.count_nonzero((labels[:, pos[u]] == 0) & (labels[:, pos[v]] == t))
-            )
-        done += step
+            marg[r] += np.bincount(by_vertex[pos[v]], minlength=q)
+        _count_arcs(by_vertex, edge_rows, hits)
     per_edge = {}
-    for arc, hits in edge_hits.items():
-        p = hits / trials
+    for arc, h in zip(edges, hits.tolist()):
+        p = h / trials
         per_edge[arc] = (p, math.sqrt(max(p * (1 - p), 1e-300) / trials))
     return RoundingEstimate(
         trials=trials,
@@ -568,9 +593,7 @@ def build_sa_solution(
     k: int,
     trials: int,
     seed: int,
-    psd_tol: float = 1e-9,
     sets: Optional[Sequence[tuple[int, ...]]] = None,
-    batch: int = 100_000,
     caps: Caps = Caps(),
 ) -> SaBuildResult:
     """Empirical pseudo-distribution over all vertex sets of size <= k.
@@ -603,7 +626,7 @@ def build_sa_solution(
     if entries > cap:
         raise CapExceeded(f"at least {entries} table entries exceed cap {cap}")
     table = pairwise_rho(inst, mu, L)
-    vs = embed_vectors(table, psd_tol=psd_tol)
+    vs = embed_vectors(table)
     if sets is None:
         sets = [
             S for size in range(1, min(k, inst.n) + 1)
@@ -615,23 +638,13 @@ def build_sa_solution(
     blocks = [np.array(group, dtype=np.int64) for group in by_size.values()]
 
     counts = [np.zeros((len(verts), q ** verts.shape[1]), dtype=np.int64) for verts in blocks]
-    sat_counts = [0] * len(inst.arcs)
-    rng = substream(seed, 0)
-    done = 0
-    while done < trials:
-        step = min(batch, trials - done)
-        # one contiguous label row per vertex, int32 to halve the counting's
-        # traffic; the Gaussian draws and scores are freed before counting
-        scores = rng.standard_normal((step, vs.dim)) @ vs.factors.T
-        by_vertex = np.ascontiguousarray(_argmax_labels(scores, q).T, dtype=np.int32)
-        del scores
+    arcs = [(a.tail, a.head, a.label) for a in inst.arcs]
+    hits = np.zeros(len(arcs), dtype=np.int64)
+    for by_vertex in _rounded_labels(vs.factors, q, trials, seed):
         for verts, out in zip(blocks, counts):
             _count_block(by_vertex, verts, q, out)
-        for j, a in enumerate(inst.arcs):
-            sat_counts[j] += int(
-                np.count_nonzero((by_vertex[a.tail] == 0) & (by_vertex[a.head] == a.label))
-            )
-        done += step
+        _count_arcs(by_vertex, arcs, hits)
+    sat_counts = hits.tolist()
 
     solution = SaSolution(
         blocks=[

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -219,8 +220,10 @@ def test_gap_missing_base_file_exit_1(tmp_path, capsys):
         (["--n", "5", "--base", "window", "--window", "0"], "window must be >= 1, got 0"),
         (["--n", "5", "--base", "window", "--window-p", "1.5"], "must be in [0, 1], got 1.5"),
         (["--n", "5", "--base", "window", "--window-p", "-0.1"], "must be in [0, 1], got -0.1"),
+        (["--n", "5", "--p-keep", "3/2"], "p_keep must be in (0, 1], got 3/2"),
     ],
-    ids=["delta-0", "delta-negative", "window-0", "window-p-high", "window-p-negative"],
+    ids=["delta-0", "delta-negative", "window-0", "window-p-high", "window-p-negative",
+         "p-keep-high"],
 )
 def test_gap_bad_parameters_exit_1(tmp_path, capsys, args, message):
     csv = str(tmp_path / "gap.csv")
@@ -334,6 +337,14 @@ def test_report_round_trip(tmp_path):
     assert "a,b\n1,2" in body
 
 
+def test_emit_report_writes_float_cells_as_numbers(tmp_path):
+    # np.float64 subclasses float; its repr would be np.float64(0.1)
+    csv = str(tmp_path / "r.csv")
+    cli.emit_report([{"a": np.float64(0.1), "b": 1 / 3, "c": 2}], csv, ["a", "b", "c"],
+                    ["x"], seed=0)
+    assert open(csv).read().splitlines()[1:] == ["a,b,c", "0.1,0.3333333333333333,2"]
+
+
 def outcome(argv, capsys):
     """Exit code, stdout and stderr of one command."""
     try:
@@ -400,6 +411,32 @@ def test_run_as_module(tmp_path):
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("opt = ")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_sasol_peak_rss_does_not_grow_with_trials():
+    # 50,000 trials on a 40-vertex T=2 instance: batches of 8,738 trials keep
+    # the process near 60 MB; one batch of every trial peaked at 130 MB.  The
+    # peak is VmHWM, the process's own resident high-water mark: Linux's
+    # ru_maxrss keeps the forking process's mark across exec, here the test
+    # runner's.  One BLAS thread, so that per-thread buffers do not vary by
+    # machine.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    script = (
+        "import sys\n"
+        "from gmdlab.cli import run_command\n"
+        "assert run_command(sys.argv[1:]) == 0\n"
+        "print(next(ln for ln in open('/proc/self/status') if ln.startswith('VmHWM:')))\n"
+    )
+    argv = ["sasol", "--in", os.path.join(GOLDEN, "gap-n40-s0.gmd"), "--k", "2",
+            "--trials", "50000", "--seed", "0"]
+    done = subprocess.run([sys.executable, "-c", script] + argv, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-1] == "kB"
+    assert int(done.stdout.split()[-2]) < 100 * 1024
 
 
 def test_sasol_table_cap_checked_before_any_work(capsys):

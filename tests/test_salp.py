@@ -71,6 +71,14 @@ def test_gp_requires_grid():
         build_sa_lp(GpInstance.of(2, [(0, 1, 1, 1)]), rounds=2)
 
 
+def test_gp_grid_repeating_a_price_rejected():
+    # a repeated price broke the consecutive variable numbering that
+    # solve_lp_exact reads back, ending in an IndexError
+    with pytest.raises(InstanceError, match="vertex 0 repeats a price"):
+        build_sa_lp(GpInstance.of(2, [(0, 1, 2, 1)]), rounds=2,
+                    price_grid=[[F(0), F(1), F(1), F(2)], [F(0), F(1), F(2)]])
+
+
 def test_rounds_below_two_rejected():
     with pytest.raises(InstanceError):
         build_sa_lp(single_edge(), rounds=1)

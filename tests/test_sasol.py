@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -262,6 +263,43 @@ def test_rounding_shared_stream_consistency():
     assert np.array_equal(a.marginals[i], b.marginals[j])
 
 
+@pytest.mark.parametrize("system", ["gap12", "edge"])
+def test_rounding_estimate_independent_of_batch_size(system, monkeypatch):
+    # a trial's labels come from its own draws and its own score row, so one
+    # batch, two batches or one trial per batch give the same estimates
+    if system == "edge":
+        vs = EdgeVectorSystem(T=2, mu=0.25, label=2)  # 6 rows, 19 columns
+    else:
+        vs = embed_vectors(pairwise_rho(block_instance("gap12"), F(1, 2), L=1))  # 36 x 36
+    estimates = []
+    # batches of 1,500 (all), 1,000, 97 and 1 trials
+    for entries in (sasol.ROUND_BATCH_ENTRIES, 1_000 * vs.dim, 97 * vs.dim, 1):
+        monkeypatch.setattr(sasol, "ROUND_BATCH_ENTRIES", entries)
+        estimates.append(round_and_estimate(vs, trials=1_500, seed=11))
+    first = estimates[0]
+    assert first.per_edge
+    for est in estimates[1:]:
+        assert np.array_equal(est.marginals, first.marginals)
+        assert est.per_edge == first.per_edge
+
+
+def test_build_memory_bounded_past_one_batch():
+    # the Gaussian draws and the scores of one batch hold at most
+    # ROUND_BATCH_ENTRIES float64 each (16 MB together); tables, arc counts
+    # and label rows add a few MB, whatever the trial count
+    with open(os.path.join(os.path.dirname(GOLDEN_GAP12), "gap-n40-s0.gmd")) as fh:
+        inst = parse_instance(fh.read())  # 120 x 120 factors: 8,738 trials a batch
+    build_sa_solution(inst, F(1, 2), 1, 1, 10, 0)  # first-call set-up outside the trace
+    for trials in (10_000, 40_000):
+        tracemalloc.start()
+        try:
+            build_sa_solution(inst, F(1, 2), 1, 1, trials, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20, (trials, peak)
+
+
 def test_build_sa_solution_single_edge():
     eps = 0.05
     mu_f = noise_for_target_gap(2, eps)
@@ -438,7 +476,7 @@ def tree_t3():
 
 
 BLOCK_CASES = [
-    # (instance, L, k, trials, seed, sets, batch)
+    # (instance, L, k, trials, seed, sets, trials a rounding batch)
     ("gap12", 1, 1, 300, 0, None, 100_000),
     ("gap12", 1, 2, 500, 1, None, 100_000),
     ("gap12", 2, 3, 400, 2, None, 128),
@@ -465,8 +503,10 @@ def test_block_build_matches_per_set_loop(case, chunk, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(sasol, "COUNT_CHUNK_ENTRIES", chunk)
     inst = block_instance(name)
+    # the factors are square, n(T+1) rows and columns
+    monkeypatch.setattr(sasol, "ROUND_BATCH_ENTRIES", batch * inst.n * (inst.T + 1))
     tables, sat_counts, objective = per_set_build(inst, F(1, 2), L, k, trials, seed, sets, batch)
-    result = build_sa_solution(inst, F(1, 2), L, k, trials, seed, sets=sets, batch=batch)
+    result = build_sa_solution(inst, F(1, 2), L, k, trials, seed, sets=sets)
     sol = result.solution
     assert result.objective == objective
     assert sorted(sol.tables) == sorted(tables) and sol.sets() == sorted(tables, key=lambda S: (len(S), S))
