@@ -383,6 +383,8 @@ def _cmd_sasol(args, caps, argv) -> int:
     from .salp import check_sa_consistency
     from .sasol import build_sa_solution
 
+    if args.trials < 1:
+        raise InstanceError(f"--trials must be >= 1, got {args.trials}")
     inst = _read_instance(args.infile)
     if not isinstance(inst, GmdInstance):
         raise InstanceError("sasol needs a labeled-dicut instance")
@@ -414,6 +416,8 @@ def _cmd_dict(args, caps, argv) -> int:
     )
     from .gapgen import DagSkeleton
 
+    if args.R < 1:
+        raise InstanceError(f"--R must be >= 1, got {args.R}")
     delta = Fraction(args.delta) if args.delta else None
     space = build_correlated_space(args.T, delta=delta)
     if args.inner:
@@ -509,6 +513,8 @@ def _cmd_gauss(args, caps, argv) -> int:
         verify_gamma_properties,
     )
 
+    if args.trials < 1:
+        raise InstanceError(f"--trials must be >= 1, got {args.trials}")
     rows = []
     if args.suite == "cdf":
         import numpy as np

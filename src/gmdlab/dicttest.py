@@ -188,6 +188,11 @@ def _inner_arcs(inner) -> tuple[DagSkeleton, tuple[tuple[int, int], ...]]:
     raise InstanceError("inner DAG must be a DagSkeleton or GmdInstance")
 
 
+def _check_rounds(R: int) -> None:
+    if R < 1:
+        raise InstanceError(f"R must be >= 1, got {R}")
+
+
 def build_test_instance(
     space: CorrelatedSpace, inner, R: int, caps: Caps = Caps()
 ) -> TestInstance:
@@ -198,6 +203,7 @@ def build_test_instance(
     delta still yields exact Fractions of the float probabilities, so
     total weight is 1 up to float representation of the tables.
     """
+    _check_rounds(R)
     skeleton, arcs = _inner_arcs(inner)
     if not arcs:
         raise InstanceError("inner DAG has no arcs")
@@ -261,6 +267,7 @@ def acceptance_probability(
     """Streaming acceptance sum; no instance materialization.  Exact Fraction
     for rational delta (integer arithmetic over a common denominator), float
     otherwise."""
+    _check_rounds(R)
     _, arcs = _inner_arcs(inner)
     if not arcs:
         raise InstanceError("inner DAG has no arcs")
@@ -414,6 +421,7 @@ class AcceptanceReport:
 def soundness_report(
     space: CorrelatedSpace, inner, R: int, seed: int = 0
 ) -> list[AcceptanceReport]:
+    _check_rounds(R)
     skeleton, _ = _inner_arcs(inner)
     n_inner = skeleton.n
     ceiling = soundness_line(space.T)

@@ -192,6 +192,8 @@ class MaxGapStats:
 def max_gap_stats(n: int, trials: int, seed: int) -> MaxGapStats:
     if n < 2:
         raise ValueError("need at least two Gaussians")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = substream(seed, 0)
     chunk = max(1, min(trials, 2_000_000 // n))
     maxes = np.empty(trials)

@@ -9,9 +9,9 @@ grid per vertex (half-integral for integer budgets, geometric otherwise).
 Everything here is exact rational arithmetic.  simplex.py solves the LPs: a
 float Bland-rule simplex finds the optimal vertex, which is returned only
 after an exact primal-dual certificate, checked on integer arrays, holds;
-otherwise the Fraction simplex solves the LP from scratch, so reported LP
-values are never blurred by tolerances.  SaSolution.lp_path records which
-of the two produced a table.
+otherwise the same Bland pivots run again on Fractions with no tolerance,
+so reported LP values are never blurred by tolerances.  SaSolution.lp_path
+records which of the two passes produced a table.
 
 A solution table (SaSolution) holds integer numerators over one shared
 denominator, x_S(alpha) = tables[S][positions of alpha] / denom, stacked in

@@ -526,7 +526,7 @@ def round_and_estimate(
     because the Gaussian stream has the system's full dimension.
     """
     if trials < 1:
-        raise InstanceError("need at least one trial")
+        raise InstanceError(f"trials must be >= 1, got {trials}")
     if isinstance(vs, EdgeVectorSystem):
         matrix = np.vstack([vs.vectors_u, vs.vectors_v])
         verts = (0, 1)
@@ -540,6 +540,9 @@ def round_and_estimate(
     q = vs.q
     request = tuple(verts if vertices is None else sorted(vertices))
     pos = {v: i for i, v in enumerate(verts)}
+    missing = [v for v in request if v not in pos]
+    if missing:
+        raise InstanceError(f"vertex {missing[0]} is not in the vector system")
     edges = [arc for arc in arcs if arc[0] in request and arc[1] in request]
     edge_rows = [(pos[u], pos[v], t) for u, v, t in edges]
     marg = np.zeros((len(request), q), dtype=np.int64)
@@ -607,6 +610,8 @@ def build_sa_solution(
     """
     if k < 1:
         raise InstanceError("k must be >= 1")
+    if trials < 1:
+        raise InstanceError(f"trials must be >= 1, got {trials}")
     q = inst.T + 1
     cap = min(caps.sa_table_entries, 2**31 - 1)  # the counting's codes are int32
     if sets is None:

@@ -1,11 +1,12 @@
 """Two-phase primal simplex with exact answers: float-guided, exactly certified.
 
-Solves  max c.x  s.t.  A x = b, x >= 0  with every entry a Fraction.  Both
-paths use Bland's rule (smallest eligible index enters, smallest basic index
-breaks ratio ties) and leave redundant rows out of every later pivot, so
-they walk the same bases.
+Solves  max c.x  s.t.  A x = b, x >= 0  with every entry a Fraction.  One
+Bland-rule routine (smallest eligible index enters, smallest basic index
+breaks ratio ties; redundant rows stay as zero rows that no later pivot
+touches) runs twice at most: first on float64, then, if needed, on
+Fractions, where it walks the bases exact arithmetic gives.
 
-The fast path reads the sparse rows once into coordinate arrays.  One
+The float pass reads the sparse rows once into coordinate arrays.  One
 scatter fills a float64 tableau whose last row is the objective, and Bland
 pivots on it, treating magnitudes below TOL as zero, find the optimal basis.
 Each distinct value of the basic x and of the equality duals y is
@@ -17,10 +18,10 @@ run on integer arrays, with each row of A and b scaled by the lcm of its
 denominators and c by the lcm of its own: in int64 when a bound computed
 beforehand rules out overflow, in Python ints (object dtype) otherwise,
 through the same code.  If any check fails, or the float pass ends
-infeasible or unbounded, the Fraction tableau solves the LP from scratch
-without any tolerance.  It is the only path that raises
-LpInfeasible/LpUnbounded, and it solves the LPs whose optimal vertex or
-duals do not rationalise.
+infeasible or unbounded, the same pivot code runs from scratch on an
+object-dtype tableau of the unscaled Fraction rows, with no tolerance.  It
+is the only pass that raises LpInfeasible/LpUnbounded, and it solves the
+LPs whose optimal vertex or duals do not rationalise.
 """
 
 from __future__ import annotations
@@ -78,12 +79,134 @@ def simplex_max(
 
     Each row is a list of (variable index, coefficient) pairs.  Rows with a
     negative right-hand side are negated on entry.  The result's ``path``
-    says whether the certificate or the exact tableau produced it.
+    says whether the certificate or the exact pass produced it.
     """
     result = _float_certified(_ScaledLp(c, rows, rhs))
     if result is not None:
         return result
-    return LpResult(*simplex_max_exact(c, rows, rhs), "exact")
+    return _exact(c, rows, rhs)
+
+
+# ---------------------------------------------------------------------------
+# Bland's two phases, on float64 or on Fractions
+# ---------------------------------------------------------------------------
+
+
+def _bland_pivot(t, basis, etas, r, s, tol):
+    """Pivot on (r, s); the objective, row m of t, is updated with the rest.
+    With tol > 0 (float64) entries below tol become 0 and the pivot 1."""
+    piv = t[r, s]
+    prow = t[r] / piv if piv != 1 else t[r].copy()
+    if tol:
+        prow[np.abs(prow) < tol] = 0.0
+        prow[s] = 1.0
+    t[r] = prow
+    live = prow.nonzero()[0]
+    col = t[:, s].copy()
+    col[r] = 0
+    hit = col.nonzero()[0]
+    if hit.size:
+        block = (hit[:, None], live)
+        upd = t[block] - col[hit, None] * prow[live]
+        if tol:
+            upd[np.abs(upd) < tol] = 0.0
+        t[block] = upd
+        if hit[-1] == len(basis):
+            hit = hit[:-1]
+    basis[r] = s
+    etas.append((r, piv, hit, col[hit]))
+
+
+def _bland_iterate(t, basis, etas, n, tol) -> bool:
+    """Bland pivots until optimal (True) or an unbounded ray (False)."""
+    m = len(basis)
+    obj = t[m]
+    while True:
+        # the first column with a positive reduced cost enters; Fractions
+        # are compared only up to it
+        if tol:
+            eligible = (obj[:n] > tol).nonzero()[0]
+            s = int(eligible[0]) if eligible.size else None
+        else:
+            s = next((j for j, v in enumerate(obj[:n].tolist()) if v > 0), None)
+        if s is None:
+            return True
+        col = t[:m, s]
+        cand = (col > tol).nonzero()[0]
+        if cand.size == 0:
+            return False
+        ratios = t[cand, n] / col[cand]
+        ties = cand[ratios <= ratios.min() + tol]
+        _bland_pivot(t, basis, etas, int(ties[np.argmin(basis[ties])]), s, tol)
+
+
+def _two_phase(t, cost, tol):
+    """Both phases on the tableau t: rows 0..m-1 hold [A | b] with b >= 0,
+    row m is overwritten with each phase's objective.  cost is c with a 0
+    appended.  Returns the optimal basis and the pivots' etas, or raises
+    LpInfeasible/LpUnbounded.  t is float64 with tol > 0, or object dtype
+    holding Fractions with tol = 0: the same pivots then run exactly."""
+    m, n = t.shape[0] - 1, t.shape[1] - 1
+    obj = t[m]
+    basis = np.arange(n, n + m)
+    etas = []  # (row, pivot, hit rows, their pivot-column entries) per pivot
+
+    # phase one on structural columns, maximising minus the sum of the
+    # artificials; artificial columns are never read, so they are not stored.
+    # Fraction objective rows are built from each row's nonzeros: a dense
+    # sum or product would do Fraction work on every zero.
+    if tol:
+        obj[:] = t[:m].sum(axis=0)
+        obj[np.abs(obj) < tol] = 0.0
+    else:
+        obj[:] = 0
+        for i in range(m):
+            live = t[i].nonzero()[0]
+            obj[live] += t[i, live]
+    if not _bland_iterate(t, basis, etas, n, tol) or obj[n] > tol:
+        raise LpInfeasible("equality system has no nonnegative solution")
+    # drive leftover artificials out; a redundant row stays as a zero row
+    # that no later pivot touches
+    for i in range(m):
+        if basis[i] >= n:
+            nz = t[i, :n].nonzero()[0]
+            if nz.size:
+                _bland_pivot(t, basis, etas, i, int(nz[0]), tol)
+
+    # phase two; cost[n] = 0 is also the cost of an artificial left basic
+    cb = cost[np.minimum(basis, n)]
+    if tol:
+        obj[:] = cost - cb @ t[:m]
+        obj[np.abs(obj) < tol] = 0.0
+    else:
+        obj[:] = cost
+        for i in cb.nonzero()[0]:
+            live = t[i].nonzero()[0]
+            obj[live] -= cb[i] * t[i, live]
+    if not _bland_iterate(t, basis, etas, n, tol):
+        raise LpUnbounded("objective unbounded above")
+    return basis, etas
+
+
+def _exact(c, rows, rhs) -> LpResult:
+    """The two phases on a Fraction tableau of the unscaled rows: scaling a
+    row would change phase one's objective, hence Bland's bases."""
+    n, m = len(c), len(rows)
+    # zeros stay Python ints, cheaper to test than Fraction(0); every entry
+    # a pivot writes is a Fraction
+    t = np.zeros((m + 1, n + 1), dtype=object)
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        sign = -ONE if b < 0 else ONE
+        for j, a in row:
+            t[i, j] += sign * a
+        t[i, n] = sign * b
+    basis, _ = _two_phase(t, np.array([*c, ZERO], dtype=object), 0)
+    x = [ZERO] * n
+    for i, j in enumerate(basis.tolist()):
+        if j < n:
+            x[j] = t[i, n]
+    value = sum(map(operator.mul, c, x), ZERO)
+    return LpResult(value, x, "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -125,77 +248,18 @@ class _ScaledLp:
         self.bound_c = max(map(abs, self.cost), default=0)
 
 
-def _float_pivot(t, basis, etas, r, s):
-    """Pivot on (r, s); the objective, row m of t, is updated with the rest."""
-    piv = t[r, s]
-    prow = t[r] / piv
-    prow[np.abs(prow) < TOL] = 0.0
-    prow[s] = 1.0
-    t[r] = prow
-    live = prow.nonzero()[0]
-    col = t[:, s].copy()
-    col[r] = 0.0
-    hit = col.nonzero()[0]
-    if hit.size:
-        block = (hit[:, None], live)
-        upd = t[block] - col[hit, None] * prow[live]
-        upd[np.abs(upd) < TOL] = 0.0
-        t[block] = upd
-        if hit[-1] == len(basis):
-            hit = hit[:-1]
-    basis[r] = s
-    etas.append((r, piv, hit, col[hit]))
-
-
-def _float_iterate(t, basis, etas, n) -> bool:
-    """Bland pivots until optimal (True) or an unbounded ray (False)."""
-    m = len(basis)
-    obj = t[m]
-    while True:
-        eligible = obj[:n] > TOL
-        s = int(np.argmax(eligible))
-        if not eligible[s]:
-            return True
-        col = t[:m, s]
-        cand = (col > TOL).nonzero()[0]
-        if cand.size == 0:
-            return False
-        ratios = t[cand, n] / col[cand]
-        ties = cand[ratios <= ratios.min() + TOL]
-        _float_pivot(t, basis, etas, int(ties[np.argmin(basis[ties])]), s)
-
-
 def _float_certified(lp: _ScaledLp) -> Optional[LpResult]:
     """The float pass's optimal vertex if it passes the exact certificate, else None."""
     n, m = lp.n, lp.m
-    # one scatter, adding repeated entries in row order; row m is the objective
+    # one scatter, adding repeated entries in row order
     t = np.zeros((m + 1, n + 1))
     np.add.at(t.reshape(-1), lp.row * (n + 1) + lp.col, lp.values)
     t[:m, n] = lp.rhs_float
     t[:m] *= lp.sign[:, None]
-    basis = np.arange(n, n + m)
-    etas = []  # (row, pivot, hit rows, their pivot-column entries) per pivot
-
-    # phase one on structural columns; artificial columns are never read,
-    # so they are not stored
-    obj = t[m]
-    obj[:] = t[:m].sum(axis=0)
-    obj[np.abs(obj) < TOL] = 0.0
-    if not _float_iterate(t, basis, etas, n) or obj[n] > TOL:
-        return None
-    # drive leftover artificials out; a redundant row stays as a zero row
-    # that no later pivot touches
-    for i in range(m):
-        if basis[i] >= n:
-            nz = t[i, :n].nonzero()[0]
-            if nz.size:
-                _float_pivot(t, basis, etas, i, int(nz[0]))
-
-    # phase two; cf[n] = 0 is also the cost of an artificial left basic
     cf = np.array(lp.cost_float + [0.0])
-    obj[:] = cf - cf[np.minimum(basis, n)] @ t[:m]
-    obj[np.abs(obj) < TOL] = 0.0
-    if not _float_iterate(t, basis, etas, n):
+    try:
+        basis, etas = _two_phase(t, cf, TOL)
+    except (LpInfeasible, LpUnbounded):
         return None
 
     # duals y^T = c_B^T B^-1, with B^-1 the product of the pivots' eta
@@ -267,119 +331,3 @@ def _certificate_holds(lp: _ScaledLp, x, y) -> bool:
     if (aty * lp.cscale < c * (big * dy)).any():
         return False
     return int(c @ X) * big * dy == int(b @ Y) * lp.cscale * dx
-
-
-# ---------------------------------------------------------------------------
-# exact Fraction tableau: the fallback and the test reference
-# ---------------------------------------------------------------------------
-
-
-def _pivot(tableau, obj, basis, r, s):
-    row_r = tableau[r]
-    piv = row_r[s]
-    if piv != 1:
-        inv = 1 / piv
-        row_r = [x * inv for x in row_r]
-        tableau[r] = row_r
-    nz = [(j, v) for j, v in enumerate(row_r) if v != 0]
-    for i, row in enumerate(tableau):
-        if i == r:
-            continue
-        f = row[s]
-        if f != 0:
-            for j, v in nz:
-                row[j] -= f * v
-    f = obj[s]
-    if f != 0:
-        for j, v in nz:
-            obj[j] -= f * v
-    basis[r] = s
-
-
-def _iterate(tableau, obj, basis, allowed_cols):
-    m = len(tableau)
-    while True:
-        enter = None
-        for j in allowed_cols:
-            if obj[j] > 0:
-                enter = j
-                break
-        if enter is None:
-            return
-        leave = None
-        best_ratio = None
-        for i in range(m):
-            a = tableau[i][enter]
-            if a > 0:
-                ratio = tableau[i][-1] / a
-                if (
-                    leave is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    leave, best_ratio = i, ratio
-        if leave is None:
-            raise LpUnbounded("objective unbounded above")
-        _pivot(tableau, obj, basis, leave, enter)
-
-
-def simplex_max_exact(
-    c: Sequence[Fraction],
-    rows: Sequence[Sequence[tuple[int, Fraction]]],
-    rhs: Sequence[Fraction],
-) -> tuple[Fraction, list[Fraction]]:
-    """``simplex_max`` on a dense Fraction tableau, with no float pass."""
-    n = len(c)
-    m = len(rows)
-    tableau = []
-    for i in range(m):
-        row = [ZERO] * (n + m + 1)
-        sign = ONE if rhs[i] >= 0 else -ONE
-        for j, coef in rows[i]:
-            row[j] += sign * coef
-        row[n + i] = ONE
-        row[-1] = sign * rhs[i]
-        tableau.append(row)
-    basis = [n + i for i in range(m)]
-
-    # phase one: maximize -(sum of artificials); start reduced
-    obj = [ZERO] * (n + m + 1)
-    for j in range(n, n + m):
-        obj[j] = -ONE
-    for row in tableau:
-        for j, v in enumerate(row):
-            if v != 0:
-                obj[j] += v
-    _iterate(tableau, obj, basis, range(n))
-    if obj[-1] != 0:
-        raise LpInfeasible("equality system has no nonnegative solution")
-
-    # drive leftover artificials out of the basis; drop redundant rows
-    keep = []
-    for i in range(m):
-        if basis[i] >= n:
-            s = next((j for j in range(n) if tableau[i][j] != 0), None)
-            if s is None:
-                continue  # redundant constraint
-            _pivot(tableau, obj, basis, i, s)
-        keep.append(i)
-    # artificial columns are dead from here on; strip them
-    tableau = [tableau[i][:n] + [tableau[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
-
-    # phase two on structural columns only
-    obj = list(c) + [ZERO]
-    for i, row in enumerate(tableau):
-        f = obj[basis[i]]
-        if f != 0:
-            for j, v in enumerate(row):
-                if v != 0:
-                    obj[j] -= f * v
-    _iterate(tableau, obj, basis, range(n))
-
-    x = [ZERO] * n
-    for i, bv in enumerate(basis):
-        if bv < n:
-            x[bv] = tableau[i][-1]
-    value = sum((ci * xi for ci, xi in zip(c, x)), ZERO)
-    return value, x

@@ -157,6 +157,26 @@ def test_approx_bad_trials_exit_1(tmp_path, capsys, trials):
     assert not os.path.exists(csv)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sasol", "--in", "absent.gmd", "--trials", "0"], "--trials must be >= 1, got 0"),
+        (["sasol", "--in", "absent.gmd", "--trials", "-3"], "--trials must be >= 1, got -3"),
+        (["gauss", "--suite", "maxgap", "--trials", "0"], "--trials must be >= 1, got 0"),
+        (["dict", "--T", "2", "--R", "0", "--emit", "instance"], "--R must be >= 1, got 0"),
+        (["dict", "--T", "2", "--R", "-1", "--emit", "soundness"], "--R must be >= 1, got -1"),
+    ],
+)
+def test_bad_counts_exit_1(tmp_path, capsys, argv, message):
+    # checked before any work: no input is read and nothing is written
+    argv = [str(tmp_path / a) if a == "absent.gmd" else a for a in argv]
+    out = ["--out", str(tmp_path / "d.gmd")] if argv[0] == "dict" else ["--csv", str(tmp_path / "a.csv")]
+    assert run_command(argv + out) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_run_trials_rejects_bad_trial_counts(trials):
     from gmdlab.approx import approx_gmd_quarter, run_trials

@@ -211,6 +211,18 @@ def test_soundness_report_runs_and_orders():
         assert 0 <= r.acceptance <= 1
 
 
+def test_rounds_below_one_rejected():
+    space = build_correlated_space(2, delta=F(1, 2))
+    for R in (0, -1):
+        for call in (
+            lambda: build_test_instance(space, EDGE, R=R),
+            lambda: acceptance_probability(space, EDGE, R, [[0], [0]]),
+            lambda: soundness_report(space, EDGE, R=R),
+        ):
+            with pytest.raises(InstanceError, match=f"R must be >= 1, got {R}"):
+                call()
+
+
 def test_acyclicity_of_composed_instance():
     from gmdlab.reduction import topo_number
 

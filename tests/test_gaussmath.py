@@ -139,3 +139,8 @@ def test_gap_threshold_example_value():
 def test_max_gap_requires_two():
     with pytest.raises(ValueError):
         max_gap_stats(1, trials=10, seed=0)
+
+
+def test_max_gap_requires_a_trial():
+    with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+        max_gap_stats(2, trials=0, seed=0)

@@ -263,6 +263,12 @@ def test_rounding_shared_stream_consistency():
     assert np.array_equal(a.marginals[i], b.marginals[j])
 
 
+def test_rounding_rejects_vertex_outside_system():
+    vs = embed_vectors(pairwise_rho(path2(), F(1, 2), L=1), S=(0, 1))
+    with pytest.raises(InstanceError, match="vertex 2 is not in the vector system"):
+        round_and_estimate(vs, trials=10, seed=0, vertices=(2,))
+
+
 @pytest.mark.parametrize("system", ["gap12", "edge"])
 def test_rounding_estimate_independent_of_batch_size(system, monkeypatch):
     # a trial's labels come from its own draws and its own score row, so one
@@ -526,6 +532,14 @@ def test_repeated_set_is_counted_once():
     twice = build_sa_solution(inst, F(1, 2), 1, 2, 50, 0, sets=[(1, 0), (0, 1)]).solution
     assert np.array_equal(once.tables[(0, 1)], twice.tables[(0, 1)])
     assert len(twice.values) == 9 and check_sa_consistency(twice).ok
+
+
+def test_build_sa_solution_rejects_bad_trial_counts():
+    for trials in (0, -3):
+        with pytest.raises(InstanceError, match=f"trials must be >= 1, got {trials}"):
+            build_sa_solution(path2(), F(1, 2), 1, 2, trials, 0)
+        with pytest.raises(InstanceError, match=f"trials must be >= 1, got {trials}"):
+            round_and_estimate(EdgeVectorSystem(T=2, mu=0.25, label=1), trials, 0)
 
 
 def test_build_sa_solution_rejects_bad_sets():

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from typing import Sequence
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,11 @@ import gmdlab.simplex as simplex_mod
 from gmdlab.caps import Caps
 from gmdlab.core import GmdInstance, GpInstance, max_incident_budget
 from gmdlab.salp import build_sa_lp, default_price_grid, geometric_grid
-from gmdlab.simplex import LpInfeasible, LpUnbounded, simplex_max, simplex_max_exact
+from gmdlab.simplex import LpInfeasible, LpUnbounded, simplex_max
 
 F = Fraction
+ZERO = F(0)
+ONE = F(1)
 
 
 def test_tiny_lp_by_hand():
@@ -101,6 +105,17 @@ def sa_lps_with_redundant_rows(draw):
 def test_float_path_matches_exact_tableau(parts):
     c, rows, rhs = parts
     result = simplex_max(c, rows, rhs)
+    assert tuple(result) == simplex_max_exact(c, rows, rhs)
+
+
+@given(sa_lps_with_redundant_rows())
+@settings(max_examples=30, deadline=None)
+def test_exact_pass_matches_exact_tableau(parts):
+    # a rejected certificate sends every LP through the Fraction pass
+    c, rows, rhs = parts
+    with mock.patch.object(simplex_mod, "_certificate_holds", lambda *args: False):
+        result = simplex_max(c, rows, rhs)
+    assert result.path == "exact"
     assert tuple(result) == simplex_max_exact(c, rows, rhs)
 
 
@@ -282,9 +297,132 @@ def test_unbounded_and_infeasible_raise_exact_exceptions():
         simplex_max([F(1), F(1)], [[(0, F(1)), (1, F(1))]], [F(-1)])
 
 
+def test_lp_without_variables():
+    assert simplex_max([], [], []) == (0, [])
+    assert simplex_max([], [[]], [F(0)]) == (0, [])
+    with pytest.raises(LpInfeasible):
+        simplex_max([], [[]], [F(1)])
+
+
 def test_repeated_solves_return_identical_x():
     two = GmdInstance.of(2, 4, [(0, 1, 2, 1), (1, 2, 1, 2), (2, 3, 2, 1), (3, 0, 1, 3)])
     parts = lp_parts(build_sa_lp(two, rounds=3))
     first, second = simplex_max(*parts), simplex_max(*parts)
     assert first.path == second.path == "certified"
     assert first[1] == second[1] and first[0] == second[0]
+
+
+# ---------------------------------------------------------------------------
+# the reference: a dense Fraction list tableau, written apart from simplex.py
+# ---------------------------------------------------------------------------
+
+
+def _pivot(tableau, obj, basis, r, s):
+    row_r = tableau[r]
+    piv = row_r[s]
+    if piv != 1:
+        inv = 1 / piv
+        row_r = [x * inv for x in row_r]
+        tableau[r] = row_r
+    nz = [(j, v) for j, v in enumerate(row_r) if v != 0]
+    for i, row in enumerate(tableau):
+        if i == r:
+            continue
+        f = row[s]
+        if f != 0:
+            for j, v in nz:
+                row[j] -= f * v
+    f = obj[s]
+    if f != 0:
+        for j, v in nz:
+            obj[j] -= f * v
+    basis[r] = s
+
+
+def _iterate(tableau, obj, basis, allowed_cols):
+    m = len(tableau)
+    while True:
+        enter = None
+        for j in allowed_cols:
+            if obj[j] > 0:
+                enter = j
+                break
+        if enter is None:
+            return
+        leave = None
+        best_ratio = None
+        for i in range(m):
+            a = tableau[i][enter]
+            if a > 0:
+                ratio = tableau[i][-1] / a
+                if (
+                    leave is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leave])
+                ):
+                    leave, best_ratio = i, ratio
+        if leave is None:
+            raise LpUnbounded("objective unbounded above")
+        _pivot(tableau, obj, basis, leave, enter)
+
+
+def simplex_max_exact(
+    c: Sequence[Fraction],
+    rows: Sequence[Sequence[tuple[int, Fraction]]],
+    rhs: Sequence[Fraction],
+) -> tuple[Fraction, list[Fraction]]:
+    """``simplex_max`` on a dense Fraction tableau, with no float pass."""
+    n = len(c)
+    m = len(rows)
+    tableau = []
+    for i in range(m):
+        row = [ZERO] * (n + m + 1)
+        sign = ONE if rhs[i] >= 0 else -ONE
+        for j, coef in rows[i]:
+            row[j] += sign * coef
+        row[n + i] = ONE
+        row[-1] = sign * rhs[i]
+        tableau.append(row)
+    basis = [n + i for i in range(m)]
+
+    # phase one: maximize -(sum of artificials); start reduced
+    obj = [ZERO] * (n + m + 1)
+    for j in range(n, n + m):
+        obj[j] = -ONE
+    for row in tableau:
+        for j, v in enumerate(row):
+            if v != 0:
+                obj[j] += v
+    _iterate(tableau, obj, basis, range(n))
+    if obj[-1] != 0:
+        raise LpInfeasible("equality system has no nonnegative solution")
+
+    # drive leftover artificials out of the basis; drop redundant rows
+    keep = []
+    for i in range(m):
+        if basis[i] >= n:
+            s = next((j for j in range(n) if tableau[i][j] != 0), None)
+            if s is None:
+                continue  # redundant constraint
+            _pivot(tableau, obj, basis, i, s)
+        keep.append(i)
+    # artificial columns are dead from here on; strip them
+    tableau = [tableau[i][:n] + [tableau[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+
+    # phase two on structural columns only
+    obj = list(c) + [ZERO]
+    for i, row in enumerate(tableau):
+        f = obj[basis[i]]
+        if f != 0:
+            for j, v in enumerate(row):
+                if v != 0:
+                    obj[j] -= f * v
+    _iterate(tableau, obj, basis, range(n))
+
+    x = [ZERO] * n
+    for i, bv in enumerate(basis):
+        if bv < n:
+            x[bv] = tableau[i][-1]
+    value = sum((ci * xi for ci, xi in zip(c, x)), ZERO)
+    return value, x
