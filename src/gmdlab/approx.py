@@ -21,8 +21,9 @@ of `TRIAL_CHUNK` trials:
    linear in the pairs;
 3. each vertex takes the first index of largest score, the tie rule of
    `_PairGame.best_response`;
-4. each trial's exact integer value is summed from the pair tables, and one
-   `Fraction(total, denom)` is built per trial.
+4. each trial's exact value is summed from the pair tables as an integer
+   total over the game's one `denom`; a batch keeps these totals as they
+   are, and its floats, exact mean and CSV texts are computed from them.
 
 The arrays are int64 when `_PairGame.int64` holds and Python ints (object
 dtype) otherwise, through the same code.  Randomness is counter-based (see
@@ -306,15 +307,17 @@ _BATCHES: dict[Callable, Callable[..., tuple[_Kernel, _Batch]]] = {
 
 @dataclass(frozen=True)
 class RandomizedRun:
-    """Seeded batch of trials with exact per-trial values."""
+    """Seeded batch of trials: trial k's exact value is totals[k] / denom."""
 
     seed: int
     trials: int
-    values: tuple[Fraction, ...]
+    totals: tuple[int, ...]
+    denom: int
 
     @cached_property
     def _floats(self) -> list[float]:
-        return [float(v) for v in self.values]
+        # int true division is correctly rounded: float(Fraction(t, denom))
+        return [t / self.denom for t in self.totals]
 
     @cached_property
     def mean(self) -> float:
@@ -334,11 +337,7 @@ class RandomizedRun:
 
     @property
     def exact_mean(self) -> Fraction:
-        # one Fraction over the values' least common denominator, not a
-        # running Fraction sum that reduces after every addition
-        d = math.lcm(*(v.denominator for v in self.values))
-        return Fraction(sum(v.numerator * (d // v.denominator) for v in self.values),
-                        d * self.trials)
+        return Fraction(sum(self.totals), self.denom * self.trials)
 
 
 def run_trials(
@@ -357,8 +356,8 @@ def run_trials(
     if algorithm not in _BATCHES:
         raise ValueError(f"run_trials has no batch form of {algorithm!r}")
     kernel, batch = _BATCHES[algorithm](inst, **kwargs)
-    values: list[Fraction] = []
+    totals: list[int] = []
     for start in range(0, trials, TRIAL_CHUNK):
         indices = np.arange(start, min(start + TRIAL_CHUNK, trials), dtype=np.uint64)
-        values += [Fraction(t, kernel.denom) for t in batch(seed, indices)[1].tolist()]
-    return RandomizedRun(seed=seed, trials=trials, values=tuple(values))
+        totals += batch(seed, indices)[1].tolist()
+    return RandomizedRun(seed=seed, trials=trials, totals=tuple(totals), denom=kernel.denom)

@@ -39,6 +39,7 @@ from .core import (
     GpInstance,
     InstanceError,
     ParseError,
+    ValueTexts,
     max_incident_budget,
     parse_instance,
     serialize_instance,
@@ -253,6 +254,8 @@ def _cmd_approx(args, caps, argv) -> int:
 
     if args.trials < 1:
         raise InstanceError(f"--trials must be >= 1, got {args.trials}")
+    if args.plot_script and not args.csv:
+        raise InstanceError("--plot-script needs --csv")
     inst = _read_instance(args.infile)
     if args.algo == "gp4":
         if not isinstance(inst, GpInstance):
@@ -277,10 +280,10 @@ def _cmd_approx(args, caps, argv) -> int:
         raise InstanceError(f"unknown algorithm {args.algo!r}")
     print(f"mean = {run.mean!r} stderr = {run.stderr!r}")
     if args.csv:
-        rows = [
-            {"trial": k, "value": v} for k, v in enumerate(run.values)
-        ]
-        rows.append({"trial": "mean", "value": run.exact_mean})
+        # the totals take few distinct values: each is formatted once
+        texts = ValueTexts(run.denom)
+        rows = zip(map(str, range(run.trials)), map(texts.__getitem__, run.totals))
+        rows = itertools.chain(rows, [("mean", str(run.exact_mean))])
         emit_report(rows, args.csv, ["trial", "value"], argv, seed=args.seed)
         if args.plot_script:
             emit_plot_script(args.csv, args.plot_script, x="trial", y="value")
@@ -515,6 +518,10 @@ def _cmd_gauss(args, caps, argv) -> int:
 
     if args.trials < 1:
         raise InstanceError(f"--trials must be >= 1, got {args.trials}")
+    if args.points < 1:
+        raise InstanceError(f"--points must be >= 1, got {args.points}")
+    if args.plot_script and not args.csv:
+        raise InstanceError("--plot-script needs --csv")
     rows = []
     if args.suite == "cdf":
         import numpy as np

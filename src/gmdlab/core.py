@@ -46,6 +46,18 @@ def as_fraction(x) -> Fraction:
     raise InstanceError(f"not an exact rational: {x!r}")
 
 
+class ValueTexts(dict):
+    """numerator -> str(Fraction(numerator, denom)), formatted on first use."""
+
+    def __init__(self, denom: int):
+        super().__init__()
+        self.denom = denom
+
+    def __missing__(self, num: int) -> str:
+        text = self[num] = str(Fraction(num, self.denom))
+        return text
+
+
 class Arc(NamedTuple):
     tail: int
     head: int

@@ -44,7 +44,14 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .caps import Caps
-from .core import CapExceeded, GmdInstance, GpInstance, InstanceError, max_incident_budget
+from .core import (
+    CapExceeded,
+    GmdInstance,
+    GpInstance,
+    InstanceError,
+    ValueTexts,
+    max_incident_budget,
+)
 from .simplex import simplex_max
 
 SetKey = tuple[int, ...]
@@ -219,7 +226,7 @@ class SaSolution:
         tuple of axes; the rows are chained set by set, in sorted set order,
         with no Python-level step per row.
         """
-        texts = _ValueTexts(self.denom)
+        texts = ValueTexts(self.denom)
         assignments: dict = {}  # axes -> assignment texts in row-major order
         numerators: dict = {}   # set -> numerators in row-major domain order
         for block in self.blocks:
@@ -246,18 +253,6 @@ class SaSolution:
         orders = [range(len(self.domains[v])) if self._orders[v] is None else self._orders[v]
                   for v in S]
         return self.tables[S][np.ix_(*orders)].reshape(-1).tolist()
-
-
-class _ValueTexts(dict):
-    """numerator -> str(Fraction(numerator, denom)), formatted on first use."""
-
-    def __init__(self, denom: int):
-        super().__init__()
-        self.denom = denom
-
-    def __missing__(self, num: int) -> str:
-        text = self[num] = str(Fraction(num, self.denom))
-        return text
 
 
 def _set_order(S: SetKey) -> tuple:

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,14 +63,14 @@ def test_reduce_writes_symbolic_budgets(tmp_path, capsys):
     src = write(tmp_path, "e1.gmd", SINGLE)
     out = str(tmp_path / "e1.gp")
     assert run_command(["reduce", "--in", src, "--M", "10", "--out", out]) == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     assert "M 10" in text and "M^1" in text
     expanded = str(tmp_path / "e1x.gp")
     assert (
         run_command(["reduce", "--in", src, "--M", "10", "--out", expanded, "--expand"])
         == 0
     )
-    assert "M^" not in open(expanded).read()
+    assert "M^" not in Path(expanded).read_text()
 
 
 def test_salp_triangle_value(tmp_path, capsys):
@@ -91,7 +92,7 @@ def test_salp_reports_lp_path(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "lp = 775973/100000 variables = 414" in out
     assert "consistent = True" in out and out.rstrip().endswith("lp_path = exact")
-    assert "lp_path" not in open(csv).read()
+    assert "lp_path" not in Path(csv).read_text()
 
 
 @pytest.mark.parametrize(
@@ -132,7 +133,7 @@ def test_approx_csv_deterministic(tmp_path):
     args = ["approx", "--in", path, "--algo", "gmd4", "--trials", "200", "--seed", "7"]
     assert run_command(args + ["--csv", a]) == 0
     assert run_command(args + ["--csv", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_approx_seed_changes_stream(tmp_path):
@@ -142,7 +143,7 @@ def test_approx_seed_changes_stream(tmp_path):
     base = ["approx", "--in", path, "--algo", "gmd4", "--trials", "50"]
     assert run_command(base + ["--seed", "1", "--csv", a]) == 0
     assert run_command(base + ["--seed", "2", "--csv", b]) == 0
-    assert open(a).readlines()[2:] != open(b).readlines()[2:]
+    assert Path(a).read_text().splitlines()[2:] != Path(b).read_text().splitlines()[2:]
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -165,6 +166,8 @@ def test_approx_bad_trials_exit_1(tmp_path, capsys, trials):
         (["gauss", "--suite", "maxgap", "--trials", "0"], "--trials must be >= 1, got 0"),
         (["dict", "--T", "2", "--R", "0", "--emit", "instance"], "--R must be >= 1, got 0"),
         (["dict", "--T", "2", "--R", "-1", "--emit", "soundness"], "--R must be >= 1, got -1"),
+        (["gauss", "--suite", "cdf", "--points", "0"], "--points must be >= 1, got 0"),
+        (["gauss", "--suite", "cdf", "--points", "-1"], "--points must be >= 1, got -1"),
     ],
 )
 def test_bad_counts_exit_1(tmp_path, capsys, argv, message):
@@ -186,17 +189,29 @@ def test_run_trials_rejects_bad_trial_counts(trials):
         run_trials(approx_gmd_quarter, GmdInstance.of(1, 2, [(0, 1, 1, 1)]), trials, seed=0)
 
 
-def test_approx_prints_mean_and_stderr_of_csv_values(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "weights",
+    [
+        # many denominators, so the float sum depends on its order
+        pytest.param(["1/3", "1/7", "1/11", "1/5", "1/13", "1/17"], id="small-denominators"),
+        # denominators whose lcm passes 2^63: the kernel runs on Python ints
+        # and the totals pass 2^53, where rounding total and denominator to
+        # floats before dividing changes the printed line
+        pytest.param(["5/2147483647", "2/4294967291", "5/2305843009213693951", "1/7", "1/13",
+                      "8/2147483647"], id="lcm-past-2-63"),
+    ],
+)
+def test_approx_prints_mean_and_stderr_of_csv_values(tmp_path, capsys, weights):
     import math
     from fractions import Fraction
 
-    # weights with many denominators, so the float sum depends on its order
-    path = write(tmp_path, "t.gmd", "gmd 2\nv 5\ne 0 1 1 1/3\ne 1 2 2 1/7\ne 2 3 1 1/11\n"
-                                    "e 3 4 2 1/5\ne 4 0 1 1/13\ne 0 2 2 1/17\n")
+    arcs = [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 4, 2), (4, 0, 1), (0, 2, 2)]
+    path = write(tmp_path, "t.gmd", "gmd 2\nv 5\n" + "".join(
+        f"e {u} {v} {t} {w}\n" for (u, v, t), w in zip(arcs, weights)))
     csv = str(tmp_path / "a.csv")
     assert run_command(["approx", "--in", path, "--algo", "gmd4", "--trials", "300",
                         "--seed", "4", "--csv", csv]) == 0
-    rows = [line.split(",") for line in open(csv).read().splitlines()[2:]]
+    rows = [line.split(",") for line in Path(csv).read_text().splitlines()[2:]]
     values = [float(Fraction(v)) for k, v in rows if k != "mean"]
     mean = sum(values) / len(values)
     stderr = math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1)) / math.sqrt(len(values))
@@ -221,7 +236,7 @@ def test_gap_pipeline_csv(tmp_path, capsys):
     )
     assert code == 0
     assert os.path.exists(out) and os.path.exists(csv)
-    lines = open(csv).read().splitlines()
+    lines = Path(csv).read_text().splitlines()
     assert lines[0].startswith("# gmdlab")
     assert "acyclic" in lines[1]
 
@@ -262,7 +277,7 @@ def test_sasol_command(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "objective" in out and "consistent = True" in out
-    assert open(csv).read().count("\n") > 5
+    assert Path(csv).read_text().count("\n") > 5
 
 
 def test_dict_eval_dictator(tmp_path, capsys):
@@ -311,7 +326,7 @@ def test_dict_emit_instance(tmp_path, capsys):
     assert code == 0
     from gmdlab.core import parse_instance
 
-    inst = parse_instance(open(out).read())
+    inst = parse_instance(Path(out).read_text())
     assert inst.total_weight == 1
 
 
@@ -335,9 +350,25 @@ def test_plot_script_references_only_csv(tmp_path):
         )
         == 0
     )
-    body = open(script).read()
+    body = Path(script).read_text()
     assert csv in body
     assert "matplotlib" in body
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["approx", "--in", "absent.gmd", "--algo", "gmd4", "--trials", "10"],
+        ["gauss", "--suite", "maxgap"],
+    ],
+)
+def test_plot_script_without_csv_exit_1(tmp_path, capsys, argv):
+    # checked before any work: no input is read and nothing is written
+    argv = [str(tmp_path / a) if a == "absent.gmd" else a for a in argv]
+    assert run_command(argv + ["--plot-script", str(tmp_path / "p.py")]) == 1
+    err = capsys.readouterr().err
+    assert "--plot-script needs --csv" in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_solve_gp_geometric_grid(tmp_path, capsys):
@@ -350,10 +381,10 @@ def test_solve_gp_geometric_grid(tmp_path, capsys):
 
 def test_report_round_trip(tmp_path):
     csv = str(tmp_path / "in.csv")
-    open(csv, "w").write("# gmdlab x config=y seed=1\na,b\n1,2\n")
+    Path(csv).write_text("# gmdlab x config=y seed=1\na,b\n1,2\n")
     out = str(tmp_path / "out.csv")
     assert run_command(["report", "--in", csv, "--out", out]) == 0
-    body = open(out).read()
+    body = Path(out).read_text()
     assert "a,b\n1,2" in body
 
 
@@ -362,7 +393,7 @@ def test_emit_report_writes_float_cells_as_numbers(tmp_path):
     csv = str(tmp_path / "r.csv")
     cli.emit_report([{"a": np.float64(0.1), "b": 1 / 3, "c": 2}], csv, ["a", "b", "c"],
                     ["x"], seed=0)
-    assert open(csv).read().splitlines()[1:] == ["a,b,c", "0.1,0.3333333333333333,2"]
+    assert Path(csv).read_text().splitlines()[1:] == ["a,b,c", "0.1,0.3333333333333333,2"]
 
 
 def outcome(argv, capsys):
