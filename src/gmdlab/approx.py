@@ -25,7 +25,7 @@ of `TRIAL_CHUNK` trials:
    total over the game's one `denom`; a batch keeps these totals as they
    are, and its floats, exact mean and CSV texts are computed from them.
 
-The arrays are int64 when `_PairGame.int64` holds and Python ints (object
+The arrays are int64 when `_PairGame.int64()` holds and Python ints (object
 dtype) otherwise, through the same code.  Randomness is counter-based (see
 rng.py): trial k of master seed s uses substream(s, k), so batch results do
 not depend on scheduling, and the single-trial functions are a batch of one
@@ -70,7 +70,7 @@ class _Kernel:
         self.n = len(game.sizes)
         self.denom = game.denom
         self.zero = zero
-        dtype = np.int64 if game.int64 else object
+        dtype = np.int64 if game.int64() else object
         # values: every pair table flattened into one array
         flat: list[int] = []
         us, vs, offsets, strides = [], [], [], []

@@ -203,16 +203,22 @@ _MAX_EXPONENT = 100_000
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
-def _grid_eps(spec: str) -> Fraction:
-    """The positive rational eps of a `geom:<eps>` spec, or InstanceError."""
-    text = spec[len("geom:"):]
-    exponent = _EXPONENT.search(text)
+def _rational(option: str, text: str, prefix: str = "") -> Fraction:
+    """The rational after `prefix` in the value `text` of `option`, or
+    InstanceError naming both."""
+    body = text[len(prefix):]
+    exponent = _EXPONENT.search(body)
     try:
         if exponent and abs(int(exponent.group(1))) > _MAX_EXPONENT:
             raise ValueError("exponent too large")
-        eps = Fraction(text)
+        return Fraction(body)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InstanceError(f"bad grid spec {spec!r}: {exc}") from None
+        raise InstanceError(f"bad {option} {text!r}: {exc}") from None
+
+
+def _grid_eps(spec: str) -> Fraction:
+    """The positive rational eps of a `geom:<eps>` spec, or InstanceError."""
+    eps = _rational("grid spec", spec, prefix="geom:")
     if eps <= 0:
         raise InstanceError(f"bad grid spec {spec!r}: eps must be positive")
     return eps
@@ -332,6 +338,8 @@ def _cmd_gap(args, caps, argv) -> int:
 
     if args.delta < 1:  # p_keep is derived from it below
         raise InstanceError(f"--delta must be >= 1, got {args.delta}")
+    mu = _rational("--mu", args.mu)
+    p_keep = _rational("--p-keep", args.p_keep) if args.p_keep else None
     if args.base.startswith("file:"):
         base = generate_base_dag(
             "custom-file", args.n, params={"path": args.base[5:]}, seed=args.seed
@@ -347,9 +355,7 @@ def _cmd_gap(args, caps, argv) -> int:
         base = generate_base_dag("complete-dag", args.n)
     else:
         raise InstanceError(f"unknown base {args.base!r}")
-    if args.p_keep:
-        p_keep = Fraction(args.p_keep)
-    else:
+    if p_keep is None:
         delta_star = max_degree(base.n, base.arcs) or 1
         p_keep = min(Fraction(1), Fraction(args.delta, delta_star))
     cfg = PipelineConfig(
@@ -358,7 +364,7 @@ def _cmd_gap(args, caps, argv) -> int:
         Delta=args.delta,
         p_keep=p_keep,
         l=args.l,
-        mu=Fraction(args.mu),
+        mu=mu,
         k_max=args.kmax,
         seed=args.seed,
     )
@@ -388,12 +394,13 @@ def _cmd_sasol(args, caps, argv) -> int:
 
     if args.trials < 1:
         raise InstanceError(f"--trials must be >= 1, got {args.trials}")
+    mu = _rational("--mu", args.mu)
     inst = _read_instance(args.infile)
     if not isinstance(inst, GmdInstance):
         raise InstanceError("sasol needs a labeled-dicut instance")
     result = build_sa_solution(
         inst,
-        mu=Fraction(args.mu),
+        mu=mu,
         L=args.L,
         k=args.k,
         trials=args.trials,
@@ -421,7 +428,7 @@ def _cmd_dict(args, caps, argv) -> int:
 
     if args.R < 1:
         raise InstanceError(f"--R must be >= 1, got {args.R}")
-    delta = Fraction(args.delta) if args.delta else None
+    delta = _rational("--delta", args.delta) if args.delta else None
     space = build_correlated_space(args.T, delta=delta)
     if args.inner:
         from .reduction import topo_number

@@ -18,10 +18,10 @@ enumerators by estimated cost:
   all (T+1)^n labelings;
 * bucket elimination along a min-fill order, with integer max-sum tables
   (numpy int64 when no partial sum can overflow, Python ints otherwise) of
-  at most `ELIM_MAX_ENTRIES` entries in all.  The witness is built by
-  clamping vertices n-1 down to 0 to a nonzero label while an optimum
-  survives there, one more pass for each vertex that the last pass's
-  optimal assignment gives label 0.
+  at most `ELIM_MAX_ENTRIES` entries in all.  One pass finds the smallest
+  optimal zero mask: it runs on the payoffs times 2^n with 2^v charged for
+  label 0 at each vertex v, and a zero mask is below 2^n, so the penalty
+  only breaks ties between optima.
 
 The cover enumeration serves small covers, the walk small n, elimination
 sparse games whose min-fill tables stay small.  The cost estimates are
@@ -45,7 +45,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import prod
 from typing import Callable, Sequence, Union
 
@@ -253,107 +252,96 @@ class _PairGame:
         return order, entries
 
     def elimination_plan(self, budget: int | None) -> tuple[int, list[int]] | None:
-        """Estimated cost of `_gmd_elim_mask` along the min-fill order, and
-        the order; None when the estimate is not below `budget` (None: no
-        bound) or the bucket tables of a pass would have more than
-        `ELIM_MAX_ENTRIES` entries in all.  The order is built only when the
-        cost without its table entries is below `budget`.
+        """Estimated cost of building the min-fill order and running
+        `_gmd_elim_mask` along it, and the order; None when the estimate is
+        not below `budget` (None: no bound) or the pass's bucket tables would
+        have more than `ELIM_MAX_ENTRIES` entries in all.
 
-        The estimate is in the units of the cover and walk estimates of
-        `_gmd_plan`: one pass per vertex of the order and one more, each adding
-        every table into its bucket and taking a maximum.  Fitted on single
-        passes over 26 random max-dicut games (n 8-24, T 1-4, 10-100 arcs,
-        tables up to 2.9M entries; 2-core Xeon, Python 3.11, numpy 2.4): a
-        pass takes 3.7 us per numpy call, of which it makes about two per
-        payoff pair and three per bucket, plus 0.007 us per entry of the
-        bucket tables (0.16 us with Python-int tables).  At the walk's 10 ns
-        per unit that is 360 units per call, as much as a cover leaf, and 1
-        unit per entry (20 with Python ints).
+        The order is built only when the estimate with the order counted
+        twice and a lower bound on the entries (the first bucket's table
+        spans its vertex and all of that vertex's neighbours) is below
+        `budget`, so elimination can save more than a wasted order costs.
+
+        The estimate is in the units of the walk estimate of `_gmd_plan`.
+        Fitted over 154 random max-dicut games (n 10-20, T 1-3, 10-100 arcs,
+        tables up to 0.3M entries; 2-core Xeon, Python 3.11, numpy 2.4): the
+        order takes 7.7 us per payoff pair and 4.2 us per vertex, the pass
+        9.8 us per pair, 8.8 us per vertex and 0.010 us per table entry (0.08
+        us with Python-int tables).  At n = 12 the walk takes about 4 ns per
+        unit, so that is 1900 and 1000 units for the order, and 2400, 2200
+        and 3 (20 with Python ints) for the pass.
         """
         k = sum(1 for nb in self.nbrs if nb)
-        calls = (k + 1) * 360 * (2 * len(self.pairs) + 3 * k)
-        if budget is not None and calls >= budget:
+        order_cost = 1900 * len(self.pairs) + 1000 * k
+        cost = order_cost + 2400 * len(self.pairs) + 2200 * k
+        first = min(self.sizes[v] * prod(self.sizes[u] for u in nb)
+                    for v, nb in enumerate(self.nbrs) if nb)
+        if budget is not None and cost + order_cost + 3 * first >= budget:
             return None
         order, entries = self.elimination_order()
         if sum(entries) > ELIM_MAX_ENTRIES:
             return None
-        cost = calls + (k + 1) * (1 if self.int64 else 20) * sum(entries)
+        cost += (3 if self.int64(len(self.sizes)) else 20) * sum(entries)
         return (cost, order) if budget is None or cost < budget else None
 
-    @cached_property
-    def int64(self) -> bool:
-        """Whether every partial sum of payoffs fits numpy int64: payoffs are
-        nonnegative, so no sum exceeds that of each pair's largest one (for
-        max-dicut at most the walk's sum of scaled weights)."""
-        return sum(max(max(row) for row in t) for _, _, t in self.pairs) < 2**62
+    def int64(self, shift: int = 0) -> bool:
+        """Whether numpy int64 holds every partial sum of the payoffs times
+        2^shift, less charges that add up to less than 2^shift: payoffs are
+        nonnegative, so no such sum exceeds (the sum of each pair's largest
+        payoff + 1) * 2^shift in absolute value.  For max-dicut that sum of
+        pair maxima is at most the walk's sum of scaled weights."""
+        top = sum(max(max(row) for row in t) for _, _, t in self.pairs)
+        return (top + 1) << shift < 2**62
 
-    @cached_property
-    def _arrays(self) -> list:
-        """The payoff tables as numpy arrays: int64, or Python ints when
-        `int64` fails."""
+    def arrays(self, shift: int = 0) -> list:
+        """The payoff tables times 2^shift as numpy arrays, one (u, v, array)
+        per pair: int64 when `int64(shift)` holds, Python ints otherwise."""
         import numpy as np
 
-        dtype = np.int64 if self.int64 else object
-        return [(u, v, np.array(t, dtype=dtype)) for u, v, t in self.pairs]
+        dtype = np.int64 if self.int64(shift) else object
+        return [(u, v, np.array(t, dtype=dtype) * (1 << shift)) for u, v, t in self.pairs]
 
-    def _eliminate(self, order: Sequence[int], allowed: Sequence) -> tuple[int, list[int]]:
-        """Optimum and one optimal assignment of the game restricted to the
-        domain indices `allowed[v]` (None: all of them), by bucket
-        elimination along `order`.
+    def _eliminate(self, order: Sequence[int], tables: list) -> tuple[int, list[int]]:
+        """Optimum and one optimal assignment of the game with the payoff
+        tables `tables` (as from `arrays`), by bucket elimination along
+        `order`, which lists every vertex with a payoff.
 
-        A vertex with one choice left is folded into its neighbours' tables.
-        Every other one has an integer table axis; a bucket holds the tables
-        whose first vertex in `order` is its own, adds them up and passes
-        their maximum over its axis on to the bucket of the next vertex.  The
-        assignment is read back in reverse order, each vertex taking the
-        first maximising index against the vertices eliminated after it.
+        A bucket holds the tables whose first vertex in `order` is its own,
+        adds them up and passes their maximum over its axis on to the bucket
+        of the next vertex.  The assignment is read back in reverse order,
+        each vertex taking the first maximising index against the vertices
+        eliminated after it; a vertex with no payoff takes index 0.
         """
-        pos: dict[int, int] = {}
-        for v in order:
-            if allowed[v] is None or len(allowed[v]) > 1:
-                pos[v] = len(pos)
-        buckets: list[list] = [[] for _ in pos]
-        const = 0
-        for u, v, arr in self._arrays:
-            if allowed[u] is not None:
-                arr = arr[allowed[u]]
-            if allowed[v] is not None:
-                arr = arr[:, allowed[v]]
-            pu, pv = pos.get(u), pos.get(v)
-            if pu is None and pv is None:
-                const += arr[0, 0]
-            elif pu is None:
-                buckets[pv].append(((pv,), arr[0]))
-            elif pv is None:
-                buckets[pu].append(((pu,), arr[:, 0]))
-            elif pu < pv:
+        pos = {v: p for p, v in enumerate(order)}
+        buckets: list[list] = [[] for _ in order]
+        for u, v, arr in tables:
+            pu, pv = pos[u], pos[v]
+            if pu < pv:
                 buckets[pu].append(((pu, pv), arr))
             else:
                 buckets[pv].append(((pv, pu), arr.T))
-        kept: list = [None] * len(pos)
-        for p, factors in enumerate(buckets):
-            if not factors:
-                continue
+        const = 0
+        kept: list = []
+        for factors in buckets:
             scope = sorted({q for s, _ in factors for q in s})
             total = None
             for s, arr in factors:
                 if len(s) < len(scope):
                     arr = arr.reshape([arr.shape[s.index(q)] if q in s else 1 for q in scope])
                 total = arr if total is None else total + arr
-            kept[p] = (scope, total)
+            kept.append((scope, total))
             msg = total.max(axis=0)
             if len(scope) == 1:
                 const += msg
             else:
                 buckets[scope[1]].append((tuple(scope[1:]), msg))
-        x = [0] * len(pos)
-        for p in reversed(range(len(pos))):
-            if kept[p] is not None:
-                scope, total = kept[p]
-                x[p] = int(total[(slice(None),) + tuple(x[q] for q in scope[1:])].argmax())
-        out = [0 if a is None else a[0] for a in allowed]
+        x = [0] * len(order)
+        for p in reversed(range(len(order))):
+            scope, total = kept[p]
+            x[p] = int(total[(slice(None),) + tuple(x[q] for q in scope[1:])].argmax())
+        out = [0] * len(self.sizes)
         for v, p in pos.items():
-            out[v] = x[p] if allowed[v] is None else allowed[v][x[p]]
+            out[v] = x[p]
         return int(const), out
 
 
@@ -475,27 +463,25 @@ def _zero_mask(x: Sequence[int], T: int) -> int:
 
 
 def _gmd_elim_mask(game: _PairGame, order: Sequence[int]) -> int:
-    """Smallest optimal zero mask by passes of `_eliminate` along `order`:
-    from vertex n-1 down to 0, each vertex with arcs is clamped to the
-    labels 1..T if an optimum survives there, and to 0 otherwise.
+    """Smallest optimal zero mask by one pass of `_eliminate` along `order`.
 
-    Every pass returns an optimal assignment y that respects the clamps so
-    far.  A vertex that y gives a nonzero label is clamped without a pass;
-    otherwise one pass tests the nonzero labels, and when the optimum
-    survives its assignment becomes the new y."""
+    The pass runs on the payoffs times 2^n, with 2^v charged for label 0 at
+    each vertex v on one of its tables, so an assignment scores 2^n times
+    its value less its zero mask.  Values are integers and a zero mask is
+    below 2^n, so the penalised optimum is an optimum of the game, and the
+    one of smallest zero mask among them."""
+    n = len(game.sizes)
     T = game.sizes[0] - 1
-    nonzero = list(range(T))
-    allowed: list = [None] * len(game.sizes)
-    best, y = game._eliminate(order, allowed)
-    for v in sorted(order, reverse=True):
-        allowed[v] = nonzero
-        if y[v] == T:
-            val, z = game._eliminate(order, allowed)
-            if val == best:
-                y = z
-            else:
-                allowed[v] = [T]
-    return _zero_mask(y, T)
+    tables = game.arrays(n)
+    charged: set[int] = set()
+    for u, v, arr in tables:
+        if u not in charged:
+            arr[T] -= 1 << u
+            charged.add(u)
+        if v not in charged:
+            arr[:, T] -= 1 << v
+            charged.add(v)
+    return _zero_mask(game._eliminate(order, tables)[1], T)
 
 
 def _zero_set_walk(inst: GmdInstance, scaled: list[int]) -> int:

@@ -15,12 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from . import graphs
 from .caps import Caps
 from .core import GmdInstance, InstanceError, parse_instance
 from .exact import _gmd_game, opt_gmd
 from .reduction import CycleError, topo_number
-from .rng import substream
+from .rng import coin_rows, substream
 
 
 @dataclass(frozen=True)
@@ -172,9 +174,10 @@ def _local_search_estimate(inst: GmdInstance, restarts: int, seed: int) -> Fract
             if any(cols[T][:T]):
                 out[v].append((w, cols[T][:T]))
     best = 0
+    # restart r starts from the coins of substream r + 1, zero where 0
+    coins = coin_rows(seed, np.arange(1, restarts + 1, dtype=np.uint64), n)
     for r in range(restarts):
-        rng = substream(seed, r + 1)
-        zero = [bool(rng.integers(0, 2) == 0) for _ in range(n)]
+        zero = (coins[r] == 0).tolist()
         score = [[0] * T for _ in range(n)]
         for v in range(n):
             if zero[v]:

@@ -50,7 +50,6 @@ from .core import (
     GpInstance,
     InstanceError,
     ValueTexts,
-    max_incident_budget,
 )
 from .simplex import simplex_max
 
@@ -366,18 +365,6 @@ def _log_log1p(f: Fraction) -> float:
 
 
 _TINY, _HUGE = Fraction(1, 2**60), Fraction(2**60)
-
-
-def default_price_grid(
-    inst: GpInstance, eps: Optional[Fraction] = None
-) -> tuple[list[list[Fraction]], str]:
-    """Half-integral grid for integer budgets, geometric otherwise."""
-    from .exact import half_integral_grid
-
-    if all(e.budget.denominator == 1 for e in inst.edges):
-        return half_integral_grid(inst), "half"
-    eps = eps if eps is not None else Fraction(1, 10)
-    return [geometric_grid(b, eps) for b in max_incident_budget(inst)], f"geom:{eps}"
 
 
 def build_sa_lp(

@@ -329,11 +329,11 @@ def test_batch_kernel_object_path_and_chunks(kind):
     if kind == "gp4":
         inst = GpInstance.of(5, [(0, 1, 2, HUGE), (1, 2, 1, F(1, 3)), (1, 0, 3, HUGE),
                                  (2, 3, F(3, 2), 1)])
-        assert not _gp_completion_game(inst)[0].int64
+        assert not _gp_completion_game(inst)[0].int64()
     else:
         inst = GmdInstance.of(2, 5, [(0, 1, 1, HUGE), (1, 0, 2, HUGE), (1, 2, 2, F(1, 3)),
                                      (0, 1, 2, 1), (3, 2, 1, 5)])
-        assert not _gmd_game(inst).int64
+        assert not _gmd_game(inst).int64()
         marginals = [[F(1, 2), F(1, 4), F(1, 4)], [F(1, 3), F(1, 3), F(1, 3)], [F(0), F(1), F(0)],
                      [F(1), F(0), F(0)], [F(1, 5), F(2, 5), F(2, 5)]]
     _assert_batch_matches_reference(kind, inst, -7, TRIAL_CHUNK + 3, marginals)

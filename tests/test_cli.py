@@ -507,6 +507,19 @@ def test_bad_grid_eps_exit_1_naming_spec(capsys, command, eps):
     assert f"'geom:{eps}'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["gap", "--n", "16", "--p-keep"], "--p-keep"),
+    (["gap", "--n", "16", "--mu"], "--mu"),
+    (["sasol", "--in", os.path.join(GOLDEN, "c4.gmd"), "--mu"], "--mu"),
+    (["dict", "--T", "2", "--R", "1", "--emit", "soundness", "--delta"], "--delta"),
+])
+@pytest.mark.parametrize("text", ["1/0", "abc", "1e200000"])
+def test_bad_rational_option_exit_1_naming_it(capsys, argv, option, text):
+    assert run_command(argv + [text]) == 1
+    err = capsys.readouterr().err
+    assert f"error: bad {option} '{text}'" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmdlab.caps import Caps
+from gmdlab.cli import run_command
 from gmdlab.core import (
     CapExceeded,
     GmdInstance,
@@ -296,8 +297,6 @@ def test_engine_cover_and_zero_set_walk_agree():
 
 
 def test_engine_grid_value_and_witness_against_enumeration():
-    from gmdlab.salp import default_price_grid
-
     rng = substream(20261018, 2)
     cases = [
         (GpInstance.of(3, []), [[F(0), F(1)], [F(0)], [F(0), F(1, 2), F(1)]]),
@@ -317,7 +316,10 @@ def test_engine_grid_value_and_witness_against_enumeration():
             cases.append((GpInstance.of(n, edges), None))
     for inst, grid in cases:
         # fractional budgets get geom: grids, integer budgets half grids
-        grid = grid or default_price_grid(inst, F(1, 2))[0]
+        if grid is None and all(e.budget.denominator == 1 for e in inst.edges):
+            grid = half_integral_grid(inst)
+        elif grid is None:
+            grid = [geometric_grid(b, F(1, 2)) for b in max_incident_budget(inst)]
         value, witness = _plain_grid(inst, grid)
         res = opt_gp_grid(inst, grid)
         assert res.value == value
@@ -356,7 +358,7 @@ def test_elimination_cover_and_walk_agree_on_gmd(inst):
     T = inst.T
     game = _gmd_game(inst)
     order, _ = game.elimination_order()
-    value, _ = game._eliminate(order, [None] * inst.n)
+    value, _ = game._eliminate(order, game.arrays())
     mask = _gmd_elim_mask(game, order)
     labels, total = _gmd_labels(game, [bool(mask >> v & 1) for v in range(inst.n)])
     assert total == value
@@ -430,12 +432,31 @@ def test_elimination_on_python_int_tables():
     inst = GmdInstance.of(2, 5, [(0, 1, 1, big), (1, 2, 2, big), (2, 0, 1, big + 1),
                                  (3, 4, 2, 3), (4, 3, 1, 3), (1, 3, 1, big)])
     game = _gmd_game(inst)
-    assert not game.int64
+    assert not game.int64()
     order, _ = game.elimination_order()
     mask = _gmd_elim_mask(game, order)
     cover_value, x = game.maximise(game.cover(), key=lambda x: _zero_mask(x, 2))
     assert mask == _zero_mask(x, 2)
     assert _gmd_labels(game, [bool(mask >> v & 1) for v in range(5)])[1] == cover_value
+    res = opt_gmd(inst)
+    assert (res.value, res.witness) == _plain_gmd(inst)
+
+
+def test_elimination_when_only_the_penalised_tables_pass_int64():
+    # the payoffs fit int64, the payoffs times 2^n do not, so the one pass
+    # runs on Python ints; the 4-cycle 0->1->2->3->0 has tied optima
+    big = 2**57
+    inst = GmdInstance.of(2, 6, [(0, 1, 1, big), (1, 2, 1, big), (2, 3, 1, big), (3, 0, 1, big),
+                                 (4, 5, 2, 5), (5, 4, 1, 5), (1, 4, 2, 3)])
+    game = _gmd_game(inst)
+    assert game.int64() and not game.int64(inst.n)
+    order, _ = game.elimination_order()
+    mask = _gmd_elim_mask(game, order)
+    scaled = [a.weight.numerator * (game.denom // a.weight.denominator) for a in inst.arcs]
+    assert mask == _zero_set_walk(inst, scaled)
+    assert mask == _zero_mask(game.maximise(game.cover(), key=lambda x: _zero_mask(x, 2))[1], 2)
+    labels, total = _gmd_labels(game, [bool(mask >> v & 1) for v in range(inst.n)])
+    assert (F(total, game.denom), Labeling(tuple(labels))) == _plain_gmd(inst)
     res = opt_gmd(inst)
     assert (res.value, res.witness) == _plain_gmd(inst)
 
@@ -446,7 +467,7 @@ def _gmd_path(inst):
     return _gmd_plan(inst, game, scaled)[0]
 
 
-def test_cost_estimate_picks_each_path():
+def test_cost_estimate_picks_each_path(tmp_path):
     golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
     with open(os.path.join(golden, "g20.gmd")) as fh:
         g20 = parse_instance(fh.read())
@@ -457,6 +478,12 @@ def test_cost_estimate_picks_each_path():
                           + [(v, 0, 2, 1) for v in range(1, 12)])
     # the n=4 cycle c4 has only 16 zero masks
     assert [_gmd_path(i) for i in (g20, c4, star)] == ["elim", "walk", "cover"]
+    # the benchmark's `gap --n 16 --seed 0` instance: its least cover has
+    # 729 assignments, and one elimination pass costs less
+    gap16 = str(tmp_path / "gap16.gmd")
+    assert run_command(["gap", "--n", "16", "--seed", "0", "--out", gap16]) == 0
+    with open(gap16) as fh:
+        assert _gmd_path(parse_instance(fh.read())) == "elim"
 
 
 def test_dense_game_falls_back_from_elimination():

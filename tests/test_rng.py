@@ -24,6 +24,9 @@ def test_coin_rows_match_substreams(seed, n):
     for row, k in zip(rows, INDICES):
         want = substream(seed, k).integers(0, 2, size=n)
         assert row.dtype == want.dtype and row.tolist() == want.tolist()
+        # one scalar draw at a time gives the same coins
+        rng = substream(seed, k)
+        assert row.tolist() == [int(rng.integers(0, 2)) for _ in range(n)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -17,7 +17,6 @@ from gmdlab.salp import (
     _set_codes,
     build_sa_lp,
     check_sa_consistency,
-    default_price_grid,
     geometric_grid,
     geometric_grid_size,
     solve_lp_exact,
@@ -243,16 +242,6 @@ def test_lp_values_match_float_solver_cross_check():
 def test_geometric_grid_exact():
     grid = geometric_grid(F(2), F(1, 2))
     assert grid == [F(0), F(1), F(3, 2)]
-
-
-def test_default_grid_choice():
-    integral = GpInstance.of(2, [(0, 1, 2, 1)])
-    _, note = default_price_grid(integral)
-    assert note == "half"
-    frac = GpInstance.of(2, [(0, 1, F(3, 2), 1)])
-    grids, note = default_price_grid(frac, eps=F(1, 4))
-    assert note == "geom:1/4"
-    assert grids[0][0] == 0 and grids[0][1] == 1
 
 
 def fraction_check(values, domains):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import gmdlab.simplex as simplex_mod
 from gmdlab.caps import Caps
 from gmdlab.core import GmdInstance, GpInstance, max_incident_budget
-from gmdlab.salp import build_sa_lp, default_price_grid, geometric_grid
+from gmdlab.exact import half_integral_grid
+from gmdlab.salp import build_sa_lp, geometric_grid
 from gmdlab.simplex import LpInfeasible, LpUnbounded, simplex_max
 
 F = Fraction
@@ -85,7 +86,7 @@ def sa_lps_with_redundant_rows(draw):
         edges = draw(st.lists(
             st.tuples(pairs, st.integers(1, 2), st.integers(1, 4)), min_size=1, max_size=4))
         inst = GpInstance.of(n, [(u, v, b, w) for (u, v), b, w in edges])
-        lp = build_sa_lp(inst, rounds=2, price_grid=default_price_grid(inst)[0])
+        lp = build_sa_lp(inst, rounds=2, price_grid=half_integral_grid(inst))
     c, rows, rhs = lp_parts(lp)
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(rows) - 1))
@@ -135,7 +136,7 @@ def test_sa_lps_are_certified():
     pricing = GpInstance.of(4, [(3, 0, 2, 4), (0, 3, 1, 3), (0, 3, 2, 3), (2, 1, 2, 4), (0, 2, 1, 1)])
     lps = [build_sa_lp(inst, rounds=rounds)
            for inst, rounds in ((tri, 2), (tri, 3), (two, 2), (two, 3), (five, 2), (four, 3))]
-    lps.append(build_sa_lp(pricing, rounds=2, price_grid=default_price_grid(pricing)[0]))
+    lps.append(build_sa_lp(pricing, rounds=2, price_grid=half_integral_grid(pricing)))
     assert [lp.num_variables for lp in lps[4:]] == [180, 174, 170]
     for lp in lps:
         c, rows, rhs = lp_parts(lp)
