@@ -3,8 +3,11 @@
 Both problems maximise a sum of pairwise payoffs over finite per-vertex
 domains: labels 0..T for max-dicut, a candidate price grid for pricing.
 One engine, `_PairGame`, solves that problem for every oracle and best
-response in the package.  Every payoff is scaled once to an integer over a
-common denominator, so no comparison ever touches a `Fraction` or a float.
+response in the package.  Its builders (`_gmd_game`, `_gp_game`) read
+each weight, price and budget `Fraction` once, for its numerator and
+denominator, and fill the payoff tables with integers over one common
+denominator; `_PairGame` divides them by their gcd with it.  No table entry
+is a `Fraction`, and no comparison ever touches a `Fraction` or a float.
 `opt_gp_grid` runs the cover enumeration; `opt_gmd` picks one of three
 enumerators by estimated cost:
 
@@ -18,7 +21,7 @@ enumerators by estimated cost:
   all (T+1)^n labelings;
 * bucket elimination along a min-fill order, with integer max-sum tables
   (numpy int64 when no partial sum can overflow, Python ints otherwise) of
-  at most `ELIM_MAX_ENTRIES` entries in all.  One pass finds the smallest
+  at most `ELIM_MAX_BYTES` in all.  One pass finds the smallest
   optimal zero mask: it runs on the payoffs times 2^n with 2^v charged for
   label 0 at each vertex v, and a zero mask is below 2^n, so the penalty
   only breaks ties between optima.
@@ -45,7 +48,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 from typing import Callable, Sequence, Union
 
 from .caps import Caps
@@ -62,10 +65,11 @@ from .core import (
 )
 
 
-# Most bucket-table entries one elimination pass may hold: it keeps every
-# bucket's table for the read-back, so this bounds its memory by a few arrays
-# of the size of a zero-set walk chunk.
-ELIM_MAX_ENTRIES = 1 << 20
+# Most bytes the bucket tables of one elimination pass may hold; it keeps
+# every bucket's table for the read-back.  Four 2^20-entry int64 arrays: no
+# more than one zero-set walk chunk allocates.  An int64 entry counts 8
+# bytes, a Python-int entry 64 (its pointer and a multi-digit int object).
+ELIM_MAX_BYTES = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -80,20 +84,25 @@ class _PairGame:
     x_v ranges over domain indices 0..sizes[v]-1.
 
     `tables` maps a pair (u, v) to its payoff rows (indexed by x_u, then
-    x_v) as Fractions; they are scaled once to exact ints over `denom`.
+    x_v) as integers over the common denominator `scale`.  They are divided
+    once by g, the gcd of `scale` and every payoff, so each payoff is an exact
+    int over `denom` = scale // g, the least common denominator of the
+    payoffs in lowest terms.
     """
 
-    def __init__(self, sizes: Sequence[int], tables: dict):
-        from math import lcm
-
+    def __init__(self, sizes: Sequence[int], tables: dict, scale: int):
         self.sizes = tuple(sizes)
-        self.denom = lcm(*(p.denominator for t in tables.values() for row in t for p in row))
-        d = self.denom
+        g = scale
+        for rows in tables.values():
+            for row in rows:
+                g = gcd(g, *row)
+        self.denom = scale // g
         self.pairs = []
         # nbrs[v][u][x_u] is the payoff vector over x_v given u's choice
         self.nbrs: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in self.sizes]
-        for (u, v), rows in tables.items():
-            ints = [[p.numerator * (d // p.denominator) for p in row] for row in rows]
+        for (u, v), ints in tables.items():
+            if g > 1:
+                ints = [[p // g for p in row] for row in ints]
             self.pairs.append((u, v, ints))
             self.nbrs[v][u] = [tuple(row) for row in ints]
             self.nbrs[u][v] = list(zip(*ints))
@@ -255,7 +264,7 @@ class _PairGame:
         """Estimated cost of building the min-fill order and running
         `_gmd_elim_mask` along it, and the order; None when the estimate is
         not below `budget` (None: no bound) or the pass's bucket tables would
-        have more than `ELIM_MAX_ENTRIES` entries in all.
+        take more than `ELIM_MAX_BYTES`.
 
         The order is built only when the estimate with the order counted
         twice and a lower bound on the entries (the first bucket's table
@@ -279,9 +288,10 @@ class _PairGame:
         if budget is not None and cost + order_cost + 3 * first >= budget:
             return None
         order, entries = self.elimination_order()
-        if sum(entries) > ELIM_MAX_ENTRIES:
+        wide = self.int64(len(self.sizes))
+        if sum(entries) * (8 if wide else 64) > ELIM_MAX_BYTES:
             return None
-        cost += (3 if self.int64(len(self.sizes)) else 20) * sum(entries)
+        cost += (3 if wide else 20) * sum(entries)
         return (cost, order) if budget is None or cost < budget else None
 
     def int64(self, shift: int = 0) -> bool:
@@ -358,17 +368,22 @@ def _drop(graph: dict, removed: set) -> dict:
 
 def _gmd_game(inst: GmdInstance) -> _PairGame:
     """Max-dicut as a pair game.  Domain index i < T is label i + 1 and index
-    T is label 0, so the smallest index prefers a nonzero label on ties."""
+    T is label 0, so the smallest index prefers a nonzero label on ties.
+    Weights are scaled once to integers over the lcm of their denominators."""
     T = inst.T
+    scale = lcm(*(a.weight.denominator for a in inst.arcs))
     tables: dict = {}
     for a in inst.arcs:
         u, v = sorted((a.tail, a.head))
-        rows = tables.setdefault((u, v), [[Fraction(0)] * (T + 1) for _ in range(T + 1)])
+        rows = tables.get((u, v))
+        if rows is None:
+            rows = tables[u, v] = [[0] * (T + 1) for _ in range(T + 1)]
+        w = a.weight.numerator * (scale // a.weight.denominator)
         if a.tail == u:
-            rows[T][a.label - 1] += a.weight
+            rows[T][a.label - 1] += w
         else:
-            rows[a.label - 1][T] += a.weight
-    return _PairGame([T + 1] * inst.n, tables)
+            rows[a.label - 1][T] += w
+    return _PairGame([T + 1] * inst.n, tables, scale)
 
 
 def _gmd_labels(game: _PairGame, zero: Sequence[bool]) -> tuple[list[int], int]:
@@ -543,19 +558,30 @@ def half_integral_grid(inst: GpInstance) -> list[list[Fraction]]:
 
 
 def _gp_game(inst: GpInstance, candidates: Sequence[Sequence[Fraction]]) -> _PairGame:
-    """Pricing as a pair game over candidate indices; parallel edges add up."""
+    """Pricing as a pair game over candidate indices; parallel edges add up.
+
+    Prices and budgets are scaled once to integers over Dp, the lcm of their
+    denominators, and weights over Dw, so an entry W_e * (P_u + P_v), kept
+    when P_u + P_v <= B_e, is an integer over Dp * Dw."""
+    dp = lcm(*(p.denominator for c in candidates for p in c),
+             *(e.budget.denominator for e in inst.edges))
+    dw = lcm(*(e.weight.denominator for e in inst.edges))
+    prices = [[p.numerator * (dp // p.denominator) for p in c] for c in candidates]
     tables: dict = {}
     for e in inst.edges:
         u, v = sorted((e.u, e.v))
-        cu, cv = candidates[u], candidates[v]
-        rows = tables.setdefault((u, v), [[Fraction(0)] * len(cv) for _ in cu])
-        for i, pu in enumerate(cu):
-            row = rows[i]
+        cu, cv = prices[u], prices[v]
+        rows = tables.get((u, v))
+        if rows is None:
+            rows = tables[u, v] = [[0] * len(cv) for _ in cu]
+        w = e.weight.numerator * (dw // e.weight.denominator)
+        b = e.budget.numerator * (dp // e.budget.denominator)
+        for row, pu in zip(rows, cu):
             for j, pv in enumerate(cv):
                 s = pu + pv
-                if s <= e.budget:
-                    row[j] += e.weight * s
-    return _PairGame([len(c) for c in candidates], tables)
+                if s <= b:
+                    row[j] += w * s
+    return _PairGame([len(c) for c in candidates], tables, dp * dw)
 
 
 def opt_gp_grid(

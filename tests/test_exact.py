@@ -1,5 +1,8 @@
 import os
+import random
+import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +21,12 @@ from gmdlab.core import (
     val_gmd,
     val_gp,
 )
+from gmdlab.approx import _gp_completion_game
 from gmdlab.exact import (
-    ELIM_MAX_ENTRIES,
+    ELIM_MAX_BYTES,
     _gmd_elim_mask,
     _gmd_game,
+    _gp_game,
     _gmd_labels,
     _gmd_plan,
     _zero_mask,
@@ -491,6 +496,202 @@ def test_dense_game_falls_back_from_elimination():
     # other 23 into one table of 2^24 entries
     tournament = GmdInstance.of(1, 24, [(u, v, 1, 1) for u in range(24) for v in range(u + 1, 24)])
     game = _gmd_game(tournament)
-    assert game.elimination_order()[1][0] == 1 << 24 > ELIM_MAX_ENTRIES
+    assert game.int64(24)
+    assert game.elimination_order()[1][0] * 8 == 8 << 24 > ELIM_MAX_BYTES
     assert game.elimination_plan(None) is None
     assert _gmd_path(tournament) == "cover"
+
+
+def _sparse24():
+    """n = 24, T = 3: 66 random arcs with weights 1-7."""
+    rng = random.Random(1 * 1_000_003 + 24 * 1009 + 3 * 101 + 66)
+    arcs: dict = {}
+    while len(arcs) < 66:
+        u, v = rng.randrange(24), rng.randrange(24)
+        if u != v:
+            arcs.setdefault((u, v, rng.randint(1, 3)), rng.randint(1, 7))
+    return GmdInstance.of(3, 24, [(u, v, t, w) for (u, v, t), w in arcs.items()])
+
+
+def test_sparse_game_past_a_million_entries_plans_elimination():
+    # its int64 min-fill tables hold 2,092,116 entries (16.7 MB); the walk
+    # over 2^24 masks takes seconds and returns the same mask, 2369109
+    inst = _sparse24()
+    game = _gmd_game(inst)
+    entries = sum(game.elimination_order()[1])
+    assert game.int64(24) and entries == 2_092_116 and entries * 8 <= ELIM_MAX_BYTES
+    assert _gmd_path(inst) == "elim"
+    res = opt_gmd(inst)
+    assert sum(1 << v for v, x in enumerate(res.witness.values) if x == 0) == 2369109
+    assert res.value == 86
+
+
+def test_benchmark_dag8_instances_keep_the_cover(tmp_path, monkeypatch):
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                    "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    monkeypatch.chdir(tmp_path)
+    workloads.setup_oracle()
+    paths = sorted(tmp_path.glob("dag8-*.gmd"))
+    assert len(paths) == 6
+    for path in paths:
+        assert _gmd_path(parse_instance(path.read_text())) == "cover", path.name
+
+
+# ---------------------------------------------------------------------------
+# the integer builders against `Fraction` tables scaled through one lcm
+# ---------------------------------------------------------------------------
+
+
+def _fraction_game(sizes, tables):
+    """(sizes, denom, pairs, nbrs) of the pair game with the `Fraction`
+    payoff tables `tables`, each payoff scaled to an int over the lcm of the
+    payoffs' denominators."""
+    denom = lcm(*(p.denominator for t in tables.values() for row in t for p in row))
+    pairs, nbrs = [], [{} for _ in sizes]
+    for (u, v), rows in tables.items():
+        ints = [[p.numerator * (denom // p.denominator) for p in row] for row in rows]
+        pairs.append((u, v, ints))
+        nbrs[v][u] = [tuple(row) for row in ints]
+        nbrs[u][v] = list(zip(*ints))
+    return tuple(sizes), denom, pairs, nbrs
+
+
+def _fraction_gmd_game(inst):
+    T = inst.T
+    tables: dict = {}
+    for a in inst.arcs:
+        u, v = sorted((a.tail, a.head))
+        rows = tables.setdefault((u, v), [[F(0)] * (T + 1) for _ in range(T + 1)])
+        if a.tail == u:
+            rows[T][a.label - 1] += a.weight
+        else:
+            rows[a.label - 1][T] += a.weight
+    return _fraction_game([T + 1] * inst.n, tables)
+
+
+def _fraction_gp_game(inst, candidates):
+    tables: dict = {}
+    for e in inst.edges:
+        u, v = sorted((e.u, e.v))
+        cu, cv = candidates[u], candidates[v]
+        rows = tables.setdefault((u, v), [[F(0)] * len(cv) for _ in cu])
+        for i, pu in enumerate(cu):
+            for j, pv in enumerate(cv):
+                if pu + pv <= e.budget:
+                    rows[i][j] += e.weight * (pu + pv)
+    return _fraction_game([len(c) for c in candidates], tables)
+
+
+def _built(game):
+    return game.sizes, game.denom, game.pairs, game.nbrs
+
+
+# primes whose product passes 2^63 many times over
+BIG_PRIMES = (2147483647, 4294967291, 2305843009213693951)
+
+
+def _builder_gmd_instances():
+    rng = random.Random(20261019)
+    weights = [
+        lambda: F(rng.randint(0, 4), 6),                        # zeros and sixths
+        lambda: F(rng.randint(1, 40), rng.randint(1, 3)),      # unnormalised
+        lambda: F(rng.randint(0, 9), rng.choice(BIG_PRIMES)),  # lcm past 2^63
+        lambda: F(rng.randint(1, 5) * 6, 4),                   # a common factor
+    ]
+    cases = [GmdInstance.of(2, 3, []), GmdInstance.of(1, 2, [(0, 1, 1, 0), (1, 0, 1, 0)])]
+    for weight in weights:
+        for _ in range(6):
+            T, n = rng.randint(1, 3), rng.randint(2, 7)
+            arcs = []
+            for _ in range(rng.randint(1, 12)):
+                u, v = rng.sample(range(n), 2)
+                arcs.append((u, v, rng.randint(1, T), weight()))
+                if rng.random() < 0.4:  # its antiparallel twin
+                    arcs.append((v, u, rng.randint(1, T), weight()))
+            cases.append(GmdInstance.of(T, n, arcs))
+    return cases
+
+
+def test_gmd_game_equals_fraction_tables():
+    cases = _builder_gmd_instances()
+    assert any(_gmd_game(inst).denom >= 2**63 for inst in cases)
+    for inst in cases:
+        assert _built(_gmd_game(inst)) == _fraction_gmd_game(inst)
+
+
+def _builder_gp_instances():
+    rng = random.Random(20261020)
+    budgets = [F(1), F(2), F(3), F(1, 7), F(3, 2), F(13, 8), F(17, 10), F(7, 3)]
+    weights = [F(0), F(1), F(3), F(1, 2), F(2, 3), F(5, 4)]
+    cases = [GpInstance.of(3, [])]
+    for _ in range(18):
+        n = rng.randint(2, 5)
+        edges = []
+        for _ in range(rng.randint(1, 7)):
+            u, v = rng.sample(range(n), 2)
+            edges.append((u, v, rng.choice(budgets), rng.choice(weights)))
+            if rng.random() < 0.3:  # a parallel edge
+                edges.append((v, u, rng.choice(budgets), rng.choice(weights)))
+        cases.append(GpInstance.of(n, edges))
+    return cases
+
+
+def test_gp_game_equals_fraction_tables():
+    for inst in _builder_gp_instances():
+        half = half_integral_grid(inst)
+        geom = [geometric_grid(b, F(1, 10)) for b in max_incident_budget(inst)]
+        for grid in (half, geom):
+            assert _built(_gp_game(inst, grid)) == _fraction_gp_game(inst, grid)
+        game, domains = _gp_completion_game(inst)
+        assert _built(game) == _fraction_gp_game(inst, domains)
+
+
+def test_builders_do_no_fraction_arithmetic(monkeypatch):
+    gmd = _builder_gmd_instances()
+    gp = [(inst, [geometric_grid(b, F(1, 10)) for b in max_incident_budget(inst)])
+          for inst in _builder_gp_instances()]
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic while building a pair game")
+
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__",
+                 "__le__", "__lt__", "__ge__", "__gt__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    with pytest.raises(AssertionError):
+        F(1, 2) + F(1, 3)
+    for inst in gmd:
+        _gmd_game(inst)
+    for inst, grid in gp:
+        _gp_game(inst, grid)
+
+
+def _golden(name):
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", name)) as fh:
+        return parse_instance(fh.read())
+
+
+@pytest.mark.parametrize("name, value, witness", [
+    ("g20.gmd", F(74), (0, 2, 0, 1, 0, 0, 2, 1, 1, 0, 0, 0, 2, 2, 2, 1, 1, 0, 0, 2)),
+    ("c4.gmd", F(5, 12), (0, 1, 1, 1)),
+    ("gap12.gmd", F(6, 11), (2, 2, 2, 0, 1, 1, 0, 0, 0, 1, 0, 0)),
+])
+def test_opt_gmd_witnesses_pinned(name, value, witness):
+    inst = _golden(name)
+    res = opt_gmd(inst)
+    assert (res.value, res.witness.values, res.explored) == (value, witness, 1 << inst.n)
+
+
+def test_opt_gp_grid_witnesses_pinned():
+    p3 = _golden("p3.gp")
+    res = opt_gp_grid(p3, half_integral_grid(p3))
+    assert (res.value, res.witness.values, res.explored) == (F(5), (F(1), F(1, 2), F(1, 2)), 100)
+    geom = _golden("geom.gp")
+    grid = [geometric_grid(b, F(1, 10)) for b in max_incident_budget(geom)]
+    res = opt_gp_grid(geom, grid)
+    assert res.value == F(775973, 100000)
+    assert res.witness.values == (F(14641, 10000), F(0), F(0), F(161051, 100000))
+    assert res.explored == 3969

@@ -5,15 +5,22 @@ the CSV it writes, without its provenance line (which hashes the argument
 paths), byte for byte with the recorded body.  A case that passes `--out`
 also compares the file it writes there with the golden file of that name; a
 case named after its `--out` file (`reduce`, `dict --emit instance`) writes
-no CSV and compares that file alone.
+no CSV and compares that file alone.  A case with a `<case>.stdout` file
+(stem of the case name) also compares what the command prints, byte for
+byte: the `opt = ...` and `mean = ... stderr = ...` lines, which no CSV holds.
 A change to any of these files is a deliberate change of output.  To
 re-record the named cases, and only those:
 
     PYTHONPATH=src python tests/test_golden.py --write gap-n40-s0.csv ...
+
+`--write` rewrites a case's `.stdout` file only when it already exists, or
+with `--stdout`, which records one for every named case.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import sys
 import tempfile
@@ -53,10 +60,14 @@ CASES = (
     ("solve-g20.csv", ["solve", "--in", "g20.gmd"], None),
     ("solve-c4.csv", ["solve", "--in", "c4.gmd"], None),
     ("solve-p3-half.csv", ["solve", "--in", "p3.gp", "--grid", "half"], None),
+    # fractional budgets (13/8, 3/2, 17/10) and prices with denominators 10^k
+    ("solve-geom.csv", ["solve", "--in", "geom.gp", "--grid", "geom:1/10"], None),
     ("approx-gmd4-g20.csv", ["approx", "--in", "g20.gmd", "--algo", "gmd4", "--trials", "1000",
                              "--seed", "0"], None),
     ("approx-gp4-p3.csv", ["approx", "--in", "p3.gp", "--algo", "gp4", "--trials", "1000",
                            "--seed", "0"], None),
+    ("approx-gp4-geom.csv", ["approx", "--in", "geom.gp", "--algo", "gp4", "--trials", "1000",
+                             "--seed", "0"], None),
     ("approx-gmdlp-c4.csv", ["approx", "--in", "c4.gmd", "--algo", "gmdlp", "--rounds", "2",
                              "--trials", "1000", "--seed", "0"], None),
     # a negative seed: the Philox key takes it modulo 2^64
@@ -74,7 +85,8 @@ CASES = (
 
 
 def _outputs(name, argv, caps, directory) -> dict[str, bytes]:
-    """Run one case; returns {golden name: bytes} for its CSV body and `--out` file."""
+    """Run one case; returns {golden name: bytes} for its CSV body, its
+    `--out` file and what it prints (key "stdout")."""
     out = argv[argv.index("--out") + 1] if "--out" in argv else None
     csv = None if name == out else os.path.join(directory, "out.csv")
     argv = [
@@ -86,13 +98,15 @@ def _outputs(name, argv, caps, directory) -> dict[str, bytes]:
     old = os.environ.pop("GMDLAB_CAPS", None)
     if caps is not None:
         os.environ["GMDLAB_CAPS"] = caps
+    printed = io.StringIO()
     try:
-        assert run_command(argv + (["--csv", csv] if csv else [])) == 0
+        with contextlib.redirect_stdout(printed):
+            assert run_command(argv + (["--csv", csv] if csv else [])) == 0
     finally:
         os.environ.pop("GMDLAB_CAPS", None)
         if old is not None:
             os.environ["GMDLAB_CAPS"] = old
-    outputs = {}
+    outputs = {"stdout": printed.getvalue().encode()}
     if csv is not None:
         with open(csv, "rb") as fh:
             first, body = fh.read().split(b"\n", 1)
@@ -104,16 +118,24 @@ def _outputs(name, argv, caps, directory) -> dict[str, bytes]:
     return outputs
 
 
+def _golden_name(name: str, key: str) -> str:
+    return {"csv": name, "stdout": os.path.splitext(name)[0] + ".stdout"}.get(key, key)
+
+
 @pytest.mark.parametrize("name, argv, caps", CASES, ids=[c[0] for c in CASES])
-def test_csv_body_matches_golden(name, argv, caps, tmp_path, capsys):
+def test_csv_body_matches_golden(name, argv, caps, tmp_path):
     for key, data in _outputs(name, argv, caps, str(tmp_path)).items():
-        with open(os.path.join(GOLDEN, name if key == "csv" else key), "rb") as fh:
+        target = os.path.join(GOLDEN, _golden_name(name, key))
+        if key == "stdout" and not os.path.exists(target):
+            continue
+        with open(target, "rb") as fh:
             assert data == fh.read(), key
 
 
 if __name__ == "__main__" and sys.argv[1:2] == ["--write"]:
     cases = {c[0]: c for c in CASES}
-    names = sys.argv[2:]
+    stdout = "--stdout" in sys.argv[2:]
+    names = [nm for nm in sys.argv[2:] if nm != "--stdout"]
     unknown = [nm for nm in names if nm not in cases]
     if not names or unknown:
         sys.exit(f"--write needs case names from: {' '.join(cases)}"
@@ -122,7 +144,10 @@ if __name__ == "__main__" and sys.argv[1:2] == ["--write"]:
         for nm in names:
             _, argv, caps = cases[nm]
             for key, data in _outputs(nm, argv, caps, tmp).items():
-                target = nm if key == "csv" else key
-                with open(os.path.join(GOLDEN, target), "wb") as fh:
+                target = _golden_name(nm, key)
+                path = os.path.join(GOLDEN, target)
+                if key == "stdout" and not (stdout or os.path.exists(path)):
+                    continue
+                with open(path, "wb") as fh:
                     fh.write(data)
                 print(f"wrote {target}")
