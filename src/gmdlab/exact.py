@@ -8,35 +8,39 @@ each weight, price and budget `Fraction` once, for its numerator and
 denominator, and fill the payoff tables with integers over one common
 denominator; `_PairGame` divides them by their gcd with it.  No table entry
 is a `Fraction`, and no comparison ever touches a `Fraction` or a float.
-`opt_gp_grid` runs the cover enumeration; `opt_gmd` picks one of three
-enumerators by estimated cost:
+Two enumerators serve the oracles:
 
-* cover enumeration: a vertex cover C of the payoff graph with the least
-  product of domain sizes, its assignments in product order; every vertex
-  outside C has all its neighbours in C, so it takes its best response on
-  its own, the smallest domain index winning ties, and ties between cover
-  assignments go to the smaller witness key;
 * the zero-set walk: once the zero set is fixed every other vertex
   best-responds on its own, so 2^n masks, vectorised in numpy int64, cover
-  all (T+1)^n labelings;
+  all (T+1)^n labelings.  It serves dense max-dicut games;
 * bucket elimination along a min-fill order, with integer max-sum tables
   (numpy int64 when no partial sum can overflow, Python ints otherwise) of
-  at most `ELIM_MAX_BYTES` in all.  One pass finds the smallest
-  optimal zero mask: it runs on the payoffs times 2^n with 2^v charged for
-  label 0 at each vertex v, and a zero mask is below 2^n, so the penalty
-  only breaks ties between optima.
+  at most `ELIM_MAX_BYTES` in all.  It serves sparse max-dicut games and
+  every pricing grid.
 
-The cover enumeration serves small covers, the walk small n, elimination
-sparse games whose min-fill tables stay small.  The cost estimates are
-calibrated by measurement (see `_gmd_plan` and `_PairGame.elimination_plan`).
+`opt_gmd` runs whichever has the lesser estimated cost (see `_gmd_plan` and
+`_PairGame.elimination_plan`, calibrated by measurement); `opt_gp_grid`
+always eliminates.  Each oracle refuses with CapExceeded, before any
+enumeration, when no enumerator fits.
 
-The key gives each oracle its witness contract, whichever enumerator runs.
-`opt_gp_grid` returns the first optimal grid point in `itertools.product`
-order.  `opt_gmd` returns the greedy completion of the smallest optimal
-zero mask: its domain lists the labels 1..T before 0, so a best response
-prefers a nonzero label, and the key is the zero mask.  `explored` is the
-size of the search space certified: 2^n masks, or the number of grid
-points.
+Each oracle has its witness contract.  `opt_gmd` returns the greedy
+completion of the smallest optimal zero mask: its domain lists the labels
+1..T before 0, so a best response prefers a nonzero label.  `opt_gp_grid`
+returns the first optimal grid point in `itertools.product` order.  The
+walk finds the smallest optimal mask by its scan order; one elimination
+pass (`_PairGame.first_optimum`) finds either witness by a penalty: the
+payoffs are scaled by S and each (vertex, index) is charged so that an
+assignment's charges add up to less than S and rank its witness key, so
+the penalty only breaks ties between optima:
+
+* max-dicut: S = 2^n, and label 0 at vertex v is charged 2^v, so the
+  charge is the zero mask;
+* pricing: S is the number of grid points, and index i at vertex v is
+  charged i times the product of the later vertices' domain sizes, so
+  the charge is the point's rank in product order.
+
+`explored` is the size of the search space certified: 2^n masks, or the
+number of grid points.
 
 On the half-integral grid {0, 1/2, ..., B} with integer budgets the grid
 value is the true optimum (a half-integral optimal pricing always exists);
@@ -48,8 +52,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from .caps import Caps
 from .core import (
@@ -126,145 +131,72 @@ class _PairGame:
         best = max(vec)
         return vec.index(best), best
 
-    def cover(self, bound: int | None = None) -> tuple[int, ...] | None:
-        """A vertex cover of the payoff graph with the least product of
-        domain sizes, by branch and bound: either the vertex of largest
-        degree is in the cover, or all its neighbours are.  Vertices with one
-        choice join the cover for free.
-
-        With a `bound` the search prunes every branch whose product reaches
-        it and returns None when no cover's product is below it; a cover it
-        does return is the one the unbounded search returns."""
-        sizes = self.sizes
-        free = {v for v, s in enumerate(sizes) if s == 1 and self.nbrs[v]}
-        graph = {}
-        for v, nb in enumerate(self.nbrs):
-            rest = set(nb) - free
-            if v not in free and rest:
-                graph[v] = rest
-        best = [1 + prod(sizes[v] for v in graph), set(graph)]
-        if bound is not None and bound < best[0]:
-            best = [bound, None]
-
-        def branch(graph: dict, chosen: set, cost: int) -> None:
-            if cost >= best[0]:
-                return
-            if not graph:
-                best[:] = [cost, chosen]
-                return
-            v = max(graph, key=lambda u: (len(graph[u]), -u))
-            branch(_drop(graph, {v}), chosen | {v}, cost * sizes[v])
-            nv = graph[v]
-            branch(_drop(graph, nv), chosen | nv, cost * prod(sizes[u] for u in nv))
-
-        branch(graph, set(), 1)
-        return None if best[1] is None else tuple(sorted(best[1] | free))
-
-    def maximise(self, cover: Sequence[int], key: Callable) -> tuple[int, list[int]]:
-        """Optimum and its witness: the assignment with the smallest
-        `key(x)` among the optimal ones that give every vertex outside
-        `cover` its smallest best-response index."""
-        sizes, nbrs = self.sizes, self.nbrs
-        n = len(sizes)
-        cover = sorted(cover, key=lambda c: sizes[c] > 1)
-        depth = {c: d for d, c in enumerate(cover)}
-        outer = [v for v in range(n) if v not in depth and nbrs[v]]
-        # per cover depth d: payoffs with earlier cover vertices, outer
-        # vertices whose score vectors gain a column, and outer vertices whose
-        # last cover neighbour is cover[d], so their best payoff is known
-        inner = [[(u, cols) for u, cols in nbrs[c].items() if depth.get(u, d) < d]
-                 for d, c in enumerate(cover)]
-        touch: list[list] = [[] for _ in cover]
-        close: list[list[int]] = [[] for _ in cover]
-        for v in outer:
-            for c in nbrs[v]:
-                touch[depth[c]].append((v, nbrs[v][c]))
-            close[max(depth[c] for c in nbrs[v])].append(v)
-        x = [0] * n
-        score: list = [None] * n
-        best: list = [-1, None, None]
-
-        def leaf(val: int) -> None:
-            if val < best[0]:
-                return
-            for v in outer:
-                vec = score[v]
-                x[v] = vec.index(max(vec))
-            k = key(x)
-            if val > best[0] or k < best[1]:
-                best[:] = [val, k, list(x)]
-
-        def assign(d: int, xc: int, val: int) -> int:
-            """Set cover[d] to xc; `val` plus the payoffs that settles."""
-            x[cover[d]] = xc
-            for u, cols in inner[d]:
-                val += cols[x[u]][xc]
-            for v, cols in touch[d]:
-                score[v] = cols[xc] if score[v] is None else [a + b for a, b in zip(score[v], cols[xc])]
-            for v in close[d]:
-                val += max(score[v])
-            return val
-
-        def descend(d: int, val: int) -> None:
-            if d == len(cover):
-                leaf(val)
-                return
-            saved = [score[v] for v, _ in touch[d]]
-            for xc in range(sizes[cover[d]]):
-                for (v, _), old in zip(touch[d], saved):
-                    score[v] = old
-                descend(d + 1, assign(d, xc, val))
-            for (v, _), old in zip(touch[d], saved):
-                score[v] = old
-
-        # single-choice vertices come first and are set without recursing, so
-        # the recursion is only as deep as the cover has real choices
-        d, val = 0, 0
-        while d < len(cover) and sizes[cover[d]] == 1:
-            val = assign(d, 0, val)
-            d += 1
-        descend(d, val)
-        return best[0], best[2]
-
     def elimination_order(self) -> tuple[list[int], list[int]]:
         """Min-fill order of the vertices with a payoff, and the number of
         entries of each one's bucket table.
 
         Eliminating v joins its remaining neighbours into a clique; the next
         vertex is the one whose clique adds the fewest new edges, then the one
-        of least degree, then the smallest.
+        of least degree, then the smallest.  Neighbourhoods are int bitmasks.
         """
+        import heapq
+
         sizes = self.sizes
-        adj = {v: set(nb) for v, nb in enumerate(self.nbrs) if nb}
+        adj = {v: sum(1 << u for u in nb) for v, nb in enumerate(self.nbrs) if nb}
 
-        def fill(v: int) -> int:
-            nb = list(adj[v])
-            return sum(1 for i, a in enumerate(nb) for b in nb[i + 1:] if b not in adj[a])
+        def key(v: int) -> tuple[int, int, int]:
+            # each missing edge a-b among v's neighbours is seen from a and b
+            nb = adj[v]
+            missing, rest = 0, nb
+            while rest:
+                low = rest & -rest
+                missing += (nb & ~adj[low.bit_length() - 1]).bit_count()
+                rest ^= low
+            degree = nb.bit_count()
+            return (missing - degree) // 2, degree, v
 
-        # a vertex's fill changes only when its neighbours or the edges among
-        # them do, so after v goes only v's neighbours and theirs are rescored
-        fills = {v: fill(v) for v in adj}
+        # eliminating v changes the keys of its neighbours, and the key of a
+        # vertex further out only when two of its neighbours gained an edge
+        # between them; `keys` holds each remaining vertex's key, and a heap
+        # entry that is not its vertex's key is stale
+        keys = {v: key(v) for v in adj}
+        heap = list(keys.values())
+        heapq.heapify(heap)
         order, entries = [], []
-        while adj:
-            v = min(adj, key=lambda u: (fills[u], len(adj[u]), u))
+        while heap:
+            item = heapq.heappop(heap)
+            v = item[2]
+            if keys.get(v) != item:
+                continue
+            del keys[v]
             nb = adj.pop(v)
-            del fills[v]
             size = sizes[v]
-            for u in nb:
-                adj[u] |= nb
-                adj[u] -= {u, v}
+            near = gained = 0
+            for u in _bits(nb):
+                joined = (adj[u] | nb) & ~(1 << u | 1 << v)
+                if joined & ~adj[u]:
+                    gained |= 1 << u
+                adj[u] = joined
+                near |= joined
                 size *= sizes[u]
-            for u in set(nb).union(*(adj[u] for u in nb)):
-                fills[u] = fill(u)
+            stale = nb
+            for w in _bits(near & ~nb if gained else 0):
+                if (adj[w] & gained).bit_count() > 1:
+                    stale |= 1 << w
+            for u in _bits(stale):
+                k = key(u)
+                if k != keys[u]:
+                    keys[u] = k
+                    heapq.heappush(heap, k)
             order.append(v)
             entries.append(size)
         return order, entries
 
-    def elimination_plan(self, budget: int | None) -> tuple[int, list[int]] | None:
+    def elimination_plan(self, budget: int | None, scale: int) -> tuple[int, list[int]] | None:
         """Estimated cost of building the min-fill order and running
-        `_gmd_elim_mask` along it, and the order; None when the estimate is
-        not below `budget` (None: no bound) or the pass's bucket tables would
-        take more than `ELIM_MAX_BYTES`.
+        `first_optimum` along it on the payoffs times `scale`, and the order;
+        None when the estimate is not below `budget` (None: no bound) or the
+        pass's bucket tables would take more than `ELIM_MAX_BYTES`.
 
         The order is built only when the estimate with the order counted
         twice and a lower bound on the entries (the first bucket's table
@@ -283,33 +215,74 @@ class _PairGame:
         k = sum(1 for nb in self.nbrs if nb)
         order_cost = 1900 * len(self.pairs) + 1000 * k
         cost = order_cost + 2400 * len(self.pairs) + 2200 * k
-        first = min(self.sizes[v] * prod(self.sizes[u] for u in nb)
-                    for v, nb in enumerate(self.nbrs) if nb)
-        if budget is not None and cost + order_cost + 3 * first >= budget:
-            return None
+        if budget is not None:
+            first = min((self.sizes[v] * prod(self.sizes[u] for u in nb)
+                         for v, nb in enumerate(self.nbrs) if nb), default=0)
+            if cost + order_cost + 3 * first >= budget:
+                return None
         order, entries = self.elimination_order()
-        wide = self.int64(len(self.sizes))
+        wide = self.int64(scale)
         if sum(entries) * (8 if wide else 64) > ELIM_MAX_BYTES:
             return None
         cost += (3 if wide else 20) * sum(entries)
         return (cost, order) if budget is None or cost < budget else None
 
-    def int64(self, shift: int = 0) -> bool:
+    def int64(self, scale: int = 1) -> bool:
         """Whether numpy int64 holds every partial sum of the payoffs times
-        2^shift, less charges that add up to less than 2^shift: payoffs are
+        `scale`, less charges that add up to less than `scale`: payoffs are
         nonnegative, so no such sum exceeds (the sum of each pair's largest
-        payoff + 1) * 2^shift in absolute value.  For max-dicut that sum of
+        payoff + 1) * scale in absolute value.  For max-dicut that sum of
         pair maxima is at most the walk's sum of scaled weights."""
-        top = sum(max(max(row) for row in t) for _, _, t in self.pairs)
-        return (top + 1) << shift < 2**62
+        return (self._top + 1) * scale < 2**62
 
-    def arrays(self, shift: int = 0) -> list:
-        """The payoff tables times 2^shift as numpy arrays, one (u, v, array)
-        per pair: int64 when `int64(shift)` holds, Python ints otherwise."""
+    @cached_property
+    def _top(self) -> int:
+        """The sum of each pair's largest payoff."""
+        return sum(max(map(max, t)) for _, _, t in self.pairs)
+
+    def arrays(self, scale: int = 1, charges: Sequence[Sequence[int]] | None = None) -> list:
+        """The payoff tables times `scale` as numpy arrays, one (u, v, array)
+        per pair, all views into one array: int64 when `int64(scale)` holds,
+        Python ints otherwise.  With `charges` (one list per vertex), the
+        first table of each vertex v has `charges[v][i]` taken off its
+        entries at index i of v."""
         import numpy as np
 
-        dtype = np.int64 if self.int64(shift) else object
-        return [(u, v, np.array(t, dtype=dtype) * (1 << shift)) for u, v, t in self.pairs]
+        dtype = np.int64 if self.int64(scale) else object
+        flat = np.array([p for _, _, t in self.pairs for row in t for p in row], dtype=dtype) * scale
+        if charges is not None:
+            cut = np.array([c for cs in charges for c in cs], dtype=dtype)
+            ends = list(itertools.accumulate(self.sizes))
+        out: list = []
+        charged: set[int] = set()
+        at = 0
+        for u, v, t in self.pairs:
+            arr = flat[at:at + len(t) * len(t[0])].reshape(len(t), -1)
+            at += arr.size
+            if charges is not None:
+                if u not in charged:
+                    arr -= cut[ends[u] - len(t):ends[u], None]
+                    charged.add(u)
+                if v not in charged:
+                    arr -= cut[ends[v] - len(t[0]):ends[v]]
+                    charged.add(v)
+            out.append((u, v, arr))
+        return out
+
+    def first_optimum(self, order: Sequence[int], scale: int,
+                      charges: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
+        """Optimum and the optimal assignment of least charge, by one pass of
+        `_eliminate` along `order` on `arrays(scale, charges)`.
+
+        The caller picks `charges[v][i]`, the charge for index i at vertex
+        v, so that an assignment's charges add up to less than `scale` and
+        differ between any two assignments it tells apart.  An assignment
+        then scores `scale` times its value less its charge; values are
+        integers, so the penalised optimum is an optimum of the game, and
+        the one of least charge among them.  A vertex with no payoff takes
+        index 0, so its index 0 must cost least."""
+        total, x = self._eliminate(order, self.arrays(scale, charges))
+        return -(-total // scale), x
 
     def _eliminate(self, order: Sequence[int], tables: list) -> tuple[int, list[int]]:
         """Optimum and one optimal assignment of the game with the payoff
@@ -355,15 +328,12 @@ class _PairGame:
         return int(const), out
 
 
-def _drop(graph: dict, removed: set) -> dict:
-    """`graph` without the vertices in `removed` and the ones left isolated."""
-    out = {}
-    for v, nb in graph.items():
-        if v not in removed:
-            rest = nb - removed
-            if rest:
-                out[v] = rest
-    return out
+def _bits(mask: int):
+    """The positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _gmd_game(inst: GmdInstance) -> _PairGame:
@@ -420,10 +390,10 @@ def greedy_completion(inst: GmdInstance, zero_set: frozenset[int] | set[int]) ->
 def opt_gmd(inst: GmdInstance, caps: Caps = Caps()) -> OptResult:
     """Exact max-dicut optimum over all (T+1)^n labelings.
 
-    Runs one of three enumerators, chosen by `_gmd_plan` on estimated cost:
-    the cover enumeration, the zero-set walk or bucket elimination.  Each
-    returns the smallest optimal zero mask, whose greedy completion is the
-    witness.
+    Runs the zero-set walk or bucket elimination, whichever `_gmd_plan`
+    picks; both return the smallest optimal zero mask, whose greedy
+    completion is the witness.  CapExceeded when neither fits, before any
+    enumeration.
     """
     n = inst.n
     if n > caps.opt_gmd_n:
@@ -433,15 +403,12 @@ def opt_gmd(inst: GmdInstance, caps: Caps = Caps()) -> OptResult:
             value=Fraction(0), witness=greedy_completion(inst, set()), explored=1
         )
     game = _gmd_game(inst)
-    T = inst.T
     scaled = [a.weight.numerator * (game.denom // a.weight.denominator) for a in inst.arcs]
-    path, plan = _gmd_plan(inst, game, scaled)
+    path, order = _gmd_plan(inst, game, scaled)
     if path == "walk":
         best_mask = _zero_set_walk(inst, scaled)
-    elif path == "elim":
-        best_mask = _gmd_elim_mask(game, plan)
     else:
-        best_mask = _zero_mask(game.maximise(plan, key=lambda x: _zero_mask(x, T))[1], T)
+        best_mask = _gmd_elim_mask(game, order)
     labels, total = _gmd_labels(game, [bool(best_mask >> v & 1) for v in range(n)])
     witness = Labeling(tuple(labels))
     best_val = Fraction(total, game.denom)
@@ -451,25 +418,24 @@ def opt_gmd(inst: GmdInstance, caps: Caps = Caps()) -> OptResult:
 
 def _gmd_plan(inst: GmdInstance, game: _PairGame,
               scaled: list[int]) -> tuple[str, Sequence[int] | None]:
-    """The enumerator `opt_gmd` runs and what it runs along: ("cover", the
-    cover), ("walk", None) or ("elim", the elimination order).  The least
-    estimated cost wins, ties to the cover, then to the walk.  The walk runs
-    only when its int64 sums cannot overflow, elimination only when its
-    tables stay small; the cover search is bounded by the better of the two,
-    so it stops as soon as no cover can win."""
-    # Costs in numpy int64 operations on one mask and one arc: a cover leaf in
-    # Python costs about 360 of them, a numpy call (three per arc and chunk)
-    # about 200.
+    """The enumerator `opt_gmd` runs and what it runs along: ("walk", None)
+    or ("elim", the elimination order).  The walk runs only when its int64
+    sums cannot overflow, elimination only when its tables fit in
+    `ELIM_MAX_BYTES`; when both do, the lesser estimated cost wins, ties to
+    the walk.  CapExceeded when neither does."""
+    # Costs in numpy int64 operations on one mask and one arc; a numpy call
+    # (three per arc and chunk) costs about 200 of them.
     n, m = inst.n, len(inst.arcs)
     walk = None
     if sum(scaled) < 2**62:
         walk = (1 << n) * m + 600 * m * max(1, (1 << n) >> 20)
-    elim = game.elimination_plan(walk)
-    budget = walk if elim is None else elim[0]
-    cover = game.cover(None if budget is None else budget // 360 + 1)
-    if cover is not None:
-        return "cover", cover
-    return ("walk", None) if elim is None else ("elim", elim[1])
+    elim = game.elimination_plan(walk, 1 << n)
+    if elim is not None:
+        return "elim", elim[1]
+    if walk is None:
+        raise CapExceeded(f"opt_gmd: the zero-set walk overflows int64 and the "
+                          f"elimination tables exceed {ELIM_MAX_BYTES} bytes")
+    return "walk", None
 
 
 def _zero_mask(x: Sequence[int], T: int) -> int:
@@ -478,25 +444,13 @@ def _zero_mask(x: Sequence[int], T: int) -> int:
 
 
 def _gmd_elim_mask(game: _PairGame, order: Sequence[int]) -> int:
-    """Smallest optimal zero mask by one pass of `_eliminate` along `order`.
-
-    The pass runs on the payoffs times 2^n, with 2^v charged for label 0 at
-    each vertex v on one of its tables, so an assignment scores 2^n times
-    its value less its zero mask.  Values are integers and a zero mask is
-    below 2^n, so the penalised optimum is an optimum of the game, and the
-    one of smallest zero mask among them."""
+    """Smallest optimal zero mask by one `first_optimum` pass along `order`:
+    the payoffs are scaled by 2^n and label 0 at vertex v is charged 2^v,
+    so an assignment's charge is its zero mask."""
     n = len(game.sizes)
     T = game.sizes[0] - 1
-    tables = game.arrays(n)
-    charged: set[int] = set()
-    for u, v, arr in tables:
-        if u not in charged:
-            arr[T] -= 1 << u
-            charged.add(u)
-        if v not in charged:
-            arr[:, T] -= 1 << v
-            charged.add(v)
-    return _zero_mask(game._eliminate(order, tables)[1], T)
+    charges = [[0] * T + [1 << v] for v in range(n)]
+    return _zero_mask(game.first_optimum(order, 1 << n, charges)[1], T)
 
 
 def _zero_set_walk(inst: GmdInstance, scaled: list[int]) -> int:
@@ -589,8 +543,11 @@ def opt_gp_grid(
     candidates: Sequence[Sequence[Fraction]],
     caps: Caps = Caps(),
 ) -> OptResult:
-    """Exact maximum of the pricing value over the candidate grid; the
-    witness is the first optimal grid point in product order."""
+    """Exact maximum of the pricing value over the candidate grid by one
+    `first_optimum` pass; the witness is the first optimal grid point in
+    product order.  CapExceeded, before the pass, when the grid has more
+    than `caps.gp_grid_points` points or its elimination tables would take
+    more than `ELIM_MAX_BYTES`."""
     if len(candidates) != inst.n:
         raise InstanceError("need one candidate list per vertex")
     points = 1
@@ -605,7 +562,16 @@ def opt_gp_grid(
         raise CapExceeded(f"grid has {points} points, cap {caps.gp_grid_points}")
 
     game = _gp_game(inst, candidates)
-    total, point = game.maximise(game.cover(), key=tuple)
+    plan = game.elimination_plan(None, points)
+    if plan is None:
+        raise CapExceeded(f"opt_gp_grid: elimination tables exceed {ELIM_MAX_BYTES} bytes")
+    # index i at v is charged i times the product of the later domain sizes,
+    # so a point's charge is its rank in product order
+    charges, stride = [], points
+    for size in game.sizes:
+        stride //= size
+        charges.append([i * stride for i in range(size)])
+    total, point = game.first_optimum(plan[1], points, charges)
     best_val = Fraction(total, game.denom)
     witness = Pricing(tuple(candidates[v][i] for v, i in enumerate(point)))
     assert val_gp(inst, witness) == best_val

@@ -21,6 +21,7 @@ from gmdlab.core import (
     val_gmd,
     val_gp,
 )
+from gmdlab import exact
 from gmdlab.approx import _gp_completion_game
 from gmdlab.exact import (
     ELIM_MAX_BYTES,
@@ -29,7 +30,6 @@ from gmdlab.exact import (
     _gp_game,
     _gmd_labels,
     _gmd_plan,
-    _zero_mask,
     _zero_set_walk,
     greedy_completion,
     half_integral_grid,
@@ -285,19 +285,16 @@ def test_engine_gmd_value_and_witness_against_enumeration():
         assert res.explored == (1 << inst.n if inst.arcs else 1)
 
 
-def test_engine_cover_and_zero_set_walk_agree():
+def test_engine_elimination_and_zero_set_walk_agree():
     rng = substream(20261018, 1)
     for T, n, m in [(1, 9, 12), (2, 8, 20), (3, 7, 18), (2, 10, 6)]:
         for _ in range(3):
             inst = _random_gmd_instance(rng, T, n, m)
             game = _gmd_game(inst)
             scaled = [a.weight.numerator * (game.denom // a.weight.denominator) for a in inst.arcs]
-
-            def zero_mask(x):
-                return sum(1 << v for v, i in enumerate(x) if i == T)
-
-            total, x = game.maximise(game.cover(), key=zero_mask)
-            assert zero_mask(x) == _zero_set_walk(inst, scaled)
+            order, _ = game.elimination_order()
+            total, _ = game._eliminate(order, game.arrays())
+            assert _gmd_elim_mask(game, order) == _zero_set_walk(inst, scaled)
             assert F(total, game.denom) == opt_gmd(inst).value
 
 
@@ -336,12 +333,12 @@ def test_engine_grid_value_and_witness_against_enumeration():
 
 
 # ---------------------------------------------------------------------------
-# bucket elimination against the cover enumeration and the zero-set walk,
-# each called directly (the cost estimate picks one path per instance)
+# bucket elimination against the zero-set walk and plain enumeration, each
+# called directly (the cost estimate picks one path per instance)
 # ---------------------------------------------------------------------------
 
-# the cover enumeration is run only up to this many cover assignments
-COVER_LEAVES = 5000
+# plain enumeration is run only up to this many labelings
+PLAIN_LABELINGS = 3000
 
 
 @st.composite
@@ -359,8 +356,7 @@ def gmd_instances(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(gmd_instances())
-def test_elimination_cover_and_walk_agree_on_gmd(inst):
-    T = inst.T
+def test_elimination_and_walk_agree_on_gmd(inst):
     game = _gmd_game(inst)
     order, _ = game.elimination_order()
     value, _ = game._eliminate(order, game.arrays())
@@ -369,13 +365,8 @@ def test_elimination_cover_and_walk_agree_on_gmd(inst):
     assert total == value
     scaled = [a.weight.numerator * (game.denom // a.weight.denominator) for a in inst.arcs]
     assert _zero_set_walk(inst, scaled) == mask
-    cover = game.cover()
-    # a bound above the cover's product keeps it, one at the product finds none
-    leaves = (T + 1) ** len(cover)
-    assert game.cover(leaves + 1) == cover and game.cover(leaves) is None
-    if leaves <= COVER_LEAVES:
-        cover_value, x = game.maximise(cover, key=lambda x: _zero_mask(x, T))
-        assert (cover_value, _zero_mask(x, T)) == (value, mask)
+    if (inst.T + 1) ** inst.n <= PLAIN_LABELINGS:
+        assert _plain_gmd(inst) == (F(value, game.denom), Labeling(tuple(labels)))
     res = opt_gmd(inst)
     assert res.value == F(value, game.denom)
     assert res.witness == Labeling(tuple(labels))
@@ -423,12 +414,50 @@ def gp_grids(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(gp_grids())
-def test_cover_matches_enumeration_on_grids(case):
+def test_elimination_matches_enumeration_on_grids(case):
     inst, grid = case
     res = opt_gp_grid(inst, grid)
     assert val_gp(inst, res.witness) == res.value
     if res.explored <= 3000:
         assert _plain_grid(inst, grid) == (res.value, res.witness)
+
+
+def test_grid_ties_go_to_the_first_point_in_product_order():
+    # two unit edges 0-1 and 0-2 with budget 1: (0, 1, 1) and (1, 0, 0) both
+    # earn 2.  Min-fill eliminates 1 first, and the read-back of an
+    # unpenalised pass takes the later point (1, 0, 0)
+    inst = GpInstance.of(3, [(0, 2, 1, 1), (0, 1, 1, 1)])
+    grid = half_integral_grid(inst)
+    game = _gp_game(inst, grid)
+    order, _ = game.elimination_order()
+    assert order != sorted(order)
+    assert game._eliminate(order, game.arrays())[1] == [2, 0, 0]
+    res = opt_gp_grid(inst, grid)
+    assert (res.value, res.witness) == _plain_grid(inst, grid) == (2, Pricing((F(0), F(1), F(1))))
+
+
+def test_edgeless_grid_plans_an_empty_order():
+    game = _gp_game(GpInstance.of(3, []), [[F(0), F(1)], [F(0)], [F(0), F(1, 2)]])
+    assert game.elimination_plan(None, 4)[1] == []
+    assert game.elimination_plan(10**6, 4)[1] == []
+    assert game.first_optimum([], 4, [[0, 2], [0], [0, 1]]) == (0, [0, 0, 0])
+
+
+def test_opt_gp_grid_refuses_tables_over_the_byte_cap(monkeypatch, capsys):
+    # the geom instance's min-fill tables hold 1,098 int64 entries, 8,784 bytes
+    geom = _golden("geom.gp")
+    grid = [geometric_grid(b, F(1, 10)) for b in max_incident_budget(geom)]
+    monkeypatch.setattr(exact, "ELIM_MAX_BYTES", 8 * sum(_gp_game(geom, grid).elimination_order()[1]) - 1)
+
+    def no_work(*args):
+        raise AssertionError("an elimination pass ran")
+
+    monkeypatch.setattr(exact._PairGame, "_eliminate", no_work)
+    with pytest.raises(CapExceeded):
+        opt_gp_grid(geom, grid)
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "geom.gp")
+    assert run_command(["solve", "--in", path, "--grid", "geom:1/10"]) == 2
+    assert "cap exceeded" in capsys.readouterr().err
 
 
 def test_elimination_on_python_int_tables():
@@ -438,13 +467,16 @@ def test_elimination_on_python_int_tables():
                                  (3, 4, 2, 3), (4, 3, 1, 3), (1, 3, 1, big)])
     game = _gmd_game(inst)
     assert not game.int64()
+    # the walk's int64 sums would overflow, so the plan takes elimination
+    assert _gmd_path(inst) == "elim"
     order, _ = game.elimination_order()
     mask = _gmd_elim_mask(game, order)
-    cover_value, x = game.maximise(game.cover(), key=lambda x: _zero_mask(x, 2))
-    assert mask == _zero_mask(x, 2)
-    assert _gmd_labels(game, [bool(mask >> v & 1) for v in range(5)])[1] == cover_value
+    value, witness = _plain_gmd(inst)
+    assert mask == sum(1 << v for v, x in enumerate(witness.values) if x == 0)
+    assert F(_gmd_labels(game, [bool(mask >> v & 1) for v in range(5)])[1], game.denom) == value
     res = opt_gmd(inst)
-    assert (res.value, res.witness) == _plain_gmd(inst)
+    assert (res.value, res.witness) == (value, witness)
+    assert value == opt_gmd_bruteforce(inst).value
 
 
 def test_elimination_when_only_the_penalised_tables_pass_int64():
@@ -454,12 +486,11 @@ def test_elimination_when_only_the_penalised_tables_pass_int64():
     inst = GmdInstance.of(2, 6, [(0, 1, 1, big), (1, 2, 1, big), (2, 3, 1, big), (3, 0, 1, big),
                                  (4, 5, 2, 5), (5, 4, 1, 5), (1, 4, 2, 3)])
     game = _gmd_game(inst)
-    assert game.int64() and not game.int64(inst.n)
+    assert game.int64() and not game.int64(1 << inst.n)
     order, _ = game.elimination_order()
     mask = _gmd_elim_mask(game, order)
     scaled = [a.weight.numerator * (game.denom // a.weight.denominator) for a in inst.arcs]
     assert mask == _zero_set_walk(inst, scaled)
-    assert mask == _zero_mask(game.maximise(game.cover(), key=lambda x: _zero_mask(x, 2))[1], 2)
     labels, total = _gmd_labels(game, [bool(mask >> v & 1) for v in range(inst.n)])
     res = opt_gmd(inst)
     plain = _plain_gmd(inst)
@@ -478,28 +509,66 @@ def test_cost_estimate_picks_each_path(tmp_path):
         g20 = parse_instance(fh.read())
     with open(os.path.join(golden, "c4.gmd")) as fh:
         c4 = parse_instance(fh.read())
-    # n=12 with every arc at vertex 0: the cover {0} has three assignments
+    # n=12 with every arc at vertex 0: 4096 zero masks cost less than
+    # eliminating 12 vertices; label 0 at the centre and 1 elsewhere, or the
+    # other way round with label 2 at the centre, cuts the 11 arcs one way
     star = GmdInstance.of(2, 12, [(0, v, 1, 1) for v in range(1, 12)]
                           + [(v, 0, 2, 1) for v in range(1, 12)])
     # the n=4 cycle c4 has only 16 zero masks
-    assert [_gmd_path(i) for i in (g20, c4, star)] == ["elim", "walk", "cover"]
-    # the benchmark's `gap --n 16 --seed 0` instance: its least cover has
-    # 729 assignments, and one elimination pass costs less
+    assert [_gmd_path(i) for i in (g20, c4, star)] == ["elim", "walk", "walk"]
+    assert [opt_gmd(i).value for i in (g20, c4, star)] == [74, F(5, 12), 11]
+    # the benchmark's `gap --n 16 --seed 0` instance: one elimination pass
+    # costs less than 2^16 zero masks
     gap16 = str(tmp_path / "gap16.gmd")
     assert run_command(["gap", "--n", "16", "--seed", "0", "--out", gap16]) == 0
     with open(gap16) as fh:
-        assert _gmd_path(parse_instance(fh.read())) == "elim"
+        inst = parse_instance(fh.read())
+    assert _gmd_path(inst) == "elim"
+    game = _gmd_game(inst)
+    scaled = [a.weight.numerator * (game.denom // a.weight.denominator) for a in inst.arcs]
+    zero = _zero_set_walk(inst, scaled)
+    assert opt_gmd(inst).value == F(_gmd_labels(game, [bool(zero >> v & 1) for v in range(16)])[1],
+                                    game.denom)
+
+
+def _tournament(n, weight=lambda u, v: 1):
+    """The transitive tournament at T=1: arcs u -> v for u < v."""
+    return GmdInstance.of(1, n, [(u, v, 1, weight(u, v)) for u in range(n) for v in range(u + 1, n)])
 
 
 def test_dense_game_falls_back_from_elimination():
-    # a 24-vertex tournament at T=1: eliminating any vertex first joins the
-    # other 23 into one table of 2^24 entries
-    tournament = GmdInstance.of(1, 24, [(u, v, 1, 1) for u in range(24) for v in range(u + 1, 24)])
+    # a 24-vertex tournament: eliminating any vertex first joins the other
+    # 23 into one table of 2^24 entries
+    tournament = _tournament(24)
     game = _gmd_game(tournament)
-    assert game.int64(24)
+    assert game.int64(1 << 24)
     assert game.elimination_order()[1][0] * 8 == 8 << 24 > ELIM_MAX_BYTES
-    assert game.elimination_plan(None) is None
-    assert _gmd_path(tournament) == "cover"
+    assert game.elimination_plan(None, 1 << 24) is None
+    assert _gmd_path(tournament) == "walk"
+    # its 2^24 zero masks take seconds, so the value is checked at n = 12,
+    # which takes the walk on cost: the zero set {0..5} cuts 6 * 6 arcs, and
+    # no zero set of k vertices cuts more than k * (12 - k)
+    small = _tournament(12)
+    assert _gmd_path(small) == "walk"
+    res = opt_gmd(small)
+    assert res.value == 36 and res.witness.values == (0,) * 6 + (1,) * 6
+
+
+def test_opt_gmd_refuses_when_no_path_fits(monkeypatch):
+    # weights of 2^57 and more overflow the walk's int64 sums, and the
+    # tables of the 24-vertex tournament are over the byte cap
+    tournament = _tournament(24, lambda u, v: 2**57 + u + v)
+    game = _gmd_game(tournament)
+    scaled = [a.weight.numerator * (game.denom // a.weight.denominator) for a in tournament.arcs]
+    assert sum(scaled) >= 2**62 and game.elimination_plan(None, 1 << 24) is None
+
+    def no_work(*args):
+        raise AssertionError("an enumeration ran")
+
+    monkeypatch.setattr(exact, "_zero_set_walk", no_work)
+    monkeypatch.setattr(exact._PairGame, "_eliminate", no_work)
+    with pytest.raises(CapExceeded):
+        opt_gmd(tournament)
 
 
 def _sparse24():
@@ -519,14 +588,14 @@ def test_sparse_game_past_a_million_entries_plans_elimination():
     inst = _sparse24()
     game = _gmd_game(inst)
     entries = sum(game.elimination_order()[1])
-    assert game.int64(24) and entries == 2_092_116 and entries * 8 <= ELIM_MAX_BYTES
+    assert game.int64(1 << 24) and entries == 2_092_116 and entries * 8 <= ELIM_MAX_BYTES
     assert _gmd_path(inst) == "elim"
     res = opt_gmd(inst)
     assert sum(1 << v for v, x in enumerate(res.witness.values) if x == 0) == 2369109
     assert res.value == 86
 
 
-def test_benchmark_dag8_instances_keep_the_cover(tmp_path, monkeypatch):
+def test_benchmark_dag8_instances_take_the_walk(tmp_path, monkeypatch):
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                     "perfbench"))
     try:
@@ -538,7 +607,7 @@ def test_benchmark_dag8_instances_keep_the_cover(tmp_path, monkeypatch):
     paths = sorted(tmp_path.glob("dag8-*.gmd"))
     assert len(paths) == 6
     for path in paths:
-        assert _gmd_path(parse_instance(path.read_text())) == "cover", path.name
+        assert _gmd_path(parse_instance(path.read_text())) == "walk", path.name
 
 
 # ---------------------------------------------------------------------------
