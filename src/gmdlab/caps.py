@@ -37,8 +37,10 @@ def caps_from_env(base: Caps | None = None) -> Caps:
         if not part:
             continue
         name, _, value = part.partition("=")
-        name = name.strip()
+        name, value = name.strip(), value.strip()
         if name not in known:
             raise ValueError(f"unknown cap {name!r} in GMDLAB_CAPS")
+        if not value.isdecimal():
+            raise ValueError(f"cap {name!r} in GMDLAB_CAPS needs a nonnegative integer, got {part!r}")
         overrides[name] = int(value)
     return replace(base, **overrides)

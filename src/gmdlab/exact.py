@@ -8,11 +8,21 @@ each weight, price and budget `Fraction` once, for its numerator and
 denominator, and fill the payoff tables with integers over one common
 denominator; `_PairGame` divides them by their gcd with it.  No table entry
 is a `Fraction`, and no comparison ever touches a `Fraction` or a float.
+
+Once a zero set is fixed, every other vertex best-responds to it on its
+own: the quarter algorithms take one such completion, and the max-dicut
+optimum is the best one over all zero sets.  `_Responder` holds that best
+response in one layout: for each vertex v and index j below its width,
+the nonzero (neighbour u, payoff of j against u's zero index) terms.  v
+takes the first index of largest score, the sum of the terms whose u is
+in the zero set, and index 0 when it has no term.  `respond_one` reads
+the terms for one zero set in plain Python, `respond` for numpy rows of
+zero sets, and the zero-set walk takes the largest score for every mask.
+
 Two enumerators serve the oracles:
 
-* the zero-set walk: once the zero set is fixed every other vertex
-  best-responds on its own, so 2^n masks, vectorised in numpy int64, cover
-  all (T+1)^n labelings.  It serves dense max-dicut games;
+* the zero-set walk: 2^n masks, vectorised in numpy int64, cover all
+  (T+1)^n labelings.  It serves dense max-dicut games;
 * bucket elimination along a min-fill order, with integer max-sum tables
   (numpy int64 when no partial sum can overflow, Python ints otherwise) of
   at most `ELIM_MAX_BYTES` in all.  It serves sparse max-dicut games and
@@ -71,9 +81,9 @@ from .core import (
 
 
 # Most bytes the bucket tables of one elimination pass may hold; it keeps
-# every bucket's table for the read-back.  Four 2^20-entry int64 arrays: no
-# more than one zero-set walk chunk allocates.  An int64 entry counts 8
-# bytes, a Python-int entry 64 (its pointer and a multi-digit int object).
+# every bucket's table for the read-back.  Four 2^20-entry int64 arrays.  An
+# int64 entry counts 8 bytes, a Python-int entry 64 (its pointer and a
+# multi-digit int object).
 ELIM_MAX_BYTES = 32 << 20
 
 
@@ -111,25 +121,6 @@ class _PairGame:
             self.pairs.append((u, v, ints))
             self.nbrs[v][u] = [tuple(row) for row in ints]
             self.nbrs[u][v] = list(zip(*ints))
-
-    def value(self, x: Sequence[int]) -> int:
-        return sum(t[x[u]][x[v]] for u, v, t in self.pairs)
-
-    def best_response(self, v: int, x: Sequence, width: int | None = None) -> tuple[int, int]:
-        """(index, payoff) of v's best choice among its first `width` indices
-        against the neighbours u with x[u] set (not None); the smallest index
-        wins ties."""
-        vec = None
-        for u, cols in self.nbrs[v].items():
-            if x[u] is not None:
-                col = cols[x[u]]
-                vec = col if vec is None else [a + b for a, b in zip(vec, col)]
-        if vec is None:
-            return 0, 0
-        if width is not None:
-            vec = vec[:width]
-        best = max(vec)
-        return vec.index(best), best
 
     def elimination_order(self) -> tuple[list[int], list[int]]:
         """Min-fill order of the vertices with a payoff, and the number of
@@ -231,14 +222,34 @@ class _PairGame:
         """Whether numpy int64 holds every partial sum of the payoffs times
         `scale`, less charges that add up to less than `scale`: payoffs are
         nonnegative, so no such sum exceeds (the sum of each pair's largest
-        payoff + 1) * scale in absolute value.  For max-dicut that sum of
-        pair maxima is at most the walk's sum of scaled weights."""
+        payoff + 1) * scale in absolute value.  With `scale` 1 it bounds
+        every sum of the payoffs of one assignment: `values`, and the
+        partial sums of `respond` and `_zero_set_walk`."""
         return (self._top + 1) * scale < 2**62
 
     @cached_property
     def _top(self) -> int:
         """The sum of each pair's largest payoff."""
         return sum(max(map(max, t)) for _, _, t in self.pairs)
+
+    @cached_property
+    def _flat(self):
+        """Every payoff table, row after row, in one numpy array (int64 when
+        `int64()` holds, Python ints otherwise), and the arrays of each
+        pair's first vertex, second vertex, offset in it and row length."""
+        import numpy as np
+
+        flat = np.array([p for _, _, t in self.pairs for row in t for p in row],
+                        dtype=np.int64 if self.int64() else object)
+        offsets = itertools.accumulate((len(t) * len(t[0]) for _, _, t in self.pairs), initial=0)
+        cells = [(u, v, at, len(t[0])) for (u, v, t), at in zip(self.pairs, offsets)]
+        return flat, *np.array(cells, dtype=np.intp).reshape(-1, 4).T
+
+    def values(self, x):
+        """Integer value over `denom` of each row of the numpy array `x` of
+        domain indices."""
+        flat, us, vs, offsets, strides = self._flat
+        return flat[offsets + x[:, us] * strides + x[:, vs]].sum(axis=1)
 
     def arrays(self, scale: int = 1, charges: Sequence[Sequence[int]] | None = None) -> list:
         """The payoff tables times `scale` as numpy arrays, one (u, v, array)
@@ -249,16 +260,15 @@ class _PairGame:
         import numpy as np
 
         dtype = np.int64 if self.int64(scale) else object
-        flat = np.array([p for _, _, t in self.pairs for row in t for p in row], dtype=dtype) * scale
+        flat, _, _, offsets, _ = self._flat
+        flat = flat.astype(dtype, copy=False) * scale
         if charges is not None:
             cut = np.array([c for cs in charges for c in cs], dtype=dtype)
             ends = list(itertools.accumulate(self.sizes))
         out: list = []
         charged: set[int] = set()
-        at = 0
-        for u, v, t in self.pairs:
+        for (u, v, t), at in zip(self.pairs, offsets.tolist()):
             arr = flat[at:at + len(t) * len(t[0])].reshape(len(t), -1)
-            at += arr.size
             if charges is not None:
                 if u not in charged:
                     arr -= cut[ends[u] - len(t):ends[u], None]
@@ -336,6 +346,76 @@ def _bits(mask: int):
         mask ^= low
 
 
+class _Responder:
+    """Greedy best responses to zero sets in one pair game (see the module
+    docstring).  A zero set puts its vertices at the index `zero`; every
+    other vertex v takes the first of its first `width` indices (None: all
+    of them) of largest score.  `terms[v][j]` lists the terms of index j;
+    a vertex with no term has an empty list and takes index 0.
+    """
+
+    def __init__(self, game: _PairGame, zero: int, width: int | None = None):
+        self.game = game
+        self.zero = zero
+        self.terms: list[list[tuple[tuple[int, int], ...]]] = []
+        for v, nb in enumerate(game.nbrs):
+            w = game.sizes[v] if width is None else width
+            by_index = [tuple((u, cols[zero][j]) for u, cols in nb.items() if cols[zero][j])
+                        for j in range(w)]
+            self.terms.append(by_index if any(by_index) else [])
+
+    def respond_one(self, zero: Sequence[bool]) -> tuple[list[int], int]:
+        """Domain indices of the zero set `zero` (`zero[v]` true when v is in
+        it) and of the other vertices' best responses, and the sum of the
+        responders' largest scores."""
+        x, gain = [], 0
+        for v, by_index in enumerate(self.terms):
+            if zero[v]:
+                x.append(self.zero)
+                continue
+            scores = [sum(p for u, p in terms if zero[u]) for terms in by_index] or [0]
+            best = max(scores)
+            x.append(scores.index(best))
+            gain += best
+        return x, gain
+
+    @cached_property
+    def _gather(self):
+        """The terms in numpy arrays, index after index, an index with no
+        term taking the term (0, 0): their neighbours and payoffs, and each
+        index's first term; per width, its vertices and their indices."""
+        import numpy as np
+
+        slots = [terms or ((0, 0),) for by_index in self.terms for terms in by_index]
+        groups: dict[int, list[tuple[int, int]]] = {}
+        first = 0
+        for v, by_index in enumerate(self.terms):
+            if by_index:
+                groups.setdefault(len(by_index), []).append((v, first))
+                first += len(by_index)
+        return (
+            np.array([u for terms in slots for u, _ in terms], dtype=np.intp),
+            np.array([p for terms in slots for _, p in terms],
+                     dtype=np.int64 if self.game.int64() else object),
+            np.cumsum([0] + [len(terms) for terms in slots])[:-1],
+            [(np.array([v for v, _ in g]), np.array([f for _, f in g])[:, None] + np.arange(w))
+             for w, g in groups.items()],
+        )
+
+    def respond(self, zero):
+        """`respond_one` on each boolean row of the numpy array `zero`: the
+        rows' domain indices."""
+        import numpy as np
+
+        src, val, starts, groups = self._gather
+        x = np.zeros(zero.shape, dtype=np.intp)
+        if len(starts):
+            scores = np.add.reduceat(zero[:, src] * val, starts, axis=1)
+            for verts, slots in groups:
+                x[:, verts] = scores[:, slots].argmax(axis=2)
+        return np.where(zero, self.zero, x)
+
+
 def _gmd_game(inst: GmdInstance) -> _PairGame:
     """Max-dicut as a pair game.  Domain index i < T is label i + 1 and index
     T is label 0, so the smallest index prefers a nonzero label on ties.
@@ -356,20 +436,19 @@ def _gmd_game(inst: GmdInstance) -> _PairGame:
     return _PairGame([T + 1] * inst.n, tables, scale)
 
 
-def _gmd_labels(game: _PairGame, zero: Sequence[bool]) -> tuple[list[int], int]:
-    """Labels and integer value of the greedy completion of the zero set
-    (`zero[v]` true when v is in it): each other vertex best-responds to it."""
+def _gmd_responder(game: _PairGame) -> _Responder:
+    """Best responses of the max-dicut game: index T (label 0) is the zero
+    index, and a vertex outside the zero set ranges over the labels 1..T."""
     T = game.sizes[0] - 1
-    x = [T if z else None for z in zero]
-    labels, total = [], 0
-    for v, xv in enumerate(x):
-        if xv is None:
-            i, gain = game.best_response(v, x, width=T)
-            labels.append(i + 1)
-            total += gain
-        else:
-            labels.append(0)
-    return labels, total
+    return _Responder(game, zero=T, width=T)
+
+
+def _gmd_labels(resp: _Responder, zero: Sequence[bool]) -> tuple[list[int], int]:
+    """Labels and integer value of the greedy completion of the zero set
+    (`zero[v]` true when v is in it).  Only arcs from a label-0 tail pay,
+    so the value is the sum of the responders' largest scores."""
+    x, gain = resp.respond_one(zero)
+    return [0 if z else i + 1 for i, z in zip(x, zero)], gain
 
 
 def greedy_completion(inst: GmdInstance, zero_set: frozenset[int] | set[int]) -> Labeling:
@@ -384,7 +463,7 @@ def greedy_completion(inst: GmdInstance, zero_set: frozenset[int] | set[int]) ->
         if not (0 <= v < inst.n):
             raise InstanceError(f"zero-set vertex {v} out of range")
     zero = [v in zero_set for v in range(inst.n)]
-    return Labeling(tuple(_gmd_labels(_gmd_game(inst), zero)[0]))
+    return Labeling(tuple(_gmd_labels(_gmd_responder(_gmd_game(inst)), zero)[0]))
 
 
 def opt_gmd(inst: GmdInstance, caps: Caps = Caps()) -> OptResult:
@@ -403,31 +482,32 @@ def opt_gmd(inst: GmdInstance, caps: Caps = Caps()) -> OptResult:
             value=Fraction(0), witness=greedy_completion(inst, set()), explored=1
         )
     game = _gmd_game(inst)
-    scaled = [a.weight.numerator * (game.denom // a.weight.denominator) for a in inst.arcs]
-    path, order = _gmd_plan(inst, game, scaled)
+    resp = _gmd_responder(game)
+    path, order = _gmd_plan(resp)
     if path == "walk":
-        best_mask = _zero_set_walk(inst, scaled)
+        best_mask = _zero_set_walk(resp)
     else:
         best_mask = _gmd_elim_mask(game, order)
-    labels, total = _gmd_labels(game, [bool(best_mask >> v & 1) for v in range(n)])
+    labels, total = _gmd_labels(resp, [bool(best_mask >> v & 1) for v in range(n)])
     witness = Labeling(tuple(labels))
     best_val = Fraction(total, game.denom)
     assert val_gmd(inst, witness) == best_val
     return OptResult(value=best_val, witness=witness, explored=1 << n)
 
 
-def _gmd_plan(inst: GmdInstance, game: _PairGame,
-              scaled: list[int]) -> tuple[str, Sequence[int] | None]:
-    """The enumerator `opt_gmd` runs and what it runs along: ("walk", None)
-    or ("elim", the elimination order).  The walk runs only when its int64
-    sums cannot overflow, elimination only when its tables fit in
-    `ELIM_MAX_BYTES`; when both do, the lesser estimated cost wins, ties to
-    the walk.  CapExceeded when neither does."""
-    # Costs in numpy int64 operations on one mask and one arc; a numpy call
-    # (three per arc and chunk) costs about 200 of them.
-    n, m = inst.n, len(inst.arcs)
+def _gmd_plan(resp: _Responder) -> tuple[str, Sequence[int] | None]:
+    """The enumerator `opt_gmd` runs on the max-dicut game of `resp` and
+    what it runs along: ("walk", None) or ("elim", the elimination order).
+    The walk runs only when `int64()` holds, elimination only when its
+    tables fit in `ELIM_MAX_BYTES`; when both do, the lesser estimated cost
+    wins, ties to the walk.  CapExceeded when neither does."""
+    # Costs in numpy int64 operations on one mask and one walk term, and 600
+    # per term and 2^20 masks for the overhead of the numpy calls.
+    game = resp.game
+    n = len(game.sizes)
+    m = sum(len(terms) for by_index in resp.terms for terms in by_index)
     walk = None
-    if sum(scaled) < 2**62:
+    if game.int64():
         walk = (1 << n) * m + 600 * m * max(1, (1 << n) >> 20)
     elim = game.elimination_plan(walk, 1 << n)
     if elim is not None:
@@ -438,11 +518,6 @@ def _gmd_plan(inst: GmdInstance, game: _PairGame,
     return "walk", None
 
 
-def _zero_mask(x: Sequence[int], T: int) -> int:
-    """Zero mask of an assignment of the max-dicut game: bit v for label 0."""
-    return sum(1 << v for v, i in enumerate(x) if i == T)
-
-
 def _gmd_elim_mask(game: _PairGame, order: Sequence[int]) -> int:
     """Smallest optimal zero mask by one `first_optimum` pass along `order`:
     the payoffs are scaled by 2^n and label 0 at vertex v is charged 2^v,
@@ -450,33 +525,38 @@ def _gmd_elim_mask(game: _PairGame, order: Sequence[int]) -> int:
     n = len(game.sizes)
     T = game.sizes[0] - 1
     charges = [[0] * T + [1 << v] for v in range(n)]
-    return _zero_mask(game.first_optimum(order, 1 << n, charges)[1], T)
+    return sum(1 << v for v, i in enumerate(game.first_optimum(order, 1 << n, charges)[1]) if i == T)
 
 
-def _zero_set_walk(inst: GmdInstance, scaled: list[int]) -> int:
-    """Smallest zero mask of largest value, every mask in int64 numpy."""
+def _zero_set_walk(resp: _Responder) -> int:
+    """Smallest zero mask of largest value in the max-dicut game of `resp`,
+    every mask in int64 numpy: a mask's value is the sum, over the vertices
+    outside it, of their largest score, the maximum over indices of the
+    terms' payoffs from the mask.  Each partial sum adds payoffs of one
+    assignment, so `int64()` of the game must hold.  Masks go in chunks of
+    2^14, whose arrays stay in cache."""
     import numpy as np
 
-    n = inst.n
-    by_head: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    for a, w in zip(inst.arcs, scaled):
-        by_head.setdefault(a.head, {}).setdefault(a.label, []).append((a.tail, w))
-
+    n = len(resp.terms)
     best_val = 0
     best_mask = 0
-    chunk_bits = min(n, 20)
+    chunk_bits = min(n, 14)
     for start in range(0, 1 << n, 1 << chunk_bits):
         masks = np.arange(start, start + (1 << chunk_bits), dtype=np.int64)
+        bits = (masks >> np.arange(n)[:, None]) & 1
         total = np.zeros(masks.shape, dtype=np.int64)
-        for head, by_label in by_head.items():
-            head_out = ((masks >> head) & 1) ^ 1
-            best_gain = None
-            for tails in by_label.values():
-                gain = np.zeros(masks.shape, dtype=np.int64)
-                for tail, w in tails:
-                    gain += ((masks >> tail) & 1) * w
-                best_gain = gain if best_gain is None else np.maximum(best_gain, gain)
-            total += head_out * best_gain
+        for v, by_index in enumerate(resp.terms):
+            best = None
+            for terms in by_index:
+                if not terms:
+                    continue
+                (u, p), *rest = terms
+                gain = bits[u] * p
+                for u, p in rest:
+                    gain += bits[u] * p
+                best = gain if best is None else np.maximum(best, gain, out=best)
+            if best is not None:
+                total += (1 - bits[v]) * best
         i = int(np.argmax(total))
         if int(total[i]) > best_val:
             best_val = int(total[i])

@@ -226,35 +226,46 @@ def _reference_trial(kind, inst, seed, k, marginals=None):
     labeling or pricing and its exact value."""
     from gmdlab.approx import _gp_completion_game
     from gmdlab.core import Labeling, Pricing
-    from gmdlab.exact import _gmd_game, _gmd_labels
+    from gmdlab.exact import _gmd_game
     from gmdlab.rng import substream
 
     rng = substream(seed, k)
+    T = inst.T if kind != "gp4" else None
     if kind == "gp4":
         game, domains = _gp_completion_game(inst)
+    else:
+        game = _gmd_game(inst)
+    if kind == "gmdlp":
+        values = []
+        for draw, dist in zip(rng.random(inst.n).tolist(), marginals):
+            acc, slices = 0.0, []
+            for i in range(1, T + 1):
+                acc += float(dist[i] / 2)
+                slices.append(acc)
+            cut = float((1 + dist[0]) / 2)
+            if draw < cut:
+                values.append(0)
+                continue
+            rest = draw - cut
+            values.append(next((i for i, acc in enumerate(slices, 1) if rest < acc), T))
+        x = [T if label == 0 else label - 1 for label in values]
+    else:
+        # index 0 is price 0; index T is label 0, and labels 1..T are the
+        # indices below it
+        zero_index, width = (0, None) if kind == "gp4" else (T, T)
         zero = (rng.integers(0, 2, size=inst.n) == 0).tolist()
-        x = [0 if z else None for z in zero]
-        x = [0 if z else game.best_response(v, x)[0] for v, z in enumerate(zero)]
-        return Pricing(tuple(domains[v][i] for v, i in enumerate(x))), F(game.value(x), game.denom)
-    game = _gmd_game(inst)
-    if kind == "gmd4":
-        labels, total = _gmd_labels(game, (rng.integers(0, 2, size=inst.n) == 0).tolist())
-        return Labeling(tuple(labels)), F(total, game.denom)
-    T = inst.T
-    values = []
-    for draw, dist in zip(rng.random(inst.n).tolist(), marginals):
-        acc, slices = 0.0, []
-        for i in range(1, T + 1):
-            acc += float(dist[i] / 2)
-            slices.append(acc)
-        cut = float((1 + dist[0]) / 2)
-        if draw < cut:
-            values.append(0)
-            continue
-        rest = draw - cut
-        values.append(next((i for i, acc in enumerate(slices, 1) if rest < acc), T))
-    x = [T if label == 0 else label - 1 for label in values]
-    return Labeling(tuple(values)), F(game.value(x), game.denom)
+        x = []
+        for v, z in enumerate(zero):
+            if z:
+                x.append(zero_index)
+                continue
+            scores = [sum(cols[zero_index][j] for u, cols in game.nbrs[v].items() if zero[u])
+                      for j in range(game.sizes[v] if width is None else width)]
+            x.append(scores.index(max(scores)))
+    value = F(sum(t[x[u]][x[v]] for u, v, t in game.pairs), game.denom)
+    if kind == "gp4":
+        return Pricing(tuple(domains[v][i] for v, i in enumerate(x))), value
+    return Labeling(tuple(0 if i == T else i + 1 for i in x)), value
 
 
 ALGORITHMS = {"gp4": approx_gp_quarter, "gmd4": approx_gmd_quarter, "gmdlp": lp_round_gmd}
@@ -279,7 +290,7 @@ def _assert_batch_matches_reference(kind, inst, seed, trials, marginals=None):
     assert _single(kind, inst, seed, -1, marginals) == top
 
 
-# weights F(2^61) make a scaled sum of 2^62 or more: the object-dtype path
+# two weights F(2^61) on different pairs fail `int64()`: the object-dtype path
 HUGE = F(1 << 61)
 WEIGHTS = [F(0), F(1), F(2), F(1, 2), F(2, 3), HUGE]
 

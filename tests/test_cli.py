@@ -59,6 +59,16 @@ def test_cap_exceeded_exit_2(tmp_path, capsys, monkeypatch):
     assert "cap exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["opt_gmd_n=abc", "opt_gmd_n", "opt_gmd_n=", "opt_gmd_n=-1",
+                                  "opt_gmd_n=2.5", "sa_n=8,opt_gmd_n=-1"])
+def test_malformed_caps_exit_1_naming_the_cap(tmp_path, capsys, monkeypatch, spec):
+    # checked before any work: the absent input is never read
+    monkeypatch.setenv("GMDLAB_CAPS", spec)
+    assert run_command(["solve", "--in", str(tmp_path / "absent.gmd")]) == 1
+    err = capsys.readouterr().err
+    assert "GMDLAB_CAPS" in err and "'opt_gmd_n'" in err and "Traceback" not in err
+
+
 def test_reduce_writes_symbolic_budgets(tmp_path, capsys):
     src = write(tmp_path, "e1.gmd", SINGLE)
     out = str(tmp_path / "e1.gp")

@@ -30,6 +30,7 @@ from gmdlab.exact import (
     _gp_game,
     _gmd_labels,
     _gmd_plan,
+    _gmd_responder,
     _zero_set_walk,
     greedy_completion,
     half_integral_grid,
@@ -291,10 +292,9 @@ def test_engine_elimination_and_zero_set_walk_agree():
         for _ in range(3):
             inst = _random_gmd_instance(rng, T, n, m)
             game = _gmd_game(inst)
-            scaled = [a.weight.numerator * (game.denom // a.weight.denominator) for a in inst.arcs]
             order, _ = game.elimination_order()
             total, _ = game._eliminate(order, game.arrays())
-            assert _gmd_elim_mask(game, order) == _zero_set_walk(inst, scaled)
+            assert _gmd_elim_mask(game, order) == _zero_set_walk(_gmd_responder(game))
             assert F(total, game.denom) == opt_gmd(inst).value
 
 
@@ -361,10 +361,10 @@ def test_elimination_and_walk_agree_on_gmd(inst):
     order, _ = game.elimination_order()
     value, _ = game._eliminate(order, game.arrays())
     mask = _gmd_elim_mask(game, order)
-    labels, total = _gmd_labels(game, [bool(mask >> v & 1) for v in range(inst.n)])
+    resp = _gmd_responder(game)
+    labels, total = _gmd_labels(resp, [bool(mask >> v & 1) for v in range(inst.n)])
     assert total == value
-    scaled = [a.weight.numerator * (game.denom // a.weight.denominator) for a in inst.arcs]
-    assert _zero_set_walk(inst, scaled) == mask
+    assert _zero_set_walk(resp) == mask
     if (inst.T + 1) ** inst.n <= PLAIN_LABELINGS:
         assert _plain_gmd(inst) == (F(value, game.denom), Labeling(tuple(labels)))
     res = opt_gmd(inst)
@@ -473,7 +473,7 @@ def test_elimination_on_python_int_tables():
     mask = _gmd_elim_mask(game, order)
     value, witness = _plain_gmd(inst)
     assert mask == sum(1 << v for v, x in enumerate(witness.values) if x == 0)
-    assert F(_gmd_labels(game, [bool(mask >> v & 1) for v in range(5)])[1], game.denom) == value
+    assert F(_gmd_labels(_gmd_responder(game), [bool(mask >> v & 1) for v in range(5)])[1], game.denom) == value
     res = opt_gmd(inst)
     assert (res.value, res.witness) == (value, witness)
     assert value == opt_gmd_bruteforce(inst).value
@@ -489,18 +489,30 @@ def test_elimination_when_only_the_penalised_tables_pass_int64():
     assert game.int64() and not game.int64(1 << inst.n)
     order, _ = game.elimination_order()
     mask = _gmd_elim_mask(game, order)
-    scaled = [a.weight.numerator * (game.denom // a.weight.denominator) for a in inst.arcs]
-    assert mask == _zero_set_walk(inst, scaled)
-    labels, total = _gmd_labels(game, [bool(mask >> v & 1) for v in range(inst.n)])
+    resp = _gmd_responder(game)
+    assert mask == _zero_set_walk(resp)
+    labels, total = _gmd_labels(resp, [bool(mask >> v & 1) for v in range(inst.n)])
     res = opt_gmd(inst)
     plain = _plain_gmd(inst)
     assert (F(total, game.denom), Labeling(tuple(labels))) == (res.value, res.witness) == plain
 
 
-def _gmd_path(inst):
+def test_walk_runs_when_the_pair_maxima_fit_int64():
+    # the arcs sum to 2^62 + 1, but no assignment earns both arcs between 0
+    # and 1: the pair maxima sum to 2^61 + 1, so int64 holds every partial
+    # sum of the walk, whose plan and mask need no arc sum
+    inst = GmdInstance.of(1, 3, [(0, 1, 1, 2**61), (1, 0, 1, 2**61), (1, 2, 1, 1)])
     game = _gmd_game(inst)
-    scaled = [a.weight.numerator * (game.denom // a.weight.denominator) for a in inst.arcs]
-    return _gmd_plan(inst, game, scaled)[0]
+    assert sum(a.weight for a in inst.arcs) == 2**62 + 1 and game.int64()
+    assert _gmd_path(inst) == "walk"
+    value, witness = _plain_gmd(inst)
+    assert _zero_set_walk(_gmd_responder(game)) == sum(1 << v for v, x in enumerate(witness.values) if x == 0)
+    res = opt_gmd(inst)
+    assert (res.value, res.witness) == (value, witness) == (2**61 + 1, Labeling((1, 0, 1)))
+
+
+def _gmd_path(inst):
+    return _gmd_plan(_gmd_responder(_gmd_game(inst)))[0]
 
 
 def test_cost_estimate_picks_each_path(tmp_path):
@@ -525,9 +537,9 @@ def test_cost_estimate_picks_each_path(tmp_path):
         inst = parse_instance(fh.read())
     assert _gmd_path(inst) == "elim"
     game = _gmd_game(inst)
-    scaled = [a.weight.numerator * (game.denom // a.weight.denominator) for a in inst.arcs]
-    zero = _zero_set_walk(inst, scaled)
-    assert opt_gmd(inst).value == F(_gmd_labels(game, [bool(zero >> v & 1) for v in range(16)])[1],
+    resp = _gmd_responder(game)
+    zero = _zero_set_walk(resp)
+    assert opt_gmd(inst).value == F(_gmd_labels(resp, [bool(zero >> v & 1) for v in range(16)])[1],
                                     game.denom)
 
 
@@ -559,8 +571,7 @@ def test_opt_gmd_refuses_when_no_path_fits(monkeypatch):
     # tables of the 24-vertex tournament are over the byte cap
     tournament = _tournament(24, lambda u, v: 2**57 + u + v)
     game = _gmd_game(tournament)
-    scaled = [a.weight.numerator * (game.denom // a.weight.denominator) for a in tournament.arcs]
-    assert sum(scaled) >= 2**62 and game.elimination_plan(None, 1 << 24) is None
+    assert not game.int64() and game.elimination_plan(None, 1 << 24) is None
 
     def no_work(*args):
         raise AssertionError("an enumeration ran")
