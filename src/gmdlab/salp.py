@@ -5,6 +5,11 @@ The r-round relaxation has one variable x_S(alpha) per vertex set S with
 nonnegativity, per-set normalization, and marginalization between nested
 sets.  Max-dicut uses the label domain {0..T}; pricing uses a finite price
 grid per vertex (half-integral for integer budgets, geometric otherwise).
+Every equality row has coefficients +1 and -1 and a right-hand side of 1 or
+0, so build_sa_lp writes the rows as int64 CSR arrays, by index arithmetic
+on each set's consecutive variable numbers, with no Python step per entry.
+It checks the lp_variables cap from the domain sizes before it numbers any
+variable.
 
 Everything here is exact rational arithmetic.  simplex.py solves the LPs: a
 float Bland-rule simplex finds the optimal vertex, which is returned only
@@ -51,13 +56,13 @@ from .core import (
     InstanceError,
     ValueTexts,
 )
-from .simplex import simplex_max
+from .simplex import Csr, simplex_max
 
 SetKey = tuple[int, ...]
 Assignment = tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SaLp:
     kind: str                      # "gmd" | "gp"
     rounds: int
@@ -65,7 +70,9 @@ class SaLp:
     domains: tuple[tuple, ...]     # per-vertex domain values
     var_index: dict
     objective: tuple[Fraction, ...]
-    constraints: tuple             # ((var, coef) pairs, rhs) equalities
+    rows: Csr                      # equality rows in _sa_rows order: int64 CSR,
+                                   # coefficients +1 and -1
+    rhs: np.ndarray                # their int64 right-hand sides, 1 or 0
     grid_note: str = ""
 
     @property
@@ -74,7 +81,7 @@ class SaLp:
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self.rhs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,38 +409,24 @@ def build_sa_lp(
         if len(set(dom)) < len(dom):  # the variables number each value once
             raise InstanceError(f"price grid of vertex {v} repeats a price")
 
-    rounds_eff = min(rounds, inst.n)
-    sets: list[SetKey] = []
-    for size in range(1, rounds_eff + 1):
-        sets.extend(itertools.combinations(range(inst.n), size))
+    # sum over the sets S of prod_{v in S} |D_v|: the elementary symmetric
+    # polynomials of the domain sizes, before any set is listed
+    per_size = [1] + [0] * rounds
+    for dom in domains:
+        for k in range(rounds, 0, -1):
+            per_size[k] += per_size[k - 1] * len(dom)
+    num_vars = sum(per_size[1:])
+    if num_vars > caps.lp_variables:
+        raise CapExceeded(f"{num_vars} LP variables exceed cap {caps.lp_variables}")
 
+    sets: list[SetKey] = []
+    for size in range(1, min(rounds, inst.n) + 1):
+        sets.extend(itertools.combinations(range(inst.n), size))
     var_index: dict = {}
     for S in sets:
         for alpha in itertools.product(*(domains[v] for v in S)):
             var_index[(S, alpha)] = len(var_index)
-    if len(var_index) > caps.lp_variables:
-        raise CapExceeded(
-            f"{len(var_index)} LP variables exceed cap {caps.lp_variables}"
-        )
-
-    constraints = []
-    for S in sets:
-        row = [
-            (var_index[(S, alpha)], Fraction(1))
-            for alpha in itertools.product(*(domains[v] for v in S))
-        ]
-        constraints.append((tuple(row), Fraction(1)))
-    for Sp in sets:
-        if len(Sp) < 2:
-            continue
-        for drop_pos, v in enumerate(Sp):
-            S = Sp[:drop_pos] + Sp[drop_pos + 1:]
-            for beta in itertools.product(*(domains[u] for u in S)):
-                row = [(var_index[(S, beta)], Fraction(-1))]
-                for a in domains[v]:
-                    alpha = beta[:drop_pos] + (a,) + beta[drop_pos:]
-                    row.append((var_index[(Sp, alpha)], Fraction(1)))
-                constraints.append((tuple(row), Fraction(0)))
+    rows, rhs = _sa_rows(sets, domains)
 
     objective = [Fraction(0)] * len(var_index)
     if kind == "gmd":
@@ -457,9 +450,52 @@ def build_sa_lp(
         domains=domains,
         var_index=var_index,
         objective=tuple(objective),
-        constraints=tuple(constraints),
+        rows=rows,
+        rhs=rhs,
         grid_note=grid_note,
     )
+
+
+def _sa_rows(sets: Sequence[SetKey], domains) -> tuple[Csr, np.ndarray]:
+    """The equality rows of the relaxation as int64 CSR arrays, and their
+    right-hand sides.
+
+    Variables are numbered set by set in `sets` order, each set's
+    assignments consecutively in row-major domain order.  First come one
+    normalization row per set (its variables, all +1, = 1), then, per set
+    S' of two or more vertices in `sets` order and per vertex v of S', one
+    marginalization row per assignment beta of S = S' - v in row-major
+    order: -1 on x_S(beta), then +1 on x_S'(beta with a at v's place) for
+    each a in v's domain, = 0.
+    """
+    shapes = [tuple(len(domains[v]) for v in S) for S in sets]
+    sizes = [math.prod(shape) for shape in shapes]
+    starts = np.cumsum([0] + sizes).tolist()
+    first = dict(zip(sets, starts))
+    # the normalization rows cover every variable once, in order; then
+    # blocks of equally long marginalization rows, (rows, length) each
+    indices, counts, lengths = [np.arange(starts[-1])], [1] * len(sets), sizes.copy()
+    for S_p, shape, start, size in zip(sets, shapes, starts, sizes):
+        if len(S_p) < 2:
+            continue
+        ids = np.arange(start, start + size).reshape(shape)
+        for pos, d in enumerate(shape):
+            count = size // d
+            block = np.empty((count, d + 1), dtype=np.int64)
+            S = S_p[:pos] + S_p[pos + 1:]
+            block[:, 0] = np.arange(first[S], first[S] + count)
+            # v's axis last: row-major order over beta, then v's domain
+            axes = (*range(pos), *range(pos + 1, len(shape)), pos)
+            block[:, 1:] = ids.transpose(axes).reshape(count, d)
+            indices.append(block.reshape(-1))
+            counts.append(count)
+            lengths.append(d + 1)
+    indptr = np.concatenate(([0], np.repeat(np.array(lengths, dtype=np.int64), counts).cumsum()))
+    data = np.ones(indptr[-1], dtype=np.int64)
+    data[indptr[len(sets):-1]] = -1
+    rhs = np.zeros(len(indptr) - 1, dtype=np.int64)
+    rhs[:len(sets)] = 1
+    return Csr(indptr, np.concatenate(indices), data), rhs
 
 
 def solve_lp_exact(lp: SaLp) -> tuple[Fraction, SaSolution]:
@@ -471,9 +507,7 @@ def solve_lp_exact(lp: SaLp) -> tuple[Fraction, SaSolution]:
     its sets, the run of numerators that starts at the set's first
     assignment.
     """
-    rows = [row for row, _ in lp.constraints]
-    rhs = [r for _, r in lp.constraints]
-    result = simplex_max(lp.objective, rows, rhs)
+    result = simplex_max(lp.objective, lp.rows, lp.rhs)
     groups: dict = {}  # shape -> (sets, first variable of each)
     for S in lp.sets:
         shape = tuple(len(lp.domains[v]) for v in S)

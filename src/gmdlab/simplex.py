@@ -1,12 +1,14 @@
 """Two-phase primal simplex with exact answers: float-guided, exactly certified.
 
-Solves  max c.x  s.t.  A x = b, x >= 0  with every entry a Fraction.  One
+Solves  max c.x  s.t.  A x = b, x >= 0.  c is a sequence of Fractions; A
+comes as CSR arrays (``Csr``) and b as an array, both int64, as build_sa_lp
+writes every Sherali-Adams LP, or both object dtype holding Fractions.  One
 Bland-rule routine (smallest eligible index enters, smallest basic index
 breaks ratio ties; redundant rows stay as zero rows that no later pivot
 touches) runs twice at most: first on float64, then, if needed, on
 Fractions, where it walks the bases exact arithmetic gives.
 
-The float pass reads the sparse rows once into coordinate arrays.  One
+The float pass reads the CSR arrays once into coordinate arrays.  One
 scatter fills a float64 tableau whose last row is the objective, and Bland
 pivots on it, treating magnitudes below TOL as zero, find the optimal basis.
 Each distinct value of the basic x and of the equality duals y is
@@ -14,23 +16,23 @@ rationalised once (``Fraction.limit_denominator``, denominators up to
 10^6), so each vector becomes integer numerators over one common
 denominator.  x is returned only if x >= 0, A x = b, A^T y >= c and
 c.x = b.y all hold exactly; weak duality then proves x optimal.  The checks
-run on integer arrays, with each row of A and b scaled by the lcm of its
-denominators and c by the lcm of its own: in int64 when a bound computed
-beforehand rules out overflow, in Python ints (object dtype) otherwise,
-through the same code.  If any check fails, or the float pass ends
-infeasible or unbounded, the same pivot code runs from scratch on an
-object-dtype tableau of the unscaled Fraction rows, with no tolerance.  It
-is the only pass that raises LpInfeasible/LpUnbounded, and it solves the
-LPs whose optimal vertex or duals do not rationalise.
+run on integer arrays: integer rows as they come, Fraction rows each scaled
+with their right-hand side by the lcm of their denominators, and c by the
+lcm of its own; in int64 when a bound computed beforehand rules out
+overflow, in Python ints (object dtype) otherwise, through the same code.
+If any check fails, or the float pass ends infeasible or unbounded, the
+same pivot code runs from scratch on an object-dtype tableau of the
+unscaled rows, every entry a Fraction, with no tolerance.  It is the only
+pass that raises LpInfeasible/LpUnbounded, and it solves the LPs whose
+optimal vertex or duals do not rationalise.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -48,6 +50,16 @@ class LpInfeasible(RuntimeError):
 
 class LpUnbounded(RuntimeError):
     pass
+
+
+class Csr(NamedTuple):
+    """Sparse rows in CSR form: row i holds ``data[k]`` at column
+    ``indices[k]`` for k in ``range(indptr[i], indptr[i + 1])``.  ``data``
+    is int64, or object dtype holding Fractions."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
 
 
 class LpResult(tuple):
@@ -70,21 +82,18 @@ def _over_lcm(values) -> tuple[list[int], int]:
     return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
-def simplex_max(
-    c: Sequence[Fraction],
-    rows: Sequence[Sequence[tuple[int, Fraction]]],
-    rhs: Sequence[Fraction],
-) -> LpResult:
-    """Maximize c.x subject to the sparse equality rows; returns (value, x).
+def simplex_max(c: Sequence[Fraction], a: Csr, rhs: np.ndarray) -> LpResult:
+    """Maximize c.x subject to the equality rows A x = rhs; returns (value, x).
 
-    Each row is a list of (variable index, coefficient) pairs.  Rows with a
-    negative right-hand side are negated on entry.  The result's ``path``
-    says whether the certificate or the exact pass produced it.
+    rhs is int64 or object dtype, like ``a.data``.  Rows with a negative
+    right-hand side are negated on entry.  The result's ``path`` says
+    whether the certificate or the exact pass produced it.
     """
-    result = _float_certified(_ScaledLp(c, rows, rhs))
+    rhs = np.asarray(rhs)
+    result = _float_certified(_ScaledLp(c, a, rhs))
     if result is not None:
         return result
-    return _exact(c, rows, rhs)
+    return _exact(c, a, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -188,18 +197,19 @@ def _two_phase(t, cost, tol):
     return basis, etas
 
 
-def _exact(c, rows, rhs) -> LpResult:
+def _exact(c, a: Csr, rhs: np.ndarray) -> LpResult:
     """The two phases on a Fraction tableau of the unscaled rows: scaling a
     row would change phase one's objective, hence Bland's bases."""
-    n, m = len(c), len(rows)
-    # zeros stay Python ints, cheaper to test than Fraction(0); every entry
-    # a pivot writes is a Fraction
+    n, m = len(c), len(rhs)
+    # every entry of A and b is a Fraction, so that no pivot divides two
+    # ints; zeros stay Python ints, cheaper to test than Fraction(0)
+    b = np.array([Fraction(v) for v in rhs.tolist()], dtype=object)
+    sign = np.where(b < 0, -ONE, ONE)
+    row = np.repeat(np.arange(m), np.diff(a.indptr))
+    values = np.array([Fraction(v) for v in a.data.tolist()], dtype=object)
     t = np.zeros((m + 1, n + 1), dtype=object)
-    for i, (row, b) in enumerate(zip(rows, rhs)):
-        sign = -ONE if b < 0 else ONE
-        for j, a in row:
-            t[i, j] += sign * a
-        t[i, n] = sign * b
+    np.add.at(t.reshape(-1), row * (n + 1) + a.indices, values * sign[row])
+    t[:m, n] = b * sign
     basis, _ = _two_phase(t, np.array([*c, ZERO], dtype=object), 0)
     x = [ZERO] * n
     for i, j in enumerate(basis.tolist()):
@@ -216,36 +226,49 @@ def _exact(c, rows, rhs) -> LpResult:
 
 class _ScaledLp:
     """The LP read once.  Entry k of A is ``values[k]`` (as a float) at
-    (``row[k]``, ``col[k]``).  Row i of A and b times ``scale[i]``, the lcm
-    of its denominators, gives the integer lists ``coef`` and ``rhs``; c
-    times ``cscale`` gives ``cost``.  ``bound_a``, ``bound_b`` and
-    ``bound_c`` are their largest magnitudes."""
+    (``row[k]``, ``col[k]``).  Integer rows are ``coef`` and ``rhs`` as
+    given, with ``scale`` None; Fraction rows of A and b, row i times
+    ``scale[i]``, the lcm of its denominators, give the Python-int arrays
+    ``coef`` and ``rhs``.  ``row_lcm`` is the lcm of the scales.  c times
+    ``cscale`` gives ``cost``.  ``bound_a``, ``bound_b`` and ``bound_c``
+    are their largest magnitudes."""
 
-    def __init__(self, c, rows, rhs):
-        self.n, self.m = len(c), len(rows)
-        lens = [len(row) for row in rows]
-        cols, coefs = zip(*itertools.chain.from_iterable(rows)) if sum(lens) else ((), ())
-        self.row = np.repeat(np.arange(self.m), lens)
-        self.col = np.array(cols, dtype=np.intp)
-        num = [a.numerator for a in coefs]
-        den = [a.denominator for a in coefs]
-        self.values = [p / q for p, q in zip(num, den)]  # float(a), rounded once
-        self.rhs_float = [float(b) for b in rhs]
-        self.sign = np.array([-1.0 if b.numerator < 0 else 1.0 for b in rhs])
-        self.cost_float = [float(v) for v in c]
-
-        ends = itertools.accumulate(lens)
-        self.scale = [math.lcm(b.denominator, *den[e - k:e]) for b, k, e in zip(rhs, lens, ends)]
-        self.row_lcm = math.lcm(*self.scale)
-        self.coef = num
-        if self.row_lcm != 1:
-            scale = self.scale
-            self.coef = [p * (scale[i] // q) for p, q, i in zip(num, den, self.row.tolist())]
-        self.rhs = [b.numerator * (s // b.denominator) for b, s in zip(rhs, self.scale)]
+    def __init__(self, c, a: Csr, rhs: np.ndarray):
+        self.n, self.m = len(c), len(rhs)
+        self.row = np.repeat(np.arange(self.m), np.diff(a.indptr))
+        self.col = np.asarray(a.indices, dtype=np.intp)
+        self.values = a.data.astype(float)  # float(a), rounded once
+        self.rhs_float = rhs.astype(float)
+        self.sign = np.where(rhs < 0, -1.0, 1.0)
         self.cost, self.cscale = _over_lcm(c)
-        self.bound_a = max(map(abs, self.coef), default=0)
-        self.bound_b = max(map(abs, self.rhs), default=0)
+        # int / int rounds the quotient once, as float(Fraction) does
+        self.cost_float = [v / self.cscale for v in self.cost]
+
+        self.coef, self.rhs, self.scale = a.data, rhs, None
+        if a.data.dtype == object or rhs.dtype == object:
+            self.coef, self.rhs, self.scale = _scale_rows(
+                a.indptr.tolist(), a.data.tolist(), rhs.tolist(), self.row.tolist())
+        self.row_lcm = math.lcm(*self.scale) if self.scale else 1
+        self.bound_a = _magnitude(self.coef)
+        self.bound_b = _magnitude(self.rhs)
         self.bound_c = max(map(abs, self.cost), default=0)
+
+
+def _scale_rows(ptr, entries, rhs, row):
+    """Rational rows as Python ints: each row and its right-hand side times
+    the lcm of their denominators.  Returns the entries, the right-hand
+    sides (both object arrays) and the row scales."""
+    num = [v.numerator for v in entries]
+    den = [v.denominator for v in entries]
+    scale = [math.lcm(b.denominator, *den[s:e]) for b, s, e in zip(rhs, ptr, ptr[1:])]
+    coef = [p * (scale[i] // q) for p, q, i in zip(num, den, row)]
+    bound = [b.numerator * (s // b.denominator) for b, s in zip(rhs, scale)]
+    return np.array(coef, dtype=object), np.array(bound, dtype=object), scale
+
+
+def _magnitude(v: np.ndarray) -> int:
+    """The largest |entry| of an integer array, as a Python int."""
+    return max(int(v.max()), -int(v.min())) if v.size else 0
 
 
 def _float_certified(lp: _ScaledLp) -> Optional[LpResult]:
@@ -316,8 +339,8 @@ def _certificate_holds(lp: _ScaledLp, x, y) -> bool:
         lp.bound_c * max(big * dy, lp.n * x_max),
     )
     dtype = np.int64 if bound < 2**62 else object
-    a = np.array(lp.coef, dtype=dtype)
-    b = np.array(lp.rhs, dtype=dtype)
+    a = lp.coef.astype(dtype)
+    b = lp.rhs.astype(dtype)
     c = np.array(lp.cost, dtype=dtype)
     X = np.array(xn, dtype=dtype)
     Y = np.array(yn, dtype=dtype)

@@ -46,6 +46,10 @@ CASES = (
     # its duals do not rationalise, so the exact tableau solves it
     ("salp-geom.csv", ["salp", "--in", "geom.gp", "--rounds", "2", "--grid", "geom:1/10"],
      "sa_domain=9"),
+    # the benchmark's two largest LP shapes: n=5, T=3 at 2 rounds (180
+    # variables) and n=4, T=2 at 3 rounds (174 variables)
+    ("salp-n5t3-r2.csv", ["salp", "--in", "n5t3.gmd", "--rounds", "2"], None),
+    ("salp-n4t2-r3.csv", ["salp", "--in", "n4t2.gmd", "--rounds", "3"], None),
     ("gap-n40-s0.csv", ["gap", "--n", "40", "--seed", "0", "--out", "gap-n40-s0.gmd"], None),
     ("gap-n40-s5.csv", ["gap", "--n", "40", "--seed", "5", "--out", "gap-n40-s5.gmd"], None),
     # n > 24: the measured optimum comes from the local search

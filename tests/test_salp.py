@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from gmdlab.caps import Caps
 from gmdlab.core import CapExceeded, GmdInstance, GpInstance, InstanceError
-from gmdlab.exact import opt_gmd
+from gmdlab.exact import half_integral_grid, opt_gmd
 from gmdlab.salp import (
     ConsistencyReport,
     SaSolution,
@@ -88,6 +90,98 @@ def test_caps_enforced():
         build_sa_lp(single_edge(), rounds=2, caps=Caps(lp_variables=4))
 
 
+def test_lp_variable_cap_checked_before_any_work():
+    # a 40-vertex T=2 path at 3 rounds: 40 * 3 + 780 * 9 + 9880 * 27 =
+    # 273,900 variables against the 3,000 cap, refused before any is numbered
+    path = GmdInstance.of(2, 40, [(v, v + 1, 1, 1) for v in range(39)])
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        with pytest.raises(CapExceeded, match="^273900 LP variables exceed cap 3000$"):
+            build_sa_lp(path, rounds=3, caps=Caps(sa_n=40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1 << 20
+
+
+def reference_rows(n, rounds, domains):
+    """The sets, the variable numbering and the equality rows of the
+    relaxation, each row a list of (variable, coefficient) pairs with its
+    right-hand side, built entry by entry: the reference for build_sa_lp's
+    CSR arrays."""
+    sets = [S for size in range(1, min(rounds, n) + 1) for S in itertools.combinations(range(n), size)]
+    var_index = {}
+    for S in sets:
+        for alpha in itertools.product(*(domains[v] for v in S)):
+            var_index[(S, alpha)] = len(var_index)
+    rows = []
+    for S in sets:
+        rows.append(([(var_index[(S, alpha)], 1)
+                      for alpha in itertools.product(*(domains[v] for v in S))], 1))
+    for Sp in sets:
+        if len(Sp) < 2:
+            continue
+        for drop_pos, v in enumerate(Sp):
+            S = Sp[:drop_pos] + Sp[drop_pos + 1:]
+            for beta in itertools.product(*(domains[u] for u in S)):
+                row = [(var_index[(S, beta)], -1)]
+                for a in domains[v]:
+                    alpha = beta[:drop_pos] + (a,) + beta[drop_pos:]
+                    row.append((var_index[(Sp, alpha)], 1))
+                rows.append((row, 0))
+    return sets, var_index, rows
+
+
+@st.composite
+def sa_lps(draw):
+    """gmd relaxations with T from 1 to 3, and pricing relaxations on half
+    grids whose lengths differ with the vertices' budgets (1 for an isolated
+    vertex, 3 or 5 otherwise), at 2 or 3 rounds, also past n."""
+    n = draw(st.integers(2, 5))
+    rounds = draw(st.integers(2, 3))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    if draw(st.booleans()):
+        T = draw(st.integers(1, 3))
+        arcs = draw(st.lists(st.tuples(pairs, st.integers(1, T), st.integers(1, 4)),
+                             min_size=1, max_size=6))
+        return build_sa_lp(GmdInstance.of(T, n, [(u, v, t, w) for (u, v), t, w in arcs]), rounds)
+    edges = draw(st.lists(st.tuples(pairs, st.integers(1, 2), st.integers(1, 3)),
+                          min_size=1, max_size=4))
+    inst = GpInstance.of(n, [(u, v, b, w) for (u, v), b, w in edges])
+    return build_sa_lp(inst, rounds, price_grid=half_integral_grid(inst),
+                       caps=Caps(lp_variables=10_000))
+
+
+def assert_rows_match_reference(lp):
+    sets, var_index, rows = reference_rows(len(lp.domains), lp.rounds, lp.domains)
+    assert list(lp.sets) == sets and lp.var_index == var_index
+    indptr, indices, data = lp.rows
+    assert indices.dtype == data.dtype == lp.rhs.dtype == np.int64
+    assert lp.num_constraints == len(rows) and len(indptr) == len(rows) + 1
+    for i, (row, rhs) in enumerate(rows):
+        lo, hi = indptr[i], indptr[i + 1]
+        assert list(zip(indices[lo:hi].tolist(), data[lo:hi].tolist())) == row
+        assert lp.rhs[i] == rhs
+
+
+@given(sa_lps())
+@settings(max_examples=60, deadline=None)
+def test_csr_rows_match_reference_builder(lp):
+    assert_rows_match_reference(lp)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_lp_without_pairs(n):
+    # no set of two vertices, so no marginalization row
+    lp = build_sa_lp(GmdInstance.of(2, n, []), rounds=2)
+    assert_rows_match_reference(lp)
+    assert (lp.num_variables, lp.num_constraints) == (3 * n, n)
+    assert solve_lp_exact(lp)[0] == 0
+
+
 def test_single_edge_lp_value_integral():
     value, sol = solve_lp_exact(build_sa_lp(single_edge(), rounds=2))
     assert value == 1
@@ -152,8 +246,10 @@ def test_solution_satisfies_constraints_exactly():
     lp = build_sa_lp(triangle(), rounds=2)
     _, sol = solve_lp_exact(lp)
     x = [sol.values[key] for key in lp.var_index]
-    for row, rhs in lp.constraints:
-        assert sum(coef * x[var] for var, coef in row) == rhs
+    indptr, indices, data = lp.rows
+    for i, rhs in enumerate(lp.rhs.tolist()):
+        row = range(indptr[i], indptr[i + 1])
+        assert sum(data[k] * x[indices[k]] for k in row) == rhs
 
 
 def test_consistency_detects_normalization_violation():
@@ -222,12 +318,12 @@ def test_lp_values_match_float_solver_cross_check():
         inst = GmdInstance.of(T, n, arcs)
         lp = build_sa_lp(inst, rounds=2)
         value, _ = solve_lp_exact(lp)
+        indptr, indices, data = lp.rows
         A = np.zeros((lp.num_constraints, lp.num_variables))
-        b = np.zeros(lp.num_constraints)
-        for i, (row, rhs) in enumerate(lp.constraints):
-            for var, coef in row:
-                A[i, var] += float(coef)
-            b[i] = float(rhs)
+        for i in range(lp.num_constraints):
+            for k in range(indptr[i], indptr[i + 1]):
+                A[i, indices[k]] += data[k]
+        b = lp.rhs.astype(float)
         res = linprog(
             -np.array([float(c) for c in lp.objective]),
             A_eq=A,
@@ -444,9 +540,7 @@ def test_lp_tables_are_slices_of_the_vertex(lp):
     # the tables read back from the numerator vector equal the ones built
     # from the (S, alpha) -> x mapping
     value, sol = solve_lp_exact(lp)
-    result = simplex_max(
-        lp.objective, [row for row, _ in lp.constraints], [b for _, b in lp.constraints]
-    )
+    result = simplex_max(lp.objective, lp.rows, lp.rhs)
     x = result[1]
     ref = SaSolution.from_values(
         {key: x[idx] for key, idx in lp.var_index.items()}, lp.rounds, lp.domains

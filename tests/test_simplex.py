@@ -2,6 +2,7 @@ from fractions import Fraction
 from typing import Sequence
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,16 +12,30 @@ from gmdlab.caps import Caps
 from gmdlab.core import GmdInstance, GpInstance, max_incident_budget
 from gmdlab.exact import half_integral_grid
 from gmdlab.salp import build_sa_lp, geometric_grid
-from gmdlab.simplex import LpInfeasible, LpUnbounded, simplex_max
+from gmdlab.simplex import Csr, LpInfeasible, LpUnbounded, simplex_max
 
 F = Fraction
 ZERO = F(0)
 ONE = F(1)
 
 
+def csr(rows):
+    """(variable, coefficient) pair rows as CSR arrays, the coefficients
+    as Fractions in object dtype."""
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = np.array([j for row in rows for j, _ in row], dtype=np.intp)
+    data = np.array([F(a) for row in rows for _, a in row], dtype=object)
+    return Csr(indptr, indices, data)
+
+
+def solve(c, rows, rhs):
+    """simplex_max on pair rows with Fraction coefficients."""
+    return simplex_max(c, csr(rows), np.array(rhs, dtype=object))
+
+
 def test_tiny_lp_by_hand():
     # max x0 + 2 x1  s.t. x0 + x1 + s = 1  ->  optimum at x1 = 1
-    value, x = simplex_max(
+    value, x = solve(
         [F(1), F(2), F(0)],
         [[(0, F(1)), (1, F(1)), (2, F(1))]],
         [F(1)],
@@ -34,7 +49,7 @@ def test_degenerate_and_redundant_rows():
         [(0, F(1)), (1, F(1))],
         [(0, F(2)), (1, F(2))],  # scalar multiple of the first
     ]
-    value, x = simplex_max([F(3), F(1)], rows, [F(1), F(2)])
+    value, x = solve([F(3), F(1)], rows, [F(1), F(2)])
     assert value == 3
     assert x[0] == 1 and x[1] == 0
 
@@ -42,12 +57,12 @@ def test_degenerate_and_redundant_rows():
 def test_infeasible_detected():
     rows = [[(0, F(1))], [(0, F(1))]]
     with pytest.raises(LpInfeasible):
-        simplex_max([F(1)], rows, [F(1), F(2)])
+        solve([F(1)], rows, [F(1), F(2)])
 
 
 def test_negative_rhs_normalized():
     # -x0 = -3/4 is x0 = 3/4
-    value, x = simplex_max([F(5)], [[(0, F(-1))]], [F(-3, 4)])
+    value, x = solve([F(5)], [[(0, F(-1))]], [F(-3, 4)])
     assert x == [F(3, 4)]
     assert value == F(15, 4)
 
@@ -58,7 +73,7 @@ def test_fractional_vertex_solution_exact():
         [(0, F(1)), (1, F(2))],
         [(0, F(2)), (1, F(1))],
     ]
-    value, x = simplex_max([F(1), F(1)], rows, [F(1), F(1)])
+    value, x = solve([F(1), F(1)], rows, [F(1), F(1)])
     assert x == [F(1, 3), F(1, 3)]
     assert value == F(2, 3)
 
@@ -68,7 +83,11 @@ def test_fractional_vertex_solution_exact():
 # ---------------------------------------------------------------------------
 
 def lp_parts(lp):
-    return list(lp.objective), [list(row) for row, _ in lp.constraints], [b for _, b in lp.constraints]
+    """An SA LP as (c, pair rows, rhs) with Fraction entries."""
+    ptr = lp.rows.indptr.tolist()
+    indices, data = lp.rows.indices.tolist(), lp.rows.data.tolist()
+    rows = [list(zip(indices[s:e], map(F, data[s:e]))) for s, e in zip(ptr, ptr[1:])]
+    return list(lp.objective), rows, [F(b) for b in lp.rhs.tolist()]
 
 
 @st.composite
@@ -105,7 +124,7 @@ def sa_lps_with_redundant_rows(draw):
 @settings(max_examples=30, deadline=None)
 def test_float_path_matches_exact_tableau(parts):
     c, rows, rhs = parts
-    result = simplex_max(c, rows, rhs)
+    result = solve(c, rows, rhs)
     assert tuple(result) == simplex_max_exact(c, rows, rhs)
 
 
@@ -115,7 +134,7 @@ def test_exact_pass_matches_exact_tableau(parts):
     # a rejected certificate sends every LP through the Fraction pass
     c, rows, rhs = parts
     with mock.patch.object(simplex_mod, "_certificate_holds", lambda *args: False):
-        result = simplex_max(c, rows, rhs)
+        result = solve(c, rows, rhs)
     assert result.path == "exact"
     assert tuple(result) == simplex_max_exact(c, rows, rhs)
 
@@ -139,10 +158,11 @@ def test_sa_lps_are_certified():
     lps.append(build_sa_lp(pricing, rounds=2, price_grid=half_integral_grid(pricing)))
     assert [lp.num_variables for lp in lps[4:]] == [180, 174, 170]
     for lp in lps:
-        c, rows, rhs = lp_parts(lp)
-        result = simplex_max(c, rows, rhs)
+        result = simplex_max(lp.objective, lp.rows, lp.rhs)
         assert result.path == "certified"
-        assert tuple(result) == simplex_max_exact(c, rows, rhs)
+        assert tuple(result) == simplex_max_exact(*lp_parts(lp))
+        # the same rows as Fractions take the scaled path to the same vertex
+        assert tuple(solve(*lp_parts(lp))) == tuple(result)
 
 
 K = 2**62 + 1  # a multiplier whose products overflow int64
@@ -177,7 +197,7 @@ def scaled_relaxation():
 )
 def test_certificate_in_python_ints_past_int64(c, rows, rhs):
     # the scaled products pass 2^62, so the certificate runs in object dtype
-    result = simplex_max(c, rows, rhs)
+    result = solve(c, rows, rhs)
     assert result.path == "certified"
     assert tuple(result) == simplex_max_exact(c, rows, rhs)
 
@@ -198,10 +218,18 @@ def fraction_certificate(c, rows, rhs, x, y):
 
 
 def certificate_holds(c, rows, rhs, x, y):
-    """simplex._certificate_holds on Fraction vectors x and y."""
-    return simplex_mod._certificate_holds(
-        simplex_mod._ScaledLp(c, rows, rhs), simplex_mod._over_lcm(x), simplex_mod._over_lcm(y)
-    )
+    """simplex._certificate_holds on Fraction vectors x and y.  When every
+    entry of the rows and rhs is an integer that fits int64, the same rows
+    as int64 arrays must give the same answer."""
+    x, y = simplex_mod._over_lcm(x), simplex_mod._over_lcm(y)
+    a = csr(rows)
+    held = simplex_mod._certificate_holds(
+        simplex_mod._ScaledLp(c, a, np.array(rhs, dtype=object)), x, y)
+    if all(v.denominator == 1 and -2**63 <= v < 2**63 for v in [*a.data, *rhs]):
+        ints = a._replace(data=np.array([int(v) for v in a.data], dtype=np.int64))
+        lp = simplex_mod._ScaledLp(c, ints, np.array([int(v) for v in rhs], dtype=np.int64))
+        assert simplex_mod._certificate_holds(lp, x, y) == held
+    return held
 
 
 rationals = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 2**62 + 1]))
@@ -257,18 +285,30 @@ def geom_tenth_lp():
 def test_geom_tenth_lp_takes_exact_fallback():
     lp = geom_tenth_lp()
     assert lp.num_variables == 414
-    result = simplex_max(*lp_parts(lp))
+    result = simplex_max(lp.objective, lp.rows, lp.rhs)
     assert result.path == "exact"
     assert result[0] == F(775973, 100000)
 
 
 def test_rejected_certificate_falls_back(monkeypatch):
-    c, rows, rhs = lp_parts(build_sa_lp(GmdInstance.of(1, 2, [(0, 1, 1, 1)]), rounds=2))
-    certified = simplex_max(c, rows, rhs)
+    lp = build_sa_lp(GmdInstance.of(1, 2, [(0, 1, 1, 1)]), rounds=2)
+    certified = simplex_max(lp.objective, lp.rows, lp.rhs)
     monkeypatch.setattr(simplex_mod, "_certificate_holds", lambda *args: False)
-    fallback = simplex_max(c, rows, rhs)
+    fallback = simplex_max(lp.objective, lp.rows, lp.rhs)
     assert (certified.path, fallback.path) == ("certified", "exact")
     assert tuple(certified) == tuple(fallback)
+
+
+def test_exact_fallback_on_integer_rows(monkeypatch):
+    # max x0 + x1 with x0 + 2 x1 = 1 and 2 x0 + x1 = 1, int64 rows: the
+    # exact tableau must hold Fractions, or its pivots divide ints to floats
+    monkeypatch.setattr(simplex_mod, "_float_certified", lambda lp: None)
+    rows = Csr(np.array([0, 2, 4]), np.array([0, 1, 0, 1]), np.array([1, 2, 2, 1], dtype=np.int64))
+    result = simplex_max([F(1), F(1)], rows, np.array([1, 1], dtype=np.int64))
+    assert result.path == "exact"
+    assert result[1] == [F(1, 3), F(1, 3)]
+    assert all(type(v) is Fraction for v in result[1])
+    assert result[0] == F(2, 3) and type(result[0]) is Fraction
 
 
 def test_certificate_rejects_wrong_primal_or_dual():
@@ -291,24 +331,24 @@ def test_certificate_rejects_wrong_primal_or_dual():
 
 def test_unbounded_and_infeasible_raise_exact_exceptions():
     with pytest.raises(LpUnbounded):
-        simplex_max([F(1), F(0)], [[(0, F(1)), (1, F(-1))]], [F(1)])
+        solve([F(1), F(0)], [[(0, F(1)), (1, F(-1))]], [F(1)])
     with pytest.raises(LpUnbounded):
-        simplex_max([F(1)], [], [])
+        solve([F(1)], [], [])
     with pytest.raises(LpInfeasible):
-        simplex_max([F(1), F(1)], [[(0, F(1)), (1, F(1))]], [F(-1)])
+        solve([F(1), F(1)], [[(0, F(1)), (1, F(1))]], [F(-1)])
 
 
 def test_lp_without_variables():
-    assert simplex_max([], [], []) == (0, [])
-    assert simplex_max([], [[]], [F(0)]) == (0, [])
+    assert solve([], [], []) == (0, [])
+    assert solve([], [[]], [F(0)]) == (0, [])
     with pytest.raises(LpInfeasible):
-        simplex_max([], [[]], [F(1)])
+        solve([], [[]], [F(1)])
 
 
 def test_repeated_solves_return_identical_x():
     two = GmdInstance.of(2, 4, [(0, 1, 2, 1), (1, 2, 1, 2), (2, 3, 2, 1), (3, 0, 1, 3)])
-    parts = lp_parts(build_sa_lp(two, rounds=3))
-    first, second = simplex_max(*parts), simplex_max(*parts)
+    lp = build_sa_lp(two, rounds=3)
+    first, second = (simplex_max(lp.objective, lp.rows, lp.rhs) for _ in range(2))
     assert first.path == second.path == "certified"
     assert first[1] == second[1] and first[0] == second[0]
 
