@@ -600,13 +600,18 @@ def _cmd_gauss(args, caps, argv) -> int:
 def _cmd_report(args, caps, argv) -> int:
     try:
         with open(args.infile, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
+            lines = [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, 1) if not ln.startswith("#")]
     except OSError as exc:
         raise InstanceError(f"cannot read {args.infile}: {exc}") from exc
     if not lines:
         raise InstanceError("empty report")
-    header = lines[0].split(",")
-    rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+    header = lines[0][1].split(",")
+    rows = []
+    for lineno, ln in lines[1:]:
+        cells = ln.split(",") if ln else []  # a blank line has no cells
+        if len(cells) != len(header):
+            raise ParseError(lineno, f"row has {len(cells)} cells, the header {len(header)}")
+        rows.append(dict(zip(header, cells)))
     emit_report(rows, args.out, header, argv, seed="-")
     print(f"wrote {args.out}")
     return 0

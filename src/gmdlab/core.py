@@ -245,6 +245,19 @@ def max_incident_budget(inst: GpInstance) -> list[Fraction]:
     return bound
 
 
+def check_price_grid(inst: GpInstance, grid) -> None:
+    """InstanceError unless the grid has one nonempty list of nonnegative
+    prices per vertex."""
+    if len(grid) != inst.n:
+        raise InstanceError("need one candidate list per vertex")
+    for prices in grid:
+        if len(prices) == 0:
+            raise InstanceError("empty candidate list")
+        for p in prices:
+            if p < 0:
+                raise InstanceError(f"negative candidate price {p}")
+
+
 def ndeg(inst: GmdInstance) -> Fraction:
     """Normalized outdegree: reciprocal of sum over tails of max out-weight.
 

@@ -74,6 +74,7 @@ from .core import (
     InstanceError,
     Labeling,
     Pricing,
+    check_price_grid,
     max_incident_budget,
     val_gmd,
     val_gp,
@@ -628,16 +629,8 @@ def opt_gp_grid(
     product order.  CapExceeded, before the pass, when the grid has more
     than `caps.gp_grid_points` points or its elimination tables would take
     more than `ELIM_MAX_BYTES`."""
-    if len(candidates) != inst.n:
-        raise InstanceError("need one candidate list per vertex")
-    points = 1
-    for cand in candidates:
-        if not cand:
-            raise InstanceError("empty candidate list")
-        for p in cand:
-            if p < 0:
-                raise InstanceError(f"negative candidate price {p}")
-        points *= len(cand)
+    check_price_grid(inst, candidates)
+    points = prod(map(len, candidates))
     if points > caps.gp_grid_points:
         raise CapExceeded(f"grid has {points} points, cap {caps.gp_grid_points}")
 

@@ -5,17 +5,21 @@ The r-round relaxation has one variable x_S(alpha) per vertex set S with
 nonnegativity, per-set normalization, and marginalization between nested
 sets.  Max-dicut uses the label domain {0..T}; pricing uses a finite price
 grid per vertex (half-integral for integer budgets, geometric otherwise).
-Every equality row has coefficients +1 and -1 and a right-hand side of 1 or
-0, so build_sa_lp writes the rows as int64 CSR arrays, by index arithmetic
-on each set's consecutive variable numbers, with no Python step per entry.
-It checks the lp_variables cap from the domain sizes before it numbers any
-variable.
+The variables are numbered in one place, _sa_rows: set by set, each set's
+assignments consecutively in row-major domain order from the set's first
+variable (SaLp.starts).  Every equality row has coefficients +1 and -1 and a
+right-hand side of 1 or 0, so build_sa_lp writes the rows as int64 CSR
+arrays, by index arithmetic on those consecutive numbers, with no Python
+step per entry; the objective's indices and solve_lp_exact's read-back are
+index arithmetic from the same starts.  build_sa_lp checks the lp_variables
+cap from the domain sizes before it numbers any variable.
 
 Everything here is exact rational arithmetic.  simplex.py solves the LPs: a
 float Bland-rule simplex finds the optimal vertex, which is returned only
-after an exact primal-dual certificate, checked on integer arrays, holds;
+after an exact primal-dual certificate, checked on the integer rows, holds;
 otherwise the same Bland pivots run again on Fractions with no tolerance,
-so reported LP values are never blurred by tolerances.  SaSolution.lp_path
+so reported LP values are never blurred by tolerances.  The vertex comes
+back as integer numerators over one denominator.  SaSolution.lp_path
 records which of the two passes produced a table.
 
 A solution table (SaSolution) holds integer numerators over one shared
@@ -55,6 +59,7 @@ from .core import (
     GpInstance,
     InstanceError,
     ValueTexts,
+    check_price_grid,
 )
 from .simplex import Csr, simplex_max
 
@@ -64,16 +69,15 @@ Assignment = tuple
 
 @dataclass(frozen=True, eq=False)
 class SaLp:
-    kind: str                      # "gmd" | "gp"
     rounds: int
     sets: tuple[SetKey, ...]
     domains: tuple[tuple, ...]     # per-vertex domain values
-    var_index: dict
+    starts: tuple[int, ...]        # each set's first variable; its assignments
+                                   # follow in row-major domain order
     objective: tuple[Fraction, ...]
     rows: Csr                      # equality rows in _sa_rows order: int64 CSR,
                                    # coefficients +1 and -1
     rhs: np.ndarray                # their int64 right-hand sides, 1 or 0
-    grid_note: str = ""
 
     @property
     def num_variables(self) -> int:
@@ -387,25 +391,18 @@ def build_sa_lp(
     if inst.n > caps.sa_n:
         raise CapExceeded(f"n={inst.n} exceeds SA cap {caps.sa_n}")
 
-    grid_note = ""
     if isinstance(inst, GmdInstance):
-        kind = "gmd"
         domains = tuple(tuple(range(inst.T + 1)) for _ in range(inst.n))
     elif isinstance(inst, GpInstance):
-        kind = "gp"
         if price_grid is None:
             raise InstanceError("pricing relaxation needs a finite price grid")
-        if len(price_grid) != inst.n:
-            raise InstanceError("need one price grid per vertex")
+        check_price_grid(inst, price_grid)
         domains = tuple(tuple(g) for g in price_grid)
-        grid_note = "custom"
     else:
         raise InstanceError(f"not an instance: {inst!r}")
     for v, dom in enumerate(domains):
         if len(dom) > caps.sa_domain:
             raise CapExceeded(f"domain size {len(dom)} exceeds cap {caps.sa_domain}")
-        if len(dom) == 0:
-            raise InstanceError("empty domain")
         if len(set(dom)) < len(dom):  # the variables number each value once
             raise InstanceError(f"price grid of vertex {v} repeats a price")
 
@@ -422,43 +419,40 @@ def build_sa_lp(
     sets: list[SetKey] = []
     for size in range(1, min(rounds, inst.n) + 1):
         sets.extend(itertools.combinations(range(inst.n), size))
-    var_index: dict = {}
-    for S in sets:
-        for alpha in itertools.product(*(domains[v] for v in S)):
-            var_index[(S, alpha)] = len(var_index)
-    rows, rhs = _sa_rows(sets, domains)
+    starts, rows, rhs = _sa_rows(sets, domains)
 
-    objective = [Fraction(0)] * len(var_index)
-    if kind == "gmd":
+    # the pair (a, b), a < b, has the variables first[a, b] + i |D_b| + j for
+    # the i-th value at a and the j-th at b
+    first = dict(zip(sets, starts))
+    objective = [Fraction(0)] * num_vars
+    if isinstance(inst, GmdInstance):
         for a in inst.arcs:
-            S = tuple(sorted((a.tail, a.head)))
-            alpha = (0, a.label) if S == (a.tail, a.head) else (a.label, 0)
-            objective[var_index[(S, alpha)]] += a.weight
+            label = a.label if a.tail < a.head else a.label * (inst.T + 1)
+            objective[first[tuple(sorted((a.tail, a.head)))] + label] += a.weight
     else:
         for e in inst.edges:
-            S = tuple(sorted((e.u, e.v)))
-            for pu in domains[e.u]:
-                for pv in domains[e.v]:
+            lo, hi = sorted((e.u, e.v))
+            start, width = first[lo, hi], len(domains[hi])
+            for i, pu in enumerate(domains[e.u]):
+                for j, pv in enumerate(domains[e.v]):
                     if pu + pv <= e.budget:
-                        alpha = (pu, pv) if S == (e.u, e.v) else (pv, pu)
-                        objective[var_index[(S, alpha)]] += e.weight * (pu + pv)
+                        k = i * width + j if e.u < e.v else j * width + i
+                        objective[start + k] += e.weight * (pu + pv)
 
     return SaLp(
-        kind=kind,
         rounds=rounds,
         sets=tuple(sets),
         domains=domains,
-        var_index=var_index,
+        starts=starts,
         objective=tuple(objective),
         rows=rows,
         rhs=rhs,
-        grid_note=grid_note,
     )
 
 
-def _sa_rows(sets: Sequence[SetKey], domains) -> tuple[Csr, np.ndarray]:
-    """The equality rows of the relaxation as int64 CSR arrays, and their
-    right-hand sides.
+def _sa_rows(sets: Sequence[SetKey], domains) -> tuple[tuple[int, ...], Csr, np.ndarray]:
+    """The variable numbering, as each set's first variable, the equality
+    rows of the relaxation as int64 CSR arrays, and their right-hand sides.
 
     Variables are numbered set by set in `sets` order, each set's
     assignments consecutively in row-major domain order.  First come one
@@ -495,32 +489,30 @@ def _sa_rows(sets: Sequence[SetKey], domains) -> tuple[Csr, np.ndarray]:
     data[indptr[len(sets):-1]] = -1
     rhs = np.zeros(len(indptr) - 1, dtype=np.int64)
     rhs[:len(sets)] = 1
-    return Csr(indptr, np.concatenate(indices), data), rhs
+    return tuple(starts[:-1]), Csr(indptr, np.concatenate(indices), data), rhs
 
 
 def solve_lp_exact(lp: SaLp) -> tuple[Fraction, SaSolution]:
     """The LP's exact optimum and its vertex as a solution table.
 
-    build_sa_lp numbers a set's assignments consecutively in row-major
-    domain order, and the vertex's numerators share one denominator, the
-    lcm of its denominators.  So each shape's block gathers, for each of
-    its sets, the run of numerators that starts at the set's first
-    assignment.
+    A set's assignments are numbered consecutively from `lp.starts`, and
+    the vertex's numerators share one denominator, the lcm of its
+    denominators.  So each shape's block gathers, for each of its sets,
+    the run of numerators that starts at the set's first variable.
     """
     result = simplex_max(lp.objective, lp.rows, lp.rhs)
     groups: dict = {}  # shape -> (sets, first variable of each)
-    for S in lp.sets:
-        shape = tuple(len(lp.domains[v]) for v in S)
-        sets, starts = groups.setdefault(shape, ([], []))
+    for S, start in zip(lp.sets, lp.starts):
+        sets, starts = groups.setdefault(tuple(len(lp.domains[v]) for v in S), ([], []))
         sets.append(S)
-        starts.append(lp.var_index[(S, tuple(lp.domains[v][0] for v in S))])
+        starts.append(start)
     blocks = []
     for shape, (sets, starts) in groups.items():
         nums = result.numerators[np.add.outer(starts, np.arange(math.prod(shape)))]
         verts = np.array(sets, dtype=np.int64).reshape(len(sets), len(shape))
         blocks.append(TableBlock(verts, nums.reshape((len(sets),) + shape)))
     sol = SaSolution(blocks, result.denom, lp.rounds, lp.domains, lp_path=result.path)
-    return result[0], sol
+    return result.value, sol
 
 
 @dataclass(frozen=True)

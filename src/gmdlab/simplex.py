@@ -1,12 +1,14 @@
 """Two-phase primal simplex with exact answers: float-guided, exactly certified.
 
 Solves  max c.x  s.t.  A x = b, x >= 0.  c is a sequence of Fractions; A
-comes as CSR arrays (``Csr``) and b as an array, both int64, as build_sa_lp
-writes every Sherali-Adams LP, or both object dtype holding Fractions.  One
-Bland-rule routine (smallest eligible index enters, smallest basic index
-breaks ratio ties; redundant rows stay as zero rows that no later pivot
-touches) runs twice at most: first on float64, then, if needed, on
-Fractions, where it walks the bases exact arithmetic gives.
+comes as CSR arrays (``Csr``) and b as an array of integers, int64 as
+build_sa_lp writes every Sherali-Adams LP, or Python ints in object dtype;
+any other entries raise TypeError.  One Bland-rule routine (smallest
+eligible index enters, smallest basic index breaks ratio ties; redundant
+rows stay as zero rows that no later pivot touches) runs twice at most:
+first on float64, then, if needed, on Fractions, where it walks the bases
+exact arithmetic gives.  The vertex comes back once, as integer numerators
+over one denominator (``LpResult``).
 
 The float pass reads the CSR arrays once into coordinate arrays.  One
 scatter fills a float64 tableau whose last row is the objective, and Bland
@@ -16,15 +18,14 @@ rationalised once (``Fraction.limit_denominator``, denominators up to
 10^6), so each vector becomes integer numerators over one common
 denominator.  x is returned only if x >= 0, A x = b, A^T y >= c and
 c.x = b.y all hold exactly; weak duality then proves x optimal.  The checks
-run on integer arrays: integer rows as they come, Fraction rows each scaled
-with their right-hand side by the lcm of their denominators, and c by the
-lcm of its own; in int64 when a bound computed beforehand rules out
+run on the integer rows as they come, with c scaled by the lcm of its
+denominators; in int64 when a bound computed beforehand rules out
 overflow, in Python ints (object dtype) otherwise, through the same code.
 If any check fails, or the float pass ends infeasible or unbounded, the
-same pivot code runs from scratch on an object-dtype tableau of the
-unscaled rows, every entry a Fraction, with no tolerance.  It is the only
-pass that raises LpInfeasible/LpUnbounded, and it solves the LPs whose
-optimal vertex or duals do not rationalise.
+same pivot code runs from scratch on an object-dtype tableau of the same
+rows, every entry a Fraction, with no tolerance.  It is the only pass that
+raises LpInfeasible/LpUnbounded, and it solves the LPs whose optimal
+vertex or duals do not rationalise.
 """
 
 from __future__ import annotations
@@ -55,25 +56,23 @@ class LpUnbounded(RuntimeError):
 class Csr(NamedTuple):
     """Sparse rows in CSR form: row i holds ``data[k]`` at column
     ``indices[k]`` for k in ``range(indptr[i], indptr[i + 1])``.  ``data``
-    is int64, or object dtype holding Fractions."""
+    is int64, or Python ints in object dtype."""
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
 
 
-class LpResult(tuple):
-    """``(value, x)`` of an optimal vertex; ``path`` names the solver that
-    produced it: "certified" (float basis, exact certificate) or "exact".
-    ``numerators`` (Python ints, object dtype) over ``denom``, the lcm of
-    x's denominators, is x again."""
+class LpResult(NamedTuple):
+    """An optimal vertex x = ``numerators`` / ``denom``, the numerators
+    Python ints in object dtype over the lcm of x's denominators, and its
+    ``value``; ``path`` names the solver that produced it: "certified"
+    (float basis, exact certificate) or "exact"."""
 
-    def __new__(cls, value: Fraction, x: list[Fraction], path: str, scaled=None):
-        self = super().__new__(cls, (value, x))
-        self.path = path
-        nums, self.denom = scaled if scaled is not None else _over_lcm(x)
-        self.numerators = np.array(nums, dtype=object)
-        return self
+    value: Fraction
+    numerators: np.ndarray
+    denom: int
+    path: str
 
 
 def _over_lcm(values) -> tuple[list[int], int]:
@@ -82,14 +81,24 @@ def _over_lcm(values) -> tuple[list[int], int]:
     return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
-def simplex_max(c: Sequence[Fraction], a: Csr, rhs: np.ndarray) -> LpResult:
-    """Maximize c.x subject to the equality rows A x = rhs; returns (value, x).
+def _require_integers(name: str, v: np.ndarray) -> None:
+    """TypeError unless v is int64 or holds Python ints in object dtype."""
+    if v.dtype == np.int64 or (v.dtype == object and all(type(u) is int for u in v.tolist())):
+        return
+    raise TypeError(f"{name} must be int64 or Python ints in object dtype, got {v.dtype}")
 
-    rhs is int64 or object dtype, like ``a.data``.  Rows with a negative
-    right-hand side are negated on entry.  The result's ``path`` says
-    whether the certificate or the exact pass produced it.
+
+def simplex_max(c: Sequence[Fraction], a: Csr, rhs: np.ndarray) -> LpResult:
+    """Maximize c.x subject to the equality rows A x = rhs.
+
+    The entries of A and rhs are integers: int64, or Python ints in object
+    dtype; TypeError otherwise.  Rows with a negative right-hand side are
+    negated on entry.  The result's ``path`` says whether the certificate
+    or the exact pass produced it.
     """
     rhs = np.asarray(rhs)
+    _require_integers("row data", a.data)
+    _require_integers("right-hand side", rhs)
     result = _float_certified(_ScaledLp(c, a, rhs))
     if result is not None:
         return result
@@ -198,8 +207,8 @@ def _two_phase(t, cost, tol):
 
 
 def _exact(c, a: Csr, rhs: np.ndarray) -> LpResult:
-    """The two phases on a Fraction tableau of the unscaled rows: scaling a
-    row would change phase one's objective, hence Bland's bases."""
+    """The two phases on a Fraction tableau of the rows as given: scaling
+    a row would change phase one's objective, hence Bland's bases."""
     n, m = len(c), len(rhs)
     # every entry of A and b is a Fraction, so that no pivot divides two
     # ints; zeros stay Python ints, cheaper to test than Fraction(0)
@@ -215,8 +224,9 @@ def _exact(c, a: Csr, rhs: np.ndarray) -> LpResult:
     for i, j in enumerate(basis.tolist()):
         if j < n:
             x[j] = t[i, n]
+    nums, denom = _over_lcm(x)
     value = sum(map(operator.mul, c, x), ZERO)
-    return LpResult(value, x, "exact")
+    return LpResult(value, np.array(nums, dtype=object), denom, "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -225,45 +235,26 @@ def _exact(c, a: Csr, rhs: np.ndarray) -> LpResult:
 
 
 class _ScaledLp:
-    """The LP read once.  Entry k of A is ``values[k]`` (as a float) at
-    (``row[k]``, ``col[k]``).  Integer rows are ``coef`` and ``rhs`` as
-    given, with ``scale`` None; Fraction rows of A and b, row i times
-    ``scale[i]``, the lcm of its denominators, give the Python-int arrays
-    ``coef`` and ``rhs``.  ``row_lcm`` is the lcm of the scales.  c times
-    ``cscale`` gives ``cost``.  ``bound_a``, ``bound_b`` and ``bound_c``
-    are their largest magnitudes."""
+    """The LP read once.  Entry k of A is ``coef[k]`` (``values[k]`` as a
+    float) at (``row[k]``, ``col[k]``); ``rhs`` is b.  c times ``cscale``,
+    the lcm of its denominators, gives the integers ``cost``.
+    ``bound_a``, ``bound_b`` and ``bound_c`` are the largest magnitudes of
+    A, b and ``cost``."""
 
     def __init__(self, c, a: Csr, rhs: np.ndarray):
         self.n, self.m = len(c), len(rhs)
         self.row = np.repeat(np.arange(self.m), np.diff(a.indptr))
         self.col = np.asarray(a.indices, dtype=np.intp)
+        self.coef, self.rhs = a.data, rhs
         self.values = a.data.astype(float)  # float(a), rounded once
         self.rhs_float = rhs.astype(float)
         self.sign = np.where(rhs < 0, -1.0, 1.0)
         self.cost, self.cscale = _over_lcm(c)
         # int / int rounds the quotient once, as float(Fraction) does
         self.cost_float = [v / self.cscale for v in self.cost]
-
-        self.coef, self.rhs, self.scale = a.data, rhs, None
-        if a.data.dtype == object or rhs.dtype == object:
-            self.coef, self.rhs, self.scale = _scale_rows(
-                a.indptr.tolist(), a.data.tolist(), rhs.tolist(), self.row.tolist())
-        self.row_lcm = math.lcm(*self.scale) if self.scale else 1
         self.bound_a = _magnitude(self.coef)
         self.bound_b = _magnitude(self.rhs)
         self.bound_c = max(map(abs, self.cost), default=0)
-
-
-def _scale_rows(ptr, entries, rhs, row):
-    """Rational rows as Python ints: each row and its right-hand side times
-    the lcm of their denominators.  Returns the entries, the right-hand
-    sides (both object arrays) and the row scales."""
-    num = [v.numerator for v in entries]
-    den = [v.denominator for v in entries]
-    scale = [math.lcm(b.denominator, *den[s:e]) for b, s, e in zip(rhs, ptr, ptr[1:])]
-    coef = [p * (scale[i] // q) for p, q, i in zip(num, den, row)]
-    bound = [b.numerator * (s // b.denominator) for b, s in zip(rhs, scale)]
-    return np.array(coef, dtype=object), np.array(bound, dtype=object), scale
 
 
 def _magnitude(v: np.ndarray) -> int:
@@ -293,50 +284,46 @@ def _float_certified(lp: _ScaledLp) -> Optional[LpResult]:
     xf = np.zeros(n)
     basic = basis < n
     xf[basis[basic]] = t[:m][basic, n]
-    x, xn, dx = _rationalise(xf)
-    _, yn, dy = _rationalise(cost * lp.sign)
+    xn, dx = _rationalise(xf)
+    yn, dy = _rationalise(cost * lp.sign)
     if not _certificate_holds(lp, (xn, dx), (yn, dy)):
         return None
     value = Fraction(sum(map(operator.mul, lp.cost, xn)), lp.cscale * dx)
-    return LpResult(value, x, "certified", (xn, dx))
+    return LpResult(value, np.array(xn, dtype=object), dx, "certified")
 
 
-def _rationalise(v: np.ndarray) -> tuple[list[Fraction], list[int], int]:
-    """v as rationals, as their numerators and as the lcm of their
-    denominators.  Each distinct entry goes through ``limit_denominator``
-    once; entries below TOL are 0."""
+def _rationalise(v: np.ndarray) -> tuple[list[int], int]:
+    """v as rationals: their numerators over the lcm of their denominators.
+    Each distinct entry goes through ``limit_denominator`` once; entries
+    below TOL are 0."""
     v[np.abs(v) < TOL] = 0.0
     v = v.tolist()
     values = {u: Fraction(u).limit_denominator() if u else ZERO for u in set(v)}
     nums, denom = _over_lcm(values.values())
     nums = dict(zip(values, nums))
-    return [values[u] for u in v], [nums[u] for u in v], denom
+    return [nums[u] for u in v], denom
 
 
 def _certificate_holds(lp: _ScaledLp, x, y) -> bool:
     """x >= 0, A x = b, A^T y >= c and c.x = b.y, all exact.
 
-    x and y are (integer numerators, common denominator) pairs.  With A'
-    and b' the scaled rows (row i times s_i, L = lcm of the s_i), c' = c
-    times s_c, x = X/dx and y = Y/dy, the checks are A' X = b' dx,
-    s_c A'^T Y' >= L dy c' and L dy (c'.X) = s_c dx (b'.Y'), where
-    Y'_i = Y_i L / s_i.  They run in int64 when no product or partial sum
-    can reach 2^62, in Python ints otherwise.
+    x and y are (integer numerators, common denominator) pairs.  With
+    c' = c times s_c, x = X/dx and y = Y/dy, the checks are A X = b dx,
+    s_c A^T Y >= dy c' and dy (c'.X) = s_c dx (b.Y).  They run in int64
+    when no product or partial sum can reach 2^62, in Python ints
+    otherwise.
     """
     (xn, dx), (yn, dy) = x, y
     if min(xn, default=0) < 0:
         return False
-    big = lp.row_lcm
-    if big != 1:
-        yn = [v * (big // s) for v, s in zip(yn, lp.scale)]
     x_max = max(xn, default=0)
     y_max = max(map(abs, yn), default=0)
-    scalars = (dx, big * dy, lp.cscale, x_max, y_max, lp.bound_a, lp.bound_b, lp.bound_c)
+    scalars = (dx, dy, lp.cscale, x_max, y_max, lp.bound_a, lp.bound_b, lp.bound_c)
     bound = max(
         *scalars,
         len(lp.coef) * lp.bound_a * max(x_max, y_max * lp.cscale),
         lp.bound_b * max(dx, lp.m * y_max),
-        lp.bound_c * max(big * dy, lp.n * x_max),
+        lp.bound_c * max(dy, lp.n * x_max),
     )
     dtype = np.int64 if bound < 2**62 else object
     a = lp.coef.astype(dtype)
@@ -351,6 +338,6 @@ def _certificate_holds(lp: _ScaledLp, x, y) -> bool:
         return False
     aty = np.zeros(lp.n, dtype=dtype)
     np.add.at(aty, lp.col, a * Y[lp.row])
-    if (aty * lp.cscale < c * (big * dy)).any():
+    if (aty * lp.cscale < c * dy).any():
         return False
-    return int(c @ X) * big * dy == int(b @ Y) * lp.cscale * dx
+    return int(c @ X) * dy == int(b @ Y) * lp.cscale * dx

@@ -398,6 +398,17 @@ def test_report_round_trip(tmp_path):
     assert "a,b\n1,2" in body
 
 
+@pytest.mark.parametrize("row, lineno", [("3,4,5", 4), ("6", 4), ("", 4), ("1,2\n7", 5)])
+def test_report_refuses_rows_unlike_the_header(tmp_path, capsys, row, lineno):
+    # too many cells, too few, a blank line: each was reshaped to the header
+    csv = str(tmp_path / "in.csv")
+    Path(csv).write_text(f"# gmdlab x config=y seed=1\na,b\n1,2\n{row}\n")
+    out = tmp_path / "out.csv"
+    assert run_command(["report", "--in", csv, "--out", str(out)]) == 1
+    assert f"error: line {lineno}: row has " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_emit_report_writes_float_cells_as_numbers(tmp_path):
     # np.float64 subclasses float; its repr would be np.float64(0.1)
     csv = str(tmp_path / "r.csv")

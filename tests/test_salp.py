@@ -6,12 +6,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gmdlab.caps import Caps
-from gmdlab.core import CapExceeded, GmdInstance, GpInstance, InstanceError
-from gmdlab.exact import half_integral_grid, opt_gmd
+from gmdlab.core import (
+    CapExceeded,
+    GmdInstance,
+    GpEdge,
+    GpInstance,
+    InstanceError,
+    max_incident_budget,
+)
+from gmdlab.exact import half_integral_grid, opt_gmd, opt_gp_grid
 from gmdlab.salp import (
     ConsistencyReport,
     SaSolution,
@@ -52,9 +59,10 @@ def test_gp_objective_enumerates_affordable_pairs():
     inst = GpInstance.of(2, [(0, 1, 1, 1)])
     grid = [[F(0), F(1, 2), F(1)]] * 2
     lp = build_sa_lp(inst, rounds=2, price_grid=grid)
+    _, var_index, _ = reference_rows(2, 2, lp.domains)
     terms = {
         key[1]: coef
-        for key, idx in lp.var_index.items()
+        for key, idx in var_index.items()
         if len(key[0]) == 2 and (coef := lp.objective[idx]) != 0
     }
     assert set(terms) == {
@@ -78,6 +86,20 @@ def test_gp_grid_repeating_a_price_rejected():
     with pytest.raises(InstanceError, match="vertex 0 repeats a price"):
         build_sa_lp(GpInstance.of(2, [(0, 1, 2, 1)]), rounds=2,
                     price_grid=[[F(0), F(1), F(1), F(2)], [F(0), F(1), F(2)]])
+
+
+@pytest.mark.parametrize("grid, message", [
+    ([[F(-1), F(0), F(1)], [F(0), F(2)]], "negative candidate price -1"),
+    ([[F(0), F(1)], []], "empty candidate list"),
+    ([[F(0), F(1)]], "need one candidate list per vertex"),
+])
+def test_lp_and_grid_oracle_refuse_the_same_grids(grid, message):
+    # the LP took the grid with a negative price and gave value 1
+    inst = GpInstance.of(2, [(0, 1, 1, 1)])
+    with pytest.raises(InstanceError, match=message):
+        build_sa_lp(inst, rounds=2, price_grid=grid)
+    with pytest.raises(InstanceError, match=message):
+        opt_gp_grid(inst, grid)
 
 
 def test_rounds_below_two_rejected():
@@ -135,11 +157,36 @@ def reference_rows(n, rounds, domains):
     return sets, var_index, rows
 
 
+def reference_objective(inst, domains, var_index):
+    """The relaxation's objective, each term found by its (set, assignment)
+    key in a reference numbering."""
+    objective = [F(0)] * len(var_index)
+    if isinstance(inst, GmdInstance):
+        for a in inst.arcs:
+            S = tuple(sorted((a.tail, a.head)))
+            alpha = (0, a.label) if S == (a.tail, a.head) else (a.label, 0)
+            objective[var_index[(S, alpha)]] += a.weight
+        return objective
+    for e in inst.edges:
+        S = tuple(sorted((e.u, e.v)))
+        for pu in domains[e.u]:
+            for pv in domains[e.v]:
+                if pu + pv <= e.budget:
+                    alpha = (pu, pv) if S == (e.u, e.v) else (pv, pu)
+                    objective[var_index[(S, alpha)]] += e.weight * (pu + pv)
+    return objective
+
+
 @st.composite
 def sa_lps(draw):
-    """gmd relaxations with T from 1 to 3, and pricing relaxations on half
-    grids whose lengths differ with the vertices' budgets (1 for an isolated
-    vertex, 3 or 5 otherwise), at 2 or 3 rounds, also past n."""
+    """(instance, relaxation) pairs: gmd relaxations with T from 1 to 3,
+    antiparallel arcs included, and pricing relaxations, some edges given
+    with their larger endpoint first, at 2 or 3 rounds, also past n.  The
+    pricing grids are half grids, whose lengths differ with the vertices'
+    budgets (1 for an isolated vertex, 3 or 5 otherwise), or geometric
+    grids with a step of 1/2, 1/3 or 1/5 per vertex: half grids are prefixes of
+    one another, so only the geometric ones tell an edge's two endpoints
+    apart in the objective."""
     n = draw(st.integers(2, 5))
     rounds = draw(st.integers(2, 3))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
@@ -147,17 +194,30 @@ def sa_lps(draw):
         T = draw(st.integers(1, 3))
         arcs = draw(st.lists(st.tuples(pairs, st.integers(1, T), st.integers(1, 4)),
                              min_size=1, max_size=6))
-        return build_sa_lp(GmdInstance.of(T, n, [(u, v, t, w) for (u, v), t, w in arcs]), rounds)
+        # each arc's reverse, with its own label and weight
+        arcs += [((v, u), draw(st.integers(1, T)), draw(st.integers(1, 4)))
+                 for (u, v), _, _ in arcs[:draw(st.integers(0, 2))]]
+        inst = GmdInstance.of(T, n, [(u, v, t, w) for (u, v), t, w in arcs])
+        return inst, build_sa_lp(inst, rounds)
     edges = draw(st.lists(st.tuples(pairs, st.integers(1, 2), st.integers(1, 3)),
                           min_size=1, max_size=4))
     inst = GpInstance.of(n, [(u, v, b, w) for (u, v), b, w in edges])
-    return build_sa_lp(inst, rounds, price_grid=half_integral_grid(inst),
-                       caps=Caps(lp_variables=10_000))
+    # GpInstance.of puts the smaller endpoint first; the raw constructor
+    # keeps an edge's endpoints as given
+    flips = draw(st.lists(st.booleans(), min_size=len(inst.edges), max_size=len(inst.edges)))
+    inst = GpInstance(n, tuple(GpEdge(e.v, e.u, e.budget, e.weight) if flip else e
+                               for e, flip in zip(inst.edges, flips)))
+    grid = half_integral_grid(inst) if draw(st.booleans()) else [
+        geometric_grid(b, draw(st.sampled_from([F(1, 2), F(1, 3), F(1, 5)])))
+        for b in max_incident_budget(inst)]
+    return inst, build_sa_lp(inst, rounds, price_grid=grid, caps=Caps(lp_variables=10_000))
 
 
-def assert_rows_match_reference(lp):
+def assert_rows_match_reference(inst, lp):
     sets, var_index, rows = reference_rows(len(lp.domains), lp.rounds, lp.domains)
-    assert list(lp.sets) == sets and lp.var_index == var_index
+    assert list(lp.sets) == sets
+    assert lp.starts == tuple(var_index[(S, tuple(lp.domains[v][0] for v in S))] for S in sets)
+    assert list(lp.objective) == reference_objective(inst, lp.domains, var_index)
     indptr, indices, data = lp.rows
     assert indices.dtype == data.dtype == lp.rhs.dtype == np.int64
     assert lp.num_constraints == len(rows) and len(indptr) == len(rows) + 1
@@ -167,17 +227,32 @@ def assert_rows_match_reference(lp):
         assert lp.rhs[i] == rhs
 
 
+def descending_edge_case():
+    """A pricing edge given as (1, 0), its endpoints on unlike grids."""
+    inst = GpInstance(2, (GpEdge(1, 0, F(2), F(1)),))
+    grid = [geometric_grid(F(2), F(1, 3)), geometric_grid(F(2), F(1, 2))]
+    return inst, build_sa_lp(inst, 2, price_grid=grid)
+
+
+def antiparallel_case():
+    inst = GmdInstance.of(2, 3, [(0, 1, 1, 2), (1, 0, 2, 3), (2, 1, 1, 1)])
+    return inst, build_sa_lp(inst, 3)
+
+
 @given(sa_lps())
+@example(descending_edge_case())
+@example(antiparallel_case())
 @settings(max_examples=60, deadline=None)
-def test_csr_rows_match_reference_builder(lp):
-    assert_rows_match_reference(lp)
+def test_csr_rows_match_reference_builder(case):
+    assert_rows_match_reference(*case)
 
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_lp_without_pairs(n):
     # no set of two vertices, so no marginalization row
-    lp = build_sa_lp(GmdInstance.of(2, n, []), rounds=2)
-    assert_rows_match_reference(lp)
+    inst = GmdInstance.of(2, n, [])
+    lp = build_sa_lp(inst, rounds=2)
+    assert_rows_match_reference(inst, lp)
     assert (lp.num_variables, lp.num_constraints) == (3 * n, n)
     assert solve_lp_exact(lp)[0] == 0
 
@@ -245,7 +320,8 @@ def test_full_rounds_reach_integral_optimum():
 def test_solution_satisfies_constraints_exactly():
     lp = build_sa_lp(triangle(), rounds=2)
     _, sol = solve_lp_exact(lp)
-    x = [sol.values[key] for key in lp.var_index]
+    _, var_index, _ = reference_rows(3, 2, lp.domains)
+    x = [sol.values[key] for key in var_index]
     indptr, indices, data = lp.rows
     for i, rhs in enumerate(lp.rhs.tolist()):
         row = range(indptr[i], indptr[i + 1])
@@ -541,11 +617,12 @@ def test_lp_tables_are_slices_of_the_vertex(lp):
     # from the (S, alpha) -> x mapping
     value, sol = solve_lp_exact(lp)
     result = simplex_max(lp.objective, lp.rows, lp.rhs)
-    x = result[1]
+    _, var_index, _ = reference_rows(len(lp.domains), lp.rounds, lp.domains)
     ref = SaSolution.from_values(
-        {key: x[idx] for key, idx in lp.var_index.items()}, lp.rounds, lp.domains
+        {key: F(result.numerators[idx], result.denom) for key, idx in var_index.items()},
+        lp.rounds, lp.domains,
     )
-    assert value == result[0] and sol.lp_path == result.path
+    assert value == result.value and sol.lp_path == result.path
     assert sol.denom == ref.denom
     assert sol.tables.keys() == ref.tables.keys()
     for S, arr in ref.tables.items():
@@ -554,7 +631,7 @@ def test_lp_tables_are_slices_of_the_vertex(lp):
     # one block per table shape, its rows in sets() order
     shapes = {tuple(len(lp.domains[v]) for v in S) for S in lp.sets}
     assert sorted(block.shape for block in sol.blocks) == sorted(shapes)
-    assert len(sol.values) == len(lp.var_index)
+    assert len(sol.values) == lp.num_variables
     got, want = check_sa_consistency(sol), check_sa_consistency(ref)
     assert got.ok and got.identities_checked == want.identities_checked
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from typing import Sequence
 from unittest import mock
@@ -19,27 +20,59 @@ ZERO = F(0)
 ONE = F(1)
 
 
+def row_scales(rows, rhs):
+    """Per row, the lcm of the denominators of its entries and right-hand
+    side."""
+    return [math.lcm(F(b).denominator, *(F(a).denominator for _, a in row))
+            for row, b in zip(rows, rhs)]
+
+
+def integer_rows(rows, rhs):
+    """Rational pair rows as integer pair rows: each row and its right-hand
+    side times its scale."""
+    scales = row_scales(rows, rhs)
+    return ([[(j, int(a * k)) for j, a in row] for row, k in zip(rows, scales)],
+            [int(b * k) for b, k in zip(rhs, scales)])
+
+
+def int_array(values):
+    """Integers as int64 when every one fits, else as Python ints in object
+    dtype."""
+    values = list(values)
+    fits = all(-2**63 <= v < 2**63 for v in values)
+    return np.array(values, dtype=np.int64 if fits else object)
+
+
 def csr(rows):
-    """(variable, coefficient) pair rows as CSR arrays, the coefficients
-    as Fractions in object dtype."""
+    """Integer (variable, coefficient) pair rows as CSR arrays."""
     indptr = np.cumsum([0] + [len(row) for row in rows])
     indices = np.array([j for row in rows for j, _ in row], dtype=np.intp)
-    data = np.array([F(a) for row in rows for _, a in row], dtype=object)
-    return Csr(indptr, indices, data)
+    return Csr(indptr, indices, int_array(a for row in rows for _, a in row))
 
 
 def solve(c, rows, rhs):
-    """simplex_max on pair rows with Fraction coefficients."""
-    return simplex_max(c, csr(rows), np.array(rhs, dtype=object))
+    """simplex_max on rational pair rows, each scaled to integers."""
+    rows, rhs = integer_rows(rows, rhs)
+    return simplex_max(c, csr(rows), int_array(rhs))
+
+
+def reference(c, rows, rhs):
+    """simplex_max_exact on the integer rows that `solve` passes."""
+    return simplex_max_exact(c, *integer_rows(rows, rhs))
+
+
+def vertex(result):
+    """(value, x) of an LpResult, x as Fractions."""
+    return result.value, [F(v, result.denom) for v in result.numerators.tolist()]
 
 
 def test_tiny_lp_by_hand():
     # max x0 + 2 x1  s.t. x0 + x1 + s = 1  ->  optimum at x1 = 1
-    value, x = solve(
+    value, x = vertex(solve(
         [F(1), F(2), F(0)],
         [[(0, F(1)), (1, F(1)), (2, F(1))]],
         [F(1)],
-    )
+    ))
     assert value == 2
     assert x == [0, 1, 0]
 
@@ -49,7 +82,7 @@ def test_degenerate_and_redundant_rows():
         [(0, F(1)), (1, F(1))],
         [(0, F(2)), (1, F(2))],  # scalar multiple of the first
     ]
-    value, x = solve([F(3), F(1)], rows, [F(1), F(2)])
+    value, x = vertex(solve([F(3), F(1)], rows, [F(1), F(2)]))
     assert value == 3
     assert x[0] == 1 and x[1] == 0
 
@@ -62,7 +95,7 @@ def test_infeasible_detected():
 
 def test_negative_rhs_normalized():
     # -x0 = -3/4 is x0 = 3/4
-    value, x = solve([F(5)], [[(0, F(-1))]], [F(-3, 4)])
+    value, x = vertex(solve([F(5)], [[(0, F(-1))]], [F(-3, 4)]))
     assert x == [F(3, 4)]
     assert value == F(15, 4)
 
@@ -73,7 +106,7 @@ def test_fractional_vertex_solution_exact():
         [(0, F(1)), (1, F(2))],
         [(0, F(2)), (1, F(1))],
     ]
-    value, x = solve([F(1), F(1)], rows, [F(1), F(1)])
+    value, x = vertex(solve([F(1), F(1)], rows, [F(1), F(1)]))
     assert x == [F(1, 3), F(1, 3)]
     assert value == F(2, 3)
 
@@ -124,8 +157,7 @@ def sa_lps_with_redundant_rows(draw):
 @settings(max_examples=30, deadline=None)
 def test_float_path_matches_exact_tableau(parts):
     c, rows, rhs = parts
-    result = solve(c, rows, rhs)
-    assert tuple(result) == simplex_max_exact(c, rows, rhs)
+    assert vertex(solve(c, rows, rhs)) == reference(c, rows, rhs)
 
 
 @given(sa_lps_with_redundant_rows())
@@ -136,7 +168,7 @@ def test_exact_pass_matches_exact_tableau(parts):
     with mock.patch.object(simplex_mod, "_certificate_holds", lambda *args: False):
         result = solve(c, rows, rhs)
     assert result.path == "exact"
-    assert tuple(result) == simplex_max_exact(c, rows, rhs)
+    assert vertex(result) == reference(c, rows, rhs)
 
 
 def test_sa_lps_are_certified():
@@ -160,9 +192,10 @@ def test_sa_lps_are_certified():
     for lp in lps:
         result = simplex_max(lp.objective, lp.rows, lp.rhs)
         assert result.path == "certified"
-        assert tuple(result) == simplex_max_exact(*lp_parts(lp))
-        # the same rows as Fractions take the scaled path to the same vertex
-        assert tuple(solve(*lp_parts(lp))) == tuple(result)
+        assert vertex(result) == simplex_max_exact(*lp_parts(lp))
+        # the same rows as Python ints in object dtype give the same vertex
+        rows = lp.rows._replace(data=lp.rows.data.astype(object))
+        assert vertex(simplex_max(lp.objective, rows, lp.rhs.astype(object))) == vertex(result)
 
 
 K = 2**62 + 1  # a multiplier whose products overflow int64
@@ -187,8 +220,9 @@ def scaled_relaxation():
         ([F(1), F(0)], [[(0, F(1)), (1, F(1))]], [F(2**64)]),
         # costs 2^70 and 2^63: the dual is 2^70
         ([F(2**70), F(2**63), F(0)], [[(0, F(1)), (1, F(1)), (2, F(1))]], [F(3)]),
-        # coefficients (K+1)/K: the row's scale factor is K
-        ([F(K + 1, K), F(K + 1, K)], [[(0, F(K + 1, K)), (1, F(K + 1, K))]], [F(2 * K + 2, K)]),
+        # right-hand side -2^64, Python ints in object dtype: the row is
+        # negated on entry, and so is its dual
+        ([F(1), F(0)], [[(0, F(-1)), (1, F(-1))]], [F(-2**64)]),
         # costs 3 * 2^61 at x = (1/2, 1/2): every entry fits int64, but c.X
         # over the denominator 2 is 3 * 2^62
         ([F(3 * 2**61)] * 2, [[(0, F(2))], [(1, F(2))]], [F(1), F(1)]),
@@ -199,7 +233,7 @@ def test_certificate_in_python_ints_past_int64(c, rows, rhs):
     # the scaled products pass 2^62, so the certificate runs in object dtype
     result = solve(c, rows, rhs)
     assert result.path == "certified"
-    assert tuple(result) == simplex_max_exact(c, rows, rhs)
+    assert vertex(result) == reference(c, rows, rhs)
 
 
 def fraction_certificate(c, rows, rhs, x, y):
@@ -218,17 +252,18 @@ def fraction_certificate(c, rows, rhs, x, y):
 
 
 def certificate_holds(c, rows, rhs, x, y):
-    """simplex._certificate_holds on Fraction vectors x and y.  When every
-    entry of the rows and rhs is an integer that fits int64, the same rows
-    as int64 arrays must give the same answer."""
+    """simplex._certificate_holds on Fraction vectors x and y and rational
+    rows.  Each row is scaled to integers by s_i, as `solve` does, and y_i
+    divided by s_i, which keeps A^T y and b.y.  The same integer rows as
+    Python ints in object dtype must give the same answer."""
+    int_rows, int_rhs = integer_rows(rows, rhs)
+    y = [yi / k for yi, k in zip(y, row_scales(rows, rhs))]
     x, y = simplex_mod._over_lcm(x), simplex_mod._over_lcm(y)
-    a = csr(rows)
-    held = simplex_mod._certificate_holds(
-        simplex_mod._ScaledLp(c, a, np.array(rhs, dtype=object)), x, y)
-    if all(v.denominator == 1 and -2**63 <= v < 2**63 for v in [*a.data, *rhs]):
-        ints = a._replace(data=np.array([int(v) for v in a.data], dtype=np.int64))
-        lp = simplex_mod._ScaledLp(c, ints, np.array([int(v) for v in rhs], dtype=np.int64))
-        assert simplex_mod._certificate_holds(lp, x, y) == held
+    a, b = csr(int_rows), int_array(int_rhs)
+    held = simplex_mod._certificate_holds(simplex_mod._ScaledLp(c, a, b), x, y)
+    objects = a._replace(data=a.data.astype(object))
+    lp = simplex_mod._ScaledLp(c, objects, b.astype(object))
+    assert simplex_mod._certificate_holds(lp, x, y) == held
     return held
 
 
@@ -287,7 +322,7 @@ def test_geom_tenth_lp_takes_exact_fallback():
     assert lp.num_variables == 414
     result = simplex_max(lp.objective, lp.rows, lp.rhs)
     assert result.path == "exact"
-    assert result[0] == F(775973, 100000)
+    assert result.value == F(775973, 100000)
 
 
 def test_rejected_certificate_falls_back(monkeypatch):
@@ -296,7 +331,7 @@ def test_rejected_certificate_falls_back(monkeypatch):
     monkeypatch.setattr(simplex_mod, "_certificate_holds", lambda *args: False)
     fallback = simplex_max(lp.objective, lp.rows, lp.rhs)
     assert (certified.path, fallback.path) == ("certified", "exact")
-    assert tuple(certified) == tuple(fallback)
+    assert vertex(certified) == vertex(fallback)
 
 
 def test_exact_fallback_on_integer_rows(monkeypatch):
@@ -306,9 +341,9 @@ def test_exact_fallback_on_integer_rows(monkeypatch):
     rows = Csr(np.array([0, 2, 4]), np.array([0, 1, 0, 1]), np.array([1, 2, 2, 1], dtype=np.int64))
     result = simplex_max([F(1), F(1)], rows, np.array([1, 1], dtype=np.int64))
     assert result.path == "exact"
-    assert result[1] == [F(1, 3), F(1, 3)]
-    assert all(type(v) is Fraction for v in result[1])
-    assert result[0] == F(2, 3) and type(result[0]) is Fraction
+    assert (result.numerators.tolist(), result.denom) == ([1, 1], 3)
+    assert all(type(v) is int for v in [*result.numerators, result.denom])
+    assert result.value == F(2, 3) and type(result.value) is Fraction
 
 
 def test_certificate_rejects_wrong_primal_or_dual():
@@ -329,6 +364,19 @@ def test_certificate_rejects_wrong_primal_or_dual():
     assert not holds([F(1), F(0)], one, [F(1)], [F(1), F(1)], [F(1)])
 
 
+@pytest.mark.parametrize("data, rhs", [
+    (np.array([F(1), F(1)], dtype=object), np.array([1], dtype=np.int64)),
+    (np.array([1.0, 1.0]), np.array([1], dtype=np.int64)),
+    (np.array([1, 1], dtype=np.int64), np.array([F(1)], dtype=object)),
+    (np.array([1, 1], dtype=np.int64), np.array([1.0])),
+    (np.array([1, 2**64], dtype=object), np.array([1.0], dtype=object)),
+])
+def test_non_integer_rows_refused(data, rhs):
+    # x0 + x1 = 1 with a Fraction or float in the rows or right-hand side
+    with pytest.raises(TypeError, match="int64 or Python ints"):
+        simplex_max([F(1), F(0)], Csr(np.array([0, 2]), np.array([0, 1]), data), rhs)
+
+
 def test_unbounded_and_infeasible_raise_exact_exceptions():
     with pytest.raises(LpUnbounded):
         solve([F(1), F(0)], [[(0, F(1)), (1, F(-1))]], [F(1)])
@@ -339,8 +387,8 @@ def test_unbounded_and_infeasible_raise_exact_exceptions():
 
 
 def test_lp_without_variables():
-    assert solve([], [], []) == (0, [])
-    assert solve([], [[]], [F(0)]) == (0, [])
+    assert vertex(solve([], [], [])) == (0, [])
+    assert vertex(solve([], [[]], [F(0)])) == (0, [])
     with pytest.raises(LpInfeasible):
         solve([], [[]], [F(1)])
 
@@ -350,7 +398,7 @@ def test_repeated_solves_return_identical_x():
     lp = build_sa_lp(two, rounds=3)
     first, second = (simplex_max(lp.objective, lp.rows, lp.rhs) for _ in range(2))
     assert first.path == second.path == "certified"
-    assert first[1] == second[1] and first[0] == second[0]
+    assert vertex(first) == vertex(second)
 
 
 # ---------------------------------------------------------------------------
