@@ -42,7 +42,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .caps import Caps
 from .core import (
+    CapExceeded,
     GmdInstance,
     GpInstance,
     InstanceError,
@@ -259,16 +261,23 @@ def run_trials(
     inst,
     trials: int,
     seed: int,
+    caps: Caps = Caps(),
     **kwargs,
 ) -> RandomizedRun:
     """The values of `algorithm(inst, seed, trial=k, **kwargs)` for
     k = 0..trials-1, for `algorithm` one of `approx_gp_quarter`,
     `approx_gmd_quarter` and `lp_round_gmd`, computed in chunks of
-    `TRIAL_CHUNK` trials."""
+    `TRIAL_CHUNK` trials.  CapExceeded, before the game is built, when a
+    chunk's rows, min(trials, TRIAL_CHUNK) by n, have more than
+    `caps.trial_entries` entries."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if algorithm not in _BATCHES:
         raise ValueError(f"run_trials has no batch form of {algorithm!r}")
+    chunk = min(trials, TRIAL_CHUNK)
+    if chunk * inst.n > caps.trial_entries:
+        raise CapExceeded(f"a chunk of {chunk} trials on {inst.n} vertices has "
+                          f"{chunk * inst.n} entries, cap {caps.trial_entries}")
     game, batch = _BATCHES[algorithm](inst, **kwargs)
     totals: list[int] = []
     for start in range(0, trials, TRIAL_CHUNK):

@@ -15,7 +15,6 @@ import functools
 import itertools
 import math
 import os
-import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -42,6 +41,7 @@ from .core import (
     ValueTexts,
     max_incident_budget,
     parse_instance,
+    parse_rational,
     serialize_instance,
 )
 
@@ -198,20 +198,11 @@ def _price_grid(inst: GpInstance, spec: str, caps: Caps, per_vertex: bool):
     return [geometric_grid(b, eps) for b in budgets], spec
 
 
-# exponents past this are refused before Fraction computes 10**exponent
-_MAX_EXPONENT = 100_000
-_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
-
-
 def _rational(option: str, text: str, prefix: str = "") -> Fraction:
     """The rational after `prefix` in the value `text` of `option`, or
     InstanceError naming both."""
-    body = text[len(prefix):]
-    exponent = _EXPONENT.search(body)
     try:
-        if exponent and abs(int(exponent.group(1))) > _MAX_EXPONENT:
-            raise ValueError("exponent too large")
-        return Fraction(body)
+        return parse_rational(text[len(prefix):])
     except (ValueError, ZeroDivisionError) as exc:
         raise InstanceError(f"bad {option} {text!r}: {exc}") from None
 
@@ -266,11 +257,11 @@ def _cmd_approx(args, caps, argv) -> int:
     if args.algo == "gp4":
         if not isinstance(inst, GpInstance):
             raise InstanceError("gp4 needs a pricing instance")
-        run = run_trials(approx_gp_quarter, inst, args.trials, args.seed)
+        run = run_trials(approx_gp_quarter, inst, args.trials, args.seed, caps=caps)
     elif args.algo == "gmd4":
         if not isinstance(inst, GmdInstance):
             raise InstanceError("gmd4 needs a labeled-dicut instance")
-        run = run_trials(approx_gmd_quarter, inst, args.trials, args.seed)
+        run = run_trials(approx_gmd_quarter, inst, args.trials, args.seed, caps=caps)
     elif args.algo == "gmdlp":
         if not isinstance(inst, GmdInstance):
             raise InstanceError("gmdlp needs a labeled-dicut instance")
@@ -279,7 +270,7 @@ def _cmd_approx(args, caps, argv) -> int:
         lp_value, sol = solve_lp_exact(build_sa_lp(inst, args.rounds, caps=caps))
         marg = marginals_for_rounding(sol, inst)
         run = run_trials(
-            lp_round_gmd, inst, args.trials, args.seed, marginals=marg
+            lp_round_gmd, inst, args.trials, args.seed, caps=caps, marginals=marg
         )
         print(f"lp = {lp_value}")
     else:

@@ -14,6 +14,8 @@ of an integer, so nothing in this module may ever round.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Union
@@ -286,6 +288,21 @@ def ndeg(inst: GmdInstance) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+# decimal exponents and M^k budgets past 10^_MAX_EXPONENT are refused
+# before Fraction computes them: 10^(10^7) takes seconds
+_MAX_EXPONENT = 100_000
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text), or ValueError/ZeroDivisionError; ValueError also when
+    its decimal exponent is past _MAX_EXPONENT."""
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent.group(1))) > _MAX_EXPONENT:
+        raise ValueError("exponent too large")
+    return Fraction(text)
+
+
 def _significant_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -308,7 +325,7 @@ def parse_instance(text: str) -> Instance:
 
 def _parse_fraction(tok: str, lineno: int) -> Fraction:
     try:
-        return Fraction(tok)
+        return parse_rational(tok)
     except (ValueError, ZeroDivisionError):
         raise ParseError(lineno, f"bad rational {tok!r}") from None
 
@@ -323,7 +340,10 @@ def _parse_int(tok: list[str], lineno: int, what: str) -> int:
         raise ParseError(lineno, f"bad {what} {tok[1]!r}") from None
 
 
-def _parse_vertex_count(tok: list[str], lineno: int) -> int:
+def _parse_vertex_count(tok: list[str], lineno: int, earlier) -> int:
+    """The count of a `v` line; `earlier` is an earlier `v` line's, or None."""
+    if earlier is not None:
+        raise ParseError(lineno, "second vertex count")
     n = _parse_int(tok, lineno, "vertex count")
     if n < 0:
         raise ParseError(lineno, f"negative vertex count {n}")
@@ -337,13 +357,15 @@ def _parse_gmd(fields, lines, header_lineno) -> GmdInstance:
         T = int(fields[1])
     except ValueError:
         raise ParseError(header_lineno, f"bad T {fields[1]!r}") from None
+    if T < 1:
+        raise ParseError(header_lineno, f"T must be >= 1, got {T}")
     n = None
     arcs = []
-    do_normalize = False
+    normalize_lineno = None
     for lineno, line in lines[1:]:
         tok = line.split()
         if tok[0] == "v":
-            n = _parse_vertex_count(tok, lineno)
+            n = _parse_vertex_count(tok, lineno, n)
         elif tok[0] == "e":
             if n is None:
                 raise ParseError(lineno, "edge before vertex count")
@@ -364,13 +386,17 @@ def _parse_gmd(fields, lines, header_lineno) -> GmdInstance:
                 raise ParseError(lineno, f"negative weight in {line!r}")
             arcs.append((tail, head, label, w))
         elif tok[0] == "normalize":
-            do_normalize = True
+            normalize_lineno = lineno
         else:
             raise ParseError(lineno, f"unknown directive {tok[0]!r}")
     if n is None:
         raise ParseError(header_lineno, "missing vertex count")
     inst = GmdInstance.of(T, n, arcs)
-    return inst.normalized() if do_normalize else inst
+    if normalize_lineno is None:
+        return inst
+    if inst.total_weight == 0:
+        raise ParseError(normalize_lineno, "cannot normalize: total weight is zero")
+    return inst.normalized()
 
 
 def _parse_gp(fields, lines, header_lineno) -> GpInstance:
@@ -382,7 +408,7 @@ def _parse_gp(fields, lines, header_lineno) -> GpInstance:
     for lineno, line in lines[1:]:
         tok = line.split()
         if tok[0] == "v":
-            n = _parse_vertex_count(tok, lineno)
+            n = _parse_vertex_count(tok, lineno, n)
         elif tok[0] == "M":
             M = _parse_int(tok, lineno, "budget base")
             if M < 2:
@@ -424,6 +450,8 @@ def _parse_budget_token(tok: str, M, lineno: int) -> Fraction:
             raise ParseError(lineno, f"bad exponent in {tok!r}") from None
         if k < 0:
             raise ParseError(lineno, f"negative exponent in {tok!r}")
+        if k * math.log10(M) > _MAX_EXPONENT:
+            raise ParseError(lineno, f"budget {tok!r} is past 10^{_MAX_EXPONENT}")
         return Fraction(M) ** k
     return _parse_fraction(tok, lineno)
 

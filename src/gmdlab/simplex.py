@@ -8,24 +8,28 @@ eligible index enters, smallest basic index breaks ratio ties; redundant
 rows stay as zero rows that no later pivot touches) runs twice at most:
 first on float64, then, if needed, on Fractions, where it walks the bases
 exact arithmetic gives.  The vertex comes back once, as integer numerators
-over one denominator (``LpResult``).
+over one denominator (``LpResult``).  A pivot changes one block, the rows
+with a nonzero in the entering column by the columns where the pivot row
+is nonzero (about 12 by 13 entries in the Sherali-Adams LPs), and divides
+the pivot row only when the pivot is not 1.  Its time is numpy's fixed
+cost per call, so each step makes as few calls as it can.
 
-The float pass reads the CSR arrays once into coordinate arrays.  One
-scatter fills a float64 tableau whose last row is the objective, and Bland
-pivots on it, treating magnitudes below TOL as zero, find the optimal basis.
-Each distinct value of the basic x and of the equality duals y is
-rationalised once (``Fraction.limit_denominator``, denominators up to
-10^6), so each vector becomes integer numerators over one common
-denominator.  x is returned only if x >= 0, A x = b, A^T y >= c and
-c.x = b.y all hold exactly; weak duality then proves x optimal.  The checks
-run on the integer rows as they come, with c scaled by the lcm of its
-denominators; in int64 when a bound computed beforehand rules out
-overflow, in Python ints (object dtype) otherwise, through the same code.
-If any check fails, or the float pass ends infeasible or unbounded, the
-same pivot code runs from scratch on an object-dtype tableau of the same
-rows, every entry a Fraction, with no tolerance.  It is the only pass that
-raises LpInfeasible/LpUnbounded, and it solves the LPs whose optimal
-vertex or duals do not rationalise.
+The float pass reads the CSR arrays once into coordinate arrays (an LP with
+a value past the float64 range has no float pass).  One scatter fills a
+float64 tableau whose last row is the objective, and Bland pivots on it,
+treating magnitudes below TOL as zero, find the optimal basis.  Each
+distinct value of the basic x and of the equality duals y is rationalised
+once (``Fraction.limit_denominator``, denominators up to 10^6), so each
+vector becomes integer numerators over one common denominator.  x is
+returned only if x >= 0, A x = b, A^T y >= c and c.x = b.y all hold
+exactly; weak duality then proves x optimal.  The checks run on the integer
+rows as they come, with c scaled by the lcm of its denominators; in int64
+when a bound computed beforehand rules out overflow, in Python ints (object
+dtype) otherwise, through the same code.  If any check fails, or the float
+pass ends infeasible or unbounded, the same pivot code runs from scratch on
+an object-dtype tableau of the same rows, every entry a Fraction, with no
+tolerance.  It is the only pass that raises LpInfeasible/LpUnbounded, and
+it solves the LPs whose optimal vertex or duals do not rationalise.
 """
 
 from __future__ import annotations
@@ -99,7 +103,10 @@ def simplex_max(c: Sequence[Fraction], a: Csr, rhs: np.ndarray) -> LpResult:
     rhs = np.asarray(rhs)
     _require_integers("row data", a.data)
     _require_integers("right-hand side", rhs)
-    result = _float_certified(_ScaledLp(c, a, rhs))
+    try:
+        result = _float_certified(_ScaledLp(c, a, rhs))
+    except OverflowError:  # a value past the float64 range
+        result = None
     if result is not None:
         return result
     return _exact(c, a, rhs)
@@ -112,33 +119,42 @@ def simplex_max(c: Sequence[Fraction], a: Csr, rhs: np.ndarray) -> LpResult:
 
 def _bland_pivot(t, basis, etas, r, s, tol):
     """Pivot on (r, s); the objective, row m of t, is updated with the rest.
-    With tol > 0 (float64) entries below tol become 0 and the pivot 1."""
-    piv = t[r, s]
-    prow = t[r] / piv if piv != 1 else t[r].copy()
-    if tol:
-        prow[np.abs(prow) < tol] = 0.0
-        prow[s] = 1.0
-    t[r] = prow
-    live = prow.nonzero()[0]
-    col = t[:, s].copy()
-    col[r] = 0
+    Row r is divided unless piv is 1 (piv / piv is exactly 1), then the hit
+    rows (nonzero in column s, r aside) by the live columns (nonzero in row
+    r) are updated through one flat index array.  With tol > 0 (float64)
+    quotients and updates below tol become 0, so no entry of t lies in
+    0 < |x| < tol and a pivot of 1 has none to clear."""
+    row = t[r]
+    piv = row[s]
+    live = row.nonzero()[0]
+    prow = row[live]
+    if piv != 1:
+        prow = prow / piv
+        if tol:
+            prow[np.abs(prow) < tol] = 0.0
+        row[live] = prow
+    col = t[:, s]
+    one = col[r]
+    col[r] = 0  # so that row r is no hit row
     hit = col.nonzero()[0]
+    col[r] = one
+    w = col[hit]
     if hit.size:
-        block = (hit[:, None], live)
-        upd = t[block] - col[hit, None] * prow[live]
+        at = (hit * t.shape[1])[:, None] + live
+        upd = t.take(at) - w[:, None] * prow
         if tol:
             upd[np.abs(upd) < tol] = 0.0
-        t[block] = upd
+        t.put(at, upd)
         if hit[-1] == len(basis):
-            hit = hit[:-1]
+            hit, w = hit[:-1], w[:-1]
     basis[r] = s
-    etas.append((r, piv, hit, col[hit]))
+    etas.append((r, piv, hit, w))
 
 
 def _bland_iterate(t, basis, etas, n, tol) -> bool:
     """Bland pivots until optimal (True) or an unbounded ray (False)."""
     m = len(basis)
-    obj = t[m]
+    obj, b = t[m], t[:m, n]
     while True:
         # the first column with a positive reduced cost enters; Fractions
         # are compared only up to it
@@ -153,9 +169,12 @@ def _bland_iterate(t, basis, etas, n, tol) -> bool:
         cand = (col > tol).nonzero()[0]
         if cand.size == 0:
             return False
-        ratios = t[cand, n] / col[cand]
-        ties = cand[ratios <= ratios.min() + tol]
-        _bland_pivot(t, basis, etas, int(ties[np.argmin(basis[ties])]), s, tol)
+        # the least ratio leaves, ties to the least basic index
+        if cand.size > 1:
+            ratios = b[cand] / col[cand]
+            cand = cand[ratios <= ratios.min() + tol]
+        r = cand[0] if cand.size == 1 else cand[basis[cand].argmin()]
+        _bland_pivot(t, basis, etas, int(r), s, tol)
 
 
 def _two_phase(t, cost, tol):

@@ -1,3 +1,5 @@
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,8 @@ from gmdlab.approx import (
     lp_round_gmd,
     run_trials,
 )
-from gmdlab.core import GmdInstance, GpInstance, InstanceError
+from gmdlab.caps import Caps
+from gmdlab.core import CapExceeded, GmdInstance, GpInstance, InstanceError
 from gmdlab.exact import half_integral_grid, opt_gmd, opt_gp_grid
 
 F = Fraction
@@ -23,6 +26,36 @@ def triangle():
     return GmdInstance.of(
         1, 3, [(0, 1, 1, F(1, 3)), (1, 2, 1, F(1, 3)), (2, 0, 1, F(1, 3))]
     )
+
+
+@pytest.mark.parametrize("algorithm, inst", [
+    (approx_gmd_quarter, GmdInstance.of(1, 99_999_999_999, [(0, 1, 1, 1)])),
+    (approx_gp_quarter, GpInstance.of(99_999_999_999, [(0, 1, 1, 1)])),
+])
+def test_trial_entry_cap_checked_before_any_work(algorithm, inst):
+    # 1000 trials on 10^11 vertices: coin rows of 10^14 entries against the
+    # 4M cap, refused before the game is built
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        with pytest.raises(CapExceeded, match="^a chunk of 1000 trials on 99999999999 vertices "
+                                              "has 99999999999000 entries, cap 4000000$"):
+            run_trials(algorithm, inst, 1000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1 << 20
+
+
+def test_trial_entry_cap_counts_one_chunk():
+    # 3000 trials on 2 vertices run in chunks of 1024 rows: 2048 entries
+    edge = GmdInstance.of(1, 2, [(0, 1, 1, 1)])
+    assert run_trials(approx_gmd_quarter, edge, 3000, seed=0, caps=Caps(trial_entries=2048)).trials == 3000
+    with pytest.raises(CapExceeded, match="has 2048 entries, cap 2047$"):
+        run_trials(approx_gmd_quarter, edge, 3000, seed=0, caps=Caps(trial_entries=2047))
+    assert run_trials(approx_gmd_quarter, edge, 1023, seed=0, caps=Caps(trial_entries=2047)).trials == 1023
 
 
 def test_gp_quarter_single_edge_expectation():

@@ -59,6 +59,27 @@ def test_cap_exceeded_exit_2(tmp_path, capsys, monkeypatch):
     assert "cap exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, algo", [
+    ("gmd 1\nv 99999999999\ne 0 1 1 1\n", "gmd4"),
+    ("gp\nv 99999999999\ne 0 1 1 1\n", "gp4"),
+])
+def test_approx_trial_cap_exit_2(tmp_path, capsys, text, algo):
+    # 1000 trials' coin rows on 10^11 vertices would take petabytes
+    path = write(tmp_path, "huge.txt", text)
+    assert run_command(["approx", "--in", path, "--algo", algo]) == 2
+    assert "cap exceeded: a chunk of 1000 trials on 99999999999 vertices" in capsys.readouterr().err
+
+
+def test_salp_past_float64_takes_the_exact_pass(tmp_path, capsys):
+    # an unnormalized weight of 10^400 has no float64 value, so the LP
+    # skips the float pass
+    path = write(tmp_path, "big.gmd", "gmd 2\nv 3\ne 0 1 1 1e400\n")
+    assert run_command(["salp", "--in", path, "--rounds", "2"]) == 0
+    out = capsys.readouterr().out
+    assert f"lp = {10**400} " in out and "consistent = True" in out
+    assert out.rstrip().endswith("lp_path = exact")
+
+
 @pytest.mark.parametrize("spec", ["opt_gmd_n=abc", "opt_gmd_n", "opt_gmd_n=", "opt_gmd_n=-1",
                                   "opt_gmd_n=2.5", "sa_n=8,opt_gmd_n=-1"])
 def test_malformed_caps_exit_1_naming_the_cap(tmp_path, capsys, monkeypatch, spec):

@@ -1,9 +1,15 @@
+import contextlib
+import io
+import os
+import tempfile
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gmdlab.cli import run_command
 from gmdlab.core import (
     GmdInstance,
     GpInstance,
@@ -83,6 +89,94 @@ def test_serialize_round_trip():
         GmdInstance.of(2, 2, [(0, 1, 1, F(1, 2)), (0, 1, 2, F(1, 2))]),
     ):
         assert parse_instance(serialize_instance(inst)) == inst
+
+
+rationals = st.fractions(min_value=0, max_value=10, max_denominator=12) | st.sampled_from(
+    [F(10**30), F(1, 10**30), F(2**64 + 1, 3)])
+
+
+@st.composite
+def instances(draw):
+    """Max-dicut and pricing instances of up to 6 vertices: parallel arcs and
+    edges, zero weights, and weights or budgets from 10^-30 to 10^30."""
+    n = draw(st.integers(0, 6))
+    ends = st.integers(0, max(n - 1, 0))
+    pairs = st.tuples(ends, ends).filter(lambda p: p[0] != p[1])
+    count = draw(st.integers(0, 8)) if n >= 2 else 0
+    if draw(st.booleans()):
+        T = draw(st.integers(1, 4))
+        arcs = draw(st.lists(st.tuples(pairs, st.integers(1, T), rationals),
+                             min_size=count, max_size=count))
+        return GmdInstance.of(T, n, [(u, v, t, w) for (u, v), t, w in arcs])
+    budgets = rationals.filter(lambda b: b > 0)
+    edges = draw(st.lists(st.tuples(pairs, budgets, rationals), min_size=count, max_size=count))
+    return GpInstance.of(n, [(u, v, b, w) for (u, v), b, w in edges])
+
+
+@given(instances())
+@settings(max_examples=200, deadline=None)
+def test_parse_inverts_serialize(inst):
+    assert parse_instance(serialize_instance(inst)) == inst
+
+
+# tokens of both formats, numbers a parser may take whole or refuse, and
+# exponents whose values would take seconds to compute
+TOKENS = ["gmd", "gp", "v", "e", "M", "normalize", "#", "0", "1", "2", "7", "-1", "3/2", "1/0",
+          "0/5", "x", "", "1e400", "1e-400", "1e999999999", "M^2", "M^-1", "M^999999999",
+          "nan", "inf", "1_0", "+2", "\u0663", "9" * 5000]
+
+
+@st.composite
+def instance_texts(draw):
+    """Serialized instances with lines dropped, repeated, swapped in or added
+    and tokens replaced, dropped or added."""
+    lines = [line.split(" ") for line in serialize_instance(draw(instances())).splitlines()]
+    tokens = st.sampled_from(TOKENS)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(["replace", "drop", "add", "new line", "repeat", "delete"]))
+        if op == "new line" or i == len(lines):
+            lines.insert(i, draw(st.lists(tokens, min_size=1, max_size=5)))
+        elif op == "repeat":
+            lines.insert(i, list(lines[i]))
+        elif op == "delete":
+            del lines[i]
+        else:
+            j = draw(st.integers(0, len(lines[i])))
+            if op == "add" or j == len(lines[i]):
+                lines[i].insert(j, draw(tokens))
+            elif op == "drop":
+                del lines[i][j]
+            else:
+                lines[i][j] = draw(tokens)
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+@given(instance_texts())
+@example("gmd 0\nv 2\n")
+@example("gmd 1\nv 0\nnormalize\n")
+@example("gmd 1\nv 3\ne 0 2 1 1\nv 2\n")
+@example("gmd 1\nv 2\ne 0 1 1 1e999999999\n")
+@example("gp\nM 10\nv 2\ne 0 1 M^999999999 1\n")
+@settings(max_examples=300, deadline=None)
+def test_malformed_text_gives_parse_error_with_its_line(text):
+    # any text parses to an instance that round-trips, or raises ParseError
+    # naming one of its lines; the command line then exits 1 with that line
+    start = time.perf_counter()
+    try:
+        inst = parse_instance(text)
+    except ParseError as exc:
+        assert 1 <= exc.lineno <= max(1, len(text.splitlines()))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "bad.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                assert run_command(["solve", "--in", path]) == 1
+        assert f"line {exc.lineno}: " in err.getvalue() and "Traceback" not in err.getvalue()
+    else:
+        assert parse_instance(serialize_instance(inst)) == inst
+    assert time.perf_counter() - start < 2
 
 
 def test_serialize_renders_exact_rationals():

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import os
 from fractions import Fraction
 from typing import Sequence
 from unittest import mock
@@ -10,10 +12,11 @@ from hypothesis import strategies as st
 
 import gmdlab.simplex as simplex_mod
 from gmdlab.caps import Caps
-from gmdlab.core import GmdInstance, GpInstance, max_incident_budget
+from gmdlab.core import GmdInstance, GpInstance, max_incident_budget, parse_instance
 from gmdlab.exact import half_integral_grid
 from gmdlab.salp import build_sa_lp, geometric_grid
 from gmdlab.simplex import Csr, LpInfeasible, LpUnbounded, simplex_max
+from test_salp import sa_lps
 
 F = Fraction
 ZERO = F(0)
@@ -233,6 +236,23 @@ def test_certificate_in_python_ints_past_int64(c, rows, rhs):
     # the scaled products pass 2^62, so the certificate runs in object dtype
     result = solve(c, rows, rhs)
     assert result.path == "certified"
+    assert vertex(result) == reference(c, rows, rhs)
+
+
+@pytest.mark.parametrize(
+    "c, rows, rhs",
+    [
+        # max x0 + x1 with 10^400 x0 + x1 = 10^400: x1 = 10^400
+        ([F(1), F(1)], [[(0, F(10**400)), (1, F(1))]], [F(10**400)]),
+        # a cost of 10^400
+        ([F(10**400), F(1)], [[(0, F(1)), (1, F(1))]], [F(1)]),
+        # a right-hand side of -10^400
+        ([F(1), F(0)], [[(0, F(-1)), (1, F(-1))]], [F(-10**400)]),
+    ],
+)
+def test_values_past_float64_take_the_exact_pass(c, rows, rhs):
+    result = solve(c, rows, rhs)
+    assert result.path == "exact"
     assert vertex(result) == reference(c, rows, rhs)
 
 
@@ -515,3 +535,206 @@ def simplex_max_exact(
             x[bv] = tableau[i][-1]
     value = sum((ci * xi for ci, xi in zip(c, x)), ZERO)
     return value, x
+
+
+# ---------------------------------------------------------------------------
+# Bland's path: simplex._two_phase against a reference whose every pivot
+# copies, divides and thresholds the whole pivot row and column
+# ---------------------------------------------------------------------------
+
+
+def reference_bland_pivot(t, basis, etas, r, s, tol):
+    piv = t[r, s]
+    prow = t[r] / piv if piv != 1 else t[r].copy()
+    if tol:
+        prow[np.abs(prow) < tol] = 0.0
+        prow[s] = 1.0
+    t[r] = prow
+    live = prow.nonzero()[0]
+    col = t[:, s].copy()
+    col[r] = 0
+    hit = col.nonzero()[0]
+    if hit.size:
+        block = (hit[:, None], live)
+        upd = t[block] - col[hit, None] * prow[live]
+        if tol:
+            upd[np.abs(upd) < tol] = 0.0
+        t[block] = upd
+        if hit[-1] == len(basis):
+            hit = hit[:-1]
+    basis[r] = s
+    etas.append((r, piv, hit, col[hit]))
+
+
+def reference_bland_iterate(t, basis, etas, n, tol) -> bool:
+    m = len(basis)
+    obj = t[m]
+    while True:
+        if tol:
+            eligible = (obj[:n] > tol).nonzero()[0]
+            s = int(eligible[0]) if eligible.size else None
+        else:
+            s = next((j for j, v in enumerate(obj[:n].tolist()) if v > 0), None)
+        if s is None:
+            return True
+        col = t[:m, s]
+        cand = (col > tol).nonzero()[0]
+        if cand.size == 0:
+            return False
+        ratios = t[cand, n] / col[cand]
+        ties = cand[ratios <= ratios.min() + tol]
+        reference_bland_pivot(t, basis, etas, int(ties[np.argmin(basis[ties])]), s, tol)
+
+
+def reference_two_phase(t, cost, tol):
+    m, n = t.shape[0] - 1, t.shape[1] - 1
+    obj = t[m]
+    basis = np.arange(n, n + m)
+    etas = []
+    if tol:
+        obj[:] = t[:m].sum(axis=0)
+        obj[np.abs(obj) < tol] = 0.0
+    else:
+        obj[:] = 0
+        for i in range(m):
+            live = t[i].nonzero()[0]
+            obj[live] += t[i, live]
+    if not reference_bland_iterate(t, basis, etas, n, tol) or obj[n] > tol:
+        raise LpInfeasible("equality system has no nonnegative solution")
+    for i in range(m):
+        if basis[i] >= n:
+            nz = t[i, :n].nonzero()[0]
+            if nz.size:
+                reference_bland_pivot(t, basis, etas, i, int(nz[0]), tol)
+    cb = cost[np.minimum(basis, n)]
+    if tol:
+        obj[:] = cost - cb @ t[:m]
+        obj[np.abs(obj) < tol] = 0.0
+    else:
+        obj[:] = cost
+        for i in cb.nonzero()[0]:
+            live = t[i].nonzero()[0]
+            obj[live] -= cb[i] * t[i, live]
+    if not reference_bland_iterate(t, basis, etas, n, tol):
+        raise LpUnbounded("objective unbounded above")
+    return basis, etas
+
+
+def _outcome(two_phase, t, cost, tol):
+    """(basis, etas) of two_phase, or the class of the exception it raised."""
+    try:
+        return two_phase(t, cost, tol)
+    except (LpInfeasible, LpUnbounded) as exc:
+        return type(exc)
+
+
+def _as_bytes(v) -> bytes:
+    """A float64 tableau, eta or pivot as bytes, a zero's sign aside."""
+    return (np.asarray(v, dtype=np.float64) + 0.0).tobytes()
+
+
+def assert_same_pivots(got, want, t, ref_t):
+    """Equal outcomes, bases and tableaux, and etas equal bit for bit.
+
+    A zero may differ in sign: a row negated on entry holds -0.0 where it
+    has no entry, which the reference's pivot on that row rewrites as 0.0
+    and simplex's leaves as it is."""
+    if isinstance(want, type):
+        assert got is want
+    else:
+        (basis, etas), (ref_basis, ref_etas) = got, want
+        assert basis.tolist() == ref_basis.tolist()
+        assert len(etas) == len(ref_etas)
+        for (r, piv, hit, w), (ref_r, ref_piv, ref_hit, ref_w) in zip(etas, ref_etas):
+            assert (r, hit.tolist()) == (ref_r, ref_hit.tolist())
+            if t.dtype == object:
+                assert (piv, w.tolist()) == (ref_piv, ref_w.tolist())
+            else:
+                assert _as_bytes(piv) == _as_bytes(ref_piv)
+                assert _as_bytes(w) == _as_bytes(ref_w)
+    if t.dtype == object:
+        assert np.array_equal(t, ref_t)
+    else:
+        assert _as_bytes(t) == _as_bytes(ref_t)
+
+
+@contextlib.contextmanager
+def two_phase_checked():
+    """Every simplex._two_phase call in the block also runs the reference on
+    a copy of its tableau and must agree with it; yields the list of the
+    tableau dtypes checked."""
+    dtypes = []
+    two_phase = simplex_mod._two_phase
+
+    def checked(t, cost, tol):
+        ref_t = t.copy()
+        want = _outcome(reference_two_phase, ref_t, cost.copy(), tol)
+        got = _outcome(two_phase, t, cost, tol)
+        assert_same_pivots(got, want, t, ref_t)
+        dtypes.append(t.dtype)
+        if isinstance(got, type):
+            raise got("as the reference")
+        return got
+
+    with mock.patch.object(simplex_mod, "_two_phase", checked):
+        yield dtypes
+
+
+def check_both_passes(c, a, rhs, exact=True):
+    """The float pass, and with `exact` the object-dtype pass, of one LP,
+    each checked against the reference pivots."""
+    rhs = np.asarray(rhs)
+    with two_phase_checked() as dtypes:
+        simplex_mod._float_certified(simplex_mod._ScaledLp(c, a, rhs))
+        if exact:
+            with contextlib.suppress(LpInfeasible, LpUnbounded):
+                simplex_mod._exact(c, a, rhs)
+    assert dtypes == [np.float64, object][:1 + exact]
+
+
+@given(sa_lps())
+@settings(max_examples=40, deadline=None)
+def test_pivots_match_reference_on_sa_lps(case):
+    _, lp = case
+    # the object-dtype pass on the smaller relaxations only, for time
+    check_both_passes(lp.objective, lp.rows, lp.rhs, exact=lp.num_variables <= 200)
+
+
+@st.composite
+def small_lps(draw):
+    """Small LPs with entries in -3..3 or 2^40 and right-hand sides of every
+    sign: feasible, infeasible or unbounded, with negated rows and zero rows.
+    A pivot of 2^40 puts quotients below TOL in its row."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    entries = st.integers(-3, 3) | st.just(2**40)
+    rows = [draw(st.lists(st.tuples(st.integers(0, n - 1), entries), max_size=n))
+            for _ in range(m)]
+    rhs = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+    c = draw(st.lists(st.integers(-3, 3).map(F), min_size=n, max_size=n))
+    return c, csr(rows), np.array(rhs, dtype=np.int64)
+
+
+@given(small_lps())
+@settings(max_examples=200, deadline=None)
+def test_pivots_match_reference_on_small_lps(parts):
+    check_both_passes(*parts)
+
+
+@pytest.mark.parametrize("fixture, rounds, pivots", [("n5t3.gmd", 2, 104), ("n4t2.gmd", 3, 139)])
+def test_golden_lp_pivot_counts(fixture, rounds, pivots):
+    # Bland's float path on the golden LPs of the benchmark's two largest
+    # shapes: a change of pivot order changes these counts
+    with open(os.path.join(os.path.dirname(__file__), "golden", fixture), encoding="utf-8") as fh:
+        lp = build_sa_lp(parse_instance(fh.read()), rounds=rounds)
+    counts = []
+    two_phase = simplex_mod._two_phase
+
+    def counted(t, cost, tol):
+        basis, etas = two_phase(t, cost, tol)
+        counts.append(len(etas))
+        return basis, etas
+
+    with mock.patch.object(simplex_mod, "_two_phase", counted):
+        assert simplex_max(lp.objective, lp.rows, lp.rhs).path == "certified"
+    assert counts == [pivots]
+    check_both_passes(lp.objective, lp.rows, lp.rhs)
