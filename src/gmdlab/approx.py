@@ -221,6 +221,16 @@ _BATCHES: dict[Callable, Callable[..., tuple[_PairGame, _Batch]]] = {
 }
 
 
+def _quotient(num: int, denom: int) -> float:
+    """num / denom as a float, inf when it is past the float64 range (trial
+    totals are nonnegative).  Int true division is correctly rounded, so
+    this is float(Fraction(num, denom)) whenever that is finite."""
+    try:
+        return num / denom
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class RandomizedRun:
     """Seeded batch of trials: trial k's exact value is totals[k] / denom."""
@@ -232,8 +242,7 @@ class RandomizedRun:
 
     @cached_property
     def _floats(self) -> list[float]:
-        # int true division is correctly rounded: float(Fraction(t, denom))
-        return [t / self.denom for t in self.totals]
+        return [_quotient(t, self.denom) for t in self.totals]
 
     @cached_property
     def mean(self) -> float:
@@ -244,7 +253,10 @@ class RandomizedRun:
         if self.trials < 2:
             return 0.0
         m = self.mean
-        var = sum((f - m) ** 2 for f in self._floats) / (self.trials - 1)
+        try:
+            var = sum((f - m) ** 2 for f in self._floats) / (self.trials - 1)
+        except OverflowError:  # a finite square past the float64 range
+            var = math.inf
         return math.sqrt(var)
 
     @property

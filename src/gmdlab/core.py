@@ -38,13 +38,17 @@ class CapExceeded(RuntimeError):
 
 
 def as_fraction(x) -> Fraction:
-    """Exact conversion; accepts int, Fraction, and 'p/q' strings."""
+    """Exact conversion; accepts int, Fraction, and strings that
+    `parse_rational` takes."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return parse_rational(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise InstanceError(f"not an exact rational: {x!r}")
 
 

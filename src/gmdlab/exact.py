@@ -4,10 +4,11 @@ Both problems maximise a sum of pairwise payoffs over finite per-vertex
 domains: labels 0..T for max-dicut, a candidate price grid for pricing.
 One engine, `_PairGame`, solves that problem for every oracle and best
 response in the package.  Its builders (`_gmd_game`, `_gp_game`) read
-each weight, price and budget `Fraction` once, for its numerator and
-denominator, and fill the payoff tables with integers over one common
-denominator; `_PairGame` divides them by their gcd with it.  No table entry
-is a `Fraction`, and no comparison ever touches a `Fraction` or a float.
+each weight, price and budget `Fraction` once and fill the payoff tables
+with integers over one common denominator; `_PairGame` divides them by
+their gcd with it and keeps them once, in one numpy store that every
+reader shares.  No table entry is a `Fraction`, and no comparison ever
+touches a `Fraction` or a float.
 
 Once a zero set is fixed, every other vertex best-responds to it on its
 own: the quarter algorithms take one such completion, and the max-dicut
@@ -99,29 +100,38 @@ class _PairGame:
     """Maximise the sum over vertex pairs {u, v} of P_uv[x_u][x_v], where
     x_v ranges over domain indices 0..sizes[v]-1.
 
-    `tables` maps a pair (u, v) to its payoff rows (indexed by x_u, then
-    x_v) as integers over the common denominator `scale`.  They are divided
-    once by g, the gcd of `scale` and every payoff, so each payoff is an exact
-    int over `denom` = scale // g, the least common denominator of the
-    payoffs in lowest terms.
+    `tables` maps a pair (u, v) to its sizes[u] x sizes[v] payoff table
+    (rows indexed by x_u) as integers over the common denominator `scale`.
+    They are divided once by g, the gcd of `scale` and every payoff, so each
+    payoff is an exact int over `denom` = scale // g, the least common
+    denominator of the payoffs in lowest terms.
+
+    The one store of the payoffs: `payoffs`, every table row after row in
+    one numpy array (int64 when `int64()` holds, Python ints otherwise), and
+    `cells`, per pair in `tables` order, (u, v, its offset, its row length).
     """
 
     def __init__(self, sizes: Sequence[int], tables: dict, scale: int):
+        import numpy as np
+
         self.sizes = tuple(sizes)
-        g = scale
-        for rows in tables.values():
-            for row in rows:
-                g = gcd(g, *row)
+        flat = [p for rows in tables.values() for row in rows for p in row]
+        g = gcd(scale, *flat)
         self.denom = scale // g
-        self.pairs = []
-        # nbrs[v][u][x_u] is the payoff vector over x_v given u's choice
-        self.nbrs: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in self.sizes]
-        for (u, v), ints in tables.items():
-            if g > 1:
-                ints = [[p // g for p in row] for row in ints]
-            self.pairs.append((u, v, ints))
-            self.nbrs[v][u] = [tuple(row) for row in ints]
-            self.nbrs[u][v] = list(zip(*ints))
+        store = np.array([p // g for p in flat] if g > 1 else flat, dtype=object)
+        offsets = itertools.accumulate((len(rows) * len(rows[0]) for rows in tables.values()), initial=0)
+        cells = [(u, v, at, len(rows[0])) for ((u, v), rows), at in zip(tables.items(), offsets)]
+        self.cells = np.array(cells, dtype=np.intp).reshape(-1, 4)
+        self._top = sum(np.maximum.reduceat(store, self.cells[:, 2]).tolist()) if flat else 0
+        self.payoffs = store.astype(np.int64) if self.int64() else store
+
+    def _adjacency(self) -> dict[int, int]:
+        """Vertex -> int bitmask of its neighbours, for each vertex with a payoff."""
+        adj = [0] * len(self.sizes)
+        for u, v in self.cells[:, :2].tolist():
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return {v: nb for v, nb in enumerate(adj) if nb}
 
     def elimination_order(self) -> tuple[list[int], list[int]]:
         """Min-fill order of the vertices with a payoff, and the number of
@@ -134,7 +144,7 @@ class _PairGame:
         import heapq
 
         sizes = self.sizes
-        adj = {v: sum(1 << u for u in nb) for v, nb in enumerate(self.nbrs) if nb}
+        adj = self._adjacency()
 
         def key(v: int) -> tuple[int, int, int]:
             # each missing edge a-b among v's neighbours is seen from a and b
@@ -204,12 +214,12 @@ class _PairGame:
         unit, so that is 1900 and 1000 units for the order, and 2400, 2200
         and 3 (20 with Python ints) for the pass.
         """
-        k = sum(1 for nb in self.nbrs if nb)
-        order_cost = 1900 * len(self.pairs) + 1000 * k
-        cost = order_cost + 2400 * len(self.pairs) + 2200 * k
+        adj = self._adjacency()
+        order_cost = 1900 * len(self.cells) + 1000 * len(adj)
+        cost = order_cost + 2400 * len(self.cells) + 2200 * len(adj)
         if budget is not None:
-            first = min((self.sizes[v] * prod(self.sizes[u] for u in nb)
-                         for v, nb in enumerate(self.nbrs) if nb), default=0)
+            first = min((self.sizes[v] * prod(self.sizes[u] for u in _bits(nb))
+                         for v, nb in adj.items()), default=0)
             if cost + order_cost + 3 * first >= budget:
                 return None
         order, entries = self.elimination_order()
@@ -228,29 +238,11 @@ class _PairGame:
         partial sums of `respond` and `_zero_set_walk`."""
         return (self._top + 1) * scale < 2**62
 
-    @cached_property
-    def _top(self) -> int:
-        """The sum of each pair's largest payoff."""
-        return sum(max(map(max, t)) for _, _, t in self.pairs)
-
-    @cached_property
-    def _flat(self):
-        """Every payoff table, row after row, in one numpy array (int64 when
-        `int64()` holds, Python ints otherwise), and the arrays of each
-        pair's first vertex, second vertex, offset in it and row length."""
-        import numpy as np
-
-        flat = np.array([p for _, _, t in self.pairs for row in t for p in row],
-                        dtype=np.int64 if self.int64() else object)
-        offsets = itertools.accumulate((len(t) * len(t[0]) for _, _, t in self.pairs), initial=0)
-        cells = [(u, v, at, len(t[0])) for (u, v, t), at in zip(self.pairs, offsets)]
-        return flat, *np.array(cells, dtype=np.intp).reshape(-1, 4).T
-
     def values(self, x):
         """Integer value over `denom` of each row of the numpy array `x` of
         domain indices."""
-        flat, us, vs, offsets, strides = self._flat
-        return flat[offsets + x[:, us] * strides + x[:, vs]].sum(axis=1)
+        us, vs, offsets, strides = self.cells.T
+        return self.payoffs[offsets + x[:, us] * strides + x[:, vs]].sum(axis=1)
 
     def arrays(self, scale: int = 1, charges: Sequence[Sequence[int]] | None = None) -> list:
         """The payoff tables times `scale` as numpy arrays, one (u, v, array)
@@ -261,21 +253,20 @@ class _PairGame:
         import numpy as np
 
         dtype = np.int64 if self.int64(scale) else object
-        flat, _, _, offsets, _ = self._flat
-        flat = flat.astype(dtype, copy=False) * scale
+        flat = self.payoffs.astype(dtype, copy=False) * scale
         if charges is not None:
             cut = np.array([c for cs in charges for c in cs], dtype=dtype)
             ends = list(itertools.accumulate(self.sizes))
         out: list = []
         charged: set[int] = set()
-        for (u, v, t), at in zip(self.pairs, offsets.tolist()):
-            arr = flat[at:at + len(t) * len(t[0])].reshape(len(t), -1)
+        for u, v, at, stride in self.cells.tolist():
+            arr = flat[at:at + self.sizes[u] * stride].reshape(-1, stride)
             if charges is not None:
                 if u not in charged:
-                    arr -= cut[ends[u] - len(t):ends[u], None]
+                    arr -= cut[ends[u] - self.sizes[u]:ends[u], None]
                     charged.add(u)
                 if v not in charged:
-                    arr -= cut[ends[v] - len(t[0]):ends[v]]
+                    arr -= cut[ends[v] - stride:ends[v]]
                     charged.add(v)
             out.append((u, v, arr))
         return out
@@ -358,12 +349,20 @@ class _Responder:
     def __init__(self, game: _PairGame, zero: int, width: int | None = None):
         self.game = game
         self.zero = zero
-        self.terms: list[list[tuple[tuple[int, int], ...]]] = []
-        for v, nb in enumerate(game.nbrs):
-            w = game.sizes[v] if width is None else width
-            by_index = [tuple((u, cols[zero][j]) for u, cols in nb.items() if cols[zero][j])
-                        for j in range(w)]
-            self.terms.append(by_index if any(by_index) else [])
+        # heads[v]: (u, v's payoffs against u's zero index), pair after pair,
+        # when one is nonzero: row `zero` of the table, or column if v is first
+        widths = [size if width is None else width for size in game.sizes]
+        flat = game.payoffs.tolist()
+        heads: list[list] = [[] for _ in widths]
+        for u, v, at, stride in game.cells.tolist():
+            row = flat[at + zero * stride:at + zero * stride + widths[v]]
+            if any(row):
+                heads[v].append((u, row))
+            col = flat[at + zero:at + widths[u] * stride:stride]
+            if any(col):
+                heads[u].append((v, col))
+        self.terms = [[tuple((u, h[j]) for u, h in nb if h[j]) for j in range(w)] if nb else []
+                      for nb, w in zip(heads, widths)]
 
     def respond_one(self, zero: Sequence[bool]) -> tuple[list[int], int]:
         """Domain indices of the zero set `zero` (`zero[v]` true when v is in

@@ -20,7 +20,7 @@ import numpy as np
 from . import graphs
 from .caps import Caps
 from .core import GmdInstance, InstanceError, parse_instance
-from .exact import _gmd_game, opt_gmd
+from .exact import _gmd_game, _gmd_responder, opt_gmd
 from .reduction import CycleError, topo_number
 from .rng import coin_rows, substream
 
@@ -165,14 +165,15 @@ def _local_search_estimate(inst: GmdInstance, restarts: int, seed: int) -> Fract
     so a flip's gain comes from their score vectors (the weight each nonzero
     label earns from the zero set), which are kept up to date.
     """
-    game = _gmd_game(inst)
+    resp = _gmd_responder(_gmd_game(inst))
     n, T = inst.n, inst.T
     # out[v]: (w, what each nonzero label of w earns while v is zero)
-    out: list[list] = [[] for _ in range(n)]
-    for w in range(n):
-        for v, cols in game.nbrs[w].items():
-            if any(cols[T][:T]):
-                out[v].append((w, cols[T][:T]))
+    earns: list[dict[int, list[int]]] = [{} for _ in range(n)]
+    for w, by_index in enumerate(resp.terms):
+        for j, terms in enumerate(by_index):
+            for v, p in terms:
+                earns[v].setdefault(w, [0] * T)[j] = p
+    out = [list(e.items()) for e in earns]
     best = 0
     # restart r starts from the coins of substream r + 1, zero where 0
     coins = coin_rows(seed, np.arange(1, restarts + 1, dtype=np.uint64), n)
@@ -203,7 +204,7 @@ def _local_search_estimate(inst: GmdInstance, restarts: int, seed: int) -> Fract
                     val += delta
                     improved = True
         best = max(best, val)
-    return Fraction(best, game.denom)
+    return Fraction(best, resp.game.denom)
 
 
 def _noise_inequality(mu: Fraction, l: int, k_max: int) -> bool:

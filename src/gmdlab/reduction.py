@@ -89,9 +89,9 @@ class ReductionArtifact:
     M: int
     s: tuple[int, ...]
     source: GmdInstance
-    exponents: dict  # (tail, head, label) -> budget exponent
 
     def budget_exponent(self, v: int, label: int) -> int:
+        """The exponent of the budget M^k of every arc into v with `label`."""
         return self.source.T * self.s[v] + label - 1
 
 
@@ -103,14 +103,11 @@ def reduce_gmd_to_gp(inst: GmdInstance, M: int) -> ReductionArtifact:
     s = topo_number(inst)
     T = inst.T
     edges = []
-    exponents = {}
     for a in inst.arcs:
-        k = T * s[a.head] + a.label - 1
-        budget = Fraction(M) ** k
+        budget = Fraction(M) ** (T * s[a.head] + a.label - 1)
         edges.append((a.tail, a.head, budget, a.weight / budget))
-        exponents[(a.tail, a.head, a.label)] = k
     gp = GpInstance.of(inst.n, edges)
-    return ReductionArtifact(gp=gp, M=M, s=s, source=inst, exponents=exponents)
+    return ReductionArtifact(gp=gp, M=M, s=s, source=inst)
 
 
 def canonical_pricing(art: ReductionArtifact, lab: Labeling) -> Pricing:
@@ -155,7 +152,7 @@ def principal_part(art: ReductionArtifact, pricing: Pricing) -> Fraction:
     """Head-side revenue: sum of w_gp(u,v) p(v) over affordable arcs (u, v)."""
     total = Fraction(0)
     for a in art.source.arcs:
-        budget = Fraction(art.M) ** art.exponents[(a.tail, a.head, a.label)]
+        budget = Fraction(art.M) ** art.budget_exponent(a.head, a.label)
         if pricing[a.tail] + pricing[a.head] <= budget:
             total += (a.weight / budget) * pricing[a.head]
     return total
@@ -165,7 +162,7 @@ def nonprincipal_part(art: ReductionArtifact, pricing: Pricing) -> Fraction:
     """Tail-side revenue; at most 2 * sum of per-vertex max out-weights."""
     total = Fraction(0)
     for a in art.source.arcs:
-        budget = Fraction(art.M) ** art.exponents[(a.tail, a.head, a.label)]
+        budget = Fraction(art.M) ** art.budget_exponent(a.head, a.label)
         if pricing[a.tail] + pricing[a.head] <= budget:
             total += (a.weight / budget) * pricing[a.tail]
     return total
@@ -188,7 +185,7 @@ def serialize_reduced(art: ReductionArtifact, expand: bool = False) -> str:
     """Pricing-instance file with M^k budget tokens (or expanded integers)."""
     lines = ["gp", f"M {art.M}", f"v {art.source.n}"]
     for a in art.source.arcs:
-        k = art.exponents[(a.tail, a.head, a.label)]
+        k = art.budget_exponent(a.head, a.label)
         budget = str(Fraction(art.M) ** k) if expand else f"M^{k}"
         w = a.weight / Fraction(art.M) ** k
         u, v = min(a.tail, a.head), max(a.tail, a.head)

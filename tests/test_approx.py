@@ -255,20 +255,16 @@ def test_gp_price_completion_against_plain_loop():
 def _reference_trial(kind, inst, seed, k, marginals=None):
     """Trial k as the runtime computed it before the batch kernel: one
     generator per trial, then a best response per vertex (or the LP
-    rounding's float thresholds) and the pair game's value.  Returns the
-    labeling or pricing and its exact value."""
+    rounding's float thresholds), both read from the instance, and the
+    labeling's or pricing's exact value.  Returns the labeling or pricing
+    and its value."""
     from gmdlab.approx import _gp_completion_game
-    from gmdlab.core import Labeling, Pricing
-    from gmdlab.exact import _gmd_game
+    from gmdlab.core import Labeling, Pricing, val_gmd, val_gp
     from gmdlab.rng import substream
 
     rng = substream(seed, k)
-    T = inst.T if kind != "gp4" else None
-    if kind == "gp4":
-        game, domains = _gp_completion_game(inst)
-    else:
-        game = _gmd_game(inst)
     if kind == "gmdlp":
+        T = inst.T
         values = []
         for draw, dist in zip(rng.random(inst.n).tolist(), marginals):
             acc, slices = 0.0, []
@@ -281,24 +277,41 @@ def _reference_trial(kind, inst, seed, k, marginals=None):
                 continue
             rest = draw - cut
             values.append(next((i for i, acc in enumerate(slices, 1) if rest < acc), T))
-        x = [T if label == 0 else label - 1 for label in values]
-    else:
-        # index 0 is price 0; index T is label 0, and labels 1..T are the
-        # indices below it
-        zero_index, width = (0, None) if kind == "gp4" else (T, T)
-        zero = (rng.integers(0, 2, size=inst.n) == 0).tolist()
-        x = []
+        lab = Labeling(tuple(values))
+        return lab, val_gmd(inst, lab)
+    zero = (rng.integers(0, 2, size=inst.n) == 0).tolist()
+    if kind == "gp4":
+        # price 0 on the zero set; elsewhere the first price of the domain
+        # (0 then the incident budgets, ascending) of largest profit from
+        # the edges into the zero set
+        domains = _gp_completion_game(inst)[1]
+        prices = []
         for v, z in enumerate(zero):
             if z:
-                x.append(zero_index)
+                prices.append(F(0))
                 continue
-            scores = [sum(cols[zero_index][j] for u, cols in game.nbrs[v].items() if zero[u])
-                      for j in range(game.sizes[v] if width is None else width)]
-            x.append(scores.index(max(scores)))
-    value = F(sum(t[x[u]][x[v]] for u, v, t in game.pairs), game.denom)
-    if kind == "gp4":
-        return Pricing(tuple(domains[v][i] for v, i in enumerate(x))), value
-    return Labeling(tuple(0 if i == T else i + 1 for i in x)), value
+            scores = []
+            for p in domains[v]:
+                score = F(0)
+                for e in inst.edges:
+                    if v in (e.u, e.v) and zero[e.u + e.v - v] and p <= e.budget:
+                        score += e.weight * p
+                scores.append(score)
+            prices.append(domains[v][scores.index(max(scores))])
+        pricing = Pricing(tuple(prices))
+        return pricing, val_gp(inst, pricing)
+    # label 0 on the zero set; elsewhere the first label of largest weight
+    # of in-arcs from the zero set
+    labels = []
+    for v, z in enumerate(zero):
+        if z:
+            labels.append(0)
+            continue
+        scores = [sum((a.weight for a in inst.arcs if a.head == v and a.label == t and zero[a.tail]),
+                      F(0)) for t in range(1, inst.T + 1)]
+        labels.append(1 + scores.index(max(scores)))
+    lab = Labeling(tuple(labels))
+    return lab, val_gmd(inst, lab)
 
 
 ALGORITHMS = {"gp4": approx_gp_quarter, "gmd4": approx_gmd_quarter, "gmdlp": lp_round_gmd}

@@ -250,6 +250,30 @@ def test_approx_prints_mean_and_stderr_of_csv_values(tmp_path, capsys, weights):
     assert Fraction(rows[-1][1]) == sum(Fraction(v) for k, v in rows[:-1]) / 300
 
 
+@pytest.mark.parametrize("algo", ["gmd4", "gmdlp"])
+@pytest.mark.parametrize("weight", ["1e400", "1e200"])
+def test_approx_values_past_the_float_range(tmp_path, capsys, algo, weight):
+    # 10^400 is past the float64 range, so the trials that cut the arc read
+    # as inf, the mean as inf and the spread as nan; at 10^200 the values
+    # and mean are finite but their squared spread is not, so stderr is inf.
+    # The CSV keeps every value and the mean exact
+    from fractions import Fraction
+
+    path = write(tmp_path, "big.gmd", f"gmd 2\nv 3\ne 0 1 1 {weight}\n")
+    csv = str(tmp_path / "a.csv")
+    assert run_command(["approx", "--in", path, "--algo", algo, "--trials", "40",
+                        "--seed", "0", "--csv", csv]) == 0
+    rows = [line.split(",") for line in Path(csv).read_text().splitlines()[2:]]
+    values = [Fraction(v) for k, v in rows if k != "mean"]
+    assert set(values) == {0, Fraction(weight)}
+    assert Fraction(rows[-1][1]) == sum(values) / 40
+    if weight == "1e400":
+        line = "mean = inf stderr = nan\n"
+    else:
+        line = f"mean = {sum(map(float, values)) / 40!r} stderr = inf\n"
+    assert capsys.readouterr().out.endswith(line)
+
+
 def test_gap_pipeline_csv(tmp_path, capsys):
     csv = str(tmp_path / "gap.csv")
     out = str(tmp_path / "gap.gmd")

@@ -179,6 +179,21 @@ def test_malformed_text_gives_parse_error_with_its_line(text):
     assert time.perf_counter() - start < 2
 
 
+@pytest.mark.parametrize("text", ["1e999999999", "1e-2000000", "1/0", "x", "nan"])
+def test_constructors_refuse_strings_the_parser_refuses(text):
+    # the parser's exponent guard also holds for `of`: 10^(10^9) would take
+    # minutes to compute
+    start = time.perf_counter()
+    with pytest.raises(InstanceError, match=f"not an exact rational: '{text}'"):
+        GmdInstance.of(2, 2, [(0, 1, 1, text)])
+    with pytest.raises(InstanceError, match=f"not an exact rational: '{text}'"):
+        GpInstance.of(2, [(0, 1, text, 1)])
+    with pytest.raises(InstanceError, match=f"not an exact rational: '{text}'"):
+        Pricing.of([text, 0])
+    assert time.perf_counter() - start < 1
+    assert GmdInstance.of(1, 2, [(0, 1, 1, "3/6"), (1, 0, 1, "2e3")]).total_weight == F(4001, 2)
+
+
 def test_serialize_renders_exact_rationals():
     inst = GpInstance.of(2, [(0, 1, F(7, 2), 1)])
     assert "7/2" in serialize_instance(inst)

@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from gmdlab import exact
 from gmdlab.approx import _gp_completion_game
 from gmdlab.exact import (
     ELIM_MAX_BYTES,
+    _Responder,
     _gmd_elim_mask,
     _gmd_game,
     _gp_game,
@@ -372,9 +374,13 @@ def test_elimination_and_walk_agree_on_gmd(inst):
     assert res.witness == Labeling(tuple(labels))
 
 
-def _min_fill_by_rescoring(game):
-    """Min-fill order that rescores every remaining vertex at each step."""
-    adj = {v: set(nb) for v, nb in enumerate(game.nbrs) if nb}
+def _min_fill_by_rescoring(inst):
+    """Min-fill order of the graph of the arcs of `inst`, rescoring every
+    remaining vertex at each step."""
+    adj: dict = {}
+    for a in inst.arcs:
+        adj.setdefault(a.tail, set()).add(a.head)
+        adj.setdefault(a.head, set()).add(a.tail)
     order = []
     while adj:
         def key(u):
@@ -392,8 +398,7 @@ def _min_fill_by_rescoring(game):
 @settings(max_examples=100, deadline=None)
 @given(gmd_instances())
 def test_min_fill_order_matches_full_rescoring(inst):
-    game = _gmd_game(inst)
-    assert game.elimination_order()[0] == _min_fill_by_rescoring(game)
+    assert _gmd_game(inst).elimination_order()[0] == _min_fill_by_rescoring(inst)
 
 
 @st.composite
@@ -667,7 +672,17 @@ def _fraction_gp_game(inst, candidates):
 
 
 def _built(game):
-    return game.sizes, game.denom, game.pairs, game.nbrs
+    """(sizes, denom, pairs) of `game` as `_fraction_game` gives them, each
+    table read from the one payoff store, which holds the tables one after
+    another in int64 when `int64()` holds, Python ints otherwise."""
+    pairs, end = [], 0
+    for u, v, at, stride in game.cells.tolist():
+        assert at == end
+        end = at + game.sizes[u] * stride
+        pairs.append((u, v, game.payoffs[at:end].reshape(-1, stride).tolist()))
+    assert end == len(game.payoffs)
+    assert game.payoffs.dtype == (np.int64 if game.int64() else object)
+    return game.sizes, game.denom, pairs
 
 
 # primes whose product passes 2^63 many times over
@@ -700,7 +715,7 @@ def test_gmd_game_equals_fraction_tables():
     cases = _builder_gmd_instances()
     assert any(_gmd_game(inst).denom >= 2**63 for inst in cases)
     for inst in cases:
-        assert _built(_gmd_game(inst)) == _fraction_gmd_game(inst)
+        assert _built(_gmd_game(inst)) == _fraction_gmd_game(inst)[:3]
 
 
 def _builder_gp_instances():
@@ -725,9 +740,57 @@ def test_gp_game_equals_fraction_tables():
         half = half_integral_grid(inst)
         geom = [geometric_grid(b, F(1, 10)) for b in max_incident_budget(inst)]
         for grid in (half, geom):
-            assert _built(_gp_game(inst, grid)) == _fraction_gp_game(inst, grid)
+            assert _built(_gp_game(inst, grid)) == _fraction_gp_game(inst, grid)[:3]
         game, domains = _gp_completion_game(inst)
-        assert _built(game) == _fraction_gp_game(inst, domains)
+        assert _built(game) == _fraction_gp_game(inst, domains)[:3]
+
+
+def _nbrs_terms(nbrs, sizes, zero, width):
+    """`_Responder.terms` from per-vertex neighbour dicts: nbrs[v][u][x_u]
+    is the payoff vector over x_v given u's index x_u."""
+    terms = []
+    for v, nb in enumerate(nbrs):
+        w = sizes[v] if width is None else width
+        by_index = [tuple((u, cols[zero][j]) for u, cols in nb.items() if cols[zero][j])
+                    for j in range(w)]
+        terms.append(by_index if any(by_index) else [])
+    return terms
+
+
+def _assert_terms_match(game, reference, zero, width):
+    sizes, denom, _, nbrs = reference
+    assert (game.sizes, game.denom) == (sizes, denom)
+    terms = _Responder(game, zero, width).terms
+    assert terms == _nbrs_terms(nbrs, sizes, zero, width)
+    assert all(type(p) is int for by_index in terms for t in by_index for _, p in t)
+
+
+# weights times 2^70 put every game with a nonzero payoff on Python ints
+HUGE = 1 << 70
+
+
+@settings(max_examples=100, deadline=None)
+@given(gmd_instances(), st.booleans())
+def test_responder_terms_match_neighbour_dicts_on_gmd(inst, huge):
+    if huge:
+        inst = GmdInstance.of(inst.T, inst.n, [(a.tail, a.head, a.label, a.weight * HUGE)
+                                               for a in inst.arcs])
+    game = _gmd_game(inst)
+    assert game.int64() == (not huge or not game.payoffs.any())
+    # the max-dicut layout of `_gmd_responder`, and every index against index 0
+    for zero, width in [(inst.T, inst.T), (0, None)]:
+        _assert_terms_match(game, _fraction_gmd_game(inst), zero, width)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gp_grids(), st.booleans())
+def test_responder_terms_match_neighbour_dicts_on_gp(case, huge):
+    inst, grid = case
+    if huge:
+        inst = GpInstance.of(inst.n, [(e.u, e.v, e.budget, e.weight * HUGE) for e in inst.edges])
+    game = _gp_game(inst, grid)
+    assert game.int64() == (not huge or not game.payoffs.any())
+    _assert_terms_match(game, _fraction_gp_game(inst, grid), 0, None)
 
 
 def test_builders_do_no_fraction_arithmetic(monkeypatch):

@@ -1,8 +1,10 @@
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
 
+from gmdlab.caps import Caps
 from gmdlab.core import (
     GmdInstance,
     InstanceError,
@@ -162,6 +164,28 @@ def test_reduction_sandwich_on_random_dags():
         grid_opt = opt_gp_grid(art.gp, canonical_grid(art)).value
         assert opt <= grid_opt
         assert grid_opt <= opt + F(1, 10) + 2 / nd
+
+
+# The golden `gap` instances, n 12-100, reduced at M = 10: their canonical
+# grids have 10^5 to 10^47 points, and the payoffs times the point count
+# pass int64 from n = 40 on, so those grid passes run on Python-int tables.
+# `gap-n200-s0` is left out: with `opt_gmd_n` raised, `opt_gmd`
+# would walk its 2^200 zero masks, because its elimination tables at payoff
+# scale 2^200 are Python ints and exceed `ELIM_MAX_BYTES`.
+GAP_GOLDENS = ["gap12", "gap-l11", "gap-n25-s1", "gap-n40-s0", "gap-n40-s5", "gap-window",
+               "gap-n100-s1"]
+
+
+@pytest.mark.parametrize("name", GAP_GOLDENS)
+def test_reduction_sandwich_on_golden_gap_instances(name):
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", f"{name}.gmd")
+    with open(path) as fh:
+        inst = parse_instance(fh.read())
+    caps = Caps(opt_gmd_n=inst.n, gp_grid_points=10**100)
+    art = reduce_gmd_to_gp(inst, M=10)
+    opt = opt_gmd(inst, caps).value
+    grid_opt = opt_gp_grid(art.gp, canonical_grid(art), caps).value
+    assert opt <= grid_opt <= opt + F(1, 10) + 2 / ndeg(inst)
 
 
 def test_nonprincipal_bound_on_grid_pricings():
