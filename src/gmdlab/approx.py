@@ -11,8 +11,8 @@
   which lifts the guarantee to 1/4 + 1/(16T) on normalized instances.
 
 Every trial runs on the integer pair game of `exact`, scaled to integers
-once per batch, and a batch runs in numpy per chunk of `TRIAL_CHUNK`
-trials:
+once per batch, and a batch runs in numpy per chunk of as many trials as
+`Caps.trial_entries` entries hold (see `_chunk_trials`):
 
 1. the chunk's coin or uniform rows (`rng.coin_rows`, `rng.uniform_rows`)
    give each trial's zero set, or its labels for the LP rounding;
@@ -53,12 +53,6 @@ from .core import (
 )
 from .exact import _gmd_game, _gmd_responder, _gp_game, _PairGame, _Responder
 from .rng import coin_rows, uniform_rows
-
-# Trials per batch call: a chunk's arrays hold a few entries per trial and
-# term or pair entry, so this bounds a batch's memory whatever the trial
-# count.
-TRIAL_CHUNK = 1024
-
 
 # A batch function maps (seed, trial indices as uint64) to the trials' domain
 # indices and integer values; batch functions are built once per instance.
@@ -126,27 +120,40 @@ def approx_gmd_quarter(inst: GmdInstance, seed: int, trial: int = 0) -> tuple[La
     return Labeling(tuple(0 if i == inst.T else i + 1 for i in x)), value
 
 
-def _all_zero_sets_expectation(resp: _Responder) -> Fraction:
+def _chunk_trials(inst, caps: Caps) -> int:
+    """Trials per chunk on `inst`, a trial spanning n entries (its coins,
+    labels and responses) plus one per arc or edge (its pair payoffs), in
+    `caps.trial_entries` entries.  CapExceeded when one trial spans more."""
+    gmd = isinstance(inst, GmdInstance)
+    pairs = len(inst.arcs if gmd else inst.edges)
+    width = inst.n + pairs
+    if width > caps.trial_entries:
+        raise CapExceeded(f"a trial on {inst.n} vertices and {pairs} {'arcs' if gmd else 'edges'} "
+                          f"has {width} entries, cap {caps.trial_entries}")
+    return caps.trial_entries // max(width, 1)
+
+
+def _all_zero_sets_expectation(resp: _Responder, chunk: int) -> Fraction:
     """Mean completion value over all 2^n zero sets, where bit v of mask m
-    puts v in the zero set of m."""
+    puts v in the zero set of m, `chunk` masks at a time."""
     n = len(resp.terms)
     total = 0
     bits = np.arange(n, dtype=np.int64)
-    for start in range(0, 1 << n, TRIAL_CHUNK):
-        masks = np.arange(start, min(start + TRIAL_CHUNK, 1 << n), dtype=np.int64)
+    for start in range(0, 1 << n, chunk):
+        masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.int64)
         zero = (masks[:, None] >> bits) & 1 == 1
         total += sum(resp.game.values(resp.respond(zero)).tolist())
     return Fraction(total, resp.game.denom << n)
 
 
-def quarter_expectation_gmd(inst: GmdInstance) -> Fraction:
+def quarter_expectation_gmd(inst: GmdInstance, caps: Caps = Caps()) -> Fraction:
     """Exact expectation of the quarter algorithm over all coin patterns."""
-    return _all_zero_sets_expectation(_gmd_responder(_gmd_game(inst)))
+    return _all_zero_sets_expectation(_gmd_responder(_gmd_game(inst)), _chunk_trials(inst, caps))
 
 
-def quarter_expectation_gp(inst: GpInstance) -> Fraction:
+def quarter_expectation_gp(inst: GpInstance, caps: Caps = Caps()) -> Fraction:
     """Exact expectation of the quarter algorithm over all coin patterns."""
-    return _all_zero_sets_expectation(_gp_responder(inst)[0])
+    return _all_zero_sets_expectation(_gp_responder(inst)[0], _chunk_trials(inst, caps))
 
 
 def _check_marginals(inst: GmdInstance, marginals: Sequence[Sequence[Fraction]]):
@@ -279,20 +286,16 @@ def run_trials(
     """The values of `algorithm(inst, seed, trial=k, **kwargs)` for
     k = 0..trials-1, for `algorithm` one of `approx_gp_quarter`,
     `approx_gmd_quarter` and `lp_round_gmd`, computed in chunks of
-    `TRIAL_CHUNK` trials.  CapExceeded, before the game is built, when a
-    chunk's rows, min(trials, TRIAL_CHUNK) by n, have more than
-    `caps.trial_entries` entries."""
+    `_chunk_trials` trials.  CapExceeded, before the game is built, when
+    one trial spans more than `caps.trial_entries` entries."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if algorithm not in _BATCHES:
         raise ValueError(f"run_trials has no batch form of {algorithm!r}")
-    chunk = min(trials, TRIAL_CHUNK)
-    if chunk * inst.n > caps.trial_entries:
-        raise CapExceeded(f"a chunk of {chunk} trials on {inst.n} vertices has "
-                          f"{chunk * inst.n} entries, cap {caps.trial_entries}")
+    chunk = min(trials, _chunk_trials(inst, caps))
     game, batch = _BATCHES[algorithm](inst, **kwargs)
     totals: list[int] = []
-    for start in range(0, trials, TRIAL_CHUNK):
-        indices = np.arange(start, min(start + TRIAL_CHUNK, trials), dtype=np.uint64)
+    for start in range(0, trials, chunk):
+        indices = np.arange(start, min(start + chunk, trials), dtype=np.uint64)
         totals += batch(seed, indices)[1].tolist()
     return RandomizedRun(seed=seed, trials=trials, totals=tuple(totals), denom=game.denom)

@@ -163,7 +163,7 @@ def _read_instance(path: str):
 
 
 def _price_grid(inst: GpInstance, spec: str, caps: Caps, per_vertex: bool):
-    """The per-vertex price grids named by `spec`, and the grid note.
+    """The per-vertex price grids named by `spec`.
 
     Their sizes are checked before any grid is built: each vertex's against
     `sa_domain` when `per_vertex` (for salp), their product against
@@ -194,8 +194,8 @@ def _price_grid(inst: GpInstance, spec: str, caps: Caps, per_vertex: bool):
             count = f"more than {limit}" if limit + 1 in sizes else str(points)
             raise CapExceeded(f"grid has {count} points, cap {limit}")
     if spec == "half":
-        return half_integral_grid(inst), spec
-    return [geometric_grid(b, eps) for b in budgets], spec
+        return half_integral_grid(inst)
+    return [geometric_grid(b, eps) for b in budgets]
 
 
 def _rational(option: str, text: str, prefix: str = "") -> Fraction:
@@ -227,7 +227,7 @@ def _cmd_solve(args, caps, argv) -> int:
     if isinstance(inst, GmdInstance):
         res = opt_gmd(inst, caps=caps)
     else:
-        grid, _ = _price_grid(inst, args.grid, caps, per_vertex=False)
+        grid = _price_grid(inst, args.grid, caps, per_vertex=False)
         res = opt_gp_grid(inst, grid, caps=caps)
     print(f"opt = {res.value}")
     if args.csv:
@@ -305,17 +305,15 @@ def _cmd_salp(args, caps, argv) -> int:
     from .salp import build_sa_lp, check_sa_consistency, solve_lp_exact
 
     inst = _read_instance(args.infile)
-    grid = None
-    note = ""
-    if isinstance(inst, GpInstance):
-        grid, note = _price_grid(inst, args.grid, caps, per_vertex=True)
+    pricing = isinstance(inst, GpInstance)
+    grid = _price_grid(inst, args.grid, caps, per_vertex=True) if pricing else None
     lp = build_sa_lp(inst, args.rounds, price_grid=grid, caps=caps)
     value, sol = solve_lp_exact(lp)
     report = check_sa_consistency(sol)
     print(
         f"lp = {value} variables = {lp.num_variables} "
         f"constraints = {lp.num_constraints} consistent = {report.ok}"
-        + (f" grid = {note}" if note else "")
+        + (f" grid = {args.grid}" if pricing else "")
         + f" lp_path = {sol.lp_path}"
     )
     if args.csv:
@@ -424,13 +422,10 @@ def _cmd_dict(args, caps, argv) -> int:
     if args.inner:
         from .reduction import topo_number
 
-        inner_inst = _read_instance(args.inner)
-        if not isinstance(inner_inst, GmdInstance):
+        inner = _read_instance(args.inner)
+        if not isinstance(inner, GmdInstance):
             raise InstanceError("inner graph must be a gmd instance")
-        topo_number(inner_inst)
-        inner = DagSkeleton(
-            n=inner_inst.n, arcs=tuple(sorted({(a.tail, a.head) for a in inner_inst.arcs}))
-        )
+        topo_number(inner)
     else:
         inner = DagSkeleton(n=2, arcs=((0, 1),))
     if args.emit == "instance":

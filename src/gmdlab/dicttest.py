@@ -29,9 +29,12 @@ import numpy as np
 from .caps import Caps
 from .core import CapExceeded, GmdInstance, InstanceError
 from .gapgen import DagSkeleton
+from .reduction import topo_number
 from .rng import substream
 
 Prob = Union[Fraction, float]
+
+STREAM_ENTRIES = 1 << 22  # most entries `_stream_sum` builds in one numpy array
 
 
 @dataclass(frozen=True)
@@ -207,8 +210,6 @@ def build_test_instance(
     skeleton, arcs = _inner_arcs(inner)
     if not arcs:
         raise InstanceError("inner DAG has no arcs")
-    from .reduction import topo_number
-
     q = space.q
     nominal = len(arcs) * space.T * q ** (2 * R)
     if nominal > caps.test_edges:
@@ -300,39 +301,38 @@ def acceptance_probability(
 
 
 def _stream_sum(pairs, R, q, fu, fv, t, denom):
-    support = len(pairs)
-    numeric = denom is None or denom**R < 2**62  # total mass bounds every int64 sum
-    if numeric and support**R <= 2**22:
-        xs = np.array([x for x, _, _ in pairs], dtype=np.int64)
-        ys = np.array([y for _, y, _ in pairs], dtype=np.int64)
-        ps = np.array(
-            [p for _, _, p in pairs],
-            dtype=(np.float64 if denom is None else np.int64),
-        )
-        xcode, ycode, prob = xs, ys, ps
-        for depth in range(1, R):
-            stride = q**depth
-            xcode = (xcode[:, None] + xs[None, :] * stride).ravel()
-            ycode = (ycode[:, None] + ys[None, :] * stride).ravel()
-            prob = (prob[:, None] * ps[None, :]).ravel()
-        fu_arr = np.asarray(fu, dtype=np.int64)
-        fv_arr = np.asarray(fv, dtype=np.int64)
-        hit = (fu_arr[xcode] == 0) & (fv_arr[ycode] == t)
-        total = prob[hit].sum()
-        return float(total) if denom is None else int(total)
-    total = 0
-    stack = [(0, 0, 0, 1)]
-    # depth-first product over coordinates keeps memory flat
-    while stack:
-        depth, xcode, ycode, w = stack.pop()
-        if depth == R:
-            if fu[xcode] == 0 and fv[ycode] == t:
-                total += w
-            continue
+    """Total weight (the product of the ps) of the R-fold products of
+    `pairs` (x, y, p) whose x code has fu == 0 and y code fv == t.  The
+    product of the first k coordinates, k the most (at least 1) that fit in
+    `STREAM_ENTRIES`, is built in numpy, then summed once per product of the
+    other coordinates in `itertools.product` order.  The ps are integers
+    over `denom`, whose R-th power bounds every partial sum, or floats."""
+    dtype = np.float64 if denom is None else np.int64 if denom**R < 2**62 else object
+    xs = np.array([x for x, _, _ in pairs], dtype=np.int64)
+    ys = np.array([y for _, y, _ in pairs], dtype=np.int64)
+    ps = np.array([p for _, _, p in pairs], dtype=dtype)
+    k = 1
+    while k < R and len(pairs) ** (k + 1) <= STREAM_ENTRIES:
+        k += 1
+    xcode, ycode, prob = xs, ys, ps
+    for depth in range(1, k):
         stride = q**depth
-        for x, y, p in pairs:
-            stack.append((depth + 1, xcode + x * stride, ycode + y * stride, w * p))
-    return total
+        xcode = (xcode[:, None] + xs[None, :] * stride).ravel()
+        ycode = (ycode[:, None] + ys[None, :] * stride).ravel()
+        prob = (prob[:, None] * ps[None, :]).ravel()
+    # a code is the code of its first k coordinates plus q^k times the code
+    # of the rest: row r of these tables is the rest's code r
+    zero_x = (np.asarray(fu) == 0).reshape(-1, q**k)
+    at_t = (np.asarray(fv) == t).reshape(-1, q**k)
+    total = 0
+    for rest in itertools.product(pairs, repeat=R - k):
+        rx, ry, w = 0, 0, 1
+        for depth, (x, y, p) in enumerate(rest):
+            rx += x * q**depth
+            ry += y * q**depth
+            w *= p
+        total += w * prob[zero_x[rx, xcode] & at_t[ry, ycode]].sum()
+    return float(total) if denom is None else int(total)
 
 
 def dictator(space: CorrelatedSpace, R: int, i: int) -> list[int]:

@@ -60,12 +60,15 @@ on other grids it is a certified lower bound.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Sequence, Union
+
+import numpy as np
 
 from .caps import Caps
 from .core import (
@@ -112,8 +115,6 @@ class _PairGame:
     """
 
     def __init__(self, sizes: Sequence[int], tables: dict, scale: int):
-        import numpy as np
-
         self.sizes = tuple(sizes)
         flat = [p for rows in tables.values() for row in rows for p in row]
         g = gcd(scale, *flat)
@@ -141,8 +142,6 @@ class _PairGame:
         vertex is the one whose clique adds the fewest new edges, then the one
         of least degree, then the smallest.  Neighbourhoods are int bitmasks.
         """
-        import heapq
-
         sizes = self.sizes
         adj = self._adjacency()
 
@@ -250,8 +249,6 @@ class _PairGame:
         Python ints otherwise.  With `charges` (one list per vertex), the
         first table of each vertex v has `charges[v][i]` taken off its
         entries at index i of v."""
-        import numpy as np
-
         dtype = np.int64 if self.int64(scale) else object
         flat = self.payoffs.astype(dtype, copy=False) * scale
         if charges is not None:
@@ -384,8 +381,6 @@ class _Responder:
         """The terms in numpy arrays, index after index, an index with no
         term taking the term (0, 0): their neighbours and payoffs, and each
         index's first term; per width, its vertices and their indices."""
-        import numpy as np
-
         slots = [terms or ((0, 0),) for by_index in self.terms for terms in by_index]
         groups: dict[int, list[tuple[int, int]]] = {}
         first = 0
@@ -405,8 +400,6 @@ class _Responder:
     def respond(self, zero):
         """`respond_one` on each boolean row of the numpy array `zero`: the
         rows' domain indices."""
-        import numpy as np
-
         src, val, starts, groups = self._gather
         x = np.zeros(zero.shape, dtype=np.intp)
         if len(starts):
@@ -498,16 +491,17 @@ def opt_gmd(inst: GmdInstance, caps: Caps = Caps()) -> OptResult:
 def _gmd_plan(resp: _Responder) -> tuple[str, Sequence[int] | None]:
     """The enumerator `opt_gmd` runs on the max-dicut game of `resp` and
     what it runs along: ("walk", None) or ("elim", the elimination order).
-    The walk runs only when `int64()` holds, elimination only when its
-    tables fit in `ELIM_MAX_BYTES`; when both do, the lesser estimated cost
-    wins, ties to the walk.  CapExceeded when neither does."""
+    The walk runs only when its int64 masks hold every vertex (n <= 62)
+    and `int64()` holds, elimination only when its tables fit in
+    `ELIM_MAX_BYTES`; when both do, the lesser estimated cost wins, ties to
+    the walk.  CapExceeded when neither does."""
     # Costs in numpy int64 operations on one mask and one walk term, and 600
     # per term and 2^20 masks for the overhead of the numpy calls.
     game = resp.game
     n = len(game.sizes)
     m = sum(len(terms) for by_index in resp.terms for terms in by_index)
     walk = None
-    if game.int64():
+    if n <= 62 and game.int64():
         walk = (1 << n) * m + 600 * m * max(1, (1 << n) >> 20)
     elim = game.elimination_plan(walk, 1 << n)
     if elim is not None:
@@ -535,8 +529,6 @@ def _zero_set_walk(resp: _Responder) -> int:
     terms' payoffs from the mask.  Each partial sum adds payoffs of one
     assignment, so `int64()` of the game must hold.  Masks go in chunks of
     2^14, whose arrays stay in cache."""
-    import numpy as np
-
     n = len(resp.terms)
     best_val = 0
     best_mask = 0

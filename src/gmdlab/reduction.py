@@ -17,6 +17,7 @@ through exact big-integer rationals only where values are needed.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,8 +44,6 @@ def topo_number(inst: GmdInstance) -> tuple[int, ...]:
     Deterministic: numbers are assigned in increasing order to the vertex of
     smallest id whose out-neighbors are all numbered already.
     """
-    import heapq
-
     out_remaining = [0] * inst.n
     in_neighbors: list[list[int]] = [[] for _ in range(inst.n)]
     for a in inst.arcs:

@@ -11,6 +11,8 @@ from gmdlab.approx import (
     approx_gp_quarter,
     lp_round_expectation,
     lp_round_gmd,
+    quarter_expectation_gmd,
+    quarter_expectation_gp,
     run_trials,
 )
 from gmdlab.caps import Caps
@@ -33,14 +35,15 @@ def triangle():
     (approx_gp_quarter, GpInstance.of(99_999_999_999, [(0, 1, 1, 1)])),
 ])
 def test_trial_entry_cap_checked_before_any_work(algorithm, inst):
-    # 1000 trials on 10^11 vertices: coin rows of 10^14 entries against the
-    # 4M cap, refused before the game is built
+    # one trial on 10^11 vertices spans 10^11 + 1 entries against the
+    # 2^18 cap, refused before the game is built
+    kind = "arcs" if isinstance(inst, GmdInstance) else "edges"
     start = time.perf_counter()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        with pytest.raises(CapExceeded, match="^a chunk of 1000 trials on 99999999999 vertices "
-                                              "has 99999999999000 entries, cap 4000000$"):
+        with pytest.raises(CapExceeded, match=f"^a trial on 99999999999 vertices and 1 {kind} "
+                                              "has 100000000000 entries, cap 262144$"):
             run_trials(algorithm, inst, 1000, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -50,12 +53,41 @@ def test_trial_entry_cap_checked_before_any_work(algorithm, inst):
 
 
 def test_trial_entry_cap_counts_one_chunk():
-    # 3000 trials on 2 vertices run in chunks of 1024 rows: 2048 entries
+    # a trial on 2 vertices and 1 arc spans 3 entries: a budget of 3 runs
+    # the trials one to a chunk, and a budget of 2 holds no trial
     edge = GmdInstance.of(1, 2, [(0, 1, 1, 1)])
-    assert run_trials(approx_gmd_quarter, edge, 3000, seed=0, caps=Caps(trial_entries=2048)).trials == 3000
-    with pytest.raises(CapExceeded, match="has 2048 entries, cap 2047$"):
-        run_trials(approx_gmd_quarter, edge, 3000, seed=0, caps=Caps(trial_entries=2047))
-    assert run_trials(approx_gmd_quarter, edge, 1023, seed=0, caps=Caps(trial_entries=2047)).trials == 1023
+    one_each = run_trials(approx_gmd_quarter, edge, 300, seed=0, caps=Caps(trial_entries=3))
+    assert one_each == run_trials(approx_gmd_quarter, edge, 300, seed=0)
+    with pytest.raises(CapExceeded, match="^a trial on 2 vertices and 1 arcs has 3 entries, cap 2$"):
+        run_trials(approx_gmd_quarter, edge, 1, seed=0, caps=Caps(trial_entries=2))
+    with pytest.raises(CapExceeded, match="^a trial on 2 vertices and 1 arcs has 3 entries, cap 2$"):
+        quarter_expectation_gmd(edge, caps=Caps(trial_entries=2))
+    # the quarter expectations take their zero sets in chunks the same way
+    tri = triangle()
+    assert quarter_expectation_gmd(tri, caps=Caps(trial_entries=6)) == quarter_expectation_gmd(tri)
+    path = GpInstance.of(3, [(0, 1, 1, 1), (1, 2, 2, F(1, 2))])
+    assert quarter_expectation_gp(path, caps=Caps(trial_entries=5)) == quarter_expectation_gp(path)
+
+
+@pytest.mark.parametrize("algorithm", [approx_gmd_quarter, approx_gp_quarter, lp_round_gmd])
+def test_large_instance_batch_memory_is_bounded(algorithm):
+    # 1024 trials on a 2000-vertex path: at most 2^18 entries a chunk keep
+    # the batch under 16 MB, where one 1024-trial chunk took 78-128 MB
+    n = 2000
+    pairs = [(v, v + 1, 1, 1) for v in range(n - 1)]
+    if algorithm is approx_gp_quarter:
+        inst, kwargs = GpInstance.of(n, pairs), {}
+    else:
+        inst = GmdInstance.of(1, n, pairs)
+        kwargs = {"marginals": [[F(1, 2), F(1, 2)]] * n} if algorithm is lp_round_gmd else {}
+    tracemalloc.start()
+    try:
+        run = run_trials(algorithm, inst, 1024, seed=0, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.trials == 1024
+    assert peak < 16 << 20
 
 
 def test_gp_quarter_single_edge_expectation():
@@ -115,7 +147,6 @@ def test_quarter_guarantee_on_random_fixtures():
 
 def test_quarter_gmd_exact_expectation_guarantee():
     # enumerate all coin patterns: the quarter guarantee holds exactly
-    from gmdlab.approx import quarter_expectation_gmd
     from gmdlab.rng import substream
 
     rng = substream(88, 0)
@@ -131,13 +162,10 @@ def test_quarter_gmd_exact_expectation_guarantee():
 
 
 def test_quarter_gmd_exact_expectation_single_edge():
-    from gmdlab.approx import quarter_expectation_gmd
-
     assert quarter_expectation_gmd(GmdInstance.of(1, 2, [(0, 1, 1, 1)])) == F(1, 4)
 
 
 def test_quarter_gp_exact_expectation_guarantee():
-    from gmdlab.approx import quarter_expectation_gp
     from gmdlab.rng import substream
 
     rng = substream(88, 1)
@@ -153,8 +181,6 @@ def test_quarter_gp_exact_expectation_guarantee():
 
 
 def test_quarter_gp_exact_expectation_single_edge():
-    from gmdlab.approx import quarter_expectation_gp
-
     assert quarter_expectation_gp(GpInstance.of(2, [(0, 1, 1, 1)])) == F(1, 2)
 
 
@@ -323,9 +349,9 @@ def _single(kind, inst, seed, k, marginals):
     return ALGORITHMS[kind](inst, seed, trial=k)
 
 
-def _assert_batch_matches_reference(kind, inst, seed, trials, marginals=None):
+def _assert_batch_matches_reference(kind, inst, seed, trials, marginals=None, caps=Caps()):
     kwargs = {"marginals": marginals} if kind == "gmdlp" else {}
-    run = run_trials(ALGORITHMS[kind], inst, trials, seed, **kwargs)
+    run = run_trials(ALGORITHMS[kind], inst, trials, seed, caps=caps, **kwargs)
     want = [_reference_trial(kind, inst, seed, k, marginals) for k in range(trials)]
     assert [F(t, run.denom) for t in run.totals] == [value for _, value in want]
     for k in {0, trials // 2, trials - 1}:
@@ -378,8 +404,9 @@ def test_batch_kernel_matches_per_trial_loop(case):
 
 @pytest.mark.parametrize("kind", sorted(ALGORITHMS))
 def test_batch_kernel_object_path_and_chunks(kind):
-    # weights past int64 run on Python ints; more trials than one chunk
-    from gmdlab.approx import TRIAL_CHUNK, _gp_completion_game
+    # weights past int64 run on Python ints; a budget of 100 entries runs
+    # the 1027 trials in chunks of 10 or 11
+    from gmdlab.approx import _gp_completion_game
     from gmdlab.exact import _gmd_game
 
     marginals = None
@@ -393,5 +420,28 @@ def test_batch_kernel_object_path_and_chunks(kind):
         assert not _gmd_game(inst).int64()
         marginals = [[F(1, 2), F(1, 4), F(1, 4)], [F(1, 3), F(1, 3), F(1, 3)], [F(0), F(1), F(0)],
                      [F(1), F(0), F(0)], [F(1, 5), F(2, 5), F(2, 5)]]
-    _assert_batch_matches_reference(kind, inst, -7, TRIAL_CHUNK + 3, marginals)
+    _assert_batch_matches_reference(kind, inst, -7, 1027, marginals, Caps(trial_entries=100))
+
+
+@pytest.mark.parametrize("kind", sorted(ALGORITHMS))
+@pytest.mark.parametrize("weight", [F(2, 3), HUGE], ids=["int64", "object"])
+def test_run_trials_totals_do_not_depend_on_the_budget(kind, weight):
+    # a trial spans 4 vertices + 3 pairs = 7 entries: budgets from one
+    # trial a chunk to all 50 in one
+    from gmdlab.approx import _gp_completion_game
+    from gmdlab.exact import _gmd_game
+
+    if kind == "gp4":
+        inst = GpInstance.of(4, [(0, 1, 2, weight), (1, 2, 1, weight), (2, 3, F(3, 2), 1)])
+        game = _gp_completion_game(inst)[0]
+    else:
+        inst = GmdInstance.of(2, 4, [(0, 1, 1, weight), (1, 2, 2, weight), (2, 3, 2, F(1, 3))])
+        game = _gmd_game(inst)
+    assert game.int64() == (weight != HUGE)
+    marginals = [[F(1, 2), F(1, 4), F(1, 4)], [F(1, 3), F(1, 3), F(1, 3)], [F(0), F(1), F(0)],
+                 [F(1), F(0), F(0)]]
+    kwargs = {"marginals": marginals} if kind == "gmdlp" else {}
+    runs = [run_trials(ALGORITHMS[kind], inst, 50, 3, caps=Caps(trial_entries=budget), **kwargs)
+            for budget in (7, 8, 14, 49, 350)]
+    assert all(run == runs[0] for run in runs)
 

@@ -64,10 +64,10 @@ def test_cap_exceeded_exit_2(tmp_path, capsys, monkeypatch):
     ("gp\nv 99999999999\ne 0 1 1 1\n", "gp4"),
 ])
 def test_approx_trial_cap_exit_2(tmp_path, capsys, text, algo):
-    # 1000 trials' coin rows on 10^11 vertices would take petabytes
+    # one trial's coin row on 10^11 vertices is past the entry budget
     path = write(tmp_path, "huge.txt", text)
     assert run_command(["approx", "--in", path, "--algo", algo]) == 2
-    assert "cap exceeded: a chunk of 1000 trials on 99999999999 vertices" in capsys.readouterr().err
+    assert "cap exceeded: a trial on 99999999999 vertices and 1 " in capsys.readouterr().err
 
 
 def test_salp_past_float64_takes_the_exact_pass(tmp_path, capsys):
@@ -383,6 +383,29 @@ def test_dict_emit_instance(tmp_path, capsys):
 
     inst = parse_instance(Path(out).read_text())
     assert inst.total_weight == 1
+
+
+def test_dict_inner_dag_is_its_arc_skeleton(tmp_path, capsys):
+    # parallel arcs 0 -> 1 with two labels give the skeleton one arc 0 -> 1
+    from fractions import Fraction
+
+    from gmdlab.core import parse_instance
+    from gmdlab.dicttest import build_correlated_space, build_test_instance
+    from gmdlab.gapgen import DagSkeleton
+
+    inner = write(tmp_path, "inner.gmd", "gmd 2\nv 3\ne 0 1 1 1\ne 0 1 2 1\ne 1 2 1 1\n")
+    out = str(tmp_path / "dt.gmd")
+    argv = ["dict", "--T", "2", "--R", "1", "--delta", "1/2", "--inner", inner]
+    assert run_command(argv + ["--emit", "instance", "--out", out]) == 0
+    skeleton = DagSkeleton(n=3, arcs=((0, 1), (1, 2)))
+    want = build_test_instance(build_correlated_space(2, delta=Fraction(1, 2)), skeleton, R=1).instance
+    assert parse_instance(Path(out).read_text()) == want
+    fn = write(tmp_path, "fns.txt", "0 1 2\n0 1 2\n0 1 2\n")
+    assert run_command(argv + ["--emit", "eval", "--functions", fn]) == 0
+    assert "acceptance = 1/4" in capsys.readouterr().out
+    cyclic = write(tmp_path, "cyclic.gmd", "gmd 1\nv 2\ne 0 1 1 1\ne 1 0 1 1\n")
+    assert run_command(["dict", "--T", "2", "--inner", cyclic, "--emit", "instance", "--out", out]) == 1
+    assert "cycle" in capsys.readouterr().err
 
 
 def test_gauss_suites(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from gmdlab.caps import Caps
+from gmdlab import dicttest
 from gmdlab.core import CapExceeded, InstanceError
 from gmdlab.dicttest import (
     acceptance_probability,
@@ -124,6 +126,51 @@ def test_materialized_and_streaming_agree():
     assert evaluate_acceptance(ti, [f0, f2]) == acceptance_probability(
         space, EDGE, R=1, functions=[f0, f2]
     )
+
+
+PATH3 = DagSkeleton(n=3, arcs=((0, 1), (0, 2), (1, 2)))
+
+
+def _random_tables(space, R, count, seed):
+    rng = random.Random(seed)
+    return [[rng.randrange(space.q) for _ in range(space.q**R)] for _ in range(count)]
+
+
+@pytest.mark.parametrize("limit", [1, 49, 1 << 22])
+def test_chunked_sum_matches_materialized_instance(monkeypatch, limit):
+    # T = 2, delta = 1/2: 7 support pairs per target label, so the limits
+    # build 1, 2 and all 3 of the R = 3 coordinates in numpy
+    monkeypatch.setattr(dicttest, "STREAM_ENTRIES", limit)
+    space = build_correlated_space(2, delta=F(1, 2))
+    ti = build_test_instance(space, PATH3, R=3)
+    for seed in range(3):
+        tables = _random_tables(space, 3, 3, seed)
+        want = evaluate_acceptance(ti, tables)
+        assert acceptance_probability(space, PATH3, 3, tables) == want
+    fn = dictator(space, R=3, i=2)
+    assert acceptance_probability(space, PATH3, 3, [fn] * 3) == dictator_completeness(space)
+
+
+@pytest.mark.parametrize("limit", [1, 1 << 22])
+def test_object_dtype_sum_matches_materialized_instance(monkeypatch, limit):
+    # the joint's common denominator squared is past 2^62, so the sum runs
+    # on Python ints
+    monkeypatch.setattr(dicttest, "STREAM_ENTRIES", limit)
+    space = build_correlated_space(2, delta=F(10**12 + 1, 2 * 10**12))
+    denom = math.lcm(*(p.denominator for t in (1, 2) for p in space.joint(t).values()))
+    assert denom**2 >= 2**62
+    ti = build_test_instance(space, PATH3, R=2)
+    for seed in range(3):
+        tables = _random_tables(space, 2, 3, seed)
+        assert acceptance_probability(space, PATH3, 2, tables) == evaluate_acceptance(ti, tables)
+
+
+def test_float_chunked_sum_agrees_with_one_chunk(monkeypatch):
+    space = build_correlated_space(3, delta=0.4)
+    tables = _random_tables(space, 3, 3, 0)
+    whole = acceptance_probability(space, PATH3, 3, tables)
+    monkeypatch.setattr(dicttest, "STREAM_ENTRIES", 1)
+    assert math.isclose(acceptance_probability(space, PATH3, 3, tables), whole, rel_tol=1e-14)
 
 
 def test_dictators_on_every_coordinate():

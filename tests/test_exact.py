@@ -1,6 +1,7 @@
 import os
 import random
 import sys
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -131,6 +132,17 @@ def test_opt_gmd_respects_cap():
     inst = GmdInstance.of(1, 30, [(0, 1, 1, 1)])
     with pytest.raises(CapExceeded):
         opt_gmd(inst, caps=Caps(opt_gmd_n=24))
+
+
+def test_opt_gmd_past_62_vertices_never_plans_the_walk():
+    # the walk's int64 masks hold 62 vertices; on 200 the penalised
+    # elimination tables are Python ints past the byte cap, so no enumerator
+    # fits and the refusal comes at once
+    inst = _golden("gap-n200-s0.gmd")
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="zero-set walk overflows int64"):
+        opt_gmd(inst, caps=Caps(opt_gmd_n=200))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_opt_gmd_majority_label_dicut_bound():

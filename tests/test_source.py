@@ -1,8 +1,10 @@
 """Static checks of the package source with the standard library's `ast`:
-no import is left unused, and no private module-level name is left
-unreferenced, as happens when the code that used it goes."""
+no import is left unused, no private module-level name is left
+unreferenced, as happens when the code that used it goes, and every cap is
+read by some module other than the one that declares it."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -71,3 +73,15 @@ def test_every_private_module_level_name_is_referenced():
                     for line, private in _module_level_private_names(tree)
                     if private not in referenced]
     assert unreferenced == []
+
+
+def test_every_cap_is_read_outside_caps():
+    # a cap that no module reads bounds nothing
+    from gmdlab.caps import Caps
+
+    read = set()
+    for path in MODULES:
+        if path.name != "caps.py":
+            read |= {node.attr for node in ast.walk(_tree(path)) if isinstance(node, ast.Attribute)}
+    unread = [f.name for f in fields(Caps) if f.name not in read]
+    assert unread == []
