@@ -55,8 +55,11 @@ from .exact import _gmd_game, _gmd_responder, _gp_game, _PairGame, _Responder
 from .rng import coin_rows, uniform_rows
 
 # A batch function maps (seed, trial indices as uint64) to the trials' domain
-# indices and integer values; batch functions are built once per instance.
+# indices and integer values; batch functions are built once per instance,
+# with their game and the entries each trial adds to its width (see
+# `_chunk_trials`) once they are built.
 _Batch = Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray]]
+_GameBatch = tuple[_PairGame, _Batch, int]
 
 
 def _gp_completion_game(inst: GpInstance) -> tuple[_PairGame, list[list[Fraction]]]:
@@ -79,19 +82,20 @@ def _gp_responder(inst: GpInstance) -> tuple[_Responder, list[list[Fraction]]]:
     return _Responder(game, zero=0), domains
 
 
-def _quarter(resp: _Responder) -> tuple[_PairGame, _Batch]:
+def _quarter(resp: _Responder) -> _GameBatch:
     """The quarter algorithm's game and batch: a vertex is in the zero set
-    when its coin is 0."""
+    when its coin is 0.  A trial's best responses add the responder's
+    score row to its width."""
     def batch(seed: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = resp.respond(coin_rows(seed, indices, len(resp.terms)) == 0)
         return x, resp.game.values(x)
-    return resp.game, batch
+    return resp.game, batch, resp.row_entries
 
 
-def _one(game_batch: tuple[_PairGame, _Batch], seed: int, trial: int) -> tuple[list[int], Fraction]:
+def _one(game_batch: _GameBatch, seed: int, trial: int) -> tuple[list[int], Fraction]:
     """Domain indices and exact value of trial `trial` alone of a game's
     batch."""
-    game, batch = game_batch
+    game, batch, _ = game_batch
     x, totals = batch(seed, np.array([trial & ((1 << 64) - 1)], dtype=np.uint64))
     return x[0].tolist(), Fraction(totals.tolist()[0], game.denom)
 
@@ -116,26 +120,30 @@ def approx_gp_quarter(inst: GpInstance, seed: int, trial: int = 0) -> tuple[Pric
 
 def approx_gmd_quarter(inst: GmdInstance, seed: int, trial: int = 0) -> tuple[Labeling, Fraction]:
     """One run of the combinatorial quarter algorithm for max-dicut."""
-    x, value = _one(_quarter(_gmd_responder(_gmd_game(inst))), seed, trial)
+    x, value = _one(_quarter(_gmd_responder(inst)), seed, trial)
     return Labeling(tuple(0 if i == inst.T else i + 1 for i in x)), value
 
 
-def _chunk_trials(inst, caps: Caps) -> int:
-    """Trials per chunk on `inst`, a trial spanning n entries (its coins,
-    labels and responses) plus one per arc or edge (its pair payoffs), in
-    `caps.trial_entries` entries.  CapExceeded when one trial spans more."""
+def _chunk_trials(inst, caps: Caps, extra: int = 0) -> int:
+    """Trials per chunk on `inst`, at least one, in `caps.trial_entries`
+    entries: a trial spans n entries (its coins, labels and responses), one
+    per arc or edge (its pair payoffs) and `extra`, which the game's batch
+    adds once it is built.  CapExceeded when n plus the arcs or edges pass
+    the budget, which is known before the game is built."""
     gmd = isinstance(inst, GmdInstance)
     pairs = len(inst.arcs if gmd else inst.edges)
     width = inst.n + pairs
     if width > caps.trial_entries:
         raise CapExceeded(f"a trial on {inst.n} vertices and {pairs} {'arcs' if gmd else 'edges'} "
                           f"has {width} entries, cap {caps.trial_entries}")
-    return caps.trial_entries // max(width, 1)
+    return max(1, caps.trial_entries // max(width + extra, 1))
 
 
-def _all_zero_sets_expectation(resp: _Responder, chunk: int) -> Fraction:
+def _all_zero_sets_expectation(inst, resp: _Responder, caps: Caps) -> Fraction:
     """Mean completion value over all 2^n zero sets, where bit v of mask m
-    puts v in the zero set of m, `chunk` masks at a time."""
+    puts v in the zero set of m, as many masks at a time as `run_trials`
+    takes trials."""
+    chunk = _chunk_trials(inst, caps, resp.row_entries)
     n = len(resp.terms)
     total = 0
     bits = np.arange(n, dtype=np.int64)
@@ -148,12 +156,14 @@ def _all_zero_sets_expectation(resp: _Responder, chunk: int) -> Fraction:
 
 def quarter_expectation_gmd(inst: GmdInstance, caps: Caps = Caps()) -> Fraction:
     """Exact expectation of the quarter algorithm over all coin patterns."""
-    return _all_zero_sets_expectation(_gmd_responder(_gmd_game(inst)), _chunk_trials(inst, caps))
+    _chunk_trials(inst, caps)  # refuses before the game is built
+    return _all_zero_sets_expectation(inst, _gmd_responder(inst), caps)
 
 
 def quarter_expectation_gp(inst: GpInstance, caps: Caps = Caps()) -> Fraction:
     """Exact expectation of the quarter algorithm over all coin patterns."""
-    return _all_zero_sets_expectation(_gp_responder(inst)[0], _chunk_trials(inst, caps))
+    _chunk_trials(inst, caps)  # refuses before the game is built
+    return _all_zero_sets_expectation(inst, _gp_responder(inst)[0], caps)
 
 
 def _check_marginals(inst: GmdInstance, marginals: Sequence[Sequence[Fraction]]):
@@ -180,7 +190,7 @@ def lp_round_expectation(inst: GmdInstance, marginals: Sequence[Sequence[Fractio
     return total
 
 
-def _lp_round(inst: GmdInstance, marginals: Sequence[Sequence[Fraction]]) -> tuple[_PairGame, _Batch]:
+def _lp_round(inst: GmdInstance, marginals: Sequence[Sequence[Fraction]]) -> _GameBatch:
     _check_marginals(inst, marginals)
     game = _gmd_game(inst)
     T = inst.T
@@ -205,7 +215,7 @@ def _lp_round(inst: GmdInstance, marginals: Sequence[Sequence[Fraction]]) -> tup
         x = np.where(u < cut, T, np.minimum(passed, T - 1))
         return x, game.values(x)
 
-    return game, batch
+    return game, batch, 0
 
 
 def lp_round_gmd(
@@ -221,9 +231,9 @@ def lp_round_gmd(
 
 
 # The batch form of each trial function, built once per `run_trials` call.
-_BATCHES: dict[Callable, Callable[..., tuple[_PairGame, _Batch]]] = {
+_BATCHES: dict[Callable, Callable[..., _GameBatch]] = {
     approx_gp_quarter: lambda inst: _quarter(_gp_responder(inst)[0]),
-    approx_gmd_quarter: lambda inst: _quarter(_gmd_responder(_gmd_game(inst))),
+    approx_gmd_quarter: lambda inst: _quarter(_gmd_responder(inst)),
     lp_round_gmd: _lp_round,
 }
 
@@ -287,13 +297,14 @@ def run_trials(
     k = 0..trials-1, for `algorithm` one of `approx_gp_quarter`,
     `approx_gmd_quarter` and `lp_round_gmd`, computed in chunks of
     `_chunk_trials` trials.  CapExceeded, before the game is built, when
-    one trial spans more than `caps.trial_entries` entries."""
+    one trial's vertices and arcs or edges pass `caps.trial_entries`."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if algorithm not in _BATCHES:
         raise ValueError(f"run_trials has no batch form of {algorithm!r}")
-    chunk = min(trials, _chunk_trials(inst, caps))
-    game, batch = _BATCHES[algorithm](inst, **kwargs)
+    _chunk_trials(inst, caps)  # refuses before the game is built
+    game, batch, extra = _BATCHES[algorithm](inst, **kwargs)
+    chunk = min(trials, _chunk_trials(inst, caps, extra))
     totals: list[int] = []
     for start in range(0, trials, chunk):
         indices = np.arange(start, min(start + chunk, trials), dtype=np.uint64)

@@ -22,8 +22,9 @@ class Caps:
     sa_table_entries: int = 4_000_000  # sum of (T+1)^|S| over a sasol build's sets;
     # the benchmark's largest build (k=3, n=16, T=2) has 16,248
     trial_entries: int = 1 << 18  # approx: entries of one trial chunk, a trial
-    # spanning n + (arcs or edges); the 877-entry trials of a 400-vertex gap
-    # instance run 298 to a chunk
+    # spanning n + (arcs or edges), refused above this, plus the quarter
+    # algorithms' score row; the 877 + 592-entry quarter trials of a
+    # 400-vertex gap instance run 178 to a chunk
     test_edges: int = 300_000    # dictatorship-test instance materialization
     influence_states: int = 2_000_000
 

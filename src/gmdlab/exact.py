@@ -397,6 +397,12 @@ class _Responder:
              for w, g in groups.items()],
         )
 
+    @property
+    def row_entries(self) -> int:
+        """Entries of one zero-set row of `respond`'s score product: one per
+        term, and one per index without a term."""
+        return len(self._gather[0])
+
     def respond(self, zero):
         """`respond_one` on each boolean row of the numpy array `zero`: the
         rows' domain indices."""
@@ -429,11 +435,11 @@ def _gmd_game(inst: GmdInstance) -> _PairGame:
     return _PairGame([T + 1] * inst.n, tables, scale)
 
 
-def _gmd_responder(game: _PairGame) -> _Responder:
-    """Best responses of the max-dicut game: index T (label 0) is the zero
-    index, and a vertex outside the zero set ranges over the labels 1..T."""
-    T = game.sizes[0] - 1
-    return _Responder(game, zero=T, width=T)
+def _gmd_responder(inst: GmdInstance) -> _Responder:
+    """Best responses in the max-dicut game of `inst`: index T (label 0) is
+    the zero index, and a vertex outside the zero set ranges over the labels
+    1..T.  T is the instance's, so a game on no vertex has one too."""
+    return _Responder(_gmd_game(inst), zero=inst.T, width=inst.T)
 
 
 def _gmd_labels(resp: _Responder, zero: Sequence[bool]) -> tuple[list[int], int]:
@@ -456,7 +462,7 @@ def greedy_completion(inst: GmdInstance, zero_set: frozenset[int] | set[int]) ->
         if not (0 <= v < inst.n):
             raise InstanceError(f"zero-set vertex {v} out of range")
     zero = [v in zero_set for v in range(inst.n)]
-    return Labeling(tuple(_gmd_labels(_gmd_responder(_gmd_game(inst)), zero)[0]))
+    return Labeling(tuple(_gmd_labels(_gmd_responder(inst), zero)[0]))
 
 
 def opt_gmd(inst: GmdInstance, caps: Caps = Caps()) -> OptResult:
@@ -474,8 +480,8 @@ def opt_gmd(inst: GmdInstance, caps: Caps = Caps()) -> OptResult:
         return OptResult(
             value=Fraction(0), witness=greedy_completion(inst, set()), explored=1
         )
-    game = _gmd_game(inst)
-    resp = _gmd_responder(game)
+    resp = _gmd_responder(inst)
+    game = resp.game
     path, order = _gmd_plan(resp)
     if path == "walk":
         best_mask = _zero_set_walk(resp)

@@ -20,7 +20,7 @@ import numpy as np
 from . import graphs
 from .caps import Caps
 from .core import GmdInstance, InstanceError, parse_instance
-from .exact import _gmd_game, _gmd_responder, opt_gmd
+from .exact import _gmd_responder, opt_gmd
 from .reduction import CycleError, topo_number
 from .rng import coin_rows, substream
 
@@ -89,13 +89,9 @@ def generate_base_dag(kind: str, n: int, params: Optional[dict] = None, seed: in
             raise InstanceError(f"window must be >= 1, got {window}")
         if not 0 <= p <= 1:
             raise InstanceError(f"window edge probability must be in [0, 1], got {p}")
-        rng = substream(seed, 0)
-        arcs = []
-        for u in range(n):
-            for v in range(max(0, u - window), u):
-                if rng.random() < p:
-                    arcs.append((u, v))
-        return DagSkeleton(n=n, arcs=tuple(arcs))
+        pairs = [(u, v) for u in range(n) for v in range(max(0, u - window), u)]
+        keep = (substream(seed, 0).random(len(pairs)) < p).tolist()
+        return DagSkeleton(n=n, arcs=tuple(uv for uv, k in zip(pairs, keep) if k))
     if kind == "custom-file":
         path = params.get("path")
         if path is None:
@@ -129,9 +125,11 @@ def sparsify_pipeline(
     base: DagSkeleton, cfg: PipelineConfig, caps: Caps = Caps()
 ) -> tuple[GmdInstance, StructuralReport]:
     """Sample, label, and clean the base DAG; returns instance plus report."""
+    # one draw per base arc, then the labels: `random(k)` gives the doubles
+    # of k scalar calls and leaves the generator in the same state
     rng = substream(cfg.seed, 0)
-    threshold = _draw_threshold(cfg.p_keep)
-    kept = [a for a in base.arcs if rng.random() < threshold]
+    keep = (rng.random(len(base.arcs)) < _draw_threshold(cfg.p_keep)).tolist()
+    kept = [a for a, k in zip(base.arcs, keep) if k]
     labels = rng.integers(1, cfg.T + 1, size=len(kept))
     arcs = {(u, v): int(t) for (u, v), t in zip(kept, labels)}
 
@@ -163,9 +161,15 @@ def _local_search_estimate(inst: GmdInstance, restarts: int, seed: int) -> Fract
     Values are exact integers on the pair game of `exact`.  Flipping v
     changes only the best responses of v and of the heads of its out-arcs,
     so a flip's gain comes from their score vectors (the weight each nonzero
-    label earns from the zero set), which are kept up to date.
+    label earns from the zero set) and largest scores, which are kept up to
+    date.  That gain reads the zero flags and largest scores of v and of
+    those heads, so a flip at u can change the gains of u, of its in- and
+    out-neighbours, and of the in-neighbours of its out-neighbours.  A sweep
+    re-scores only the vertices a flip marked since they last found no gain;
+    the others' gains are unchanged and not positive, so the flips, their
+    order and the value are those of re-scoring every vertex.
     """
-    resp = _gmd_responder(_gmd_game(inst))
+    resp = _gmd_responder(inst)
     n, T = inst.n, inst.T
     # out[v]: (w, what each nonzero label of w earns while v is zero)
     earns: list[dict[int, list[int]]] = [{} for _ in range(n)]
@@ -174,6 +178,12 @@ def _local_search_estimate(inst: GmdInstance, restarts: int, seed: int) -> Fract
             for v, p in terms:
                 earns[v].setdefault(w, [0] * T)[j] = p
     out = [list(e.items()) for e in earns]
+    ins: list[list[int]] = [[] for _ in range(n)]
+    for v in range(n):
+        for w, _ in out[v]:
+            ins[w].append(v)
+    # touch[u]: the vertices whose gain a flip at u can change
+    touch = [tuple({u, *ins[u]}.union(*((w, *ins[w]) for w, _ in out[u]))) for u in range(n)]
     best = 0
     # restart r starts from the coins of substream r + 1, zero where 0
     coins = coin_rows(seed, np.arange(1, restarts + 1, dtype=np.uint64), n)
@@ -184,25 +194,35 @@ def _local_search_estimate(inst: GmdInstance, restarts: int, seed: int) -> Fract
             if zero[v]:
                 for w, g in out[v]:
                     score[w] = [a + b for a, b in zip(score[w], g)]
-        val = sum(max(score[w]) for w in range(n) if not zero[w])
+        top = [max(s) for s in score]
+        val = sum(top[w] for w in range(n) if not zero[w])
+        dirty = [True] * n
         improved = True
         while improved:
             improved = False
             for v in range(n):
+                if not dirty[v]:
+                    continue
                 sign = -1 if zero[v] else 1  # 1: v joins the zero set
-                delta = -sign * max(score[v])
+                delta = -sign * top[v]
                 moved = []
                 for w, g in out[v]:
                     new = [a + sign * b for a, b in zip(score[w], g)]
+                    m = max(new)
                     if not zero[w]:
-                        delta += max(new) - max(score[w])
-                    moved.append((w, new))
+                        delta += m - top[w]
+                    moved.append((w, new, m))
                 if delta > 0:
                     zero[v] = not zero[v]
-                    for w, new in moved:
+                    for w, new, m in moved:
                         score[w] = new
+                        top[w] = m
                     val += delta
                     improved = True
+                    for x in touch[v]:
+                        dirty[x] = True
+                # v found no gain, or flipped and would lose delta flipping back
+                dirty[v] = False
         best = max(best, val)
     return Fraction(best, resp.game.denom)
 

@@ -11,6 +11,13 @@ byte.  Lemma: `_edge_cycle(a, b)` returns the lexicographically smallest
 shortest a..b path of G - ab.  Deleting an edge off that path leaves it
 present and still shortest, and can only remove rival paths, so an edge's
 cycle is recomputed only when a drop removed one of the cycle's own edges.
+
+Peeling lemma: a vertex with one neighbour lies on no cycle, and neither
+does its edge, so deleting it changes no cycle and no `_edge_cycle` result
+of the other edges.  Deleting such vertices until none is left (the k-core
+peeling of Batagelj & Zaversnik 2003, k = 2) leaves the 2-core, and `girth`
+and `break_short_cycles` search for cycles there only; the cleanup peels
+again after each drop.
 """
 
 from __future__ import annotations
@@ -31,6 +38,27 @@ def adjacency(n: int, edges) -> list[list[int]]:
         adj[u].add(v)
         adj[v].add(u)
     return [sorted(s) for s in adj]
+
+
+def _peel(adj, queue) -> list[Edge]:
+    """Delete from `adj`, in place, each vertex of `queue` left with one
+    neighbour, and each vertex that a deletion leaves with one; returns the
+    deleted edges.  With every vertex queued this leaves the 2-core (see
+    the module docstring)."""
+    peeled = []
+    while queue:
+        x = queue.pop()
+        if len(adj[x]) == 1:
+            y = adj[x].pop()
+            adj[y].remove(x)
+            peeled.append(edge(x, y))
+            queue.append(y)
+    return peeled
+
+
+def _core_edges(adj) -> list[Edge]:
+    """The edges of `adj` (once peeled, of its 2-core), sorted."""
+    return [(a, b) for a, nb in enumerate(adj) for b in nb if a < b]
 
 
 def canonical_cycle(path) -> tuple[int, ...]:
@@ -106,10 +134,10 @@ def shortest_cycle(n: int, edges) -> tuple[int, ...] | None:
 
 def girth(n: int, edges) -> int | None:
     """Length of a shortest cycle, or None for a forest."""
-    edges = sorted({edge(u, v) for u, v in edges})
     adj = adjacency(n, edges)
+    _peel(adj, list(range(n)))
     best = n + 1
-    for a, b in edges:
+    for a, b in _core_edges(adj):
         found = _edge_cycle(adj, a, b, best - 1)
         if found is not None:
             best = len(found)
@@ -134,9 +162,15 @@ def break_short_cycles(n: int, edges, l: int) -> list[Edge]:
     recomputed when its bound reaches the top of the heap.  The top is then
     an exact key no larger than any other edge's, which is the plain loop's
     choice.
+
+    Only the edges of the 2-core get a key, and a drop peels its ends
+    (see the module docstring).  A peeled edge is on no cycle after the
+    drop, so every cycle that ran through it ran through the dropped edge:
+    its key goes with the drop's, and the keys whose paths used it are
+    stale already.
     """
-    edges = sorted({edge(u, v) for u, v in edges})
     adj = adjacency(n, edges)
+    _peel(adj, list(range(n)))
     # live edges with a cycle of length <= l: the exact key, or a bound while stale
     key: dict[Edge, tuple] = {}
     version: dict[Edge, int] = {}  # which computation of an edge's key is current
@@ -158,7 +192,7 @@ def break_short_cycles(n: int, edges, l: int) -> list[Edge]:
             dependants[edge(found[i - 1], found[i])].append(tag)
         heapq.heappush(heap, (key[e], e))
 
-    for e in edges:
+    for e in _core_edges(adj):
         compute(e)
     dropped = []
     while heap:
@@ -175,8 +209,9 @@ def break_short_cycles(n: int, edges, l: int) -> list[Edge]:
         dropped.append(drop)
         adj[u].remove(v)
         adj[v].remove(u)
-        key.pop(drop, None)
-        stale.discard(drop)
+        for gone in [drop, *_peel(adj, [u, v])]:
+            key.pop(gone, None)
+            stale.discard(gone)
         for f, ver in dependants.pop(drop, ()):
             if f in key and version[f] == ver and f not in stale:
                 stale.add(f)

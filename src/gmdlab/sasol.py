@@ -339,14 +339,13 @@ def embed_vectors(table: PairwiseTable, S: Optional[Sequence[int]] = None) -> Ve
     S = tuple(sorted(S if S is not None else range(inst.n)))
     gram = _gram_matrix(table, S)
     eigvals, eigvecs = np.linalg.eigh(gram)
-    if eigvals.min() < -PSD_TOL:
-        raise EmbeddingError(
-            f"Gram minimum eigenvalue {eigvals.min():.3e} below -{PSD_TOL:.1e}"
-        )
+    low = eigvals.min(initial=0.0)  # no vertex: an empty, PSD Gram matrix
+    if low < -PSD_TOL:
+        raise EmbeddingError(f"Gram minimum eigenvalue {low:.3e} below -{PSD_TOL:.1e}")
     clamped = tuple(float(v) for v in eigvals[eigvals < 0])
     eigvals = np.clip(eigvals, 0.0, None)
     factors = eigvecs * np.sqrt(eigvals)
-    err = np.abs(factors @ factors.T - gram).max()
+    err = np.abs(factors @ factors.T - gram).max(initial=0.0)
     if err > 2 * PSD_TOL:
         raise EmbeddingError(f"factorization error {err:.3e} too large")
     return VectorSystem(
@@ -491,7 +490,7 @@ def _rounded_labels(factors: np.ndarray, q: int, trials: int, seed: int):
     batch size gives the same labels.
     """
     rows, dim = factors.shape
-    batch = max(1, ROUND_BATCH_ENTRIES // max(rows, dim))
+    batch = max(1, ROUND_BATCH_ENTRIES // max(rows, dim, 1))
     rng = substream(seed, 0)
     for done in range(0, trials, batch):
         step = min(batch, trials - done)

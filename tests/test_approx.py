@@ -90,6 +90,26 @@ def test_large_instance_batch_memory_is_bounded(algorithm):
     assert peak < 16 << 20
 
 
+@pytest.mark.parametrize("algorithm", [approx_gp_quarter, approx_gmd_quarter])
+def test_chunk_counts_the_responders_score_row(algorithm):
+    # the best responses read 20,000 score entries a trial, the centre's
+    # 200 prices on a pricing star and 10 labels at each of 2,000 leaves on
+    # a max-dicut star, against n + edges or arcs of 401 and 4,001 entries;
+    # chunks sized by those alone peaked at 118 and 35 MB
+    if algorithm is approx_gp_quarter:
+        inst = GpInstance.of(201, [(0, i, i, 1) for i in range(1, 201)])
+    else:
+        inst = GmdInstance.of(10, 2001, [(0, i, i % 10 + 1, 1) for i in range(1, 2001)])
+    tracemalloc.start()
+    try:
+        run = run_trials(algorithm, inst, 700, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.trials == 700
+    assert peak < 16 << 20
+
+
 def test_gp_quarter_single_edge_expectation():
     # four equally likely coin patterns; the two one-zero patterns price at 1
     inst = GpInstance.of(2, [(0, 1, 1, 1)])

@@ -335,6 +335,23 @@ def test_sasol_command(tmp_path, capsys):
     assert Path(csv).read_text().count("\n") > 5
 
 
+@pytest.mark.parametrize(
+    "text, argv, line",
+    [
+        ("gmd 1\nv 0\n", ["solve"], "opt = 0"),
+        ("gmd 1\nv 0\n", ["approx", "--algo", "gmd4"], "mean = 0.0 stderr = 0.0"),
+        ("gmd 1\nv 0\n", ["sasol"], "objective = 0 consistent = True"),
+        ("gp\nv 0\n", ["solve"], "opt = 0"),
+        ("gp\nv 0\n", ["approx", "--algo", "gp4"], "mean = 0.0 stderr = 0.0"),
+    ],
+)
+def test_empty_instance_answers_zero(tmp_path, capsys, text, argv, line):
+    path = write(tmp_path, "empty.txt", text)
+    assert run_command(argv + ["--in", path, "--csv", str(tmp_path / "out.csv")]) == 0
+    assert line in capsys.readouterr().out
+    assert (tmp_path / "out.csv").exists()
+
+
 def test_dict_eval_dictator(tmp_path, capsys):
     fn = write(tmp_path, "fns.txt", "0 1 2\n0 1 2\n")
     code = run_command(

@@ -308,7 +308,7 @@ def test_engine_elimination_and_zero_set_walk_agree():
             game = _gmd_game(inst)
             order, _ = game.elimination_order()
             total, _ = game._eliminate(order, game.arrays())
-            assert _gmd_elim_mask(game, order) == _zero_set_walk(_gmd_responder(game))
+            assert _gmd_elim_mask(game, order) == _zero_set_walk(_gmd_responder(inst))
             assert F(total, game.denom) == opt_gmd(inst).value
 
 
@@ -375,7 +375,7 @@ def test_elimination_and_walk_agree_on_gmd(inst):
     order, _ = game.elimination_order()
     value, _ = game._eliminate(order, game.arrays())
     mask = _gmd_elim_mask(game, order)
-    resp = _gmd_responder(game)
+    resp = _gmd_responder(inst)
     labels, total = _gmd_labels(resp, [bool(mask >> v & 1) for v in range(inst.n)])
     assert total == value
     assert _zero_set_walk(resp) == mask
@@ -490,7 +490,7 @@ def test_elimination_on_python_int_tables():
     mask = _gmd_elim_mask(game, order)
     value, witness = _plain_gmd(inst)
     assert mask == sum(1 << v for v, x in enumerate(witness.values) if x == 0)
-    assert F(_gmd_labels(_gmd_responder(game), [bool(mask >> v & 1) for v in range(5)])[1], game.denom) == value
+    assert F(_gmd_labels(_gmd_responder(inst), [bool(mask >> v & 1) for v in range(5)])[1], game.denom) == value
     res = opt_gmd(inst)
     assert (res.value, res.witness) == (value, witness)
     assert value == opt_gmd_bruteforce(inst).value
@@ -506,7 +506,7 @@ def test_elimination_when_only_the_penalised_tables_pass_int64():
     assert game.int64() and not game.int64(1 << inst.n)
     order, _ = game.elimination_order()
     mask = _gmd_elim_mask(game, order)
-    resp = _gmd_responder(game)
+    resp = _gmd_responder(inst)
     assert mask == _zero_set_walk(resp)
     labels, total = _gmd_labels(resp, [bool(mask >> v & 1) for v in range(inst.n)])
     res = opt_gmd(inst)
@@ -523,13 +523,13 @@ def test_walk_runs_when_the_pair_maxima_fit_int64():
     assert sum(a.weight for a in inst.arcs) == 2**62 + 1 and game.int64()
     assert _gmd_path(inst) == "walk"
     value, witness = _plain_gmd(inst)
-    assert _zero_set_walk(_gmd_responder(game)) == sum(1 << v for v, x in enumerate(witness.values) if x == 0)
+    assert _zero_set_walk(_gmd_responder(inst)) == sum(1 << v for v, x in enumerate(witness.values) if x == 0)
     res = opt_gmd(inst)
     assert (res.value, res.witness) == (value, witness) == (2**61 + 1, Labeling((1, 0, 1)))
 
 
 def _gmd_path(inst):
-    return _gmd_plan(_gmd_responder(_gmd_game(inst)))[0]
+    return _gmd_plan(_gmd_responder(inst))[0]
 
 
 def test_cost_estimate_picks_each_path(tmp_path):
@@ -554,7 +554,7 @@ def test_cost_estimate_picks_each_path(tmp_path):
         inst = parse_instance(fh.read())
     assert _gmd_path(inst) == "elim"
     game = _gmd_game(inst)
-    resp = _gmd_responder(game)
+    resp = _gmd_responder(inst)
     zero = _zero_set_walk(resp)
     assert opt_gmd(inst).value == F(_gmd_labels(resp, [bool(zero >> v & 1) for v in range(16)])[1],
                                     game.denom)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmdlab.core import GmdInstance, InstanceError
 from gmdlab.exact import opt_gmd
@@ -156,6 +158,26 @@ def test_local_search_matches_plain_hill_climb():
         base = generate_base_dag("window-random", n, params={"window": 4, "p": 0.8}, seed=seed)
         inst, _ = sparsify_pipeline(base, cfg(n=n, T=T, p_keep=F(1), Delta=6, seed=seed))
         assert _local_search_estimate(inst, 4, seed) == _plain_local_search(inst, 4, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["complete-dag", "window-random"]),
+    n=st.integers(2, 12),
+    T=st.integers(1, 3),
+    restarts=st.integers(1, 12),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_local_search_matches_plain_hill_climb_on_random_bases(kind, n, T, restarts, seed, data):
+    # every base arc, labelled and weighted at random, so that flips at
+    # neighbouring vertices interleave
+    from gmdlab.gapgen import _local_search_estimate
+
+    base = generate_base_dag(kind, n, params={"window": 3, "p": 0.7}, seed=seed)
+    arcs = [(u, v, data.draw(st.integers(1, T)), data.draw(st.integers(1, 5))) for u, v in base.arcs]
+    inst = GmdInstance.of(T, n, arcs)
+    assert _local_search_estimate(inst, restarts, seed) == _plain_local_search(inst, restarts, seed)
 
 
 def test_max_dicut_cross_check_label_restriction():

@@ -173,3 +173,50 @@ def test_pipeline_drops_match_reference_loop(n, seed, l):
         sparsify_pipeline(generate_base_dag("complete-dag", n), cfg)
     [(n_, edges, l_, dropped)] = calls
     assert dropped == reference_break(n_, edges, l_)
+
+
+@st.composite
+def graphs_with_pendant_trees(draw, max_n=10, max_tree=10):
+    """A small graph with trees hung from it, its vertex ids shuffled so
+    that tree vertices sit among the others."""
+    n_core, edges = draw(small_graphs(max_n=max_n))
+    n = n_core + draw(st.integers(0, max_tree))
+    # vertex v >= n_core hangs from one earlier vertex
+    edges = list(edges) + [(draw(st.integers(0, v - 1)), v) for v in range(n_core, n)]
+    ids = draw(st.permutations(range(n)))
+    return n, [edge(ids[u], ids[v]) for u, v in edges]
+
+
+def reference_two_core(n, edges):
+    """The 2-core by definition: the union of every vertex set whose induced
+    subgraph has minimum degree at least 2, and the edges inside it."""
+    core = 0
+    for mask in range(1, 1 << n):
+        deg = [0] * n
+        for u, v in edges:
+            if mask >> u & mask >> v & 1:
+                deg[u] += 1
+                deg[v] += 1
+        if all(deg[v] >= 2 for v in range(n) if mask >> v & 1):
+            core |= mask
+    return sorted({e for e in edges if core >> e[0] & core >> e[1] & 1})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_graphs(max_n=11), graphs_with_pendant_trees(max_n=6, max_tree=5)))
+def test_peel_leaves_the_two_core(graph):
+    n, edges = graph
+    adj = graphs.adjacency(n, edges)
+    peeled = graphs._peel(adj, list(range(n)))
+    core = reference_two_core(n, sorted(set(edges)))
+    assert graphs._core_edges(adj) == core
+    assert sorted(peeled) == sorted(set(edges) - set(core))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_pendant_trees(), st.integers(3, 12))
+def test_cycle_helpers_match_reference_with_pendant_trees(graph, l):
+    n, edges = graph
+    cyc = reference_shortest_cycle(n, edges)
+    assert girth(n, edges) == (len(cyc) if cyc else None)
+    assert break_short_cycles(n, edges, l) == reference_break(n, edges, l)

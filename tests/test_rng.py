@@ -60,3 +60,16 @@ def test_batch_of_no_trials(n):
     assert coin_rows(3, empty, n).shape == (0, n)
     assert uniform_rows(3, empty, n).shape == (0, n)
     assert philox_words(3, empty, n).shape == (0, n)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("k", LENGTHS)
+@pytest.mark.parametrize("T", (1, 3))
+def test_one_vector_draw_is_scalar_draws_in_order(seed, k, T):
+    # the gap pipeline draws its arc sample as one vector and then the
+    # labels: `random(k)` gives the doubles of k scalar `random()` calls
+    # and leaves the generator where they do
+    vector, scalar = substream(seed, 5), substream(seed, 5)
+    assert vector.random(k).tolist() == [scalar.random() for _ in range(k)]
+    m = 2 * k + 3
+    assert vector.integers(1, T + 1, size=m).tolist() == scalar.integers(1, T + 1, size=m).tolist()

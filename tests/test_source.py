@@ -1,7 +1,8 @@
 """Static checks of the package source with the standard library's `ast`:
 no import is left unused, no private module-level name is left
-unreferenced, as happens when the code that used it goes, and every cap is
-read by some module other than the one that declares it."""
+unreferenced, as happens when the code that used it goes, every cap is
+read by some module other than the one that declares it, and no loop draws
+its random numbers one call at a time where one vector draw would do."""
 
 import ast
 from dataclasses import fields
@@ -85,3 +86,48 @@ def test_every_cap_is_read_outside_caps():
             read |= {node.attr for node in ast.walk(_tree(path)) if isinstance(node, ast.Attribute)}
     unread = [f.name for f in fields(Caps) if f.name not in read]
     assert unread == []
+
+
+# A draw is scalar without `size` and with at most this many positional
+# arguments; `random(k)` gives the doubles of k scalar calls in order.
+SCALAR_DRAWS = {"random": 0, "integers": 2}
+# (module, function) whose scalar draws in a loop stay, and why
+SCALAR_DRAW_EXEMPT = {
+    ("sasol.py", "_sampled_distribution"):
+        "each tree's edge cuts and labels take turns on one stream",
+    ("dicttest.py", "adversarial_functions"):
+        "a scalar bounded draw takes a 64-bit word where a vector one takes 32 bits",
+}
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+          ast.GeneratorExp)
+
+
+def _is_scalar_draw(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in SCALAR_DRAWS
+            and len(node.args) <= SCALAR_DRAWS[node.func.attr]
+            and all(kw.arg != "size" for kw in node.keywords))
+
+
+def _scalar_draws_in_loops(tree: ast.Module):
+    """(enclosing function, line) of each scalar draw anywhere inside a loop
+    or comprehension of that function."""
+    def visit(node, func, in_loop):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            func, in_loop = getattr(node, "name", func), False
+        elif isinstance(node, _LOOPS):
+            in_loop = True
+        elif in_loop and _is_scalar_draw(node):
+            yield func, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, func, in_loop)
+    yield from visit(tree, None, False)
+
+
+def test_no_scalar_draw_in_a_loop():
+    found = {(path.name, func, line) for path in MODULES
+             for func, line in _scalar_draws_in_loops(_tree(path))}
+    assert sorted(f"{name}:{line} {func}" for name, func, line in found
+                  if (name, func) not in SCALAR_DRAW_EXEMPT) == []
+    # an exemption whose draws are gone exempts nothing
+    assert {(name, func) for name, func, _ in found} >= set(SCALAR_DRAW_EXEMPT)
