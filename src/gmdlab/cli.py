@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import math
 import os
 import sys
 import tempfile
@@ -39,9 +38,9 @@ from .core import (
     InstanceError,
     ParseError,
     ValueTexts,
-    max_incident_budget,
     parse_instance,
     parse_rational,
+    price_grid,
     serialize_instance,
 )
 
@@ -162,57 +161,12 @@ def _read_instance(path: str):
         raise InstanceError(f"cannot read {path}: {exc}") from exc
 
 
-def _price_grid(inst: GpInstance, spec: str, caps: Caps, per_vertex: bool):
-    """The per-vertex price grids named by `spec`.
-
-    Their sizes are checked before any grid is built: each vertex's against
-    `sa_domain` when `per_vertex` (for salp), their product against
-    `gp_grid_points` otherwise (for solve).
-    """
-    from .exact import half_integral_grid
-    from .salp import geometric_grid, geometric_grid_size
-
-    budgets = max_incident_budget(inst)
-    limit = caps.sa_domain if per_vertex else caps.gp_grid_points
-    if spec == "half":
-        sizes = [min(int(2 * b) + 1, limit + 1) for b in budgets]
-    elif spec.startswith("geom:"):
-        eps = _grid_eps(spec)
-        sizes = [geometric_grid_size(b, eps, limit) for b in budgets]
-    else:
-        raise InstanceError(f"unknown grid spec {spec!r} (want half or geom:<eps>)")
-    if per_vertex:
-        for v, size in enumerate(sizes):
-            if size > limit:
-                raise CapExceeded(
-                    f"grid {spec} gives vertex {v} more than {limit} prices, "
-                    f"cap sa_domain={limit}"
-                )
-    else:
-        points = math.prod(sizes)
-        if points > limit:
-            count = f"more than {limit}" if limit + 1 in sizes else str(points)
-            raise CapExceeded(f"grid has {count} points, cap {limit}")
-    if spec == "half":
-        return half_integral_grid(inst)
-    return [geometric_grid(b, eps) for b in budgets]
-
-
-def _rational(option: str, text: str, prefix: str = "") -> Fraction:
-    """The rational after `prefix` in the value `text` of `option`, or
-    InstanceError naming both."""
+def _rational(option: str, text: str) -> Fraction:
+    """The rational value `text` of `option`, or InstanceError naming both."""
     try:
-        return parse_rational(text[len(prefix):])
+        return parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InstanceError(f"bad {option} {text!r}: {exc}") from None
-
-
-def _grid_eps(spec: str) -> Fraction:
-    """The positive rational eps of a `geom:<eps>` spec, or InstanceError."""
-    eps = _rational("grid spec", spec, prefix="geom:")
-    if eps <= 0:
-        raise InstanceError(f"bad grid spec {spec!r}: eps must be positive")
-    return eps
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +181,7 @@ def _cmd_solve(args, caps, argv) -> int:
     if isinstance(inst, GmdInstance):
         res = opt_gmd(inst, caps=caps)
     else:
-        grid = _price_grid(inst, args.grid, caps, per_vertex=False)
+        grid = price_grid(inst, args.grid, caps.gp_grid_points, per_vertex=False)
         res = opt_gp_grid(inst, grid, caps=caps)
     print(f"opt = {res.value}")
     if args.csv:
@@ -306,7 +260,7 @@ def _cmd_salp(args, caps, argv) -> int:
 
     inst = _read_instance(args.infile)
     pricing = isinstance(inst, GpInstance)
-    grid = _price_grid(inst, args.grid, caps, per_vertex=True) if pricing else None
+    grid = price_grid(inst, args.grid, caps.sa_domain, per_vertex=True) if pricing else None
     lp = build_sa_lp(inst, args.rounds, price_grid=grid, caps=caps)
     value, sol = solve_lp_exact(lp)
     report = check_sa_consistency(sol)
@@ -576,7 +530,7 @@ def _cmd_gauss(args, caps, argv) -> int:
     if args.csv:
         emit_report(rows, args.csv, header, argv, seed=args.seed)
         if args.plot_script:
-            x, y = ("t", "sf") if args.suite == "cdf" else (header[0], header[-2])
+            x, y = {"cdf": ("t", "sf"), "gamma": ("rho", "value"), "maxgap": ("n", "p_gap_ge")}[args.suite]
             emit_plot_script(args.csv, args.plot_script, x=x, y=y)
     fails = [r for r in rows if r.get("pass") is False or r.get("max_ok") is False or r.get("gap_ok") is False]
     print(f"rows = {len(rows)} failures = {len(fails)}")

@@ -1,4 +1,4 @@
-"""Instance data model, value functions, and bit-exact file I/O.
+"""Instance data model, value functions, price grids, and bit-exact file I/O.
 
 Two problems share this module:
 
@@ -9,7 +9,8 @@ Two problems share this module:
 
 All weights, budgets, and prices are exact rationals (`fractions.Fraction`).
 The reduction between the two problems produces budgets that are huge powers
-of an integer, so nothing in this module may ever round.
+of an integer, so nothing in this module may ever round.  A price grid's
+size is known before it is built: geometric_grid_size uses logarithms.
 """
 
 from __future__ import annotations
@@ -50,6 +51,12 @@ def as_fraction(x) -> Fraction:
         except (ValueError, ZeroDivisionError):
             pass
     raise InstanceError(f"not an exact rational: {x!r}")
+
+
+def over_lcm(values) -> tuple[list[int], int]:
+    """Rationals as integer numerators over the lcm of their denominators."""
+    denom = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
 class ValueTexts(dict):
@@ -262,6 +269,110 @@ def check_price_grid(inst: GpInstance, grid) -> None:
         for p in prices:
             if p < 0:
                 raise InstanceError(f"negative candidate price {p}")
+
+
+def price_grid(inst: GpInstance, spec: str, limit: int, per_vertex: bool) -> list[list[Fraction]]:
+    """The per-vertex price grids named by `spec`, `half` or `geom:<eps>`.
+
+    Their sizes are checked before any grid is built, against `limit`: each
+    vertex's if `per_vertex` (sa_domain, for the LP), else their product
+    (gp_grid_points, for the oracle)."""
+    budgets = max_incident_budget(inst)
+    if spec == "half":
+        sizes = [min(_half_grid_size(b), limit + 1) for b in budgets]
+    elif spec.startswith("geom:"):
+        try:
+            eps = parse_rational(spec[len("geom:"):])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InstanceError(f"bad grid spec {spec!r}: {exc}") from None
+        if eps <= 0:
+            raise InstanceError(f"bad grid spec {spec!r}: eps must be positive")
+        sizes = [geometric_grid_size(b, eps, limit) for b in budgets]
+    else:
+        raise InstanceError(f"unknown grid spec {spec!r} (want half or geom:<eps>)")
+    if per_vertex:
+        for v, size in enumerate(sizes):
+            if size > limit:
+                raise CapExceeded(
+                    f"grid {spec} gives vertex {v} more than {limit} prices, "
+                    f"cap sa_domain={limit}"
+                )
+    else:
+        points = math.prod(sizes)
+        if points > limit:
+            count = f"more than {limit}" if limit + 1 in sizes else str(points)
+            raise CapExceeded(f"grid has {count} points, cap {limit}")
+    if spec == "half":
+        return half_integral_grid(inst)
+    return [geometric_grid(b, eps) for b in budgets]
+
+
+def half_integral_grid(inst: GpInstance) -> list[list[Fraction]]:
+    """Per-vertex candidates {0, 1/2, ..., B_v} where B_v caps incident budgets.
+
+    Exact for integer budgets; for fractional budgets the grid is still legal
+    input but the result is only a lower bound on the optimum.
+    """
+    return [[Fraction(k, 2) for k in range(_half_grid_size(b))] for b in max_incident_budget(inst)]
+
+
+def _half_grid_size(budget: Fraction) -> int:
+    return int(2 * budget) + 1  # the prices 0, 1/2, ..., budget
+
+
+def geometric_grid(max_budget: Fraction, eps: Fraction) -> list[Fraction]:
+    """{0} plus powers of (1+eps) up to the budget, exact rationals."""
+    if eps <= 0:
+        raise InstanceError("eps must be positive")
+    grid = [Fraction(0)]
+    p = Fraction(1)
+    while p <= max_budget:
+        grid.append(p)
+        p *= 1 + eps
+    return grid
+
+
+def geometric_grid_size(max_budget: Fraction, eps: Fraction, limit: int) -> int:
+    """min(len(geometric_grid(max_budget, eps)), limit + 1), without building
+    the grid.
+
+    The grid holds 0 and (1+eps)^k for k = 0..K, K = floor(log B / log(1+eps))
+    when B = max_budget >= 1.  A float estimate of K settles the length unless
+    it lies within rounding of an integer; only then, and only when K is at
+    most about `limit`, exact powers of 1+eps confirm it.
+    """
+    if eps <= 0:
+        raise InstanceError("eps must be positive")
+    if max_budget < 1:
+        return min(1, limit + 1)
+    top = 0
+    if max_budget > 1:
+        log_top = _log_log1p(max_budget - 1) - _log_log1p(eps)
+        if log_top > math.log(limit + 1) + 1e-6:
+            return limit + 1
+        est = math.exp(log_top)
+        top = math.floor(est)
+        if min(est - top, top + 1 - est) <= 1e-9 * (est + 1):
+            step, top = 1 + eps, round(est)
+            while top > 0 and step**top > max_budget:
+                top -= 1
+            while step ** (top + 1) <= max_budget:
+                top += 1
+    return min(top + 2, limit + 1)
+
+
+def _log_log1p(f: Fraction) -> float:
+    """log(log(1 + f)) for a rational f > 0, free of float overflow and
+    underflow: log(1 + f) = f (1 - f/2 + ...) for tiny f."""
+    p, q = f.numerator, f.denominator
+    if f < _TINY:
+        return math.log(p) - math.log(q)
+    if f > _HUGE:
+        return math.log(math.log(p + q) - math.log(q))
+    return math.log(math.log1p(p / q))
+
+
+_TINY, _HUGE = Fraction(1, 2**60), Fraction(2**60)
 
 
 def ndeg(inst: GmdInstance) -> Fraction:

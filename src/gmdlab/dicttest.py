@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .caps import Caps
-from .core import CapExceeded, GmdInstance, InstanceError
+from .core import CapExceeded, GmdInstance, InstanceError, over_lcm
 from .gapgen import DagSkeleton
 from .reduction import topo_number
 from .rng import substream
@@ -156,15 +156,8 @@ def _correlation_svd(space: CorrelatedSpace) -> float:
 # ---------------------------------------------------------------------------
 
 
-def encode_point(x: Sequence[int], q: int) -> int:
-    """Base-q code of a hypercube point; coordinate i has stride q^i."""
-    code = 0
-    for i in reversed(range(len(x))):
-        code = code * q + x[i]
-    return code
-
-
 def decode_point(code: int, q: int, R: int) -> tuple[int, ...]:
+    """The R coordinates of a base-q hypercube code; coordinate i has stride q^i."""
     out = []
     for _ in range(R):
         out.append(code % q)
@@ -246,7 +239,7 @@ FunctionTable = Sequence[int]
 def evaluate_acceptance(ti: TestInstance, functions: Sequence[FunctionTable]) -> Fraction:
     """Exact acceptance probability of per-inner-vertex functions.
 
-    `functions[v]` maps hypercube codes (see encode_point) to labels 0..T.
+    `functions[v]` maps hypercube codes (see decode_point) to labels 0..T.
     """
     q = ti.space.q
     block = q**ti.R
@@ -278,18 +271,15 @@ def acceptance_probability(
         if len(table) != block:
             raise InstanceError(f"function for inner vertex {v} is partial")
     if space.exact:
-        denom = 1
-        for t in range(1, space.T + 1):
-            for p in space.joint(t).values():
-                denom = denom * p.denominator // math.gcd(denom, p.denominator)
+        joints = [list(space.joint(t).items()) for t in range(1, space.T + 1)]
+        nums, denom = over_lcm([p for joint in joints for _, p in joint])
+        nums = iter(nums)
+        pairs = [[(x, y, next(nums)) for (x, y), _ in joint] for joint in joints]
         acc = 0
         for u, v in arcs:
             fu, fv = functions[u], functions[v]
-            for t in range(1, space.T + 1):
-                pairs = [
-                    (x, y, int(p * denom)) for (x, y), p in space.joint(t).items()
-                ]
-                acc += _stream_sum(pairs, R, q, fu, fv, t, denom)
+            for t, scaled in enumerate(pairs, 1):
+                acc += _stream_sum(scaled, R, q, fu, fv, t, denom)
         return Fraction(acc, denom**R * len(arcs) * space.T)
     acc_f = 0.0
     for u, v in arcs:

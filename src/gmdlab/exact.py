@@ -65,7 +65,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import Sequence, Union
 
 import numpy as np
@@ -79,7 +79,7 @@ from .core import (
     Labeling,
     Pricing,
     check_price_grid,
-    max_incident_budget,
+    over_lcm,
     val_gmd,
     val_gp,
 )
@@ -420,14 +420,13 @@ def _gmd_game(inst: GmdInstance) -> _PairGame:
     T is label 0, so the smallest index prefers a nonzero label on ties.
     Weights are scaled once to integers over the lcm of their denominators."""
     T = inst.T
-    scale = lcm(*(a.weight.denominator for a in inst.arcs))
+    weights, scale = over_lcm([a.weight for a in inst.arcs])
     tables: dict = {}
-    for a in inst.arcs:
+    for a, w in zip(inst.arcs, weights):
         u, v = sorted((a.tail, a.head))
         rows = tables.get((u, v))
         if rows is None:
             rows = tables[u, v] = [[0] * (T + 1) for _ in range(T + 1)]
-        w = a.weight.numerator * (scale // a.weight.denominator)
         if a.tail == u:
             rows[T][a.label - 1] += w
         else:
@@ -580,34 +579,24 @@ def opt_gmd_bruteforce(inst: GmdInstance, caps: Caps = Caps()) -> OptResult:
     return OptResult(value=best_val, witness=Labeling(best), explored=states)
 
 
-def half_integral_grid(inst: GpInstance) -> list[list[Fraction]]:
-    """Per-vertex candidates {0, 1/2, ..., B_v} where B_v caps incident budgets.
-
-    Exact for integer budgets; for fractional budgets the grid is still legal
-    input but the result is only a lower bound on the optimum.
-    """
-    return [[Fraction(k, 2) for k in range(int(2 * b) + 1)] for b in max_incident_budget(inst)]
-
-
 def _gp_game(inst: GpInstance, candidates: Sequence[Sequence[Fraction]]) -> _PairGame:
     """Pricing as a pair game over candidate indices; parallel edges add up.
 
     Prices and budgets are scaled once to integers over Dp, the lcm of their
     denominators, and weights over Dw, so an entry W_e * (P_u + P_v), kept
     when P_u + P_v <= B_e, is an integer over Dp * Dw."""
-    dp = lcm(*(p.denominator for c in candidates for p in c),
-             *(e.budget.denominator for e in inst.edges))
-    dw = lcm(*(e.weight.denominator for e in inst.edges))
-    prices = [[p.numerator * (dp // p.denominator) for p in c] for c in candidates]
+    scaled, dp = over_lcm([p for c in candidates for p in c] + [e.budget for e in inst.edges])
+    scaled = iter(scaled)
+    prices = [list(itertools.islice(scaled, len(c))) for c in candidates]
+    budgets = list(scaled)
+    weights, dw = over_lcm([e.weight for e in inst.edges])
     tables: dict = {}
-    for e in inst.edges:
+    for e, w, b in zip(inst.edges, weights, budgets):
         u, v = sorted((e.u, e.v))
         cu, cv = prices[u], prices[v]
         rows = tables.get((u, v))
         if rows is None:
             rows = tables[u, v] = [[0] * len(cv) for _ in cu]
-        w = e.weight.numerator * (dw // e.weight.denominator)
-        b = e.budget.numerator * (dp // e.budget.denominator)
         for row, pu in zip(rows, cu):
             for j, pv in enumerate(cv):
                 s = pu + pv

@@ -149,22 +149,20 @@ def decode_pricing(art: ReductionArtifact, pricing: Pricing) -> Labeling:
 
 def principal_part(art: ReductionArtifact, pricing: Pricing) -> Fraction:
     """Head-side revenue: sum of w_gp(u,v) p(v) over affordable arcs (u, v)."""
-    total = Fraction(0)
-    for a in art.source.arcs:
-        budget = Fraction(art.M) ** art.budget_exponent(a.head, a.label)
-        if pricing[a.tail] + pricing[a.head] <= budget:
-            total += (a.weight / budget) * pricing[a.head]
-    return total
+    return sum((w * pricing[a.head] for a, w in _affordable(art, pricing)), Fraction(0))
 
 
 def nonprincipal_part(art: ReductionArtifact, pricing: Pricing) -> Fraction:
     """Tail-side revenue; at most 2 * sum of per-vertex max out-weights."""
-    total = Fraction(0)
+    return sum((w * pricing[a.tail] for a, w in _affordable(art, pricing)), Fraction(0))
+
+
+def _affordable(art: ReductionArtifact, pricing: Pricing):
+    """(arc, w_gp) of each source arc whose edge's two prices fit its budget."""
     for a in art.source.arcs:
         budget = Fraction(art.M) ** art.budget_exponent(a.head, a.label)
         if pricing[a.tail] + pricing[a.head] <= budget:
-            total += (a.weight / budget) * pricing[a.tail]
-    return total
+            yield a, a.weight / budget
 
 
 def canonical_grid(art: ReductionArtifact) -> list[list[Fraction]]:

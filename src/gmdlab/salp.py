@@ -12,7 +12,9 @@ right-hand side of 1 or 0, so build_sa_lp writes the rows as int64 CSR
 arrays, by index arithmetic on those consecutive numbers, with no Python
 step per entry; the objective's indices and solve_lp_exact's read-back are
 index arithmetic from the same starts.  build_sa_lp checks the lp_variables
-cap from the domain sizes before it numbers any variable.
+cap from the domain sizes before it numbers any variable.  The set layout,
+shared with sasol.py, is defined once: sets_up_to lists the sets, set_order
+orders them, table_entries counts their entries and shape_blocks groups them.
 
 Everything here is exact rational arithmetic.  simplex.py solves the LPs: a
 float Bland-rule simplex finds the optimal vertex, which is returned only
@@ -35,9 +37,6 @@ The consistency audit is integer work a block at a time: a sign test, row
 sums, and per kept-axes pattern one axis sum against the sub-block's rows,
 found by a rank lookup; the CSV text reads each block's numerators in one
 call.
-
-Grid sizes are known before any grid is built: geometric_grid_size gives a
-geometric grid's length from logarithms.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -60,6 +60,7 @@ from .core import (
     InstanceError,
     ValueTexts,
     check_price_grid,
+    over_lcm,
 )
 from .simplex import Csr, simplex_max
 
@@ -155,23 +156,14 @@ class SaSolution:
     ) -> "SaSolution":
         """Stack a set -> table mapping into one block per table shape."""
         domains = tuple(tuple(dom) for dom in domains)
-        groups: dict = {}
-        for S in sorted(tables, key=_set_order):
-            arr = np.asarray(tables[S])
-            try:
-                shape = tuple(len(domains[v]) for v in S)
-            except (IndexError, TypeError):
-                raise InstanceError(f"set {S} names no vertex") from None
-            if arr.shape != shape:
-                raise InstanceError(f"table of set {S} has shape {arr.shape}, want {shape}")
-            groups.setdefault(shape, []).append((S, arr))
-        blocks = [
-            TableBlock(
-                np.array([S for S, _ in group], dtype=np.int64).reshape(len(group), len(shape)),
-                np.stack([arr for _, arr in group]),
-            )
-            for shape, group in groups.items()
-        ]
+        sets = sorted(tables, key=set_order)
+        blocks = []
+        for shape, positions, vertices in shape_blocks(sets, [len(dom) for dom in domains]):
+            arrs = [np.asarray(tables[sets[i]]) for i in positions]
+            for i, arr in zip(positions, arrs):
+                if arr.shape != shape:
+                    raise InstanceError(f"table of set {sets[i]} has shape {arr.shape}, want {shape}")
+            blocks.append(TableBlock(vertices, np.stack(arrs)))
         return cls(blocks, denom, rounds, domains, lp_path)
 
     @classmethod
@@ -190,7 +182,8 @@ class SaSolution:
             except (IndexError, KeyError, ValueError):
                 raise InstanceError(f"entry {(S, alpha)} lies outside the domains") from None
             entries.setdefault(S, {})[pos] = Fraction(x)
-        denom = math.lcm(*(x.denominator for per in entries.values() for x in per.values()))
+        nums, denom = over_lcm([x for per in entries.values() for x in per.values()])
+        nums = iter(nums)
         tables = {}
         for S, per in entries.items():
             shape = tuple(len(domains[v]) for v in S)
@@ -199,8 +192,8 @@ class SaSolution:
                     f"table of set {S} has {len(per)} of {math.prod(shape)} entries"
                 )
             arr = np.empty(shape, dtype=object)
-            for pos, x in per.items():
-                arr[pos] = x.numerator * (denom // x.denominator)
+            for pos, num in zip(per, nums):
+                arr[pos] = num
             tables[S] = arr
         return cls.from_tables(tables, denom, rounds, domains, lp_path)
 
@@ -214,7 +207,7 @@ class SaSolution:
         return _TableView(self)
 
     def sets(self):
-        return sorted(self._where, key=_set_order)
+        return sorted(self._where, key=set_order)
 
     def get(self, S: SetKey, alpha: Assignment) -> Fraction:
         S, alpha = tuple(S), tuple(alpha)
@@ -265,8 +258,44 @@ class SaSolution:
         return self.tables[S][np.ix_(*orders)].reshape(-1).tolist()
 
 
-def _set_order(S: SetKey) -> tuple:
+def set_order(S: SetKey) -> tuple:
+    """The sets() order key: by size, then lexicographic."""
     return len(S), S
+
+
+def sets_up_to(n: int, k: int) -> list[SetKey]:
+    """Every set of 1..k of the vertices 0..n-1, in sets() order."""
+    return [S for size in range(1, min(k, n) + 1) for S in itertools.combinations(range(n), size)]
+
+
+def table_entries(sizes: Sequence[int], k: int, cap: float = math.inf) -> int:
+    """Entries of the tables of sets_up_to(len(sizes), k), S's table holding
+    prod(sizes[v] for v in S), with no set listed: those of size s hold e_s,
+    the s-th elementary symmetric polynomial of the sizes.  The e_s are added
+    for s = 1, 2, ... until the sum passes `cap`: exact up to it, a lower
+    bound above."""
+    row, total = [1] * len(sizes), 0  # row[i]: e_(s-1) of the first i sizes
+    for _ in range(min(k, len(sizes))):
+        row = list(itertools.accumulate(map(operator.mul, sizes, row), initial=0))
+        total += row.pop()
+        if total > cap:
+            break
+    return total
+
+
+def shape_blocks(sets: Sequence[SetKey], sizes: Sequence[int]) -> list:
+    """One block per table shape (sizes[v] is v's domain size), in order of
+    first appearance: the shape, its sets' positions in `sets`, and their
+    vertices as a (sets, size) int64 array."""
+    groups: dict = {}
+    size_of = list(sizes).__getitem__
+    for i, S in enumerate(sets):
+        try:
+            groups.setdefault(tuple(map(size_of, S)), []).append(i)
+        except (IndexError, TypeError):
+            raise InstanceError(f"set {S} names no vertex") from None
+    return [(shape, pos, np.array([sets[i] for i in pos], dtype=np.int64).reshape(len(pos), len(shape)))
+            for shape, pos in groups.items()]
 
 
 def _set_codes(vertices: np.ndarray, n: int) -> np.ndarray:
@@ -323,61 +352,6 @@ class _TableView(Mapping):
                 yield S, alpha
 
 
-def geometric_grid(max_budget: Fraction, eps: Fraction) -> list[Fraction]:
-    """{0} plus powers of (1+eps) up to the budget, exact rationals."""
-    if eps <= 0:
-        raise InstanceError("eps must be positive")
-    grid = [Fraction(0)]
-    p = Fraction(1)
-    while p <= max_budget:
-        grid.append(p)
-        p *= 1 + eps
-    return grid
-
-
-def geometric_grid_size(max_budget: Fraction, eps: Fraction, limit: int) -> int:
-    """min(len(geometric_grid(max_budget, eps)), limit + 1), without building
-    the grid.
-
-    The grid holds 0 and (1+eps)^k for k = 0..K, K = floor(log B / log(1+eps))
-    when B = max_budget >= 1.  A float estimate of K settles the length unless
-    it lies within rounding of an integer; only then, and only when K is at
-    most about `limit`, exact powers of 1+eps confirm it.
-    """
-    if eps <= 0:
-        raise InstanceError("eps must be positive")
-    if max_budget < 1:
-        return min(1, limit + 1)
-    top = 0
-    if max_budget > 1:
-        log_top = _log_log1p(max_budget - 1) - _log_log1p(eps)
-        if log_top > math.log(limit + 1) + 1e-6:
-            return limit + 1
-        est = math.exp(log_top)
-        top = math.floor(est)
-        if min(est - top, top + 1 - est) <= 1e-9 * (est + 1):
-            step, top = 1 + eps, round(est)
-            while top > 0 and step**top > max_budget:
-                top -= 1
-            while step ** (top + 1) <= max_budget:
-                top += 1
-    return min(top + 2, limit + 1)
-
-
-def _log_log1p(f: Fraction) -> float:
-    """log(log(1 + f)) for a rational f > 0, free of float overflow and
-    underflow: log(1 + f) = f (1 - f/2 + ...) for tiny f."""
-    p, q = f.numerator, f.denominator
-    if f < _TINY:
-        return math.log(p) - math.log(q)
-    if f > _HUGE:
-        return math.log(math.log(p + q) - math.log(q))
-    return math.log(math.log1p(p / q))
-
-
-_TINY, _HUGE = Fraction(1, 2**60), Fraction(2**60)
-
-
 def build_sa_lp(
     inst,
     rounds: int,
@@ -406,19 +380,11 @@ def build_sa_lp(
         if len(set(dom)) < len(dom):  # the variables number each value once
             raise InstanceError(f"price grid of vertex {v} repeats a price")
 
-    # sum over the sets S of prod_{v in S} |D_v|: the elementary symmetric
-    # polynomials of the domain sizes, before any set is listed
-    per_size = [1] + [0] * rounds
-    for dom in domains:
-        for k in range(rounds, 0, -1):
-            per_size[k] += per_size[k - 1] * len(dom)
-    num_vars = sum(per_size[1:])
+    num_vars = table_entries([len(dom) for dom in domains], rounds)
     if num_vars > caps.lp_variables:
         raise CapExceeded(f"{num_vars} LP variables exceed cap {caps.lp_variables}")
 
-    sets: list[SetKey] = []
-    for size in range(1, min(rounds, inst.n) + 1):
-        sets.extend(itertools.combinations(range(inst.n), size))
+    sets = sets_up_to(inst.n, rounds)
     starts, rows, rhs = _sa_rows(sets, domains)
 
     # the pair (a, b), a < b, has the variables first[a, b] + i |D_b| + j for
@@ -501,16 +467,11 @@ def solve_lp_exact(lp: SaLp) -> tuple[Fraction, SaSolution]:
     the run of numerators that starts at the set's first variable.
     """
     result = simplex_max(lp.objective, lp.rows, lp.rhs)
-    groups: dict = {}  # shape -> (sets, first variable of each)
-    for S, start in zip(lp.sets, lp.starts):
-        sets, starts = groups.setdefault(tuple(len(lp.domains[v]) for v in S), ([], []))
-        sets.append(S)
-        starts.append(start)
     blocks = []
-    for shape, (sets, starts) in groups.items():
+    for shape, positions, vertices in shape_blocks(lp.sets, [len(dom) for dom in lp.domains]):
+        starts = [lp.starts[i] for i in positions]
         nums = result.numerators[np.add.outer(starts, np.arange(math.prod(shape)))]
-        verts = np.array(sets, dtype=np.int64).reshape(len(sets), len(shape))
-        blocks.append(TableBlock(verts, nums.reshape((len(sets),) + shape)))
+        blocks.append(TableBlock(vertices, nums.reshape((len(starts),) + shape)))
     sol = SaSolution(blocks, result.denom, lp.rounds, lp.domains, lp_path=result.path)
     return result.value, sol
 
@@ -580,8 +541,8 @@ def check_sa_consistency(sol: SaSolution) -> ConsistencyReport:
             wrong = ~same.reshape(len(rhs), -1).all(axis=1)
             failing_pairs.update(map(tuple, block.vertices[found][wrong].tolist()))
     if failing or failing_pairs:
-        _list_violations(sol, sorted(failing, key=_set_order),
-                         sorted(failing_pairs, key=_set_order), report)
+        _list_violations(sol, sorted(failing, key=set_order),
+                         sorted(failing_pairs, key=set_order), report)
     return report
 
 

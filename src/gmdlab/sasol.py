@@ -43,7 +43,7 @@ import numpy as np
 from .caps import Caps
 from .core import CapExceeded, GmdInstance, InstanceError
 from .rng import substream
-from .salp import SaSolution, TableBlock
+from .salp import SaSolution, TableBlock, set_order, sets_up_to, shape_blocks, table_entries
 
 
 class AmbiguousPathError(InstanceError):
@@ -614,13 +614,9 @@ def build_sa_solution(
     q = inst.T + 1
     cap = min(caps.sa_table_entries, 2**31 - 1)  # the counting's codes are int32
     if sets is None:
-        # C(n, size) sets of each size; counting stops once over the cap
-        totals = itertools.accumulate(
-            math.comb(inst.n, size) * q**size for size in range(1, min(k, inst.n) + 1)
-        )
-        entries = next((t for t in totals if t > cap), 0)
+        entries = table_entries([q] * inst.n, k, cap)
     else:
-        sets = sorted({tuple(sorted(S)) for S in sets}, key=lambda S: (len(S), S))
+        sets = sorted({tuple(sorted(S)) for S in sets}, key=set_order)
         if any(not S or len(S) > k or S[0] < 0 or S[-1] >= inst.n or len(set(S)) < len(S)
                for S in sets):
             raise InstanceError(
@@ -632,14 +628,8 @@ def build_sa_solution(
     table = pairwise_rho(inst, mu, L)
     vs = embed_vectors(table)
     if sets is None:
-        sets = [
-            S for size in range(1, min(k, inst.n) + 1)
-            for S in itertools.combinations(range(inst.n), size)
-        ]
-    by_size: dict = {}  # one block per set size, in sets() order
-    for S in sets:
-        by_size.setdefault(len(S), []).append(S)
-    blocks = [np.array(group, dtype=np.int64) for group in by_size.values()]
+        sets = sets_up_to(inst.n, k)
+    blocks = [vertices for _, _, vertices in shape_blocks(sets, [q] * inst.n)]
 
     counts = [np.zeros((len(verts), q ** verts.shape[1]), dtype=np.int64) for verts in blocks]
     arcs = [(a.tail, a.head, a.label) for a in inst.arcs]

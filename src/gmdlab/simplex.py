@@ -34,12 +34,13 @@ it solves the LPs whose optimal vertex or duals do not rationalise.
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+
+from .core import over_lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -77,12 +78,6 @@ class LpResult(NamedTuple):
     numerators: np.ndarray
     denom: int
     path: str
-
-
-def _over_lcm(values) -> tuple[list[int], int]:
-    """Rationals as integer numerators over the lcm of their denominators."""
-    denom = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
 def _require_integers(name: str, v: np.ndarray) -> None:
@@ -243,7 +238,7 @@ def _exact(c, a: Csr, rhs: np.ndarray) -> LpResult:
     for i, j in enumerate(basis.tolist()):
         if j < n:
             x[j] = t[i, n]
-    nums, denom = _over_lcm(x)
+    nums, denom = over_lcm(x)
     value = sum(map(operator.mul, c, x), ZERO)
     return LpResult(value, np.array(nums, dtype=object), denom, "exact")
 
@@ -268,7 +263,7 @@ class _ScaledLp:
         self.values = a.data.astype(float)  # float(a), rounded once
         self.rhs_float = rhs.astype(float)
         self.sign = np.where(rhs < 0, -1.0, 1.0)
-        self.cost, self.cscale = _over_lcm(c)
+        self.cost, self.cscale = over_lcm(c)
         # int / int rounds the quotient once, as float(Fraction) does
         self.cost_float = [v / self.cscale for v in self.cost]
         self.bound_a = _magnitude(self.coef)
@@ -318,7 +313,7 @@ def _rationalise(v: np.ndarray) -> tuple[list[int], int]:
     v[np.abs(v) < TOL] = 0.0
     v = v.tolist()
     values = {u: Fraction(u).limit_denominator() if u else ZERO for u in set(v)}
-    nums, denom = _over_lcm(values.values())
+    nums, denom = over_lcm(values.values())
     nums = dict(zip(values, nums))
     return [nums[u] for u in v], denom
 

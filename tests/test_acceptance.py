@@ -24,6 +24,7 @@ from gmdlab.core import (
     GmdInstance,
     GpInstance,
     Labeling,
+    half_integral_grid,
     ndeg,
     val_gmd,
     val_gp,
@@ -36,7 +37,6 @@ from gmdlab.dicttest import (
     exact_correlation,
 )
 from gmdlab.exact import (
-    half_integral_grid,
     opt_gmd,
     opt_gmd_bruteforce,
     opt_gp_grid,

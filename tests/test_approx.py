@@ -16,8 +16,8 @@ from gmdlab.approx import (
     run_trials,
 )
 from gmdlab.caps import Caps
-from gmdlab.core import CapExceeded, GmdInstance, GpInstance, InstanceError
-from gmdlab.exact import half_integral_grid, opt_gmd, opt_gp_grid
+from gmdlab.core import CapExceeded, GmdInstance, GpInstance, InstanceError, half_integral_grid
+from gmdlab.exact import opt_gmd, opt_gp_grid
 
 F = Fraction
 

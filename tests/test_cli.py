@@ -1,7 +1,11 @@
+import itertools
 import os
+import re
 import subprocess
 import sys
 import time
+from csv import DictReader
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gmdlab.cli as cli
-import gmdlab.salp as salp
+import gmdlab.core as core
 from gmdlab.cli import run_command
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -102,6 +106,34 @@ def test_reduce_writes_symbolic_budgets(tmp_path, capsys):
         == 0
     )
     assert "M^" not in Path(expanded).read_text()
+
+
+def test_reduce_normalises_first(tmp_path, capsys):
+    raw = "gmd 2\nv 3\ne 0 1 1 2\ne 1 2 2 3\ne 0 2 1 1\n"
+    assert not core.parse_instance(raw).weights_normalized
+    src = write(tmp_path, "raw.gmd", raw)
+    normal = write(tmp_path, "normal.gmd",
+                   core.serialize_instance(core.parse_instance(raw).normalized()))
+    outs = [str(tmp_path / "raw.gp"), str(tmp_path / "normal.gp")]
+    for path, out in zip((src, normal), outs):
+        assert run_command(["reduce", "--in", path, "--M", "10", "--out", out]) == 0
+    assert Path(outs[0]).read_bytes() == Path(outs[1]).read_bytes()
+
+
+def test_gap_file_base_matches_pipeline_on_its_skeleton(tmp_path, capsys):
+    from gmdlab.gapgen import PipelineConfig, generate_base_dag, sparsify_pipeline
+    from test_gapgen import LABELLED_DAG
+
+    dag = write(tmp_path, "dag.gmd", LABELLED_DAG)
+    out = str(tmp_path / "gap.gmd")
+    argv = ["gap", "--base", f"file:{dag}", "--T", "2", "--delta", "2", "--l", "9",
+            "--p-keep", "3/4", "--seed", "5", "--out", out]
+    assert run_command(argv) == 0
+    base = generate_base_dag("custom-file", 0, params={"path": dag})
+    cfg = PipelineConfig(n=5, T=2, Delta=2, p_keep=Fraction(3, 4), l=9, mu=Fraction(1, 2),
+                         k_max=3, seed=5)
+    inst, _ = sparsify_pipeline(base, cfg)
+    assert Path(out).read_text() == core.serialize_instance(inst)
 
 
 def test_salp_triangle_value(tmp_path, capsys):
@@ -450,6 +482,22 @@ def test_plot_script_references_only_csv(tmp_path):
     assert "matplotlib" in body
 
 
+@pytest.mark.parametrize("suite", ["cdf", "gamma", "maxgap"])
+def test_gauss_plot_columns_are_numbers(tmp_path, capsys, suite):
+    # the script plots the rows whose x and y cells parse as numbers
+    csv, script = str(tmp_path / "g.csv"), str(tmp_path / "plot.py")
+    argv = ["gauss", "--suite", suite, "--points", "5", "--trials", "200",
+            "--csv", csv, "--plot-script", script]
+    assert run_command(argv) == 0
+    x, y = re.findall(r"num\(row\['(\w+)'\]\)", Path(script).read_text())
+    with open(csv, encoding="utf-8") as fh:
+        rows = list(DictReader(line for line in fh if not line.startswith("#")))
+    cells = [(row[x], row[y]) for row in rows]
+    assert cells and all(xc and yc for xc, yc in cells)
+    for cell in itertools.chain.from_iterable(cells):
+        Fraction(cell)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -638,7 +686,7 @@ def test_grid_size_checked_before_any_grid_is_built(capsys, monkeypatch, argv, m
     def no_grid(*args):
         raise AssertionError("grid built before the cap check")
 
-    monkeypatch.setattr(salp, "geometric_grid", no_grid)
+    monkeypatch.setattr(core, "geometric_grid", no_grid)
     assert run_command(argv[:1] + ["--in", P3] + argv[1:]) == 2
     assert message in capsys.readouterr().err
 

@@ -18,6 +18,8 @@ from gmdlab.core import (
     GpInstance,
     Labeling,
     Pricing,
+    geometric_grid,
+    half_integral_grid,
     max_incident_budget,
     parse_instance,
     val_gmd,
@@ -36,13 +38,11 @@ from gmdlab.exact import (
     _gmd_responder,
     _zero_set_walk,
     greedy_completion,
-    half_integral_grid,
     opt_gmd,
     opt_gmd_bruteforce,
     opt_gp_grid,
 )
 from gmdlab.rng import substream
-from gmdlab.salp import geometric_grid
 
 F = Fraction
 

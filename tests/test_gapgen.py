@@ -45,6 +45,17 @@ def test_custom_file_rejects_cycles(tmp_path):
         generate_base_dag("custom-file", 0, params={"path": str(bad)})
 
 
+# (3, 1) carries labels 1 and 2: one skeleton arc
+LABELLED_DAG = "gmd 2\nv 5\ne 3 1 1 1\ne 4 0 2 1\ne 3 1 2 1\ne 2 0 1 1\ne 4 3 1 1\ne 1 0 2 1\n"
+
+
+def test_custom_file_keeps_one_arc_per_pair_in_sorted_order(tmp_path):
+    dag = tmp_path / "dag.gmd"
+    dag.write_text(LABELLED_DAG)
+    base = generate_base_dag("custom-file", 0, params={"path": str(dag)})
+    assert base == DagSkeleton(n=5, arcs=((1, 0), (2, 0), (3, 1), (4, 0), (4, 3)))
+
+
 def test_unknown_base_kind():
     with pytest.raises(InstanceError):
         generate_base_dag("erdos", 5)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -16,9 +17,12 @@ from gmdlab.core import (
     GpEdge,
     GpInstance,
     InstanceError,
+    geometric_grid,
+    geometric_grid_size,
+    half_integral_grid,
     max_incident_budget,
 )
-from gmdlab.exact import half_integral_grid, opt_gmd, opt_gp_grid
+from gmdlab.exact import opt_gmd, opt_gp_grid
 from gmdlab.salp import (
     ConsistencyReport,
     SaSolution,
@@ -26,10 +30,11 @@ from gmdlab.salp import (
     _set_codes,
     build_sa_lp,
     check_sa_consistency,
-    geometric_grid,
-    geometric_grid_size,
+    sets_up_to,
     solve_lp_exact,
+    table_entries,
 )
+from gmdlab.sasol import build_sa_solution
 from gmdlab.simplex import simplex_max
 
 F = Fraction
@@ -660,3 +665,40 @@ def test_geometric_grid_size_without_building():
     assert geometric_grid_size(F(1, 2), F(1, 3), 0) == 1
     with pytest.raises(InstanceError):
         geometric_grid_size(F(2), F(0), 5)
+
+
+@given(sizes=st.lists(st.integers(1, 3), min_size=2, max_size=6), k=st.integers(2, 7),
+       T=st.integers(1, 2), stop=st.integers(0, 6), offset=st.integers(-1, 1))
+@settings(max_examples=60, deadline=None)
+def test_table_entries_is_the_sum_over_listed_sets(sizes, k, T, stop, offset):
+    n = len(sizes)
+    subsets = (tuple(v for v in range(n) if mask >> v & 1) for mask in range(1, 1 << n))
+    listed = sorted((S for S in subsets if len(S) <= k), key=lambda S: (len(S), S))
+    assert sets_up_to(n, k) == listed
+    per_size = [sum(math.prod(sizes[v] for v in S) for S in listed if len(S) == s)
+                for s in range(1, min(k, n) + 1)]
+    sums = list(itertools.accumulate(per_size))
+    full = sums[-1]
+    cap = sums[min(stop, len(sums) - 1)] + offset  # at, just below or just above a running sum
+    assert table_entries(sizes, k) == full
+    # stopped at the first size whose running sum passes the cap
+    assert table_entries(sizes, k, cap) == next((t for t in sums if t > cap), full)
+
+    # build_sa_lp: one variable per table entry, counted before any is numbered
+    grid = [[F(i) for i in range(size)] for size in sizes]
+    inst = GpInstance.of(n, [(0, 1, 2, 1)])
+    caps = Caps(sa_n=n, sa_rounds=k, lp_variables=full)
+    assert build_sa_lp(inst, k, price_grid=grid, caps=caps).num_variables == full
+    with pytest.raises(CapExceeded, match=f"^{full} LP variables exceed cap {full - 1}$"):
+        build_sa_lp(inst, k, price_grid=grid, caps=Caps(sa_n=n, sa_rounds=k, lp_variables=full - 1))
+
+    # build_sa_solution: T + 1 labels at every vertex
+    dicut = GmdInstance.of(T, n, [(0, 1, 1, 1)])
+    sums = list(itertools.accumulate(
+        sum((T + 1) ** len(S) for S in listed if len(S) == s) for s in range(1, min(k, n) + 1)))
+    built = build_sa_solution(dicut, F(1, 2), 1, k, 5, 0, caps=Caps(sa_table_entries=sums[-1]))
+    assert sum(block.counts.size for block in built.solution.blocks) == sums[-1]
+    if sums[-1] > cap:
+        over = next(t for t in sums if t > cap)
+        with pytest.raises(CapExceeded, match=f"^at least {over} table entries exceed cap {cap}$"):
+            build_sa_solution(dicut, F(1, 2), 1, k, 5, 0, caps=Caps(sa_table_entries=cap))

@@ -12,9 +12,16 @@ from hypothesis import strategies as st
 
 import gmdlab.simplex as simplex_mod
 from gmdlab.caps import Caps
-from gmdlab.core import GmdInstance, GpInstance, max_incident_budget, parse_instance
-from gmdlab.exact import half_integral_grid
-from gmdlab.salp import build_sa_lp, geometric_grid
+from gmdlab.core import (
+    GmdInstance,
+    GpInstance,
+    geometric_grid,
+    half_integral_grid,
+    max_incident_budget,
+    over_lcm,
+    parse_instance,
+)
+from gmdlab.salp import build_sa_lp
 from gmdlab.simplex import Csr, LpInfeasible, LpUnbounded, simplex_max
 from test_salp import sa_lps
 
@@ -278,7 +285,7 @@ def certificate_holds(c, rows, rhs, x, y):
     Python ints in object dtype must give the same answer."""
     int_rows, int_rhs = integer_rows(rows, rhs)
     y = [yi / k for yi, k in zip(y, row_scales(rows, rhs))]
-    x, y = simplex_mod._over_lcm(x), simplex_mod._over_lcm(y)
+    x, y = over_lcm(x), over_lcm(y)
     a, b = csr(int_rows), int_array(int_rhs)
     held = simplex_mod._certificate_holds(simplex_mod._ScaledLp(c, a, b), x, y)
     objects = a._replace(data=a.data.astype(object))

@@ -131,3 +131,37 @@ def test_no_scalar_draw_in_a_loop():
                   if (name, func) not in SCALAR_DRAW_EXEMPT) == []
     # an exemption whose draws are gone exempts nothing
     assert {(name, func) for name, func, _ in found} >= set(SCALAR_DRAW_EXEMPT)
+
+
+def _names_and_strings(node: ast.AST) -> set[str]:
+    """Every name `node` reads, attribute it takes, name it imports and
+    string constant it holds: the last catches names looked up by text,
+    as perfbench's span table does."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found.add(sub.value)
+    return found
+
+
+def test_every_public_module_level_def_is_referenced():
+    # a public function or class that nothing in src, tests or perfbench
+    # names is dead code; a reference inside its own definition does not count
+    root = PACKAGE.parent.parent
+    paths = MODULES + sorted((root / "tests").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    statements = [(path, node) for path in paths for node in _tree(path).body]
+    refs = [_names_and_strings(node) for _, node in statements]
+    unreferenced = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for (path, node), own in zip(statements, refs)
+        if path in MODULES and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not any(node.name in other for other in refs if other is not own)
+    ]
+    assert unreferenced == []
