@@ -7,10 +7,21 @@ order and cycle extraction canonicalizes before comparing.
 Girth cleanup contract: `break_short_cycles` drops exactly the edges, in
 exactly the order, that repeatedly dropping the largest edge of
 `shortest_cycle` would, so every pipeline instance is the same byte for
-byte.  Lemma: `_edge_cycle(a, b)` returns the lexicographically smallest
-shortest a..b path of G - ab.  Deleting an edge off that path leaves it
-present and still shortest, and can only remove rival paths, so an edge's
-cycle is recomputed only when a drop removed one of the cycle's own edges.
+byte.  `_edge_cycle(a, b)` returns the lexicographically smallest shortest
+a..b path of G - ab, which makes `shortest_cycle` a function of the graph.
+
+Sweep lemma: (1) deleting edges creates no cycle.  (2) In a graph of girth
+k, `shortest_cycle` is the canonical-least k-cycle (c0, c1, ..., c_{k-1}):
+the path `_edge_cycle(c0, c_{k-1})` is no larger than (c0, c1, ..., c_{k-1})
+and closes a k-cycle, whose smallest vertex is c0 by minimality, so its
+canonical form is no larger either.  (3) In a graph of girth at least k
+the ball of radius < k/2 around a vertex is a tree, so one BFS from v over
+the vertices above v finds each k-cycle whose smallest vertex is v exactly
+once, where its two tree paths meet at depth k // 2 (the argument of Itai
+& Rodeh 1978).  By (1) and (2) the plain loop's choices are the k-cycles
+for k = 3..l, taken in (k, canonical form) order, each one skipped when an
+earlier drop broke it; by (3) the cleanup lists them that way, one length
+at a time.
 
 Peeling lemma: a vertex with one neighbour lies on no cycle, and neither
 does its edge, so deleting it changes no cycle and no `_edge_cycle` result
@@ -21,9 +32,6 @@ again after each drop.
 """
 
 from __future__ import annotations
-
-import collections
-import heapq
 
 Edge = tuple[int, int]
 
@@ -144,6 +152,62 @@ def girth(n: int, edges) -> int | None:
     return best if best <= n else None
 
 
+def _cycles_from(adj, v: int, k: int) -> list[tuple[int, ...]]:
+    """The k-cycles of `adj` whose smallest vertex is v, canonical and
+    sorted; `adj` must have girth at least k.
+
+    BFS from v over the vertices above v runs to depth r = k // 2.  The
+    ball of radius < k/2 is a tree (sweep lemma (3) in the module
+    docstring), so BFS takes every neighbour but a vertex's parent as new,
+    each vertex there has one path from v, and a k-cycle shows as
+    - odd k: an edge joining two depth-r vertices;
+    - even k: a depth-r vertex and two of its depth-(r - 1) neighbours,
+    where the two tree paths meet only at v.
+    """
+    r = k // 2
+    parent = {v: v}
+    frontier = [v]
+    for _ in range(r - 1 + k % 2):
+        nxt = []
+        for x in frontier:
+            px = parent[x]
+            for y in adj[x]:
+                if y > v and y != px:
+                    parent[y] = x
+                    nxt.append(y)
+        frontier = nxt
+
+    def arm(x) -> list[int]:
+        """The tree path from v's child to x."""
+        path = [x]
+        while (x := parent[x]) != v:
+            path.append(x)
+        return path[::-1]
+
+    # (end, middle, end): two tree paths' ends that close a k-cycle, and
+    # for even k the vertex joining them
+    if k % 2:
+        ends = [(x, (), y) for x in frontier for y in adj[x]
+                if y > x and y != parent[x] and y in parent]
+    else:
+        met: dict[int, list[int]] = {}
+        for x in frontier:
+            px = parent[x]
+            for y in adj[x]:
+                if y > v and y != px:
+                    met.setdefault(y, []).append(x)
+        ends = [(x1, (y,), x2) for y, xs in met.items()
+                for i, x1 in enumerate(xs) for x2 in xs[i + 1:]]
+    cycles = []
+    for x1, mid, x2 in ends:
+        a, b = arm(x1), arm(x2)
+        if b[0] < a[0]:
+            a, b = b, a
+        cycles.append((v, *a, *mid, *b[::-1]))
+    cycles.sort()
+    return cycles
+
+
 def break_short_cycles(n: int, edges, l: int) -> list[Edge]:
     """Drop edges until no cycle of length <= l is left; returns them in drop order.
 
@@ -153,70 +217,32 @@ def break_short_cycles(n: int, edges, l: int) -> list[Edge]:
         while (cyc := shortest_cycle(n, g)) and len(cyc) <= l:
             g.discard(max(cycle edges of cyc))
 
-    Each edge keeps its key (cycle length, canonical cycle) from
-    `_edge_cycle` in a heap, and is registered under the edges of its own
-    a..b path.  By the lemma of `_edge_cycle` only a drop of one of those
-    edges can change the key, so a drop makes just the edges registered
-    under it stale; their key becomes (old length, ()), a lower bound,
-    since deleting edges can only lengthen a cycle.  A stale edge is
-    recomputed when its bound reaches the top of the heap.  The top is then
-    an exact key no larger than any other edge's, which is the plain loop's
-    choice.
+    One sweep per length k = 3..l: each vertex v in ascending order lists
+    its k-cycles by `_cycles_from`, and each listed cycle still whole gives
+    up its largest edge.  By the sweep lemma of the module docstring these
+    are the loop's drops in the loop's order: the girth is at least k when
+    length k is swept, deletions create no cycle, and the loop picks the
+    canonical-least k-cycle.
 
-    Only the edges of the 2-core get a key, and a drop peels its ends
-    (see the module docstring).  A peeled edge is on no cycle after the
-    drop, so every cycle that ran through it ran through the dropped edge:
-    its key goes with the drop's, and the keys whose paths used it are
-    stale already.
+    Only the 2-core is searched, and a drop peels its ends (see the module
+    docstring).  A peeled edge is on no cycle, so a listed cycle through it
+    was broken by a drop already.
     """
     adj = adjacency(n, edges)
     _peel(adj, list(range(n)))
-    # live edges with a cycle of length <= l: the exact key, or a bound while stale
-    key: dict[Edge, tuple] = {}
-    version: dict[Edge, int] = {}  # which computation of an edge's key is current
-    # path edge -> (edge, version) of the keys whose a..b path uses it;
-    # entries of superseded versions are skipped when read
-    dependants: dict[Edge, list] = collections.defaultdict(list)
-    stale: set[Edge] = set()
-    heap: list = []
-
-    def compute(e: Edge) -> None:
-        found = _edge_cycle(adj, e[0], e[1], l)
-        if found is None:
-            return
-        cyc = canonical_cycle(found)
-        key[e] = (len(cyc), cyc)
-        version[e] = version.get(e, 0) + 1
-        tag = (e, version[e])
-        for i in range(1, len(found)):
-            dependants[edge(found[i - 1], found[i])].append(tag)
-        heapq.heappush(heap, (key[e], e))
-
-    for e in _core_edges(adj):
-        compute(e)
     dropped = []
-    while heap:
-        k, e = heapq.heappop(heap)
-        if key.get(e) != k:
-            continue  # superseded entry, or the edge is gone
-        if e in stale:
-            stale.discard(e)
-            del key[e]
-            compute(e)
-            continue
-        cyc = k[1]
-        u, v = drop = max(edge(cyc[i - 1], cyc[i]) for i in range(len(cyc)))
-        dropped.append(drop)
-        adj[u].remove(v)
-        adj[v].remove(u)
-        for gone in [drop, *_peel(adj, [u, v])]:
-            key.pop(gone, None)
-            stale.discard(gone)
-        for f, ver in dependants.pop(drop, ()):
-            if f in key and version[f] == ver and f not in stale:
-                stale.add(f)
-                key[f] = (key[f][0], ())
-                heapq.heappush(heap, (key[f], f))
+    for k in range(3, l + 1):
+        for v, nb in enumerate(adj):
+            if len(nb) < 2 or nb[-2] < v:
+                continue  # no two neighbours above v
+            for cyc in _cycles_from(adj, v, k):
+                ring = [edge(cyc[i - 1], cyc[i]) for i in range(k)]
+                if all(b in adj[a] for a, b in ring):
+                    u, w = drop = max(ring)
+                    dropped.append(drop)
+                    adj[u].remove(w)
+                    adj[w].remove(u)
+                    _peel(adj, [u, w])
     return dropped
 
 

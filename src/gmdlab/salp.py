@@ -286,7 +286,9 @@ def table_entries(sizes: Sequence[int], k: int, cap: float = math.inf) -> int:
 def shape_blocks(sets: Sequence[SetKey], sizes: Sequence[int]) -> list:
     """One block per table shape (sizes[v] is v's domain size), in order of
     first appearance: the shape, its sets' positions in `sets`, and their
-    vertices as a (sets, size) int64 array."""
+    vertices as a (sets, size) int64 array.  A set naming a vertex outside
+    0..len(sizes)-1 is an `InstanceError`; a negative vertex, which the
+    size lookup would read from the end, is caught by one test per block."""
     groups: dict = {}
     size_of = list(sizes).__getitem__
     for i, S in enumerate(sets):
@@ -294,8 +296,14 @@ def shape_blocks(sets: Sequence[SetKey], sizes: Sequence[int]) -> list:
             groups.setdefault(tuple(map(size_of, S)), []).append(i)
         except (IndexError, TypeError):
             raise InstanceError(f"set {S} names no vertex") from None
-    return [(shape, pos, np.array([sets[i] for i in pos], dtype=np.int64).reshape(len(pos), len(shape)))
-            for shape, pos in groups.items()]
+    blocks = []
+    for shape, pos in groups.items():
+        vertices = np.array([sets[i] for i in pos], dtype=np.int64).reshape(len(pos), len(shape))
+        if vertices.min(initial=0) < 0:
+            first = int((vertices < 0).any(axis=1).argmax())
+            raise InstanceError(f"set {sets[pos[first]]} names no vertex")
+        blocks.append((shape, pos, vertices))
+    return blocks
 
 
 def _set_codes(vertices: np.ndarray, n: int) -> np.ndarray:

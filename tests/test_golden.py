@@ -60,6 +60,9 @@ CASES = (
     ("gap-n100-s1.csv", ["gap", "--n", "100", "--seed", "1", "--out", "gap-n100-s1.gmd"], None),
     # pins several times the drops of gap-n100-s1 through the girth cleanup
     ("gap-n200-s0.csv", ["gap", "--n", "200", "--seed", "0", "--out", "gap-n200-s0.gmd"], None),
+    # the largest drop order pinned: 1,525 drops, several times those of gap-n200-s0
+    ("gap-n1000-t3.csv", ["gap", "--n", "1000", "--T", "3", "--delta", "6", "--seed", "0",
+                          "--out", "gap-n1000-t3.gmd"], None),
     # g20.gmd: random n=20, T=2, 40 integer-weight arcs (as in the benchmark)
     ("solve-g20.csv", ["solve", "--in", "g20.gmd"], None),
     ("solve-c4.csv", ["solve", "--in", "c4.gmd"], None),

@@ -4,8 +4,8 @@ The references are the forms the helpers replaced: a full BFS per edge with
 an O(k^2) canonical form, and a cleanup loop that recomputes the global
 shortest cycle after every drop.  The fast forms must agree with them
 exactly, since the pipeline's instance bytes follow from the drop order.
-The cleanup's invalidation rests on the lemma that `_edge_cycle` returns the
-lexicographically smallest shortest path, which is checked by enumeration.
+`_edge_cycle` and the cleanup's cycle enumerator are checked against
+depth-first enumeration of paths and cycles.
 """
 
 from __future__ import annotations
@@ -220,3 +220,29 @@ def test_cycle_helpers_match_reference_with_pendant_trees(graph, l):
     cyc = reference_shortest_cycle(n, edges)
     assert girth(n, edges) == (len(cyc) if cyc else None)
     assert break_short_cycles(n, edges, l) == reference_break(n, edges, l)
+
+
+def reference_cycles_from(adj, v, k):
+    """Every simple k-cycle whose smallest vertex is v, canonical and
+    sorted, by depth-first enumeration."""
+    found, stack = set(), [[v]]
+    while stack:
+        path = stack.pop()
+        for y in adj[path[-1]]:
+            if len(path) == k:
+                if y == v:
+                    found.add(reference_canonical_cycle(path))
+            elif y > v and y not in path:
+                stack.append(path + [y])
+    return sorted(found)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_graphs(), sparse_graphs(), graphs_with_pendant_trees()), st.integers(3, 12))
+def test_cycles_from_lists_the_k_cycles_of_their_smallest_vertex(graph, k):
+    n, edges = graph
+    # the enumerator's precondition: girth at least k
+    edges = set(edges) - set(reference_break(n, edges, k - 1))
+    adj = graphs.adjacency(n, edges)
+    for v in range(n):
+        assert graphs._cycles_from(adj, v, k) == reference_cycles_from(adj, v, k)

@@ -31,6 +31,7 @@ from gmdlab.salp import (
     build_sa_lp,
     check_sa_consistency,
     sets_up_to,
+    shape_blocks,
     solve_lp_exact,
     table_entries,
 )
@@ -587,6 +588,19 @@ def test_from_values_rejects_incomplete_and_foreign_entries():
         SaSolution.from_values({**full, ((1,), (0,)): F(0)}, rounds=1, domains=((0, 1),))
     with pytest.raises(InstanceError, match="outside the domains"):
         SaSolution.from_values({**full, ((0,), (0, 1)): F(0)}, rounds=1, domains=((0, 1),))
+
+
+def test_a_negative_vertex_names_no_vertex():
+    # index -1 would read the last vertex's domain and list the set (-1,)
+    domains = ((0, 1), (0, 1))
+    with pytest.raises(InstanceError, match=r"set \(-1,\) names no vertex"):
+        SaSolution.from_tables({(-1,): np.array([1, 1]), (0,): np.array([1, 1])},
+                               denom=2, rounds=1, domains=domains)
+    values = {((S,), (a,)): F(1, 2) for S in (-1, 0) for a in (0, 1)}
+    with pytest.raises(InstanceError, match=r"set \(-1,\) names no vertex"):
+        SaSolution.from_values(values, rounds=1, domains=domains)
+    with pytest.raises(InstanceError, match=r"set \(0, -1\) names no vertex"):
+        shape_blocks([(0,), (0, 1), (0, -1)], [2, 2])
 
 
 def test_lp_table_is_integer_numerators_over_lcm():
