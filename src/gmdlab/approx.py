@@ -51,7 +51,7 @@ from .core import (
     Labeling,
     Pricing,
 )
-from .exact import _gmd_game, _gmd_responder, _gp_game, _PairGame, _Responder
+from .exact import _gmd_game, _GmdResponder, _gp_game, _PairGame, _Responder
 from .rng import coin_rows, uniform_rows
 
 # A batch function maps (seed, trial indices as uint64) to the trials' domain
@@ -120,7 +120,7 @@ def approx_gp_quarter(inst: GpInstance, seed: int, trial: int = 0) -> tuple[Pric
 
 def approx_gmd_quarter(inst: GmdInstance, seed: int, trial: int = 0) -> tuple[Labeling, Fraction]:
     """One run of the combinatorial quarter algorithm for max-dicut."""
-    x, value = _one(_quarter(_gmd_responder(inst)), seed, trial)
+    x, value = _one(_quarter(_GmdResponder(inst)), seed, trial)
     return Labeling(tuple(0 if i == inst.T else i + 1 for i in x)), value
 
 
@@ -157,7 +157,7 @@ def _all_zero_sets_expectation(inst, resp: _Responder, caps: Caps) -> Fraction:
 def quarter_expectation_gmd(inst: GmdInstance, caps: Caps = Caps()) -> Fraction:
     """Exact expectation of the quarter algorithm over all coin patterns."""
     _chunk_trials(inst, caps)  # refuses before the game is built
-    return _all_zero_sets_expectation(inst, _gmd_responder(inst), caps)
+    return _all_zero_sets_expectation(inst, _GmdResponder(inst), caps)
 
 
 def quarter_expectation_gp(inst: GpInstance, caps: Caps = Caps()) -> Fraction:
@@ -233,7 +233,7 @@ def lp_round_gmd(
 # The batch form of each trial function, built once per `run_trials` call.
 _BATCHES: dict[Callable, Callable[..., _GameBatch]] = {
     approx_gp_quarter: lambda inst: _quarter(_gp_responder(inst)[0]),
-    approx_gmd_quarter: lambda inst: _quarter(_gmd_responder(inst)),
+    approx_gmd_quarter: lambda inst: _quarter(_GmdResponder(inst)),
     lp_round_gmd: _lp_round,
 }
 

@@ -284,33 +284,21 @@ def _cmd_gap(args, caps, argv) -> int:
     mu = _rational("--mu", args.mu)
     p_keep = _rational("--p-keep", args.p_keep) if args.p_keep else None
     if args.base.startswith("file:"):
-        base = generate_base_dag(
-            "custom-file", args.n, params={"path": args.base[5:]}, seed=args.seed
-        )
+        base = generate_base_dag("custom-file", args.n, params={"path": args.base[5:]})
     elif args.base == "window":
-        base = generate_base_dag(
-            "window-random",
-            args.n,
-            params={"window": args.window, "p": args.window_p},
-            seed=args.seed,
-        )
+        window = {"window": args.window, "p": args.window_p}
+        base = generate_base_dag("window-random", args.n, params=window, seed=args.seed)
     elif args.base == "complete":
         base = generate_base_dag("complete-dag", args.n)
     else:
         raise InstanceError(f"unknown base {args.base!r}")
     if p_keep is None:
-        delta_star = max_degree(base.n, base.arcs) or 1
+        # each vertex of the complete DAG meets the n - 1 others
+        complete = args.base == "complete"
+        delta_star = (max(base.n - 1, 0) if complete else max_degree(base.n, base.arcs)) or 1
         p_keep = min(Fraction(1), Fraction(args.delta, delta_star))
-    cfg = PipelineConfig(
-        n=base.n,
-        T=args.T,
-        Delta=args.delta,
-        p_keep=p_keep,
-        l=args.l,
-        mu=mu,
-        k_max=args.kmax,
-        seed=args.seed,
-    )
+    cfg = PipelineConfig(n=base.n, T=args.T, Delta=args.delta, p_keep=p_keep, l=args.l, mu=mu,
+                         k_max=args.kmax, seed=args.seed)
     inst, report = sparsify_pipeline(base, cfg, caps=caps)
     if args.out:
         _atomic_write(args.out, serialize_instance(inst))

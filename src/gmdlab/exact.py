@@ -235,7 +235,7 @@ class _PairGame:
         payoff + 1) * scale in absolute value.  With `scale` 1 it bounds
         every sum of the payoffs of one assignment: `values`, and the
         partial sums of `respond` and `_zero_set_walk`."""
-        return (self._top + 1) * scale < 2**62
+        return _int64_holds(self._top, scale)
 
     def values(self, x):
         """Integer value over `denom` of each row of the numpy array `x` of
@@ -327,6 +327,11 @@ class _PairGame:
         return int(const), out
 
 
+def _int64_holds(top: int, scale: int = 1) -> bool:
+    """Whether numpy int64 holds (`top` + 1) * `scale`, with headroom."""
+    return (top + 1) * scale < 2**62
+
+
 def _bits(mask: int):
     """The positions of the set bits of `mask`, lowest first."""
     while mask:
@@ -340,12 +345,12 @@ class _Responder:
     docstring).  A zero set puts its vertices at the index `zero`; every
     other vertex v takes the first of its first `width` indices (None: all
     of them) of largest score.  `terms[v][j]` lists the terms of index j;
-    a vertex with no term has an empty list and takes index 0.
+    a vertex with no term has an empty list and takes index 0.  `denom` and
+    `in_int64` are the game's `denom` and `int64()`.
     """
 
     def __init__(self, game: _PairGame, zero: int, width: int | None = None):
         self.game = game
-        self.zero = zero
         # heads[v]: (u, v's payoffs against u's zero index), pair after pair,
         # when one is nonzero: row `zero` of the table, or column if v is first
         widths = [size if width is None else width for size in game.sizes]
@@ -358,6 +363,9 @@ class _Responder:
             col = flat[at + zero:at + widths[u] * stride:stride]
             if any(col):
                 heads[u].append((v, col))
+        self.zero = zero
+        self.denom = game.denom
+        self.in_int64 = game.int64()
         self.terms = [[tuple((u, h[j]) for u, h in nb if h[j]) for j in range(w)] if nb else []
                       for nb, w in zip(heads, widths)]
 
@@ -391,7 +399,7 @@ class _Responder:
         return (
             np.array([u for terms in slots for u, _ in terms], dtype=np.intp),
             np.array([p for terms in slots for _, p in terms],
-                     dtype=np.int64 if self.game.int64() else object),
+                     dtype=np.int64 if self.in_int64 else object),
             np.cumsum([0] + [len(terms) for terms in slots])[:-1],
             [(np.array([v for v, _ in g]), np.array([f for _, f in g])[:, None] + np.arange(w))
              for w, g in groups.items()],
@@ -434,11 +442,39 @@ def _gmd_game(inst: GmdInstance) -> _PairGame:
     return _PairGame([T + 1] * inst.n, tables, scale)
 
 
-def _gmd_responder(inst: GmdInstance) -> _Responder:
+class _GmdResponder(_Responder):
     """Best responses in the max-dicut game of `inst`: index T (label 0) is
     the zero index, and a vertex outside the zero set ranges over the labels
-    1..T.  T is the instance's, so a game on no vertex has one too."""
-    return _Responder(_gmd_game(inst), zero=inst.T, width=inst.T)
+    1..T.  T is the instance's, so a game on no vertex has one too.  The
+    terms, `denom` and `in_int64` come from the arcs, as `_gmd_game` would
+    give them (a table entry is one arc's weight); the game is built when
+    first used."""
+
+    def __init__(self, inst: GmdInstance):
+        self.inst = inst
+        T = inst.T
+        weights, scale = over_lcm([a.weight for a in inst.arcs])
+        g = gcd(scale, *weights)
+        # the (arc, payoff) of each pair, pairs in `_gmd_game`'s table order
+        pairs: dict = {}
+        for a, w in zip(inst.arcs, weights):
+            u, v = a.tail, a.head
+            pairs.setdefault((u, v) if u < v else (v, u), []).append((a, w // g))
+        by_head: list[list] = [[[] for _ in range(T)] for _ in range(inst.n)]
+        for arcs in pairs.values():
+            for a, p in arcs:
+                if p:
+                    by_head[a.head][a.label - 1].append((a.tail, p))
+        self.zero = T
+        self.denom = scale // g
+        # `_PairGame.int64()` on the pairs' largest payoffs; their sum is at most the total
+        self.in_int64 = _int64_holds(sum(weights) // g) or _int64_holds(
+            sum(max(p for _, p in arcs) for arcs in pairs.values()))
+        self.terms = [list(map(tuple, t)) if any(t) else [] for t in by_head]
+
+    @cached_property
+    def game(self) -> _PairGame:
+        return _gmd_game(self.inst)
 
 
 def _gmd_labels(resp: _Responder, zero: Sequence[bool]) -> tuple[list[int], int]:
@@ -461,7 +497,7 @@ def greedy_completion(inst: GmdInstance, zero_set: frozenset[int] | set[int]) ->
         if not (0 <= v < inst.n):
             raise InstanceError(f"zero-set vertex {v} out of range")
     zero = [v in zero_set for v in range(inst.n)]
-    return Labeling(tuple(_gmd_labels(_gmd_responder(inst), zero)[0]))
+    return Labeling(tuple(_gmd_labels(_GmdResponder(inst), zero)[0]))
 
 
 def opt_gmd(inst: GmdInstance, caps: Caps = Caps()) -> OptResult:
@@ -479,16 +515,15 @@ def opt_gmd(inst: GmdInstance, caps: Caps = Caps()) -> OptResult:
         return OptResult(
             value=Fraction(0), witness=greedy_completion(inst, set()), explored=1
         )
-    resp = _gmd_responder(inst)
-    game = resp.game
+    resp = _GmdResponder(inst)
     path, order = _gmd_plan(resp)
     if path == "walk":
         best_mask = _zero_set_walk(resp)
     else:
-        best_mask = _gmd_elim_mask(game, order)
+        best_mask = _gmd_elim_mask(resp.game, order)
     labels, total = _gmd_labels(resp, [bool(best_mask >> v & 1) for v in range(n)])
     witness = Labeling(tuple(labels))
-    best_val = Fraction(total, game.denom)
+    best_val = Fraction(total, resp.denom)
     assert val_gmd(inst, witness) == best_val
     return OptResult(value=best_val, witness=witness, explored=1 << n)
 
@@ -497,18 +532,17 @@ def _gmd_plan(resp: _Responder) -> tuple[str, Sequence[int] | None]:
     """The enumerator `opt_gmd` runs on the max-dicut game of `resp` and
     what it runs along: ("walk", None) or ("elim", the elimination order).
     The walk runs only when its int64 masks hold every vertex (n <= 62)
-    and `int64()` holds, elimination only when its tables fit in
+    and `in_int64` holds, elimination only when its tables fit in
     `ELIM_MAX_BYTES`; when both do, the lesser estimated cost wins, ties to
     the walk.  CapExceeded when neither does."""
     # Costs in numpy int64 operations on one mask and one walk term, and 600
     # per term and 2^20 masks for the overhead of the numpy calls.
-    game = resp.game
-    n = len(game.sizes)
+    n = len(resp.terms)
     m = sum(len(terms) for by_index in resp.terms for terms in by_index)
     walk = None
-    if n <= 62 and game.int64():
+    if n <= 62 and resp.in_int64:
         walk = (1 << n) * m + 600 * m * max(1, (1 << n) >> 20)
-    elim = game.elimination_plan(walk, 1 << n)
+    elim = resp.game.elimination_plan(walk, 1 << n)
     if elim is not None:
         return "elim", elim[1]
     if walk is None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Optional
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from . import graphs
 from .caps import Caps
 from .core import GmdInstance, InstanceError, parse_instance
-from .exact import _gmd_responder, opt_gmd
+from .exact import _GmdResponder, opt_gmd
 from .reduction import CycleError, topo_number
 from .rng import coin_rows, substream
 
@@ -158,73 +159,88 @@ def sparsify_pipeline(
 def _local_search_estimate(inst: GmdInstance, restarts: int, seed: int) -> Fraction:
     """Best zero-set hill-climbing value over seeded restarts (heuristic).
 
-    Values are exact integers on the pair game of `exact`.  Flipping v
-    changes only the best responses of v and of the heads of its out-arcs,
-    so a flip's gain comes from their score vectors (the weight each nonzero
-    label earns from the zero set) and largest scores, which are kept up to
-    date.  That gain reads the zero flags and largest scores of v and of
-    those heads, so a flip at u can change the gains of u, of its in- and
-    out-neighbours, and of the in-neighbours of its out-neighbours.  A sweep
-    re-scores only the vertices a flip marked since they last found no gain;
+    Values are exact integers on the max-dicut terms of `exact`.  Every
+    restart's start scores (what each nonzero label of a vertex earns from
+    the zero set), largest scores and value come from one numpy scatter
+    over (restart, head, label).  Flipping v changes only the best responses
+    of v and of the heads of its out-arcs, so a flip's gain comes from their
+    scores and largest scores, kept up to date.  That gain reads the zero
+    flags and largest scores of v and of those heads, so a flip at u can
+    change the gains of u, of its in- and out-neighbours, and of the
+    in-neighbours of its out-neighbours.  A sweep visits the vertices with a
+    term and re-scores those a flip marked since they last found no gain;
     the others' gains are unchanged and not positive, so the flips, their
     order and the value are those of re-scoring every vertex.
     """
-    resp = _gmd_responder(inst)
+    resp = _GmdResponder(inst)
     n, T = inst.n, inst.T
-    # out[v]: (w, what each nonzero label of w earns while v is zero)
+    # out[v]: (w, what each nonzero label of w earns while v is zero); the
+    # scatter adds pays[i] at (head, label) slots[i] when tails[i] is zero
     earns: list[dict[int, list[int]]] = [{} for _ in range(n)]
+    ins: list[list[int]] = [[] for _ in range(n)]
+    tails, slots, pays = [], [], []
     for w, by_index in enumerate(resp.terms):
         for j, terms in enumerate(by_index):
             for v, p in terms:
-                earns[v].setdefault(w, [0] * T)[j] = p
+                g = earns[v].get(w)
+                if g is None:
+                    g = earns[v][w] = [0] * T
+                    ins[w].append(v)
+                g[j] = p
+                tails.append(v)
+                slots.append(w * T + j)
+                pays.append(p)
     out = [list(e.items()) for e in earns]
-    ins: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        for w, _ in out[v]:
-            ins[w].append(v)
-    # touch[u]: the vertices whose gain a flip at u can change
-    touch = [tuple({u, *ins[u]}.union(*((w, *ins[w]) for w, _ in out[u]))) for u in range(n)]
-    best = 0
+    # reach[v]: the most a flip of v into the zero set can add to its heads
+    reach = [sum(max(g) for _, g in o) for o in out]
+    active = [v for v in range(n) if out[v] or ins[v]]
     # restart r starts from the coins of substream r + 1, zero where 0
-    coins = coin_rows(seed, np.arange(1, restarts + 1, dtype=np.uint64), n)
-    for r in range(restarts):
-        zero = (coins[r] == 0).tolist()
-        score = [[0] * T for _ in range(n)]
-        for v in range(n):
-            if zero[v]:
-                for w, g in out[v]:
-                    score[w] = [a + b for a, b in zip(score[w], g)]
-        top = [max(s) for s in score]
-        val = sum(top[w] for w in range(n) if not zero[w])
+    zeros = coin_rows(seed, np.arange(1, restarts + 1, dtype=np.uint64), n) == 0
+    dtype = np.int64 if resp.in_int64 else object
+    scores = np.zeros((restarts, n, T), dtype=dtype)
+    np.add.at(scores.reshape(restarts, n * T), (slice(None), np.array(slots, dtype=np.intp)),
+              zeros[:, tails] * np.array(pays, dtype=dtype))
+    tops = scores.max(axis=2)
+    vals = np.where(zeros, 0, tops).sum(axis=1).tolist()
+    best = 0
+    for zero, score, top, val in zip(zeros.tolist(), scores.tolist(), tops.tolist(), vals):
         dirty = [True] * n
         improved = True
         while improved:
             improved = False
-            for v in range(n):
+            for v in active:
                 if not dirty[v]:
                     continue
-                sign = -1 if zero[v] else 1  # 1: v joins the zero set
-                delta = -sign * top[v]
+                # v finds no gain, or flips and would lose delta flipping back
+                dirty[v] = False
+                # no payoff is negative, so a flip gains at most `most`
+                if zero[v]:
+                    delta, step, most = top[v], sub, top[v]
+                else:
+                    delta, step, most = -top[v], add, reach[v] - top[v]
+                if most <= 0:
+                    continue
                 moved = []
                 for w, g in out[v]:
-                    new = [a + sign * b for a, b in zip(score[w], g)]
+                    new = list(map(step, score[w], g))
                     m = max(new)
                     if not zero[w]:
                         delta += m - top[w]
                     moved.append((w, new, m))
                 if delta > 0:
                     zero[v] = not zero[v]
-                    for w, new, m in moved:
-                        score[w] = new
-                        top[w] = m
                     val += delta
                     improved = True
-                    for x in touch[v]:
+                    # mark the gains that the flip can change
+                    for x in ins[v]:
                         dirty[x] = True
-                # v found no gain, or flipped and would lose delta flipping back
-                dirty[v] = False
+                    for w, new, m in moved:
+                        score[w], top[w], dirty[w] = new, m, True
+                        for x in ins[w]:
+                            dirty[x] = True
+                    dirty[v] = False
         best = max(best, val)
-    return Fraction(best, resp.game.denom)
+    return Fraction(best, resp.denom)
 
 
 def _noise_inequality(mu: Fraction, l: int, k_max: int) -> bool:

@@ -213,35 +213,28 @@ def local_distribution_tree(
     forest: GmdInstance,
     mu: Fraction,
     S: Sequence[int],
-    mode: str = "exact",
-    trials: int = 100_000,
-    seed: int = 0,
 ) -> dict[tuple, Fraction]:
     """Joint label distribution on S under independent edge cutting.
 
     Each edge of the forest is cut with probability mu; each resulting piece
     draws one uniform label and propagates it so that every kept arc is
-    weakly satisfied.  Exact mode marginalizes by dynamic programming over
-    each tree; sample mode simulates and returns empirical frequencies.
+    weakly satisfied.  Marginalizes exactly, by dynamic programming over
+    each tree.
     """
     mu = Fraction(mu)
     q = forest.T + 1
     S = tuple(S)
     adj, components = _forest_structure(forest)
-    if mode == "exact":
-        out = {}
-        for alpha in itertools.product(range(q), repeat=len(S)):
-            clamp = dict(zip(S, alpha))
-            p = Fraction(1)
-            for root, order, parent in components:
-                if not any(v in clamp for v in order):
-                    continue
-                p *= _clamped_tree_probability(adj, order, parent, clamp, mu, q)
-            out[alpha] = p
-        return out
-    if mode == "sample":
-        return _sampled_distribution(forest, adj, components, mu, S, trials, seed)
-    raise InstanceError(f"unknown mode {mode!r}")
+    out = {}
+    for alpha in itertools.product(range(q), repeat=len(S)):
+        clamp = dict(zip(S, alpha))
+        p = Fraction(1)
+        for root, order, parent in components:
+            if not any(v in clamp for v in order):
+                continue
+            p *= _clamped_tree_probability(adj, order, parent, clamp, mu, q)
+        out[alpha] = p
+    return out
 
 
 def _clamped_tree_probability(adj, order, parent, clamp, mu: Fraction, q: int) -> Fraction:
@@ -266,37 +259,6 @@ def _clamped_tree_probability(adj, order, parent, clamp, mu: Fraction, q: int) -
         messages[v] = base
     root_msg = messages[order[0]]
     return sum(root_msg, Fraction(0)) / q
-
-
-def _sampled_distribution(forest, adj, components, mu, S, trials, seed):
-    rng = substream(seed, 0)
-    q = forest.T + 1
-    mu_f = float(mu)
-    counts: dict[tuple, int] = {}
-    tree_edges = []
-    for root, order, parent in components:
-        tree_edges.append([(v, parent[v]) for v in order if parent[v] is not None])
-    delta_of = {}
-    for v in range(forest.n):
-        for y, delta in adj[v]:
-            delta_of[(v, y)] = delta
-    for _ in range(trials):
-        labels = [0] * forest.n
-        for (root, order, parent), edges in zip(components, tree_edges):
-            cut = {e for e in edges if rng.random() < mu_f}
-            labels[root] = int(rng.integers(0, q))
-            for v in order[1:]:
-                p = parent[v]
-                if (v, p) in cut:
-                    labels[v] = int(rng.integers(0, q))
-                else:
-                    labels[v] = (labels[p] + delta_of[(p, v)]) % q
-        key = tuple(labels[v] for v in S)
-        counts[key] = counts.get(key, 0) + 1
-    return {
-        alpha: Fraction(counts.get(alpha, 0), trials)
-        for alpha in itertools.product(range(q), repeat=len(S))
-    }
 
 
 # ---------------------------------------------------------------------------

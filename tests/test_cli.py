@@ -328,6 +328,22 @@ def test_gap_pipeline_csv(tmp_path, capsys):
     assert "acyclic" in lines[1]
 
 
+def test_gap_takes_the_complete_base_degree_without_a_scan(monkeypatch, capsys):
+    from gmdlab import graphs
+    from gmdlab.gapgen import generate_base_dag
+
+    for n in range(1, 61):
+        assert graphs.max_degree(n, generate_base_dag("complete-dag", n).arcs) == max(n - 1, 0)
+    scanned = []
+    scan = graphs.max_degree
+    monkeypatch.setattr(graphs, "max_degree", lambda n, edges: scanned.append(len(edges)) or scan(n, edges))
+    assert run_command(["gap", "--n", "16", "--seed", "5"]) == 0
+    # only the report scans, the instance's edges: fewer than the base's 120
+    assert len(scanned) == 1 and scanned[0] < 16 * 15 // 2
+    assert run_command(["gap", "--n", "16", "--seed", "5", "--base", "window"]) == 0
+    assert len(scanned) == 3
+
+
 def test_gap_missing_base_file_exit_1(tmp_path, capsys):
     missing = str(tmp_path / "absent.gmd")
     assert run_command(["gap", "--base", f"file:{missing}"]) == 1

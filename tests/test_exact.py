@@ -35,7 +35,7 @@ from gmdlab.exact import (
     _gp_game,
     _gmd_labels,
     _gmd_plan,
-    _gmd_responder,
+    _GmdResponder,
     _zero_set_walk,
     greedy_completion,
     opt_gmd,
@@ -308,7 +308,7 @@ def test_engine_elimination_and_zero_set_walk_agree():
             game = _gmd_game(inst)
             order, _ = game.elimination_order()
             total, _ = game._eliminate(order, game.arrays())
-            assert _gmd_elim_mask(game, order) == _zero_set_walk(_gmd_responder(inst))
+            assert _gmd_elim_mask(game, order) == _zero_set_walk(_GmdResponder(inst))
             assert F(total, game.denom) == opt_gmd(inst).value
 
 
@@ -375,7 +375,7 @@ def test_elimination_and_walk_agree_on_gmd(inst):
     order, _ = game.elimination_order()
     value, _ = game._eliminate(order, game.arrays())
     mask = _gmd_elim_mask(game, order)
-    resp = _gmd_responder(inst)
+    resp = _GmdResponder(inst)
     labels, total = _gmd_labels(resp, [bool(mask >> v & 1) for v in range(inst.n)])
     assert total == value
     assert _zero_set_walk(resp) == mask
@@ -490,7 +490,7 @@ def test_elimination_on_python_int_tables():
     mask = _gmd_elim_mask(game, order)
     value, witness = _plain_gmd(inst)
     assert mask == sum(1 << v for v, x in enumerate(witness.values) if x == 0)
-    assert F(_gmd_labels(_gmd_responder(inst), [bool(mask >> v & 1) for v in range(5)])[1], game.denom) == value
+    assert F(_gmd_labels(_GmdResponder(inst), [bool(mask >> v & 1) for v in range(5)])[1], game.denom) == value
     res = opt_gmd(inst)
     assert (res.value, res.witness) == (value, witness)
     assert value == opt_gmd_bruteforce(inst).value
@@ -506,7 +506,7 @@ def test_elimination_when_only_the_penalised_tables_pass_int64():
     assert game.int64() and not game.int64(1 << inst.n)
     order, _ = game.elimination_order()
     mask = _gmd_elim_mask(game, order)
-    resp = _gmd_responder(inst)
+    resp = _GmdResponder(inst)
     assert mask == _zero_set_walk(resp)
     labels, total = _gmd_labels(resp, [bool(mask >> v & 1) for v in range(inst.n)])
     res = opt_gmd(inst)
@@ -523,13 +523,13 @@ def test_walk_runs_when_the_pair_maxima_fit_int64():
     assert sum(a.weight for a in inst.arcs) == 2**62 + 1 and game.int64()
     assert _gmd_path(inst) == "walk"
     value, witness = _plain_gmd(inst)
-    assert _zero_set_walk(_gmd_responder(inst)) == sum(1 << v for v, x in enumerate(witness.values) if x == 0)
+    assert _zero_set_walk(_GmdResponder(inst)) == sum(1 << v for v, x in enumerate(witness.values) if x == 0)
     res = opt_gmd(inst)
     assert (res.value, res.witness) == (value, witness) == (2**61 + 1, Labeling((1, 0, 1)))
 
 
 def _gmd_path(inst):
-    return _gmd_plan(_gmd_responder(inst))[0]
+    return _gmd_plan(_GmdResponder(inst))[0]
 
 
 def test_cost_estimate_picks_each_path(tmp_path):
@@ -554,7 +554,7 @@ def test_cost_estimate_picks_each_path(tmp_path):
         inst = parse_instance(fh.read())
     assert _gmd_path(inst) == "elim"
     game = _gmd_game(inst)
-    resp = _gmd_responder(inst)
+    resp = _GmdResponder(inst)
     zero = _zero_set_walk(resp)
     assert opt_gmd(inst).value == F(_gmd_labels(resp, [bool(zero >> v & 1) for v in range(16)])[1],
                                     game.denom)
@@ -789,9 +789,46 @@ def test_responder_terms_match_neighbour_dicts_on_gmd(inst, huge):
                                                for a in inst.arcs])
     game = _gmd_game(inst)
     assert game.int64() == (not huge or not game.payoffs.any())
-    # the max-dicut layout of `_gmd_responder`, and every index against index 0
+    # the max-dicut layout of `_GmdResponder`, and every index against index 0
     for zero, width in [(inst.T, inst.T), (0, None)]:
         _assert_terms_match(game, _fraction_gmd_game(inst), zero, width)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gmd_instances(), st.booleans())
+def test_gmd_responder_builds_the_game_terms_from_the_arcs(inst, huge):
+    if huge:
+        inst = GmdInstance.of(inst.T, inst.n, [(a.tail, a.head, a.label, a.weight * HUGE)
+                                               for a in inst.arcs])
+    resp = _GmdResponder(inst)
+    assert "game" not in vars(resp)
+    sizes, denom, _, nbrs = _fraction_gmd_game(inst)
+    assert resp.denom == denom
+    assert resp.terms == _nbrs_terms(nbrs, sizes, inst.T, inst.T)
+    game = _gmd_game(inst)
+    assert resp.in_int64 == game.int64()
+    assert (resp.terms, resp.denom) == (_Responder(game, inst.T, inst.T).terms, game.denom)
+
+
+def test_gmd_responder_builds_its_game_once_when_first_used():
+    inst = _golden("g20.gmd")
+    resp = _GmdResponder(inst)
+    assert "game" not in vars(resp)
+    game = resp.game
+    assert resp.game is game and _built(game) == _built(_gmd_game(inst))
+
+
+def test_greedy_completion_builds_no_pair_game(monkeypatch):
+    inst = _golden("g20.gmd")
+    want = greedy_completion(inst, {0, 3, 5})
+
+    def refuse(*args):
+        raise AssertionError("a pair game was built")
+
+    monkeypatch.setattr(exact._PairGame, "__init__", refuse)
+    assert greedy_completion(inst, {0, 3, 5}) == want
+    with pytest.raises(AssertionError):
+        opt_gmd(inst)
 
 
 @settings(max_examples=100, deadline=None)

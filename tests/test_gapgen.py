@@ -1,10 +1,11 @@
+import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmdlab.core import GmdInstance, InstanceError
+from gmdlab.core import GmdInstance, InstanceError, parse_instance
 from gmdlab.exact import opt_gmd
 from gmdlab.gapgen import (
     DagSkeleton,
@@ -189,6 +190,55 @@ def test_local_search_matches_plain_hill_climb_on_random_bases(kind, n, T, resta
     arcs = [(u, v, data.draw(st.integers(1, T)), data.draw(st.integers(1, 5))) for u, v in base.arcs]
     inst = GmdInstance.of(T, n, arcs)
     assert _local_search_estimate(inst, restarts, seed) == _plain_local_search(inst, restarts, seed)
+
+
+# the hill climb's values at 12 restarts and seeds 0-5 on each golden `gap`
+# instance, as recorded before the climb read its start scores from one scatter
+LOCAL_SEARCH_GOLDEN = {
+    "gap-l11.gmd": ["21/38"] * 6,
+    "gap-n100-s1.gmd": ["58/101", "61/101", "59/101", "61/101", "60/101", "59/101"],
+    "gap-n1000-t3.gmd": ["641/1304", "645/1304", "161/326", "80/163", "639/1304", "639/1304"],
+    "gap-n200-s0.gmd": ["46/75", "28/45", "139/225", "139/225", "46/75", "139/225"],
+    "gap-n25-s1.gmd": ["3/5"] * 6,
+    "gap-n40-s0.gmd": ["7/13"] * 6,
+    "gap-n40-s5.gmd": ["9/19", "1/2", "9/19", "10/19", "1/2", "1/2"],
+    "gap-window.gmd": ["1/2", "1/2", "15/29", "15/29", "15/29", "14/29"],
+}
+
+
+def _golden(name):
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", name)) as fh:
+        return parse_instance(fh.read())
+
+
+@pytest.mark.parametrize("name", sorted(LOCAL_SEARCH_GOLDEN))
+def test_local_search_values_pinned_on_gap_goldens(name, monkeypatch):
+    from gmdlab import exact
+    from gmdlab.gapgen import _local_search_estimate
+
+    inst = _golden(name)
+
+    def refuse(*args):
+        raise AssertionError("a pair game was built")
+
+    monkeypatch.setattr(exact._PairGame, "__init__", refuse)
+    got = [str(_local_search_estimate(inst, 12, seed)) for seed in range(6)]
+    assert got == LOCAL_SEARCH_GOLDEN[name]
+
+
+def test_local_search_on_python_ints_matches_plain_hill_climb():
+    # weights of 2^61 on many pairs push the payoff sums past 2^62, so the
+    # start scores are scattered in Python ints
+    from gmdlab.exact import _GmdResponder
+    from gmdlab.gapgen import _local_search_estimate
+
+    for n, T, seed in [(14, 2, 1), (20, 3, 2)]:
+        base = generate_base_dag("window-random", n, params={"window": 3, "p": 0.8}, seed=seed)
+        arcs = [(u, v, 1 + (u * v) % T, (1 + (u + v) % 3) << 61) for u, v in base.arcs]
+        inst = GmdInstance.of(T, n, arcs)
+        assert not _GmdResponder(inst).in_int64
+        for restarts in (1, 12):
+            assert _local_search_estimate(inst, restarts, seed) == _plain_local_search(inst, restarts, seed)
 
 
 def test_max_dicut_cross_check_label_restriction():

@@ -110,7 +110,7 @@ def test_pairwise_rho_rows_sum_within_L():
 def test_local_distribution_single_edge_exact():
     mu = F(1, 5)
     inst = edge_instance(T=2, label=1)
-    dist = local_distribution_tree(inst, mu, S=(0, 1), mode="exact")
+    dist = local_distribution_tree(inst, mu, S=(0, 1))
     for i, ip in itertools.product(range(3), repeat=2):
         expected = (1 - mu) / 3 + mu / 9 if (ip - i) % 3 == 1 else mu / 9
         assert dist[(i, ip)] == expected
@@ -118,7 +118,7 @@ def test_local_distribution_single_edge_exact():
 
 def test_local_distribution_full_noise_is_product():
     inst = path2(T=1, t1=1, t2=1)
-    dist = local_distribution_tree(inst, F(1), S=(0, 1, 2), mode="exact")
+    dist = local_distribution_tree(inst, F(1), S=(0, 1, 2))
     assert all(p == F(1, 8) for p in dist.values())
 
 
@@ -126,7 +126,7 @@ def test_local_distribution_matches_rho_within_L():
     inst = path2(T=2)
     mu = F(1, 3)
     table = pairwise_rho(inst, mu, L=2)
-    dist = local_distribution_tree(inst, mu, S=(0, 2), mode="exact")
+    dist = local_distribution_tree(inst, mu, S=(0, 2))
     for i, ip in itertools.product(range(3), repeat=2):
         assert dist[(i, ip)] == table.entry(0, i, 2, ip)
 
@@ -138,23 +138,10 @@ def test_local_distribution_rho_gap_bound_beyond_L():
     mu = F(1, 3)
     L = 1
     table = pairwise_rho(inst, mu, L=L)
-    dist = local_distribution_tree(inst, mu, S=(0, 2), mode="exact")
+    dist = local_distribution_tree(inst, mu, S=(0, 2))
     bound = (1 - mu) ** L / 3
     for i, ip in itertools.product(range(3), repeat=2):
         assert abs(dist[(i, ip)] - table.entry(0, i, 2, ip)) <= bound
-
-
-def test_local_distribution_sampling_agrees_with_exact():
-    inst = path2(T=1, t1=1, t2=1)
-    mu = F(2, 5)
-    exact = local_distribution_tree(inst, mu, S=(0, 2), mode="exact")
-    trials = 40_000
-    sampled = local_distribution_tree(
-        inst, mu, S=(0, 2), mode="sample", trials=trials, seed=13
-    )
-    for alpha, p in exact.items():
-        se = math.sqrt(float(p) * (1 - float(p)) / trials)
-        assert abs(float(sampled[alpha]) - float(p)) <= 3 * se + 1e-9
 
 
 def test_local_distribution_rejects_cycles():
@@ -162,7 +149,7 @@ def test_local_distribution_rejects_cycles():
         1, 3, [(0, 1, 1, F(1, 3)), (1, 2, 1, F(1, 3)), (2, 0, 1, F(1, 3))]
     )
     with pytest.raises(Exception):
-        local_distribution_tree(tri, F(1, 2), S=(0, 1), mode="exact")
+        local_distribution_tree(tri, F(1, 2), S=(0, 1))
 
 
 def test_embed_adjacent_pair_gram_values():

@@ -93,8 +93,6 @@ def test_every_cap_is_read_outside_caps():
 SCALAR_DRAWS = {"random": 0, "integers": 2}
 # (module, function) whose scalar draws in a loop stay, and why
 SCALAR_DRAW_EXEMPT = {
-    ("sasol.py", "_sampled_distribution"):
-        "each tree's edge cuts and labels take turns on one stream",
     ("dicttest.py", "adversarial_functions"):
         "a scalar bounded draw takes a 64-bit word where a vector one takes 32 bits",
 }
