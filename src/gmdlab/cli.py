@@ -101,19 +101,18 @@ def _umask() -> int:
 def emit_report(rows, path: str, header: list[str], argv, seed) -> None:
     """CSV with a provenance comment; stable column order; atomic replace.
 
-    Rows are all dicts keyed by column, or all tuples of formatted cells in
-    header order (joined without a Python-level loop, for large tables).
-    The text is written a few thousand lines at a time, never whole.
+    Rows are all dicts keyed by column, all tuples of formatted cells in
+    header order, or all strings of whole lines (SaSolution.csv_chunks), the
+    last written as they are.  The text is written in parts, never whole.
     """
-    lines = [f"# gmdlab {__version__} config={_config_hash(argv)} seed={seed}", ",".join(header)]
+    head = f"# gmdlab {__version__} config={_config_hash(argv)} seed={seed}\n{','.join(header)}\n"
     rows = iter(rows)
     first = next(rows, None)
-    if first is not None:
-        rows = itertools.chain([first], rows)
-        if isinstance(first, dict):
-            rows = ([str(row.get(col, "")) for col in header] for row in rows)
-        lines = itertools.chain(lines, map(",".join, rows))
-    _atomic_write(path, _text_chunks(iter(lines)))
+    rows = itertools.chain([] if first is None else [first], rows)
+    if isinstance(first, dict):
+        rows = ([str(row.get(col, "")) for col in header] for row in rows)
+    text = rows if isinstance(first, str) else _text_chunks(map(",".join, rows))
+    _atomic_write(path, itertools.chain([head], text))
 
 
 def _text_chunks(lines):
@@ -271,7 +270,7 @@ def _cmd_salp(args, caps, argv) -> int:
         + f" lp_path = {sol.lp_path}"
     )
     if args.csv:
-        emit_report(sol.text_rows(), args.csv, ["set", "assignment", "value"], argv, seed="-")
+        emit_report(sol.csv_chunks(), args.csv, ["set", "assignment", "value"], argv, seed="-")
     return 0
 
 
@@ -341,9 +340,7 @@ def _cmd_sasol(args, caps, argv) -> int:
     consistent = check_sa_consistency(result.solution).ok
     print(f"objective = {result.objective} consistent = {consistent}")
     if args.csv:
-        rows = itertools.chain(
-            result.solution.text_rows(), [("objective", "", str(result.objective))]
-        )
+        rows = itertools.chain(result.solution.csv_chunks(), [f"objective,,{result.objective}\n"])
         emit_report(rows, args.csv, ["set", "assignment", "frequency"], argv, seed=args.seed)
     return 0
 

@@ -35,8 +35,8 @@ the lcm of their denominators (object dtype, so they never overflow), each
 block gathered from the simplex's numerator vector.
 The consistency audit is integer work a block at a time: a sign test, row
 sums, and per kept-axes pattern one axis sum against the sub-block's rows,
-found by a rank lookup; the CSV text reads each block's numerators in one
-call.
+found by a rank lookup.  csv_chunks builds the CSV text a block at a time,
+with no Python step per line, and yields a bounded number of lines at a time.
 """
 
 from __future__ import annotations
@@ -116,7 +116,8 @@ class SaSolution:
     The tables live in `blocks`, one per distinct table shape, as integer
     numerators over `denom`.  `tables` is a read-only S -> table mapping
     whose tables are views into the blocks, and `values` a read-only view
-    keyed by (S, alpha), iterated in sorted key order.
+    keyed by (S, alpha), iterated in sorted key order; `csv_chunks` writes
+    the same entries, in the same order, as CSV text.
     """
 
     blocks: tuple
@@ -130,9 +131,7 @@ class SaSolution:
             raise InstanceError(f"table denominator must be positive, got {self.denom}")
         self.blocks = tuple(self.blocks)
         self._index = [{a: i for i, a in enumerate(dom)} for dom in self.domains]
-        orders = [sorted(range(len(dom)), key=dom.__getitem__) for dom in self.domains]
-        self._orders = [None if order == list(range(len(order))) else order for order in orders]
-        self._ascending = [tuple(dom[i] for i in order) for dom, order in zip(self.domains, orders)]
+        self._ascending = [tuple(sorted(dom)) for dom in self.domains]
         n = len(self.domains)
         self._where: dict = {}  # set -> (block, row)
         self._codes = []        # per block: the rank keys of its rows
@@ -220,42 +219,60 @@ class SaSolution:
     def marginal(self, v: int) -> list[Fraction]:
         return [self.get((v,), (a,)) for a in self.domains[v]]
 
-    def text_rows(self) -> Iterator[tuple[str, str, str]]:
-        """(set, assignment, value) CSV cells in sorted (S, alpha) order, the
-        value as str(Fraction).
-
-        Each block's numerators are read out in one call, value texts are
-        formatted once per distinct numerator and assignment texts once per
-        tuple of axes; the rows are chained set by set, in sorted set order,
-        with no Python-level step per row.
-        """
-        texts = ValueTexts(self.denom)
-        assignments: dict = {}  # axes -> assignment texts in row-major order
-        numerators: dict = {}   # set -> numerators in row-major domain order
+    def csv_chunks(self) -> Iterator[str]:
+        """`set,assignment,value` CSV lines in sorted (S, alpha) order, in strings of the
+        lines of as many sets as keep within CSV_CHUNK_LINES (one at least).  A line joins
+        three object-array pieces built a block at a time, sorting no array: set text,
+        `,alpha,` text (once per tuple of domains), and the value's str(Fraction) and newline."""
+        if not self.blocks:
+            return
+        text = np.frompyfunc(ValueTexts(self.denom).__getitem__, 1, 1)
+        names = np.array(list(map(str, range(len(self.domains)))), dtype=object)
+        kinds = {dom: i for i, dom in enumerate(dict.fromkeys(self.domains))}
+        kind = np.array([kinds[dom] for dom in self.domains])
+        pieces = []  # per block: each set's tuple of domains; per tuple, alphas and positions
         for block in self.blocks:
-            numerators.update(zip(map(tuple, block.vertices.tolist()),
-                                  block.counts.reshape(len(block), -1).tolist()))
-        ordered = all(order is None for order in self._orders)
-        return itertools.chain.from_iterable(
-            zip(itertools.repeat(" ".join(map(str, S))), self._assignments(S, assignments),
-                map(texts.__getitem__, numerators[S] if ordered else self._ascending_order(S)))
-            for S in sorted(numerators)
-        )
+            codes = _set_codes(kind[block.vertices], len(kinds)).tolist()
+            first = dict(zip(codes, range(len(codes))))  # tuple of domains -> a row with it
+            combo = np.array(list(map({code: i for i, code in enumerate(first)}.__getitem__, codes)))
+            alphas, perms = [], []
+            for doms in ([self.domains[v] for v in S] for S in block.vertices[list(first.values())].tolist()):
+                alphas.append([f",{' '.join(map(str, a))}," for a in itertools.product(*map(sorted, doms))])
+                orders = [sorted(range(len(dom)), key=dom.__getitem__) for dom in doms]
+                perms.append(np.ravel_multi_index(np.ix_(*orders), block.shape).reshape(-1))
+            pieces.append((combo, np.array(alphas, dtype=object), np.array(perms)))
+        # a set's place: the sets before it in each block; keys read vertices + 1, then 0s, as digits
+        starts = list(itertools.accumulate(map(len, self.blocks), initial=0))
+        padded = np.zeros((starts[-1], max(block.vertices.shape[1] for block in self.blocks)), dtype=np.int64)
+        for block, lo in zip(self.blocks, starts):
+            padded[lo:lo + len(block), :block.vertices.shape[1]] = block.vertices + 1
+        keys = [_set_codes(padded[lo:hi], len(self.domains) + 1) for lo, hi in zip(starts, starts[1:])]
+        places = [sum(np.searchsorted(other, mine) for other in keys) for mine in keys]
+        widest = max(block.counts[0].size for block in self.blocks)  # shorter tables leave ""
+        step = max(1, CSV_CHUNK_LINES // widest)
+        for lo in range(0, starts[-1], step):
+            lines = np.full((min(step, starts[-1] - lo), widest, 3), "", dtype=object)
+            for block, place, (combo, alphas, perms) in zip(self.blocks, places, pieces):
+                rows = np.arange(*np.searchsorted(place, [lo, lo + step]))
+                sets = names[block.vertices[rows, 0]]
+                for column in block.vertices[rows, 1:].T:
+                    sets = sets + " " + names[column]
+                nums = block.counts.reshape(len(block), -1)[rows[:, None], perms[combo[rows]]]
+                # counts in a compact range: each distinct numerator is formatted once
+                if nums.dtype != object and 0 <= nums.min(initial=0) and nums.max(initial=0) < 4 * nums.size:
+                    seen = np.bincount(nums.reshape(-1)) > 0
+                    values = (text(np.flatnonzero(seen)) + "\n")[np.cumsum(seen)[nums] - 1]
+                else:
+                    values = text(nums) + "\n"
+                at = place[rows] - lo
+                lines[at, :alphas.shape[1], 0] = sets[:, None]
+                lines[at, :alphas.shape[1], 1] = alphas[combo[rows]]
+                lines[at, :alphas.shape[1], 2] = values
+            yield "".join(lines.reshape(-1).tolist())
 
-    def _assignments(self, S: SetKey, cache: dict) -> list[str]:
-        """Assignment texts of S's table in ascending domain order, built
-        once per tuple of axes."""
-        axes = tuple(map(self._ascending.__getitem__, S))
-        alphas = cache.get(axes)
-        if alphas is None:
-            alphas = cache[axes] = [" ".join(map(str, alpha)) for alpha in itertools.product(*axes)]
-        return alphas
 
-    def _ascending_order(self, S: SetKey) -> list:
-        """S's numerators in row-major ascending domain order."""
-        orders = [range(len(self.domains[v])) if self._orders[v] is None else self._orders[v]
-                  for v in S]
-        return self.tables[S][np.ix_(*orders)].reshape(-1).tolist()
+# lines of one string of SaSolution.csv_chunks: cheap per line, never the whole text
+CSV_CHUNK_LINES = 1 << 14
 
 
 def set_order(S: SetKey) -> tuple:

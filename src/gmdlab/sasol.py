@@ -17,8 +17,9 @@ every set, so marginalization identities hold exactly on the empirical table.
 This module is the only floating-point one; tables and frequencies stay exact.
 An empirical table is an SaSolution with denominator `trials` and one int64
 block of sample counts per set size, (sets, q, ..., q) with axes indexed by
-label; each batch of samples is counted into a block with one bincount per
-chunk of sets, and no per-entry rational is built.  The total table size is
+label, and no per-entry rational is built.  Per batch, the 1- and 2-vertex
+tables come from one float32 0/1 label indicator X (row sums; X @ X.T), the
+larger ones from one bincount per chunk of sets.  The total table size is
 capped (Caps.sa_table_entries) before any work.  The Gram matrix takes one
 float per distinct rho value, converted once from its exact Fraction.
 
@@ -97,25 +98,6 @@ def _bounded_shortest_paths(adj, src: int, depth: int):
     return dist, count, offset
 
 
-def match_pairs(
-    inst: GmdInstance, u: int, v: int, max_dist: Optional[int] = None
-) -> frozenset[tuple[int, int]]:
-    """The T+1 label pairs extendable to weakly satisfy the unique shortest
-    u..v path (head label minus tail label equals the arc label mod T+1)."""
-    q = inst.T + 1
-    adj = _delta_adjacency(inst)
-    depth = max_dist if max_dist is not None else inst.n
-    dist, count, offset = _bounded_shortest_paths(adj, u, depth)
-    if v not in dist:
-        raise AmbiguousPathError(
-            f"vertices {u},{v} are farther than {depth} apart or disconnected"
-        )
-    if count[v] != 1:
-        raise AmbiguousPathError(f"shortest path {u}..{v} is not unique")
-    off = offset[v] % q
-    return frozenset((i, (i + off) % q) for i in range(q))
-
-
 @dataclass
 class PairwiseTable:
     """Exact pairwise table rho over (vertex, label) pairs."""
@@ -144,9 +126,6 @@ class PairwiseTable:
         if matching:
             return keep / q + (1 - keep) / (q * q)
         return (1 - keep) / (q * q)
-
-    def row_sum(self, u: int, i: int, v: int) -> Fraction:
-        return sum((self.entry(u, i, v, ip) for ip in range(self.q)), Fraction(0))
 
 
 def pairwise_rho(inst: GmdInstance, mu: Fraction, L: int) -> PairwiseTable:
@@ -299,6 +278,7 @@ def embed_vectors(table: PairwiseTable, S: Optional[Sequence[int]] = None) -> Ve
     """
     inst = table.inst
     S = tuple(sorted(S if S is not None else range(inst.n)))
+    _check_vertices(S, inst.n)
     gram = _gram_matrix(table, S)
     eigvals, eigvecs = np.linalg.eigh(gram)
     low = eigvals.min(initial=0.0)  # no vertex: an empty, PSD Gram matrix
@@ -318,6 +298,13 @@ def embed_vectors(table: PairwiseTable, S: Optional[Sequence[int]] = None) -> Ve
         psd_clamp_report=clamped,
         inst=inst,
     )
+
+
+def _check_vertices(S: tuple[int, ...], n: int) -> None:
+    """InstanceError naming the first vertex of sorted S that is repeated or not in 0..n-1."""
+    for u, v in zip((None,) + S, S):
+        if u == v or not 0 <= v < n:
+            raise InstanceError(f"vertex {v} is {'repeated' if u == v else f'not in 0..{n - 1}'}")
 
 
 def _gram_matrix(table: PairwiseTable, S: tuple[int, ...]) -> np.ndarray:
@@ -430,15 +417,23 @@ class RoundingEstimate:
 
 
 def _argmax_labels(scores: np.ndarray, q: int) -> np.ndarray:
-    """Per-trial argmax label per vertex; ties (measure zero) -> smallest."""
-    t, total = scores.shape
-    return scores.reshape(t, total // q, q).argmax(axis=2)
+    """Per-trial argmax label per vertex, by q - 1 strict compares with the
+    best score so far; ties (measure zero) -> smallest, as argmax gives."""
+    scores = scores.reshape(len(scores), -1, q)
+    best = scores[:, :, 0]
+    labels = np.zeros(best.shape, dtype=np.min_scalar_type(q - 1))
+    for label in range(1, q):
+        np.maximum(labels, (scores[:, :, label] > best) * labels.dtype.type(label), out=labels)
+        best = np.maximum(best, scores[:, :, label])
+    return labels
 
 
 # entries of one batch's Gaussian draws and of its scores: 8 MB of float64
 # each.  A batch is ROUND_BATCH_ENTRIES // max(rows, dim) trials, 8,738 for
 # the 120 x 120 factors of a 40-vertex instance with T = 2.
 ROUND_BATCH_ENTRIES = 1 << 20
+# at most ROUND_BATCH_ENTRIES trials a batch: float32 holds its counts exactly
+assert ROUND_BATCH_ENTRIES <= 1 << 24
 
 
 def _rounded_labels(factors: np.ndarray, q: int, trials: int, seed: int):
@@ -504,6 +499,7 @@ def round_and_estimate(
     missing = [v for v in request if v not in pos]
     if missing:
         raise InstanceError(f"vertex {missing[0]} is not in the vector system")
+    _check_vertices(request, max(verts) + 1)  # all in the system: only a repeat is left
     edges = [arc for arc in arcs if arc[0] in request and arc[1] in request]
     edge_rows = [(pos[u], pos[v], t) for u, v, t in edges]
     marg = np.zeros((len(request), q), dtype=np.int64)
@@ -594,11 +590,17 @@ def build_sa_solution(
     blocks = [vertices for _, _, vertices in shape_blocks(sets, [q] * inst.n)]
 
     counts = [np.zeros((len(verts), q ** verts.shape[1]), dtype=np.int64) for verts in blocks]
+    # the vertices of the 1- and 2-vertex sets, a pair's first (blocks come by ascending size)
+    small = np.zeros(inst.n, dtype=np.int64)
+    for verts in blocks:
+        if verts.shape[1] <= 2:
+            small[verts] = verts.shape[1]
+    paired = np.flatnonzero(small == 2)
+    vertices = np.concatenate([paired, np.flatnonzero(small == 1)])
     arcs = [(a.tail, a.head, a.label) for a in inst.arcs]
     hits = np.zeros(len(arcs), dtype=np.int64)
     for by_vertex in _rounded_labels(vs.factors, q, trials, seed):
-        for verts, out in zip(blocks, counts):
-            _count_block(by_vertex, verts, q, out)
+        _count_sets(by_vertex, blocks, counts, vertices, len(paired), q)
         _count_arcs(by_vertex, arcs, hits)
     sat_counts = hits.tolist()
 
@@ -626,9 +628,29 @@ def build_sa_solution(
     )
 
 
-# entries of one temporary of the counting: 256 KB of int32 codes, 512 KB
-# of int64 counts.  Measured (n=40, k=2, 1,000 trials, 2-core Xeon): 2.0 ms
-# a pass at 2^16 entries with int32 codes, 4.3 ms at 2^17 with int64 ones.
+def _count_sets(by_vertex: np.ndarray, blocks, counts, vertices: np.ndarray, paired: int, q: int) -> None:
+    """Add each block's tables to its counts.  Row (i, a) of a 0/1 float32 indicator
+    X marks the samples where vertices[i] takes label a: X's row sums are the 1-vertex
+    tables, X @ X.T over the first `paired` vertices holds the pair tables (exact, as
+    counts stay below 2^24), and larger sets go to _count_block."""
+    row = np.empty(len(by_vertex), dtype=np.int64)
+    row[vertices] = np.arange(len(vertices))
+    x = by_vertex[vertices][:, None, :] == np.arange(q, dtype=by_vertex.dtype)[:, None]
+    x = x.astype(np.float32).reshape(len(vertices) * q, by_vertex.shape[1])
+    for verts, out in zip(blocks, counts):
+        if verts.shape[1] == 1:
+            out += x.sum(axis=1).reshape(-1, q)[row[verts[:, 0]]].astype(np.int64)
+        elif verts.shape[1] == 2:
+            product = (x[:paired * q] @ x[:paired * q].T).reshape(paired, q, paired, q)
+            table = product[row[verts[:, 0]], :, row[verts[:, 1]], :]
+            out += table.reshape(len(verts), -1).astype(np.int64)
+        else:
+            _count_block(by_vertex, verts, q, out)
+
+
+# entries of one temporary of the counting: 256 KB of int32 codes, 512 KB of
+# int64 counts.  Measured on the n=40 pair tables, before X @ X.T took them
+# (1,000 trials, 2-core Xeon): 2.0 ms at 2^16 entries, 4.3 ms at 2^17 in int64.
 COUNT_CHUNK_ENTRIES = 1 << 16
 
 

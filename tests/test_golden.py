@@ -40,6 +40,9 @@ CASES = (
     # enough trials that the rounding runs in several batches
     ("sasol-k2-multibatch.csv", ["sasol", "--in", "gap12.gmd", "--k", "2", "--trials", "40000",
                                  "--seed", "2"], None),
+    # T = 3 (q = 4): 20,000 trials are two batches of the 64 x 64 factors
+    ("sasol-t3-k2.csv", ["sasol", "--in", "gap16-t3.gmd", "--k", "2", "--trials", "20000",
+                         "--seed", "3"], None),
     ("salp-r2.csv", ["salp", "--in", "c4.gmd", "--rounds", "2"], None),
     ("salp-r3.csv", ["salp", "--in", "c4.gmd", "--rounds", "3"], None),
     ("salp-half.csv", ["salp", "--in", "p3.gp", "--rounds", "2", "--grid", "half"], None),

@@ -35,6 +35,7 @@ from gmdlab.salp import (
     solve_lp_exact,
     table_entries,
 )
+import gmdlab.salp as salp
 from gmdlab.sasol import build_sa_solution
 from gmdlab.simplex import simplex_max
 
@@ -562,10 +563,38 @@ def test_table_view_matches_values(case):
     assert len(sol.values) == len(values)
     assert list(sol.values.items()) == sorted(values.items())
     assert all(sol.get(S, alpha) == x for (S, alpha), x in values.items())
-    assert list(sol.text_rows()) == [
-        (" ".join(map(str, S)), " ".join(map(str, alpha)), str(x))
-        for (S, alpha), x in sorted(values.items())
-    ]
+    assert "".join(sol.csv_chunks()) == reference_csv(values)
+
+
+def reference_csv(values) -> str:
+    """The CSV lines of an (S, alpha) -> value mapping, one per entry in
+    sorted key order."""
+    return "".join(f"{' '.join(map(str, S))},{' '.join(map(str, alpha))},{x}\n"
+                   for (S, alpha), x in sorted(values.items()))
+
+
+@pytest.mark.parametrize("chunk, lines", [
+    (None, [130, 16_900, 130, 390, 3]),
+    (40_000, [130 + 16_900, 130 + 390, 3]),
+    (100_000, [17_553]),
+])
+def test_csv_chunks_hold_whole_sets_within_the_chunk(chunk, lines, monkeypatch):
+    # a 130 x 130 table is longer than a chunk (16,900 of 16,384 lines), so
+    # each set takes a chunk of its own, as sets are sized by the widest
+    # table; tables in descending domain order, beside a shorter block
+    if chunk is not None:
+        monkeypatch.setattr(salp, "CSV_CHUNK_LINES", chunk)
+    big = tuple(F(130 - i, 7) for i in range(130))
+    domains = (big, big, (2, 0, 1))
+    rng = np.random.default_rng(5)
+    tables = {(0, 1): rng.integers(0, 50, (130, 130)), (0,): rng.integers(0, 9, 130),
+              (2,): rng.integers(0, 9, 3), (1,): rng.integers(0, 9, 130),
+              (1, 2): rng.integers(0, 9, (130, 3))}
+    sol = SaSolution.from_tables(tables, denom=12, rounds=2, domains=domains)
+    chunks = list(sol.csv_chunks())
+    assert "".join(chunks) == reference_csv(sol.values)
+    assert [text.count("\n") for text in chunks] == lines
+    assert all(text.endswith("\n") for text in chunks)
 
 
 @pytest.mark.parametrize("n", [7, 2**21 + 5])
@@ -646,7 +675,7 @@ def test_lp_tables_are_slices_of_the_vertex(lp):
     assert sol.tables.keys() == ref.tables.keys()
     for S, arr in ref.tables.items():
         assert sol.tables[S].tolist() == arr.tolist()
-    assert list(sol.text_rows()) == list(ref.text_rows())
+    assert "".join(sol.csv_chunks()) == reference_csv(ref.values)
     # one block per table shape, its rows in sets() order
     shapes = {tuple(len(lp.domains[v]) for v in S) for S in lp.sets}
     assert sorted(block.shape for block in sol.blocks) == sorted(shapes)

@@ -23,7 +23,6 @@ from gmdlab.sasol import (
     build_sa_solution,
     embed_vectors,
     local_distribution_tree,
-    match_pairs,
     noise_for_target_gap,
     pairwise_rho,
     round_and_estimate,
@@ -38,6 +37,20 @@ def edge_instance(T=2, label=1):
 
 def path2(T=2, t1=1, t2=2):
     return GmdInstance.of(T, 3, [(0, 1, t1, F(1, 2)), (1, 2, t2, F(1, 2))])
+
+
+def match_pairs(inst, u, v, max_dist=None):
+    """The T+1 label pairs extendable to weakly satisfy the unique shortest
+    u..v path (head label minus tail label equals the arc label mod T+1),
+    by the search pairwise_rho runs from each vertex."""
+    q = inst.T + 1
+    depth = max_dist if max_dist is not None else inst.n
+    dist, count, offset = sasol._bounded_shortest_paths(sasol._delta_adjacency(inst), u, depth)
+    if v not in dist:
+        raise AmbiguousPathError(f"vertices {u},{v} are farther than {depth} apart or disconnected")
+    if count[v] != 1:
+        raise AmbiguousPathError(f"shortest path {u}..{v} is not unique")
+    return frozenset((i, (i + offset[v]) % q) for i in range(q))
 
 
 def test_match_pairs_adjacent():
@@ -101,7 +114,7 @@ def test_pairwise_rho_rows_sum_within_L():
     table = pairwise_rho(inst, F(2, 7), L=2)
     for u, v in [(0, 1), (0, 2), (1, 2)]:
         for i in range(3):
-            assert table.row_sum(u, i, v) == F(1, 3)
+            assert sum(table.entry(u, i, v, ip) for ip in range(3)) == F(1, 3)
             assert all(
                 0 <= table.entry(u, i, v, ip) <= F(1, 3) for ip in range(3)
             )
@@ -169,6 +182,17 @@ def test_embed_single_vertex():
     assert vs.gram.shape == (3, 3)
     assert vs.gram[0, 0] == pytest.approx(0.25 + 1 / 3)
     assert vs.gram[0, 1] == pytest.approx(0.125)
+
+
+def test_embed_refuses_repeated_and_foreign_vertices():
+    # a repeated vertex gave a 9 x 9 Gram for S = [0, 0, 1], and a vertex
+    # outside the instance one of its own
+    table = pairwise_rho(block_instance("gap12"), F(1, 2), L=1)
+    with pytest.raises(InstanceError, match="vertex 0 is repeated"):
+        embed_vectors(table, S=[0, 0, 1])
+    for S, v in (([0, 99], 99), ([-1, 3], -1), ([12], 12)):
+        with pytest.raises(InstanceError, match=f"vertex {v} is not in 0..11"):
+            embed_vectors(table, S=S)
 
 
 def test_embed_zero_noise_matching_vectors_coincide():
@@ -254,6 +278,48 @@ def test_rounding_rejects_vertex_outside_system():
     vs = embed_vectors(pairwise_rho(path2(), F(1, 2), L=1), S=(0, 1))
     with pytest.raises(InstanceError, match="vertex 2 is not in the vector system"):
         round_and_estimate(vs, trials=10, seed=0, vertices=(2,))
+
+
+def test_rounding_refuses_a_repeated_vertex():
+    # vertices=[1, 1] gave two marginal rows for vertex 1
+    vs = embed_vectors(pairwise_rho(path2(), F(1, 2), L=1))
+    with pytest.raises(InstanceError, match="vertex 1 is repeated"):
+        round_and_estimate(vs, trials=10, seed=0, vertices=[1, 1])
+    with pytest.raises(InstanceError, match="vertex 0 is repeated"):
+        round_and_estimate(EdgeVectorSystem(T=2, mu=0.25, label=1), 10, 0, vertices=(0, 1, 0))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+def test_compare_labels_match_argmax_with_ties(q):
+    # scores from a few values, so that ties are common; argmax keeps the
+    # first largest, and so must the compares
+    rng = np.random.default_rng(q)
+    for values in (1, 2, 3, 50):
+        scores = rng.integers(0, values, (200, 7 * q)).astype(np.float64)
+        want = scores.reshape(200, 7, q).argmax(axis=2)
+        got = _argmax_labels(scores, q)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("q, n", [(2, 2), (3, 2), (2, 9), (3, 13), (4, 7), (4, 30), (3, 30)])
+def test_product_tables_match_count_block(q, n, monkeypatch):
+    # the 1- and 2-vertex tables read from the indicator product equal the
+    # bincount tables of the same label rows, over several rounding batches,
+    # for all sets and for a list whose singles name vertices in no pair
+    rng = np.random.default_rng(q * 100 + n)
+    arcs = [(v, int(rng.integers(0, v)), int(rng.integers(1, q)), 1) for v in range(1, n)]
+    inst = GmdInstance.of(q - 1, n, arcs)  # a tree: unique paths at any L
+    vs = embed_vectors(pairwise_rho(inst, F(1, 2), L=2))
+    monkeypatch.setattr(sasol, "ROUND_BATCH_ENTRIES", 64 * n * q)  # 64 trials a batch
+    listed = [(0,), (n - 1,), (0, n - 1)] + [(v,) for v in range(1, n - 1, 3)]
+    for sets in (None, listed):
+        sol = build_sa_solution(inst, F(1, 2), 2, 2, 300, 7, sets=sets).solution
+        want = {S: np.zeros(q ** len(S), dtype=np.int64) for S in sol.tables}
+        for by_vertex in sasol._rounded_labels(vs.factors, q, 300, 7):
+            for S, out in want.items():
+                sasol._count_block(by_vertex, np.array([S]), q, out[None])
+        for S, out in want.items():
+            assert int(out.sum()) == 300 and np.array_equal(sol.tables[S].reshape(-1), out), S
 
 
 @pytest.mark.parametrize("system", ["gap12", "edge"])
@@ -434,7 +500,7 @@ def per_set_build(inst, mu, L, k, trials, seed, sets=None, batch=100_000):
     while done < trials:
         step = min(batch, trials - done)
         g = rng.standard_normal((step, vs.dim))
-        labels = _argmax_labels(g @ vs.factors.T, q)
+        labels = (g @ vs.factors.T).reshape(step, inst.n, q).argmax(axis=2)
         by_vertex = np.ascontiguousarray(labels.T)
         for S in sets:
             code = by_vertex[S[0]]
@@ -478,6 +544,8 @@ BLOCK_CASES = [
     ("tree-t3", 3, 3, 701, 5, None, 256),
     ("tree-t3", 3, 3, 300, 6, [(0, 4, 5), (3, 1), (2,), (1, 2, 3), (5, 0), (4,)], 97),
     ("gap12", 1, 3, 200, 7, [(11, 3, 7), (3, 7), (0,), (2, 9, 10), (9, 10), (3, 11)], 100_000),
+    # no pair: the singles alone make the indicator, beside a larger set
+    ("tree-t3", 3, 3, 300, 8, [(0,), (0, 1, 2), (4,)], 97),
 ]
 
 
