@@ -180,7 +180,7 @@ def _cmd_solve(args, caps, argv) -> int:
     if isinstance(inst, GmdInstance):
         res = opt_gmd(inst, caps=caps)
     else:
-        grid = price_grid(inst, args.grid, caps.gp_grid_points, per_vertex=False)
+        grid = price_grid(inst, args.grid, caps.gp_grid_points, lp=False)
         res = opt_gp_grid(inst, grid, caps=caps)
     print(f"opt = {res.value}")
     if args.csv:
@@ -259,7 +259,7 @@ def _cmd_salp(args, caps, argv) -> int:
 
     inst = _read_instance(args.infile)
     pricing = isinstance(inst, GpInstance)
-    grid = price_grid(inst, args.grid, caps.sa_domain, per_vertex=True) if pricing else None
+    grid = price_grid(inst, args.grid, caps.lp_entries, lp=True) if pricing else None
     lp = build_sa_lp(inst, args.rounds, price_grid=grid, caps=caps)
     value, sol = solve_lp_exact(lp)
     report = check_sa_consistency(sol)

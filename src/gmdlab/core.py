@@ -271,12 +271,16 @@ def check_price_grid(inst: GpInstance, grid) -> None:
                 raise InstanceError(f"negative candidate price {p}")
 
 
-def price_grid(inst: GpInstance, spec: str, limit: int, per_vertex: bool) -> list[list[Fraction]]:
+def price_grid(inst: GpInstance, spec: str, cap: int, lp: bool) -> list[list[Fraction]]:
     """The per-vertex price grids named by `spec`, `half` or `geom:<eps>`.
 
-    Their sizes are checked before any grid is built, against `limit`: each
-    vertex's if `per_vertex` (sa_domain, for the LP), else their product
-    (gp_grid_points, for the oracle)."""
+    Their sizes are checked against `cap` before any grid is built: for the
+    grid oracle (gp_grid_points) their product; for the Sherali-Adams LP
+    (lp_entries) their sum s, which must stay below isqrt(cap).  Every grid
+    holds 0, and only a vertex on an edge has more, so an LP of two or more
+    rounds has at least s variables and s rows: a tableau of (s + 1)^2
+    entries at least, past the cap once s >= isqrt(cap)."""
+    limit = max(math.isqrt(cap) - 1, 0) if lp else cap
     budgets = max_incident_budget(inst)
     if spec == "half":
         sizes = [min(_half_grid_size(b), limit + 1) for b in budgets]
@@ -290,18 +294,13 @@ def price_grid(inst: GpInstance, spec: str, limit: int, per_vertex: bool) -> lis
         sizes = [geometric_grid_size(b, eps, limit) for b in budgets]
     else:
         raise InstanceError(f"unknown grid spec {spec!r} (want half or geom:<eps>)")
-    if per_vertex:
-        for v, size in enumerate(sizes):
-            if size > limit:
-                raise CapExceeded(
-                    f"grid {spec} gives vertex {v} more than {limit} prices, "
-                    f"cap sa_domain={limit}"
-                )
-    else:
-        points = math.prod(sizes)
-        if points > limit:
-            count = f"more than {limit}" if limit + 1 in sizes else str(points)
-            raise CapExceeded(f"grid has {count} points, cap {limit}")
+    total = sum(sizes) if lp else math.prod(sizes)
+    if total > limit:
+        count = f"more than {limit}" if limit + 1 in sizes else str(total)
+        if lp:
+            raise CapExceeded(f"grid {spec} has {count} prices, an LP tableau of at least "
+                              f"{(total + 1) ** 2} entries, cap lp_entries={cap}")
+        raise CapExceeded(f"grid has {count} points, cap {limit}")
     if spec == "half":
         return half_integral_grid(inst)
     return [geometric_grid(b, eps) for b in budgets]

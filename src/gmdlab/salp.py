@@ -11,10 +11,11 @@ variable (SaLp.starts).  Every equality row has coefficients +1 and -1 and a
 right-hand side of 1 or 0, so build_sa_lp writes the rows as int64 CSR
 arrays, by index arithmetic on those consecutive numbers, with no Python
 step per entry; the objective's indices and solve_lp_exact's read-back are
-index arithmetic from the same starts.  build_sa_lp checks the lp_variables
-cap from the domain sizes before it numbers any variable.  The set layout,
-shared with sasol.py, is defined once: sets_up_to lists the sets, set_order
-orders them, table_entries counts their entries and shape_blocks groups them.
+index arithmetic from the same starts.  build_sa_lp checks the lp_entries
+cap on the simplex tableau from the domain sizes (tableau_entries) before
+any set or row exists.  The set layout, shared with sasol.py, is defined once:
+sets_up_to lists the sets, set_order orders them, table_entries counts their
+entries and shape_blocks groups them.
 
 Everything here is exact rational arithmetic.  simplex.py solves the LPs: a
 float Bland-rule simplex finds the optimal vertex, which is returned only
@@ -291,13 +292,37 @@ def table_entries(sizes: Sequence[int], k: int, cap: float = math.inf) -> int:
     the s-th elementary symmetric polynomial of the sizes.  The e_s are added
     for s = 1, 2, ... until the sum passes `cap`: exact up to it, a lower
     bound above."""
-    row, total = [1] * len(sizes), 0  # row[i]: e_(s-1) of the first i sizes
-    for _ in range(min(k, len(sizes))):
-        row = list(itertools.accumulate(map(operator.mul, sizes, row), initial=0))
-        total += row.pop()
+    total = 0
+    for e in _symmetric_sums(sizes, k):
+        total += e
         if total > cap:
             break
     return total
+
+
+def tableau_entries(sizes: Sequence[int], rounds: int, cap: float = math.inf) -> int:
+    """(constraints + 1) x (variables + 1), the simplex tableau of build_sa_lp
+    on domains of these sizes, with no set listed: the sets of size s hold e_s
+    variables and C(n, s) normalization rows, and for s >= 2 there is a row per
+    set of size s - 1, vertex outside it and assignment, (n - s + 1) e_(s-1).
+    Counted as table_entries counts, until the product passes `cap`."""
+    n = len(sizes)
+    variables = constraints = below = 0  # below: e_(s-1), no rows for singletons
+    for s, e in enumerate(_symmetric_sums(sizes, rounds), 1):
+        variables += e
+        constraints += math.comb(n, s) + (n - s + 1) * below
+        below = e
+        if (constraints + 1) * (variables + 1) > cap:
+            break
+    return (constraints + 1) * (variables + 1)
+
+
+def _symmetric_sums(sizes: Sequence[int], k: int) -> Iterator[int]:
+    """e_1, ..., e_min(k, n) of the sizes, in Python ints, one at a time."""
+    row = [1] * len(sizes)  # row[i]: e_(s-1) of the first i sizes
+    for _ in range(min(k, len(sizes))):
+        row = list(itertools.accumulate(map(operator.mul, sizes, row), initial=0))
+        yield row.pop()
 
 
 def shape_blocks(sets: Sequence[SetKey], sizes: Sequence[int]) -> list:
@@ -383,31 +408,29 @@ def build_sa_lp(
     price_grid: Optional[Sequence[Sequence[Fraction]]] = None,
     caps: Caps = Caps(),
 ) -> SaLp:
+    """The Sherali-Adams LP of a max-dicut instance, on the labels 0..T, or
+    of a pricing instance, on `price_grid`; rounds past n give the n-round LP."""
     if rounds < 2:
         raise InstanceError(f"need at least 2 rounds, got {rounds}")
-    if rounds > caps.sa_rounds:
-        raise CapExceeded(f"rounds {rounds} exceed cap {caps.sa_rounds}")
-    if inst.n > caps.sa_n:
-        raise CapExceeded(f"n={inst.n} exceeds SA cap {caps.sa_n}")
-
-    if isinstance(inst, GmdInstance):
-        domains = tuple(tuple(range(inst.T + 1)) for _ in range(inst.n))
-    elif isinstance(inst, GpInstance):
+    pricing = isinstance(inst, GpInstance)
+    if pricing:
         if price_grid is None:
             raise InstanceError("pricing relaxation needs a finite price grid")
         check_price_grid(inst, price_grid)
-        domains = tuple(tuple(g) for g in price_grid)
-    else:
+    elif not isinstance(inst, GmdInstance):
         raise InstanceError(f"not an instance: {inst!r}")
+    # the singletons alone give n variables and n rows
+    entries = (inst.n + 1) ** 2
+    if entries <= caps.lp_entries:
+        sizes = list(map(len, price_grid)) if pricing else [inst.T + 1] * inst.n
+        entries = tableau_entries(sizes, rounds, caps.lp_entries)
+    if entries > caps.lp_entries:
+        raise CapExceeded(f"at least {entries} LP tableau entries exceed cap {caps.lp_entries}")
+
+    domains = tuple(map(tuple, price_grid)) if pricing else (tuple(range(inst.T + 1)),) * inst.n
     for v, dom in enumerate(domains):
-        if len(dom) > caps.sa_domain:
-            raise CapExceeded(f"domain size {len(dom)} exceeds cap {caps.sa_domain}")
         if len(set(dom)) < len(dom):  # the variables number each value once
             raise InstanceError(f"price grid of vertex {v} repeats a price")
-
-    num_vars = table_entries([len(dom) for dom in domains], rounds)
-    if num_vars > caps.lp_variables:
-        raise CapExceeded(f"{num_vars} LP variables exceed cap {caps.lp_variables}")
 
     sets = sets_up_to(inst.n, rounds)
     starts, rows, rhs = _sa_rows(sets, domains)
@@ -415,7 +438,7 @@ def build_sa_lp(
     # the pair (a, b), a < b, has the variables first[a, b] + i |D_b| + j for
     # the i-th value at a and the j-th at b
     first = dict(zip(sets, starts))
-    objective = [Fraction(0)] * num_vars
+    objective = [Fraction(0)] * table_entries(list(map(len, domains)), rounds)
     if isinstance(inst, GmdInstance):
         for a in inst.arcs:
             label = a.label if a.tail < a.head else a.label * (inst.T + 1)

@@ -28,12 +28,17 @@ when a bound computed beforehand rules out overflow, in Python ints (object
 dtype) otherwise, through the same code.  If any check fails, or the float
 pass ends infeasible or unbounded, the same pivot code runs from scratch on
 an object-dtype tableau of the same rows, every entry a Fraction, with no
-tolerance.  It is the only pass that raises LpInfeasible/LpUnbounded, and
-it solves the LPs whose optimal vertex or duals do not rationalise.
+tolerance and the costs scaled to integers.  There each row is held as
+Python-int numerators over a denominator of its own, so numpy's object
+loops do integer arithmetic and no Fraction is built per entry; the
+tableau holds Fractions again at the end.  It is the only pass that
+raises LpInfeasible/LpUnbounded, and it solves the LPs whose optimal
+vertex or duals do not rationalise.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -112,21 +117,28 @@ def simplex_max(c: Sequence[Fraction], a: Csr, rhs: np.ndarray) -> LpResult:
 # ---------------------------------------------------------------------------
 
 
-def _bland_pivot(t, basis, etas, r, s, tol):
+def _bland_pivot(t, basis, etas, r, s, tol, den=None):
     """Pivot on (r, s); the objective, row m of t, is updated with the rest.
     Row r is divided unless piv is 1 (piv / piv is exactly 1), then the hit
     rows (nonzero in column s, r aside) by the live columns (nonzero in row
     r) are updated through one flat index array.  With tol > 0 (float64)
     quotients and updates below tol become 0, so no entry of t lies in
-    0 < |x| < tol and a pivot of 1 has none to clear."""
+    0 < |x| < tol and a pivot of 1 has none to clear.  With tol = 0 row i
+    holds Python-int numerators over den[i]: row r is divided by its
+    pivot's numerator into a new denominator, and only when that is not 1
+    do the hit rows take it on, whole rows multiplied and then reduced."""
     row = t[r]
     piv = row[s]
     live = row.nonzero()[0]
     prow = row[live]
-    if piv != 1:
+    if den is not None:
+        g = math.gcd(*prow.tolist()) * (1 if piv > 0 else -1)
+        prow = prow // g
+        row[live] = prow
+        piv, den[r] = Fraction(piv, den[r]), piv // g
+    elif piv != 1:
         prow = prow / piv
-        if tol:
-            prow[np.abs(prow) < tol] = 0.0
+        prow[np.abs(prow) < tol] = 0.0
         row[live] = prow
     col = t[:, s]
     one = col[r]
@@ -136,22 +148,33 @@ def _bland_pivot(t, basis, etas, r, s, tol):
     w = col[hit]
     if hit.size:
         at = (hit * t.shape[1])[:, None] + live
+        if den is not None and den[r] != 1:
+            t[hit] *= den[r]
         upd = t.take(at) - w[:, None] * prow
-        if tol:
+        if den is None:
             upd[np.abs(upd) < tol] = 0.0
         t.put(at, upd)
+        if den is not None:
+            w = np.array(list(map(Fraction, w.tolist(), den[hit].tolist())), dtype=object)
+            if den[r] != 1:
+                den[hit] *= den[r]
+                for h in hit.tolist():
+                    nz = t[h].nonzero()[0]
+                    g = math.gcd(den[h], *t[h, nz].tolist())
+                    t[h, nz] //= g
+                    den[h] //= g
         if hit[-1] == len(basis):
             hit, w = hit[:-1], w[:-1]
     basis[r] = s
     etas.append((r, piv, hit, w))
 
 
-def _bland_iterate(t, basis, etas, n, tol) -> bool:
+def _bland_iterate(t, basis, etas, n, tol, den=None) -> bool:
     """Bland pivots until optimal (True) or an unbounded ray (False)."""
     m = len(basis)
     obj, b = t[m], t[:m, n]
     while True:
-        # the first column with a positive reduced cost enters; Fractions
+        # the first column with a positive reduced cost enters; exact values
         # are compared only up to it
         if tol:
             eligible = (obj[:n] > tol).nonzero()[0]
@@ -164,12 +187,13 @@ def _bland_iterate(t, basis, etas, n, tol) -> bool:
         cand = (col > tol).nonzero()[0]
         if cand.size == 0:
             return False
-        # the least ratio leaves, ties to the least basic index
+        # the least ratio leaves, ties to the least basic index; a row's
+        # denominator cancels from its ratio
         if cand.size > 1:
-            ratios = b[cand] / col[cand]
+            ratios = (b[cand] if tol else b[cand] * ONE) / col[cand]
             cand = cand[ratios <= ratios.min() + tol]
         r = cand[0] if cand.size == 1 else cand[basis[cand].argmin()]
-        _bland_pivot(t, basis, etas, int(r), s, tol)
+        _bland_pivot(t, basis, etas, int(r), s, tol, den)
 
 
 def _two_phase(t, cost, tol):
@@ -177,7 +201,25 @@ def _two_phase(t, cost, tol):
     row m is overwritten with each phase's objective.  cost is c with a 0
     appended.  Returns the optimal basis and the pivots' etas, or raises
     LpInfeasible/LpUnbounded.  t is float64 with tol > 0, or object dtype
-    holding Fractions with tol = 0: the same pivots then run exactly."""
+    holding Fractions with tol = 0: the same pivots then run exactly, on
+    each row as Python-int numerators over one denominator, and t holds
+    Fractions again when they end."""
+    if tol:
+        return _phases(t, cost, tol, None)
+    den = np.ones(len(t), dtype=object)
+    for i in range(len(t) - 1):
+        live = t[i].nonzero()[0]
+        t[i, live], den[i] = over_lcm(t[i, live].tolist())
+    try:
+        return _phases(t, cost, 0, den)
+    finally:
+        for i in np.flatnonzero(den != 1).tolist():
+            live = t[i].nonzero()[0]
+            t[i, live] = list(map(Fraction, t[i, live].tolist(), [den[i]] * live.size))
+
+
+def _phases(t, cost, tol, den):
+    """_two_phase's phases; exact on numerators over `den` unless tol > 0."""
     m, n = t.shape[0] - 1, t.shape[1] - 1
     obj = t[m]
     basis = np.arange(n, n + m)
@@ -185,17 +227,18 @@ def _two_phase(t, cost, tol):
 
     # phase one on structural columns, maximising minus the sum of the
     # artificials; artificial columns are never read, so they are not stored.
-    # Fraction objective rows are built from each row's nonzeros: a dense
-    # sum or product would do Fraction work on every zero.
+    # Exact objective rows are built from each row's nonzeros: a dense
+    # sum or product would do object work on every zero.
     if tol:
         obj[:] = t[:m].sum(axis=0)
         obj[np.abs(obj) < tol] = 0.0
     else:
         obj[:] = 0
+        den[m] = math.lcm(*den[:m].tolist())
         for i in range(m):
             live = t[i].nonzero()[0]
-            obj[live] += t[i, live]
-    if not _bland_iterate(t, basis, etas, n, tol) or obj[n] > tol:
+            obj[live] += den[m] // den[i] * t[i, live]
+    if not _bland_iterate(t, basis, etas, n, tol, den) or obj[n] > tol:
         raise LpInfeasible("equality system has no nonnegative solution")
     # drive leftover artificials out; a redundant row stays as a zero row
     # that no later pivot touches
@@ -203,7 +246,7 @@ def _two_phase(t, cost, tol):
         if basis[i] >= n:
             nz = t[i, :n].nonzero()[0]
             if nz.size:
-                _bland_pivot(t, basis, etas, i, int(nz[0]), tol)
+                _bland_pivot(t, basis, etas, i, int(nz[0]), tol, den)
 
     # phase two; cost[n] = 0 is also the cost of an artificial left basic
     cb = cost[np.minimum(basis, n)]
@@ -211,11 +254,13 @@ def _two_phase(t, cost, tol):
         obj[:] = cost - cb @ t[:m]
         obj[np.abs(obj) < tol] = 0.0
     else:
-        obj[:] = cost
-        for i in cb.nonzero()[0]:
+        basic = cb.nonzero()[0]
+        den[m] = math.lcm(*den[basic].tolist())
+        obj[:] = cost * den[m]
+        for i in basic:
             live = t[i].nonzero()[0]
-            obj[live] -= cb[i] * t[i, live]
-    if not _bland_iterate(t, basis, etas, n, tol):
+            obj[live] -= cb[i] * (den[m] // den[i]) * t[i, live]
+    if not _bland_iterate(t, basis, etas, n, tol, den):
         raise LpUnbounded("objective unbounded above")
     return basis, etas
 
@@ -224,16 +269,17 @@ def _exact(c, a: Csr, rhs: np.ndarray) -> LpResult:
     """The two phases on a Fraction tableau of the rows as given: scaling
     a row would change phase one's objective, hence Bland's bases."""
     n, m = len(c), len(rhs)
-    # every entry of A and b is a Fraction, so that no pivot divides two
-    # ints; zeros stay Python ints, cheaper to test than Fraction(0)
-    b = np.array([Fraction(v) for v in rhs.tolist()], dtype=object)
-    sign = np.where(b < 0, -ONE, ONE)
+    # the rows, negated where b < 0, summed in Python ints; then every
+    # nonzero entry a Fraction, as _two_phase takes them (zeros stay ints)
+    sign = np.where(rhs < 0, -1, 1)
     row = np.repeat(np.arange(m), np.diff(a.indptr))
-    values = np.array([Fraction(v) for v in a.data.tolist()], dtype=object)
     t = np.zeros((m + 1, n + 1), dtype=object)
-    np.add.at(t.reshape(-1), row * (n + 1) + a.indices, values * sign[row])
-    t[:m, n] = b * sign
-    basis, _ = _two_phase(t, np.array([*c, ZERO], dtype=object), 0)
+    np.add.at(t.reshape(-1), row * (n + 1) + a.indices, a.data.astype(object) * sign[row])
+    t[:m, n] = rhs.astype(object) * sign
+    at = t.nonzero()
+    t[at] = list(map(Fraction, t[at].tolist()))
+    # c scaled to integers: the same reduced-cost signs, hence the same pivots
+    basis, _ = _two_phase(t, np.array([*over_lcm(c)[0], 0], dtype=object), 0)
     x = [ZERO] * n
     for i, j in enumerate(basis.tolist()):
         if j < n:

@@ -18,7 +18,6 @@ from gmdlab.approx import (
     lp_round_expectation,
     run_trials,
 )
-from gmdlab.caps import Caps
 from gmdlab.cli import run_command
 from gmdlab.core import (
     GmdInstance,
@@ -279,7 +278,7 @@ def test_criterion_06_sa_separations():
         if inst.n > 6:
             continue
         r2, _ = solve_lp_exact(build_sa_lp(inst, rounds=2))
-        r3, _ = solve_lp_exact(build_sa_lp(inst, rounds=3, caps=Caps(lp_variables=20_000)))
+        r3, _ = solve_lp_exact(build_sa_lp(inst, rounds=3))
         assert r2 >= r3 >= opt_gmd(inst).value
 
 

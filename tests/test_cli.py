@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import gmdlab.cli as cli
 import gmdlab.core as core
+from gmdlab.caps import Caps, caps_from_env
 from gmdlab.cli import run_command
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -57,10 +58,32 @@ def test_unknown_flag_exit_1(tmp_path, capsys):
 
 
 def test_cap_exceeded_exit_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GMDLAB_CAPS", "sa_rounds=2")
+    # the triangle's 2-round tableau is 19 x 19, its 3-round one 32 x 27
+    monkeypatch.setenv("GMDLAB_CAPS", "lp_entries=400")
     path = write(tmp_path, "tri.gmd", TRIANGLE)
+    assert run_command(["salp", "--in", path, "--rounds", "2"]) == 0
     assert run_command(["salp", "--in", path, "--rounds", "3"]) == 2
-    assert "cap exceeded" in capsys.readouterr().err
+    assert "cap exceeded: at least 864 LP tableau entries exceed cap 400" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["sa_n", "sa_rounds", "sa_domain", "lp_variables"])
+def test_removed_cap_names_exit_1(tmp_path, capsys, monkeypatch, name):
+    # one cap on the LP's tableau, lp_entries, replaced these four
+    monkeypatch.setenv("GMDLAB_CAPS", f"{name}=9")
+    assert run_command(["solve", "--in", str(tmp_path / "absent.gmd")]) == 1
+    err = capsys.readouterr().err
+    assert f"unknown cap '{name}' in GMDLAB_CAPS" in err and "Traceback" not in err
+
+
+def test_every_documented_caps_example_parses(monkeypatch):
+    # a renamed or removed cap must not live on in an example
+    root = Path(__file__).resolve().parent.parent
+    texts = [(root / name).read_text() for name in ("README.md", "src/gmdlab/caps.py")]
+    specs = [spec for text in texts for spec in re.findall(r'GMDLAB_CAPS="([^"]*)"', text)]
+    assert len(specs) >= 2
+    for spec in specs:
+        monkeypatch.setenv("GMDLAB_CAPS", spec)
+        assert caps_from_env() != Caps(), spec
 
 
 @pytest.mark.parametrize("text, algo", [
@@ -85,7 +108,7 @@ def test_salp_past_float64_takes_the_exact_pass(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("spec", ["opt_gmd_n=abc", "opt_gmd_n", "opt_gmd_n=", "opt_gmd_n=-1",
-                                  "opt_gmd_n=2.5", "sa_n=8,opt_gmd_n=-1"])
+                                  "opt_gmd_n=2.5", "lp_entries=8,opt_gmd_n=-1"])
 def test_malformed_caps_exit_1_naming_the_cap(tmp_path, capsys, monkeypatch, spec):
     # checked before any work: the absent input is never read
     monkeypatch.setenv("GMDLAB_CAPS", spec)
@@ -143,11 +166,23 @@ def test_salp_triangle_value(tmp_path, capsys):
     assert "lp = 1/2" in out and "consistent = True" in out
 
 
-def test_salp_reports_lp_path(tmp_path, capsys, monkeypatch):
+def test_salp_rounds_past_n_give_the_n_round_lp(tmp_path, capsys):
+    # three vertices, T = 2: every set is listed by 3 rounds, 63 variables
+    path = write(tmp_path, "t2.gmd", "gmd 2\nv 3\ne 0 1 1 1\ne 1 2 2 1\ne 2 0 1 1/2\n")
+    outputs = []
+    for rounds in ("3", "9", str(10**9)):
+        csv = str(tmp_path / f"r{rounds}.csv")
+        assert run_command(["salp", "--in", path, "--rounds", rounds, "--csv", csv]) == 0
+        body = Path(csv).read_text().split("\n", 1)[1]
+        outputs.append((capsys.readouterr().out, body))
+    assert "variables = 63 " in outputs[0][0]
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_salp_reports_lp_path(tmp_path, capsys):
     tri = write(tmp_path, "tri.gmd", TRIANGLE)
     assert run_command(["salp", "--in", tri, "--rounds", "2"]) == 0
     assert capsys.readouterr().out.rstrip().endswith("lp_path = certified")
-    monkeypatch.setenv("GMDLAB_CAPS", "sa_domain=9")
     geom = write(tmp_path, "geom.gp", GP_GEOM)
     csv = str(tmp_path / "geom.csv")
     argv = ["salp", "--in", geom, "--rounds", "2", "--grid", "geom:1/10", "--csv", csv]
@@ -693,7 +728,8 @@ def test_bad_rational_option_exit_1_naming_it(capsys, argv, option, text):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["salp", "--grid", "geom:1/1000000"], "gives vertex 0 more than 5 prices"),
+        # isqrt(2^23) = 2896: 2,896 prices or more make a tableau past 2^23 entries
+        (["salp", "--grid", "geom:1/1000000"], "grid geom:1/1000000 has more than 2895 prices"),
         (["solve", "--grid", "geom:1/1000"], "grid has 196591175 points, cap 2000000"),
         (["solve", "--grid", "geom:1e-400"], "grid has more than 2000000 points"),
     ],

@@ -21,6 +21,7 @@ from gmdlab.core import (
     geometric_grid_size,
     half_integral_grid,
     max_incident_budget,
+    price_grid,
 )
 from gmdlab.exact import opt_gmd, opt_gp_grid
 from gmdlab.salp import (
@@ -34,6 +35,7 @@ from gmdlab.salp import (
     shape_blocks,
     solve_lp_exact,
     table_entries,
+    tableau_entries,
 )
 import gmdlab.salp as salp
 from gmdlab.sasol import build_sa_solution
@@ -115,25 +117,73 @@ def test_rounds_below_two_rejected():
 
 
 def test_caps_enforced():
-    with pytest.raises(CapExceeded):
-        build_sa_lp(single_edge(), rounds=2, caps=Caps(lp_variables=4))
+    # one arc, T = 1: 4 + 4 variables; 2 + 1 normalization and 4
+    # marginalization rows, an 8 x 9 tableau
+    lp = build_sa_lp(single_edge(), rounds=2, caps=Caps(lp_entries=72))
+    assert (lp.num_constraints, lp.num_variables) == (7, 8)
+    with pytest.raises(CapExceeded, match="^at least 72 LP tableau entries exceed cap 71$"):
+        build_sa_lp(single_edge(), rounds=2, caps=Caps(lp_entries=71))
 
 
-def test_lp_variable_cap_checked_before_any_work():
-    # a 40-vertex T=2 path at 3 rounds: 40 * 3 + 780 * 9 + 9880 * 27 =
-    # 273,900 variables against the 3,000 cap, refused before any is numbered
-    path = GmdInstance.of(2, 40, [(v, v + 1, 1, 1) for v in range(39)])
+@pytest.mark.parametrize("inst, entries", [
+    # T = 10^6 on one arc: 2 (10^6 + 1) + (10^6 + 1)^2 variables and
+    # 3 + 2 (10^6 + 1) rows, against two 10^6-label domains built first
+    (GmdInstance.of(10**6, 2, [(0, 1, 1, 1)]), 2000014000032000024),
+    # a 40-vertex T=2 path: its 2-round counts, 7,140 variables and 5,500
+    # rows, already pass the cap, so the 3-round ones are never counted
+    (GmdInstance.of(2, 40, [(v, v + 1, 1, 1) for v in range(39)]), 5501 * 7141),
+    # 10^11 vertices: the n singletons alone pass it, before any size is listed
+    (GmdInstance.of(1, 10**11, [(0, 1, 1, 1)]), (10**11 + 1) ** 2),
+], ids=["one-arc-T1e6", "path-n40", "n1e11"])
+def test_lp_entry_cap_checked_before_any_work(monkeypatch, inst, entries):
+    def no_sets(*args):
+        raise AssertionError("sets listed before the cap check")
+
+    monkeypatch.setattr(salp, "sets_up_to", no_sets)
     start = time.perf_counter()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        with pytest.raises(CapExceeded, match="^273900 LP variables exceed cap 3000$"):
-            build_sa_lp(path, rounds=3, caps=Caps(sa_n=40))
+        with pytest.raises(CapExceeded,
+                           match=f"^at least {entries} LP tableau entries exceed cap {1 << 23}$"):
+            build_sa_lp(inst, rounds=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert time.perf_counter() - start < 1.0
     assert peak < 1 << 20
+
+
+def test_lp_entry_cap_admits_every_lp_of_the_former_caps():
+    # the former caps: n <= 8, at most 5 values per vertex, 2 or 3 rounds
+    # and at most 3,000 variables; the counts depend on the multiset of sizes
+    largest = max(
+        (tableau_entries(sizes, rounds), sizes, rounds)
+        for n in range(1, 9)
+        for sizes in itertools.combinations_with_replacement(range(1, 6), n)
+        for rounds in (2, 3)
+        if table_entries(sizes, rounds) <= 3000
+    )
+    assert largest == (7_458_000, (3, 3, 3, 3, 3, 4, 5, 5), 3)
+    assert largest[0] <= Caps().lp_entries
+
+
+@given(n=st.integers(1, 5), data=st.data(), cap=st.integers(0, 3000),
+       spec=st.sampled_from(["half", "geom:1/2", "geom:1/5", "geom:1/100"]))
+@settings(max_examples=80, deadline=None)
+@example(n=1, data=None, cap=3, spec="half")
+@example(n=1, data=None, cap=4, spec="half")
+def test_price_grid_sum_check_refuses_only_lps_past_the_cap(n, data, cap, spec):
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = data.draw(st.lists(st.tuples(st.sampled_from(pairs), st.fractions(
+        F(1, 4), 6, max_denominator=4)), max_size=4)) if pairs else []
+    inst = GpInstance.of(n, [(u, v, b, 1) for (u, v), b in edges])
+    try:
+        price_grid(inst, spec, cap, lp=True)
+    except CapExceeded:
+        grid = price_grid(inst, spec, 10**9, lp=True)
+        # the smallest LP on the grid, at 2 rounds, passes the cap
+        assert tableau_entries(list(map(len, grid)), 2) > cap
 
 
 def reference_rows(n, rounds, domains):
@@ -217,7 +267,7 @@ def sa_lps(draw):
     grid = half_integral_grid(inst) if draw(st.booleans()) else [
         geometric_grid(b, draw(st.sampled_from([F(1, 2), F(1, 3), F(1, 5)])))
         for b in max_incident_budget(inst)]
-    return inst, build_sa_lp(inst, rounds, price_grid=grid, caps=Caps(lp_variables=10_000))
+    return inst, build_sa_lp(inst, rounds, price_grid=grid)
 
 
 def assert_rows_match_reference(inst, lp):
@@ -318,7 +368,7 @@ def test_full_rounds_reach_integral_optimum():
         ),
     ]
     for inst in cases:
-        lp = build_sa_lp(inst, rounds=inst.n, caps=Caps(sa_rounds=4, lp_variables=10_000))
+        lp = build_sa_lp(inst, rounds=inst.n)
         value, sol = solve_lp_exact(lp)
         assert value == opt_gmd(inst).value
         assert check_sa_consistency(sol).ok
@@ -727,13 +777,24 @@ def test_table_entries_is_the_sum_over_listed_sets(sizes, k, T, stop, offset):
     # stopped at the first size whose running sum passes the cap
     assert table_entries(sizes, k, cap) == next((t for t in sums if t > cap), full)
 
-    # build_sa_lp: one variable per table entry, counted before any is numbered
+    # tableau_entries: per set one normalization row, and per vertex dropped
+    # from a set of two or more one marginalization row per assignment left
+    rows = list(itertools.accumulate(
+        sum(1 + sum(math.prod(sizes[u] for u in S if u != v) for v in S if len(S) > 1)
+            for S in listed if len(S) == s) for s in range(1, min(k, n) + 1)))
+    tableaus = [(r + 1) * (t + 1) for r, t in zip(rows, sums)]
+    exact = tableaus[-1]
+    assert tableau_entries(sizes, k) == exact
+    assert tableau_entries(sizes, k, cap) == next((t for t in tableaus if t > cap), exact)
+
+    # build_sa_lp: one variable per table entry, the tableau counted before any
+    # is numbered; admitted at its exact size, refused one entry below
     grid = [[F(i) for i in range(size)] for size in sizes]
     inst = GpInstance.of(n, [(0, 1, 2, 1)])
-    caps = Caps(sa_n=n, sa_rounds=k, lp_variables=full)
-    assert build_sa_lp(inst, k, price_grid=grid, caps=caps).num_variables == full
-    with pytest.raises(CapExceeded, match=f"^{full} LP variables exceed cap {full - 1}$"):
-        build_sa_lp(inst, k, price_grid=grid, caps=Caps(sa_n=n, sa_rounds=k, lp_variables=full - 1))
+    lp = build_sa_lp(inst, k, price_grid=grid, caps=Caps(lp_entries=exact))
+    assert (lp.num_variables, lp.num_constraints) == (full, rows[-1])
+    with pytest.raises(CapExceeded, match=f"^at least {exact} LP tableau entries exceed cap {exact - 1}$"):
+        build_sa_lp(inst, k, price_grid=grid, caps=Caps(lp_entries=exact - 1))
 
     # build_sa_solution: T + 1 labels at every vertex
     dicut = GmdInstance.of(T, n, [(0, 1, 1, 1)])

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gmdlab.simplex as simplex_mod
-from gmdlab.caps import Caps
 from gmdlab.core import (
     GmdInstance,
     GpInstance,
@@ -341,7 +340,7 @@ def geom_tenth_lp():
         4, [(2, 3, 2, 1), (0, 3, 1, 1), (0, 2, F(13, 8), 1), (0, 1, F(3, 2), 1), (1, 3, F(17, 10), 2)]
     )
     grid = [geometric_grid(b, F(1, 10)) for b in max_incident_budget(inst)]
-    return build_sa_lp(inst, rounds=2, price_grid=grid, caps=Caps(sa_domain=9))
+    return build_sa_lp(inst, rounds=2, price_grid=grid)
 
 
 def test_geom_tenth_lp_takes_exact_fallback():
