@@ -1,7 +1,7 @@
 """Size caps shared by the search and LP modules.
 
 Defaults keep every operation at desk scale; raise selectively through the
-GMDLAB_CAPS environment variable, e.g. GMDLAB_CAPS="opt_gmd_n=28,lp_entries=16777216".
+GMDLAB_CAPS environment variable, e.g. GMDLAB_CAPS="brute_states=4000000,lp_entries=16777216".
 """
 
 from __future__ import annotations
@@ -12,9 +12,7 @@ from dataclasses import dataclass, fields, replace
 
 @dataclass(frozen=True)
 class Caps:
-    opt_gmd_n: int = 24          # zero-set enumeration explores 2^n sets
     brute_states: int = 2_000_000  # full (T+1)^n labeling enumeration
-    gp_grid_points: int = 2_000_000
     lp_entries: int = 1 << 23  # a Sherali-Adams LP's simplex tableau, (constraints
     # + 1) x (variables + 1) float64 entries: 64 MB at most
     sa_table_entries: int = 4_000_000  # sum of (T+1)^|S| over a sasol build's sets;

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import math
 import os
 import sys
 import tempfile
@@ -41,6 +42,7 @@ from .core import (
     parse_instance,
     parse_rational,
     price_grid,
+    price_grid_sizes,
     serialize_instance,
 )
 
@@ -50,24 +52,40 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    subcommands: dict = {}  # name -> parser, set on the top-level parser
+
     # argparse exits 2 on bad usage; here 2 means "cap exceeded", so remap
     def error(self, message):
         raise _UsageError(message)
 
 
+_DESTINATIONS = ("--csv", "--out", "--plot-script")  # the options naming an output file
+
+
 def _config_hash(argv) -> str:
-    """Hash of the semantic configuration: output destinations excluded."""
-    kept = []
-    skip = False
+    """Hash of the semantic configuration: output destinations excluded in
+    every spelling argparse takes, `--csv a.csv`, `--csv=a.csv` and a prefix
+    no other option of the subcommand has, such as `--cs a.csv`; a
+    destination's full name on any subcommand."""
+    opts = _long_options(argv[0]) if argv else ()
+    kept, skip = [], False
     for tok in argv:
+        name, eq, _ = tok.partition("=")
+        named = [name] if name in {*opts, *_DESTINATIONS} else [o for o in opts if o.startswith(name)]
         if skip:
             skip = False
-            continue
-        if tok in ("--csv", "--out"):
-            skip = True
-            continue
-        kept.append(tok)
+        elif len(named) == 1 and named[0] in _DESTINATIONS:
+            skip = not eq
+        else:
+            kept.append(tok)
     return sha256("\x1f".join(kept).encode()).hexdigest()[:12]
+
+
+@functools.cache
+def _long_options(command: str) -> tuple[str, ...]:
+    """The long options of the subcommand `command`; none for an unknown one."""
+    sub = _parser().subcommands.get(command)
+    return tuple(o for o in sub._option_string_actions if o.startswith("--")) if sub else ()
 
 
 def _atomic_write(path: str, text):
@@ -174,14 +192,15 @@ def _rational(option: str, text: str) -> Fraction:
 
 
 def _cmd_solve(args, caps, argv) -> int:
-    from .exact import opt_gmd, opt_gp_grid
+    from .exact import ELIM_MAX_BYTES, VALUE_BYTES, grid_plan, opt_gmd, opt_gp_grid
 
     inst = _read_instance(args.infile)
     if isinstance(inst, GmdInstance):
-        res = opt_gmd(inst, caps=caps)
+        res = opt_gmd(inst)
     else:
-        grid = price_grid(inst, args.grid, caps.gp_grid_points, lp=False)
-        res = opt_gp_grid(inst, grid, caps=caps)
+        # the oracle's plan refuses from the sizes, before any grid is built
+        fill = grid_plan(inst, price_grid_sizes(inst, args.grid, ELIM_MAX_BYTES // VALUE_BYTES))
+        res = opt_gp_grid(inst, price_grid(inst, args.grid), fill)
     print(f"opt = {res.value}")
     if args.csv:
         emit_report(
@@ -259,7 +278,11 @@ def _cmd_salp(args, caps, argv) -> int:
 
     inst = _read_instance(args.infile)
     pricing = isinstance(inst, GpInstance)
-    grid = price_grid(inst, args.grid, caps.lp_entries, lp=True) if pricing else None
+    # grids of s prices in all give an LP of at least s rows and s variables
+    limit = max(math.isqrt(caps.lp_entries) - 1, 0)
+    if pricing:
+        price_grid_sizes(inst, args.grid, limit, f"{limit} = isqrt(lp_entries={caps.lp_entries}) - 1")
+    grid = price_grid(inst, args.grid) if pricing else None
     lp = build_sa_lp(inst, args.rounds, price_grid=grid, caps=caps)
     value, sol = solve_lp_exact(lp)
     report = check_sa_consistency(sol)
@@ -298,7 +321,7 @@ def _cmd_gap(args, caps, argv) -> int:
         p_keep = min(Fraction(1), Fraction(args.delta, delta_star))
     cfg = PipelineConfig(n=base.n, T=args.T, Delta=args.delta, p_keep=p_keep, l=args.l, mu=mu,
                          k_max=args.kmax, seed=args.seed)
-    inst, report = sparsify_pipeline(base, cfg, caps=caps)
+    inst, report = sparsify_pipeline(base, cfg)
     if args.out:
         _atomic_write(args.out, serialize_instance(inst))
     row = {
@@ -536,7 +559,7 @@ def _cmd_report(args, caps, argv) -> int:
         cells = ln.split(",") if ln else []  # a blank line has no cells
         if len(cells) != len(header):
             raise ParseError(lineno, f"row has {len(cells)} cells, the header {len(header)}")
-        rows.append(dict(zip(header, cells)))
+        rows.append(cells)
     emit_report(rows, args.out, header, argv, seed="-")
     print(f"wrote {args.out}")
     return 0
@@ -619,6 +642,7 @@ def build_parser() -> _Parser:
     rep = sub.add_parser("report", help="re-emit a CSV through the standard writer")
     rep.add_argument("--in", dest="infile", required=True)
     rep.add_argument("--out", required=True)
+    p.subcommands = sub.choices
     return p
 
 

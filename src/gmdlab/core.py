@@ -271,39 +271,40 @@ def check_price_grid(inst: GpInstance, grid) -> None:
                 raise InstanceError(f"negative candidate price {p}")
 
 
-def price_grid(inst: GpInstance, spec: str, cap: int, lp: bool) -> list[list[Fraction]]:
-    """The per-vertex price grids named by `spec`, `half` or `geom:<eps>`.
-
-    Their sizes are checked against `cap` before any grid is built: for the
-    grid oracle (gp_grid_points) their product; for the Sherali-Adams LP
-    (lp_entries) their sum s, which must stay below isqrt(cap).  Every grid
-    holds 0, and only a vertex on an edge has more, so an LP of two or more
-    rounds has at least s variables and s rows: a tableau of (s + 1)^2
-    entries at least, past the cap once s >= isqrt(cap)."""
-    limit = max(math.isqrt(cap) - 1, 0) if lp else cap
-    budgets = max_incident_budget(inst)
-    if spec == "half":
-        sizes = [min(_half_grid_size(b), limit + 1) for b in budgets]
-    elif spec.startswith("geom:"):
+def price_grid_sizes(inst: GpInstance, spec: str, limit: int, cap: str | None = None) -> list[int]:
+    """The sizes of the per-vertex price grids named by `spec`, `half` or
+    `geom:<eps>`, without building them; CapExceeded, naming `limit` as
+    `cap` when given, once n (every grid holds 0), then their sum, passes
+    `limit`."""
+    if spec.startswith("geom:"):
         try:
             eps = parse_rational(spec[len("geom:"):])
         except (ValueError, ZeroDivisionError) as exc:
             raise InstanceError(f"bad grid spec {spec!r}: {exc}") from None
         if eps <= 0:
             raise InstanceError(f"bad grid spec {spec!r}: eps must be positive")
-        sizes = [geometric_grid_size(b, eps, limit) for b in budgets]
-    else:
+    elif spec != "half":
         raise InstanceError(f"unknown grid spec {spec!r} (want half or geom:<eps>)")
-    total = sum(sizes) if lp else math.prod(sizes)
+    if inst.n > limit:
+        raise CapExceeded(f"grid {spec} has at least {inst.n} prices, cap {cap or limit}")
+    budgets = max_incident_budget(inst)
+    if spec == "half":
+        sizes = [min(_half_grid_size(b), limit + 1) for b in budgets]
+    else:
+        sizes = [geometric_grid_size(b, eps, limit) for b in budgets]
+    total = sum(sizes)
     if total > limit:
         count = f"more than {limit}" if limit + 1 in sizes else str(total)
-        if lp:
-            raise CapExceeded(f"grid {spec} has {count} prices, an LP tableau of at least "
-                              f"{(total + 1) ** 2} entries, cap lp_entries={cap}")
-        raise CapExceeded(f"grid has {count} points, cap {limit}")
+        raise CapExceeded(f"grid {spec} has {count} prices, cap {cap or limit}")
+    return sizes
+
+
+def price_grid(inst: GpInstance, spec: str) -> list[list[Fraction]]:
+    """The price grids of a `spec` that `price_grid_sizes` has checked."""
     if spec == "half":
         return half_integral_grid(inst)
-    return [geometric_grid(b, eps) for b in budgets]
+    eps = parse_rational(spec[len("geom:"):])
+    return [geometric_grid(b, eps) for b in max_incident_budget(inst)]
 
 
 def half_integral_grid(inst: GpInstance) -> list[list[Fraction]]:

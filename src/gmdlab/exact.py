@@ -11,28 +11,17 @@ reader shares.  No table entry is a `Fraction`, and no comparison ever
 touches a `Fraction` or a float.
 
 Once a zero set is fixed, every other vertex best-responds to it on its
-own: the quarter algorithms take one such completion, and the max-dicut
-optimum is the best one over all zero sets.  `_Responder` holds that best
-response in one layout: for each vertex v and index j below its width,
-the nonzero (neighbour u, payoff of j against u's zero index) terms.  v
-takes the first index of largest score, the sum of the terms whose u is
-in the zero set, and index 0 when it has no term.  `respond_one` reads
-the terms for one zero set in plain Python, `respond` for numpy rows of
-zero sets, and the zero-set walk takes the largest score for every mask.
+own (`_Responder`): the quarter algorithms take one such completion, and
+the max-dicut optimum is the best one over all zero sets.
 
-Two enumerators serve the oracles:
-
-* the zero-set walk: 2^n masks, vectorised in numpy int64, cover all
-  (T+1)^n labelings.  It serves dense max-dicut games;
-* bucket elimination along a min-fill order, with integer max-sum tables
-  (numpy int64 when no partial sum can overflow, Python ints otherwise) of
-  at most `ELIM_MAX_BYTES` in all.  It serves sparse max-dicut games and
-  every pricing grid.
-
-`opt_gmd` runs whichever has the lesser estimated cost (see `_gmd_plan` and
-`_PairGame.elimination_plan`, calibrated by measurement); `opt_gp_grid`
-always eliminates.  Each oracle refuses with CapExceeded, before any
-enumeration, when no enumerator fits.
+Two enumerators serve the oracles: the zero-set walk, 2^n masks in numpy
+int64 covering all (T+1)^n labelings, for dense max-dicut games; and
+bucket elimination along a min-fill order, with integer max-sum tables
+(int64 when no partial sum can overflow, Python ints otherwise), for
+sparse max-dicut games and every pricing grid.  One plan, `_plan`, picks
+one or refuses with CapExceeded from the domain sizes, the vertex pairs
+and a bound on the partial sums, before any table, term or enumeration;
+`grid_plan` runs it on grid sizes, before a grid is built.
 
 Each oracle has its witness contract.  `opt_gmd` returns the greedy
 completion of the smallest optimal zero mask: its domain lists the labels
@@ -44,8 +33,8 @@ payoffs are scaled by S and each (vertex, index) is charged so that an
 assignment's charges add up to less than S and rank its witness key, so
 the penalty only breaks ties between optima:
 
-* max-dicut: S = 2^n, and label 0 at vertex v is charged 2^v, so the
-  charge is the zero mask;
+* max-dicut: S = 2^n, and label 0 at a vertex v with a payoff is charged
+  2^v, so the charge is the zero mask;
 * pricing: S is the number of grid points, and index i at vertex v is
   charged i times the product of the later vertices' domain sizes, so
   the charge is the point's rank in product order.
@@ -62,10 +51,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Sequence, Union
 
 import numpy as np
@@ -85,11 +75,14 @@ from .core import (
 )
 
 
-# Most bytes the bucket tables of one elimination pass may hold; it keeps
-# every bucket's table for the read-back.  Four 2^20-entry int64 arrays.  An
-# int64 entry counts 8 bytes, a Python-int entry 64 (its pointer and a
-# multi-digit int object).
+# Most bytes the domains and tables of one exact pass may take, four
+# 2^20-entry int64 arrays: a domain value counts `VALUE_BYTES` (a pointer and
+# a small object), an entry of the bucket tables elimination keeps for the
+# read-back 8 bytes in int64, else its pointer and the largest sum's size.
 ELIM_MAX_BYTES = 32 << 20
+VALUE_BYTES = 64
+# Most zero masks the walk enumerates: those of 24 vertices.
+WALK_MAX_MASKS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -126,115 +119,11 @@ class _PairGame:
         self._top = sum(np.maximum.reduceat(store, self.cells[:, 2]).tolist()) if flat else 0
         self.payoffs = store.astype(np.int64) if self.int64() else store
 
-    def _adjacency(self) -> dict[int, int]:
-        """Vertex -> int bitmask of its neighbours, for each vertex with a payoff."""
-        adj = [0] * len(self.sizes)
-        for u, v in self.cells[:, :2].tolist():
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return {v: nb for v, nb in enumerate(adj) if nb}
-
-    def elimination_order(self) -> tuple[list[int], list[int]]:
-        """Min-fill order of the vertices with a payoff, and the number of
-        entries of each one's bucket table.
-
-        Eliminating v joins its remaining neighbours into a clique; the next
-        vertex is the one whose clique adds the fewest new edges, then the one
-        of least degree, then the smallest.  Neighbourhoods are int bitmasks.
-        """
-        sizes = self.sizes
-        adj = self._adjacency()
-
-        def key(v: int) -> tuple[int, int, int]:
-            # each missing edge a-b among v's neighbours is seen from a and b
-            nb = adj[v]
-            missing, rest = 0, nb
-            while rest:
-                low = rest & -rest
-                missing += (nb & ~adj[low.bit_length() - 1]).bit_count()
-                rest ^= low
-            degree = nb.bit_count()
-            return (missing - degree) // 2, degree, v
-
-        # eliminating v changes the keys of its neighbours, and the key of a
-        # vertex further out only when two of its neighbours gained an edge
-        # between them; `keys` holds each remaining vertex's key, and a heap
-        # entry that is not its vertex's key is stale
-        keys = {v: key(v) for v in adj}
-        heap = list(keys.values())
-        heapq.heapify(heap)
-        order, entries = [], []
-        while heap:
-            item = heapq.heappop(heap)
-            v = item[2]
-            if keys.get(v) != item:
-                continue
-            del keys[v]
-            nb = adj.pop(v)
-            size = sizes[v]
-            near = gained = 0
-            for u in _bits(nb):
-                joined = (adj[u] | nb) & ~(1 << u | 1 << v)
-                if joined & ~adj[u]:
-                    gained |= 1 << u
-                adj[u] = joined
-                near |= joined
-                size *= sizes[u]
-            stale = nb
-            for w in _bits(near & ~nb if gained else 0):
-                if (adj[w] & gained).bit_count() > 1:
-                    stale |= 1 << w
-            for u in _bits(stale):
-                k = key(u)
-                if k != keys[u]:
-                    keys[u] = k
-                    heapq.heappush(heap, k)
-            order.append(v)
-            entries.append(size)
-        return order, entries
-
-    def elimination_plan(self, budget: int | None, scale: int) -> tuple[int, list[int]] | None:
-        """Estimated cost of building the min-fill order and running
-        `first_optimum` along it on the payoffs times `scale`, and the order;
-        None when the estimate is not below `budget` (None: no bound) or the
-        pass's bucket tables would take more than `ELIM_MAX_BYTES`.
-
-        The order is built only when the estimate with the order counted
-        twice and a lower bound on the entries (the first bucket's table
-        spans its vertex and all of that vertex's neighbours) is below
-        `budget`, so elimination can save more than a wasted order costs.
-
-        The estimate is in the units of the walk estimate of `_gmd_plan`.
-        Fitted over 154 random max-dicut games (n 10-20, T 1-3, 10-100 arcs,
-        tables up to 0.3M entries; 2-core Xeon, Python 3.11, numpy 2.4): the
-        order takes 7.7 us per payoff pair and 4.2 us per vertex, the pass
-        9.8 us per pair, 8.8 us per vertex and 0.010 us per table entry (0.08
-        us with Python-int tables).  At n = 12 the walk takes about 4 ns per
-        unit, so that is 1900 and 1000 units for the order, and 2400, 2200
-        and 3 (20 with Python ints) for the pass.
-        """
-        adj = self._adjacency()
-        order_cost = 1900 * len(self.cells) + 1000 * len(adj)
-        cost = order_cost + 2400 * len(self.cells) + 2200 * len(adj)
-        if budget is not None:
-            first = min((self.sizes[v] * prod(self.sizes[u] for u in _bits(nb))
-                         for v, nb in adj.items()), default=0)
-            if cost + order_cost + 3 * first >= budget:
-                return None
-        order, entries = self.elimination_order()
-        wide = self.int64(scale)
-        if sum(entries) * (8 if wide else 64) > ELIM_MAX_BYTES:
-            return None
-        cost += (3 if wide else 20) * sum(entries)
-        return (cost, order) if budget is None or cost < budget else None
-
     def int64(self, scale: int = 1) -> bool:
         """Whether numpy int64 holds every partial sum of the payoffs times
         `scale`, less charges that add up to less than `scale`: payoffs are
-        nonnegative, so no such sum exceeds (the sum of each pair's largest
-        payoff + 1) * scale in absolute value.  With `scale` 1 it bounds
-        every sum of the payoffs of one assignment: `values`, and the
-        partial sums of `respond` and `_zero_set_walk`."""
+        nonnegative, so no such sum exceeds (the pair maxima's sum + 1) *
+        scale.  With `scale` 1 it bounds `values` and every sum of `respond`."""
         return _int64_holds(self._top, scale)
 
     def values(self, x):
@@ -243,60 +132,40 @@ class _PairGame:
         us, vs, offsets, strides = self.cells.T
         return self.payoffs[offsets + x[:, us] * strides + x[:, vs]].sum(axis=1)
 
-    def arrays(self, scale: int = 1, charges: Sequence[Sequence[int]] | None = None) -> list:
-        """The payoff tables times `scale` as numpy arrays, one (u, v, array)
-        per pair, all views into one array: int64 when `int64(scale)` holds,
-        Python ints otherwise.  With `charges` (one list per vertex), the
-        first table of each vertex v has `charges[v][i]` taken off its
-        entries at index i of v."""
-        dtype = np.int64 if self.int64(scale) else object
-        flat = self.payoffs.astype(dtype, copy=False) * scale
-        if charges is not None:
-            cut = np.array([c for cs in charges for c in cs], dtype=dtype)
-            ends = list(itertools.accumulate(self.sizes))
-        out: list = []
-        charged: set[int] = set()
-        for u, v, at, stride in self.cells.tolist():
-            arr = flat[at:at + self.sizes[u] * stride].reshape(-1, stride)
-            if charges is not None:
-                if u not in charged:
-                    arr -= cut[ends[u] - self.sizes[u]:ends[u], None]
-                    charged.add(u)
-                if v not in charged:
-                    arr -= cut[ends[v] - stride:ends[v]]
-                    charged.add(v)
-            out.append((u, v, arr))
-        return out
-
-    def first_optimum(self, order: Sequence[int], scale: int,
-                      charges: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
-        """Optimum and the optimal assignment of least charge, by one pass of
-        `_eliminate` along `order` on `arrays(scale, charges)`.
+    def first_optimum(self, order: Sequence[int], scale: int = 1,
+                      charges: dict[int, Sequence[int]] | None = None) -> tuple[int, list[int]]:
+        """Optimum and the optimal assignment of least charge, by bucket
+        elimination along `order`, which lists every vertex with a payoff,
+        on the payoff tables times `scale` (int64 when `int64(scale)` holds,
+        Python ints otherwise), the first table of each vertex v with
+        `charges[v][i]` taken off its entries at index i of v.
 
         The caller picks `charges[v][i]`, the charge for index i at vertex
-        v, so that an assignment's charges add up to less than `scale` and
-        differ between any two assignments it tells apart.  An assignment
-        then scores `scale` times its value less its charge; values are
-        integers, so the penalised optimum is an optimum of the game, and
-        the one of least charge among them.  A vertex with no payoff takes
-        index 0, so its index 0 must cost least."""
-        total, x = self._eliminate(order, self.arrays(scale, charges))
-        return -(-total // scale), x
-
-    def _eliminate(self, order: Sequence[int], tables: list) -> tuple[int, list[int]]:
-        """Optimum and one optimal assignment of the game with the payoff
-        tables `tables` (as from `arrays`), by bucket elimination along
-        `order`, which lists every vertex with a payoff.
+        v (none at a vertex not in `charges`), so that an assignment's
+        charges add up to less than `scale` and differ between any two
+        assignments it tells apart.  An assignment then scores `scale` times
+        its value less its charge; values are integers, so the penalised
+        optimum is an optimum of the game, and the one of least charge among
+        them.  A vertex with no payoff takes index 0, so its index 0 must
+        cost least.
 
         A bucket holds the tables whose first vertex in `order` is its own,
         adds them up and passes their maximum over its axis on to the bucket
         of the next vertex.  The assignment is read back in reverse order,
         each vertex taking the first maximising index against the vertices
-        eliminated after it; a vertex with no payoff takes index 0.
+        eliminated after it.
         """
+        dtype = np.int64 if self.int64(scale) else object
+        flat = self.payoffs.astype(dtype, copy=False) * scale
+        uncharged = dict(charges or {})
         pos = {v: p for p, v in enumerate(order)}
         buckets: list[list] = [[] for _ in order]
-        for u, v, arr in tables:
+        for u, v, at, stride in self.cells.tolist():
+            arr = flat[at:at + self.sizes[u] * stride].reshape(-1, stride)
+            if u in uncharged:
+                arr -= np.array(uncharged.pop(u), dtype=dtype)[:, None]
+            if v in uncharged:
+                arr -= np.array(uncharged.pop(v), dtype=dtype)
             pu, pv = pos[u], pos[v]
             if pu < pv:
                 buckets[pu].append(((pu, pv), arr))
@@ -324,7 +193,7 @@ class _PairGame:
         out = [0] * len(self.sizes)
         for v, p in pos.items():
             out[v] = x[p]
-        return int(const), out
+        return -(-int(const) // scale), out
 
 
 def _int64_holds(top: int, scale: int = 1) -> bool:
@@ -338,6 +207,119 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _adjacency(pairs) -> dict[int, set[int]]:
+    """Vertex -> the set of its neighbours, for each vertex of a pair."""
+    adj: dict[int, set[int]] = {}
+    for u, v in pairs:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return adj
+
+
+def _min_fill(sizes: Sequence[int], adj: dict[int, set[int]]) -> tuple[list[int], list[int]]:
+    """Min-fill order of the vertices of `adj` (as from `_adjacency`, which
+    it empties), and the number of entries of each one's bucket table.
+
+    Eliminating v joins its remaining neighbours into a clique; the next
+    vertex is the one whose clique adds the fewest new edges, then the one
+    of least degree, then the smallest.  Neighbourhoods are sets, so they
+    take memory by their size, not by the largest vertex.
+    """
+
+    def key(v: int) -> tuple[int, int, int]:
+        # each missing edge a-b among v's neighbours is seen from a and b,
+        # and each neighbour u once more, since u is not its own neighbour
+        nb = adj[v]
+        missing = sum(len(nb - adj[u]) for u in nb)
+        return (missing - len(nb)) // 2, len(nb), v
+
+    # eliminating v changes the keys of its neighbours, and the key of a
+    # vertex further out only when two of its neighbours gained an edge
+    # between them; `keys` holds each remaining vertex's key, and a heap
+    # entry that is not its vertex's key is stale
+    keys = {v: key(v) for v in adj}
+    heap = list(keys.values())
+    heapq.heapify(heap)
+    order, entries = [], []
+    while heap:
+        item = heapq.heappop(heap)
+        v = item[2]
+        if keys.get(v) != item:
+            continue
+        del keys[v]
+        nb = adj.pop(v)
+        size = sizes[v]
+        gained = set()
+        for u in nb:
+            joined = (adj[u] | nb) - {u, v}
+            if joined - adj[u]:
+                gained.add(u)
+            adj[u] = joined
+            size *= sizes[u]
+        stale = set(nb)
+        stale.update(w for u in gained for w in adj[u] - nb if len(adj[w] & gained) > 1)
+        for u in stale:
+            k = key(u)
+            if k != keys[u]:
+                keys[u] = k
+                heapq.heappush(heap, k)
+        order.append(v)
+        entries.append(size)
+    return order, entries
+
+
+def _domain_bytes(who: str, values: int) -> int:
+    """The bytes of `values` domain values; CapExceeded past the cap."""
+    nbytes = VALUE_BYTES * values
+    if nbytes > ELIM_MAX_BYTES:
+        raise CapExceeded(f"{who}: {values} domain values take {nbytes} bytes, cap {ELIM_MAX_BYTES}")
+    return nbytes
+
+
+def _plan(who: str, sizes: Sequence[int], pairs, top: int, scale: int,
+          walk: int | None = None, no_walk: str = "",
+          fill: tuple[list[int], list[int]] | None = None) -> list[int] | None:
+    """The min-fill order of the elimination pass an exact oracle runs, or
+    None when the zero-set walk, of estimated cost `walk` (None: it does not
+    fit, for the reason `no_walk`), runs instead; CapExceeded, naming `who`,
+    when neither fits.  It reads the domain sizes, the distinct vertex
+    pairs of the game's tables (or their `_min_fill`, `fill`, when there is
+    no walk), and `top`, at least the pair maxima's sum, so that
+    (top + 1) * scale bounds every partial sum of `first_optimum` at
+    `scale`.  Elimination fits when the domains and the bucket tables take
+    at most `ELIM_MAX_BYTES`; when the walk fits too, the lesser estimated
+    cost wins, ties to the walk.  The order is built only when the estimate
+    with the order counted twice and the first bucket's entries (its vertex
+    and all its neighbours) is below `walk`.
+
+    Estimates are in the walk's units (`_gmd_plan`), fitted over 154 random
+    max-dicut games (n 10-20, T 1-3, 10-100 arcs, tables up to 0.3M entries;
+    2-core Xeon, Python 3.11, numpy 2.4; the walk about 4 ns per unit at
+    n = 12): the order takes 1900 units per payoff pair and 1000 per vertex
+    (7.7 and 4.2 us), the pass 2400 per pair, 2200 per vertex and 3 per
+    table entry (9.8 us, 8.8 us, 0.010 us; 20 units with Python ints).
+    """
+    nbytes = _domain_bytes(who, sum(sizes))
+    if fill is None:
+        adj = _adjacency(pairs)
+        order_cost = 1900 * len(pairs) + 1000 * len(adj)
+        cost = order_cost + 2400 * len(pairs) + 2200 * len(adj)
+        if walk is not None:
+            first = min((sizes[v] * prod(sizes[u] for u in nb) for v, nb in adj.items()), default=0)
+            if cost + order_cost + 3 * first >= walk:
+                return None
+        fill = _min_fill(sizes, adj)
+    order, entries = fill
+    wide = _int64_holds(top, scale)
+    nbytes += sum(entries) * (8 if wide else 8 + sys.getsizeof((top + 1) * scale))
+    if nbytes <= ELIM_MAX_BYTES and (walk is None or cost + (3 if wide else 20) * sum(entries) < walk):
+        return order
+    if walk is None:
+        raise CapExceeded(f"{who}: {no_walk}the domains and elimination tables take "
+                          f"{nbytes} bytes, cap {ELIM_MAX_BYTES}")
+    return None
 
 
 class _Responder:
@@ -426,51 +408,56 @@ class _Responder:
 def _gmd_game(inst: GmdInstance) -> _PairGame:
     """Max-dicut as a pair game.  Domain index i < T is label i + 1 and index
     T is label 0, so the smallest index prefers a nonzero label on ties.
-    Weights are scaled once to integers over the lcm of their denominators."""
+    The payoffs are the arcs' weights as `_gmd_pairs` scales them."""
     T = inst.T
-    weights, scale = over_lcm([a.weight for a in inst.arcs])
+    pairs, denom, _ = _gmd_pairs(inst)
     tables: dict = {}
+    for (u, v), arcs in pairs.items():
+        rows = tables[u, v] = [[0] * (T + 1) for _ in range(T + 1)]
+        for a, w in arcs:
+            if a.tail == u:
+                rows[T][a.label - 1] += w
+            else:
+                rows[a.label - 1][T] += w
+    return _PairGame([T + 1] * inst.n, tables, denom)
+
+
+def _gmd_pairs(inst: GmdInstance) -> tuple[dict, int, int]:
+    """The (arc, payoff) of each vertex pair in `_gmd_game`'s table order,
+    a payoff (one table entry) an arc's weight as an integer over `denom`,
+    and `denom` and `_top` (the pair maxima's sum) of that game."""
+    weights, scale = over_lcm([a.weight for a in inst.arcs])
+    g = gcd(scale, *weights)
+    pairs: dict = {}
     for a, w in zip(inst.arcs, weights):
-        u, v = sorted((a.tail, a.head))
-        rows = tables.get((u, v))
-        if rows is None:
-            rows = tables[u, v] = [[0] * (T + 1) for _ in range(T + 1)]
-        if a.tail == u:
-            rows[T][a.label - 1] += w
-        else:
-            rows[a.label - 1][T] += w
-    return _PairGame([T + 1] * inst.n, tables, scale)
+        u, v = a.tail, a.head
+        pairs.setdefault((u, v) if u < v else (v, u), []).append((a, w // g))
+    top = sum(max(p for _, p in arcs) for arcs in pairs.values())
+    return pairs, scale // g, top
 
 
 class _GmdResponder(_Responder):
     """Best responses in the max-dicut game of `inst`: index T (label 0) is
     the zero index, and a vertex outside the zero set ranges over the labels
     1..T.  T is the instance's, so a game on no vertex has one too.  The
-    terms, `denom` and `in_int64` come from the arcs, as `_gmd_game` would
-    give them (a table entry is one arc's weight); the game is built when
-    first used."""
+    terms, `denom` and `in_int64` come from the arcs, as from `_gmd_game`,
+    which is built when first used."""
 
     def __init__(self, inst: GmdInstance):
         self.inst = inst
         T = inst.T
-        weights, scale = over_lcm([a.weight for a in inst.arcs])
-        g = gcd(scale, *weights)
-        # the (arc, payoff) of each pair, pairs in `_gmd_game`'s table order
-        pairs: dict = {}
-        for a, w in zip(inst.arcs, weights):
-            u, v = a.tail, a.head
-            pairs.setdefault((u, v) if u < v else (v, u), []).append((a, w // g))
-        by_head: list[list] = [[[] for _ in range(T)] for _ in range(inst.n)]
+        pairs, self.denom, top = _gmd_pairs(inst)
+        by_head: dict[int, list[list]] = {}
         for arcs in pairs.values():
             for a, p in arcs:
                 if p:
-                    by_head[a.head][a.label - 1].append((a.tail, p))
+                    by_head.setdefault(a.head, [[] for _ in range(T)])[a.label - 1].append((a.tail, p))
         self.zero = T
-        self.denom = scale // g
-        # `_PairGame.int64()` on the pairs' largest payoffs; their sum is at most the total
-        self.in_int64 = _int64_holds(sum(weights) // g) or _int64_holds(
-            sum(max(p for _, p in arcs) for arcs in pairs.values()))
-        self.terms = [list(map(tuple, t)) if any(t) else [] for t in by_head]
+        self.in_int64 = _int64_holds(top)
+        # the vertices with no term share one empty list, which nothing mutates
+        self.terms = [[]] * inst.n
+        for v, t in by_head.items():
+            self.terms[v] = list(map(tuple, t))
 
     @cached_property
     def game(self) -> _PairGame:
@@ -500,64 +487,60 @@ def greedy_completion(inst: GmdInstance, zero_set: frozenset[int] | set[int]) ->
     return Labeling(tuple(_gmd_labels(_GmdResponder(inst), zero)[0]))
 
 
-def opt_gmd(inst: GmdInstance, caps: Caps = Caps()) -> OptResult:
+def opt_gmd(inst: GmdInstance) -> OptResult:
     """Exact max-dicut optimum over all (T+1)^n labelings.
 
     Runs the zero-set walk or bucket elimination, whichever `_gmd_plan`
     picks; both return the smallest optimal zero mask, whose greedy
     completion is the witness.  CapExceeded when neither fits, before any
-    enumeration.
+    table, term or enumeration.
     """
+    path, order = _gmd_plan(inst)
     n = inst.n
-    if n > caps.opt_gmd_n:
-        raise CapExceeded(f"opt_gmd: n={n} exceeds cap {caps.opt_gmd_n}")
     if not inst.arcs:
-        return OptResult(
-            value=Fraction(0), witness=greedy_completion(inst, set()), explored=1
-        )
+        return OptResult(value=Fraction(0), witness=greedy_completion(inst, set()), explored=1)
     resp = _GmdResponder(inst)
-    path, order = _gmd_plan(resp)
     if path == "walk":
         best_mask = _zero_set_walk(resp)
     else:
-        best_mask = _gmd_elim_mask(resp.game, order)
-    labels, total = _gmd_labels(resp, [bool(best_mask >> v & 1) for v in range(n)])
+        best_mask = _gmd_elim_mask(_gmd_game(inst), order)
+    zero = set(_bits(best_mask))
+    labels, total = _gmd_labels(resp, [v in zero for v in range(n)])
     witness = Labeling(tuple(labels))
     best_val = Fraction(total, resp.denom)
     assert val_gmd(inst, witness) == best_val
     return OptResult(value=best_val, witness=witness, explored=1 << n)
 
 
-def _gmd_plan(resp: _Responder) -> tuple[str, Sequence[int] | None]:
-    """The enumerator `opt_gmd` runs on the max-dicut game of `resp` and
-    what it runs along: ("walk", None) or ("elim", the elimination order).
-    The walk runs only when its int64 masks hold every vertex (n <= 62)
-    and `in_int64` holds, elimination only when its tables fit in
-    `ELIM_MAX_BYTES`; when both do, the lesser estimated cost wins, ties to
-    the walk.  CapExceeded when neither does."""
-    # Costs in numpy int64 operations on one mask and one walk term, and 600
-    # per term and 2^20 masks for the overhead of the numpy calls.
-    n = len(resp.terms)
-    m = sum(len(terms) for by_index in resp.terms for terms in by_index)
-    walk = None
-    if n <= 62 and resp.in_int64:
+def _gmd_plan(inst: GmdInstance) -> tuple[str, list[int] | None]:
+    """("walk", None) or ("elim", the elimination order) for `opt_gmd` on
+    `inst`, by `_plan` on the arcs' vertex pairs, its n (T+1) labels checked
+    first.  The walk fits when int64 holds its partial sums."""
+    n, T = inst.n, inst.T
+    _domain_bytes("opt_gmd", n * (T + 1))
+    pairs, _, top = _gmd_pairs(inst)
+    walk, no_walk = None, ""
+    if 1 << n > WALK_MAX_MASKS:
+        no_walk = f"the zero-set walk's 2^{n} masks exceed {WALK_MAX_MASKS} and "
+    elif not _int64_holds(top):
+        no_walk = "the zero-set walk overflows int64 and "
+    else:
+        # Costs in numpy int64 operations on one mask and one walk term (an
+        # arc of nonzero weight), and 600 per term and 2^20 masks of overhead
+        m = sum(1 for a in inst.arcs if a.weight)
         walk = (1 << n) * m + 600 * m * max(1, (1 << n) >> 20)
-    elim = resp.game.elimination_plan(walk, 1 << n)
-    if elim is not None:
-        return "elim", elim[1]
-    if walk is None:
-        raise CapExceeded(f"opt_gmd: the zero-set walk overflows int64 and the "
-                          f"elimination tables exceed {ELIM_MAX_BYTES} bytes")
-    return "walk", None
+    order = _plan("opt_gmd", [T + 1] * n, pairs, top, 1 << n, walk, no_walk)
+    return ("walk", None) if order is None else ("elim", order)
 
 
 def _gmd_elim_mask(game: _PairGame, order: Sequence[int]) -> int:
     """Smallest optimal zero mask by one `first_optimum` pass along `order`:
     the payoffs are scaled by 2^n and label 0 at vertex v is charged 2^v,
-    so an assignment's charge is its zero mask."""
+    so an assignment's charge is its zero mask.  A vertex outside `order`
+    has no payoff, takes index 0 and is left uncharged."""
     n = len(game.sizes)
     T = game.sizes[0] - 1
-    charges = [[0] * T + [1 << v] for v in range(n)]
+    charges = {v: [0] * T + [1 << v] for v in order}
     return sum(1 << v for v, i in enumerate(game.first_optimum(order, 1 << n, charges)[1]) if i == T)
 
 
@@ -566,7 +549,7 @@ def _zero_set_walk(resp: _Responder) -> int:
     every mask in int64 numpy: a mask's value is the sum, over the vertices
     outside it, of their largest score, the maximum over indices of the
     terms' payoffs from the mask.  Each partial sum adds payoffs of one
-    assignment, so `int64()` of the game must hold.  Masks go in chunks of
+    assignment, so `in_int64` must hold.  Masks go in chunks of
     2^14, whose arrays stay in cache."""
     n = len(resp.terms)
     best_val = 0
@@ -613,17 +596,22 @@ def opt_gmd_bruteforce(inst: GmdInstance, caps: Caps = Caps()) -> OptResult:
     return OptResult(value=best_val, witness=Labeling(best), explored=states)
 
 
-def _gp_game(inst: GpInstance, candidates: Sequence[Sequence[Fraction]]) -> _PairGame:
-    """Pricing as a pair game over candidate indices; parallel edges add up.
+def _gp_denoms(inst: GpInstance, candidates: Sequence[Sequence[Fraction]]) -> tuple[int, int]:
+    """Dp, the lcm of the price and budget denominators, and Dw, the weights'."""
+    return (lcm(*(p.denominator for c in candidates for p in c), *(e.budget.denominator for e in inst.edges)),
+            lcm(*(e.weight.denominator for e in inst.edges)))
 
-    Prices and budgets are scaled once to integers over Dp, the lcm of their
-    denominators, and weights over Dw, so an entry W_e * (P_u + P_v), kept
-    when P_u + P_v <= B_e, is an integer over Dp * Dw."""
-    scaled, dp = over_lcm([p for c in candidates for p in c] + [e.budget for e in inst.edges])
-    scaled = iter(scaled)
-    prices = [list(itertools.islice(scaled, len(c))) for c in candidates]
-    budgets = list(scaled)
-    weights, dw = over_lcm([e.weight for e in inst.edges])
+
+def _gp_game(inst: GpInstance, candidates: Sequence[Sequence[Fraction]],
+             denoms: tuple[int, int] | None = None) -> _PairGame:
+    """Pricing as a pair game over candidate indices; parallel edges add up.
+    Prices and budgets are scaled to integers over Dp and weights over Dw
+    (`denoms`, or `_gp_denoms`), so an entry W_e * (P_u + P_v), kept when
+    P_u + P_v <= B_e, is an integer over Dp * Dw."""
+    dp, dw = denoms or _gp_denoms(inst, candidates)
+    prices = [[p.numerator * (dp // p.denominator) for p in c] for c in candidates]
+    budgets = [e.budget.numerator * (dp // e.budget.denominator) for e in inst.edges]
+    weights = [e.weight.numerator * (dw // e.weight.denominator) for e in inst.edges]
     tables: dict = {}
     for e, w, b in zip(inst.edges, weights, budgets):
         u, v = sorted((e.u, e.v))
@@ -639,32 +627,39 @@ def _gp_game(inst: GpInstance, candidates: Sequence[Sequence[Fraction]]) -> _Pai
     return _PairGame([len(c) for c in candidates], tables, dp * dw)
 
 
-def opt_gp_grid(
-    inst: GpInstance,
-    candidates: Sequence[Sequence[Fraction]],
-    caps: Caps = Caps(),
-) -> OptResult:
+def grid_plan(inst: GpInstance, sizes: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The min-fill order of `opt_gp_grid` on grids of these sizes and its
+    buckets' entries; CapExceeded when it would refuse every such grid, by
+    `_plan` with int64 tables, the fewest bytes any grid takes."""
+    fill = _min_fill(sizes, _adjacency((e.u, e.v) for e in inst.edges))
+    _plan("opt_gp_grid", sizes, (), 0, 1, fill=fill)
+    return fill
+
+
+def opt_gp_grid(inst: GpInstance, candidates: Sequence[Sequence[Fraction]],
+                fill: tuple[list[int], list[int]] | None = None) -> OptResult:
     """Exact maximum of the pricing value over the candidate grid by one
     `first_optimum` pass; the witness is the first optimal grid point in
-    product order.  CapExceeded, before the pass, when the grid has more
-    than `caps.gp_grid_points` points or its elimination tables would take
-    more than `ELIM_MAX_BYTES`."""
+    product order.  CapExceeded, before the game is built, when `_plan`
+    (reusing `fill`, `grid_plan` of the candidates' sizes, when given) finds
+    that the domains and elimination tables would pass `ELIM_MAX_BYTES`."""
     check_price_grid(inst, candidates)
-    points = prod(map(len, candidates))
-    if points > caps.gp_grid_points:
-        raise CapExceeded(f"grid has {points} points, cap {caps.gp_grid_points}")
-
-    game = _gp_game(inst, candidates)
-    plan = game.elimination_plan(None, points)
-    if plan is None:
-        raise CapExceeded(f"opt_gp_grid: elimination tables exceed {ELIM_MAX_BYTES} bytes")
+    sizes = list(map(len, candidates))
+    points = prod(sizes)
+    # an entry W_e (P_u + P_v) is at most W_e B_e, so the pair maxima sum to
+    # at most the sum of those, an integer over the game's Dp * Dw
+    dp, dw = _gp_denoms(inst, candidates)
+    top = sum(w.numerator * (dw // w.denominator) * b.numerator * (dp // b.denominator)
+              for _, _, b, w in inst.edges)
+    order = _plan("opt_gp_grid", sizes, (), top, points, fill=fill or grid_plan(inst, sizes))
+    game = _gp_game(inst, candidates, (dp, dw))
     # index i at v is charged i times the product of the later domain sizes,
     # so a point's charge is its rank in product order
-    charges, stride = [], points
-    for size in game.sizes:
+    charges, stride = {}, points
+    for v, size in enumerate(sizes):
         stride //= size
-        charges.append([i * stride for i in range(size)])
-    total, point = game.first_optimum(plan[1], points, charges)
+        charges[v] = [i * stride for i in range(size)]
+    total, point = game.first_optimum(order, points, charges)
     best_val = Fraction(total, game.denom)
     witness = Pricing(tuple(candidates[v][i] for v, i in enumerate(point)))
     assert val_gp(inst, witness) == best_val

@@ -6,8 +6,8 @@ build_sa_lp writes every Sherali-Adams LP, or Python ints in object dtype;
 any other entries raise TypeError.  One Bland-rule routine (smallest
 eligible index enters, smallest basic index breaks ratio ties; redundant
 rows stay as zero rows that no later pivot touches) runs twice at most:
-first on float64, then, if needed, on Fractions, where it walks the bases
-exact arithmetic gives.  The vertex comes back once, as integer numerators
+first on float64, then, if needed, on exact rationals, where it walks the
+bases exact arithmetic gives.  The vertex comes back once, as integer numerators
 over one denominator (``LpResult``).  A pivot changes one block, the rows
 with a nonzero in the entering column by the columns where the pivot row
 is nonzero (about 12 by 13 entries in the Sherali-Adams LPs), and divides
@@ -27,13 +27,13 @@ rows as they come, with c scaled by the lcm of its denominators; in int64
 when a bound computed beforehand rules out overflow, in Python ints (object
 dtype) otherwise, through the same code.  If any check fails, or the float
 pass ends infeasible or unbounded, the same pivot code runs from scratch on
-an object-dtype tableau of the same rows, every entry a Fraction, with no
-tolerance and the costs scaled to integers.  There each row is held as
-Python-int numerators over a denominator of its own, so numpy's object
-loops do integer arithmetic and no Fraction is built per entry; the
-tableau holds Fractions again at the end.  It is the only pass that
-raises LpInfeasible/LpUnbounded, and it solves the LPs whose optimal
-vertex or duals do not rationalise.
+an object-dtype tableau of the same integer rows, with no tolerance and the
+costs scaled to integers.  There each row is held as Python-int numerators
+over a denominator of its own, 1 at the start, so numpy's object loops do
+integer arithmetic from start to end; x is read as a basic row's last
+entry over its denominator, and the pass keeps no etas.  It is the only
+pass that raises LpInfeasible/LpUnbounded, and it solves the LPs whose
+optimal vertex or duals do not rationalise.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def simplex_max(c: Sequence[Fraction], a: Csr, rhs: np.ndarray) -> LpResult:
 
 
 # ---------------------------------------------------------------------------
-# Bland's two phases, on float64 or on Fractions
+# Bland's two phases, on float64 or on integer numerators
 # ---------------------------------------------------------------------------
 
 
@@ -123,10 +123,11 @@ def _bland_pivot(t, basis, etas, r, s, tol, den=None):
     rows (nonzero in column s, r aside) by the live columns (nonzero in row
     r) are updated through one flat index array.  With tol > 0 (float64)
     quotients and updates below tol become 0, so no entry of t lies in
-    0 < |x| < tol and a pivot of 1 has none to clear.  With tol = 0 row i
-    holds Python-int numerators over den[i]: row r is divided by its
-    pivot's numerator into a new denominator, and only when that is not 1
-    do the hit rows take it on, whole rows multiplied and then reduced."""
+    0 < |x| < tol and a pivot of 1 has none to clear; its eta goes to
+    `etas`.  With tol = 0 row i holds Python-int numerators over den[i]:
+    row r is divided by its pivot's numerator into a new denominator, and
+    only when that is not 1 do the hit rows take it on, whole rows
+    multiplied and then reduced."""
     row = t[r]
     piv = row[s]
     live = row.nonzero()[0]
@@ -135,7 +136,7 @@ def _bland_pivot(t, basis, etas, r, s, tol, den=None):
         g = math.gcd(*prow.tolist()) * (1 if piv > 0 else -1)
         prow = prow // g
         row[live] = prow
-        piv, den[r] = Fraction(piv, den[r]), piv // g
+        den[r] = piv // g
     elif piv != 1:
         prow = prow / piv
         prow[np.abs(prow) < tol] = 0.0
@@ -154,19 +155,18 @@ def _bland_pivot(t, basis, etas, r, s, tol, den=None):
         if den is None:
             upd[np.abs(upd) < tol] = 0.0
         t.put(at, upd)
-        if den is not None:
-            w = np.array(list(map(Fraction, w.tolist(), den[hit].tolist())), dtype=object)
-            if den[r] != 1:
-                den[hit] *= den[r]
-                for h in hit.tolist():
-                    nz = t[h].nonzero()[0]
-                    g = math.gcd(den[h], *t[h, nz].tolist())
-                    t[h, nz] //= g
-                    den[h] //= g
-        if hit[-1] == len(basis):
-            hit, w = hit[:-1], w[:-1]
+        if den is not None and den[r] != 1:
+            den[hit] *= den[r]
+            for h in hit.tolist():
+                nz = t[h].nonzero()[0]
+                g = math.gcd(den[h], *t[h, nz].tolist())
+                t[h, nz] //= g
+                den[h] //= g
     basis[r] = s
-    etas.append((r, piv, hit, w))
+    if den is None:
+        if hit.size and hit[-1] == len(basis):
+            hit, w = hit[:-1], w[:-1]
+        etas.append((r, piv, hit, w))
 
 
 def _bland_iterate(t, basis, etas, n, tol, den=None) -> bool:
@@ -196,48 +196,31 @@ def _bland_iterate(t, basis, etas, n, tol, den=None) -> bool:
         _bland_pivot(t, basis, etas, int(r), s, tol, den)
 
 
-def _two_phase(t, cost, tol):
+def _phases(t, cost, tol, den=None):
     """Both phases on the tableau t: rows 0..m-1 hold [A | b] with b >= 0,
     row m is overwritten with each phase's objective.  cost is c with a 0
     appended.  Returns the optimal basis and the pivots' etas, or raises
-    LpInfeasible/LpUnbounded.  t is float64 with tol > 0, or object dtype
-    holding Fractions with tol = 0: the same pivots then run exactly, on
-    each row as Python-int numerators over one denominator, and t holds
-    Fractions again when they end."""
-    if tol:
-        return _phases(t, cost, tol, None)
-    den = np.ones(len(t), dtype=object)
-    for i in range(len(t) - 1):
-        live = t[i].nonzero()[0]
-        t[i, live], den[i] = over_lcm(t[i, live].tolist())
-    try:
-        return _phases(t, cost, 0, den)
-    finally:
-        for i in np.flatnonzero(den != 1).tolist():
-            live = t[i].nonzero()[0]
-            t[i, live] = list(map(Fraction, t[i, live].tolist(), [den[i]] * live.size))
-
-
-def _phases(t, cost, tol, den):
-    """_two_phase's phases; exact on numerators over `den` unless tol > 0."""
+    LpInfeasible/LpUnbounded.  t is float64 with tol > 0, or, with tol = 0,
+    Python-int numerators in object dtype, row i over den[i], and the same
+    pivots then run exactly and keep no etas."""
     m, n = t.shape[0] - 1, t.shape[1] - 1
     obj = t[m]
     basis = np.arange(n, n + m)
-    etas = []  # (row, pivot, hit rows, their pivot-column entries) per pivot
+    etas = []  # (row, pivot, hit rows, their pivot-column entries) per float pivot
 
     # phase one on structural columns, maximising minus the sum of the
     # artificials; artificial columns are never read, so they are not stored.
     # Exact objective rows are built from each row's nonzeros: a dense
-    # sum or product would do object work on every zero.
+    # sum or product would do object work on every zero.  Every row starts
+    # over a denominator of 1.
     if tol:
         obj[:] = t[:m].sum(axis=0)
         obj[np.abs(obj) < tol] = 0.0
     else:
         obj[:] = 0
-        den[m] = math.lcm(*den[:m].tolist())
         for i in range(m):
             live = t[i].nonzero()[0]
-            obj[live] += den[m] // den[i] * t[i, live]
+            obj[live] += t[i, live]
     if not _bland_iterate(t, basis, etas, n, tol, den) or obj[n] > tol:
         raise LpInfeasible("equality system has no nonnegative solution")
     # drive leftover artificials out; a redundant row stays as a zero row
@@ -266,24 +249,23 @@ def _phases(t, cost, tol, den):
 
 
 def _exact(c, a: Csr, rhs: np.ndarray) -> LpResult:
-    """The two phases on a Fraction tableau of the rows as given: scaling
-    a row would change phase one's objective, hence Bland's bases."""
+    """The two phases on an integer tableau of the rows as given, every row
+    over a denominator of 1: scaling a row would change phase one's
+    objective, hence Bland's bases."""
     n, m = len(c), len(rhs)
-    # the rows, negated where b < 0, summed in Python ints; then every
-    # nonzero entry a Fraction, as _two_phase takes them (zeros stay ints)
+    # the rows, negated where b < 0, summed in Python ints
     sign = np.where(rhs < 0, -1, 1)
     row = np.repeat(np.arange(m), np.diff(a.indptr))
     t = np.zeros((m + 1, n + 1), dtype=object)
     np.add.at(t.reshape(-1), row * (n + 1) + a.indices, a.data.astype(object) * sign[row])
     t[:m, n] = rhs.astype(object) * sign
-    at = t.nonzero()
-    t[at] = list(map(Fraction, t[at].tolist()))
+    den = np.ones(m + 1, dtype=object)
     # c scaled to integers: the same reduced-cost signs, hence the same pivots
-    basis, _ = _two_phase(t, np.array([*over_lcm(c)[0], 0], dtype=object), 0)
+    basis, _ = _phases(t, np.array([*over_lcm(c)[0], 0], dtype=object), 0, den)
     x = [ZERO] * n
     for i, j in enumerate(basis.tolist()):
         if j < n:
-            x[j] = t[i, n]
+            x[j] = Fraction(t[i, n], den[i])
     nums, denom = over_lcm(x)
     value = sum(map(operator.mul, c, x), ZERO)
     return LpResult(value, np.array(nums, dtype=object), denom, "exact")
@@ -332,7 +314,7 @@ def _float_certified(lp: _ScaledLp) -> Optional[LpResult]:
     t[:m] *= lp.sign[:, None]
     cf = np.array(lp.cost_float + [0.0])
     try:
-        basis, etas = _two_phase(t, cf, TOL)
+        basis, etas = _phases(t, cf, TOL)
     except (LpInfeasible, LpUnbounded):
         return None
 

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from csv import DictReader
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +18,7 @@ import gmdlab.cli as cli
 import gmdlab.core as core
 from gmdlab.caps import Caps, caps_from_env
 from gmdlab.cli import run_command
+from gmdlab.exact import ELIM_MAX_BYTES
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 P3 = os.path.join(GOLDEN, "p3.gp")
@@ -66,9 +68,11 @@ def test_cap_exceeded_exit_2(tmp_path, capsys, monkeypatch):
     assert "cap exceeded: at least 864 LP tableau entries exceed cap 400" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["sa_n", "sa_rounds", "sa_domain", "lp_variables"])
+@pytest.mark.parametrize("name", ["sa_n", "sa_rounds", "sa_domain", "lp_variables", "opt_gmd_n",
+                                  "gp_grid_points"])
 def test_removed_cap_names_exit_1(tmp_path, capsys, monkeypatch, name):
-    # one cap on the LP's tableau, lp_entries, replaced these four
+    # one cap on the LP's tableau, lp_entries, replaced the first four; the
+    # exact oracles' byte and mask plan the last two
     monkeypatch.setenv("GMDLAB_CAPS", f"{name}=9")
     assert run_command(["solve", "--in", str(tmp_path / "absent.gmd")]) == 1
     err = capsys.readouterr().err
@@ -107,14 +111,21 @@ def test_salp_past_float64_takes_the_exact_pass(tmp_path, capsys):
     assert out.rstrip().endswith("lp_path = exact")
 
 
-@pytest.mark.parametrize("spec", ["opt_gmd_n=abc", "opt_gmd_n", "opt_gmd_n=", "opt_gmd_n=-1",
-                                  "opt_gmd_n=2.5", "lp_entries=8,opt_gmd_n=-1"])
+MALFORMED_CAPS = ["{}=abc", "{}", "{}=", "{}=-1", "{}=2.5", "lp_entries=8,{}=-1"]
+
+
+# a cap that exists (brute_states) is refused for its value, a removed one
+# (opt_gmd_n) for its name, whatever its value
+@pytest.mark.parametrize("spec", [form.format(name) for name in ("brute_states", "opt_gmd_n")
+                                  for form in MALFORMED_CAPS])
 def test_malformed_caps_exit_1_naming_the_cap(tmp_path, capsys, monkeypatch, spec):
     # checked before any work: the absent input is never read
+    name = spec.rpartition(",")[2].partition("=")[0]
     monkeypatch.setenv("GMDLAB_CAPS", spec)
     assert run_command(["solve", "--in", str(tmp_path / "absent.gmd")]) == 1
     err = capsys.readouterr().err
-    assert "GMDLAB_CAPS" in err and "'opt_gmd_n'" in err and "Traceback" not in err
+    assert "GMDLAB_CAPS" in err and f"'{name}'" in err and "Traceback" not in err
+    assert ("unknown cap" in err) == (name == "opt_gmd_n")
 
 
 def test_reduce_writes_symbolic_budgets(tmp_path, capsys):
@@ -582,6 +593,14 @@ def test_report_round_trip(tmp_path):
     assert "a,b\n1,2" in body
 
 
+def test_report_keeps_every_column_of_a_repeated_name(tmp_path):
+    csv = str(tmp_path / "in.csv")
+    Path(csv).write_text("# gmdlab x config=y seed=1\na,a,b\n1,2,3\n")
+    out = tmp_path / "out.csv"
+    assert run_command(["report", "--in", csv, "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == ["a,a,b", "1,2,3"]
+
+
 @pytest.mark.parametrize("row, lineno", [("3,4,5", 4), ("6", 4), ("", 4), ("1,2\n7", 5)])
 def test_report_refuses_rows_unlike_the_header(tmp_path, capsys, row, lineno):
     # too many cells, too few, a blank line: each was reshaped to the header
@@ -644,19 +663,38 @@ def test_import_leaves_hashlib_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+# each spelling of an output destination that argparse takes, with its
+# value when it takes one: a full name, a name=value token, a unique prefix
+DESTINATIONS = {"--csv", "--out", "--plot-script", "--cs", "--c", "--o", "--ou", "--plot", "--pl"}
+
+
 @pytest.mark.parametrize("argv", [
     [],
     ["gap", "--n", "40", "--seed", "0"],
     ["sasol", "--in", "g.gmd", "--k", "3", "--csv", "t.csv", "--trials", "10"],
     ["salp", "--in", "p\u00e9.gp", "--rounds", "2", "--out"],
+    ["approx", "--in", "g.gmd", "--algo", "gmd4", "--csv=a.csv", "--plot-script", "p.py"],
+    ["gauss", "--suite", "cdf", "--cs", "a.csv", "--pl", "p.py", "--po", "5"],
+    ["gap", "--n", "16", "--c", "a.csv", "--o=x.gmd", "--ou", "y.gmd", "--p", "1/2"],
+    ["approx", "--in", "g.gmd", "--algo", "gp4", "--plot=p.py", "--c", "a.csv", "--seed", "3"],
 ])
 def test_config_hash_is_sha256_of_kept_arguments(argv):
     import hashlib
 
+    def destination(tok):
+        return tok.partition("=")[0] in DESTINATIONS
+
+    # gap's --p is its --p-keep and gauss's --po its --points: both are kept
     kept = [tok for i, tok in enumerate(argv)
-            if tok not in ("--csv", "--out") and (i == 0 or argv[i - 1] not in ("--csv", "--out"))]
+            if not destination(tok)
+            and (i == 0 or not destination(argv[i - 1]) or "=" in argv[i - 1])]
     want = hashlib.sha256("\x1f".join(kept).encode()).hexdigest()[:12]
     assert cli._config_hash(argv) == want
+    # every destination resolves as argparse resolves it
+    if argv and argv[0] != "salp":
+        args = cli._parser().parse_args(argv)
+        assert vars(args).get("csv") in (None, "a.csv", "t.csv")
+        assert vars(args).get("plot_script") in (None, "p.py")
 
 
 def test_run_as_module(tmp_path):
@@ -729,9 +767,12 @@ def test_bad_rational_option_exit_1_naming_it(capsys, argv, option, text):
     "argv, message",
     [
         # isqrt(2^23) = 2896: 2,896 prices or more make a tableau past 2^23 entries
-        (["salp", "--grid", "geom:1/1000000"], "grid geom:1/1000000 has more than 2895 prices"),
-        (["solve", "--grid", "geom:1/1000"], "grid has 196591175 points, cap 2000000"),
-        (["solve", "--grid", "geom:1e-400"], "grid has more than 2000000 points"),
+        (["salp", "--grid", "geom:1/1000000"],
+         "grid geom:1/1000000 has more than 2895 prices, cap 2895 = isqrt(lp_entries=8388608) - 1"),
+        # 2^19 domain values of 64 bytes fill the 32 MiB of the exact oracles
+        (["solve", "--grid", "geom:1e-400"], "grid geom:1e-400 has more than 524288 prices"),
+        # 1,797 prices make a first bucket of 196.6M entries, seen from the sizes
+        (["solve", "--grid", "geom:1/1000"], "opt_gp_grid: the domains and elimination tables take "),
     ],
 )
 def test_grid_size_checked_before_any_grid_is_built(capsys, monkeypatch, argv, message):
@@ -741,6 +782,38 @@ def test_grid_size_checked_before_any_grid_is_built(capsys, monkeypatch, argv, m
     monkeypatch.setattr(core, "geometric_grid", no_grid)
     assert run_command(argv[:1] + ["--in", P3] + argv[1:]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["salp", "solve"])
+@pytest.mark.parametrize("head", ["gp", "gmd 1"])
+def test_five_million_vertices_refused_at_once(tmp_path, capsys, command, head):
+    # every grid holds 0 and every label domain two labels, so the count of
+    # vertices alone passes each cap before any per-vertex work
+    path = write(tmp_path, "big.txt", f"{head}\nv 5000000\n")
+    start = time.perf_counter()
+    assert run_command([command, "--in", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "cap exceeded: " in capsys.readouterr().err
+
+
+def test_solve_past_24_vertices_plans_by_arcs(tmp_path, capsys):
+    path = write(tmp_path, "n25.gmd", "gmd 1\nv 25\ne 0 1 1 1\n")
+    assert run_command(["solve", "--in", path]) == 0
+    assert capsys.readouterr().out == "opt = 1\n"
+
+
+def test_solve_on_200000_vertices_and_one_arc_stays_within_the_plan(tmp_path, capsys):
+    # 400,000 labels count 25.6 MB of domain values in the plan; a charge per
+    # vertex of up to n bits, isolated vertices included, would take 2.7 GB
+    path = write(tmp_path, "wide.gmd", "gmd 1\nv 200000\ne 0 199999 1 1\n")
+    tracemalloc.start()
+    try:
+        assert run_command(["solve", "--in", path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == "opt = 1\n"
+    assert peak < ELIM_MAX_BYTES
 
 
 eps_texts = st.one_of(

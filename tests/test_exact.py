@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmdlab.caps import Caps
 from gmdlab.cli import run_command
 from gmdlab.core import (
     CapExceeded,
@@ -29,13 +28,17 @@ from gmdlab import exact
 from gmdlab.approx import _gp_completion_game
 from gmdlab.exact import (
     ELIM_MAX_BYTES,
+    WALK_MAX_MASKS,
     _Responder,
+    _adjacency,
     _gmd_elim_mask,
     _gmd_game,
     _gp_game,
     _gmd_labels,
     _gmd_plan,
     _GmdResponder,
+    _min_fill,
+    _plan,
     _zero_set_walk,
     greedy_completion,
     opt_gmd,
@@ -129,19 +132,22 @@ def test_opt_gmd_matches_bruteforce_on_random_instances():
 
 
 def test_opt_gmd_respects_cap():
-    inst = GmdInstance.of(1, 30, [(0, 1, 1, 1)])
-    with pytest.raises(CapExceeded):
-        opt_gmd(inst, caps=Caps(opt_gmd_n=24))
+    # 2^21 labels of 64 bytes pass the byte cap, refused before any term or
+    # table; 30 vertices and one arc are planned by their arc, not their count
+    with pytest.raises(CapExceeded, match="opt_gmd: 2097152 domain values take"):
+        opt_gmd(GmdInstance.of(1, 1 << 20, [(0, 1, 1, 1)]))
+    res = opt_gmd(GmdInstance.of(1, 30, [(0, 1, 1, 1)]))
+    assert (res.value, res.witness.values, res.explored) == (1, (0,) + (1,) * 29, 1 << 30)
 
 
 def test_opt_gmd_past_62_vertices_never_plans_the_walk():
-    # the walk's int64 masks hold 62 vertices; on 200 the penalised
-    # elimination tables are Python ints past the byte cap, so no enumerator
-    # fits and the refusal comes at once
+    # the walk holds 2^24 masks; on 200 the penalised elimination tables
+    # are Python ints past the byte cap, so no enumerator fits and the
+    # refusal comes at once
     inst = _golden("gap-n200-s0.gmd")
     start = time.perf_counter()
-    with pytest.raises(CapExceeded, match="zero-set walk overflows int64"):
-        opt_gmd(inst, caps=Caps(opt_gmd_n=200))
+    with pytest.raises(CapExceeded, match="zero-set walk's 2\\^200 masks exceed 16777216"):
+        opt_gmd(inst)
     assert time.perf_counter() - start < 1.0
 
 
@@ -188,8 +194,9 @@ def test_opt_gp_grid_monotone_in_candidate_sets():
 
 def test_opt_gp_grid_cap_and_empty_candidates():
     inst = GpInstance.of(2, [(0, 1, 1, 1)])
-    with pytest.raises(CapExceeded):
-        opt_gp_grid(inst, [[F(0)] * 2000, [F(0)] * 2000], caps=Caps(gp_grid_points=100))
+    # buckets of 2100 x 2100 and 2100 int64 entries, and 4200 domain values
+    with pytest.raises(CapExceeded, match="opt_gp_grid: the domains and elimination tables take 35565600"):
+        opt_gp_grid(inst, [[F(0)] * 2100, [F(0)] * 2100])
     with pytest.raises(Exception):
         opt_gp_grid(inst, [[], [F(0)]])
 
@@ -306,8 +313,8 @@ def test_engine_elimination_and_zero_set_walk_agree():
         for _ in range(3):
             inst = _random_gmd_instance(rng, T, n, m)
             game = _gmd_game(inst)
-            order, _ = game.elimination_order()
-            total, _ = game._eliminate(order, game.arrays())
+            order, _ = _min_fill_of(game)
+            total, _ = game.first_optimum(order)
             assert _gmd_elim_mask(game, order) == _zero_set_walk(_GmdResponder(inst))
             assert F(total, game.denom) == opt_gmd(inst).value
 
@@ -372,8 +379,8 @@ def gmd_instances(draw):
 @given(gmd_instances())
 def test_elimination_and_walk_agree_on_gmd(inst):
     game = _gmd_game(inst)
-    order, _ = game.elimination_order()
-    value, _ = game._eliminate(order, game.arrays())
+    order, _ = _min_fill_of(game)
+    value, _ = game.first_optimum(order)
     mask = _gmd_elim_mask(game, order)
     resp = _GmdResponder(inst)
     labels, total = _gmd_labels(resp, [bool(mask >> v & 1) for v in range(inst.n)])
@@ -410,7 +417,7 @@ def _min_fill_by_rescoring(inst):
 @settings(max_examples=100, deadline=None)
 @given(gmd_instances())
 def test_min_fill_order_matches_full_rescoring(inst):
-    assert _gmd_game(inst).elimination_order()[0] == _min_fill_by_rescoring(inst)
+    assert _min_fill_of(_gmd_game(inst))[0] == _min_fill_by_rescoring(inst)
 
 
 @st.composite
@@ -446,30 +453,32 @@ def test_grid_ties_go_to_the_first_point_in_product_order():
     inst = GpInstance.of(3, [(0, 2, 1, 1), (0, 1, 1, 1)])
     grid = half_integral_grid(inst)
     game = _gp_game(inst, grid)
-    order, _ = game.elimination_order()
+    order, _ = _min_fill_of(game)
     assert order != sorted(order)
-    assert game._eliminate(order, game.arrays())[1] == [2, 0, 0]
+    assert game.first_optimum(order)[1] == [2, 0, 0]
     res = opt_gp_grid(inst, grid)
     assert (res.value, res.witness) == _plain_grid(inst, grid) == (2, Pricing((F(0), F(1), F(1))))
 
 
 def test_edgeless_grid_plans_an_empty_order():
     game = _gp_game(GpInstance.of(3, []), [[F(0), F(1)], [F(0)], [F(0), F(1, 2)]])
-    assert game.elimination_plan(None, 4)[1] == []
-    assert game.elimination_plan(10**6, 4)[1] == []
-    assert game.first_optimum([], 4, [[0, 2], [0], [0, 1]]) == (0, [0, 0, 0])
+    assert _plan("t", game.sizes, [], 0, 4) == []
+    assert _plan("t", game.sizes, [], 0, 4, walk=10**6) == []
+    assert game.first_optimum([], 4, {0: [0, 2], 1: [0], 2: [0, 1]}) == (0, [0, 0, 0])
 
 
 def test_opt_gp_grid_refuses_tables_over_the_byte_cap(monkeypatch, capsys):
-    # the geom instance's min-fill tables hold 1,098 int64 entries, 8,784 bytes
+    # the geom instance's min-fill tables hold 1,098 int64 entries, 8,784
+    # bytes, beside its 32 domain values of 64 bytes
     geom = _golden("geom.gp")
     grid = [geometric_grid(b, F(1, 10)) for b in max_incident_budget(geom)]
-    monkeypatch.setattr(exact, "ELIM_MAX_BYTES", 8 * sum(_gp_game(geom, grid).elimination_order()[1]) - 1)
+    cap = 64 * sum(map(len, grid)) + 8 * sum(_min_fill_of(_gp_game(geom, grid))[1]) - 1
+    monkeypatch.setattr(exact, "ELIM_MAX_BYTES", cap)
 
     def no_work(*args):
         raise AssertionError("an elimination pass ran")
 
-    monkeypatch.setattr(exact._PairGame, "_eliminate", no_work)
+    monkeypatch.setattr(exact._PairGame, "first_optimum", no_work)
     with pytest.raises(CapExceeded):
         opt_gp_grid(geom, grid)
     path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "geom.gp")
@@ -486,7 +495,7 @@ def test_elimination_on_python_int_tables():
     assert not game.int64()
     # the walk's int64 sums would overflow, so the plan takes elimination
     assert _gmd_path(inst) == "elim"
-    order, _ = game.elimination_order()
+    order, _ = _min_fill_of(game)
     mask = _gmd_elim_mask(game, order)
     value, witness = _plain_gmd(inst)
     assert mask == sum(1 << v for v, x in enumerate(witness.values) if x == 0)
@@ -504,7 +513,7 @@ def test_elimination_when_only_the_penalised_tables_pass_int64():
                                  (4, 5, 2, 5), (5, 4, 1, 5), (1, 4, 2, 3)])
     game = _gmd_game(inst)
     assert game.int64() and not game.int64(1 << inst.n)
-    order, _ = game.elimination_order()
+    order, _ = _min_fill_of(game)
     mask = _gmd_elim_mask(game, order)
     resp = _GmdResponder(inst)
     assert mask == _zero_set_walk(resp)
@@ -528,8 +537,18 @@ def test_walk_runs_when_the_pair_maxima_fit_int64():
     assert (res.value, res.witness) == (value, witness) == (2**61 + 1, Labeling((1, 0, 1)))
 
 
+def _pairs_of(game):
+    """The vertex pairs of the tables of `game`."""
+    return [tuple(uv) for uv in game.cells[:, :2].tolist()]
+
+
+def _min_fill_of(game):
+    """The min-fill order of `game`'s pairs and its bucket entries."""
+    return _min_fill(game.sizes, _adjacency(_pairs_of(game)))
+
+
 def _gmd_path(inst):
-    return _gmd_plan(_GmdResponder(inst))[0]
+    return _gmd_plan(inst)[0]
 
 
 def test_cost_estimate_picks_each_path(tmp_path):
@@ -571,8 +590,9 @@ def test_dense_game_falls_back_from_elimination():
     tournament = _tournament(24)
     game = _gmd_game(tournament)
     assert game.int64(1 << 24)
-    assert game.elimination_order()[1][0] * 8 == 8 << 24 > ELIM_MAX_BYTES
-    assert game.elimination_plan(None, 1 << 24) is None
+    assert _min_fill_of(game)[1][0] * 8 == 8 << 24 > ELIM_MAX_BYTES
+    with pytest.raises(CapExceeded, match="elimination tables take"):
+        _plan("t", game.sizes, _pairs_of(game), game._top, 1 << 24)
     assert _gmd_path(tournament) == "walk"
     # its 2^24 zero masks take seconds, so the value is checked at n = 12,
     # which takes the walk on cost: the zero set {0..5} cuts 6 * 6 arcs, and
@@ -588,13 +608,15 @@ def test_opt_gmd_refuses_when_no_path_fits(monkeypatch):
     # tables of the 24-vertex tournament are over the byte cap
     tournament = _tournament(24, lambda u, v: 2**57 + u + v)
     game = _gmd_game(tournament)
-    assert not game.int64() and game.elimination_plan(None, 1 << 24) is None
+    assert not game.int64()
+    with pytest.raises(CapExceeded):
+        _plan("t", game.sizes, _pairs_of(game), game._top, 1 << 24)
 
     def no_work(*args):
         raise AssertionError("an enumeration ran")
 
     monkeypatch.setattr(exact, "_zero_set_walk", no_work)
-    monkeypatch.setattr(exact._PairGame, "_eliminate", no_work)
+    monkeypatch.setattr(exact._PairGame, "first_optimum", no_work)
     with pytest.raises(CapExceeded):
         opt_gmd(tournament)
 
@@ -615,7 +637,7 @@ def test_sparse_game_past_a_million_entries_plans_elimination():
     # over 2^24 masks takes seconds and returns the same mask, 2369109
     inst = _sparse24()
     game = _gmd_game(inst)
-    entries = sum(game.elimination_order()[1])
+    entries = sum(_min_fill_of(game)[1])
     assert game.int64(1 << 24) and entries == 2_092_116 and entries * 8 <= ELIM_MAX_BYTES
     assert _gmd_path(inst) == "elim"
     res = opt_gmd(inst)
@@ -636,6 +658,61 @@ def test_benchmark_dag8_instances_take_the_walk(tmp_path, monkeypatch):
     assert len(paths) == 6
     for path in paths:
         assert _gmd_path(parse_instance(path.read_text())) == "walk", path.name
+
+
+def _refuse_games(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a pair game was built")
+
+    monkeypatch.setattr(exact, "_gmd_game", refuse)
+    monkeypatch.setattr(exact, "_gp_game", refuse)
+
+
+def test_the_walk_builds_no_pair_game(tmp_path, monkeypatch, capsys):
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                    "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    monkeypatch.chdir(tmp_path)
+    workloads.setup_oracle()
+    insts = [parse_instance(path.read_text()) for path in sorted(tmp_path.glob("dag8-*.gmd"))]
+    want = [opt_gmd(inst) for inst in insts]
+    _refuse_games(monkeypatch)
+    assert [opt_gmd(inst) for inst in insts] == want
+    # T = 4,000 on one arc: a dense pair table would hold 16M entries
+    path = tmp_path / "t4000.gmd"
+    path.write_text("gmd 4000\nv 2\ne 0 1 4000 1\n")
+    assert run_command(["solve", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == "opt = 1\n"
+
+
+def test_the_plan_reads_pairs_not_vertex_counts():
+    # 25 vertices pass the walk's 2^24 masks, so one arc plans elimination;
+    # on 12 vertices the same arc's 4,096 masks cost less than elimination
+    assert 1 << 24 == WALK_MAX_MASKS
+    big = GmdInstance.of(1, 25, [(3, 7, 1, 1)])
+    assert _gmd_plan(big) == ("elim", [3, 7])
+    assert _gmd_path(GmdInstance.of(1, 12, [(3, 7, 1, 1)])) == "walk"
+    res = opt_gmd(big)
+    assert res.value == 1 and res.witness.values[3] == 0 and res.explored == 1 << 25
+    # zero-weight arcs and parallel edges are pairs of the game as well
+    assert _gmd_plan(GmdInstance.of(1, 25, [(3, 7, 1, 0), (7, 3, 1, 1), (1, 2, 1, 0)]))[1] == [1, 2, 3, 7]
+
+
+def test_grid_oracle_refuses_before_the_game(monkeypatch, capsys):
+    # geom:1/1000 on p3 gives 1,797 prices: 196,591,175 points, whose first
+    # bucket holds 196.6M entries
+    _refuse_games(monkeypatch)
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "p3.gp")
+    assert run_command(["solve", "--in", path, "--grid", "geom:1/1000"]) == 2
+    err = capsys.readouterr().err
+    assert "opt_gp_grid: the domains and elimination tables take" in err
+    grid = [geometric_grid(b, F(1, 1000)) for b in max_incident_budget(_golden("p3.gp"))]
+    assert sum(map(len, grid)) == 1797
+    with pytest.raises(CapExceeded):
+        opt_gp_grid(_golden("p3.gp"), grid)
 
 
 # ---------------------------------------------------------------------------

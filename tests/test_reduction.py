@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from gmdlab.caps import Caps
 from gmdlab.core import (
     GmdInstance,
     InstanceError,
@@ -169,9 +168,9 @@ def test_reduction_sandwich_on_random_dags():
 # The golden `gap` instances, n 12-100, reduced at M = 10: their canonical
 # grids have 10^5 to 10^47 points, and the payoffs times the point count
 # pass int64 from n = 40 on, so those grid passes run on Python-int tables.
-# `gap-n200-s0` is left out: with `opt_gmd_n` raised, `opt_gmd`
-# would walk its 2^200 zero masks, because its elimination tables at payoff
-# scale 2^200 are Python ints and exceed `ELIM_MAX_BYTES`.
+# Past 24 vertices `opt_gmd` eliminates on Python ints at payoff scale 2^n.
+# `gap-n200-s0` is left out: those tables exceed `ELIM_MAX_BYTES` there, and
+# its 2^200 zero masks are past the walk's, so `opt_gmd` refuses it.
 GAP_GOLDENS = ["gap12", "gap-l11", "gap-n25-s1", "gap-n40-s0", "gap-n40-s5", "gap-window",
                "gap-n100-s1"]
 
@@ -181,10 +180,9 @@ def test_reduction_sandwich_on_golden_gap_instances(name):
     path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", f"{name}.gmd")
     with open(path) as fh:
         inst = parse_instance(fh.read())
-    caps = Caps(opt_gmd_n=inst.n, gp_grid_points=10**100)
     art = reduce_gmd_to_gp(inst, M=10)
-    opt = opt_gmd(inst, caps).value
-    grid_opt = opt_gp_grid(art.gp, canonical_grid(art), caps).value
+    opt = opt_gmd(inst).value
+    grid_opt = opt_gp_grid(art.gp, canonical_grid(art)).value
     assert opt <= grid_opt <= opt + F(1, 10) + 2 / ndeg(inst)
 
 

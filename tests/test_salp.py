@@ -22,6 +22,7 @@ from gmdlab.core import (
     half_integral_grid,
     max_incident_budget,
     price_grid,
+    price_grid_sizes,
 )
 from gmdlab.exact import opt_gmd, opt_gp_grid
 from gmdlab.salp import (
@@ -179,9 +180,10 @@ def test_price_grid_sum_check_refuses_only_lps_past_the_cap(n, data, cap, spec):
         F(1, 4), 6, max_denominator=4)), max_size=4)) if pairs else []
     inst = GpInstance.of(n, [(u, v, b, 1) for (u, v), b in edges])
     try:
-        price_grid(inst, spec, cap, lp=True)
+        price_grid_sizes(inst, spec, max(math.isqrt(cap) - 1, 0))
     except CapExceeded:
-        grid = price_grid(inst, spec, 10**9, lp=True)
+        grid = price_grid(inst, spec)
+        assert price_grid_sizes(inst, spec, 10**9) == list(map(len, grid))
         # the smallest LP on the grid, at 2 rounds, passes the cap
         assert tableau_entries(list(map(len, grid)), 2) > cap
 

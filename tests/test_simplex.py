@@ -544,8 +544,9 @@ def simplex_max_exact(
 
 
 # ---------------------------------------------------------------------------
-# Bland's path: simplex._two_phase against a reference whose every pivot
-# copies, divides and thresholds the whole pivot row and column
+# Bland's path: simplex._phases against a reference whose every pivot
+# copies, divides and thresholds the whole pivot row and column, exact on a
+# Fraction tableau
 # ---------------------------------------------------------------------------
 
 
@@ -626,10 +627,10 @@ def reference_two_phase(t, cost, tol):
     return basis, etas
 
 
-def _outcome(two_phase, t, cost, tol):
-    """(basis, etas) of two_phase, or the class of the exception it raised."""
+def _outcome(phases, *args):
+    """(basis, etas) of phases, or the class of the exception it raised."""
     try:
-        return two_phase(t, cost, tol)
+        return phases(*args)
     except (LpInfeasible, LpUnbounded) as exc:
         return type(exc)
 
@@ -640,7 +641,8 @@ def _as_bytes(v) -> bytes:
 
 
 def assert_same_pivots(got, want, t, ref_t):
-    """Equal outcomes, bases and tableaux, and etas equal bit for bit.
+    """Equal outcomes, bases and tableaux, and float etas equal bit for bit;
+    the exact pass keeps no etas, and its tableau `t` is given as Fractions.
 
     A zero may differ in sign: a row negated on entry holds -0.0 where it
     has no entry, which the reference's pivot on that row rewrites as 0.0
@@ -650,39 +652,45 @@ def assert_same_pivots(got, want, t, ref_t):
     else:
         (basis, etas), (ref_basis, ref_etas) = got, want
         assert basis.tolist() == ref_basis.tolist()
-        assert len(etas) == len(ref_etas)
+        if t.dtype == object:
+            assert etas == []
+        else:
+            assert len(etas) == len(ref_etas)
         for (r, piv, hit, w), (ref_r, ref_piv, ref_hit, ref_w) in zip(etas, ref_etas):
             assert (r, hit.tolist()) == (ref_r, ref_hit.tolist())
-            if t.dtype == object:
-                assert (piv, w.tolist()) == (ref_piv, ref_w.tolist())
-            else:
-                assert _as_bytes(piv) == _as_bytes(ref_piv)
-                assert _as_bytes(w) == _as_bytes(ref_w)
+            assert _as_bytes(piv) == _as_bytes(ref_piv)
+            assert _as_bytes(w) == _as_bytes(ref_w)
     if t.dtype == object:
         assert np.array_equal(t, ref_t)
     else:
         assert _as_bytes(t) == _as_bytes(ref_t)
 
 
-@contextlib.contextmanager
-def two_phase_checked():
-    """Every simplex._two_phase call in the block also runs the reference on
-    a copy of its tableau and must agree with it; yields the list of the
-    tableau dtypes checked."""
-    dtypes = []
-    two_phase = simplex_mod._two_phase
+def _fractions(t, den):
+    """The object tableau `t` of integer numerators, row i over den[i], as
+    Fractions."""
+    return np.array([[F(v, d) for v in row] for row, d in zip(t.tolist(), den.tolist())], dtype=object)
 
-    def checked(t, cost, tol):
-        ref_t = t.copy()
+
+@contextlib.contextmanager
+def phases_checked():
+    """Every simplex._phases call in the block also runs the reference on a
+    copy of its tableau, as Fractions in the exact pass, and must agree with
+    it; yields the list of the tableau dtypes checked."""
+    dtypes = []
+    phases = simplex_mod._phases
+
+    def checked(t, cost, tol, den=None):
+        ref_t = t.copy() if den is None else _fractions(t, den)
         want = _outcome(reference_two_phase, ref_t, cost.copy(), tol)
-        got = _outcome(two_phase, t, cost, tol)
-        assert_same_pivots(got, want, t, ref_t)
+        got = _outcome(phases, t, cost, tol, den)
+        assert_same_pivots(got, want, t if den is None else _fractions(t, den), ref_t)
         dtypes.append(t.dtype)
         if isinstance(got, type):
             raise got("as the reference")
         return got
 
-    with mock.patch.object(simplex_mod, "_two_phase", checked):
+    with mock.patch.object(simplex_mod, "_phases", checked):
         yield dtypes
 
 
@@ -690,7 +698,7 @@ def check_both_passes(c, a, rhs, exact=True):
     """The float pass, and with `exact` the object-dtype pass, of one LP,
     each checked against the reference pivots."""
     rhs = np.asarray(rhs)
-    with two_phase_checked() as dtypes:
+    with phases_checked() as dtypes:
         simplex_mod._float_certified(simplex_mod._ScaledLp(c, a, rhs))
         if exact:
             with contextlib.suppress(LpInfeasible, LpUnbounded):
@@ -733,14 +741,14 @@ def test_golden_lp_pivot_counts(fixture, rounds, pivots):
     with open(os.path.join(os.path.dirname(__file__), "golden", fixture), encoding="utf-8") as fh:
         lp = build_sa_lp(parse_instance(fh.read()), rounds=rounds)
     counts = []
-    two_phase = simplex_mod._two_phase
+    phases = simplex_mod._phases
 
-    def counted(t, cost, tol):
-        basis, etas = two_phase(t, cost, tol)
+    def counted(t, cost, tol, den=None):
+        basis, etas = phases(t, cost, tol, den)
         counts.append(len(etas))
         return basis, etas
 
-    with mock.patch.object(simplex_mod, "_two_phase", counted):
+    with mock.patch.object(simplex_mod, "_phases", counted):
         assert simplex_max(lp.objective, lp.rows, lp.rhs).path == "certified"
     assert counts == [pivots]
     check_both_passes(lp.objective, lp.rows, lp.rhs)
