@@ -10,26 +10,27 @@
   pairwise mass c on the satisfying assignment is at most both marginals,
   which lifts the guarantee to 1/4 + 1/(16T) on normalized instances.
 
-Every trial runs on the integer pair game of `exact`, scaled to integers
-once per batch, and a batch runs in numpy per chunk of as many trials as
-`Caps.trial_entries` entries hold (see `_chunk_trials`):
+Every trial runs on the integer payoffs of an `exact._Responder`, scaled
+to integers once per batch, and a batch runs in numpy per chunk of as many
+trials as `Caps.trial_entries` entries hold (see `_chunk_trials`):
 
 1. the chunk's coin or uniform rows (`rng.coin_rows`, `rng.uniform_rows`)
    give each trial's zero set, or its labels for the LP rounding;
-2. `exact._Responder.respond` gives every other vertex its best response
-   to the zero set, from the game's nonzero (neighbour, payoff) terms: the
-   first index of largest score, the tie rule of every best response;
-3. `_PairGame.values` sums each trial's exact value from the pair tables
-   as an integer total over the game's one `denom`; a batch keeps these
-   totals as they are, and its floats, exact mean and CSV texts are
-   computed from them.
+2. `_Responder.respond` gives every other vertex its best response to the
+   zero set, from its nonzero (neighbour, payoff) terms: the first index of
+   largest score, the tie rule of every best response;
+3. `_Responder.values` sums each trial's exact value as an integer total
+   over the responder's one `denom`: for max-dicut from the arcs that pay,
+   for pricing from the pair tables; a batch keeps these totals as they
+   are, and its floats, exact mean and CSV texts are computed from them.
 
-The arrays are int64 when `_PairGame.int64()` holds and Python ints (object
-dtype) otherwise, through the same code.  Randomness is counter-based (see
-rng.py): trial k of master seed s uses substream(s, k), so batch results do
-not depend on scheduling, and the single-trial functions are a batch of one
-at index k.  Every trial's labels and value are bit for bit those of one
-generator per trial and a per-vertex best-response loop.
+The arrays are int64 when the responder's `in_int64` holds and Python ints
+(object dtype) otherwise, through the same code.  Randomness is
+counter-based (see rng.py): trial k of master seed s uses substream(s, k),
+so batch results do not depend on scheduling, and the single-trial
+functions are a batch of one at index k.  Every trial's labels and value
+are bit for bit those of one generator per trial and a per-vertex
+best-response loop.
 """
 
 from __future__ import annotations
@@ -51,19 +52,20 @@ from .core import (
     Labeling,
     Pricing,
 )
-from .exact import _gmd_game, _GmdResponder, _gp_game, _PairGame, _Responder
+from .exact import _GmdResponder, _gp_game, _Responder
 from .rng import coin_rows, uniform_rows
 
 # A batch function maps (seed, trial indices as uint64) to the trials' domain
 # indices and integer values; batch functions are built once per instance,
-# with their game and the entries each trial adds to its width (see
-# `_chunk_trials`) once they are built.
+# with the denominator of their values and the entries each trial adds to
+# its width (see `_chunk_trials`).
 _Batch = Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray]]
-_GameBatch = tuple[_PairGame, _Batch, int]
+_GameBatch = tuple[int, _Batch, int]
 
 
-def _gp_completion_game(inst: GpInstance) -> tuple[_PairGame, list[list[Fraction]]]:
-    """Pair game whose domain at v is 0 then v's incident budgets, ascending.
+def _gp_responder(inst: GpInstance) -> tuple[_Responder, list[list[Fraction]]]:
+    """Responder on the pair game whose domain at v is 0 then v's incident
+    budgets, ascending, and those domains.
 
     The profit of v as a function of its price, against a fixed zero set, is
     piecewise linear with breakpoints at the budgets of its edges into the
@@ -74,30 +76,24 @@ def _gp_completion_game(inst: GpInstance) -> tuple[_PairGame, list[list[Fraction
         budgets[e.u].add(e.budget)
         budgets[e.v].add(e.budget)
     domains = [[Fraction(0)] + sorted(b) for b in budgets]
-    return _gp_game(inst, domains), domains
-
-
-def _gp_responder(inst: GpInstance) -> tuple[_Responder, list[list[Fraction]]]:
-    game, domains = _gp_completion_game(inst)
-    return _Responder(game, zero=0), domains
+    return _Responder(_gp_game(inst, domains), zero=0), domains
 
 
 def _quarter(resp: _Responder) -> _GameBatch:
-    """The quarter algorithm's game and batch: a vertex is in the zero set
-    when its coin is 0.  A trial's best responses add the responder's
-    score row to its width."""
+    """The quarter algorithm's batch: a vertex is in the zero set when its
+    coin is 0.  A trial's best responses add the responder's score row to
+    its width."""
     def batch(seed: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = resp.respond(coin_rows(seed, indices, len(resp.terms)) == 0)
-        return x, resp.game.values(x)
-    return resp.game, batch, resp.row_entries
+        return x, resp.values(x)
+    return resp.denom, batch, resp.row_entries
 
 
 def _one(game_batch: _GameBatch, seed: int, trial: int) -> tuple[list[int], Fraction]:
-    """Domain indices and exact value of trial `trial` alone of a game's
-    batch."""
-    game, batch, _ = game_batch
+    """Domain indices and exact value of trial `trial` alone of a batch."""
+    denom, batch, _ = game_batch
     x, totals = batch(seed, np.array([trial & ((1 << 64) - 1)], dtype=np.uint64))
-    return x[0].tolist(), Fraction(totals.tolist()[0], game.denom)
+    return x[0].tolist(), Fraction(totals.tolist()[0], denom)
 
 
 def gp_price_completion(inst: GpInstance, zero: Sequence[bool]) -> Pricing:
@@ -127,9 +123,9 @@ def approx_gmd_quarter(inst: GmdInstance, seed: int, trial: int = 0) -> tuple[La
 def _chunk_trials(inst, caps: Caps, extra: int = 0) -> int:
     """Trials per chunk on `inst`, at least one, in `caps.trial_entries`
     entries: a trial spans n entries (its coins, labels and responses), one
-    per arc or edge (its pair payoffs) and `extra`, which the game's batch
-    adds once it is built.  CapExceeded when n plus the arcs or edges pass
-    the budget, which is known before the game is built."""
+    per arc or edge (its payoffs) and `extra`, which the batch adds once it
+    is built.  CapExceeded when n plus the arcs or edges pass the budget,
+    which is known before the batch is built."""
     gmd = isinstance(inst, GmdInstance)
     pairs = len(inst.arcs if gmd else inst.edges)
     width = inst.n + pairs
@@ -150,19 +146,19 @@ def _all_zero_sets_expectation(inst, resp: _Responder, caps: Caps) -> Fraction:
     for start in range(0, 1 << n, chunk):
         masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.int64)
         zero = (masks[:, None] >> bits) & 1 == 1
-        total += sum(resp.game.values(resp.respond(zero)).tolist())
-    return Fraction(total, resp.game.denom << n)
+        total += sum(resp.values(resp.respond(zero)).tolist())
+    return Fraction(total, resp.denom << n)
 
 
 def quarter_expectation_gmd(inst: GmdInstance, caps: Caps = Caps()) -> Fraction:
     """Exact expectation of the quarter algorithm over all coin patterns."""
-    _chunk_trials(inst, caps)  # refuses before the game is built
+    _chunk_trials(inst, caps)  # refuses before the responder is built
     return _all_zero_sets_expectation(inst, _GmdResponder(inst), caps)
 
 
 def quarter_expectation_gp(inst: GpInstance, caps: Caps = Caps()) -> Fraction:
     """Exact expectation of the quarter algorithm over all coin patterns."""
-    _chunk_trials(inst, caps)  # refuses before the game is built
+    _chunk_trials(inst, caps)  # refuses before the responder is built
     return _all_zero_sets_expectation(inst, _gp_responder(inst)[0], caps)
 
 
@@ -191,8 +187,10 @@ def lp_round_expectation(inst: GmdInstance, marginals: Sequence[Sequence[Fractio
 
 
 def _lp_round(inst: GmdInstance, marginals: Sequence[Sequence[Fraction]]) -> _GameBatch:
+    """The LP rounding's batch: each trial compares each vertex's draw with
+    its T running sums, n T entries added to its width."""
     _check_marginals(inst, marginals)
-    game = _gmd_game(inst)
+    resp = _GmdResponder(inst)
     T = inst.T
     # per vertex: the zero threshold (1+x0)/2, then the running sums of the
     # x_i/2 slices of the remaining mass, as the floats the draws compare to
@@ -213,9 +211,9 @@ def _lp_round(inst: GmdInstance, marginals: Sequence[Sequence[Fraction]]) -> _Ga
         # sum exceeds draw - cut, or T; the sums never decrease
         passed = ((u - cut)[:, :, None] >= acc).sum(axis=2)
         x = np.where(u < cut, T, np.minimum(passed, T - 1))
-        return x, game.values(x)
+        return x, resp.values(x)
 
-    return game, batch, 0
+    return resp.denom, batch, inst.n * T
 
 
 def lp_round_gmd(
@@ -296,17 +294,17 @@ def run_trials(
     """The values of `algorithm(inst, seed, trial=k, **kwargs)` for
     k = 0..trials-1, for `algorithm` one of `approx_gp_quarter`,
     `approx_gmd_quarter` and `lp_round_gmd`, computed in chunks of
-    `_chunk_trials` trials.  CapExceeded, before the game is built, when
+    `_chunk_trials` trials.  CapExceeded, before the batch is built, when
     one trial's vertices and arcs or edges pass `caps.trial_entries`."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if algorithm not in _BATCHES:
         raise ValueError(f"run_trials has no batch form of {algorithm!r}")
-    _chunk_trials(inst, caps)  # refuses before the game is built
-    game, batch, extra = _BATCHES[algorithm](inst, **kwargs)
+    _chunk_trials(inst, caps)  # refuses before the batch is built
+    denom, batch, extra = _BATCHES[algorithm](inst, **kwargs)
     chunk = min(trials, _chunk_trials(inst, caps, extra))
     totals: list[int] = []
     for start in range(0, trials, chunk):
         indices = np.arange(start, min(start + chunk, trials), dtype=np.uint64)
         totals += batch(seed, indices)[1].tolist()
-    return RandomizedRun(seed=seed, trials=trials, totals=tuple(totals), denom=game.denom)
+    return RandomizedRun(seed=seed, trials=trials, totals=tuple(totals), denom=denom)

@@ -19,8 +19,9 @@ class Caps:
     # the benchmark's largest build (k=3, n=16, T=2) has 16,248
     trial_entries: int = 1 << 18  # approx: entries of one trial chunk, a trial
     # spanning n + (arcs or edges), refused above this, plus the quarter
-    # algorithms' score row; the 877 + 592-entry quarter trials of a
-    # 400-vertex gap instance run 178 to a chunk
+    # algorithms' score row or LP rounding's n T label comparisons; the
+    # 877 + 592-entry quarter trials of a 400-vertex gap instance run 178 to
+    # a chunk
     test_edges: int = 300_000    # dictatorship-test instance materialization
     influence_states: int = 2_000_000
 

@@ -39,6 +39,7 @@ from .core import (
     InstanceError,
     ParseError,
     ValueTexts,
+    grid_spec_eps,
     parse_instance,
     parse_rational,
     price_grid,
@@ -194,6 +195,7 @@ def _rational(option: str, text: str) -> Fraction:
 def _cmd_solve(args, caps, argv) -> int:
     from .exact import ELIM_MAX_BYTES, VALUE_BYTES, grid_plan, opt_gmd, opt_gp_grid
 
+    grid_spec_eps(args.grid)  # refused on every instance, though max-dicut has no grid
     inst = _read_instance(args.infile)
     if isinstance(inst, GmdInstance):
         res = opt_gmd(inst)
@@ -276,6 +278,7 @@ def _cmd_reduce(args, caps, argv) -> int:
 def _cmd_salp(args, caps, argv) -> int:
     from .salp import build_sa_lp, check_sa_consistency, solve_lp_exact
 
+    grid_spec_eps(args.grid)  # refused on every instance, though max-dicut has no grid
     inst = _read_instance(args.infile)
     pricing = isinstance(inst, GpInstance)
     # grids of s prices in all give an LP of at least s rows and s variables

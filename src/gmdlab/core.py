@@ -271,24 +271,32 @@ def check_price_grid(inst: GpInstance, grid) -> None:
                 raise InstanceError(f"negative candidate price {p}")
 
 
-def price_grid_sizes(inst: GpInstance, spec: str, limit: int, cap: str | None = None) -> list[int]:
-    """The sizes of the per-vertex price grids named by `spec`, `half` or
-    `geom:<eps>`, without building them; CapExceeded, naming `limit` as
-    `cap` when given, once n (every grid holds 0), then their sum, passes
-    `limit`."""
-    if spec.startswith("geom:"):
-        try:
-            eps = parse_rational(spec[len("geom:"):])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InstanceError(f"bad grid spec {spec!r}: {exc}") from None
-        if eps <= 0:
-            raise InstanceError(f"bad grid spec {spec!r}: eps must be positive")
-    elif spec != "half":
+def grid_spec_eps(spec: str) -> Fraction | None:
+    """The eps of a price grid spec `geom:<eps>`, None for `half`;
+    InstanceError for any other spec."""
+    if spec == "half":
+        return None
+    if not spec.startswith("geom:"):
         raise InstanceError(f"unknown grid spec {spec!r} (want half or geom:<eps>)")
+    try:
+        eps = parse_rational(spec[len("geom:"):])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InstanceError(f"bad grid spec {spec!r}: {exc}") from None
+    if eps <= 0:
+        raise InstanceError(f"bad grid spec {spec!r}: eps must be positive")
+    return eps
+
+
+def price_grid_sizes(inst: GpInstance, spec: str, limit: int, cap: str | None = None) -> list[int]:
+    """The sizes of the per-vertex price grids named by `spec` (see
+    `grid_spec_eps`), without building them; CapExceeded, naming `limit`
+    as `cap` when given, once n (every grid holds 0), then their sum,
+    passes `limit`."""
+    eps = grid_spec_eps(spec)
     if inst.n > limit:
         raise CapExceeded(f"grid {spec} has at least {inst.n} prices, cap {cap or limit}")
     budgets = max_incident_budget(inst)
-    if spec == "half":
+    if eps is None:
         sizes = [min(_half_grid_size(b), limit + 1) for b in budgets]
     else:
         sizes = [geometric_grid_size(b, eps, limit) for b in budgets]
@@ -301,9 +309,9 @@ def price_grid_sizes(inst: GpInstance, spec: str, limit: int, cap: str | None = 
 
 def price_grid(inst: GpInstance, spec: str) -> list[list[Fraction]]:
     """The price grids of a `spec` that `price_grid_sizes` has checked."""
-    if spec == "half":
+    eps = grid_spec_eps(spec)
+    if eps is None:
         return half_integral_grid(inst)
-    eps = parse_rational(spec[len("geom:"):])
     return [geometric_grid(b, eps) for b in max_incident_budget(inst)]
 
 

@@ -2,17 +2,18 @@
 
 Both problems maximise a sum of pairwise payoffs over finite per-vertex
 domains: labels 0..T for max-dicut, a candidate price grid for pricing.
-One engine, `_PairGame`, solves that problem for every oracle and best
-response in the package.  Its builders (`_gmd_game`, `_gp_game`) read
-each weight, price and budget `Fraction` once and fill the payoff tables
-with integers over one common denominator; `_PairGame` divides them by
-their gcd with it and keeps them once, in one numpy store that every
-reader shares.  No table entry is a `Fraction`, and no comparison ever
-touches a `Fraction` or a float.
+One engine, `_PairGame`, solves that problem for every oracle in the
+package.  Its builders (`_gmd_game`, `_gp_game`) read each weight, price
+and budget `Fraction` once and fill the payoff tables with integers over
+one common denominator; `_PairGame` divides them by their gcd with it and
+keeps them once, in one numpy store that every reader shares.  No table
+entry is a `Fraction`, and no comparison ever touches a `Fraction` or a
+float.
 
 Once a zero set is fixed, every other vertex best-responds to it on its
-own (`_Responder`): the quarter algorithms take one such completion, and
-the max-dicut optimum is the best one over all zero sets.
+own (`_Responder`, for max-dicut `_GmdResponder`, which reads the arcs and
+builds no game): the quarter algorithms take one such completion, and the
+max-dicut optimum is the best one over all zero sets.
 
 Two enumerators serve the oracles: the zero-set walk, 2^n masks in numpy
 int64 covering all (T+1)^n labelings, for dense max-dicut games; and
@@ -325,31 +326,31 @@ def _plan(who: str, sizes: Sequence[int], pairs, top: int, scale: int,
 class _Responder:
     """Greedy best responses to zero sets in one pair game (see the module
     docstring).  A zero set puts its vertices at the index `zero`; every
-    other vertex v takes the first of its first `width` indices (None: all
-    of them) of largest score.  `terms[v][j]` lists the terms of index j;
-    a vertex with no term has an empty list and takes index 0.  `denom` and
-    `in_int64` are the game's `denom` and `int64()`.
+    other vertex v takes the first of its indices of largest score.
+    `terms[v][j]` lists the terms of index j; a vertex with no term has an
+    empty list and takes index 0.  `denom` and `in_int64` are the game's
+    `denom` and `int64()`, and `values` its `values`.
     """
 
-    def __init__(self, game: _PairGame, zero: int, width: int | None = None):
+    def __init__(self, game: _PairGame, zero: int):
         self.game = game
         # heads[v]: (u, v's payoffs against u's zero index), pair after pair,
         # when one is nonzero: row `zero` of the table, or column if v is first
-        widths = [size if width is None else width for size in game.sizes]
         flat = game.payoffs.tolist()
-        heads: list[list] = [[] for _ in widths]
+        heads: list[list] = [[] for _ in game.sizes]
         for u, v, at, stride in game.cells.tolist():
-            row = flat[at + zero * stride:at + zero * stride + widths[v]]
+            row = flat[at + zero * stride:at + (zero + 1) * stride]
             if any(row):
                 heads[v].append((u, row))
-            col = flat[at + zero:at + widths[u] * stride:stride]
+            col = flat[at + zero:at + game.sizes[u] * stride:stride]
             if any(col):
                 heads[u].append((v, col))
         self.zero = zero
         self.denom = game.denom
         self.in_int64 = game.int64()
-        self.terms = [[tuple((u, h[j]) for u, h in nb if h[j]) for j in range(w)] if nb else []
-                      for nb, w in zip(heads, widths)]
+        self.values = game.values
+        self.terms = [[tuple((u, h[j]) for u, h in nb if h[j]) for j in range(size)] if nb else []
+                      for nb, size in zip(heads, game.sizes)]
 
     def respond_one(self, zero: Sequence[bool]) -> tuple[list[int], int]:
         """Domain indices of the zero set `zero` (`zero[v]` true when v is in
@@ -439,29 +440,32 @@ def _gmd_pairs(inst: GmdInstance) -> tuple[dict, int, int]:
 class _GmdResponder(_Responder):
     """Best responses in the max-dicut game of `inst`: index T (label 0) is
     the zero index, and a vertex outside the zero set ranges over the labels
-    1..T.  T is the instance's, so a game on no vertex has one too.  The
-    terms, `denom` and `in_int64` come from the arcs, as from `_gmd_game`,
-    which is built when first used."""
+    1..T.  T is the instance's, so a game on no vertex has one too.  No
+    pair game is built: the terms and `values` read the paying arcs' flat
+    arrays `tails`, `heads`, `indices` (label - 1) and `pays` (over `denom`,
+    in the dtype `in_int64` picks), pair after pair in `_gmd_game`'s order."""
 
     def __init__(self, inst: GmdInstance):
-        self.inst = inst
         T = inst.T
         pairs, self.denom, top = _gmd_pairs(inst)
-        by_head: dict[int, list[list]] = {}
-        for arcs in pairs.values():
-            for a, p in arcs:
-                if p:
-                    by_head.setdefault(a.head, [[] for _ in range(T)])[a.label - 1].append((a.tail, p))
+        arcs = [(a.tail, a.head, a.label - 1, p) for arcs in pairs.values() for a, p in arcs if p]
         self.zero = T
         self.in_int64 = _int64_holds(top)
+        self.tails, self.heads, self.indices = np.array([a[:3] for a in arcs], dtype=np.intp).reshape(-1, 3).T
+        self.pays = np.array([p for *_, p in arcs], dtype=np.int64 if self.in_int64 else object)
+        by_head: dict[int, list[list]] = {}
+        for u, v, j, p in arcs:
+            by_head.setdefault(v, [[] for _ in range(T)])[j].append((u, p))
         # the vertices with no term share one empty list, which nothing mutates
         self.terms = [[]] * inst.n
         for v, t in by_head.items():
             self.terms[v] = list(map(tuple, t))
 
-    @cached_property
-    def game(self) -> _PairGame:
-        return _gmd_game(self.inst)
+    def values(self, x):
+        """`_PairGame.values`: what the arcs with their tail at the zero
+        index and their head at their index pay."""
+        paid = (x[:, self.tails] == self.zero) & (x[:, self.heads] == self.indices)
+        return (paid * self.pays).sum(axis=1)
 
 
 def _gmd_labels(resp: _Responder, zero: Sequence[bool]) -> tuple[list[int], int]:

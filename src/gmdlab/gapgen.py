@@ -175,32 +175,27 @@ def _local_search_estimate(inst: GmdInstance, restarts: int, seed: int) -> Fract
     """
     resp = _GmdResponder(inst)
     n, T = inst.n, inst.T
-    # out[v]: (w, what each nonzero label of w earns while v is zero); the
-    # scatter adds pays[i] at (head, label) slots[i] when tails[i] is zero
+    # out[v]: (w, what each nonzero label of w earns while v is zero)
     earns: list[dict[int, list[int]]] = [{} for _ in range(n)]
     ins: list[list[int]] = [[] for _ in range(n)]
-    tails, slots, pays = [], [], []
-    for w, by_index in enumerate(resp.terms):
-        for j, terms in enumerate(by_index):
-            for v, p in terms:
-                g = earns[v].get(w)
-                if g is None:
-                    g = earns[v][w] = [0] * T
-                    ins[w].append(v)
-                g[j] = p
-                tails.append(v)
-                slots.append(w * T + j)
-                pays.append(p)
+    arcs = zip(resp.tails.tolist(), resp.heads.tolist(), resp.indices.tolist(), resp.pays.tolist())
+    for v, w, j, p in arcs:
+        g = earns[v].get(w)
+        if g is None:
+            g = earns[v][w] = [0] * T
+            ins[w].append(v)
+        g[j] = p
     out = [list(e.items()) for e in earns]
     # reach[v]: the most a flip of v into the zero set can add to its heads
     reach = [sum(max(g) for _, g in o) for o in out]
     active = [v for v in range(n) if out[v] or ins[v]]
     # restart r starts from the coins of substream r + 1, zero where 0
     zeros = coin_rows(seed, np.arange(1, restarts + 1, dtype=np.uint64), n) == 0
-    dtype = np.int64 if resp.in_int64 else object
-    scores = np.zeros((restarts, n, T), dtype=dtype)
-    np.add.at(scores.reshape(restarts, n * T), (slice(None), np.array(slots, dtype=np.intp)),
-              zeros[:, tails] * np.array(pays, dtype=dtype))
+    # the scatter adds each paying arc's payoff at its (head, label) slot
+    # when its tail is zero
+    scores = np.zeros((restarts, n, T), dtype=resp.pays.dtype)
+    np.add.at(scores.reshape(restarts, n * T), (slice(None), resp.heads * T + resp.indices),
+              zeros[:, resp.tails] * resp.pays)
     tops = scores.max(axis=2)
     vals = np.where(zeros, 0, tops).sum(axis=1).tolist()
     best = 0

@@ -20,8 +20,9 @@ entries and shape_blocks groups them.
 Everything here is exact rational arithmetic.  simplex.py solves the LPs: a
 float Bland-rule simplex finds the optimal vertex, which is returned only
 after an exact primal-dual certificate, checked on the integer rows, holds;
-otherwise the same Bland pivots run again on Fractions with no tolerance,
-so reported LP values are never blurred by tolerances.  The vertex comes
+otherwise the same Bland pivots run again, exactly and with no tolerance,
+on Python-int numerators, each row over a denominator of its own, so
+reported LP values are never blurred by tolerances.  The vertex comes
 back as integer numerators over one denominator.  SaSolution.lp_path
 records which of the two passes produced a table.
 

@@ -2,6 +2,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,6 +89,44 @@ def test_large_instance_batch_memory_is_bounded(algorithm):
         tracemalloc.stop()
     assert run.trials == 1024
     assert peak < 16 << 20
+
+
+def _traced_peak(work):
+    """The result of `work()` and the traced peak it takes, in bytes."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        return work(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_quarter_memory_is_linear_in_T():
+    # one arc at T = 2000: the values read the arc, not a 2001 x 2001 pair
+    # table, which took 125 MB; the arc pays when its tail's coin is 0 and
+    # its head's is 1, whose best response is the arc's label
+    from gmdlab.rng import coin_rows
+
+    inst = GmdInstance.of(2000, 2, [(0, 1, 1000, 1)])
+    run, peak = _traced_peak(lambda: run_trials(approx_gmd_quarter, inst, 10, seed=3))
+    assert peak < 2 << 20
+    coins = coin_rows(3, np.arange(10, dtype=np.uint64), 2).tolist()
+    assert run.totals == tuple(int(c == [0, 1]) for c in coins) and run.denom == 1
+    value, peak = _traced_peak(lambda: quarter_expectation_gmd(inst))
+    assert peak < 2 << 20
+    assert value == F(1, 4)
+
+
+def test_lp_round_chunks_count_the_label_comparisons():
+    # each trial compares n = 2 draws with T = 500 running sums; counted,
+    # they bound the chunks, where uncounted they took 89 MB
+    T = 500
+    inst = GmdInstance.of(T, 2, [(0, 1, 1, 1)])
+    marginals = [[F(1, T + 1)] * (T + 1)] * 2
+    run, peak = _traced_peak(lambda: run_trials(lp_round_gmd, inst, 100_000, seed=1,
+                                                marginals=marginals))
+    assert run.trials == 100_000
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize("algorithm", [approx_gp_quarter, approx_gmd_quarter])
@@ -304,7 +343,7 @@ def _reference_trial(kind, inst, seed, k, marginals=None):
     rounding's float thresholds), both read from the instance, and the
     labeling's or pricing's exact value.  Returns the labeling or pricing
     and its value."""
-    from gmdlab.approx import _gp_completion_game
+    from gmdlab.approx import _gp_responder
     from gmdlab.core import Labeling, Pricing, val_gmd, val_gp
     from gmdlab.rng import substream
 
@@ -330,7 +369,7 @@ def _reference_trial(kind, inst, seed, k, marginals=None):
         # price 0 on the zero set; elsewhere the first price of the domain
         # (0 then the incident budgets, ascending) of largest profit from
         # the edges into the zero set
-        domains = _gp_completion_game(inst)[1]
+        domains = _gp_responder(inst)[1]
         prices = []
         for v, z in enumerate(zero):
             if z:
@@ -426,18 +465,18 @@ def test_batch_kernel_matches_per_trial_loop(case):
 def test_batch_kernel_object_path_and_chunks(kind):
     # weights past int64 run on Python ints; a budget of 100 entries runs
     # the 1027 trials in chunks of 10 or 11
-    from gmdlab.approx import _gp_completion_game
-    from gmdlab.exact import _gmd_game
+    from gmdlab.approx import _gp_responder
+    from gmdlab.exact import _GmdResponder
 
     marginals = None
     if kind == "gp4":
         inst = GpInstance.of(5, [(0, 1, 2, HUGE), (1, 2, 1, F(1, 3)), (1, 0, 3, HUGE),
                                  (2, 3, F(3, 2), 1)])
-        assert not _gp_completion_game(inst)[0].int64()
+        assert not _gp_responder(inst)[0].in_int64
     else:
         inst = GmdInstance.of(2, 5, [(0, 1, 1, HUGE), (1, 0, 2, HUGE), (1, 2, 2, F(1, 3)),
                                      (0, 1, 2, 1), (3, 2, 1, 5)])
-        assert not _gmd_game(inst).int64()
+        assert not _GmdResponder(inst).in_int64
         marginals = [[F(1, 2), F(1, 4), F(1, 4)], [F(1, 3), F(1, 3), F(1, 3)], [F(0), F(1), F(0)],
                      [F(1), F(0), F(0)], [F(1, 5), F(2, 5), F(2, 5)]]
     _assert_batch_matches_reference(kind, inst, -7, 1027, marginals, Caps(trial_entries=100))
@@ -448,16 +487,16 @@ def test_batch_kernel_object_path_and_chunks(kind):
 def test_run_trials_totals_do_not_depend_on_the_budget(kind, weight):
     # a trial spans 4 vertices + 3 pairs = 7 entries: budgets from one
     # trial a chunk to all 50 in one
-    from gmdlab.approx import _gp_completion_game
-    from gmdlab.exact import _gmd_game
+    from gmdlab.approx import _gp_responder
+    from gmdlab.exact import _GmdResponder
 
     if kind == "gp4":
         inst = GpInstance.of(4, [(0, 1, 2, weight), (1, 2, 1, weight), (2, 3, F(3, 2), 1)])
-        game = _gp_completion_game(inst)[0]
+        resp = _gp_responder(inst)[0]
     else:
         inst = GmdInstance.of(2, 4, [(0, 1, 1, weight), (1, 2, 2, weight), (2, 3, 2, F(1, 3))])
-        game = _gmd_game(inst)
-    assert game.int64() == (weight != HUGE)
+        resp = _GmdResponder(inst)
+    assert resp.in_int64 == (weight != HUGE)
     marginals = [[F(1, 2), F(1, 4), F(1, 4)], [F(1, 3), F(1, 3), F(1, 3)], [F(0), F(1), F(0)],
                  [F(1), F(0), F(0)]]
     kwargs = {"marginals": marginals} if kind == "gmdlp" else {}

@@ -750,6 +750,15 @@ def test_bad_grid_eps_exit_1_naming_spec(capsys, command, eps):
     assert f"'geom:{eps}'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["salp", "solve"])
+@pytest.mark.parametrize("path", [P3, os.path.join(GOLDEN, "c4.gmd")], ids=["gp", "gmd"])
+def test_unknown_grid_spec_exit_1_on_every_instance(capsys, command, path):
+    # max-dicut has no price grid, but a spec that names none is refused
+    assert run_command([command, "--in", path, "--grid", "foo"]) == 1
+    err = capsys.readouterr().err
+    assert "unknown grid spec 'foo' (want half or geom:<eps>)" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, option", [
     (["gap", "--n", "16", "--p-keep"], "--p-keep"),
     (["gap", "--n", "16", "--mu"], "--mu"),

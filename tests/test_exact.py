@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import sys
@@ -25,7 +26,13 @@ from gmdlab.core import (
     val_gp,
 )
 from gmdlab import exact
-from gmdlab.approx import _gp_completion_game
+from gmdlab.approx import (
+    _gp_responder,
+    approx_gmd_quarter,
+    lp_round_gmd,
+    quarter_expectation_gmd,
+    run_trials,
+)
 from gmdlab.exact import (
     ELIM_MAX_BYTES,
     WALK_MAX_MASKS,
@@ -830,27 +837,26 @@ def test_gp_game_equals_fraction_tables():
         geom = [geometric_grid(b, F(1, 10)) for b in max_incident_budget(inst)]
         for grid in (half, geom):
             assert _built(_gp_game(inst, grid)) == _fraction_gp_game(inst, grid)[:3]
-        game, domains = _gp_completion_game(inst)
-        assert _built(game) == _fraction_gp_game(inst, domains)[:3]
+        resp, domains = _gp_responder(inst)
+        assert _built(resp.game) == _fraction_gp_game(inst, domains)[:3]
 
 
-def _nbrs_terms(nbrs, sizes, zero, width):
+def _nbrs_terms(nbrs, sizes, zero):
     """`_Responder.terms` from per-vertex neighbour dicts: nbrs[v][u][x_u]
     is the payoff vector over x_v given u's index x_u."""
     terms = []
     for v, nb in enumerate(nbrs):
-        w = sizes[v] if width is None else width
         by_index = [tuple((u, cols[zero][j]) for u, cols in nb.items() if cols[zero][j])
-                    for j in range(w)]
+                    for j in range(sizes[v])]
         terms.append(by_index if any(by_index) else [])
     return terms
 
 
-def _assert_terms_match(game, reference, zero, width):
+def _assert_terms_match(game, reference, zero):
     sizes, denom, _, nbrs = reference
     assert (game.sizes, game.denom) == (sizes, denom)
-    terms = _Responder(game, zero, width).terms
-    assert terms == _nbrs_terms(nbrs, sizes, zero, width)
+    terms = _Responder(game, zero).terms
+    assert terms == _nbrs_terms(nbrs, sizes, zero)
     assert all(type(p) is int for by_index in terms for t in by_index for _, p in t)
 
 
@@ -866,9 +872,9 @@ def test_responder_terms_match_neighbour_dicts_on_gmd(inst, huge):
                                                for a in inst.arcs])
     game = _gmd_game(inst)
     assert game.int64() == (not huge or not game.payoffs.any())
-    # the max-dicut layout of `_GmdResponder`, and every index against index 0
-    for zero, width in [(inst.T, inst.T), (0, None)]:
-        _assert_terms_match(game, _fraction_gmd_game(inst), zero, width)
+    # every index against label 0's index T, and against index 0
+    for zero in (inst.T, 0):
+        _assert_terms_match(game, _fraction_gmd_game(inst), zero)
 
 
 @settings(max_examples=100, deadline=None)
@@ -878,21 +884,22 @@ def test_gmd_responder_builds_the_game_terms_from_the_arcs(inst, huge):
         inst = GmdInstance.of(inst.T, inst.n, [(a.tail, a.head, a.label, a.weight * HUGE)
                                                for a in inst.arcs])
     resp = _GmdResponder(inst)
-    assert "game" not in vars(resp)
     sizes, denom, _, nbrs = _fraction_gmd_game(inst)
     assert resp.denom == denom
-    assert resp.terms == _nbrs_terms(nbrs, sizes, inst.T, inst.T)
+    # the full responder's last index, T (label 0), never has a term
+    assert resp.terms == [by_index[:inst.T] for by_index in _nbrs_terms(nbrs, sizes, inst.T)]
     game = _gmd_game(inst)
     assert resp.in_int64 == game.int64()
-    assert (resp.terms, resp.denom) == (_Responder(game, inst.T, inst.T).terms, game.denom)
-
-
-def test_gmd_responder_builds_its_game_once_when_first_used():
-    inst = _golden("g20.gmd")
-    resp = _GmdResponder(inst)
-    assert "game" not in vars(resp)
-    game = resp.game
-    assert resp.game is game and _built(game) == _built(_gmd_game(inst))
+    assert resp.pays.dtype == game.payoffs.dtype
+    # the arcs' values are the pair tables', on every labeling of the
+    # smallest games and on random ones
+    T, n = inst.T, inst.n
+    if (T + 1) ** n <= 4096:
+        x = np.array(list(itertools.product(range(T + 1), repeat=n)), dtype=np.intp)
+    else:
+        x = np.random.default_rng(n).integers(0, T + 1, size=(500, n))
+    assert resp.values(x).dtype == game.values(x).dtype
+    assert resp.values(x).tolist() == game.values(x).tolist()
 
 
 def test_greedy_completion_builds_no_pair_game(monkeypatch):
@@ -908,6 +915,28 @@ def test_greedy_completion_builds_no_pair_game(monkeypatch):
         opt_gmd(inst)
 
 
+def test_max_dicut_trials_build_no_pair_game(monkeypatch):
+    # gmd4, gmdlp and the quarter expectation read the arcs: only the
+    # elimination pass of `opt_gmd` builds the dense pair game
+    g20, gap12 = _golden("g20.gmd"), _golden("gap12.gmd")
+    marginals = [[F(1, g20.T + 1)] * (g20.T + 1)] * g20.n
+
+    def runs():
+        return (run_trials(approx_gmd_quarter, g20, 600, seed=5),
+                run_trials(lp_round_gmd, g20, 600, seed=5, marginals=marginals),
+                quarter_expectation_gmd(gap12))
+
+    want = runs()
+
+    def refuse(*args):
+        raise AssertionError("a pair game was built")
+
+    monkeypatch.setattr(exact, "_gmd_game", refuse)
+    assert runs() == want
+    with pytest.raises(AssertionError, match="a pair game was built"):
+        opt_gmd(g20)
+
+
 @settings(max_examples=100, deadline=None)
 @given(gp_grids(), st.booleans())
 def test_responder_terms_match_neighbour_dicts_on_gp(case, huge):
@@ -916,7 +945,7 @@ def test_responder_terms_match_neighbour_dicts_on_gp(case, huge):
         inst = GpInstance.of(inst.n, [(e.u, e.v, e.budget, e.weight * HUGE) for e in inst.edges])
     game = _gp_game(inst, grid)
     assert game.int64() == (not huge or not game.payoffs.any())
-    _assert_terms_match(game, _fraction_gp_game(inst, grid), 0, None)
+    _assert_terms_match(game, _fraction_gp_game(inst, grid), 0)
 
 
 def test_builders_do_no_fraction_arithmetic(monkeypatch):

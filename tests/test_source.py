@@ -1,8 +1,9 @@
 """Static checks of the package source with the standard library's `ast`:
 no import is left unused, no private module-level name is left
 unreferenced, as happens when the code that used it goes, every cap is
-read by some module other than the one that declares it, and no loop draws
-its random numbers one call at a time where one vector draw would do."""
+read by some module other than the one that declares it, no loop draws
+its random numbers one call at a time where one vector draw would do, and
+no module but exact.py names the dense max-dicut pair game."""
 
 import ast
 from dataclasses import fields
@@ -146,6 +147,14 @@ def _names_and_strings(node: ast.AST) -> set[str]:
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             found.add(sub.value)
     return found
+
+
+def test_only_exact_names_the_dense_max_dicut_game():
+    # `_gmd_game` builds a (T+1) x (T+1) table per arc pair, for the
+    # elimination pass alone; every other module reads the arcs
+    naming = [path.name for path in MODULES
+              if path.name != "exact.py" and "_gmd_game" in _names_and_strings(_tree(path))]
+    assert naming == []
 
 
 def test_every_public_module_level_def_is_referenced():
