@@ -453,13 +453,14 @@ class _GmdResponder(_Responder):
         self.in_int64 = _int64_holds(top)
         self.tails, self.heads, self.indices = np.array([a[:3] for a in arcs], dtype=np.intp).reshape(-1, 3).T
         self.pays = np.array([p for *_, p in arcs], dtype=np.int64 if self.in_int64 else object)
-        by_head: dict[int, list[list]] = {}
+        by_head: dict[int, dict[int, list]] = {}
         for u, v, j, p in arcs:
-            by_head.setdefault(v, [[] for _ in range(T)])[j].append((u, p))
-        # the vertices with no term share one empty list, which nothing mutates
+            by_head.setdefault(v, {}).setdefault(j, []).append((u, p))
+        # the vertices with no term share one empty list, which nothing
+        # mutates, and the indices with none the empty tuple
         self.terms = [[]] * inst.n
-        for v, t in by_head.items():
-            self.terms[v] = list(map(tuple, t))
+        for v, d in by_head.items():
+            self.terms[v] = [tuple(d.get(j, ())) for j in range(T)]
 
     def values(self, x):
         """`_PairGame.values`: what the arcs with their tail at the zero

@@ -18,13 +18,14 @@ sets_up_to lists the sets, set_order orders them, table_entries counts their
 entries and shape_blocks groups them.
 
 Everything here is exact rational arithmetic.  simplex.py solves the LPs: a
-float Bland-rule simplex finds the optimal vertex, which is returned only
-after an exact primal-dual certificate, checked on the integer rows, holds;
+float Bland-rule simplex finds the optimal vertex within a pivot budget,
+past which HiGHS solves the LP, and the vertex is returned only after an
+exact primal-dual certificate, checked on the integer rows, holds;
 otherwise the same Bland pivots run again, exactly and with no tolerance,
 on Python-int numerators, each row over a denominator of its own, so
 reported LP values are never blurred by tolerances.  The vertex comes
 back as integer numerators over one denominator.  SaSolution.lp_path
-records which of the two passes produced a table.
+records which of the three produced a table.
 
 A solution table (SaSolution) holds integer numerators over one shared
 denominator, x_S(alpha) = tables[S][positions of alpha] / denom, stacked in
@@ -126,7 +127,7 @@ class SaSolution:
     denom: int
     rounds: int
     domains: tuple[tuple, ...]
-    lp_path: Optional[str] = None  # "certified" | "exact" for LP tables
+    lp_path: Optional[str] = None  # "certified" | "highs" | "exact" for LP tables
 
     def __post_init__(self):
         if self.denom <= 0:

@@ -17,23 +17,32 @@ cost per call, so each step makes as few calls as it can.
 The float pass reads the CSR arrays once into coordinate arrays (an LP with
 a value past the float64 range has no float pass).  One scatter fills a
 float64 tableau whose last row is the objective, and Bland pivots on it,
-treating magnitudes below TOL as zero, find the optimal basis.  Each
-distinct value of the basic x and of the equality duals y is rationalised
-once (``Fraction.limit_denominator``, denominators up to 10^6), so each
-vector becomes integer numerators over one common denominator.  x is
-returned only if x >= 0, A x = b, A^T y >= c and c.x = b.y all hold
-exactly; weak duality then proves x optimal.  The checks run on the integer
-rows as they come, with c scaled by the lcm of its denominators; in int64
-when a bound computed beforehand rules out overflow, in Python ints (object
-dtype) otherwise, through the same code.  If any check fails, or the float
-pass ends infeasible or unbounded, the same pivot code runs from scratch on
-an object-dtype tableau of the same integer rows, with no tolerance and the
-costs scaled to integers.  There each row is held as Python-int numerators
-over a denominator of its own, 1 at the start, so numpy's object loops do
-integer arithmetic from start to end; x is read as a basic row's last
-entry over its denominator, and the pass keeps no etas.  It is the only
-pass that raises LpInfeasible/LpUnbounded, and it solves the LPs whose
-optimal vertex or duals do not rationalise.
+treating magnitudes below TOL as zero, find the optimal basis.  Bland's
+rule can stall on degenerate LPs, so the pass makes at most PIVOT_BUDGET
+(m + n) pivots, over phase one, the drive-outs and phase two, for m rows and
+n structural columns.  Past that budget, and only then, HiGHS solves the
+float LP (``scipy.optimize.linprog(method="highs")``, imported on that
+path alone), and its x and its equality duals take the same certificate;
+an LP that finishes within the budget never calls HiGHS, so its vertex is
+Bland's.  Each distinct value of x and of the duals y is rationalised
+once, to the closest fraction with a denominator up to 10^6 (the continued
+fraction of ``Fraction.limit_denominator``, run on the float's integer
+ratio in Python ints), and each vector becomes integer numerators over the
+lcm of its denominators.  x is returned only if x >= 0, A x = b,
+A^T y >= c and c.x = b.y all hold exactly; weak duality then proves x
+optimal, and its path is "certified" from Bland's basis or "highs".  The
+checks run on the integer rows as they come, with c scaled by the lcm of
+its denominators; in int64 when a bound computed beforehand rules out
+overflow, in Python ints (object dtype) otherwise, through the same code.
+If any check fails, the float pass ends infeasible or unbounded, or HiGHS
+ends otherwise than optimal, the same pivot code runs from scratch on
+an object-dtype tableau of the same integer rows, with no tolerance, no
+budget and the costs scaled to integers.  There each row is held as
+Python-int numerators over a denominator of its own, 1 at the start, so
+numpy's object loops do integer arithmetic from start to end; x is read as
+a basic row's last entry over its denominator, and the pass keeps no etas.
+It is the only pass that raises LpInfeasible/LpUnbounded, and it solves the
+LPs whose optimal vertex or duals do not rationalise.
 """
 
 from __future__ import annotations
@@ -54,6 +63,14 @@ ONE = Fraction(1)
 # the zero test for tableau entries and rationalised x and y
 TOL = 1e-9
 
+# the float pass makes at most PIVOT_BUDGET (m + n) pivots, over phase one,
+# the drive-outs and phase two, on m rows and n structural columns; an LP
+# that needs more goes to HiGHS
+PIVOT_BUDGET = 2
+
+# the largest denominator of a rationalised x or y entry
+MAX_DENOMINATOR = 10**6
+
 
 class LpInfeasible(RuntimeError):
     pass
@@ -61,6 +78,10 @@ class LpInfeasible(RuntimeError):
 
 class LpUnbounded(RuntimeError):
     pass
+
+
+class _OverBudget(Exception):
+    """The float pass reached its pivot budget."""
 
 
 class Csr(NamedTuple):
@@ -77,7 +98,8 @@ class LpResult(NamedTuple):
     """An optimal vertex x = ``numerators`` / ``denom``, the numerators
     Python ints in object dtype over the lcm of x's denominators, and its
     ``value``; ``path`` names the solver that produced it: "certified"
-    (float basis, exact certificate) or "exact"."""
+    (Bland's float basis, exact certificate), "highs" (HiGHS past the float
+    pass's pivot budget, exact certificate) or "exact"."""
 
     value: Fraction
     numerators: np.ndarray
@@ -97,8 +119,8 @@ def simplex_max(c: Sequence[Fraction], a: Csr, rhs: np.ndarray) -> LpResult:
 
     The entries of A and rhs are integers: int64, or Python ints in object
     dtype; TypeError otherwise.  Rows with a negative right-hand side are
-    negated on entry.  The result's ``path`` says whether the certificate
-    or the exact pass produced it.
+    negated on entry.  The result's ``path`` says whether Bland's float
+    pass, HiGHS or the exact pass produced it.
     """
     rhs = np.asarray(rhs)
     _require_integers("row data", a.data)
@@ -127,7 +149,10 @@ def _bland_pivot(t, basis, etas, r, s, tol, den=None):
     `etas`.  With tol = 0 row i holds Python-int numerators over den[i]:
     row r is divided by its pivot's numerator into a new denominator, and
     only when that is not 1 do the hit rows take it on, whole rows
-    multiplied and then reduced."""
+    multiplied and then reduced.  A float pivot past the budget, PIVOT_BUDGET
+    times the rows and columns of A, raises _OverBudget and changes nothing."""
+    if den is None and len(etas) >= PIVOT_BUDGET * (t.shape[0] + t.shape[1] - 2):
+        raise _OverBudget
     row = t[r]
     piv = row[s]
     live = row.nonzero()[0]
@@ -317,6 +342,8 @@ def _float_certified(lp: _ScaledLp) -> Optional[LpResult]:
         basis, etas = _phases(t, cf, TOL)
     except (LpInfeasible, LpUnbounded):
         return None
+    except _OverBudget:
+        return _highs_certified(lp)
 
     # duals y^T = c_B^T B^-1, with B^-1 the product of the pivots' eta
     # matrices applied last to first
@@ -326,24 +353,68 @@ def _float_certified(lp: _ScaledLp) -> Optional[LpResult]:
     xf = np.zeros(n)
     basic = basis < n
     xf[basis[basic]] = t[:m][basic, n]
+    return _certified(lp, xf, cost * lp.sign, "certified")
+
+
+def _highs_certified(lp: _ScaledLp) -> Optional[LpResult]:
+    """HiGHS's optimal vertex if it passes the exact certificate, else None.
+    Its duals for max c.x are minus the equality marginals of min -c.x."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_array
+
+    a = csr_array((lp.values, (lp.row, lp.col)), shape=(lp.m, lp.n))
+    res = linprog(-np.array(lp.cost_float), A_eq=a, b_eq=lp.rhs_float, bounds=(0, None), method="highs")
+    if res.status != 0:
+        return None
+    return _certified(lp, res.x, -res.eqlin.marginals, "highs")
+
+
+def _certified(lp: _ScaledLp, xf: np.ndarray, yf: np.ndarray, path: str) -> Optional[LpResult]:
+    """The float primal xf and duals yf of the rows as given, rationalised,
+    as an LpResult on `path` if they pass the exact certificate, else None."""
     xn, dx = _rationalise(xf)
-    yn, dy = _rationalise(cost * lp.sign)
+    yn, dy = _rationalise(yf)
     if not _certificate_holds(lp, (xn, dx), (yn, dy)):
         return None
     value = Fraction(sum(map(operator.mul, lp.cost, xn)), lp.cscale * dx)
-    return LpResult(value, np.array(xn, dtype=object), dx, "certified")
+    return LpResult(value, np.array(xn, dtype=object), dx, path)
 
 
 def _rationalise(v: np.ndarray) -> tuple[list[int], int]:
     """v as rationals: their numerators over the lcm of their denominators.
-    Each distinct entry goes through ``limit_denominator`` once; entries
-    below TOL are 0."""
+    Each distinct entry is rounded once to the closest rational of
+    denominator at most MAX_DENOMINATOR (``_closest``); entries below TOL
+    are 0."""
     v[np.abs(v) < TOL] = 0.0
     v = v.tolist()
-    values = {u: Fraction(u).limit_denominator() if u else ZERO for u in set(v)}
-    nums, denom = over_lcm(values.values())
-    nums = dict(zip(values, nums))
+    ratios = {u: _closest(*u.as_integer_ratio()) for u in set(v)}
+    denom = math.lcm(*(q for _, q in ratios.values()))
+    nums = {u: p * (denom // q) for u, (p, q) in ratios.items()}
     return [nums[u] for u in v], denom
+
+
+def _closest(n: int, d: int) -> tuple[int, int]:
+    """The closest p/q to n/d (coprime, d > 0) with 0 < q <= MAX_DENOMINATOR,
+    ties to the smaller q, in lowest terms: the continued-fraction walk of
+    ``Fraction(n, d).limit_denominator(MAX_DENOMINATOR)`` on Python ints.
+    The last convergent p1/q1 and the semiconvergent past it bracket n/d,
+    1 / (q1 (q0 + k q1)) apart, and p1/q1 lies d' / (q1 d) from it, d' the
+    walk's last remainder."""
+    if d <= MAX_DENOMINATOR:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = n, d
+    while True:
+        a = num // den
+        q2 = q0 + a * q1
+        if q2 > MAX_DENOMINATOR:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, den = den, num - a * den
+    k = (MAX_DENOMINATOR - q0) // q1
+    if 2 * den * (q0 + k * q1) <= d:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
 
 
 def _certificate_holds(lp: _ScaledLp, x, y) -> bool:

@@ -663,6 +663,39 @@ def test_import_leaves_hashlib_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_salp_within_the_pivot_budget_leaves_scipy_optimize_unloaded():
+    # HiGHS, and with it scipy.optimize, is imported only past the float
+    # pass's pivot budget: at a budget of 0 the same run loads it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    path = os.path.join(GOLDEN, "c4.gmd")
+    code = (
+        "import sys, gmdlab.cli, gmdlab.salp, gmdlab.simplex\n"
+        f"argv = ['salp', '--in', {path!r}, '--rounds', '2']\n"
+        "assert gmdlab.cli.run_command(argv) == 0\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "gmdlab.simplex.PIVOT_BUDGET = 0\n"
+        "assert gmdlab.cli.run_command(argv) == 0\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert [line.split(" lp_path = ")[1] for line in done.stdout.splitlines()] == ["certified", "highs"]
+
+
+def test_salp_past_the_pivot_budget_answers_through_highs(tmp_path, capsys):
+    # the 3-round geom:1/2 LP of K5 (875 rows, 1,525 columns) is degenerate
+    # enough that Bland's rule made over 34,000 float pivots without
+    # finishing; at the budget of 2 (875 + 1,525) pivots HiGHS answers,
+    # and its vertex passes the exact certificate
+    text = "gp\nv 5\n" + "".join(f"e {u} {v} 4 1\n" for u, v in itertools.combinations(range(5), 2))
+    path = write(tmp_path, "k5.gp", text)
+    code, out, err = outcome(["salp", "--in", path, "--rounds", "3", "--grid", "geom:1/2"], capsys)
+    assert (code, err) == (0, "")
+    assert out == ("lp = 35 variables = 1525 constraints = 875 consistent = True"
+                   " grid = geom:1/2 lp_path = highs\n")
+
+
 # each spelling of an output destination that argparse takes, with its
 # value when it takes one: a full name, a name=value token, a unique prefix
 DESTINATIONS = {"--csv", "--out", "--plot-script", "--cs", "--c", "--o", "--ou", "--plot", "--pl"}

@@ -3,6 +3,7 @@ import os
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -875,6 +876,23 @@ def test_responder_terms_match_neighbour_dicts_on_gmd(inst, huge):
     # every index against label 0's index T, and against index 0
     for zero in (inst.T, 0):
         _assert_terms_match(game, _fraction_gmd_game(inst), zero)
+
+
+def test_gmd_responder_peak_holds_no_list_per_label():
+    # a 2,000-vertex path with labels cycling through T = 50: one list per
+    # head and label made the constructor peak at 7.9 MiB; per-head dicts of
+    # the named labels peak at 2.2 MiB, the 1.2 MiB kept included
+    T, n = 50, 2000
+    inst = GmdInstance.of(T, n, [(v, v + 1, v % T + 1, 1) for v in range(n - 1)])
+    tracemalloc.start()
+    try:
+        resp = _GmdResponder(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20
+    assert resp.terms[1] == [((0, 1),)] + [()] * (T - 1)
+    assert resp.terms[0] == []
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import operator
 import os
 from fractions import Fraction
 from typing import Sequence
@@ -372,6 +373,92 @@ def test_exact_fallback_on_integer_rows(monkeypatch):
     assert result.value == F(2, 3) and type(result.value) is Fraction
 
 
+def golden_lp(fixture, rounds):
+    """The Sherali-Adams LP of a golden instance file."""
+    with open(os.path.join(os.path.dirname(__file__), "golden", fixture), encoding="utf-8") as fh:
+        return build_sa_lp(parse_instance(fh.read()), rounds=rounds)
+
+
+def test_past_the_pivot_budget_highs_answers_certified(monkeypatch):
+    # a budget of 0 sends the 2-round c4 LP to HiGHS at its first pivot;
+    # HiGHS may take another optimal vertex, with the same value
+    lp = golden_lp("c4.gmd", 2)
+    bland = simplex_max(lp.objective, lp.rows, lp.rhs)
+    monkeypatch.setattr(simplex_mod, "PIVOT_BUDGET", 0)
+    highs = simplex_max(lp.objective, lp.rows, lp.rhs)
+    assert (bland.path, highs.path) == ("certified", "highs")
+    assert highs.value == bland.value
+    c, rows, rhs = lp_parts(lp)
+    value, x = vertex(highs)
+    assert min(x) >= 0
+    assert [sum((a * x[j] for j, a in row), ZERO) for row in rows] == rhs
+    assert sum(map(operator.mul, c, x), ZERO) == value
+    # past the budget, a failed certificate or a HiGHS exit other than
+    # optimal (here: infeasible) sends the LP to the exact pass
+    monkeypatch.setattr(simplex_mod, "_certificate_holds", lambda *args: False)
+    exact = simplex_max(lp.objective, lp.rows, lp.rhs)
+    assert exact.path == "exact" and vertex(exact) == vertex(bland)
+    with pytest.raises(LpInfeasible):
+        solve([F(1), F(1)], [[(0, F(1)), (1, F(1))]], [F(-1)])
+
+
+def test_within_the_budget_highs_is_never_called(monkeypatch):
+    # Bland's vertex is the contract of every LP that finishes within the
+    # budget, even when its certificate fails
+    def no_highs(lp):
+        raise AssertionError("HiGHS called within the pivot budget")
+
+    monkeypatch.setattr(simplex_mod, "_highs_certified", no_highs)
+    lp = golden_lp("c4.gmd", 2)
+    assert simplex_max(lp.objective, lp.rows, lp.rhs).path == "certified"
+    monkeypatch.setattr(simplex_mod, "_certificate_holds", lambda *args: False)
+    assert simplex_max(lp.objective, lp.rows, lp.rhs).path == "exact"
+
+
+def test_pivot_budget_counts_both_phases_and_drive_outs(monkeypatch):
+    # n5t3 at 2 rounds takes 104 float pivots in all: a budget of exactly
+    # 104 finishes on Bland's vertex, one fewer goes to HiGHS
+    lp = golden_lp("n5t3.gmd", 2)
+    size = lp.num_variables + len(lp.rhs)
+    calls = []
+    monkeypatch.setattr(simplex_mod, "_highs_certified", lambda lp: calls.append(lp))
+    monkeypatch.setattr(simplex_mod, "PIVOT_BUDGET", F(104, size))
+    assert simplex_max(lp.objective, lp.rows, lp.rhs).path == "certified" and calls == []
+    monkeypatch.setattr(simplex_mod, "PIVOT_BUDGET", F(103, size))
+    assert simplex_max(lp.objective, lp.rows, lp.rhs).path == "exact" and len(calls) == 1
+
+
+def test_rationalise_is_limit_denominator():
+    # the integer continued fraction against Fraction.limit_denominator, on
+    # floats near small fractions, random doubles and exact binary fractions
+    rng = np.random.default_rng(5)
+    values = np.concatenate([
+        rng.integers(-50, 50, 3000) / rng.integers(1, 10**7, 3000),
+        rng.uniform(-1e3, 1e3, 3000),
+        rng.integers(1, 999, 3000) / rng.integers(1, 10**6, 3000) + rng.choice([0, 1e-12, -1e-12], 3000),
+        rng.integers(0, 2**30, 3000) / 2.0 ** rng.integers(0, 80, 3000),
+        [0.0, -0.0, 1e-10, -1e-10, 1.0, 0.5, 1 / 3, 2**-20, 2**60 / 3, 10**6 + 0.5],
+    ])
+    nums, denom = simplex_mod._rationalise(values.copy())
+    want = [F(v).limit_denominator(10**6) if abs(v) >= simplex_mod.TOL else ZERO
+            for v in values.tolist()]
+    assert [F(p, denom) for p in nums] == want
+    assert denom == math.lcm(*(f.denominator for f in want))
+
+
+def test_closest_breaks_ties_as_limit_denominator(monkeypatch):
+    # small bounds make exact ties between the two candidates common: 1/2
+    # with denominators up to 1 rounds to 0, the candidate of smaller
+    # denominator
+    for bound in range(1, 13):
+        monkeypatch.setattr(simplex_mod, "MAX_DENOMINATOR", bound)
+        for d in range(1, 41):
+            for n in range(-80, 81):
+                if math.gcd(n, d) == 1:
+                    want = F(n, d).limit_denominator(bound)
+                    assert simplex_mod._closest(n, d) == (want.numerator, want.denominator)
+
+
 def test_certificate_rejects_wrong_primal_or_dual():
     # max x0 + x1 with x0 + x1 + s = 1: optimum 1, dual y = 1
     c, rows, rhs = [F(1), F(1), F(0)], [[(0, F(1)), (1, F(1)), (2, F(1))]], [F(1)]
@@ -737,9 +824,10 @@ def test_pivots_match_reference_on_small_lps(parts):
 @pytest.mark.parametrize("fixture, rounds, pivots", [("n5t3.gmd", 2, 104), ("n4t2.gmd", 3, 139)])
 def test_golden_lp_pivot_counts(fixture, rounds, pivots):
     # Bland's float path on the golden LPs of the benchmark's two largest
-    # shapes: a change of pivot order changes these counts
-    with open(os.path.join(os.path.dirname(__file__), "golden", fixture), encoding="utf-8") as fh:
-        lp = build_sa_lp(parse_instance(fh.read()), rounds=rounds)
+    # shapes: a change of pivot order changes these counts; each stays
+    # within half the pivot budget, (rows + columns)
+    lp = golden_lp(fixture, rounds)
+    assert pivots <= lp.num_variables + len(lp.rhs)
     counts = []
     phases = simplex_mod._phases
 

@@ -2,8 +2,9 @@
 no import is left unused, no private module-level name is left
 unreferenced, as happens when the code that used it goes, every cap is
 read by some module other than the one that declares it, no loop draws
-its random numbers one call at a time where one vector draw would do, and
-no module but exact.py names the dense max-dicut pair game."""
+its random numbers one call at a time where one vector draw would do,
+no module but exact.py names the dense max-dicut pair game, and HiGHS is
+reached only through the public `linprog`, imported where it is used."""
 
 import ast
 from dataclasses import fields
@@ -172,3 +173,32 @@ def test_every_public_module_level_def_is_referenced():
         and not any(node.name in other for other in refs if other is not own)
     ]
     assert unreferenced == []
+
+
+def _import_time_modules(tree: ast.Module):
+    """(line, module) of each import that runs when the module is imported:
+    every import outside a function body, `from a import b` as a.b."""
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                yield node.lineno, f"{node.module}.{alias.name}"
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child)
+    yield from visit(tree)
+
+
+def test_highs_only_through_linprog_imported_on_use():
+    # the private `scipy.optimize._highspy` is not API; `linprog` is, and it
+    # is imported where the LP fallback runs, so importing gmdlab does not
+    # load scipy.optimize
+    naming = [path.name for path in MODULES if "_highspy" in path.read_text(encoding="utf-8")]
+    assert naming == []
+    eager = [f"{path.name}:{line} {module}" for path in MODULES
+             for line, module in _import_time_modules(_tree(path))
+             if module == "scipy.optimize" or module.startswith("scipy.optimize.")]
+    assert eager == []
