@@ -18,7 +18,8 @@ trials as `Caps.trial_entries` entries hold (see `_chunk_trials`):
    give each trial's zero set, or its labels for the LP rounding;
 2. `_Responder.respond` gives every other vertex its best response to the
    zero set, from its nonzero (neighbour, payoff) terms: the first index of
-   largest score, the tie rule of every best response;
+   largest score, the tie rule of every best response, in labels for
+   max-dicut (`exact._GmdResponder`), so no code here maps labels to indices;
 3. `_Responder.values` sums each trial's exact value as an integer total
    over the responder's one `denom`: for max-dicut from the arcs that pay,
    for pricing from the pair tables; a batch keeps these totals as they
@@ -56,9 +57,9 @@ from .exact import _GmdResponder, _gp_game, _Responder
 from .rng import coin_rows, uniform_rows
 
 # A batch function maps (seed, trial indices as uint64) to the trials' domain
-# indices and integer values; batch functions are built once per instance,
-# with the denominator of their values and the entries each trial adds to
-# its width (see `_chunk_trials`).
+# indices (labels for max-dicut) and integer values; batch functions are
+# built once per instance, with the denominator of their values and the
+# entries each trial adds to its width (see `_chunk_trials`).
 _Batch = Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray]]
 _GameBatch = tuple[int, _Batch, int]
 
@@ -90,7 +91,8 @@ def _quarter(resp: _Responder) -> _GameBatch:
 
 
 def _one(game_batch: _GameBatch, seed: int, trial: int) -> tuple[list[int], Fraction]:
-    """Domain indices and exact value of trial `trial` alone of a batch."""
+    """Domain indices (labels for max-dicut) and exact value of trial
+    `trial` alone of a batch."""
     denom, batch, _ = game_batch
     x, totals = batch(seed, np.array([trial & ((1 << 64) - 1)], dtype=np.uint64))
     return x[0].tolist(), Fraction(totals.tolist()[0], denom)
@@ -117,7 +119,7 @@ def approx_gp_quarter(inst: GpInstance, seed: int, trial: int = 0) -> tuple[Pric
 def approx_gmd_quarter(inst: GmdInstance, seed: int, trial: int = 0) -> tuple[Labeling, Fraction]:
     """One run of the combinatorial quarter algorithm for max-dicut."""
     x, value = _one(_quarter(_GmdResponder(inst)), seed, trial)
-    return Labeling(tuple(0 if i == inst.T else i + 1 for i in x)), value
+    return Labeling(tuple(x)), value
 
 
 def _chunk_trials(inst, caps: Caps, extra: int = 0) -> int:
@@ -207,10 +209,11 @@ def _lp_round(inst: GmdInstance, marginals: Sequence[Sequence[Fraction]]) -> _Ga
 
     def batch(seed: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u = uniform_rows(seed, indices, inst.n)
-        # a draw at or above the cut takes the first label i whose running
-        # sum exceeds draw - cut, or T; the sums never decrease
+        # a draw below the cut takes label 0, one at or above it the first
+        # label i whose running sum exceeds draw - cut, or T; the sums never
+        # decrease
         passed = ((u - cut)[:, :, None] >= acc).sum(axis=2)
-        x = np.where(u < cut, T, np.minimum(passed, T - 1))
+        x = np.where(u < cut, 0, np.minimum(passed + 1, T))
         return x, resp.values(x)
 
     return resp.denom, batch, inst.n * T
@@ -225,7 +228,7 @@ def lp_round_gmd(
     """Sample the LP rounding once; also return its exact expectation."""
     expectation = lp_round_expectation(inst, marginals)
     x, value = _one(_lp_round(inst, marginals), seed, trial)
-    return Labeling(tuple(0 if i == inst.T else i + 1 for i in x)), value, expectation
+    return Labeling(tuple(x)), value, expectation
 
 
 # The batch form of each trial function, built once per `run_trials` call.

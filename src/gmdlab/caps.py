@@ -1,7 +1,7 @@
 """Size caps shared by the search and LP modules.
 
 Defaults keep every operation at desk scale; raise selectively through the
-GMDLAB_CAPS environment variable, e.g. GMDLAB_CAPS="brute_states=4000000,lp_entries=16777216".
+GMDLAB_CAPS environment variable, e.g. GMDLAB_CAPS="trial_entries=1048576,lp_entries=16777216".
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass, fields, replace
 
 @dataclass(frozen=True)
 class Caps:
-    brute_states: int = 2_000_000  # full (T+1)^n labeling enumeration
     lp_entries: int = 1 << 23  # a Sherali-Adams LP's simplex tableau, (constraints
     # + 1) x (variables + 1) float64 entries: 64 MB at most
     sa_table_entries: int = 4_000_000  # sum of (T+1)^|S| over a sasol build's sets;

@@ -1,35 +1,37 @@
 """Exact optimum oracles used as ground truth by every other module.
 
 Both problems maximise a sum of pairwise payoffs over finite per-vertex
-domains: labels 0..T for max-dicut, a candidate price grid for pricing.
-One engine, `_PairGame`, solves that problem for every oracle in the
-package.  Its builders (`_gmd_game`, `_gp_game`) read each weight, price
-and budget `Fraction` once and fill the payoff tables with integers over
-one common denominator; `_PairGame` divides them by their gcd with it and
-keeps them once, in one numpy store that every reader shares.  No table
-entry is a `Fraction`, and no comparison ever touches a `Fraction` or a
-float.
+domains: labels for max-dicut, a candidate price grid for pricing.  One
+engine, `_PairGame`, solves that problem for every oracle in the package.
+Its tables are integers over one common denominator, divided by their gcd
+with it and kept once, in one numpy store that every reader shares; no
+table entry or comparison is a `Fraction` or a float.
 
 Once a zero set is fixed, every other vertex best-responds to it on its
-own (`_Responder`, for max-dicut `_GmdResponder`, which reads the arcs and
-builds no game): the quarter algorithms take one such completion, and the
-max-dicut optimum is the best one over all zero sets.
+own (`_Responder`): the quarter algorithms take one such completion, and
+the max-dicut optimum is the best one over all zero sets.  Max-dicut has
+one layout, `_GmdResponder`, the only code that maps labels to domain
+indices: an arc pays only from a label-0 tail to a head at its label, so
+a vertex ranges over the labels its paying in-arcs name, the least label
+none of them names, and 0, at most in-degree + 2 values whatever T is.
+A label left out earns nothing, like that least unnamed one, and is
+larger, so values and smallest-label ties are those of the labels 0..T.
 
 Two enumerators serve the oracles: the zero-set walk, 2^n masks in numpy
-int64 covering all (T+1)^n labelings, for dense max-dicut games; and
-bucket elimination along a min-fill order, with integer max-sum tables
-(int64 when no partial sum can overflow, Python ints otherwise), for
-sparse max-dicut games and every pricing grid.  One plan, `_plan`, picks
-one or refuses with CapExceeded from the domain sizes, the vertex pairs
-and a bound on the partial sums, before any table, term or enumeration;
+int64, for dense max-dicut games; and bucket elimination along a min-fill
+order, with integer max-sum tables (int64 when no partial sum can
+overflow, Python ints otherwise), for sparse max-dicut games on the
+compressed domains and every pricing grid.  One plan, `_plan`, picks one
+or refuses with CapExceeded from the domain sizes, the vertex pairs and a
+bound on the partial sums, before any table, term or enumeration;
 `grid_plan` runs it on grid sizes, before a grid is built.
 
 Each oracle has its witness contract.  `opt_gmd` returns the greedy
-completion of the smallest optimal zero mask: its domain lists the labels
-1..T before 0, so a best response prefers a nonzero label.  `opt_gp_grid`
-returns the first optimal grid point in `itertools.product` order.  The
-walk finds the smallest optimal mask by its scan order; one elimination
-pass (`_PairGame.first_optimum`) finds either witness by a penalty: the
+completion of the smallest optimal zero mask, each responder on its
+smallest label of largest score.  `opt_gp_grid` returns the first optimal
+grid point in `itertools.product` order.  The walk finds the smallest
+optimal mask by its scan order; one elimination pass
+(`_PairGame.first_optimum`) finds either witness by a penalty: the
 payoffs are scaled by S and each (vertex, index) is charged so that an
 assignment's charges add up to less than S and rank its witness key, so
 the penalty only breaks ties between optima:
@@ -61,7 +63,6 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .caps import Caps
 from .core import (
     CapExceeded,
     GmdInstance,
@@ -200,14 +201,6 @@ class _PairGame:
 def _int64_holds(top: int, scale: int = 1) -> bool:
     """Whether numpy int64 holds (`top` + 1) * `scale`, with headroom."""
     return (top + 1) * scale < 2**62
-
-
-def _bits(mask: int):
-    """The positions of the set bits of `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _adjacency(pairs) -> dict[int, set[int]]:
@@ -406,75 +399,106 @@ class _Responder:
         return np.where(zero, self.zero, x)
 
 
-def _gmd_game(inst: GmdInstance) -> _PairGame:
-    """Max-dicut as a pair game.  Domain index i < T is label i + 1 and index
-    T is label 0, so the smallest index prefers a nonzero label on ties.
-    The payoffs are the arcs' weights as `_gmd_pairs` scales them."""
-    T = inst.T
-    pairs, denom, _ = _gmd_pairs(inst)
-    tables: dict = {}
-    for (u, v), arcs in pairs.items():
-        rows = tables[u, v] = [[0] * (T + 1) for _ in range(T + 1)]
-        for a, w in arcs:
-            if a.tail == u:
-                rows[T][a.label - 1] += w
-            else:
-                rows[a.label - 1][T] += w
-    return _PairGame([T + 1] * inst.n, tables, denom)
-
-
-def _gmd_pairs(inst: GmdInstance) -> tuple[dict, int, int]:
-    """The (arc, payoff) of each vertex pair in `_gmd_game`'s table order,
-    a payoff (one table entry) an arc's weight as an integer over `denom`,
-    and `denom` and `_top` (the pair maxima's sum) of that game."""
+def _gmd_arcs(inst: GmdInstance) -> tuple[dict, list[tuple[int, ...]], int, int]:
+    """The paying arcs of `inst`, per vertex pair {u, v} (u < v): each arc's
+    (tail, head, label, pay), its pay the weight as an integer over `denom`;
+    `domains`, each vertex's nonzero labels (see `_GmdResponder`); `denom`;
+    and `top`, the largest pay of each pair summed."""
     weights, scale = over_lcm([a.weight for a in inst.arcs])
     g = gcd(scale, *weights)
     pairs: dict = {}
+    named: dict[int, set[int]] = {}
     for a, w in zip(inst.arcs, weights):
-        u, v = a.tail, a.head
-        pairs.setdefault((u, v) if u < v else (v, u), []).append((a, w // g))
-    top = sum(max(p for _, p in arcs) for arcs in pairs.values())
-    return pairs, scale // g, top
+        if w:
+            u, v = a.tail, a.head
+            pairs.setdefault((u, v) if u < v else (v, u), []).append((u, v, a.label, w // g))
+            named.setdefault(v, set()).add(a.label)
+    domains = [(1,)] * inst.n
+    for v, labels in named.items():
+        free = next(t for t in itertools.count(1) if t not in labels)  # the least unnamed
+        domains[v] = tuple(sorted(labels | {free} if free <= inst.T else labels))
+    top = sum(max(arc[3] for arc in arcs) for arcs in pairs.values())
+    return pairs, domains, scale // g, top
 
 
 class _GmdResponder(_Responder):
-    """Best responses in the max-dicut game of `inst`: index T (label 0) is
-    the zero index, and a vertex outside the zero set ranges over the labels
-    1..T.  T is the instance's, so a game on no vertex has one too.  No
-    pair game is built: the terms and `values` read the paying arcs' flat
-    arrays `tails`, `heads`, `indices` (label - 1) and `pays` (over `denom`,
-    in the dtype `in_int64` picks), pair after pair in `_gmd_game`'s order."""
+    """Best responses in the max-dicut game of `inst`, read and answered in
+    labels, a zero set at label 0.  Vertex v ranges over `domains[v]`, the
+    labels its paying in-arcs name and the least label none of them names
+    (if T leaves one), ascending, then label 0; `terms[v][j]` lists the
+    terms of label `domains[v][j]`, none at a vertex with no paying in-arc.
+    Only `pair_game` builds a game: the terms, `values` and that game read
+    the paying arcs' flat arrays `tails`, `heads`, `labels`, `slots` (the
+    label's index in its head's domain) and `pays` (over `denom`, in the
+    dtype `in_int64` picks), pair after pair in `_gmd_arcs`' order."""
 
     def __init__(self, inst: GmdInstance):
-        T = inst.T
-        pairs, self.denom, top = _gmd_pairs(inst)
-        arcs = [(a.tail, a.head, a.label - 1, p) for arcs in pairs.values() for a, p in arcs if p]
-        self.zero = T
+        pairs, self.domains, self.denom, top = _gmd_arcs(inst)
+        arcs = [arc for arcs in pairs.values() for arc in arcs]
+        self.zero = 0
         self.in_int64 = _int64_holds(top)
-        self.tails, self.heads, self.indices = np.array([a[:3] for a in arcs], dtype=np.intp).reshape(-1, 3).T
-        self.pays = np.array([p for *_, p in arcs], dtype=np.int64 if self.in_int64 else object)
         by_head: dict[int, dict[int, list]] = {}
-        for u, v, j, p in arcs:
-            by_head.setdefault(v, {}).setdefault(j, []).append((u, p))
+        for u, v, label, p in arcs:
+            by_head.setdefault(v, {}).setdefault(label, []).append((u, p))
         # the vertices with no term share one empty list, which nothing
-        # mutates, and the indices with none the empty tuple
+        # mutates, and the labels with none the empty tuple
         self.terms = [[]] * inst.n
+        slot = {}
         for v, d in by_head.items():
-            self.terms[v] = [tuple(d.get(j, ())) for j in range(T)]
+            self.terms[v] = [tuple(d.get(label, ())) for label in self.domains[v]]
+            slot.update(((v, label), j) for j, label in enumerate(self.domains[v]))
+        self.tails, self.heads, self.labels, self.slots = np.array(
+            [(u, v, label, slot[v, label]) for u, v, label, _ in arcs], dtype=np.intp).reshape(-1, 4).T
+        self.pays = np.array([p for *_, p in arcs], dtype=np.int64 if self.in_int64 else object)
+
+    def respond_one(self, zero: Sequence[bool]) -> tuple[list[int], int]:
+        """`_Responder.respond_one` in labels."""
+        x, gain = super().respond_one(zero)
+        return [0 if z else d[j] for j, z, d in zip(x, zero, self.domains)], gain
+
+    @cached_property
+    def _label_at(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every domain's labels in one array, and each vertex's offset."""
+        return (np.array([t for d in self.domains for t in d], dtype=np.intp),
+                np.cumsum([0] + [len(d) for d in self.domains])[:-1])
+
+    def respond(self, zero):
+        """`_Responder.respond` in labels."""
+        flat, first = self._label_at
+        return np.where(zero, 0, flat[first + super().respond(zero)])
 
     def values(self, x):
-        """`_PairGame.values`: what the arcs with their tail at the zero
-        index and their head at their index pay."""
-        paid = (x[:, self.tails] == self.zero) & (x[:, self.heads] == self.indices)
+        """`_PairGame.values` on the rows of labels `x`: what the arcs with
+        their tail at label 0 and their head at their label pay."""
+        paid = (x[:, self.tails] == 0) & (x[:, self.heads] == self.labels)
         return (paid * self.pays).sum(axis=1)
 
+    def pair_game(self) -> _PairGame:
+        """The game on the compressed domains, label 0 at index
+        len(domains[v]): an arc pays at its tail's index of label 0 and its
+        slot at its head."""
+        sizes = [len(d) + 1 for d in self.domains]
+        tables: dict = {}
+        for u, v, j, p in zip(self.tails.tolist(), self.heads.tolist(), self.slots.tolist(),
+                              self.pays.tolist()):
+            a, b = (u, v) if u < v else (v, u)
+            rows = tables.get((a, b)) or tables.setdefault((a, b), [[0] * sizes[b] for _ in range(sizes[a])])
+            if u == a:
+                rows[-1][j] += p
+            else:
+                rows[j][-1] += p
+        return _PairGame(sizes, tables, self.denom)
 
-def _gmd_labels(resp: _Responder, zero: Sequence[bool]) -> tuple[list[int], int]:
-    """Labels and integer value of the greedy completion of the zero set
-    (`zero[v]` true when v is in it).  Only arcs from a label-0 tail pay,
-    so the value is the sum of the responders' largest scores."""
-    x, gain = resp.respond_one(zero)
-    return [0 if z else i + 1 for i, z in zip(x, zero)], gain
+    def eliminate(self, order: Sequence[int]) -> int:
+        """Smallest optimal zero mask by one `first_optimum` pass of
+        `pair_game` along `order`: the payoffs are scaled by 2^n and label 0
+        at vertex v is charged 2^v, so an assignment's charge is its zero
+        mask.  A vertex outside `order` has no payoff, takes index 0, a
+        nonzero label, and is not charged."""
+        game = self.pair_game()
+        charges = {v: [0] * (game.sizes[v] - 1) + [1 << v] for v in order}
+        x = game.first_optimum(order, 1 << len(game.sizes), charges)[1]
+        return sum(1 << v for v, (i, size) in enumerate(zip(x, game.sizes)) if i == size - 1)
 
 
 def greedy_completion(inst: GmdInstance, zero_set: frozenset[int] | set[int]) -> Labeling:
@@ -489,7 +513,7 @@ def greedy_completion(inst: GmdInstance, zero_set: frozenset[int] | set[int]) ->
         if not (0 <= v < inst.n):
             raise InstanceError(f"zero-set vertex {v} out of range")
     zero = [v in zero_set for v in range(inst.n)]
-    return Labeling(tuple(_gmd_labels(_GmdResponder(inst), zero)[0]))
+    return Labeling(tuple(_GmdResponder(inst).respond_one(zero)[0]))
 
 
 def opt_gmd(inst: GmdInstance) -> OptResult:
@@ -501,52 +525,36 @@ def opt_gmd(inst: GmdInstance) -> OptResult:
     table, term or enumeration.
     """
     path, order = _gmd_plan(inst)
-    n = inst.n
-    if not inst.arcs:
-        return OptResult(value=Fraction(0), witness=greedy_completion(inst, set()), explored=1)
     resp = _GmdResponder(inst)
-    if path == "walk":
-        best_mask = _zero_set_walk(resp)
-    else:
-        best_mask = _gmd_elim_mask(_gmd_game(inst), order)
-    zero = set(_bits(best_mask))
-    labels, total = _gmd_labels(resp, [v in zero for v in range(n)])
+    mask = _zero_set_walk(resp) if path == "walk" else resp.eliminate(order)
+    labels, total = resp.respond_one([bool(mask >> v & 1) for v in range(inst.n)])
     witness = Labeling(tuple(labels))
     best_val = Fraction(total, resp.denom)
     assert val_gmd(inst, witness) == best_val
-    return OptResult(value=best_val, witness=witness, explored=1 << n)
+    return OptResult(value=best_val, witness=witness, explored=1 << inst.n)
 
 
 def _gmd_plan(inst: GmdInstance) -> tuple[str, list[int] | None]:
     """("walk", None) or ("elim", the elimination order) for `opt_gmd` on
-    `inst`, by `_plan` on the arcs' vertex pairs, its n (T+1) labels checked
-    first.  The walk fits when int64 holds its partial sums."""
-    n, T = inst.n, inst.T
-    _domain_bytes("opt_gmd", n * (T + 1))
-    pairs, _, top = _gmd_pairs(inst)
+    `inst`, by `_plan` on the paying arcs' vertex pairs and the compressed
+    domains' sizes, two values per vertex checked first.  The walk fits
+    when int64 holds its partial sums."""
+    n = inst.n
+    _domain_bytes("opt_gmd", 2 * n)
+    pairs, domains, _, top = _gmd_arcs(inst)
     walk, no_walk = None, ""
     if 1 << n > WALK_MAX_MASKS:
         no_walk = f"the zero-set walk's 2^{n} masks exceed {WALK_MAX_MASKS} and "
     elif not _int64_holds(top):
         no_walk = "the zero-set walk overflows int64 and "
     else:
-        # Costs in numpy int64 operations on one mask and one walk term (an
-        # arc of nonzero weight), and 600 per term and 2^20 masks of overhead
-        m = sum(1 for a in inst.arcs if a.weight)
-        walk = (1 << n) * m + 600 * m * max(1, (1 << n) >> 20)
-    order = _plan("opt_gmd", [T + 1] * n, pairs, top, 1 << n, walk, no_walk)
+        # Costs in numpy int64 operations on one mask and one walk term (a
+        # paying arc, at least one per mask), and 600 per term and 2^20 masks
+        # of overhead
+        m = sum(map(len, pairs.values()))
+        walk = (1 << n) * max(m, 1) + 600 * m * max(1, (1 << n) >> 20)
+    order = _plan("opt_gmd", [len(d) + 1 for d in domains], pairs, top, 1 << n, walk, no_walk)
     return ("walk", None) if order is None else ("elim", order)
-
-
-def _gmd_elim_mask(game: _PairGame, order: Sequence[int]) -> int:
-    """Smallest optimal zero mask by one `first_optimum` pass along `order`:
-    the payoffs are scaled by 2^n and label 0 at vertex v is charged 2^v,
-    so an assignment's charge is its zero mask.  A vertex outside `order`
-    has no payoff, takes index 0 and is left uncharged."""
-    n = len(game.sizes)
-    T = game.sizes[0] - 1
-    charges = {v: [0] * T + [1 << v] for v in order}
-    return sum(1 << v for v, i in enumerate(game.first_optimum(order, 1 << n, charges)[1]) if i == T)
 
 
 def _zero_set_walk(resp: _Responder) -> int:
@@ -583,28 +591,16 @@ def _zero_set_walk(resp: _Responder) -> int:
     return best_mask
 
 
-def opt_gmd_bruteforce(inst: GmdInstance, caps: Caps = Caps()) -> OptResult:
-    """Independent oracle: full enumeration of all (T+1)^n labelings."""
-    states = (inst.T + 1) ** inst.n
-    if states > caps.brute_states:
-        raise CapExceeded(f"brute force: {states} labelings exceed cap {caps.brute_states}")
-    best_val = Fraction(0)
-    best: tuple[int, ...] = tuple([0] * inst.n)
-    arcs = inst.arcs
-    for assignment in itertools.product(range(inst.T + 1), repeat=inst.n):
-        val = Fraction(0)
-        for a in arcs:
-            if assignment[a.tail] == 0 and assignment[a.head] == a.label:
-                val += a.weight
-        if val > best_val:
-            best_val, best = val, assignment
-    return OptResult(value=best_val, witness=Labeling(best), explored=states)
-
-
 def _gp_denoms(inst: GpInstance, candidates: Sequence[Sequence[Fraction]]) -> tuple[int, int]:
-    """Dp, the lcm of the price and budget denominators, and Dw, the weights'."""
-    return (lcm(*(p.denominator for c in candidates for p in c), *(e.budget.denominator for e in inst.edges)),
-            lcm(*(e.weight.denominator for e in inst.edges)))
+    """Dp, the lcm of the price and budget denominators, and Dw, the weights':
+    the largest denominator when each distinct one divides the next larger,
+    as a geometric grid's powers do, so no lcm of many-digit powers runs."""
+    def common(denoms: list[int]) -> int:
+        chain = sorted(set(denoms)) or [1]
+        return chain[-1] if all(b % a == 0 for a, b in zip(chain, chain[1:])) else lcm(*chain)
+
+    return (common([p.denominator for c in candidates for p in c] + [e.budget.denominator for e in inst.edges]),
+            common([e.weight.denominator for e in inst.edges]))
 
 
 def _gp_game(inst: GpInstance, candidates: Sequence[Sequence[Fraction]],

@@ -161,28 +161,30 @@ def _local_search_estimate(inst: GmdInstance, restarts: int, seed: int) -> Fract
     """Best zero-set hill-climbing value over seeded restarts (heuristic).
 
     Values are exact integers on the max-dicut terms of `exact`.  Every
-    restart's start scores (what each nonzero label of a vertex earns from
-    the zero set), largest scores and value come from one numpy scatter
-    over (restart, head, label).  Flipping v changes only the best responses
-    of v and of the heads of its out-arcs, so a flip's gain comes from their
-    scores and largest scores, kept up to date.  That gain reads the zero
-    flags and largest scores of v and of those heads, so a flip at u can
-    change the gains of u, of its in- and out-neighbours, and of the
-    in-neighbours of its out-neighbours.  A sweep visits the vertices with a
-    term and re-scores those a flip marked since they last found no gain;
-    the others' gains are unchanged and not positive, so the flips, their
-    order and the value are those of re-scoring every vertex.
+    restart's start scores (what each label of a vertex's domain earns from
+    the zero set, at its slot in a row as wide as the widest domain),
+    largest scores and value come from one numpy scatter over (restart,
+    head, slot).  Flipping v changes only the best responses of v and of the
+    heads of its out-arcs, so a flip's gain comes from their scores and
+    largest scores, kept up to date.  That gain reads the zero flags and
+    largest scores of v and of those heads, so a flip at u can change the
+    gains of u, of its in- and out-neighbours, and of the in-neighbours of
+    its out-neighbours.  A sweep visits the vertices with a term and
+    re-scores those a flip marked since they last found no gain; the others'
+    gains are unchanged and not positive, so the flips, their order and the
+    value are those of re-scoring every vertex.
     """
     resp = _GmdResponder(inst)
-    n, T = inst.n, inst.T
-    # out[v]: (w, what each nonzero label of w earns while v is zero)
+    n = inst.n
+    width = max(map(len, resp.domains), default=1)
+    # out[v]: (w, what each label slot of w earns while v is zero)
     earns: list[dict[int, list[int]]] = [{} for _ in range(n)]
     ins: list[list[int]] = [[] for _ in range(n)]
-    arcs = zip(resp.tails.tolist(), resp.heads.tolist(), resp.indices.tolist(), resp.pays.tolist())
+    arcs = zip(resp.tails.tolist(), resp.heads.tolist(), resp.slots.tolist(), resp.pays.tolist())
     for v, w, j, p in arcs:
         g = earns[v].get(w)
         if g is None:
-            g = earns[v][w] = [0] * T
+            g = earns[v][w] = [0] * width
             ins[w].append(v)
         g[j] = p
     out = [list(e.items()) for e in earns]
@@ -191,10 +193,10 @@ def _local_search_estimate(inst: GmdInstance, restarts: int, seed: int) -> Fract
     active = [v for v in range(n) if out[v] or ins[v]]
     # restart r starts from the coins of substream r + 1, zero where 0
     zeros = coin_rows(seed, np.arange(1, restarts + 1, dtype=np.uint64), n) == 0
-    # the scatter adds each paying arc's payoff at its (head, label) slot
-    # when its tail is zero
-    scores = np.zeros((restarts, n, T), dtype=resp.pays.dtype)
-    np.add.at(scores.reshape(restarts, n * T), (slice(None), resp.heads * T + resp.indices),
+    # the scatter adds each paying arc's payoff at its (head, slot) when its
+    # tail is zero
+    scores = np.zeros((restarts, n, width), dtype=resp.pays.dtype)
+    np.add.at(scores.reshape(restarts, n * width), (slice(None), resp.heads * width + resp.slots),
               zeros[:, resp.tails] * resp.pays)
     tops = scores.max(axis=2)
     vals = np.where(zeros, 0, tops).sum(axis=1).tolist()

@@ -37,7 +37,6 @@ from gmdlab.dicttest import (
 )
 from gmdlab.exact import (
     opt_gmd,
-    opt_gmd_bruteforce,
     opt_gp_grid,
 )
 from gmdlab.gapgen import DagSkeleton, PipelineConfig, generate_base_dag, sparsify_pipeline
@@ -56,6 +55,8 @@ from gmdlab.reduction import canonical_grid, canonical_pricing, decode_pricing, 
 from gmdlab.rng import substream
 from gmdlab.salp import build_sa_lp, check_sa_consistency, marginals_for_rounding, solve_lp_exact
 from gmdlab.sasol import EdgeVectorSystem, build_sa_solution, noise_for_target_gap, round_and_estimate
+
+from bruteforce import opt_gmd_bruteforce
 
 F = Fraction
 

@@ -282,6 +282,49 @@ def test_lp_round_empirical_mean_matches_expectation():
     assert abs(run.mean - expectation) <= 3 * run.stderr + 1e-12
 
 
+def _labels_at_scale(T, seed):
+    """16 vertices and 40 arcs of weight 1-3, labels drawn from 1, 2, T / 2
+    and T, so heads see repeated labels at every T."""
+    from gmdlab.rng import substream
+
+    rng = substream(20261022, seed)
+    labels = [1, 2, T // 2, T]
+    arcs = []
+    for _ in range(40):
+        u, v = rng.choice(16, size=2, replace=False)
+        arcs.append((int(u), int(v), labels[int(rng.integers(0, 4))], int(rng.integers(1, 4))))
+    return GmdInstance.of(T, 16, arcs)
+
+
+@pytest.mark.parametrize("T", [20, 1000, 10**5])
+def test_quarter_at_large_T_against_the_optimum(T):
+    # the quarter algorithm's exact expectation is at least opt / 4, and
+    # 2,000 trials' exact mean lies within 5 standard errors of it
+    inst = _labels_at_scale(T, 0)
+    opt = opt_gmd(inst).value
+    expectation = quarter_expectation_gmd(inst)
+    assert expectation >= opt / 4
+    run = run_trials(approx_gmd_quarter, inst, 2000, seed=T)
+    assert abs(float(run.exact_mean - expectation)) <= 5 * run.stderr
+
+
+@pytest.mark.parametrize("T", [20, 1000])
+def test_lp_round_at_large_T_against_its_expectation(T):
+    # marginals putting half of each vertex's mass on its optimal label and
+    # spreading the rest over 0..T: 2,000 trials' exact mean lies within 5
+    # standard errors of `lp_round_expectation`
+    inst = _labels_at_scale(T, 1)
+    witness = opt_gmd(inst).witness.values
+    marginals = []
+    for label in witness:
+        dist = [F(1, 2 * (T + 1))] * (T + 1)
+        dist[label] += F(1, 2)
+        marginals.append(dist)
+    expectation = lp_round_expectation(inst, marginals)
+    run = run_trials(lp_round_gmd, inst, 2000, seed=T, marginals=marginals)
+    assert abs(float(run.exact_mean - expectation)) <= 5 * run.stderr
+
+
 def test_exact_means_pinned_at_fixed_seeds():
     # values recorded with the per-trial Fraction evaluation the integer
     # trials replaced; any drift in streams, completions or values shows here

@@ -69,10 +69,11 @@ def test_cap_exceeded_exit_2(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["sa_n", "sa_rounds", "sa_domain", "lp_variables", "opt_gmd_n",
-                                  "gp_grid_points"])
+                                  "gp_grid_points", "brute_states"])
 def test_removed_cap_names_exit_1(tmp_path, capsys, monkeypatch, name):
     # one cap on the LP's tableau, lp_entries, replaced the first four; the
-    # exact oracles' byte and mask plan the last two
+    # exact oracles' byte and mask plan the next two; the last bounded the
+    # full-enumeration reference, which moved into the tests
     monkeypatch.setenv("GMDLAB_CAPS", f"{name}=9")
     assert run_command(["solve", "--in", str(tmp_path / "absent.gmd")]) == 1
     err = capsys.readouterr().err
@@ -114,9 +115,9 @@ def test_salp_past_float64_takes_the_exact_pass(tmp_path, capsys):
 MALFORMED_CAPS = ["{}=abc", "{}", "{}=", "{}=-1", "{}=2.5", "lp_entries=8,{}=-1"]
 
 
-# a cap that exists (brute_states) is refused for its value, a removed one
+# a cap that exists (trial_entries) is refused for its value, a removed one
 # (opt_gmd_n) for its name, whatever its value
-@pytest.mark.parametrize("spec", [form.format(name) for name in ("brute_states", "opt_gmd_n")
+@pytest.mark.parametrize("spec", [form.format(name) for name in ("trial_entries", "opt_gmd_n")
                                   for form in MALFORMED_CAPS])
 def test_malformed_caps_exit_1_naming_the_cap(tmp_path, capsys, monkeypatch, spec):
     # checked before any work: the absent input is never read
@@ -842,6 +843,18 @@ def test_solve_past_24_vertices_plans_by_arcs(tmp_path, capsys):
     path = write(tmp_path, "n25.gmd", "gmd 1\nv 25\ne 0 1 1 1\n")
     assert run_command(["solve", "--in", path]) == 0
     assert capsys.readouterr().out == "opt = 1\n"
+
+
+def test_geometric_grid_denominators_take_no_lcm(tmp_path, capsys):
+    # geom:1e-30 under a budget of 1 + 1.4e-27 gives each vertex 1,401
+    # prices, whose denominators are powers of 10^30 of up to 42,000 digits;
+    # the lcm of the 2,802 took 16.9 s before the plan refused the tables,
+    # where each power divides the next
+    path = write(tmp_path, "tight.gp", "gp\nv 2\ne 0 1 1.0000000000000000000000000014 1\n")
+    start = time.perf_counter()
+    assert run_command(["solve", "--in", path, "--grid", "geom:1e-30"]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert "opt_gp_grid: the domains and elimination tables take" in capsys.readouterr().err
 
 
 def test_solve_on_200000_vertices_and_one_arc_stays_within_the_plan(tmp_path, capsys):

@@ -37,12 +37,10 @@ from gmdlab.approx import (
 from gmdlab.exact import (
     ELIM_MAX_BYTES,
     WALK_MAX_MASKS,
+    _PairGame,
     _Responder,
     _adjacency,
-    _gmd_elim_mask,
-    _gmd_game,
     _gp_game,
-    _gmd_labels,
     _gmd_plan,
     _GmdResponder,
     _min_fill,
@@ -50,10 +48,11 @@ from gmdlab.exact import (
     _zero_set_walk,
     greedy_completion,
     opt_gmd,
-    opt_gmd_bruteforce,
     opt_gp_grid,
 )
 from gmdlab.rng import substream
+
+from bruteforce import opt_gmd_bruteforce
 
 F = Fraction
 
@@ -312,7 +311,7 @@ def test_engine_gmd_value_and_witness_against_enumeration():
         res = opt_gmd(inst)
         assert res.value == value == opt_gmd_bruteforce(inst).value
         assert res.witness == witness
-        assert res.explored == (1 << inst.n if inst.arcs else 1)
+        assert res.explored == 1 << inst.n
 
 
 def test_engine_elimination_and_zero_set_walk_agree():
@@ -320,10 +319,12 @@ def test_engine_elimination_and_zero_set_walk_agree():
     for T, n, m in [(1, 9, 12), (2, 8, 20), (3, 7, 18), (2, 10, 6)]:
         for _ in range(3):
             inst = _random_gmd_instance(rng, T, n, m)
-            game = _gmd_game(inst)
+            game = _dense_gmd_game(inst)
             order, _ = _min_fill_of(game)
             total, _ = game.first_optimum(order)
-            assert _gmd_elim_mask(game, order) == _zero_set_walk(_GmdResponder(inst))
+            resp = _GmdResponder(inst)
+            mask = _zero_set_walk(resp)
+            assert _dense_elim_mask(game, order) == mask == _compressed_elim_mask(resp)
             assert F(total, game.denom) == opt_gmd(inst).value
 
 
@@ -386,14 +387,14 @@ def gmd_instances(draw):
 @settings(max_examples=150, deadline=None)
 @given(gmd_instances())
 def test_elimination_and_walk_agree_on_gmd(inst):
-    game = _gmd_game(inst)
+    game = _dense_gmd_game(inst)
     order, _ = _min_fill_of(game)
     value, _ = game.first_optimum(order)
-    mask = _gmd_elim_mask(game, order)
+    mask = _dense_elim_mask(game, order)
     resp = _GmdResponder(inst)
-    labels, total = _gmd_labels(resp, [bool(mask >> v & 1) for v in range(inst.n)])
-    assert total == value
-    assert _zero_set_walk(resp) == mask
+    labels, total = resp.respond_one(_zero_flags(mask, inst.n))
+    assert F(total, resp.denom) == F(value, game.denom)
+    assert _zero_set_walk(resp) == mask == _compressed_elim_mask(resp)
     if (inst.T + 1) ** inst.n <= PLAIN_LABELINGS:
         assert _plain_gmd(inst) == (F(value, game.denom), Labeling(tuple(labels)))
     res = opt_gmd(inst)
@@ -425,7 +426,7 @@ def _min_fill_by_rescoring(inst):
 @settings(max_examples=100, deadline=None)
 @given(gmd_instances())
 def test_min_fill_order_matches_full_rescoring(inst):
-    assert _min_fill_of(_gmd_game(inst))[0] == _min_fill_by_rescoring(inst)
+    assert _min_fill_of(_dense_gmd_game(inst))[0] == _min_fill_by_rescoring(inst)
 
 
 @st.composite
@@ -499,15 +500,16 @@ def test_elimination_on_python_int_tables():
     big = 2**61
     inst = GmdInstance.of(2, 5, [(0, 1, 1, big), (1, 2, 2, big), (2, 0, 1, big + 1),
                                  (3, 4, 2, 3), (4, 3, 1, 3), (1, 3, 1, big)])
-    game = _gmd_game(inst)
-    assert not game.int64()
+    game = _dense_gmd_game(inst)
+    resp = _GmdResponder(inst)
+    assert not game.int64() and not resp.pair_game().int64() and not resp.in_int64
     # the walk's int64 sums would overflow, so the plan takes elimination
     assert _gmd_path(inst) == "elim"
     order, _ = _min_fill_of(game)
-    mask = _gmd_elim_mask(game, order)
+    mask = _dense_elim_mask(game, order)
     value, witness = _plain_gmd(inst)
-    assert mask == sum(1 << v for v, x in enumerate(witness.values) if x == 0)
-    assert F(_gmd_labels(_GmdResponder(inst), [bool(mask >> v & 1) for v in range(5)])[1], game.denom) == value
+    assert mask == sum(1 << v for v, x in enumerate(witness.values) if x == 0) == _compressed_elim_mask(resp)
+    assert F(resp.respond_one(_zero_flags(mask, 5))[1], resp.denom) == value
     res = opt_gmd(inst)
     assert (res.value, res.witness) == (value, witness)
     assert value == opt_gmd_bruteforce(inst).value
@@ -519,16 +521,17 @@ def test_elimination_when_only_the_penalised_tables_pass_int64():
     big = 2**57
     inst = GmdInstance.of(2, 6, [(0, 1, 1, big), (1, 2, 1, big), (2, 3, 1, big), (3, 0, 1, big),
                                  (4, 5, 2, 5), (5, 4, 1, 5), (1, 4, 2, 3)])
-    game = _gmd_game(inst)
-    assert game.int64() and not game.int64(1 << inst.n)
-    order, _ = _min_fill_of(game)
-    mask = _gmd_elim_mask(game, order)
     resp = _GmdResponder(inst)
-    assert mask == _zero_set_walk(resp)
-    labels, total = _gmd_labels(resp, [bool(mask >> v & 1) for v in range(inst.n)])
+    for game in (_dense_gmd_game(inst), resp.pair_game()):
+        assert game.int64() and not game.int64(1 << inst.n)
+    game = _dense_gmd_game(inst)
+    order, _ = _min_fill_of(game)
+    mask = _dense_elim_mask(game, order)
+    assert mask == _zero_set_walk(resp) == _compressed_elim_mask(resp)
+    labels, total = resp.respond_one(_zero_flags(mask, inst.n))
     res = opt_gmd(inst)
     plain = _plain_gmd(inst)
-    assert (F(total, game.denom), Labeling(tuple(labels))) == (res.value, res.witness) == plain
+    assert (F(total, resp.denom), Labeling(tuple(labels))) == (res.value, res.witness) == plain
 
 
 def test_walk_runs_when_the_pair_maxima_fit_int64():
@@ -536,8 +539,7 @@ def test_walk_runs_when_the_pair_maxima_fit_int64():
     # and 1: the pair maxima sum to 2^61 + 1, so int64 holds every partial
     # sum of the walk, whose plan and mask need no arc sum
     inst = GmdInstance.of(1, 3, [(0, 1, 1, 2**61), (1, 0, 1, 2**61), (1, 2, 1, 1)])
-    game = _gmd_game(inst)
-    assert sum(a.weight for a in inst.arcs) == 2**62 + 1 and game.int64()
+    assert sum(a.weight for a in inst.arcs) == 2**62 + 1 and _GmdResponder(inst).in_int64
     assert _gmd_path(inst) == "walk"
     value, witness = _plain_gmd(inst)
     assert _zero_set_walk(_GmdResponder(inst)) == sum(1 << v for v, x in enumerate(witness.values) if x == 0)
@@ -557,6 +559,35 @@ def _min_fill_of(game):
 
 def _gmd_path(inst):
     return _gmd_plan(inst)[0]
+
+
+def _zero_flags(mask, n):
+    """Zero-set flags of the vertices of the zero mask `mask`."""
+    return [bool(mask >> v & 1) for v in range(n)]
+
+
+def _dense_gmd_game(inst):
+    """The max-dicut game on the full domains 0..T, as a reference for the
+    compressed one: domain index i < T is label i + 1 and index T is label
+    0, with the payoff tables of `_fraction_gmd_game`, zero-weight arcs'
+    pairs included."""
+    sizes, denom, pairs, _ = _fraction_gmd_game(inst)
+    return _PairGame(sizes, {(u, v): rows for u, v, rows in pairs}, denom)
+
+
+def _dense_elim_mask(game, order):
+    """Smallest optimal zero mask of the dense game `game` by one penalised
+    `first_optimum` pass along `order`: payoffs scaled by 2^n, index T
+    (label 0) at v charged 2^v."""
+    n, T = len(game.sizes), game.sizes[0] - 1
+    charges = {v: [0] * T + [1 << v] for v in order}
+    return sum(1 << v for v, i in enumerate(game.first_optimum(order, 1 << n, charges)[1]) if i == T)
+
+
+def _compressed_elim_mask(resp):
+    """`opt_gmd`'s elimination pass on the compressed game of `resp`, along
+    the min-fill order of its pairs, whatever path the plan picks."""
+    return resp.eliminate(_min_fill_of(resp.pair_game())[0])
 
 
 def test_cost_estimate_picks_each_path(tmp_path):
@@ -580,11 +611,10 @@ def test_cost_estimate_picks_each_path(tmp_path):
     with open(gap16) as fh:
         inst = parse_instance(fh.read())
     assert _gmd_path(inst) == "elim"
-    game = _gmd_game(inst)
     resp = _GmdResponder(inst)
     zero = _zero_set_walk(resp)
-    assert opt_gmd(inst).value == F(_gmd_labels(resp, [bool(zero >> v & 1) for v in range(16)])[1],
-                                    game.denom)
+    assert zero == _compressed_elim_mask(resp)
+    assert opt_gmd(inst).value == F(resp.respond_one(_zero_flags(zero, 16))[1], resp.denom)
 
 
 def _tournament(n, weight=lambda u, v: 1):
@@ -594,9 +624,11 @@ def _tournament(n, weight=lambda u, v: 1):
 
 def test_dense_game_falls_back_from_elimination():
     # a 24-vertex tournament: eliminating any vertex first joins the other
-    # 23 into one table of 2^24 entries
+    # 23 into one table of 2^24 entries; at T = 1 every compressed domain is
+    # the full one, label 1 and label 0
     tournament = _tournament(24)
-    game = _gmd_game(tournament)
+    game = _GmdResponder(tournament).pair_game()
+    assert game.sizes == (2,) * 24
     assert game.int64(1 << 24)
     assert _min_fill_of(game)[1][0] * 8 == 8 << 24 > ELIM_MAX_BYTES
     with pytest.raises(CapExceeded, match="elimination tables take"):
@@ -615,7 +647,7 @@ def test_opt_gmd_refuses_when_no_path_fits(monkeypatch):
     # weights of 2^57 and more overflow the walk's int64 sums, and the
     # tables of the 24-vertex tournament are over the byte cap
     tournament = _tournament(24, lambda u, v: 2**57 + u + v)
-    game = _gmd_game(tournament)
+    game = _GmdResponder(tournament).pair_game()
     assert not game.int64()
     with pytest.raises(CapExceeded):
         _plan("t", game.sizes, _pairs_of(game), game._top, 1 << 24)
@@ -641,12 +673,15 @@ def _sparse24():
 
 
 def test_sparse_game_past_a_million_entries_plans_elimination():
-    # its int64 min-fill tables hold 2,092,116 entries (16.7 MB); the walk
-    # over 2^24 masks takes seconds and returns the same mask, 2369109
+    # on the full domains its int64 min-fill tables hold 2,092,116 entries
+    # (16.7 MB), on the compressed ones 923,280 (7.4 MB); the walk over 2^24
+    # masks takes seconds and returns the same mask, 2369109
     inst = _sparse24()
-    game = _gmd_game(inst)
+    dense = _dense_gmd_game(inst)
+    assert sum(_min_fill_of(dense)[1]) == 2_092_116
+    game = _GmdResponder(inst).pair_game()
     entries = sum(_min_fill_of(game)[1])
-    assert game.int64(1 << 24) and entries == 2_092_116 and entries * 8 <= ELIM_MAX_BYTES
+    assert game.int64(1 << 24) and entries == 923_280 and entries * 8 <= ELIM_MAX_BYTES
     assert _gmd_path(inst) == "elim"
     res = opt_gmd(inst)
     assert sum(1 << v for v, x in enumerate(res.witness.values) if x == 0) == 2369109
@@ -672,7 +707,7 @@ def _refuse_games(monkeypatch):
     def refuse(*args):
         raise AssertionError("a pair game was built")
 
-    monkeypatch.setattr(exact, "_gmd_game", refuse)
+    monkeypatch.setattr(exact._PairGame, "__init__", refuse)
     monkeypatch.setattr(exact, "_gp_game", refuse)
 
 
@@ -689,7 +724,8 @@ def test_the_walk_builds_no_pair_game(tmp_path, monkeypatch, capsys):
     want = [opt_gmd(inst) for inst in insts]
     _refuse_games(monkeypatch)
     assert [opt_gmd(inst) for inst in insts] == want
-    # T = 4,000 on one arc: a dense pair table would hold 16M entries
+    # T = 4,000 on one arc: a pair table on the full domains would hold 16M
+    # entries
     path = tmp_path / "t4000.gmd"
     path.write_text("gmd 4000\nv 2\ne 0 1 4000 1\n")
     assert run_command(["solve", "--in", str(path)]) == 0
@@ -705,8 +741,90 @@ def test_the_plan_reads_pairs_not_vertex_counts():
     assert _gmd_path(GmdInstance.of(1, 12, [(3, 7, 1, 1)])) == "walk"
     res = opt_gmd(big)
     assert res.value == 1 and res.witness.values[3] == 0 and res.explored == 1 << 25
-    # zero-weight arcs and parallel edges are pairs of the game as well
-    assert _gmd_plan(GmdInstance.of(1, 25, [(3, 7, 1, 0), (7, 3, 1, 1), (1, 2, 1, 0)]))[1] == [1, 2, 3, 7]
+    # antiparallel arcs share a pair; a zero-weight arc pays nothing, so its
+    # pair is not one of the game's
+    assert _gmd_plan(GmdInstance.of(1, 25, [(3, 7, 1, 0), (7, 3, 1, 1), (1, 2, 1, 0)]))[1] == [3, 7]
+    assert _gmd_plan(GmdInstance.of(1, 25, [(3, 7, 1, 2), (7, 3, 1, 1), (1, 2, 1, 1)]))[1] == [1, 2, 3, 7]
+
+
+def _cycling_path(n, T):
+    """A path 0 - 1 - ... - n-1 whose labels cycle through 1..T: a forward
+    arc on every edge, a second forward arc of another label on every
+    fifth and a backward arc on every third, with weights 1/2 to 3."""
+    arcs = []
+    for v in range(n - 1):
+        arcs.append((v, v + 1, v % T + 1, 1 + v % 3))
+        if v % 3 == 0:
+            arcs.append((v + 1, v, (v + 7) % T + 1, F(1, 2)))
+        if v % 5 == 0:
+            arcs.append((v, v + 1, (v + 3) % T + 1, 2))
+    return GmdInstance.of(T, n, arcs)
+
+
+def _path_dp(inst):
+    """Max-dicut optimum of an instance whose arcs join only v and v + 1, by
+    dynamic programming along the path.  Vertex v takes label 0, a label an
+    arc into v names, or, standing for every other label, -1: no arc pays
+    at -1, and one such label exists when the arcs into v name fewer than
+    T."""
+    into: dict = {}
+    edge: dict = {}
+    for a in inst.arcs:
+        into.setdefault(a.head, set()).add(a.label)
+        edge.setdefault(min(a.tail, a.head), []).append(a)
+    states = []
+    for v in range(inst.n):
+        named = into.get(v, set())
+        states.append([0] + sorted(named) + ([-1] if len(named) < inst.T else []))
+
+    def pay(v, x):
+        """What the arcs between v and v + 1 pay at their labels x[v], x[v + 1]."""
+        return sum((a.weight for a in edge.get(v, ()) if x[a.tail] == 0 and x[a.head] == a.label), F(0))
+
+    best = {x: F(0) for x in states[0]}
+    for v in range(1, inst.n):
+        best = {y: max(best[x] + pay(v - 1, {v - 1: x, v: y}) for x in best) for y in states[v]}
+    return max(best.values())
+
+
+def test_opt_gmd_on_cycling_paths_is_independent_of_T():
+    # 200 vertices, 292 arcs: the full domains' pair tables would hold
+    # 199 (T + 1)^2 entries, and at T = 10^5 the plan refused 20,000,200
+    # domain values; the compressed domains keep the same tables at every T
+    small = _cycling_path(6, 2)
+    assert _path_dp(small) == opt_gmd_bruteforce(small).value
+    peaks = []
+    for T in (20, 1000, 10**5):
+        inst = _cycling_path(200, T)
+        tracemalloc.start()
+        try:
+            res = opt_gmd(inst)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert _gmd_path(inst) == "elim"
+        assert res.value == _path_dp(inst)
+        assert val_gmd(inst, res.witness) == res.value
+    assert max(peaks) < 1 << 20
+    assert peaks[1] <= 1.25 * peaks[0] and peaks[2] <= 1.25 * peaks[0]
+
+
+def test_opt_gmd_on_a_long_path_at_T_1e5():
+    # labels cycling through T = 10^5 on a 200-vertex path: every other
+    # vertex at label 0 cuts 100 arcs
+    T, n = 10**5, 200
+    inst = GmdInstance.of(T, n, [(v, v + 1, v % T + 1, 1) for v in range(n - 1)])
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        res = opt_gmd(inst)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.value == 100 == _path_dp(inst)
+    assert res.witness.values[:4] == (0, 1, 0, 3)
+    assert elapsed < 1.0 and peak < 2 << 20
 
 
 def test_grid_oracle_refuses_before_the_game(monkeypatch, capsys):
@@ -808,11 +926,30 @@ def _builder_gmd_instances():
     return cases
 
 
+def _full_index(inst, domain, j):
+    """The full domain's index of index j of a compressed `domain`: label
+    domain[j], or label 0 past its end."""
+    label = domain[j] if j < len(domain) else 0
+    return label - 1 if label else inst.T
+
+
 def test_gmd_game_equals_fraction_tables():
+    # the compressed game's tables are the full game's at the labels kept,
+    # on every pair an arc of nonzero weight joins
     cases = _builder_gmd_instances()
-    assert any(_gmd_game(inst).denom >= 2**63 for inst in cases)
-    for inst in cases:
-        assert _built(_gmd_game(inst)) == _fraction_gmd_game(inst)[:3]
+    games = [_GmdResponder(inst).pair_game() for inst in cases]
+    assert any(game.denom >= 2**63 for game in games)
+    for inst, game in zip(cases, games):
+        domains = _GmdResponder(inst).domains
+        assert game.sizes == tuple(len(d) + 1 for d in domains)
+        sizes, denom, pairs = _built(game)
+        _, want_denom, want, _ = _fraction_gmd_game(inst)
+        want = {(u, v): [[rows[_full_index(inst, domains[u], i)][_full_index(inst, domains[v], j)]
+                          for j in range(sizes[v])] for i in range(sizes[u])]
+                for u, v, rows in want}
+        paying = {tuple(sorted((a.tail, a.head))) for a in inst.arcs if a.weight}
+        assert denom == want_denom
+        assert {(u, v): rows for u, v, rows in pairs} == {uv: want[uv] for uv in paying}
 
 
 def _builder_gp_instances():
@@ -871,7 +1008,7 @@ def test_responder_terms_match_neighbour_dicts_on_gmd(inst, huge):
     if huge:
         inst = GmdInstance.of(inst.T, inst.n, [(a.tail, a.head, a.label, a.weight * HUGE)
                                                for a in inst.arcs])
-    game = _gmd_game(inst)
+    game = _dense_gmd_game(inst)
     assert game.int64() == (not huge or not game.payoffs.any())
     # every index against label 0's index T, and against index 0
     for zero in (inst.T, 0):
@@ -880,8 +1017,8 @@ def test_responder_terms_match_neighbour_dicts_on_gmd(inst, huge):
 
 def test_gmd_responder_peak_holds_no_list_per_label():
     # a 2,000-vertex path with labels cycling through T = 50: one list per
-    # head and label made the constructor peak at 7.9 MiB; per-head dicts of
-    # the named labels peak at 2.2 MiB, the 1.2 MiB kept included
+    # head and label made the constructor peak at 7.9 MiB; the compressed
+    # domains, each head's label and label 1 or 2, peak at 2.0 MiB
     T, n = 50, 2000
     inst = GmdInstance.of(T, n, [(v, v + 1, v % T + 1, 1) for v in range(n - 1)])
     tracemalloc.start()
@@ -891,7 +1028,8 @@ def test_gmd_responder_peak_holds_no_list_per_label():
     finally:
         tracemalloc.stop()
     assert peak < 3 << 20
-    assert resp.terms[1] == [((0, 1),)] + [()] * (T - 1)
+    assert resp.domains[:3] == [(1,), (1, 2), (1, 2)] and resp.domains[3] == (1, 3)
+    assert resp.terms[1] == [((0, 1),), ()] and resp.terms[3] == [(), ((2, 1),)]
     assert resp.terms[0] == []
 
 
@@ -901,23 +1039,44 @@ def test_gmd_responder_builds_the_game_terms_from_the_arcs(inst, huge):
     if huge:
         inst = GmdInstance.of(inst.T, inst.n, [(a.tail, a.head, a.label, a.weight * HUGE)
                                                for a in inst.arcs])
+    T, n = inst.T, inst.n
     resp = _GmdResponder(inst)
-    sizes, denom, _, nbrs = _fraction_gmd_game(inst)
+    # the reference's pairs in the order of their first paying arc, as the
+    # responder's are
+    paying = GmdInstance.of(T, n, [a for a in inst.arcs if a.weight])
+    sizes, denom, _, nbrs = _fraction_gmd_game(paying)
     assert resp.denom == denom
-    # the full responder's last index, T (label 0), never has a term
-    assert resp.terms == [by_index[:inst.T] for by_index in _nbrs_terms(nbrs, sizes, inst.T)]
-    game = _gmd_game(inst)
+    # each domain: the labels the paying in-arcs name, and the least label
+    # none of them names when T leaves one, ascending
+    for v, domain in enumerate(resp.domains):
+        named = {a.label for a in inst.arcs if a.head == v and a.weight}
+        free = [t for t in range(1, T + 1) if t not in named][:1]
+        assert domain == tuple(sorted(named | set(free)))
+    # the full responder's terms at the kept labels; its last index, T
+    # (label 0), never has a term, and a vertex with none has an empty list
+    full = _nbrs_terms(nbrs, sizes, T)
+    assert resp.terms == [[by_index[t - 1] for t in domain] if by_index and any(by_index) else []
+                          for by_index, domain in zip(full, resp.domains)]
+    game = _dense_gmd_game(inst)
     assert resp.in_int64 == game.int64()
     assert resp.pays.dtype == game.payoffs.dtype
-    # the arcs' values are the pair tables', on every labeling of the
-    # smallest games and on random ones
-    T, n = inst.T, inst.n
+    # the arcs' values, read in labels, are the full pair tables', on every
+    # labeling of the smallest games and on random ones
     if (T + 1) ** n <= 4096:
         x = np.array(list(itertools.product(range(T + 1), repeat=n)), dtype=np.intp)
     else:
         x = np.random.default_rng(n).integers(0, T + 1, size=(500, n))
-    assert resp.values(x).dtype == game.values(x).dtype
-    assert resp.values(x).tolist() == game.values(x).tolist()
+    labels = np.where(x == T, 0, x + 1)
+    assert resp.values(labels).dtype == game.values(x).dtype
+    assert resp.values(labels).tolist() == game.values(x).tolist()
+    # the best responses, one zero set at a time and in a batch, are the
+    # full responder's in labels
+    dense = _Responder(game, T)
+    zero = np.random.default_rng(n + 1).integers(0, 2, size=(40, n)) == 1
+    for row in zero.tolist():
+        want, gain = dense.respond_one(row)
+        assert resp.respond_one(row) == ([0 if i == T else i + 1 for i in want], gain)
+    assert resp.respond(zero).tolist() == np.where(zero, 0, dense.respond(zero) + 1).tolist()
 
 
 def test_greedy_completion_builds_no_pair_game(monkeypatch):
@@ -935,7 +1094,7 @@ def test_greedy_completion_builds_no_pair_game(monkeypatch):
 
 def test_max_dicut_trials_build_no_pair_game(monkeypatch):
     # gmd4, gmdlp and the quarter expectation read the arcs: only the
-    # elimination pass of `opt_gmd` builds the dense pair game
+    # elimination pass of `opt_gmd` builds a pair game
     g20, gap12 = _golden("g20.gmd"), _golden("gap12.gmd")
     marginals = [[F(1, g20.T + 1)] * (g20.T + 1)] * g20.n
 
@@ -949,7 +1108,7 @@ def test_max_dicut_trials_build_no_pair_game(monkeypatch):
     def refuse(*args):
         raise AssertionError("a pair game was built")
 
-    monkeypatch.setattr(exact, "_gmd_game", refuse)
+    monkeypatch.setattr(exact._PairGame, "__init__", refuse)
     assert runs() == want
     with pytest.raises(AssertionError, match="a pair game was built"):
         opt_gmd(g20)
@@ -980,7 +1139,7 @@ def test_builders_do_no_fraction_arithmetic(monkeypatch):
     with pytest.raises(AssertionError):
         F(1, 2) + F(1, 3)
     for inst in gmd:
-        _gmd_game(inst)
+        _GmdResponder(inst).pair_game()
     for inst, grid in gp:
         _gp_game(inst, grid)
 
