@@ -16,10 +16,12 @@ trials as `Caps.trial_entries` entries hold (see `_chunk_trials`):
 
 1. the chunk's coin or uniform rows (`rng.coin_rows`, `rng.uniform_rows`)
    give each trial's zero set, or its labels for the LP rounding;
-2. `_Responder.respond` gives every other vertex its best response to the
-   zero set, from its nonzero (neighbour, payoff) terms: the first index of
-   largest score, the tie rule of every best response, in labels for
-   max-dicut (`exact._GmdResponder`), so no code here maps labels to indices;
+2. `_Responder.respond`, the one best-response routine, gives every other
+   vertex its best response to the zero set from the responder's one store
+   of (zero neighbour, vertex, slot, payoff) terms: the first slot of
+   largest score, the tie rule of every best response, answered in labels
+   for max-dicut (`exact._GmdResponder`) and in domain indices for pricing,
+   so no code here maps labels to slots;
 3. `_Responder.values` sums each trial's exact value as an integer total
    over the responder's one `denom`: for max-dicut from the arcs that pay,
    for pricing from the pair tables; a batch keeps these totals as they
@@ -77,7 +79,7 @@ def _gp_responder(inst: GpInstance) -> tuple[_Responder, list[list[Fraction]]]:
         budgets[e.u].add(e.budget)
         budgets[e.v].add(e.budget)
     domains = [[Fraction(0)] + sorted(b) for b in budgets]
-    return _Responder(_gp_game(inst, domains), zero=0), domains
+    return _Responder(_gp_game(inst, domains)), domains
 
 
 def _quarter(resp: _Responder) -> _GameBatch:
@@ -85,7 +87,7 @@ def _quarter(resp: _Responder) -> _GameBatch:
     coin is 0.  A trial's best responses add the responder's score row to
     its width."""
     def batch(seed: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = resp.respond(coin_rows(seed, indices, len(resp.terms)) == 0)
+        x = resp.respond(coin_rows(seed, indices, len(resp.domains)) == 0)
         return x, resp.values(x)
     return resp.denom, batch, resp.row_entries
 
@@ -105,7 +107,7 @@ def gp_price_completion(inst: GpInstance, zero: Sequence[bool]) -> Pricing:
     Ties break to the smallest price; no zero neighbor means 0.
     """
     resp, domains = _gp_responder(inst)
-    x, _ = resp.respond_one(zero)
+    x = resp.respond(np.array([zero], dtype=bool))[0].tolist()
     return Pricing(tuple(domains[v][i] for v, i in enumerate(x)))
 
 
@@ -142,7 +144,7 @@ def _all_zero_sets_expectation(inst, resp: _Responder, caps: Caps) -> Fraction:
     puts v in the zero set of m, as many masks at a time as `run_trials`
     takes trials."""
     chunk = _chunk_trials(inst, caps, resp.row_entries)
-    n = len(resp.terms)
+    n = len(resp.domains)
     total = 0
     bits = np.arange(n, dtype=np.int64)
     for start in range(0, 1 << n, chunk):

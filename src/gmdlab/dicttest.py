@@ -236,25 +236,6 @@ def build_test_instance(
 FunctionTable = Sequence[int]
 
 
-def evaluate_acceptance(ti: TestInstance, functions: Sequence[FunctionTable]) -> Fraction:
-    """Exact acceptance probability of per-inner-vertex functions.
-
-    `functions[v]` maps hypercube codes (see decode_point) to labels 0..T.
-    """
-    q = ti.space.q
-    block = q**ti.R
-    for v, table in enumerate(functions):
-        if len(table) != block:
-            raise InstanceError(f"function for inner vertex {v} is partial")
-    total = Fraction(0)
-    for a in ti.instance.arcs:
-        u, xcode = divmod(a.tail, block)
-        v, ycode = divmod(a.head, block)
-        if functions[u][xcode] == 0 and functions[v][ycode] == a.label:
-            total += a.weight
-    return total
-
-
 def acceptance_probability(
     space: CorrelatedSpace, inner, R: int, functions: Sequence[FunctionTable]
 ) -> Prob:

@@ -8,8 +8,12 @@ with it and kept once, in one numpy store that every reader shares; no
 table entry or comparison is a `Fraction` or a float.
 
 Once a zero set is fixed, every other vertex best-responds to it on its
-own (`_Responder`): the quarter algorithms take one such completion, and
-the max-dicut optimum is the best one over all zero sets.  Max-dicut has
+own: the quarter algorithms take one such completion, and the max-dicut
+optimum is the best one over all zero sets.  `_Responder` keeps the terms
+of those responses once, in one flat store grouped by (vertex, slot), and
+`_Responder.respond` is the one best-response routine: a single
+completion is one row of it, and the zero-set walk, the `approx` batches
+and the `gap` local search read the same store.  Max-dicut has
 one layout, `_GmdResponder`, the only code that maps labels to domain
 indices: an arc pays only from a label-0 tail to a head at its label, so
 a vertex ranges over the labels its paying in-arcs name, the least label
@@ -55,9 +59,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Sequence, Union
 
@@ -317,86 +321,72 @@ def _plan(who: str, sizes: Sequence[int], pairs, top: int, scale: int,
 
 
 class _Responder:
-    """Greedy best responses to zero sets in one pair game (see the module
-    docstring).  A zero set puts its vertices at the index `zero`; every
-    other vertex v takes the first of its indices of largest score.
-    `terms[v][j]` lists the terms of index j; a vertex with no term has an
-    empty list and takes index 0.  `denom` and `in_int64` are the game's
-    `denom` and `int64()`, and `values` its `values`.
+    """Greedy best responses to zero sets (see the module docstring), all
+    read from one store of terms.  A zero set puts its vertices at 0; every
+    other vertex v takes the first slot of largest score in its domain,
+    `domains[v]`, and answers the value the domain holds there.  A term
+    (u, v, j, p) adds p to the score of slot j at v when u is in the zero
+    set.  The store keeps the nonzero terms once, sorted by (v, j), in the
+    flat arrays `tails` (u), `heads` (v), `slots` (j) and `pays` (p, an
+    integer over `denom`, int64 when `in_int64` holds and Python ints
+    otherwise), with `starts`, the first term of each slot that has one.
+    `answers` holds every domain, vertex after vertex, from `first[v]`.  A
+    vertex with no term answers its domain's first value.  `values` gives
+    the integer value over `denom` of each row of answers.
+
+    Built from a pair game (pricing), v ranges over its domain indices, and
+    index 0 is the zero: its terms are its payoffs against a zero u, row 0
+    of their table, or column 0 when v is the table's first vertex.
     """
 
-    def __init__(self, game: _PairGame, zero: int):
-        self.game = game
-        # heads[v]: (u, v's payoffs against u's zero index), pair after pair,
-        # when one is nonzero: row `zero` of the table, or column if v is first
+    def __init__(self, game: _PairGame):
         flat = game.payoffs.tolist()
-        heads: list[list] = [[] for _ in game.sizes]
+        terms = []
         for u, v, at, stride in game.cells.tolist():
-            row = flat[at + zero * stride:at + (zero + 1) * stride]
-            if any(row):
-                heads[v].append((u, row))
-            col = flat[at + zero:at + game.sizes[u] * stride:stride]
-            if any(col):
-                heads[u].append((v, col))
-        self.zero = zero
-        self.denom = game.denom
-        self.in_int64 = game.int64()
+            terms += ((u, v, j, p) for j, p in enumerate(flat[at:at + stride]) if p)
+            terms += ((v, u, i, p) for i, p in enumerate(flat[at:at + game.sizes[u] * stride:stride]) if p)
+        self._store(terms, [range(size) for size in game.sizes], game.denom, game.int64())
         self.values = game.values
-        self.terms = [[tuple((u, h[j]) for u, h in nb if h[j]) for j in range(size)] if nb else []
-                      for nb, size in zip(heads, game.sizes)]
 
-    def respond_one(self, zero: Sequence[bool]) -> tuple[list[int], int]:
-        """Domain indices of the zero set `zero` (`zero[v]` true when v is in
-        it) and of the other vertices' best responses, and the sum of the
-        responders' largest scores."""
-        x, gain = [], 0
-        for v, by_index in enumerate(self.terms):
-            if zero[v]:
-                x.append(self.zero)
-                continue
-            scores = [sum(p for u, p in terms if zero[u]) for terms in by_index] or [0]
-            best = max(scores)
-            x.append(scores.index(best))
-            gain += best
-        return x, gain
-
-    @cached_property
-    def _gather(self):
-        """The terms in numpy arrays, index after index, an index with no
-        term taking the term (0, 0): their neighbours and payoffs, and each
-        index's first term; per width, its vertices and their indices."""
-        slots = [terms or ((0, 0),) for by_index in self.terms for terms in by_index]
-        groups: dict[int, list[tuple[int, int]]] = {}
-        first = 0
-        for v, by_index in enumerate(self.terms):
-            if by_index:
-                groups.setdefault(len(by_index), []).append((v, first))
-                first += len(by_index)
-        return (
-            np.array([u for terms in slots for u, _ in terms], dtype=np.intp),
-            np.array([p for terms in slots for _, p in terms],
-                     dtype=np.int64 if self.in_int64 else object),
-            np.cumsum([0] + [len(terms) for terms in slots])[:-1],
-            [(np.array([v for v, _ in g]), np.array([f for _, f in g])[:, None] + np.arange(w))
-             for w, g in groups.items()],
-        )
+    def _store(self, terms: list[tuple[int, int, int, int]], domains: Sequence[Sequence[int]],
+               denom: int, in_int64: bool):
+        """Keep `terms`, (u, v, j, p) each, in the store, on `domains`."""
+        terms.sort(key=lambda t: t[1:3])
+        tails, heads, slots, pays = zip(*terms) if terms else ((),) * 4
+        self.tails, self.heads, self.slots = (np.array(a, dtype=np.intp) for a in (tails, heads, slots))
+        self.pays = np.array(pays, dtype=np.int64 if in_int64 else object)
+        self.domains, self.denom, self.in_int64 = domains, denom, in_int64
+        self.answers = np.array([a for d in domains for a in d], dtype=np.intp)
+        self.first = np.cumsum([0] + [len(d) for d in domains])[:-1]
+        # each term's slot in `answers`, and each slot with a term's first
+        at = self.first[self.heads] + self.slots
+        first_term = np.ones(len(at), dtype=bool)
+        first_term[1:] = at[1:] != at[:-1]
+        self.starts = np.flatnonzero(first_term)
+        self._scored = at[self.starts]
+        # per domain width, the vertices with a term and their slots in `answers`
+        widths: dict[int, list[int]] = {}
+        for v in dict.fromkeys(heads):
+            widths.setdefault(len(domains[v]), []).append(v)
+        self._widths = [(np.array(vs), self.first[vs][:, None] + np.arange(w)) for w, vs in widths.items()]
 
     @property
     def row_entries(self) -> int:
-        """Entries of one zero-set row of `respond`'s score product: one per
-        term, and one per index without a term."""
-        return len(self._gather[0])
+        """Entries of one zero-set row of `respond`'s scores: one per term
+        and one per slot."""
+        return len(self.tails) + len(self.answers)
 
     def respond(self, zero):
-        """`respond_one` on each boolean row of the numpy array `zero`: the
-        rows' domain indices."""
-        src, val, starts, groups = self._gather
-        x = np.zeros(zero.shape, dtype=np.intp)
-        if len(starts):
-            scores = np.add.reduceat(zero[:, src] * val, starts, axis=1)
-            for verts, slots in groups:
-                x[:, verts] = scores[:, slots].argmax(axis=2)
-        return np.where(zero, self.zero, x)
+        """The answers to each boolean row of the numpy array `zero`, whose
+        entry v is true when v is in the row's zero set: 0 in the zero set,
+        else v's best response."""
+        at = np.repeat(self.first[None, :], len(zero), axis=0)
+        if len(self.starts):
+            scores = np.zeros((len(zero), len(self.answers)), dtype=self.pays.dtype)
+            scores[:, self._scored] = np.add.reduceat(zero[:, self.tails] * self.pays, self.starts, axis=1)
+            for verts, slots in self._widths:
+                at[:, verts] += scores[:, slots].argmax(axis=2)
+        return np.where(zero, 0, self.answers[at])
 
 
 def _gmd_arcs(inst: GmdInstance) -> tuple[dict, list[tuple[int, ...]], int, int]:
@@ -425,47 +415,15 @@ class _GmdResponder(_Responder):
     """Best responses in the max-dicut game of `inst`, read and answered in
     labels, a zero set at label 0.  Vertex v ranges over `domains[v]`, the
     labels its paying in-arcs name and the least label none of them names
-    (if T leaves one), ascending, then label 0; `terms[v][j]` lists the
-    terms of label `domains[v][j]`, none at a vertex with no paying in-arc.
-    Only `pair_game` builds a game: the terms, `values` and that game read
-    the paying arcs' flat arrays `tails`, `heads`, `labels`, `slots` (the
-    label's index in its head's domain) and `pays` (over `denom`, in the
-    dtype `in_int64` picks), pair after pair in `_gmd_arcs`' order."""
+    (if T leaves one), ascending; label 0 is not in it.  Each paying arc is
+    one term of the store, from its tail to its head at its label's slot,
+    and `labels` holds each term's label.  Only `pair_game` builds a game."""
 
     def __init__(self, inst: GmdInstance):
-        pairs, self.domains, self.denom, top = _gmd_arcs(inst)
-        arcs = [arc for arcs in pairs.values() for arc in arcs]
-        self.zero = 0
-        self.in_int64 = _int64_holds(top)
-        by_head: dict[int, dict[int, list]] = {}
-        for u, v, label, p in arcs:
-            by_head.setdefault(v, {}).setdefault(label, []).append((u, p))
-        # the vertices with no term share one empty list, which nothing
-        # mutates, and the labels with none the empty tuple
-        self.terms = [[]] * inst.n
-        slot = {}
-        for v, d in by_head.items():
-            self.terms[v] = [tuple(d.get(label, ())) for label in self.domains[v]]
-            slot.update(((v, label), j) for j, label in enumerate(self.domains[v]))
-        self.tails, self.heads, self.labels, self.slots = np.array(
-            [(u, v, label, slot[v, label]) for u, v, label, _ in arcs], dtype=np.intp).reshape(-1, 4).T
-        self.pays = np.array([p for *_, p in arcs], dtype=np.int64 if self.in_int64 else object)
-
-    def respond_one(self, zero: Sequence[bool]) -> tuple[list[int], int]:
-        """`_Responder.respond_one` in labels."""
-        x, gain = super().respond_one(zero)
-        return [0 if z else d[j] for j, z, d in zip(x, zero, self.domains)], gain
-
-    @cached_property
-    def _label_at(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every domain's labels in one array, and each vertex's offset."""
-        return (np.array([t for d in self.domains for t in d], dtype=np.intp),
-                np.cumsum([0] + [len(d) for d in self.domains])[:-1])
-
-    def respond(self, zero):
-        """`_Responder.respond` in labels."""
-        flat, first = self._label_at
-        return np.where(zero, 0, flat[first + super().respond(zero)])
+        pairs, domains, denom, top = _gmd_arcs(inst)
+        self._store([(u, v, bisect_left(domains[v], label), p) for arcs in pairs.values() for u, v, label, p in arcs],
+                    domains, denom, _int64_holds(top))
+        self.labels = self.answers[self.first[self.heads] + self.slots]
 
     def values(self, x):
         """`_PairGame.values` on the rows of labels `x`: what the arcs with
@@ -512,8 +470,8 @@ def greedy_completion(inst: GmdInstance, zero_set: frozenset[int] | set[int]) ->
     for v in zero_set:
         if not (0 <= v < inst.n):
             raise InstanceError(f"zero-set vertex {v} out of range")
-    zero = [v in zero_set for v in range(inst.n)]
-    return Labeling(tuple(_GmdResponder(inst).respond_one(zero)[0]))
+    zero = np.array([[v in zero_set for v in range(inst.n)]], dtype=bool)
+    return Labeling(tuple(_GmdResponder(inst).respond(zero)[0].tolist()))
 
 
 def opt_gmd(inst: GmdInstance) -> OptResult:
@@ -527,9 +485,9 @@ def opt_gmd(inst: GmdInstance) -> OptResult:
     path, order = _gmd_plan(inst)
     resp = _GmdResponder(inst)
     mask = _zero_set_walk(resp) if path == "walk" else resp.eliminate(order)
-    labels, total = resp.respond_one([bool(mask >> v & 1) for v in range(inst.n)])
-    witness = Labeling(tuple(labels))
-    best_val = Fraction(total, resp.denom)
+    x = resp.respond(np.array([[mask >> v & 1 for v in range(inst.n)]], dtype=bool))
+    witness = Labeling(tuple(x[0].tolist()))
+    best_val = Fraction(resp.values(x).tolist()[0], resp.denom)
     assert val_gmd(inst, witness) == best_val
     return OptResult(value=best_val, witness=witness, explored=1 << inst.n)
 
@@ -560,11 +518,16 @@ def _gmd_plan(inst: GmdInstance) -> tuple[str, list[int] | None]:
 def _zero_set_walk(resp: _Responder) -> int:
     """Smallest zero mask of largest value in the max-dicut game of `resp`,
     every mask in int64 numpy: a mask's value is the sum, over the vertices
-    outside it, of their largest score, the maximum over indices of the
-    terms' payoffs from the mask.  Each partial sum adds payoffs of one
-    assignment, so `in_int64` must hold.  Masks go in chunks of
-    2^14, whose arrays stay in cache."""
-    n = len(resp.terms)
+    outside it, of their largest score, the maximum over slots of the
+    payoffs of the slot's terms from the mask.  Each partial sum adds
+    payoffs of one assignment, so `in_int64` must hold.  Masks go in chunks
+    of 2^14, whose arrays stay in cache."""
+    n = len(resp.domains)
+    tails, pays = resp.tails.tolist(), resp.pays.tolist()
+    starts = resp.starts.tolist()
+    # per vertex with a term, the store's range of each of its slots' terms
+    ranges = [(v, [(a, b) for _, a, b in slots]) for v, slots in itertools.groupby(
+        zip(resp.heads[resp.starts].tolist(), starts, starts[1:] + [len(tails)]), key=lambda s: s[0])]
     best_val = 0
     best_mask = 0
     chunk_bits = min(n, 14)
@@ -572,18 +535,14 @@ def _zero_set_walk(resp: _Responder) -> int:
         masks = np.arange(start, start + (1 << chunk_bits), dtype=np.int64)
         bits = (masks >> np.arange(n)[:, None]) & 1
         total = np.zeros(masks.shape, dtype=np.int64)
-        for v, by_index in enumerate(resp.terms):
+        for v, slots in ranges:
             best = None
-            for terms in by_index:
-                if not terms:
-                    continue
-                (u, p), *rest = terms
-                gain = bits[u] * p
-                for u, p in rest:
-                    gain += bits[u] * p
+            for a, b in slots:
+                gain = bits[tails[a]] * pays[a]
+                for k in range(a + 1, b):
+                    gain += bits[tails[k]] * pays[k]
                 best = gain if best is None else np.maximum(best, gain, out=best)
-            if best is not None:
-                total += (1 - bits[v]) * best
+            total += (1 - bits[v]) * best
         i = int(np.argmax(total))
         if int(total[i]) > best_val:
             best_val = int(total[i])

@@ -160,13 +160,13 @@ def sparsify_pipeline(base: DagSkeleton, cfg: PipelineConfig) -> tuple[GmdInstan
 def _local_search_estimate(inst: GmdInstance, restarts: int, seed: int) -> Fraction:
     """Best zero-set hill-climbing value over seeded restarts (heuristic).
 
-    Values are exact integers on the max-dicut terms of `exact`.  Every
-    restart's start scores (what each label of a vertex's domain earns from
-    the zero set, at its slot in a row as wide as the widest domain),
-    largest scores and value come from one numpy scatter over (restart,
-    head, slot).  Flipping v changes only the best responses of v and of the
-    heads of its out-arcs, so a flip's gain comes from their scores and
-    largest scores, kept up to date.  That gain reads the zero flags and
+    Values are exact integers on the store of `exact._GmdResponder`, one
+    term per paying arc.  Every restart's start scores (what each label of
+    a vertex's domain earns from the zero set, at its slot in a row as wide
+    as the widest domain), largest scores and value come from one numpy
+    scatter over (restart, head, slot).  Flipping v changes only the best
+    responses of v and of the heads of its out-arcs, so a flip's gain comes
+    from their scores and largest scores, kept up to date.  That gain reads the zero flags and
     largest scores of v and of those heads, so a flip at u can change the
     gains of u, of its in- and out-neighbours, and of the in-neighbours of
     its out-neighbours.  A sweep visits the vertices with a term and

@@ -19,6 +19,7 @@ from gmdlab.approx import (
 from gmdlab.caps import Caps
 from gmdlab.core import CapExceeded, GmdInstance, GpInstance, InstanceError, half_integral_grid
 from gmdlab.exact import opt_gmd, opt_gp_grid
+from gmdlab.salp import build_sa_lp, marginals_for_rounding, solve_lp_exact
 
 F = Fraction
 
@@ -323,6 +324,34 @@ def test_lp_round_at_large_T_against_its_expectation(T):
     expectation = lp_round_expectation(inst, marginals)
     run = run_trials(lp_round_gmd, inst, 2000, seed=T, marginals=marginals)
     assert abs(float(run.exact_mean - expectation)) <= 5 * run.stderr
+
+
+def _sa_rounding_cases(T):
+    """Normalized 3- and 4-vertex paths with labels 1, T / 2 and T, and a
+    4-vertex DAG with random labels and weights, at T."""
+    from gmdlab.rng import substream
+
+    rng = substream(20261023, T)
+    dag = [(u, v, int(rng.integers(1, T + 1)), int(rng.integers(1, 6)))
+           for u in range(4) for v in range(u + 1, 4) if rng.random() < 0.7]
+    return [GmdInstance.of(T, 3, [(0, 1, 1, 1), (1, 2, T, 1)]).normalized(),
+            GmdInstance.of(T, 4, [(0, 1, 1, 1), (1, 2, T // 2, 1), (2, 3, T, 1)]).normalized(),
+            GmdInstance.of(T, 4, dag).normalized()]
+
+
+@pytest.mark.parametrize("T", [20, 50])
+def test_lp_round_at_large_T_against_the_sa_guarantee(T):
+    # the rounding of the 2-round Sherali-Adams optimum earns, exactly, at
+    # least lp/4 + lp^2/4 >= (1/4 + 1/(16T)) opt, and 2,000 trials' exact
+    # mean lies within 5 standard errors of its expectation; a 4-vertex LP
+    # at T = 50 has 15,810 variables, past the default `lp_entries`
+    for k, inst in enumerate(_sa_rounding_cases(T)):
+        lp, sol = solve_lp_exact(build_sa_lp(inst, rounds=2, caps=Caps(lp_entries=1 << 24)))
+        marginals = marginals_for_rounding(sol, inst)
+        expectation = lp_round_expectation(inst, marginals)
+        assert expectation >= lp / 4 + lp * lp / 4 >= (F(1, 4) + F(1, 16 * T)) * opt_gmd(inst).value
+        run = run_trials(lp_round_gmd, inst, 2000, seed=T + k, marginals=marginals)
+        assert abs(float(run.exact_mean - expectation)) <= 5 * run.stderr
 
 
 def test_exact_means_pinned_at_fixed_seeds():

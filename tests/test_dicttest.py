@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 
 from gmdlab.caps import Caps
 from gmdlab import dicttest
-from gmdlab.core import CapExceeded, InstanceError
+from gmdlab.core import CapExceeded, InstanceError, Labeling, val_gmd
 from gmdlab.dicttest import (
     acceptance_probability,
     build_correlated_space,
@@ -15,7 +16,6 @@ from gmdlab.dicttest import (
     dictator,
     dictator_beats_soundness_line,
     dictator_completeness,
-    evaluate_acceptance,
     exact_correlation,
     influence,
     soundness_line,
@@ -26,6 +26,13 @@ from gmdlab.gapgen import DagSkeleton
 F = Fraction
 
 EDGE = DagSkeleton(n=2, arcs=((0, 1),))
+
+
+def _materialized(ti, functions):
+    """Acceptance probability of per-inner-vertex functions on the
+    materialized test instance, whose vertex u * q^R + code carries
+    functions[u][code]."""
+    return val_gmd(ti.instance, Labeling(tuple(itertools.chain(*functions))))
 
 
 def test_space_T16_default_delta_is_half():
@@ -118,12 +125,12 @@ def test_materialized_and_streaming_agree():
     ti = build_test_instance(space, EDGE, R=1)
     for i in range(1):
         fn = dictator(space, R=1, i=i)
-        assert evaluate_acceptance(ti, [fn, fn]) == acceptance_probability(
+        assert _materialized(ti, [fn, fn]) == acceptance_probability(
             space, EDGE, R=1, functions=[fn, fn]
         )
     f0 = constant(space, R=1, value=0)
     f2 = constant(space, R=1, value=2)
-    assert evaluate_acceptance(ti, [f0, f2]) == acceptance_probability(
+    assert _materialized(ti, [f0, f2]) == acceptance_probability(
         space, EDGE, R=1, functions=[f0, f2]
     )
 
@@ -145,7 +152,7 @@ def test_chunked_sum_matches_materialized_instance(monkeypatch, limit):
     ti = build_test_instance(space, PATH3, R=3)
     for seed in range(3):
         tables = _random_tables(space, 3, 3, seed)
-        want = evaluate_acceptance(ti, tables)
+        want = _materialized(ti, tables)
         assert acceptance_probability(space, PATH3, 3, tables) == want
     fn = dictator(space, R=3, i=2)
     assert acceptance_probability(space, PATH3, 3, [fn] * 3) == dictator_completeness(space)
@@ -162,7 +169,7 @@ def test_object_dtype_sum_matches_materialized_instance(monkeypatch, limit):
     ti = build_test_instance(space, PATH3, R=2)
     for seed in range(3):
         tables = _random_tables(space, 2, 3, seed)
-        assert acceptance_probability(space, PATH3, 2, tables) == evaluate_acceptance(ti, tables)
+        assert acceptance_probability(space, PATH3, 2, tables) == _materialized(ti, tables)
 
 
 def test_float_chunked_sum_agrees_with_one_chunk(monkeypatch):
@@ -185,11 +192,11 @@ def test_constant_functions():
     space = build_correlated_space(2, delta=F(1, 2))
     ti = build_test_instance(space, EDGE, R=1)
     zero = constant(space, R=1, value=0)
-    assert evaluate_acceptance(ti, [zero, zero]) == 0
+    assert _materialized(ti, [zero, zero]) == 0
     # tail constant 0, head constant t0: accepted exactly when the sampled
     # target label equals t0, regardless of the drawn pair
     head = constant(space, R=1, value=2)
-    assert evaluate_acceptance(ti, [zero, head]) == F(1, 2)
+    assert _materialized(ti, [zero, head]) == F(1, 2)
 
 
 def test_acceptance_in_unit_interval_and_weights_sum():
@@ -197,7 +204,7 @@ def test_acceptance_in_unit_interval_and_weights_sum():
     ti = build_test_instance(space, EDGE, R=1)
     assert ti.instance.total_weight == 1
     for name_fn in (constant(space, 1, 1), dictator(space, 1, 0)):
-        acc = evaluate_acceptance(ti, [name_fn, name_fn])
+        acc = _materialized(ti, [name_fn, name_fn])
         assert 0 <= acc <= 1
 
 

@@ -30,6 +30,7 @@ from gmdlab import exact
 from gmdlab.approx import (
     _gp_responder,
     approx_gmd_quarter,
+    gp_price_completion,
     lp_round_gmd,
     quarter_expectation_gmd,
     run_trials,
@@ -392,14 +393,14 @@ def test_elimination_and_walk_agree_on_gmd(inst):
     value, _ = game.first_optimum(order)
     mask = _dense_elim_mask(game, order)
     resp = _GmdResponder(inst)
-    labels, total = resp.respond_one(_zero_flags(mask, inst.n))
-    assert F(total, resp.denom) == F(value, game.denom)
+    total, witness = _reference_completion(inst, mask)
+    assert total == F(value, game.denom)
     assert _zero_set_walk(resp) == mask == _compressed_elim_mask(resp)
     if (inst.T + 1) ** inst.n <= PLAIN_LABELINGS:
-        assert _plain_gmd(inst) == (F(value, game.denom), Labeling(tuple(labels)))
+        assert _plain_gmd(inst) == (total, witness)
     res = opt_gmd(inst)
     assert res.value == F(value, game.denom)
-    assert res.witness == Labeling(tuple(labels))
+    assert res.witness == witness
 
 
 def _min_fill_by_rescoring(inst):
@@ -509,7 +510,7 @@ def test_elimination_on_python_int_tables():
     mask = _dense_elim_mask(game, order)
     value, witness = _plain_gmd(inst)
     assert mask == sum(1 << v for v, x in enumerate(witness.values) if x == 0) == _compressed_elim_mask(resp)
-    assert F(resp.respond_one(_zero_flags(mask, 5))[1], resp.denom) == value
+    assert _reference_completion(inst, mask) == (value, witness)
     res = opt_gmd(inst)
     assert (res.value, res.witness) == (value, witness)
     assert value == opt_gmd_bruteforce(inst).value
@@ -528,10 +529,9 @@ def test_elimination_when_only_the_penalised_tables_pass_int64():
     order, _ = _min_fill_of(game)
     mask = _dense_elim_mask(game, order)
     assert mask == _zero_set_walk(resp) == _compressed_elim_mask(resp)
-    labels, total = resp.respond_one(_zero_flags(mask, inst.n))
     res = opt_gmd(inst)
     plain = _plain_gmd(inst)
-    assert (F(total, resp.denom), Labeling(tuple(labels))) == (res.value, res.witness) == plain
+    assert _reference_completion(inst, mask) == (res.value, res.witness) == plain
 
 
 def test_walk_runs_when_the_pair_maxima_fit_int64():
@@ -614,7 +614,8 @@ def test_cost_estimate_picks_each_path(tmp_path):
     resp = _GmdResponder(inst)
     zero = _zero_set_walk(resp)
     assert zero == _compressed_elim_mask(resp)
-    assert opt_gmd(inst).value == F(resp.respond_one(_zero_flags(zero, 16))[1], resp.denom)
+    res = opt_gmd(inst)
+    assert (res.value, res.witness) == _reference_completion(inst, zero)
 
 
 def _tournament(n, weight=lambda u, v: 1):
@@ -976,26 +977,80 @@ def test_gp_game_equals_fraction_tables():
         for grid in (half, geom):
             assert _built(_gp_game(inst, grid)) == _fraction_gp_game(inst, grid)[:3]
         resp, domains = _gp_responder(inst)
-        assert _built(resp.game) == _fraction_gp_game(inst, domains)[:3]
+        reference = _fraction_gp_game(inst, domains)
+        assert _built(_gp_game(inst, domains)) == reference[:3]
+        _assert_store(resp, _zero_row_terms(reference, 0))
+        assert resp.denom == reference[1]
 
 
-def _nbrs_terms(nbrs, sizes, zero):
-    """`_Responder.terms` from per-vertex neighbour dicts: nbrs[v][u][x_u]
-    is the payoff vector over x_v given u's index x_u."""
-    terms = []
+def _zero_row_terms(reference, zero):
+    """The nonzero terms (u, v, j, p) of the pair game `reference` (as from
+    `_fraction_game`) against zero index `zero`: what index j of v earns
+    when u sits at `zero`."""
+    _, _, _, nbrs = reference
+    return [(u, v, j, p) for v, nb in enumerate(nbrs) for u, cols in nb.items()
+            for j, p in enumerate(cols[zero]) if p]
+
+
+def _reference_responses(reference, zero_index, zero):
+    """The per-vertex best-response loop on the pair game `reference` (as
+    from `_fraction_game`): each vertex of the zero set `zero` (`zero[v]`
+    true when v is in it) at `zero_index`, every other vertex at its first
+    index of largest score against the zero set, index 0 with no
+    neighbour; and the sum of those largest scores."""
+    sizes, _, _, nbrs = reference
+    x, gain = [], 0
     for v, nb in enumerate(nbrs):
-        by_index = [tuple((u, cols[zero][j]) for u, cols in nb.items() if cols[zero][j])
-                    for j in range(sizes[v])]
-        terms.append(by_index if any(by_index) else [])
-    return terms
+        if zero[v]:
+            x.append(zero_index)
+            continue
+        scores = [sum(cols[zero_index][j] for u, cols in nb.items() if zero[u])
+                  for j in range(sizes[v])] if nb else [0]
+        best = max(scores)
+        x.append(scores.index(best))
+        gain += best
+    return x, gain
+
+
+def _reference_completion(inst, mask):
+    """Value and labels of the greedy completion of the zero mask `mask`,
+    by the reference loop on the full max-dicut game, whose index T is
+    label 0 and index i < T label i + 1."""
+    reference = _fraction_gmd_game(inst)
+    x, gain = _reference_responses(reference, inst.T, _zero_flags(mask, inst.n))
+    return F(gain, reference[1]), Labeling(tuple(0 if i == inst.T else i + 1 for i in x))
+
+
+def _assert_store(resp, terms):
+    """The store of `resp` holds exactly `terms`, (u, v, j, p) each, as
+    Python ints read back, sorted by (v, j), with the first term of each
+    slot that has one in `starts`."""
+    got = list(zip(resp.tails.tolist(), resp.heads.tolist(), resp.slots.tolist(), resp.pays.tolist()))
+    assert sorted(got) == sorted(terms)
+    assert all(type(t) is int for term in got for t in term)
+    assert resp.pays.dtype == (np.int64 if resp.in_int64 else object)
+    keys = [(v, j) for _, v, j, _ in got]
+    assert keys == sorted(keys)
+    assert resp.starts.tolist() == [k for k, key in enumerate(keys) if k == 0 or key != keys[k - 1]]
 
 
 def _assert_terms_match(game, reference, zero):
-    sizes, denom, _, nbrs = reference
+    """`_Responder(game)` keeps the zero-row terms of `reference` (as from
+    `_fraction_game`, for the same game) against index 0, and `respond`,
+    one row at a time and on all rows of the boolean array `zero` at once,
+    gives the reference loop's responses."""
+    sizes, denom, _, _ = reference
     assert (game.sizes, game.denom) == (sizes, denom)
-    terms = _Responder(game, zero).terms
-    assert terms == _nbrs_terms(nbrs, sizes, zero)
-    assert all(type(p) is int for by_index in terms for t in by_index for _, p in t)
+    resp = _Responder(game)
+    assert resp.in_int64 == game.int64()
+    _assert_store(resp, _zero_row_terms(reference, 0))
+    want = [_reference_responses(reference, 0, row)[0] for row in zero.tolist()]
+    assert [resp.respond(row[None, :])[0].tolist() for row in zero] == want
+    assert resp.respond(zero).tolist() == want
+
+
+def _random_zero_sets(n, seed, rows=40):
+    return np.random.default_rng(seed).integers(0, 2, size=(rows, n)) == 1
 
 
 # weights times 2^70 put every game with a nonzero payoff on Python ints
@@ -1005,20 +1060,21 @@ HUGE = 1 << 70
 @settings(max_examples=100, deadline=None)
 @given(gmd_instances(), st.booleans())
 def test_responder_terms_match_neighbour_dicts_on_gmd(inst, huge):
+    # the game-built responder on the full max-dicut game, zero at index 0
+    # (label 1); its zero at index T is `_GmdResponder`'s, checked below
     if huge:
         inst = GmdInstance.of(inst.T, inst.n, [(a.tail, a.head, a.label, a.weight * HUGE)
                                                for a in inst.arcs])
     game = _dense_gmd_game(inst)
     assert game.int64() == (not huge or not game.payoffs.any())
-    # every index against label 0's index T, and against index 0
-    for zero in (inst.T, 0):
-        _assert_terms_match(game, _fraction_gmd_game(inst), zero)
+    _assert_terms_match(game, _fraction_gmd_game(inst), _random_zero_sets(inst.n, inst.n))
 
 
 def test_gmd_responder_peak_holds_no_list_per_label():
     # a 2,000-vertex path with labels cycling through T = 50: one list per
     # head and label made the constructor peak at 7.9 MiB; the compressed
-    # domains, each head's label and label 1 or 2, peak at 2.0 MiB
+    # domains, each head's label and label 1 or 2, and one store term per
+    # arc peak at 2.0 MiB
     T, n = 50, 2000
     inst = GmdInstance.of(T, n, [(v, v + 1, v % T + 1, 1) for v in range(n - 1)])
     tracemalloc.start()
@@ -1029,8 +1085,12 @@ def test_gmd_responder_peak_holds_no_list_per_label():
         tracemalloc.stop()
     assert peak < 3 << 20
     assert resp.domains[:3] == [(1,), (1, 2), (1, 2)] and resp.domains[3] == (1, 3)
-    assert resp.terms[1] == [((0, 1),), ()] and resp.terms[3] == [(), ((2, 1),)]
-    assert resp.terms[0] == []
+    # the arc 0 -> 1 pays vertex 1 at label 1, slot 0; 2 -> 3 pays vertex 3
+    # at label 3, slot 1; vertex 0 has no term
+    store = list(zip(resp.tails.tolist(), resp.heads.tolist(), resp.slots.tolist(),
+                     resp.labels.tolist(), resp.pays.tolist()))
+    assert store[:3] == [(0, 1, 0, 1, 1), (1, 2, 1, 2, 1), (2, 3, 1, 3, 1)]
+    assert 0 not in resp.heads.tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -1041,22 +1101,22 @@ def test_gmd_responder_builds_the_game_terms_from_the_arcs(inst, huge):
                                                for a in inst.arcs])
     T, n = inst.T, inst.n
     resp = _GmdResponder(inst)
-    # the reference's pairs in the order of their first paying arc, as the
-    # responder's are
     paying = GmdInstance.of(T, n, [a for a in inst.arcs if a.weight])
-    sizes, denom, _, nbrs = _fraction_gmd_game(paying)
-    assert resp.denom == denom
+    reference = _fraction_gmd_game(paying)
+    assert resp.denom == reference[1]
     # each domain: the labels the paying in-arcs name, and the least label
     # none of them names when T leaves one, ascending
     for v, domain in enumerate(resp.domains):
         named = {a.label for a in inst.arcs if a.head == v and a.weight}
         free = [t for t in range(1, T + 1) if t not in named][:1]
         assert domain == tuple(sorted(named | set(free)))
-    # the full responder's terms at the kept labels; its last index, T
-    # (label 0), never has a term, and a vertex with none has an empty list
-    full = _nbrs_terms(nbrs, sizes, T)
-    assert resp.terms == [[by_index[t - 1] for t in domain] if by_index and any(by_index) else []
-                          for by_index, domain in zip(full, resp.domains)]
+    # the store holds the full game's terms against label 0 (index T), each
+    # at its label's slot; index T itself never has a term
+    full = _zero_row_terms(reference, T)
+    assert all(j < T for _, _, j, _ in full)
+    _assert_store(resp, [(u, v, resp.domains[v].index(j + 1), p) for u, v, j, p in full])
+    assert resp.labels.tolist() == [resp.domains[v][j] for v, j in zip(resp.heads.tolist(),
+                                                                        resp.slots.tolist())]
     game = _dense_gmd_game(inst)
     assert resp.in_int64 == game.int64()
     assert resp.pays.dtype == game.payoffs.dtype
@@ -1070,13 +1130,14 @@ def test_gmd_responder_builds_the_game_terms_from_the_arcs(inst, huge):
     assert resp.values(labels).dtype == game.values(x).dtype
     assert resp.values(labels).tolist() == game.values(x).tolist()
     # the best responses, one zero set at a time and in a batch, are the
-    # full responder's in labels
-    dense = _Responder(game, T)
-    zero = np.random.default_rng(n + 1).integers(0, 2, size=(40, n)) == 1
-    for row in zero.tolist():
-        want, gain = dense.respond_one(row)
-        assert resp.respond_one(row) == ([0 if i == T else i + 1 for i in want], gain)
-    assert resp.respond(zero).tolist() == np.where(zero, 0, dense.respond(zero) + 1).tolist()
+    # reference loop's on the full game, in labels; each completion's value
+    # is the sum of its responders' largest scores
+    zero = _random_zero_sets(n, n + 1)
+    want = [_reference_responses(reference, T, row) for row in zero.tolist()]
+    answers = [[0 if i == T else i + 1 for i in x] for x, _ in want]
+    assert [resp.respond(row[None, :])[0].tolist() for row in zero] == answers
+    assert resp.respond(zero).tolist() == answers
+    assert resp.values(resp.respond(zero)).tolist() == [gain for _, gain in want]
 
 
 def test_greedy_completion_builds_no_pair_game(monkeypatch):
@@ -1122,7 +1183,13 @@ def test_responder_terms_match_neighbour_dicts_on_gp(case, huge):
         inst = GpInstance.of(inst.n, [(e.u, e.v, e.budget, e.weight * HUGE) for e in inst.edges])
     game = _gp_game(inst, grid)
     assert game.int64() == (not huge or not game.payoffs.any())
-    _assert_terms_match(game, _fraction_gp_game(inst, grid), 0)
+    _assert_terms_match(game, _fraction_gp_game(inst, grid), _random_zero_sets(inst.n, inst.n))
+    # the pricing completion is the reference loop's on the incident budgets
+    resp, domains = _gp_responder(inst)
+    reference = _fraction_gp_game(inst, domains)
+    for row in _random_zero_sets(inst.n, inst.n + 1, rows=8).tolist():
+        x = _reference_responses(reference, 0, row)[0]
+        assert gp_price_completion(inst, row) == Pricing(tuple(d[i] for d, i in zip(domains, x)))
 
 
 def test_builders_do_no_fraction_arithmetic(monkeypatch):

@@ -159,7 +159,6 @@ TEST_ONLY_API = {
     "quarter_expectation_gp": "the pricing quarter algorithm's exact expectation, at least opt/4",
     "greedy_completion": "the best labeling of a zero set, on which zero-set enumeration rests",
     "exact_correlation": "the correlated space's correlation, computed two ways; an acceptance claim",
-    "evaluate_acceptance": "the dictatorship test's exact acceptance probability of given functions",
     "influence": "a coordinate's influence, which the soundness analysis bounds",
     "dictator_beats_soundness_line": "the exact threshold T > 160000/81 where dictators beat soundness",
     "check_path_decomposable": "the l-path decomposability the gap instances need, checked per block",
